@@ -50,14 +50,16 @@ cover:
 	$(GO) test -cover ./...
 
 # Short fuzz passes over the chaos-spec parser, the executor config
-# validator, the repartitioning-spec parser, and the fleet packer
-# (demand-spec strings through Place with Validate as the oracle; the
-# checked-in corpora run as regular tests in `make test`).
+# validator, the repartitioning-spec parser, the fleet packer
+# (demand-spec strings through Place with Validate as the oracle), and
+# the attribution sweep (random interval sets against the quadratic
+# oracle); the checked-in corpora run as regular tests in `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz FuzzConfigValidate -fuzztime 10s ./internal/faas/htex
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/repart
 	$(GO) test -run '^$$' -fuzz FuzzPlace -fuzztime 10s ./internal/fleet
+	$(GO) test -run '^$$' -fuzz FuzzDecompose -fuzztime 10s ./internal/obs/analyze
 
 bench: bench-devent bench-paper bench-obs bench-fleet bench-autoscale bench-check
 
@@ -68,10 +70,11 @@ bench-paper:
 	$(GO) test -json -run '^$$' -bench=. -benchtime=1x . > BENCH_paper.json
 
 # The telemetry-plane record: tsdb scrape/query benchmarks (the scrape
-# path must stay 0 allocs/op — BenchmarkScrape enforces it) plus the
-# live-server package.
+# path must stay 0 allocs/op — BenchmarkScrape enforces it), the
+# live-server package, and critical-path attribution over the paper's
+# observed grid.
 bench-obs:
-	$(GO) test -json -run '^$$' -bench=. -benchmem -benchtime=1x ./internal/obs/tsdb ./internal/obs/live > BENCH_obs.json
+	$(GO) test -json -run '^$$' -bench=. -benchmem -benchtime=1x ./internal/obs/tsdb ./internal/obs/live ./internal/obs/analyze > BENCH_obs.json
 
 # The fleet-layer record: the from-scratch 100-GPU greedy solve, the
 # steady-state churn step, and the fragmentation metric.

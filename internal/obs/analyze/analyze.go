@@ -5,13 +5,19 @@
 // SLO burn-rate monitoring on the virtual clock, and run-to-run trace
 // diffing.
 //
-// Attribution is a priority sweep line. Each span kind that can
-// explain a slice of a task's wall time contributes an interval with a
-// fixed phase and priority; intervals are clipped to the task span,
-// elementary segments between interval boundaries take the phase of
-// the highest-priority covering interval, and uncovered segments are
-// classified positionally (before the first evidence: submit; between
-// evidence: retry/backoff; after the last: other). Executor queue time
+// Attribution is a counted edge sweep. Each span kind that can explain
+// a slice of a task's wall time contributes an interval with a fixed
+// phase and priority, and every priority names exactly one phase.
+// Intervals are clipped to the task span and become one start and one
+// end edge each; the edges are sorted once and walked with a live
+// count per priority plus a 128-bit mask of the live priorities, so
+// each elementary segment between edges takes the phase of the highest
+// live priority in O(m log m) per task of m intervals. Because a
+// priority names one phase, it never matters which of several
+// equal-priority intervals covers a segment: the result does not
+// depend on interval order. Uncovered segments are classified
+// positionally (before the first evidence: submit; between evidence:
+// retry/backoff; after the last: other). Executor queue time
 // is critical-path-reattributed: while a task waits for a busy worker,
 // the blocking run's own phases (kernel queueing, compute, transfers)
 // claim that wait, so device-level contention surfaces in end-to-end
@@ -22,6 +28,9 @@
 package analyze
 
 import (
+	"cmp"
+	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -170,7 +179,8 @@ type interval struct {
 // enclosing queue wait, and restart windows only claim time nothing
 // else explains. The values are spaced by 10 so blocking-run
 // reattribution (see blockedPrio) can slot between plain queue wait
-// and the task's own evidence.
+// and the task's own evidence. Every priority, own or blocked, names
+// exactly one phase and stays below maxPrio; the sweep relies on both.
 const (
 	prioRestart   = 10 // executor drain/restart window
 	prioQueue     = 20 // htex queue span
@@ -212,6 +222,8 @@ type analyzer struct {
 	inits       []*obs.Span
 	runsByTrack map[string][]*obs.Span // htex run spans per worker track
 	runIvs      map[obs.SpanID][]interval
+	ivs         []interval // the current task's evidence, reused across tasks
+	sw          sweep
 }
 
 func analyzeCollector(rep *Report, c *obs.Collector) {
@@ -242,9 +254,8 @@ func newAnalyzer() *analyzer {
 // addEvidence indexes one span into the analyzer's evidence structures
 // and reports whether it is a dfk task span (the attribution unit).
 // Shared by the snapshot path (which feeds a full Spans() snapshot in
-// ID order) and the Streamer (which feeds spans as they end, then
-// re-sorts the touched index lists by ID before attributing, so both
-// paths attribute over identically ordered evidence).
+// ID order) and the Streamer (which feeds spans as they end; see
+// Streamer.attribute for why arrival order is enough).
 func (a *analyzer) addEvidence(s *obs.Span) bool {
 	if s.Parent != 0 {
 		a.children[s.Parent] = append(a.children[s.Parent], s)
@@ -286,7 +297,7 @@ func (a *analyzer) attributeTask(t *obs.Span) TaskAttribution {
 	if id, err := strconv.Atoi(t.Attr("task")); err == nil {
 		ta.Task = id
 	}
-	var ivs []interval
+	ivs := a.ivs[:0]
 
 	// Executor drain/restart windows are the weakest evidence: they
 	// only claim time no task-specific span explains (fail-fast retry
@@ -338,7 +349,8 @@ func (a *analyzer) attributeTask(t *obs.Span) TaskAttribution {
 			ivs = append(ivs, a.runIntervals(ch)...)
 		}
 	}
-	ta.Phases = decompose(t.Start, t.End, ivs)
+	a.ivs = ivs
+	ta.Phases = a.sw.decompose(t.Start, t.End, ivs)
 	return ta
 }
 
@@ -367,74 +379,78 @@ func appendDeviceIntervals(ivs []interval, kids []*obs.Span) []interval {
 	return ivs
 }
 
-// decompose runs the priority sweep line over [start, end].
-func decompose(start, end time.Duration, ivs []interval) Breakdown {
+// maxPrio bounds interval priorities: the live set is a 128-bit mask.
+const maxPrio = 128
+
+// edge is one clipped interval boundary: delta is +1 at the interval's
+// start and -1 at its end.
+type edge struct {
+	at          time.Duration
+	prio, delta int32
+}
+
+// sweep is the counted edge sweep's scratch, reused across tasks. Every
+// count is back to zero when a sweep ends, so nothing needs resetting.
+type sweep struct {
+	edges []edge
+	count [maxPrio]int32 // live intervals per priority
+	live  [2]uint64      // bit p set iff count[p] > 0
+	phase [maxPrio]Phase // the one phase each priority names
+}
+
+// decompose runs the counted edge sweep over [start, end].
+func (s *sweep) decompose(start, end time.Duration, ivs []interval) Breakdown {
 	var b Breakdown
 	if end <= start {
 		return b
 	}
-	// Clip to the task window and drop empty intervals.
-	clipped := ivs[:0]
-	covLo, covHi := end, start
+	// Clip to the task window, dropping empty intervals.
+	edges := s.edges[:0]
 	for _, iv := range ivs {
-		if iv.start < start {
-			iv.start = start
+		lo, hi := maxDur(iv.start, start), minDur(iv.end, end)
+		if hi > lo {
+			s.phase[iv.prio] = iv.phase
+			edges = append(edges, edge{lo, int32(iv.prio), 1}, edge{hi, int32(iv.prio), -1})
 		}
-		if iv.end > end {
-			iv.end = end
-		}
-		if iv.end <= iv.start {
-			continue
-		}
-		if iv.start < covLo {
-			covLo = iv.start
-		}
-		if iv.end > covHi {
-			covHi = iv.end
-		}
-		clipped = append(clipped, iv)
 	}
-	if len(clipped) == 0 {
+	s.edges = edges
+	if len(edges) == 0 {
 		b[PhaseSubmit] = end - start
 		return b
 	}
-	// Elementary segments between sorted unique boundaries.
-	bounds := make([]time.Duration, 0, 2*len(clipped)+2)
-	bounds = append(bounds, start, end)
-	for _, iv := range clipped {
-		bounds = append(bounds, iv.start, iv.end)
-	}
-	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
-	uniq := bounds[:1]
-	for _, t := range bounds[1:] {
-		if t != uniq[len(uniq)-1] {
-			uniq = append(uniq, t)
-		}
-	}
-	for i := 0; i+1 < len(uniq); i++ {
-		a, z := uniq[i], uniq[i+1]
-		best := -1
-		var ph Phase
-		for _, iv := range clipped {
-			if iv.start <= a && a < iv.end && iv.prio > best {
-				best, ph = iv.prio, iv.phase
+	slices.SortFunc(edges, func(x, y edge) int { return cmp.Compare(x.at, y.at) })
+	// The segment before each edge takes the highest live priority's
+	// phase; uncovered, it is submit before the first evidence and
+	// retry/backoff between evidence.
+	at, gap := start, PhaseSubmit
+	for _, e := range edges {
+		if e.at > at {
+			ph := gap
+			if p := s.top(); p >= 0 {
+				ph = s.phase[p]
 			}
+			b[ph] += e.at - at
+			at = e.at
 		}
-		if best < 0 {
-			// Uncovered gap: classify by position relative to the
-			// evidence envelope.
-			switch {
-			case z <= covLo:
-				ph = PhaseSubmit
-			case a >= covHi:
-				ph = PhaseOther
-			default:
-				ph = PhaseRetryBackoff
-			}
+		gap = PhaseRetryBackoff
+		s.count[e.prio] += e.delta
+		if w, bit := e.prio>>6, uint64(1)<<(e.prio&63); s.count[e.prio] > 0 {
+			s.live[w] |= bit
+		} else {
+			s.live[w] &^= bit
 		}
-		b[ph] += z - a
 	}
+	// The last edge closes the last evidence; the rest is other.
+	b[PhaseOther] += end - at
 	return b
+}
+
+// top returns the highest live priority, or -1 when none is live.
+func (s *sweep) top() int {
+	if s.live[1] != 0 {
+		return 64 + bits.Len64(s.live[1]) - 1
+	}
+	return bits.Len64(s.live[0]) - 1
 }
 
 // buildGroups aggregates tasks into sorted blame profiles.

@@ -2,6 +2,12 @@ package analyze
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"math/bits"
+	"math/rand/v2"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -449,4 +455,277 @@ func TestPhaseByName(t *testing.T) {
 	if Phase(-1).String() != "invalid" || NumPhases.String() != "invalid" {
 		t.Error("out-of-range String")
 	}
+}
+
+// ownPrios lists every interval priority constant with the one phase
+// it names; run marks the run evidence that blockedPrio reattributes
+// onto a waiting task's queue time.
+var ownPrios = []struct {
+	name  string
+	prio  int
+	phase Phase
+	run   bool
+}{
+	{"prioRestart", prioRestart, PhaseRestartStall, false},
+	{"prioQueue", prioQueue, PhaseQueue, false},
+	{"prioInitWait", prioInitWait, PhaseColdStart, false},
+	{"prioRun", prioRun, PhaseHost, true},
+	{"prioCtxInit", prioCtxInit, PhaseColdStart, true},
+	{"prioPCIe", prioPCIe, PhasePCIe, true},
+	{"prioWeights", prioWeights, PhaseWeightLoad, true},
+	{"prioKernQueue", prioKernQueue, PhaseKernelQueue, true},
+	{"prioCompute", prioCompute, PhaseCompute, true},
+}
+
+type prioPhase struct {
+	prio  int
+	phase Phase
+}
+
+// evidencePrios returns every priority attribution emits, own and
+// blocked, with its phase, sorted by priority. It reports any value
+// two priorities share (so none can name two phases, and no blocked
+// priority can collide with an own-evidence one) and any value outside
+// the sweep's mask.
+func evidencePrios(t testing.TB) []prioPhase {
+	t.Helper()
+	named := make(map[int]Phase)
+	add := func(what string, prio int, phase Phase) {
+		if ph, dup := named[prio]; dup {
+			t.Errorf("%s = %d collides with a priority naming %s", what, prio, ph)
+		}
+		if prio < 0 || prio >= maxPrio {
+			t.Errorf("%s = %d is outside [0, %d)", what, prio, maxPrio)
+		}
+		named[prio] = phase
+	}
+	for _, o := range ownPrios {
+		add(o.name, o.prio, o.phase)
+	}
+	for _, o := range ownPrios {
+		if o.run {
+			add("blockedPrio("+o.name+")", blockedPrio(o.prio), o.phase)
+		}
+	}
+	out := make([]prioPhase, 0, len(named))
+	for p, ph := range named {
+		out = append(out, prioPhase{p, ph})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].prio < out[j].prio })
+	return out
+}
+
+// addEveryDeviceKind records a 90ms run on w0 at `at` with every kind
+// of device evidence: context init, weight and plain transfers, and a
+// kernel with dispatch delay.
+func addEveryDeviceKind(c *obs.Collector, task obs.SpanID, at time.Duration) {
+	run := c.AddSpan("htex", "run", "w0", task, at, at+90*ms)
+	c.AddSpan("htex", "ctxinit", "w0", run, at, at+10*ms)
+	c.AddSpan("simgpu", "xfer", "ctx", run, at+10*ms, at+20*ms, obs.String("tag", "weights"))
+	c.AddSpan("simgpu", "xfer", "ctx", run, at+20*ms, at+30*ms)
+	c.AddSpan("simgpu", "decode", "ctx", run, at+40*ms, at+80*ms, obs.Dur("queue_ns", 10*ms))
+}
+
+// TestPrioNamesOnePhase pins the invariant the sweep relies on: every
+// priority attribution emits names exactly one phase, so which of
+// several equal-priority intervals covers a segment never matters and
+// attribution cannot depend on interval order.
+func TestPrioNamesOnePhase(t *testing.T) {
+	// Every prio* constant in the source must be listed in ownPrios, so
+	// a new priority cannot bypass this check.
+	f, err := parser.ParseFile(token.NewFileSet(), "analyze.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := make(map[string]bool)
+	for _, o := range ownPrios {
+		listed[o.name] = true
+	}
+	for _, d := range f.Decls {
+		if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.CONST {
+			for _, spec := range gd.Specs {
+				for _, n := range spec.(*ast.ValueSpec).Names {
+					if strings.HasPrefix(n.Name, "prio") && !listed[n.Name] {
+						t.Errorf("priority constant %s is missing from ownPrios", n.Name)
+					}
+				}
+			}
+		}
+	}
+	want := make(map[int]Phase)
+	for _, pp := range evidencePrios(t) {
+		want[pp.prio] = pp.phase
+	}
+
+	// A waiter queued behind a blocker's run, inside a restart window
+	// and a worker init window, carries every priority there is; each
+	// interval attribution builds must match the table.
+	c := obs.New(&tickClock{})
+	c.AddSpan("htex", "restart", "ex", 0, 0, 5*ms, obs.String("executor", "ex"))
+	c.AddSpan("htex", "init", "w0", 0, 0, 10*ms)
+	blocker := addTask(c, 1, "a", "ex", "done", 0, 100*ms)
+	addEveryDeviceKind(c, blocker, 10*ms)
+	waiter := addTask(c, 2, "a", "ex", "done", 0, 200*ms)
+	c.AddSpan("htex", "queue", "task", waiter, 0, 100*ms, obs.String("worker", "w0"))
+	addEveryDeviceKind(c, waiter, 100*ms)
+
+	a := newAnalyzer()
+	spans := c.Spans()
+	var tasks []*obs.Span
+	for i := range spans {
+		if a.addEvidence(&spans[i]) {
+			tasks = append(tasks, &spans[i])
+		}
+	}
+	seen := make(map[int]bool)
+	for _, task := range tasks {
+		a.attributeTask(task)
+		for _, iv := range a.ivs {
+			switch ph, ok := want[iv.prio]; {
+			case !ok:
+				t.Errorf("interval priority %d (%s) is in no band", iv.prio, iv.phase)
+			case ph != iv.phase:
+				t.Errorf("interval priority %d carries %s; the table says %s", iv.prio, iv.phase, ph)
+			}
+			seen[iv.prio] = true
+		}
+	}
+	for p, ph := range want {
+		if !seen[p] {
+			t.Errorf("priority %d (%s) never emitted: the scenario no longer covers it", p, ph)
+		}
+	}
+}
+
+// decomposeRef is the original quadratic scan, kept as the oracle for
+// sweep.decompose: every elementary segment between interval
+// boundaries rescans every clipped interval for its highest-priority
+// cover, the first of equal priorities winning.
+func decomposeRef(start, end time.Duration, ivs []interval) Breakdown {
+	var b Breakdown
+	if end <= start {
+		return b
+	}
+	var clipped []interval
+	covLo, covHi := end, start
+	for _, iv := range ivs {
+		iv.start, iv.end = maxDur(iv.start, start), minDur(iv.end, end)
+		if iv.end <= iv.start {
+			continue
+		}
+		covLo, covHi = minDur(covLo, iv.start), maxDur(covHi, iv.end)
+		clipped = append(clipped, iv)
+	}
+	if len(clipped) == 0 {
+		b[PhaseSubmit] = end - start
+		return b
+	}
+	bounds := []time.Duration{start, end}
+	for _, iv := range clipped {
+		bounds = append(bounds, iv.start, iv.end)
+	}
+	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
+	uniq := bounds[:1]
+	for _, t := range bounds[1:] {
+		if t != uniq[len(uniq)-1] {
+			uniq = append(uniq, t)
+		}
+	}
+	for i := 0; i+1 < len(uniq); i++ {
+		a, z := uniq[i], uniq[i+1]
+		best := -1
+		var ph Phase
+		for _, iv := range clipped {
+			if iv.start <= a && a < iv.end && iv.prio > best {
+				best, ph = iv.prio, iv.phase
+			}
+		}
+		if best < 0 {
+			switch {
+			case z <= covLo:
+				ph = PhaseSubmit
+			case a >= covHi:
+				ph = PhaseOther
+			default:
+				ph = PhaseRetryBackoff
+			}
+		}
+		b[ph] += z - a
+	}
+	return b
+}
+
+func shuffle[T any](rnd *rand.Rand, arr []T) {
+	if len(arr) < 2 {
+		return
+	}
+	rnd.Shuffle(len(arr), func(i, j int) {
+		arr[i], arr[j] = arr[j], arr[i]
+	})
+}
+
+// randomEvidence draws a task window and an interval set on a coarse
+// millisecond grid, so zero-length and reversed intervals, intervals
+// outside the window, and touching or shared edges are all common.
+// Priorities and phases come from the table attribution emits.
+func randomEvidence(rnd *rand.Rand, prios []prioPhase) (start, end time.Duration, ivs []interval) {
+	grid := func(n int) time.Duration { return time.Duration(rnd.IntN(n)) * ms }
+	start = grid(24)
+	end = start + grid(16)
+	for range rnd.IntN(24) {
+		pp := prios[rnd.IntN(len(prios))]
+		lo := grid(24) - 4*ms
+		ivs = append(ivs, interval{lo, lo + grid(12) - 2*ms, pp.phase, pp.prio})
+	}
+	return start, end, ivs
+}
+
+// checkDecompose draws one evidence set and checks that the sweep
+// equals the oracle on it as drawn and shuffled, and that the
+// breakdown sums exactly to the window.
+func checkDecompose(t *testing.T, rnd *rand.Rand, sw *sweep, prios []prioPhase) {
+	t.Helper()
+	start, end, ivs := randomEvidence(rnd, prios)
+	want := decomposeRef(start, end, ivs)
+	if got, span := want.Total(), max(end-start, 0); got != span {
+		t.Fatalf("window [%v, %v]: oracle phases sum %v", start, end, got)
+	}
+	for _, order := range []string{"generated", "shuffled"} {
+		if order == "shuffled" {
+			shuffle(rnd, ivs)
+			if ref := decomposeRef(start, end, ivs); ref != want {
+				t.Fatalf("oracle depends on interval order: %v vs %v over %+v", ref, want, ivs)
+			}
+		}
+		if got := sw.decompose(start, end, ivs); got != want {
+			t.Fatalf("%s order, window [%v, %v] over %+v:\nsweep  %v\noracle %v", order, start, end, ivs, got, want)
+		}
+	}
+}
+
+// TestDecomposeMatchesReference checks the counted edge sweep against
+// the quadratic oracle on random interval sets. The seeds are logged
+// so a failure replays exactly.
+func TestDecomposeMatchesReference(t *testing.T) {
+	seed1 := uint64(time.Now().UnixNano())
+	seed2 := bits.Reverse64(uint64(time.Now().UnixNano()))
+	t.Logf("seed1 = %d, seed2 = %d", seed1, seed2)
+	rnd := rand.New(rand.NewPCG(seed1, seed2))
+	prios := evidencePrios(t)
+	var sw sweep // one scratch for every case, as an analyzer reuses it
+	for range 5000 {
+		checkDecompose(t, rnd, &sw, prios)
+	}
+}
+
+// FuzzDecompose searches the same generator's seed space for a set on
+// which the sweep and the oracle disagree.
+func FuzzDecompose(f *testing.F) {
+	f.Add(uint64(1), uint64(2))
+	f.Add(uint64(0), uint64(0))
+	prios := evidencePrios(f)
+	f.Fuzz(func(t *testing.T, seed1, seed2 uint64) {
+		var sw sweep
+		checkDecompose(t, rand.New(rand.NewPCG(seed1, seed2)), &sw, prios)
+	})
 }

@@ -2,8 +2,10 @@ package analyze
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -23,8 +25,9 @@ const sweepEvery = 4096
 // window instead of by run length, while the resulting Report is
 // byte-identical to the snapshot path:
 //
-//   - evidence lists are re-sorted by span ID before each attribution,
-//     reproducing the snapshot's ID-ordered interval assembly;
+//   - interval order cannot change the sweep (each priority names one
+//     phase), so evidence is attributed in arrival order, with only a
+//     task's own children re-sorted by span ID;
 //   - tasks ending inside an open executor restart window are deferred
 //     until the restart span is recorded, so retroactive restart
 //     evidence is never missed;
@@ -168,50 +171,16 @@ func (st *Streamer) drainDeferred() {
 	st.deferred = kept
 }
 
+// attribute decomposes one ended task. Streaming arrival is end-time
+// order, but interval order cannot change the sweep, so evidence lists
+// stay as they arrived; only the task's own children are restored to
+// span-ID order, because GPUPct takes the first run child.
 func (st *Streamer) attribute(t *obs.Span) {
-	st.sortEvidence(t)
+	slices.SortFunc(st.a.children[t.ID], func(x, y *obs.Span) int { return cmp.Compare(x.ID, y.ID) })
 	ta := st.a.attributeTask(t)
 	st.tasks = append(st.tasks, ta)
 	st.taskIDs = append(st.taskIDs, t.ID)
 	delete(st.a.children, t.ID)
-}
-
-// sortEvidence restores snapshot (span-ID) order on every index list
-// this task's attribution will read. Streaming arrival order is
-// end-time order; the snapshot path assembles intervals in ID order,
-// and interval order decides equal-priority ties, so the lists must
-// match before attributeTask runs. Run-interval memos are computed on
-// first use, so a run's child list is sorted before it is memoized.
-func (st *Streamer) sortEvidence(t *obs.Span) {
-	a := st.a
-	sortSpansByID(a.restarts)
-	sortSpansByID(a.inits)
-	kids := a.children[t.ID]
-	sortSpansByID(kids)
-	for _, ch := range kids {
-		switch {
-		case ch.Cat == "htex" && ch.Name == "queue":
-			w := ch.Attr("worker")
-			if w == "" {
-				continue
-			}
-			runs := a.runsByTrack[w]
-			sortSpansByID(runs)
-			for _, run := range runs {
-				if _, done := a.runIvs[run.ID]; !done {
-					sortSpansByID(a.children[run.ID])
-				}
-			}
-		case ch.Cat == "htex" && ch.Name == "run":
-			if _, done := a.runIvs[ch.ID]; !done {
-				sortSpansByID(a.children[ch.ID])
-			}
-		}
-	}
-}
-
-func sortSpansByID(spans []*obs.Span) {
-	sort.Slice(spans, func(i, j int) bool { return spans[i].ID < spans[j].ID })
 }
 
 // threshold is the eviction horizon: evidence ending before it cannot
