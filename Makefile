@@ -1,7 +1,9 @@
 # Developer entry points. `make check` is the tier-1 gate (build, vet,
-# staticcheck when installed, test); `make race` reruns the tests under
-# the race detector — the parallel harness and the chaos suite must
-# stay race-clean — and runs as its own CI job. `make cover` prints
+# staticcheck when installed, test, plus vet of the bench/ module,
+# which `./...` never reaches because it is a module of its own);
+# `make race` reruns the tests under the race detector — the parallel
+# harness and the chaos suite must stay race-clean — and runs as its
+# own CI job. `make cover` prints
 # per-package statement coverage. `make bench` regenerates the kernel,
 # paper, and observability benchmark records as `go test -json` event
 # streams (BENCH_devent.json, BENCH_paper.json, BENCH_obs.json,
@@ -21,15 +23,21 @@
 
 GO ?= go
 
-.PHONY: check build vet staticcheck test race cover fuzz bench bench-devent bench-paper bench-obs bench-fleet bench-autoscale bench-check bench-diff scale fleet autoscale attrib serve-smoke clean
+.PHONY: check build vet bench-vet staticcheck test race cover fuzz bench bench-devent bench-paper bench-obs bench-fleet bench-autoscale bench-check bench-diff scale fleet autoscale attrib serve-smoke clean
 
-check: build vet staticcheck test
+check: build vet bench-vet staticcheck test
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# bench/ is a separate module (replace repro => ../), so `go build
+# ./...` skips it; vetting it compiles the benchmark against the
+# current exported API.
+bench-vet:
+	cd bench && $(GO) vet .
 
 # staticcheck is optional locally (no network installs in the dev
 # container) but mandatory in CI, which installs it on the runner.
@@ -53,13 +61,15 @@ cover:
 # validator, the repartitioning-spec parser, the fleet packer
 # (demand-spec strings through Place with Validate as the oracle), and
 # the attribution sweep (random interval sets against the quadratic
-# oracle); the checked-in corpora run as regular tests in `make test`.
+# oracle), and the SLO-spec parser (accepted rules must be evaluable);
+# the checked-in corpora run as regular tests in `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz FuzzConfigValidate -fuzztime 10s ./internal/faas/htex
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/repart
 	$(GO) test -run '^$$' -fuzz FuzzPlace -fuzztime 10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzDecompose -fuzztime 10s ./internal/obs/analyze
+	$(GO) test -run '^$$' -fuzz FuzzParseSLOSpec -fuzztime 10s ./internal/obs/analyze
 
 bench: bench-devent bench-paper bench-obs bench-fleet bench-autoscale bench-check
 

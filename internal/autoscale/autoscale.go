@@ -7,7 +7,7 @@
 // when even scaling cannot protect the latency objective.
 //
 // The control signal is the per-app "slo:burn" event series that
-// analyze.NewMonitorTSDB records in the tsdb, combined with the
+// analyze.NewMonitor records in a shared tsdb, combined with the
 // backlog implied by the registry's submitted/completed counters. The
 // loop is a virtual-clock daemon exactly like repart.Controller's:
 // deterministic ticks, decide spans, cooldown and hysteresis, so runs
@@ -154,7 +154,7 @@ type Config struct {
 	Env *devent.Env
 	Obs *obs.Collector
 	// DB holds the per-app "slo:burn" event series (from
-	// analyze.NewMonitorTSDB). Required: burn is the primary signal.
+	// analyze.NewMonitor). Required: burn is the primary signal.
 	DB   *tsdb.DB
 	Spec Spec
 	// Exec is the executor whose blocks the controller scales.

@@ -20,12 +20,10 @@ import (
 	"repro/internal/fault"
 	"repro/internal/fleet"
 	"repro/internal/gpuctl"
-	"repro/internal/monitor"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 	"repro/internal/obs/tsdb"
 	"repro/internal/simgpu"
-	"repro/internal/trace"
 )
 
 // Options configures a Platform.
@@ -50,7 +48,7 @@ type Options struct {
 	WorkerInit time.Duration
 	// Observe turns on deep instrumentation: devent scheduler counters
 	// and per-kernel spans from the devices. Task and worker spans are
-	// always collected (the monitor is built on them).
+	// always collected (attribution and the SLO monitor read them).
 	Observe bool
 	// TaskTimeout is the per-task deadline passed to the DFK (0 = no
 	// deadlines, the seed behavior).
@@ -66,17 +64,10 @@ type Options struct {
 	// instrument at the configured interval while the run executes,
 	// Run takes a final scrape after the queue drains, and the handle
 	// lands in Platform.TSDB for windowed queries and the live HTTP
-	// plane. With SLO also set, the burn-rate monitor computes its
-	// windows from tsdb event series (identical alert stream, plus a
-	// queryable slo:burn signal). Nil keeps the seed behavior exactly.
+	// plane. With SLO also set, the burn-rate monitor registers its
+	// alert rules here and records a queryable slo:burn signal (the
+	// alert stream is identical). Nil keeps the seed behavior exactly.
 	TSDB *tsdb.Config
-	// NoHistory disables whole-run retrospection so memory stays
-	// bounded by in-flight work instead of run length: the DFK drops
-	// completed task records, no Gantt trace bridge is installed, and
-	// the monitoring DB is not attached. The span stream is unaffected —
-	// pair with a streaming sink (Obs.SetSink) for bounded-memory
-	// million-task runs.
-	NoHistory bool
 	// OnCollector, when set, is called with the platform's collector
 	// during assembly, before any span exists. Streaming exporters use
 	// it to attach sinks, samplers, and incremental analyzers that must
@@ -138,10 +129,6 @@ type Platform struct {
 	Node      *gpuctl.Node
 	DFK       *faas.DFK
 	CPU       *htex.HTEX
-	Trace     *trace.Log
-	// Monitor is the attached Parsl-style monitoring DB (Listing 1's
-	// log_dir): per-app statistics, worker busy time, task history.
-	Monitor *monitor.DB
 	// Obs is the platform's collector: every span and metric from the
 	// DFK, executors, and (with Options.Observe) devices and scheduler.
 	Obs *obs.Collector
@@ -195,11 +182,10 @@ func NewPlatform(opts Options) (*Platform, error) {
 		return nil, err
 	}
 	fcfg := faas.Config{
-		RunDir:        "sim",
-		Retries:       o.Retries,
-		Timeout:       o.TaskTimeout,
-		Collector:     collector,
-		DropCompleted: o.NoHistory,
+		RunDir:    "sim",
+		Retries:   o.Retries,
+		Timeout:   o.TaskTimeout,
+		Collector: collector,
 	}
 	if o.RetryBackoff > 0 {
 		fcfg.RetryBackoff = o.RetryBackoff
@@ -219,20 +205,8 @@ func NewPlatform(opts Options) (*Platform, error) {
 		Node:      node,
 		DFK:       dfk,
 		CPU:       cpu,
-		Trace:     &trace.Log{},
-		Monitor:   monitor.New(),
 		Obs:       collector,
 		opts:      o,
-	}
-	if !o.NoHistory {
-		// Worker-side run spans become the platform's Gantt trace (Fig. 3
-		// view): one span per execution attempt on the worker's track.
-		collector.OnSpanEnd(func(s obs.Span) {
-			if s.Cat == "htex" && s.Name == "run" {
-				pl.Trace.Add(trace.SpanFromObs(s))
-			}
-		})
-		pl.Monitor.Attach(dfk)
 	}
 	if o.TSDB != nil {
 		pl.TSDB = tsdb.New(collector.Metrics(), env, *o.TSDB)
@@ -242,7 +216,7 @@ func NewPlatform(opts Options) (*Platform, error) {
 		if err != nil {
 			return nil, err
 		}
-		pl.SLOMon = analyze.NewMonitorTSDB(collector, env, rules, pl.TSDB)
+		pl.SLOMon = analyze.NewMonitor(collector, env, rules, pl.TSDB)
 	}
 	if o.Chaos != nil {
 		inj := fault.New(env, *o.Chaos, collector)

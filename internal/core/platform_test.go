@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/devent"
 	"repro/internal/faas"
+	"repro/internal/obs/analyze"
 	"repro/internal/simgpu"
 )
 
@@ -20,8 +21,8 @@ func TestPlatformDefaults(t *testing.T) {
 	if pl.Devices[0].Spec().Name != "A100-SXM4-80GB" {
 		t.Fatalf("spec = %s", pl.Devices[0].Spec().Name)
 	}
-	if pl.Monitor == nil || pl.Trace == nil {
-		t.Fatal("monitor/trace not wired")
+	if pl.Obs == nil || pl.DFK.Collector() != pl.Obs {
+		t.Fatal("collector not wired to the DFK")
 	}
 }
 
@@ -41,16 +42,22 @@ func TestPlatformMonitorRecordsTasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.Monitor.Len() != 1 {
-		t.Fatalf("monitor records = %d", pl.Monitor.Len())
+	// The span stream alone reconstructs the task: one hello task on
+	// the cpu executor whose 1 s run is host time (no device work) and
+	// all of its latency.
+	rep := analyze.Analyze(pl.Obs)
+	if len(rep.Tasks) != 1 {
+		t.Fatalf("attributed tasks = %d, want 1", len(rep.Tasks))
 	}
-	apps := pl.Monitor.Apps()
-	if len(apps) != 1 || apps[0].App != "hello" || apps[0].RunTime.Mean() != time.Second {
-		t.Fatalf("apps = %+v", apps)
+	tk := rep.Tasks[0]
+	if tk.App != "hello" || tk.Executor != "cpu" || tk.Status != "done" {
+		t.Fatalf("task = %+v", tk)
 	}
-	// Trace captured the same completion.
-	if pl.Trace.Len() != 1 {
-		t.Fatalf("trace spans = %d", pl.Trace.Len())
+	if got := tk.Phases[analyze.PhaseHost]; got != time.Second || tk.Duration() != time.Second {
+		t.Fatalf("host = %v, latency = %v, want 1s each (phases %v)", got, tk.Duration(), tk.Phases)
+	}
+	if len(rep.Groups) != 1 || rep.Groups[0].App != "hello" || rep.Groups[0].Tasks != 1 {
+		t.Fatalf("groups = %+v", rep.Groups)
 	}
 }
 

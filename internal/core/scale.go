@@ -151,7 +151,7 @@ type ScaleResult struct {
 
 // RunMillionTask runs the sharded open-loop microtask scenario:
 // Poisson arrivals, exponential service times, a bounded in-flight
-// window, one NoHistory platform per shard. Shards execute through
+// window, one platform per shard. Shards execute through
 // harness.ShardMap, so wall-clock time scales with cores while every
 // returned field is byte-for-byte reproducible.
 func RunMillionTask(cfg ScaleConfig) (*ScaleResult, error) {
@@ -196,8 +196,8 @@ type shardScaleOut struct {
 	lats []time.Duration
 }
 
-// runScaleShard drives one shard: a fresh NoHistory platform with a
-// CPU-only executor, optionally streaming its spans to sink.
+// runScaleShard drives one shard: a fresh platform with a CPU-only
+// executor, optionally streaming its spans to sink.
 func runScaleShard(cfg ScaleConfig, shard, tasks int, sink obs.SpanSink) (shardScaleOut, error) {
 	sr := shardScaleOut{ShardScaleResult: ShardScaleResult{Shard: shard, Tasks: tasks}}
 	var tel ScaleTelemetry
@@ -209,7 +209,6 @@ func runScaleShard(cfg ScaleConfig, shard, tasks int, sink obs.SpanSink) (shardS
 		// never touches it (pure CPU microtasks).
 		DeviceSpecs: []simgpu.DeviceSpec{simgpu.A100SXM480GB()},
 		CPUWorkers:  cfg.Workers,
-		NoHistory:   true,
 		TSDB:        tel.TSDB,
 	})
 	if err != nil {

@@ -239,17 +239,18 @@ func TestTasksAccounting(t *testing.T) {
 	env := devent.NewEnv()
 	d, _ := newTestDFK(t, env, 0)
 	d.Register(App{Name: "fn", Executor: "stub", Fn: func(*Invocation) (any, error) { return nil, nil }})
+	var f1, f2 *Future
 	env.Spawn("main", func(p *devent.Proc) {
-		f1 := d.Submit("fn")
-		f2 := d.Submit("fn")
+		f1 = d.Submit("fn")
+		f2 = d.Submit("fn")
 		p.Wait(devent.AllOf(env, f1.Event(), f2.Event()))
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	tasks := d.Tasks()
-	if len(tasks) != 2 || tasks[0].ID == tasks[1].ID {
-		t.Fatalf("tasks = %+v", tasks)
+	t1, t2 := f1.Task(), f2.Task()
+	if t1.ID == t2.ID || t1.Status != TaskDone || t2.Status != TaskDone {
+		t.Fatalf("tasks = %+v, %+v", t1, t2)
 	}
 }
 

@@ -282,8 +282,17 @@ func TestWriteFolded(t *testing.T) {
 	}
 }
 
+// goodSLOSpec and badSLOSpecs are ParseSLOSpec's accept and reject
+// cases, shared by the unit test and the fuzz seed corpus.
+const goodSLOSpec = "llama:12s:0.9,load:30s:0.99:120s"
+
+var badSLOSpecs = []string{
+	"", "x", "a:12s", "a:nope:0.9", "a:12s:1.5", "a:12s:0",
+	"a:12s:0.9,a:5s:0.5", ":12s:0.9", "a:12s:0.9:zz", "a:12s:nan", "a:12s:0.9x",
+}
+
 func TestParseSLOSpec(t *testing.T) {
-	rules, err := ParseSLOSpec("llama:12s:0.9,load:30s:0.99:120s")
+	rules, err := ParseSLOSpec(goodSLOSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,14 +306,43 @@ func TestParseSLOSpec(t *testing.T) {
 	if rules[1].Window != 120*time.Second {
 		t.Errorf("rule 1 window = %v", rules[1].Window)
 	}
-	for _, bad := range []string{
-		"", "x", "a:12s", "a:nope:0.9", "a:12s:1.5", "a:12s:0",
-		"a:12s:0.9,a:5s:0.5", ":12s:0.9", "a:12s:0.9:zz",
-	} {
+	for _, bad := range badSLOSpecs {
 		if _, err := ParseSLOSpec(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}
 	}
+}
+
+// FuzzParseSLOSpec checks that every spec ParseSLOSpec accepts yields
+// rules a monitor can evaluate: at least one, unique non-empty apps, a
+// positive latency and window, and a target strictly inside (0,1).
+func FuzzParseSLOSpec(f *testing.F) {
+	f.Add(goodSLOSpec)
+	for _, bad := range badSLOSpecs {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		rules, err := ParseSLOSpec(spec)
+		if err != nil {
+			return
+		}
+		if len(rules) == 0 {
+			t.Fatalf("%q: accepted with no rules", spec)
+		}
+		seen := make(map[string]bool)
+		for _, r := range rules {
+			if r.App == "" || seen[r.App] {
+				t.Fatalf("%q: empty or duplicate app %q", spec, r.App)
+			}
+			seen[r.App] = true
+			if r.Latency <= 0 || r.Window <= 0 {
+				t.Fatalf("%q: rule %+v: non-positive latency or window", spec, r)
+			}
+			if !(r.Target > 0 && r.Target < 1) {
+				t.Fatalf("%q: rule %+v: target outside (0,1)", spec, r)
+			}
+		}
+	})
 }
 
 // TestMonitorAlertLifecycle drives task spans through a monitor and
@@ -314,7 +352,7 @@ func TestMonitorAlertLifecycle(t *testing.T) {
 	c := obs.New(clk)
 	c.SetScope("mon")
 	rules := []Rule{{App: "a", Latency: 10 * ms, Target: 0.5, Window: time.Second}}
-	m := NewMonitor(c, clk, rules)
+	m := NewMonitor(c, clk, rules, nil)
 	if m == nil {
 		t.Fatal("nil monitor")
 	}
@@ -372,7 +410,7 @@ func TestMonitorAlertLifecycle(t *testing.T) {
 func TestMonitorCloseFlushesActiveAlert(t *testing.T) {
 	clk := &tickClock{}
 	c := obs.New(clk)
-	m := NewMonitor(c, clk, []Rule{{App: "a", Latency: ms, Target: 0.5}})
+	m := NewMonitor(c, clk, []Rule{{App: "a", Latency: ms, Target: 0.5}}, nil)
 	clk.now = 50 * ms
 	addTask(c, 1, "a", "ex", "failed", 0, 50*ms)
 	clk.now = 80 * ms
@@ -390,7 +428,7 @@ func TestMonitorCloseFlushesActiveAlert(t *testing.T) {
 }
 
 func TestNewMonitorNil(t *testing.T) {
-	if NewMonitor(nil, &tickClock{}, []Rule{{App: "a"}}) != nil {
+	if NewMonitor(nil, &tickClock{}, []Rule{{App: "a"}}, nil) != nil {
 		t.Error("nil collector should yield nil monitor")
 	}
 	var m *Monitor

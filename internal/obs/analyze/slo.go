@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"time"
 
@@ -51,7 +52,8 @@ func ParseSLOSpec(spec string) ([]Rule, error) {
 		if r.Latency, err = time.ParseDuration(fields[1]); err != nil || r.Latency <= 0 {
 			return nil, fmt.Errorf("slo: %q: bad latency %q", part, fields[1])
 		}
-		if _, err = fmt.Sscanf(fields[2], "%g", &r.Target); err != nil || r.Target <= 0 || r.Target >= 1 {
+		// Negated so NaN fails too.
+		if r.Target, err = strconv.ParseFloat(fields[2], 64); err != nil || !(r.Target > 0 && r.Target < 1) {
 			return nil, fmt.Errorf("slo: %q: target must be in (0,1)", part)
 		}
 		if len(fields) == 4 {
@@ -73,32 +75,20 @@ type sloEvent struct {
 	bad bool
 }
 
-// sloSeriesCap bounds the per-app tsdb event series backing a
-// db-based sliding window. A window holding more events than this is
-// clipped (and counted in slo_window_clipped_total); size it above the
-// densest window the scenario produces.
-var sloSeriesCap = 1 << 16
+// sloBurnCap is the ring size of each app's shared "slo:burn" series:
+// room for the densest window a scenario's alert rules query.
+const sloBurnCap = 1 << 16
 
-// appState tracks one rule's sliding window and active alert. The
-// window lives either in the in-memory events list (classic mode) or
-// in a tsdb event series (when the monitor is db-backed); the alert
-// state machine is identical in both.
+// appState tracks one rule's sliding window (an exact list of the
+// outcomes inside it) and its alert (a tsdb engine rule).
 type appState struct {
 	rule   Rule
 	events []sloEvent
 	head   int // index of the oldest live event
 	bad    int
 
-	evSeries   *tsdb.Series // per-task outcomes (0 good / 1 bad)
-	burnSeries *tsdb.Series // burn rate after each event
-	alert      *tsdb.Alert  // db mode: the engine-backed "slo-burn" rule
-
-	// Classic (list-backed) mode keeps the inline state machine; db
-	// mode delegates it to the tsdb alert engine.
-	alertActive bool
-	alertStart  time.Duration
-	alertEvents int
-	peakBurn    float64
+	burnSeries *tsdb.Series // burn rate after each event; nil without a shared db
+	alert      *tsdb.Alert  // the engine-backed "slo-burn" rule
 }
 
 // Monitor evaluates SLO burn rates live over the span stream. It is
@@ -115,50 +105,33 @@ type Monitor struct {
 }
 
 // NewMonitor attaches a monitor for the given rules to the collector's
-// span stream. A nil collector yields a nil (no-op) monitor.
-func NewMonitor(c *obs.Collector, clk obs.Clock, rules []Rule) *Monitor {
+// span stream. Each rule's alert is an event-driven tsdb engine rule
+// fed the burn rate after every task outcome. With a shared db the
+// rules register there — their pending/firing state, alert:state
+// series, incident history and alert_* counters become queryable live —
+// and each app gets an "slo:burn" event series, the control input for
+// autoscalers and the HTTP plane. A nil db puts the rules on a private
+// store with its own registry, so no alert_* family reaches the
+// collector's metrics. A nil collector yields a nil (no-op) monitor.
+func NewMonitor(c *obs.Collector, clk obs.Clock, rules []Rule, db *tsdb.DB) *Monitor {
 	if c == nil || len(rules) == 0 {
 		return nil
+	}
+	alerts := db
+	if alerts == nil {
+		alerts = tsdb.New(obs.NewRegistry(clk), clk, tsdb.Config{})
 	}
 	m := &Monitor{c: c, clk: clk, apps: make(map[string]*appState)}
 	for _, r := range rules {
 		if r.Window <= 0 {
 			r.Window = DefaultSLOWindow
 		}
-		m.apps[r.App] = &appState{rule: r}
-		m.order = append(m.order, r.App)
-	}
-	c.OnSpanEnd(m.onSpan)
-	return m
-}
-
-// NewMonitorTSDB attaches a monitor whose sliding windows live in db
-// event series instead of in-memory lists: per app, "slo:events"
-// records each terminal task outcome (0 good, 1 bad) at its end time
-// and "slo:burn" the burn rate after it. Alert semantics are identical
-// to NewMonitor — the burn fraction is just computed from windowed
-// series queries — but the signal becomes queryable while the run is
-// live (db.Latest("slo:burn", ...) is the reusable control input for
-// autoscalers and the HTTP plane). A nil db yields a classic monitor.
-func NewMonitorTSDB(c *obs.Collector, clk obs.Clock, rules []Rule, db *tsdb.DB) *Monitor {
-	m := NewMonitor(c, clk, rules)
-	if m == nil || db == nil {
-		return m
-	}
-	for _, app := range m.order {
-		app := app
-		st := m.apps[app]
-		st.evSeries = db.EventSeries("slo:events", sloSeriesCap, obs.L("app", app))
-		st.burnSeries = db.EventSeries("slo:burn", sloSeriesCap, obs.L("app", app))
-		// The alert state machine is the engine's: an event-driven rule
-		// (no Series, no For — fire on the first burn >= 1, resolve on
-		// the first burn < 1) fed each per-task burn value at its event
-		// time. The OnEvent hook reproduces the classic monitor's side
-		// effects — slo_alerts_total on firing, the retroactive slo/burn
-		// span on resolution — so the alert stream stays byte-equal
-		// while the pending/firing state, alert:state series, and
-		// incident history become queryable live.
-		st.alert = db.AddAlert(tsdb.AlertRule{
+		app := r.App
+		st := &appState{rule: r, burnSeries: db.EventSeries("slo:burn", sloBurnCap, obs.L("app", app))}
+		// No Series and no For: fire on the first burn >= 1, resolve on
+		// the first burn < 1. OnEvent counts slo_alerts_total on firing
+		// and records the retroactive slo/burn span on resolution.
+		st.alert = alerts.AddAlert(tsdb.AlertRule{
 			Name:      "slo-burn",
 			Labels:    []obs.Label{obs.L("app", app)},
 			Threshold: 1,
@@ -175,67 +148,39 @@ func NewMonitorTSDB(c *obs.Collector, clk obs.Clock, rules []Rule, db *tsdb.DB) 
 				}
 			},
 		})
+		m.apps[app] = st
+		m.order = append(m.order, app)
 	}
+	c.OnSpanEnd(m.onSpan)
 	return m
 }
 
-// burn returns the current burn rate: the fraction of the error
-// budget (1-target) consumed by the window's bad fraction. burn >= 1
-// means the objective is being violated.
-func (st *appState) burn() float64 {
-	n := len(st.events) - st.head
-	if n == 0 {
-		return 0
-	}
-	badFrac := float64(st.bad) / float64(n)
-	return badFrac / (1 - st.rule.Target)
-}
-
-// record adds one terminal outcome at its event time, evicting
-// anything that fell out of the sliding window, and reports whether
-// the window is still complete (a clipped tsdb ring degrades burn to
-// an estimate over what's retained).
-func (st *appState) record(at time.Duration, bad bool) (complete bool) {
-	if st.evSeries != nil {
-		v := 0.0
-		if bad {
-			v = 1
-		}
-		st.evSeries.Append(at, v)
-		_, complete = st.evSeries.CountSince(at - st.rule.Window)
-		return complete
-	}
+// record adds one terminal outcome at its event time, evicts anything
+// that fell out of the sliding window, and returns the burn rate: the
+// fraction of the error budget (1-target) the window's bad fraction
+// consumes. burn >= 1 means the objective is being violated.
+func (st *appState) record(at time.Duration, bad bool) float64 {
 	st.events = append(st.events, sloEvent{at: at, bad: bad})
 	if bad {
 		st.bad++
 	}
+	// The event just appended is inside its own window, so the window
+	// never empties.
 	cutoff := at - st.rule.Window
-	for st.head < len(st.events) && st.events[st.head].at < cutoff {
+	for st.events[st.head].at < cutoff {
 		if st.events[st.head].bad {
 			st.bad--
 		}
 		st.head++
 	}
-	if st.head > 0 && st.head == len(st.events) {
-		st.events = st.events[:0]
+	// Reclaim the consumed prefix once it outgrows the live part, so
+	// memory follows the window, not the run; each copy moves fewer
+	// events than were consumed since the last, keeping O(1) amortised.
+	if st.head > len(st.events)/2 {
+		st.events = st.events[:copy(st.events, st.events[st.head:])]
 		st.head = 0
 	}
-	return true
-}
-
-// burnAt returns the burn rate over the window ending at the given
-// event time. In db-backed mode the bad count is a windowed sum of
-// 0/1 samples — exact integers, so the quotient is bit-identical to
-// the list computation over the same events.
-func (st *appState) burnAt(at time.Duration) float64 {
-	if st.evSeries == nil {
-		return st.burn()
-	}
-	n, _ := st.evSeries.CountSince(at - st.rule.Window)
-	if n == 0 {
-		return 0
-	}
-	badFrac := st.evSeries.SumSince(at-st.rule.Window) / float64(n)
+	badFrac := float64(st.bad) / float64(len(st.events)-st.head)
 	return badFrac / (1 - st.rule.Target)
 }
 
@@ -260,42 +205,9 @@ func (m *Monitor) onSpan(s obs.Span) {
 		verdict = "bad"
 	}
 	m.c.Metrics().Counter("slo_events_total", obs.L("app", st.rule.App), obs.L("verdict", verdict)).Inc()
-	if complete := st.record(s.End, !good); !complete {
-		m.c.Metrics().Counter("slo_window_clipped_total", obs.L("app", st.rule.App)).Inc()
-	}
-	burn := st.burnAt(s.End)
+	burn := st.record(s.End, !good)
 	st.burnSeries.Append(s.End, burn)
-	if st.alert != nil {
-		st.alert.Observe(s.End, burn)
-		return
-	}
-	switch {
-	case burn >= 1 && !st.alertActive:
-		st.alertActive = true
-		st.alertStart = s.End
-		st.alertEvents = 1
-		st.peakBurn = burn
-		m.c.Metrics().Counter("slo_alerts_total", obs.L("app", st.rule.App)).Inc()
-	case st.alertActive && burn >= 1:
-		st.alertEvents++
-		if burn > st.peakBurn {
-			st.peakBurn = burn
-		}
-	case st.alertActive && burn < 1:
-		m.emitAlert(st, s.End)
-	}
-}
-
-// emitAlert records the completed alert window as a retroactive span.
-func (m *Monitor) emitAlert(st *appState, end time.Duration) {
-	m.c.AddSpan("slo", "burn", "slo:"+st.rule.App, 0, st.alertStart, end,
-		obs.String("app", st.rule.App),
-		obs.Float("peak_burn", st.peakBurn),
-		obs.Int("events", st.alertEvents),
-	)
-	st.alertActive = false
-	st.alertEvents = 0
-	st.peakBurn = 0
+	st.alert.Observe(s.End, burn)
 }
 
 // Close flushes alert windows still burning at run end, clamped to the
@@ -306,14 +218,7 @@ func (m *Monitor) Close() {
 	}
 	now := m.clk.Now()
 	for _, app := range m.order {
-		st := m.apps[app]
-		if st.alert != nil {
-			st.alert.Resolve(now)
-			continue
-		}
-		if st.alertActive {
-			m.emitAlert(st, now)
-		}
+		m.apps[app].alert.Resolve(now)
 	}
 }
 

@@ -2,6 +2,7 @@ package analyze
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,10 +13,11 @@ import (
 // TestMonitorTSDBMatchesClassic replays one deterministic task-outcome
 // stream — two apps, latency-violation bursts that raise and clear
 // alerts several times, a pseudo-random sprinkle of failures — through
-// the classic list-backed monitor and the tsdb-backed one, and
-// requires byte-identical alert streams. The burn fraction in db mode
-// is a windowed sum of 0/1 samples over the same events, so the floats
-// (and therefore every alert boundary and peak) must match exactly.
+// a monitor with no db (classic: its alert rules live on a private
+// store) and one sharing a run's tsdb, and requires byte-identical
+// alert streams and slo_* counters. Only the shared-db monitor may
+// leave alert_* families in the collector's registry: the -metrics
+// artifact of a run without a tsdb must not change.
 func TestMonitorTSDBMatchesClassic(t *testing.T) {
 	rules := []Rule{
 		{App: "llama", Latency: 10 * ms, Target: 0.9, Window: time.Second},
@@ -26,9 +28,9 @@ func TestMonitorTSDBMatchesClassic(t *testing.T) {
 	c1, c2 := obs.New(clk1), obs.New(clk2)
 	c1.SetScope("unit")
 	c2.SetScope("unit")
-	m1 := NewMonitor(c1, clk1, rules)
+	m1 := NewMonitor(c1, clk1, rules, nil)
 	db := tsdb.New(c2.Metrics(), clk2, tsdb.Config{})
-	m2 := NewMonitorTSDB(c2, clk2, rules, db)
+	m2 := NewMonitor(c2, clk2, rules, db)
 
 	// xorshift-ish LCG for a reproducible failure sprinkle.
 	seed := uint64(0x9e3779b97f4a7c15)
@@ -77,55 +79,73 @@ func TestMonitorTSDBMatchesClassic(t *testing.T) {
 
 	var a1, a2 bytes.Buffer
 	if err := WriteAlerts(&a1, c1); err != nil {
-		t.Fatalf("WriteAlerts classic: %v", err)
+		t.Fatalf("WriteAlerts nil db: %v", err)
 	}
 	if err := WriteAlerts(&a2, c2); err != nil {
-		t.Fatalf("WriteAlerts tsdb: %v", err)
+		t.Fatalf("WriteAlerts shared db: %v", err)
 	}
 	if a1.Len() == 0 {
-		t.Fatal("no alerts in the classic stream — the scenario must exercise the state machine")
+		t.Fatal("no alerts in the nil-db stream — the scenario must exercise the state machine")
 	}
 	if n := bytes.Count(a1.Bytes(), []byte("\n")); n < 3 {
 		t.Fatalf("want >= 3 alert windows across apps, got %d:\n%s", n, a1.Bytes())
 	}
 	if !bytes.Equal(a1.Bytes(), a2.Bytes()) {
-		t.Fatalf("alert streams differ:\nclassic:\n%s\ntsdb:\n%s", a1.Bytes(), a2.Bytes())
+		t.Fatalf("alert streams differ:\nnil db:\n%s\nshared db:\n%s", a1.Bytes(), a2.Bytes())
 	}
 
-	// The db-backed monitor leaves a queryable control signal behind.
+	prom := func(c *obs.Collector) (slo, alert string) {
+		var buf bytes.Buffer
+		if err := obs.WritePrometheus(&buf, c); err != nil {
+			t.Fatalf("WritePrometheus: %v", err)
+		}
+		var s, a strings.Builder
+		for _, line := range strings.SplitAfter(buf.String(), "\n") {
+			if strings.Contains(line, "slo_") {
+				s.WriteString(line)
+			}
+			if strings.Contains(line, "alert_") {
+				a.WriteString(line)
+			}
+		}
+		return s.String(), a.String()
+	}
+	slo1, alert1 := prom(c1)
+	slo2, alert2 := prom(c2)
+	if !strings.Contains(slo1, "slo_alerts_total") {
+		t.Fatalf("slo_alerts_total missing from the nil-db registry:\n%s", slo1)
+	}
+	if slo1 != slo2 {
+		t.Fatalf("slo_* counters differ:\nnil db:\n%s\nshared db:\n%s", slo1, slo2)
+	}
+	if alert1 != "" {
+		t.Fatalf("nil-db monitor leaked alert families into the collector registry:\n%s", alert1)
+	}
+	if alert2 == "" {
+		t.Fatal("shared-db monitor registered no alert_* counters in the run's registry")
+	}
+
+	// The shared db holds a queryable control signal; the nil-db monitor
+	// has none to offer.
 	if s, ok := db.Latest("slo:burn", obs.L("app", "llama")); !ok {
 		t.Fatal("slo:burn series not recorded")
 	} else if s.T <= 0 {
 		t.Fatalf("slo:burn latest at %v", s.T)
 	}
-	if n, _ := db.EventSeries("slo:events", 0, obs.L("app", "llama")).CountSince(0); n != 1200 {
-		t.Fatalf("slo:events retained %d samples, want 1200", n)
+	if n, _ := db.EventSeries("slo:burn", 0, obs.L("app", "llama")).CountSince(0); n != 1200 {
+		t.Fatalf("slo:burn retained %d samples, want 1200", n)
 	}
-}
+	if m1.apps["llama"].burnSeries != nil {
+		t.Fatal("nil-db monitor created a burn series")
+	}
 
-// TestMonitorTSDBWindowClipping shrinks the event-series capacity so
-// the sliding window outgrows the ring, and checks the degradation is
-// surfaced on the clip counter rather than silent.
-func TestMonitorTSDBWindowClipping(t *testing.T) {
-	prev := sloSeriesCap
-	sloSeriesCap = 8
-	defer func() { sloSeriesCap = prev }()
-
-	clk := &tickClock{}
-	c := obs.New(clk)
-	db := tsdb.New(c.Metrics(), clk, tsdb.Config{})
-	rules := []Rule{{App: "llama", Latency: 10 * ms, Target: 0.9, Window: time.Second}}
-	if m := NewMonitorTSDB(c, clk, rules, db); m == nil {
-		t.Fatal("nil monitor")
-	}
-	for i := 0; i < 32; i++ {
-		at := time.Duration(i) * ms // all 32 events inside one window, ring holds 8
-		c.AddSpan("dfk", "task", "task", 0, at, at+5*ms,
-			obs.Int("task", i), obs.String("app", "llama"),
-			obs.String("executor", "htex-gpu"), obs.String("status", "done"))
-	}
-	clipped := c.Metrics().Counter("slo_window_clipped_total", obs.L("app", "llama")).Value()
-	if clipped == 0 {
-		t.Fatal("ring overflow inside the window did not count as clipped")
+	// The list window reclaims its consumed prefix: after 1200 events
+	// with ~100 inside each 1s window, the slice holds at most twice the
+	// live window, not the run.
+	for _, m := range []*Monitor{m1, m2} {
+		st := m.apps["llama"]
+		if live := len(st.events) - st.head; len(st.events) > 2*live {
+			t.Fatalf("window slice holds %d events for %d live", len(st.events), live)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -110,10 +111,17 @@ func TestAutoscaleVerdictHolds(t *testing.T) {
 func TestAutoscaleTelemetryHooks(t *testing.T) {
 	var b bytes.Buffer
 	opts := autoscaleTestOptions()
+	// Cells run on parallel harness workers, so the hook is called
+	// concurrently.
+	var mu sync.Mutex
 	seen := make(map[string]*tsdb.DB)
 	opts.Telemetry = &FleetTelemetry{
-		TSDB:     &tsdb.Config{},
-		OnCellDB: func(cell string, db *tsdb.DB) { seen[cell] = db },
+		TSDB: &tsdb.Config{},
+		OnCellDB: func(cell string, db *tsdb.DB) {
+			mu.Lock()
+			defer mu.Unlock()
+			seen[cell] = db
+		},
 	}
 	if err := Autoscale(&b, opts); err != nil {
 		t.Fatal(err)

@@ -39,10 +39,13 @@ type FleetOptions struct {
 	Alerts io.Writer
 }
 
-// FleetTelemetry carries the live-plane hooks for the fleet artifact:
-// one virtual-time series store per load cell.
+// FleetTelemetry carries the live-plane hooks for the fleet and
+// autoscale artifacts: one virtual-time series store per grid cell.
 type FleetTelemetry struct {
-	TSDB     *tsdb.Config
+	TSDB *tsdb.Config
+	// OnCellDB is called with each cell's store right after the cell
+	// assembles, before it runs. Called from the cell's harness worker:
+	// cells run in parallel, so it must be safe for concurrent use.
 	OnCellDB func(load string, db *tsdb.DB)
 }
 

@@ -3,6 +3,7 @@ package report
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -87,10 +88,17 @@ func TestFleetArtifactShape(t *testing.T) {
 func TestFleetTelemetryHooks(t *testing.T) {
 	var b bytes.Buffer
 	opts := fleetTestOptions()
+	// Cells run on parallel harness workers, so the hook is called
+	// concurrently.
+	var mu sync.Mutex
 	seen := make(map[string]*tsdb.DB)
 	opts.Telemetry = &FleetTelemetry{
-		TSDB:     &tsdb.Config{},
-		OnCellDB: func(load string, db *tsdb.DB) { seen[load] = db },
+		TSDB: &tsdb.Config{},
+		OnCellDB: func(load string, db *tsdb.DB) {
+			mu.Lock()
+			defer mu.Unlock()
+			seen[load] = db
+		},
 	}
 	if err := Fleet(&b, opts); err != nil {
 		t.Fatal(err)
