@@ -61,8 +61,10 @@ cover:
 # validator, the repartitioning-spec parser, the fleet packer
 # (demand-spec strings through Place with Validate as the oracle), and
 # the attribution sweep (random interval sets against the quadratic
-# oracle), and the SLO-spec parser (accepted rules must be evaluable);
-# the checked-in corpora run as regular tests in `make test`.
+# oracle), the SLO-spec parser (accepted rules must be evaluable), and
+# the live server's /api/series query parsing (every answer is 200, 400
+# or 404 with a JSON body); the checked-in corpora run as regular tests
+# in `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz FuzzConfigValidate -fuzztime 10s ./internal/faas/htex
@@ -70,6 +72,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPlace -fuzztime 10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzDecompose -fuzztime 10s ./internal/obs/analyze
 	$(GO) test -run '^$$' -fuzz FuzzParseSLOSpec -fuzztime 10s ./internal/obs/analyze
+	$(GO) test -run '^$$' -fuzz FuzzSeriesQuery -fuzztime 10s ./internal/obs/live
 
 bench: bench-devent bench-paper bench-obs bench-fleet bench-autoscale bench-check
 
@@ -151,15 +154,17 @@ autoscale:
 	grep -q 'virtual: verdict cold-starts' /tmp/autoscale.a.txt; \
 	echo "autoscale: ok (byte-identical across -parallel and -stream)"
 
-# End-to-end smoke of the live observability plane: boot small scale,
-# fleet, and autoscale runs each with -serve, poll /healthz until every
-# run reports done, then curl the endpoints — /metrics (the merged
+# End-to-end smoke of the live observability plane: boot small
+# paperbench scale, fleet, and autoscale runs and gpufaas autoscale and
+# multiplex runs, each with -serve, poll /healthz until every run
+# reports done, then curl the endpoints — /metrics (the merged
 # multi-scope exposition must pass promlint), /api/scopes, /api/alerts,
 # /dashboard, /progress, and /spans. The servers linger after their
 # runs by design; the trap kills them.
 serve-smoke:
 	@set -e; \
 	$(GO) build -o /tmp/paperbench-smoke ./cmd/paperbench; \
+	$(GO) build -o /tmp/gpufaas-smoke ./cmd/gpufaas; \
 	$(GO) build -o /tmp/promlint-smoke ./cmd/promlint; \
 	/tmp/paperbench-smoke scale -tasks 20000 -shards 2 -stream -serve 127.0.0.1:9190 >/dev/null 2>&1 & \
 	scale_pid=$$!; \
@@ -167,8 +172,12 @@ serve-smoke:
 	fleet_pid=$$!; \
 	/tmp/paperbench-smoke autoscale -gpus 4 -horizon 30m -serve 127.0.0.1:9192 >/dev/null 2>&1 & \
 	auto_pid=$$!; \
-	trap "kill $$scale_pid $$fleet_pid $$auto_pid 2>/dev/null || true" EXIT; \
-	for port in 9190 9191 9192; do \
+	/tmp/gpufaas-smoke autoscale -gpus 4 -horizon 30m -serve 127.0.0.1:9193 >/dev/null 2>&1 & \
+	gauto_pid=$$!; \
+	/tmp/gpufaas-smoke multiplex -completions 8 -serve 127.0.0.1:9194 >/dev/null 2>&1 & \
+	gmx_pid=$$!; \
+	trap "kill $$scale_pid $$fleet_pid $$auto_pid $$gauto_pid $$gmx_pid 2>/dev/null || true" EXIT; \
+	for port in 9190 9191 9192 9193 9194; do \
 		ok=0; \
 		for i in $$(seq 1 90); do \
 			if curl -fsS http://127.0.0.1:$$port/healthz 2>/dev/null | grep -q '"phase":"done"'; then ok=1; break; fi; \
@@ -190,7 +199,11 @@ serve-smoke:
 	curl -fsS http://127.0.0.1:9192/api/scopes | grep -q '"scope":"autoscale/static-1"'; \
 	curl -fsS http://127.0.0.1:9192/api/alerts | grep -q '"name":"slo-burn-page"'; \
 	curl -fsS 'http://127.0.0.1:9192/api/series?name=autoscale_blocks&fn=latest&scope=*' | grep -q '"results"'; \
-	echo "serve-smoke: ok (metrics $$(wc -l < /tmp/serve-smoke.metrics) lines, spans $$(wc -l < /tmp/serve-smoke.spans) events; fleet+autoscale scopes, alerts, dashboard, promlint ok)"
+	curl -fsS http://127.0.0.1:9193/api/scopes | grep -q '"scope":"autoscale"'; \
+	curl -fsS 'http://127.0.0.1:9193/spans?scope=autoscale' | grep -c '"name":"decide"' >/dev/null; \
+	curl -fsS http://127.0.0.1:9194/api/scopes | grep -q '"scope":"multiplex/mps/p4"'; \
+	curl -fsS 'http://127.0.0.1:9194/spans?scope=multiplex/mps/p4' | grep -c '"name":"task"' >/dev/null; \
+	echo "serve-smoke: ok (metrics $$(wc -l < /tmp/serve-smoke.metrics) lines, spans $$(wc -l < /tmp/serve-smoke.spans) events; fleet+autoscale scopes, alerts, dashboard, promlint, gpufaas autoscale+multiplex scopes and tails ok)"
 
 # End-to-end smoke test of the attribution pipeline: run the Table 1
 # bursts instrumented, render the folded-stack artifact, and print the

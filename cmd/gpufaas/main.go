@@ -20,19 +20,17 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/fleet"
 	"repro/internal/moldesign"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
-	"repro/internal/obs/live"
 	"repro/internal/obs/tsdb"
 	"repro/internal/repart"
 	"repro/internal/report"
@@ -62,7 +60,7 @@ func main() {
 	case "repart":
 		err = runRepart(os.Args[2:])
 	case "tracediff":
-		err = runTraceDiff(os.Args[2:])
+		err = cli.TraceDiff("gpufaas", os.Args[2:])
 	default:
 		usage()
 	}
@@ -90,88 +88,26 @@ func writeArtifact(path string, fn func(*os.File) error) error {
 	return f.Close()
 }
 
-// startServe binds the live observability server when addr is
-// non-empty (nil server otherwise — every call site is nil-tolerant).
-func startServe(addr string) (*live.Server, error) {
-	if addr == "" {
-		return nil, nil
-	}
-	srv := live.NewServer()
-	bound, err := srv.Start(addr)
-	if err != nil {
-		return nil, fmt.Errorf("-serve: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "gpufaas: live observability on http://%s\n", bound)
-	srv.Progress().SetPhase("running")
-	return srv, nil
-}
-
-// serveLinger keeps the completed run's telemetry served until the
-// process is interrupted, so the endpoints stay curl-able.
-func serveLinger(srv *live.Server) {
-	if srv == nil {
-		return
-	}
-	srv.Progress().SetPhase("done")
-	fmt.Fprintln(os.Stderr, "gpufaas: run complete; still serving — interrupt (Ctrl-C) to exit")
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	srv.Close()
-}
-
-// attribFlags holds the per-run attribution/SLO flags shared by the
-// multiplex and repart subcommands.
-type attribFlags struct {
-	attrib, flame, slo, alerts *string
-}
-
-func addAttribFlags(fs *flag.FlagSet) attribFlags {
-	return attribFlags{
-		attrib: fs.String("attrib", "", "write the latency-attribution JSON for this run"),
-		flame:  fs.String("flame", "", "write folded flamegraph stacks for this run"),
-		slo:    fs.String("slo", "", "SLO burn-rate rules app:latency:target[:window], comma-separated"),
-		alerts: fs.String("alerts", "", "write the SLO alert stream for this run (requires -slo)"),
-	}
-}
-
-// validate checks flag consistency and reports whether the run needs
-// deep instrumentation for attribution.
-func (a attribFlags) validate() (observe bool, err error) {
-	if *a.alerts != "" && *a.slo == "" {
-		return false, fmt.Errorf("-alerts requires -slo")
-	}
-	if *a.slo != "" {
-		if _, err := analyze.ParseSLOSpec(*a.slo); err != nil {
-			return false, fmt.Errorf("-slo: %w", err)
-		}
-	}
-	return *a.attrib != "" || *a.flame != "" || *a.alerts != "", nil
-}
-
-// write exports the requested attribution artifacts from one run's
-// collector.
-func (a attribFlags) write(c *obs.Collector) error {
-	if *a.attrib == "" && *a.flame == "" && *a.alerts == "" {
-		return nil
-	}
+// writeAttribution exports the attribution artifacts the flags request
+// from one run's collector.
+func writeAttribution(tel *cli.Flags, c *obs.Collector) error {
 	rep := analyze.Analyze(c)
-	if *a.attrib != "" {
-		if err := writeArtifact(*a.attrib, func(w *os.File) error {
+	if tel.Attrib != "" {
+		if err := writeArtifact(tel.Attrib, func(w *os.File) error {
 			return rep.WriteJSON(w)
 		}); err != nil {
 			return err
 		}
 	}
-	if *a.flame != "" {
-		if err := writeArtifact(*a.flame, func(w *os.File) error {
+	if tel.Flame != "" {
+		if err := writeArtifact(tel.Flame, func(w *os.File) error {
 			return analyze.WriteFolded(w, rep)
 		}); err != nil {
 			return err
 		}
 	}
-	if *a.alerts != "" {
-		if err := writeArtifact(*a.alerts, func(w *os.File) error {
+	if tel.Alerts != "" {
+		if err := writeArtifact(tel.Alerts, func(w *os.File) error {
 			return analyze.WriteAlerts(w, c)
 		}); err != nil {
 			return err
@@ -180,52 +116,22 @@ func (a attribFlags) write(c *obs.Collector) error {
 	return nil
 }
 
-// runTraceDiff compares two attribution JSON artifacts written with
-// -attrib and prints the per-phase delta table.
-func runTraceDiff(args []string) error {
-	fs := flag.NewFlagSet("tracediff", flag.ExitOnError)
-	aPath := fs.String("a", "", "baseline attribution JSON")
-	bPath := fs.String("b", "", "comparison attribution JSON")
-	outPath := fs.String("o", "", "also write the machine-readable diff JSON here")
-	labelA := fs.String("label-a", "", "label for run A (default: the -a path)")
-	labelB := fs.String("label-b", "", "label for run B (default: the -b path)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *aPath == "" || *bPath == "" {
-		return fmt.Errorf("tracediff needs -a and -b attribution JSON files")
-	}
-	if *labelA == "" {
-		*labelA = *aPath
-	}
-	if *labelB == "" {
-		*labelB = *bPath
-	}
-	read := func(path string) (*analyze.Report, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return analyze.ReadReport(f)
-	}
-	a, err := read(*aPath)
-	if err != nil {
-		return err
-	}
-	b, err := read(*bPath)
-	if err != nil {
-		return err
-	}
-	d := analyze.Diff(a, b, *labelA, *labelB)
-	if *outPath != "" {
-		if err := writeArtifact(*outPath, func(w *os.File) error {
-			return d.WriteJSON(w)
+// writeExports writes a run's Chrome trace and Prometheus metrics;
+// either path may be empty.
+func writeExports(tracePath, metricsPath string, c *obs.Collector) error {
+	if tracePath != "" {
+		if err := writeArtifact(tracePath, func(w *os.File) error {
+			return obs.WriteChromeTrace(w, c)
 		}); err != nil {
 			return err
 		}
 	}
-	return d.WriteText(os.Stdout)
+	if metricsPath != "" {
+		return writeArtifact(metricsPath, func(w *os.File) error {
+			return obs.WritePrometheus(w, c)
+		})
+	}
+	return nil
 }
 
 func runMultiplex(args []string) error {
@@ -234,56 +140,32 @@ func runMultiplex(args []string) error {
 	procs := fs.Int("procs", 4, "concurrent model processes (1-4)")
 	completions := fs.Int("completions", 100, "total completions")
 	tokens := fs.Int("tokens", 20, "output tokens per completion")
-	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON file for this run")
-	metricsOut := fs.String("metrics", "", "write Prometheus text metrics for this run")
-	stream := fs.Bool("stream", false, "stream the -trace spans to disk as they end (bounded memory; byte-identical output)")
-	sample := fs.Int("sample", 0, "with -stream, keep ~1/N of task trees in the trace")
 	chaos := fs.String("chaos", "", "seeded fault-injection spec, e.g. seed=7,rate=0.5")
-	serveAddr := fs.String("serve", "", "serve live observability over HTTP on this address, e.g. 127.0.0.1:9190")
-	attrib := addAttribFlags(fs)
+	tel := cli.Bind(fs, "gpufaas", cli.All|cli.Single)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	attribObserve, err := attrib.validate()
-	if err != nil {
-		return err
-	}
-	if *stream && attribObserve {
+	if tel.Stream && tel.Analyzes() {
 		return fmt.Errorf("-stream is incompatible with -attrib/-flame/-alerts here; use paperbench -stream for streamed attribution")
 	}
-	srv, err := startServe(*serveAddr)
-	if err != nil {
-		return err
-	}
+	tel.Start()
 	cfg := core.MultiplexConfig{
 		Mode:         core.Mode(*mode),
 		Processes:    *procs,
 		Completions:  *completions,
 		OutputTokens: *tokens,
-		Observe:      *traceOut != "" || *metricsOut != "" || attribObserve,
-		SLO:          *attrib.slo,
+		Observe:      tel.Trace != "" || tel.Metrics != "" || tel.Analyzes(),
+		SLO:          tel.SLO,
+		TSDB:         tel.TSDB(),
+		Attach:       tel.Attach(),
 	}
-	// -serve: attach the run's series store and, when no snapshot
-	// export needs the retained spans (or the trace already streams),
-	// a live span tail.
-	var tail *live.SpanTail
-	if srv != nil {
-		scope := fmt.Sprintf("multiplex/%s/p%d", cfg.Mode, cfg.Processes)
-		streamedTrace := *stream && *traceOut != ""
-		if streamedTrace || (*traceOut == "" && !attribObserve) {
-			tail = srv.Tail(scope, 0)
-		}
-		cfg.TSDB = &tsdb.Config{}
-		cfg.OnPlatform = func(pl *core.Platform) {
-			srv.AttachDB(scope, pl.TSDB)
-		}
-	}
+	scope := fmt.Sprintf("multiplex/%s/p%d", cfg.Mode, cfg.Processes)
 	// Streaming trace: the section renders to the file as spans end;
 	// only the envelope is added afterwards via the stream splice.
 	var streamFile *os.File
 	var streamBuf *bufio.Writer
 	var streamSec *obs.TraceSection
-	if *stream && *traceOut != "" {
+	if tel.Stream && tel.Trace != "" {
 		f, err := os.CreateTemp("", "gpufaas-*.trace")
 		if err != nil {
 			return err
@@ -292,18 +174,10 @@ func runMultiplex(args []string) error {
 		streamFile = f
 		streamBuf = bufio.NewWriterSize(f, 1<<20)
 		cfg.OnCollector = func(c *obs.Collector) {
-			streamSec = obs.NewTraceSection(streamBuf, 1, fmt.Sprintf("multiplex/%s/p%d", cfg.Mode, cfg.Processes))
-			if tail != nil {
-				c.SetSink(live.Tee(streamSec, tail))
-			} else {
-				c.SetSink(streamSec)
-			}
-			if *sample > 1 {
-				c.SetSampleMod(*sample)
-			}
+			streamSec = obs.NewTraceSection(streamBuf, 1, scope)
+			c.SetSink(streamSec)
+			c.SetSampleMod(tel.Sample)
 		}
-	} else if tail != nil {
-		cfg.OnCollector = func(c *obs.Collector) { c.SetSink(tail) }
 	}
 	if *chaos != "" {
 		spec, err := fault.ParseSpec(*chaos)
@@ -316,46 +190,35 @@ func runMultiplex(args []string) error {
 	if err != nil {
 		return err
 	}
-	if tail != nil && streamSec == nil {
-		r.Obs.Close() // flush parked daemon spans into the live tail
-	}
-	if *traceOut != "" {
-		if streamSec != nil {
-			r.Obs.Close() // flush parked daemon spans into the section
-			if err := streamSec.Err(); err != nil {
+	r.Obs.Close() // a streaming run flushes its parked daemon spans
+	snapshotTrace := tel.Trace
+	if streamSec != nil {
+		snapshotTrace = ""
+		if err := streamSec.Err(); err != nil {
+			return err
+		}
+		if err := streamBuf.Flush(); err != nil {
+			return err
+		}
+		if err := writeArtifact(tel.Trace, func(w *os.File) error {
+			if _, err := streamFile.Seek(0, io.SeekStart); err != nil {
 				return err
 			}
-			if err := streamBuf.Flush(); err != nil {
+			ts := obs.NewTraceStream(w)
+			if err := ts.Append(bufio.NewReaderSize(streamFile, 1<<20)); err != nil {
 				return err
 			}
-			if err := writeArtifact(*traceOut, func(w *os.File) error {
-				if _, err := streamFile.Seek(0, io.SeekStart); err != nil {
-					return err
-				}
-				ts := obs.NewTraceStream(w)
-				if err := ts.Append(bufio.NewReaderSize(streamFile, 1<<20)); err != nil {
-					return err
-				}
-				return ts.Close()
-			}); err != nil {
-				return err
-			}
-		} else if err := writeArtifact(*traceOut, func(w *os.File) error {
-			return obs.WriteChromeTrace(w, r.Obs)
+			return ts.Close()
 		}); err != nil {
 			return err
 		}
 	}
-	if *metricsOut != "" {
-		if err := writeArtifact(*metricsOut, func(w *os.File) error {
-			return obs.WritePrometheus(w, r.Obs)
-		}); err != nil {
-			return err
-		}
+	if err := writeExports(snapshotTrace, tel.Metrics, r.Obs); err != nil {
+		return err
 	}
-	if attribObserve {
-		r.Obs.SetScope(fmt.Sprintf("multiplex/%s/p%d", r.Mode, r.Processes))
-		if err := attrib.write(r.Obs); err != nil {
+	if tel.Analyzes() {
+		r.Obs.SetScope(scope)
+		if err := writeAttribution(tel, r.Obs); err != nil {
 			return err
 		}
 	}
@@ -374,7 +237,7 @@ func runMultiplex(args []string) error {
 			return fmt.Errorf("task-state invariant violated: %w", err)
 		}
 	}
-	serveLinger(srv)
+	tel.Linger()
 	return nil
 }
 
@@ -438,27 +301,19 @@ func runRepart(args []string) error {
 	fs := flag.NewFlagSet("repart", flag.ExitOnError)
 	specArg := fs.String("spec", "", "controller spec, e.g. policy=knee,interval=10s,delta=5")
 	static := fs.String("static", "", "run a static baseline instead: timeshare | mps-default | mps | mig | vgpu")
-	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON file for this run")
-	metricsOut := fs.String("metrics", "", "write Prometheus text metrics for this run")
-	serveAddr := fs.String("serve", "", "serve live observability over HTTP on this address, e.g. 127.0.0.1:9190")
-	attrib := addAttribFlags(fs)
+	tel := cli.Bind(fs, "gpufaas", cli.Exports|cli.Single)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *specArg != "" && *static != "" {
 		return fmt.Errorf("-spec and -static are mutually exclusive")
 	}
-	attribObserve, err := attrib.validate()
-	if err != nil {
-		return err
-	}
-	srv, err := startServe(*serveAddr)
-	if err != nil {
-		return err
-	}
+	tel.Start()
 	cfg := core.PhaseShiftConfig{
-		Observe: *traceOut != "" || *metricsOut != "" || attribObserve,
-		SLO:     *attrib.slo,
+		Observe: tel.Trace != "" || tel.Metrics != "" || tel.Analyzes(),
+		SLO:     tel.SLO,
+		TSDB:    tel.TSDB(),
+		Attach:  tel.Attach(),
 	}
 	if *static != "" {
 		cfg.Mode = core.Mode(*static)
@@ -469,49 +324,21 @@ func runRepart(args []string) error {
 		}
 		cfg.Repart = &spec
 	}
-	// -serve: the platform hook attaches the run's series store under
-	// the scope RunPhaseShift sets; the live span tail attaches only
-	// when no snapshot export needs the retained spans.
-	var tail *live.SpanTail
-	if srv != nil {
-		cfg.TSDB = &tsdb.Config{}
-		wantTail := *traceOut == "" && !attribObserve
-		cfg.OnPlatform = func(pl *core.Platform) {
-			srv.AttachDB(pl.Obs.Scope(), pl.TSDB)
-			if wantTail {
-				tail = srv.Tail(pl.Obs.Scope(), 0)
-				pl.Obs.SetSink(tail)
-			}
-		}
-	}
 	r, err := core.RunPhaseShift(cfg)
 	if err != nil {
 		return err
 	}
-	if tail != nil {
-		r.Obs.Close() // flush parked daemon spans into the live tail
+	r.Obs.Close() // a streaming run flushes its parked daemon spans
+	if err := writeExports(tel.Trace, tel.Metrics, r.Obs); err != nil {
+		return err
 	}
-	if *traceOut != "" {
-		if err := writeArtifact(*traceOut, func(w *os.File) error {
-			return obs.WriteChromeTrace(w, r.Obs)
-		}); err != nil {
-			return err
-		}
-	}
-	if *metricsOut != "" {
-		if err := writeArtifact(*metricsOut, func(w *os.File) error {
-			return obs.WritePrometheus(w, r.Obs)
-		}); err != nil {
-			return err
-		}
-	}
-	if attribObserve {
+	if tel.Analyzes() {
 		scope := "repart/static-" + string(r.Mode)
 		if r.Repart {
 			scope = "repart/controller"
 		}
 		r.Obs.SetScope(scope)
-		if err := attrib.write(r.Obs); err != nil {
+		if err := writeAttribution(tel, r.Obs); err != nil {
 			return err
 		}
 	}
@@ -527,7 +354,7 @@ func runRepart(args []string) error {
 		r.Latencies.Percentile(95).Seconds(), r.Latencies.Max().Seconds())
 	fmt.Printf("  transitions:   %d\n", r.Transitions)
 	fmt.Printf("  weight cache:  %d hits, %d misses\n", r.CacheHits, r.CacheMisses)
-	serveLinger(srv)
+	tel.Linger()
 	return nil
 }
 
@@ -593,45 +420,30 @@ func runFleet(args []string) error {
 	horizon := fs.Duration("horizon", 0, "scenario: arrival horizon on the virtual clock (default 10m)")
 	rate := fs.Float64("rate", 0, "scenario: tenant arrivals per second (default 2.0)")
 	seed := fs.Int64("seed", 0, "scenario: churn RNG seed (default 1)")
-	serveAddr := fs.String("serve", "", "scenario: serve live observability over HTTP on this address")
-	alertsOut := fs.String("alerts", "", "scenario: write the alert-rule history (fleet pack) to this file")
+	tel := cli.Bind(fs, "gpufaas", cli.RulePack|cli.Single)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *demands != "" {
 		return runFleetPack(*gpus80, *gpus40, *demands)
 	}
-	srv, err := startServe(*serveAddr)
-	if err != nil {
-		return err
-	}
+	tel.Start()
 	cfg := core.FleetConfig{
 		GPUs80: *gpus80, GPUs40: *gpus40, Apps: *apps,
 		Duration: *horizon, ArrivalRate: *rate, Seed: *seed,
-	}
-	if srv != nil {
-		cfg.TSDB = &tsdb.Config{}
-		cfg.OnDB = func(db *tsdb.DB) { srv.AttachDB("fleet", db) }
-		cfg.OnCollector = func(c *obs.Collector) { c.SetSink(srv.Tail("fleet", 0)) }
-	}
-	if *alertsOut != "" && cfg.TSDB == nil {
-		// The alert engine lives on the series store; -alerts forces one
-		// on even without -serve.
-		cfg.TSDB = &tsdb.Config{}
+		TSDB: tel.TSDB(), Attach: tel.Attach(),
 	}
 	r, err := core.RunFleet(cfg)
 	if err != nil {
 		return err
 	}
-	if *alertsOut != "" {
-		if err := writeArtifact(*alertsOut, func(w *os.File) error {
+	r.Obs.Close() // a streaming run flushes its parked daemon spans
+	if tel.Alerts != "" {
+		if err := writeArtifact(tel.Alerts, func(w *os.File) error {
 			return tsdb.WriteAlertHistory(w, "", r.TSDB)
 		}); err != nil {
 			return err
 		}
-	}
-	if srv != nil {
-		r.Obs.Close() // flush parked daemon spans into the live tail
 	}
 	fmt.Printf("fleet: %d GPUs, %d apps, horizon %s, seed %d\n",
 		r.GPUs, r.Apps, cfg.WithDefaults().Duration, cfg.WithDefaults().Seed)
@@ -660,7 +472,7 @@ func runFleet(args []string) error {
 		r.Rebalances, r.RebalancesApplied, r.Moved, r.MaxGap, r.ScratchInfeasible)
 	fmt.Printf("  drain:         %d evicted, final frag %.4f, makespan %s\n",
 		r.Evicted, r.FinalFrag, r.Makespan.Round(time.Millisecond))
-	serveLinger(srv)
+	tel.Linger()
 	return nil
 }
 
@@ -678,41 +490,31 @@ func runAutoscaleCell(args []string) error {
 	horizon := fs.Duration("horizon", 0, "traffic horizon on the virtual clock (default 2h)")
 	hold := fs.Duration("hold", 0, "keep the cell open this long after drain (observes scale-to-zero)")
 	seed := fs.Int64("seed", 0, "traffic and shed RNG seed (default 1)")
-	serveAddr := fs.String("serve", "", "serve live observability over HTTP on this address")
-	alertsOut := fs.String("alerts", "", "write the alert-rule history (autoscale pack + SLO burn) to this file")
+	tel := cli.Bind(fs, "gpufaas", cli.RulePack|cli.Single)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	srv, err := startServe(*serveAddr)
-	if err != nil {
-		return err
-	}
+	tel.Start()
 	cfg := core.AutoscaleConfig{
 		GPUs: *gpus, StaticBlocks: *static, Seed: *seed, DrainHold: *hold,
+		Attach: tel.Attach(),
 	}.WithDefaults()
 	if *horizon > 0 {
 		cfg.Traffic.Horizon = *horizon
-	}
-	if srv != nil {
-		cfg.TSDB = &tsdb.Config{}
-		cfg.OnDB = func(db *tsdb.DB) { srv.AttachDB("autoscale", db) }
-		cfg.OnCollector = func(c *obs.Collector) { c.SetSink(srv.Tail("autoscale", 0)) }
 	}
 	r, err := core.RunAutoscale(cfg)
 	if err != nil {
 		return err
 	}
-	if *alertsOut != "" {
+	r.Obs.Close() // a streaming run flushes its parked daemon spans
+	if tel.Alerts != "" {
 		// The autoscale cell always carries a series store, so the alert
 		// history is available with or without -serve.
-		if err := writeArtifact(*alertsOut, func(w *os.File) error {
+		if err := writeArtifact(tel.Alerts, func(w *os.File) error {
 			return tsdb.WriteAlertHistory(w, "", r.TSDB)
 		}); err != nil {
 			return err
 		}
-	}
-	if srv != nil {
-		r.Obs.Close() // flush parked daemon spans into the live tail
 	}
 	mode := fmt.Sprintf("static %d blocks", cfg.StaticBlocks)
 	if r.Autoscaled {
@@ -736,7 +538,7 @@ func runAutoscaleCell(args []string) error {
 	fmt.Printf("  scaling:     %d out, %d in, peak %d blocks, final %d\n",
 		r.ScaleOuts, r.ScaleIns, r.PeakBlocks, r.FinalBlocks)
 	fmt.Printf("  makespan:    %s (%d events)\n", r.Makespan.Round(time.Millisecond), r.Events)
-	serveLinger(srv)
+	tel.Linger()
 	return nil
 }
 

@@ -15,18 +15,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"runtime"
-	"syscall"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/harness"
 	"repro/internal/moldesign"
-	"repro/internal/obs"
-	"repro/internal/obs/analyze"
-	"repro/internal/obs/live"
-	"repro/internal/obs/tsdb"
 	"repro/internal/repart"
 	"repro/internal/report"
 )
@@ -113,15 +108,16 @@ flags:
                    artifacts are byte-identical to snapshot mode
   -sample N        with -stream, deterministically keep ~1/N of task
                    trees in the trace (metrics and attribution see
-                   everything regardless)
+                   everything regardless); an error without -stream
   -serve ADDR      serve live observability over HTTP on ADDR while
                    the run executes (e.g. -serve 127.0.0.1:9190):
                    /metrics, /api/series, /spans, /progress, /healthz,
-                   /debug/pprof. The scale artifact additionally gets
-                   per-shard virtual-time series stores and live span
-                   tails (tails need -stream). The process keeps
-                   serving after the run completes — interrupt it to
-                   exit. Without -serve nothing changes.
+                   /debug/pprof. The scale, fleet, and autoscale
+                   artifacts attach a virtual-time series store per
+                   shard or cell, and with -stream a live span tail on
+                   each. The process keeps serving after the run
+                   completes — interrupt it to exit. Without -serve
+                   nothing changes.
 
 scale flags:
   -tasks N         total tasks (default 1000000)
@@ -151,26 +147,26 @@ func main() {
 	}
 	artifact := os.Args[1]
 	if artifact == "tracediff" {
-		if err := runTraceDiff("paperbench", os.Args[2:]); err != nil {
+		if err := cli.TraceDiff("paperbench", os.Args[2:]); err != nil {
 			fmt.Fprintln(os.Stderr, "paperbench: tracediff:", err)
 			os.Exit(1)
 		}
 		return
 	}
+	// scale/fleet/autoscale carry their own alert-rule packs and run their
+	// own span streams; the instrumented reruns serve every other artifact.
+	scenarioArtifact := artifact == "scale" || artifact == "fleet" || artifact == "autoscale"
 	fs := flag.NewFlagSet(artifact, flag.ExitOnError)
+	telSet := cli.All
+	if scenarioArtifact {
+		telSet |= cli.RulePack
+	}
+	tel := cli.Bind(fs, "paperbench", telSet)
 	completions := fs.Int("completions", 100, "completions for the fig4/fig5 experiment")
 	csvDir := fs.String("csv", "", "also write figure CSV series into this directory")
 	parallel := fs.Int("parallel", runtime.NumCPU(), "max independent scenarios run concurrently")
-	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON file from an instrumented rerun")
-	metricsOut := fs.String("metrics", "", "write Prometheus text metrics from an instrumented rerun")
 	chaos := fs.String("chaos", "", "seeded fault-injection spec, e.g. seed=7,rate=0.5")
 	repartFlag := fs.String("repart", "", "repartitioning-controller spec, e.g. policy=knee,interval=10s")
-	attribOut := fs.String("attrib", "", "write the latency-attribution JSON from an instrumented rerun")
-	flameOut := fs.String("flame", "", "write folded flamegraph stacks from an instrumented rerun")
-	sloSpec := fs.String("slo", "", "SLO burn-rate rules for instrumented reruns, e.g. app:12s:0.9")
-	alertsOut := fs.String("alerts", "", "write the SLO alert stream (requires -slo)")
-	stream := fs.Bool("stream", false, "export instrumented artifacts in streaming mode")
-	sample := fs.Int("sample", 0, "with -stream, keep ~1/N of task trees in the trace")
 	tasks := fs.Int("tasks", 0, "scale: total tasks (default 1000000)")
 	shards := fs.Int("shards", 0, "scale: independent platform shards (default 8)")
 	workers := fs.Int("workers", 0, "scale: CPU workers per shard (default 16)")
@@ -183,23 +179,8 @@ func main() {
 	apps := fs.Int("apps", 0, "fleet: distinct applications (default 56)")
 	horizon := fs.Duration("horizon", 0, "fleet/autoscale: arrival horizon on the virtual clock")
 	gpus := fs.Int("gpus", 0, "autoscale: provider pool size (default 6)")
-	serveAddr := fs.String("serve", "", "serve live observability over HTTP on this address, e.g. 127.0.0.1:9190")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
-	}
-	// scale/fleet/autoscale carry their own alert-rule packs, so -alerts
-	// stands alone there; everywhere else it renders the SLO monitor's
-	// stream and needs -slo rules to monitor.
-	scenarioArtifact := artifact == "scale" || artifact == "fleet" || artifact == "autoscale"
-	if *alertsOut != "" && *sloSpec == "" && !scenarioArtifact {
-		fmt.Fprintln(os.Stderr, "paperbench: -alerts requires -slo")
-		os.Exit(2)
-	}
-	if *sloSpec != "" {
-		if _, err := analyze.ParseSLOSpec(*sloSpec); err != nil {
-			fmt.Fprintln(os.Stderr, "paperbench: -slo:", err)
-			os.Exit(2)
-		}
 	}
 	var repartSpec repart.Spec
 	if *repartFlag != "" {
@@ -221,24 +202,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "paperbench: chaos enabled (%s)\n", spec.String())
 	}
 	harness.SetParallelism(*parallel)
-	// -serve: bind the live observability server before the run so its
-	// endpoints answer while the scenarios execute.
-	var srv *live.Server
-	if *serveAddr != "" {
-		srv = live.NewServer()
-		bound, err := srv.Start(*serveAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "paperbench: -serve:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "paperbench: live observability on http://%s\n", bound)
-		srv.Progress().SetPhase("running")
-	}
+	// With -serve the live server starts before the run, so its endpoints
+	// answer while the scenarios execute.
+	tel.Start()
 	w := os.Stdout
 	var err error
 	var scenarioAlerts io.Writer
-	if *alertsOut != "" && scenarioArtifact {
-		f, ferr := os.Create(*alertsOut)
+	if tel.Alerts != "" && scenarioArtifact {
+		f, ferr := os.Create(tel.Alerts)
 		if ferr != nil {
 			fmt.Fprintln(os.Stderr, "paperbench: -alerts:", ferr)
 			os.Exit(1)
@@ -274,72 +245,30 @@ func main() {
 	case "attrib":
 		err = report.Attribution(w, *completions)
 	case "scale":
+		// Under -serve: per-shard series stores, batched progress, and
+		// (with -stream) a live span tail on each shard.
 		opts := report.ScaleOptions{
 			Tasks: *tasks, Shards: *shards, Workers: *workers, Window: *window,
-			ArrivalRate: *arrival, Seed: *seed, SampleMod: *sample,
-			Stream: *stream, Compare: *compare, TracePath: *traceOut,
-			Alerts: scenarioAlerts,
+			ArrivalRate: *arrival, Seed: *seed, SampleMod: tel.Sample,
+			Stream: tel.Stream, Compare: *compare, TracePath: tel.Trace,
+			Attach: tel.Attach(), Alerts: scenarioAlerts,
 		}
-		if srv != nil {
-			// Per-shard series stores, batched progress, and (with
-			// -stream) a live span tail teed into each shard's sink.
-			srv.Progress().SetShards(core.ScaleConfig{Tasks: *tasks, Shards: *shards}.WithDefaults().Shards)
-			opts.Telemetry = &core.ScaleTelemetry{
-				TSDB: &tsdb.Config{},
-				OnShardDB: func(shard int, db *tsdb.DB) {
-					srv.AttachDB(fmt.Sprintf("scale/shard%d", shard), db)
-				},
-				Progress: srv.Progress(),
-			}
-			opts.WrapSink = func(shard int, base obs.SpanSink) obs.SpanSink {
-				return live.Tee(base, srv.Tail(fmt.Sprintf("scale/shard%d", shard), 0))
-			}
+		if p := tel.Progress(); p != nil {
+			p.SetShards(core.ScaleConfig{Shards: *shards}.WithDefaults().Shards)
+			opts.Progress = p
 		}
 		err = report.Scale(w, opts)
 	case "fleet":
-		opts := report.FleetOptions{
+		err = report.Fleet(w, report.FleetOptions{
 			GPUs80: *gpus80, GPUs40: *gpus40, Apps: *apps,
 			Duration: *horizon, ArrivalRate: *arrival, Seed: *seed,
-			Stream: *stream, Alerts: scenarioAlerts,
-		}
-		if srv != nil {
-			// One series store per load cell; with -stream a live span
-			// tail tees into each cell's sink.
-			opts.Telemetry = &report.FleetTelemetry{
-				TSDB: &tsdb.Config{},
-				OnCellDB: func(load string, db *tsdb.DB) {
-					srv.AttachDB("fleet/"+load, db)
-				},
-			}
-			if *stream {
-				opts.WrapSink = func(load string, base obs.SpanSink) obs.SpanSink {
-					return live.Tee(base, srv.Tail("fleet/"+load, 0))
-				}
-			}
-		}
-		err = report.Fleet(w, opts)
+			Stream: tel.Stream, Attach: tel.Attach(), Alerts: scenarioAlerts,
+		})
 	case "autoscale":
-		opts := report.AutoscaleOptions{
+		err = report.Autoscale(w, report.AutoscaleOptions{
 			GPUs: *gpus, Horizon: *horizon, Seed: *seed,
-			Stream: *stream, Alerts: scenarioAlerts,
-		}
-		if srv != nil {
-			// One series store per cell (autoscaled and the static
-			// baselines); with -stream a live span tail tees into each
-			// cell's sink.
-			opts.Telemetry = &report.FleetTelemetry{
-				TSDB: &tsdb.Config{},
-				OnCellDB: func(cell string, db *tsdb.DB) {
-					srv.AttachDB("autoscale/"+cell, db)
-				},
-			}
-			if *stream {
-				opts.WrapSink = func(cell string, base obs.SpanSink) obs.SpanSink {
-					return live.Tee(base, srv.Tail("autoscale/"+cell, 0))
-				}
-			}
-		}
-		err = report.Autoscale(w, opts)
+			Stream: tel.Stream, Attach: tel.Attach(), Alerts: scenarioAlerts,
+		})
 	case "all":
 		err = report.All(w, *completions)
 	default:
@@ -348,84 +277,17 @@ func main() {
 	if err == nil && *csvDir != "" {
 		err = report.WriteFigureCSVs(*csvDir, *completions)
 	}
-	// The scale and fleet artifacts run their own span streams; the
-	// generic instrumented rerun applies to everything else.
-	if err == nil && artifact != "scale" && artifact != "fleet" && artifact != "autoscale" && (*traceOut != "" || *metricsOut != "") {
-		err = writeObservability(*traceOut, *metricsOut, *completions, *stream, *sample)
+	if err == nil && !scenarioArtifact && (tel.Trace != "" || tel.Metrics != "") {
+		err = writeObservability(tel.Trace, tel.Metrics, *completions, tel.Stream, tel.Sample)
 	}
-	if err == nil && artifact != "scale" && artifact != "fleet" && artifact != "autoscale" && (*attribOut != "" || *flameOut != "" || *alertsOut != "") {
-		err = writeAttribution(*attribOut, *flameOut, *alertsOut, *sloSpec, *completions, *stream)
+	if err == nil && !scenarioArtifact && (tel.Attrib != "" || tel.Flame != "" || tel.Alerts != "") {
+		err = writeAttribution(tel.Attrib, tel.Flame, tel.Alerts, tel.SLO, *completions, tel.Stream)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "paperbench:", err)
 		os.Exit(1)
 	}
-	if srv != nil {
-		// Keep serving the completed run's telemetry (CI and humans
-		// curl the endpoints after the fact) until interrupted.
-		srv.Progress().SetPhase("done")
-		fmt.Fprintln(os.Stderr, "paperbench: run complete; still serving — interrupt (Ctrl-C) to exit")
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		srv.Close()
-	}
-}
-
-// runTraceDiff implements the tracediff mode: compare two attribution
-// JSON artifacts (written with -attrib) phase by phase.
-func runTraceDiff(prog string, args []string) error {
-	fs := flag.NewFlagSet("tracediff", flag.ExitOnError)
-	aPath := fs.String("a", "", "baseline attribution JSON (written with -attrib)")
-	bPath := fs.String("b", "", "comparison attribution JSON (written with -attrib)")
-	outPath := fs.String("o", "", "also write the machine-readable diff as JSON to this file")
-	labelA := fs.String("label-a", "", "label for run A (default: the -a path)")
-	labelB := fs.String("label-b", "", "label for run B (default: the -b path)")
-	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: %s tracediff -a A.json -b B.json [-o out.json] [-label-a NAME] [-label-b NAME]\n", prog)
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		os.Exit(2)
-	}
-	if *aPath == "" || *bPath == "" {
-		fs.Usage()
-		os.Exit(2)
-	}
-	if *labelA == "" {
-		*labelA = *aPath
-	}
-	if *labelB == "" {
-		*labelB = *bPath
-	}
-	readReport := func(path string) (*analyze.Report, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return analyze.ReadReport(f)
-	}
-	a, err := readReport(*aPath)
-	if err != nil {
-		return err
-	}
-	b, err := readReport(*bPath)
-	if err != nil {
-		return err
-	}
-	d := analyze.Diff(a, b, *labelA, *labelB)
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := d.WriteJSON(f); err != nil {
-			return err
-		}
-	}
-	return d.WriteText(os.Stdout)
+	tel.Linger()
 }
 
 // writeAttribution reruns the instrumented grid once and writes the

@@ -60,12 +60,12 @@ type AutoscaleConfig struct {
 	Policy autoscale.Spec
 	// Seed drives traffic and shed draws (default 1).
 	Seed int64
-	// TSDB overrides the store config (default: attached with package
-	// defaults — the burn series must exist for the controller).
-	TSDB *tsdb.Config
-	// OnCollector/OnDB attach streaming sinks, as in FleetConfig.
+	// OnCollector attaches streaming sinks, as in FleetConfig.
 	OnCollector func(*obs.Collector)
-	OnDB        func(*tsdb.DB)
+	// Attach, when set, is called with the cell's collector and store
+	// (see AttachFunc). The cell always has a store: the controller
+	// reads its burn series.
+	Attach AttachFunc
 }
 
 // WithDefaults fills unset fields with the scenario defaults.
@@ -174,13 +174,9 @@ func RunAutoscale(cfg AutoscaleConfig) (*AutoscaleResult, error) {
 	if cfg.OnCollector != nil {
 		cfg.OnCollector(col)
 	}
-	tdbCfg := tsdb.Config{}
-	if cfg.TSDB != nil {
-		tdbCfg = *cfg.TSDB
-	}
-	db := tsdb.New(col.Metrics(), env, tdbCfg)
-	if cfg.OnDB != nil {
-		cfg.OnDB(db)
+	db := tsdb.New(col.Metrics(), env, tsdb.Config{})
+	if cfg.Attach != nil {
+		cfg.Attach(col, db)
 	}
 
 	spec := simgpu.A100SXM480GB()

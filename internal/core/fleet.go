@@ -52,9 +52,9 @@ type FleetConfig struct {
 	// OnCollector, when set, is called with the scenario's collector
 	// before any span exists — streaming sinks attach here.
 	OnCollector func(*obs.Collector)
-	// OnDB, when set, is called with the attached store right after
-	// assembly (nil TSDB → not called).
-	OnDB func(*tsdb.DB)
+	// Attach, when set, is called with the cell's collector and store
+	// (see AttachFunc).
+	Attach AttachFunc
 }
 
 // WithDefaults fills in unset fields with the scenario defaults.
@@ -200,9 +200,9 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	if cfg.TSDB != nil {
 		db = tsdb.New(col.Metrics(), env, *cfg.TSDB)
 		attachAlerts(db, FleetAlertRules())
-		if cfg.OnDB != nil {
-			cfg.OnDB(db)
-		}
+	}
+	if cfg.Attach != nil {
+		cfg.Attach(col, db)
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))

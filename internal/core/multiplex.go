@@ -77,10 +77,9 @@ type MultiplexConfig struct {
 	// TSDB forwards to Options.TSDB: attach a virtual-time series
 	// store scraping the run's registry (nil = off).
 	TSDB *tsdb.Config
-	// OnPlatform, when set, is called with the assembled platform
-	// before the workload starts — the live observability plane uses
-	// it to pick up the run's tsdb handle and collector.
-	OnPlatform func(*Platform)
+	// Attach, when set, is called with the run's collector and store
+	// (see AttachFunc).
+	Attach AttachFunc
 	// Chaos enables seeded fault injection for the run (nil falls
 	// back to the process-wide SetChaos spec). Under chaos the run
 	// tolerates terminally failed completions — counted in
@@ -167,8 +166,8 @@ func RunMultiplex(cfg MultiplexConfig) (*MultiplexResult, error) {
 		return nil, err
 	}
 	pl.Obs.SetScope(fmt.Sprintf("multiplex/%s/p%d", c.Mode, c.Processes))
-	if c.OnPlatform != nil {
-		c.OnPlatform(pl)
+	if c.Attach != nil {
+		c.Attach(pl.Obs, pl.TSDB)
 	}
 	dev := pl.Devices[0]
 	hostBW := dev.Spec().HostLoadBW

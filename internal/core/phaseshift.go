@@ -69,10 +69,9 @@ type PhaseShiftConfig struct {
 	// TSDB forwards to Options.TSDB: attach a virtual-time series
 	// store scraping the run's registry (nil = off).
 	TSDB *tsdb.Config
-	// OnPlatform, when set, is called with the assembled platform
-	// before the workload starts — the live observability plane uses
-	// it to pick up the run's tsdb handle and collector.
-	OnPlatform func(*Platform)
+	// Attach, when set, is called with the run's collector and store
+	// (see AttachFunc).
+	Attach AttachFunc
 }
 
 func (c PhaseShiftConfig) withDefaults() PhaseShiftConfig {
@@ -153,8 +152,8 @@ func RunPhaseShift(cfg PhaseShiftConfig) (*PhaseShiftResult, error) {
 		label = "repart"
 	}
 	pl.Obs.SetScope("phaseshift/" + label)
-	if c.OnPlatform != nil {
-		c.OnPlatform(pl)
+	if c.Attach != nil {
+		c.Attach(pl.Obs, pl.TSDB)
 	}
 	dev := pl.Devices[0]
 	hostBW := dev.Spec().HostLoadBW

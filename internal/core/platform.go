@@ -82,6 +82,16 @@ type Options struct {
 	Chaos *fault.Spec
 }
 
+// AttachFunc is the per-run live-plane hook every scenario config
+// carries as Attach. Core calls it exactly once for each run it
+// assembles — a multiplex or phase-shift platform, a scale shard, a
+// fleet cell, an autoscale cell — after the run's own sinks are
+// installed (OnCollector, ScaleConfig.Sinks) and its scope is final,
+// and before its first span. db is the run's series store, nil when
+// none was requested. Runs assemble on parallel harness workers, so
+// the hook must be safe for concurrent use.
+type AttachFunc func(c *obs.Collector, db *tsdb.DB)
+
 func (o Options) withDefaults() Options {
 	if len(o.DeviceSpecs) == 0 {
 		o.DeviceSpecs = []simgpu.DeviceSpec{simgpu.A100SXM480GB(), simgpu.A100SXM480GB()}

@@ -57,9 +57,15 @@ type ScaleConfig struct {
 	// memory is bounded by the retained window instead of the span
 	// count. Nil keeps snapshot collection.
 	Sinks []obs.SpanSink
-	// Telemetry, when non-nil, attaches the live observability plane:
-	// per-shard tsdb stores and wall-side progress callbacks. Nil
-	// keeps the run byte-identical to the seed.
+	// TSDB, when set, gives every shard platform its own virtual-time
+	// series store with the default config (see Options.TSDB).
+	TSDB bool
+	// Attach, when set, is called once per shard with the shard's
+	// collector and store (see AttachFunc), from the shard's harness
+	// worker.
+	Attach AttachFunc
+	// Telemetry, when non-nil, receives wall-side progress callbacks.
+	// Nil keeps the run byte-identical to the seed.
 	Telemetry *ScaleTelemetry
 }
 
@@ -73,15 +79,8 @@ type ScaleProgress interface {
 	ShardFinished(shard int)
 }
 
-// ScaleTelemetry wires a scale run into the live observability plane.
+// ScaleTelemetry reports a scale run's progress to the wall side.
 type ScaleTelemetry struct {
-	// TSDB, when non-nil, gives every shard platform its own
-	// virtual-time series store (see Options.TSDB).
-	TSDB *tsdb.Config
-	// OnShardDB is called with each shard's store right after its
-	// platform assembles, before any task runs — attach it to the
-	// HTTP server here. Called from the shard's harness worker.
-	OnShardDB func(shard int, db *tsdb.DB)
 	// Progress, when non-nil, receives shard lifecycle and batched
 	// task-completion callbacks.
 	Progress ScaleProgress
@@ -128,11 +127,14 @@ type ShardScaleResult struct {
 	MaxRetained int
 	// Makespan is the shard's virtual time at drain.
 	Makespan time.Duration
+	// TSDB is the shard's series store (nil unless ScaleConfig.TSDB).
+	TSDB *tsdb.DB
 }
 
-// ScaleResult aggregates a RunMillionTask run. All fields are virtual
-// (deterministic at any parallelism); wall-clock throughput is the
-// caller's business (the report layer times the call).
+// ScaleResult aggregates a RunMillionTask run. All fields except the
+// shards' TSDB handles are virtual (deterministic at any parallelism);
+// wall-clock throughput is the caller's business (the report layer
+// times the call).
 type ScaleResult struct {
 	Tasks  int
 	Shards []ShardScaleResult
@@ -204,31 +206,37 @@ func runScaleShard(cfg ScaleConfig, shard, tasks int, sink obs.SpanSink) (shardS
 	if cfg.Telemetry != nil {
 		tel = *cfg.Telemetry
 	}
-	pl, err := NewPlatform(Options{
+	opts := Options{
 		// One small device keeps per-shard setup cheap; the scenario
 		// never touches it (pure CPU microtasks).
 		DeviceSpecs: []simgpu.DeviceSpec{simgpu.A100SXM480GB()},
 		CPUWorkers:  cfg.Workers,
-		TSDB:        tel.TSDB,
-	})
+	}
+	if cfg.TSDB {
+		opts.TSDB = &tsdb.Config{}
+	}
+	pl, err := NewPlatform(opts)
 	if err != nil {
 		return sr, err
 	}
 	attachAlerts(pl.TSDB, ScaleAlertRules())
-	if tel.OnShardDB != nil && pl.TSDB != nil {
-		tel.OnShardDB(shard, pl.TSDB)
-	}
-	if tel.Progress != nil {
-		tel.Progress.ShardStarted(shard)
-		defer tel.Progress.ShardFinished(shard)
-	}
+	sr.TSDB = pl.TSDB
 	if sink != nil {
 		pl.Obs.SetSink(sink)
 		if cfg.SampleMod > 1 {
 			pl.Obs.SetSampleMod(cfg.SampleMod)
 		}
 	}
+	// Shard i is process i+1 of the scale trace export.
 	pl.Obs.SetScope(fmt.Sprintf("scale/shard%d", shard))
+	pl.Obs.SetTracePID(shard + 1)
+	if cfg.Attach != nil {
+		cfg.Attach(pl.Obs, pl.TSDB)
+	}
+	if tel.Progress != nil {
+		tel.Progress.ShardStarted(shard)
+		defer tel.Progress.ShardFinished(shard)
+	}
 	pl.Register(faas.App{Name: "micro", Executor: "cpu", Fn: func(inv *faas.Invocation) (any, error) {
 		d, _ := inv.Arg(0).(time.Duration)
 		inv.Compute(d)

@@ -43,8 +43,8 @@ func TestMultiplexTSDBAlertEquality(t *testing.T) {
 	var gotDB *tsdb.DB
 	cfg := MultiplexConfig{
 		Mode: ModeTimeshare, Processes: 4, Completions: 8, SLO: slo,
-		TSDB:       &tsdb.Config{Interval: time.Second},
-		OnPlatform: func(pl *Platform) { gotDB = pl.TSDB },
+		TSDB:   &tsdb.Config{Interval: time.Second},
+		Attach: func(_ *obs.Collector, db *tsdb.DB) { gotDB = db },
 	}
 	res, err := RunMultiplex(cfg)
 	if err != nil {
@@ -59,7 +59,7 @@ func TestMultiplexTSDBAlertEquality(t *testing.T) {
 		t.Fatalf("makespan changed with tsdb attached: %v vs %v", res.Makespan, base.Makespan)
 	}
 	if gotDB == nil {
-		t.Fatal("OnPlatform did not receive the tsdb handle")
+		t.Fatal("Attach did not receive the tsdb handle")
 	}
 	// The daemon scraped throughout the run and the burn signal is
 	// queryable after it.

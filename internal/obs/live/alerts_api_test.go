@@ -30,8 +30,8 @@ func twoScopeServer(t *testing.T) (*Server, *tsdb.DB, *tsdb.DB) {
 	}
 	dbB, dbA := mk(7), mk(3)
 	srv := NewServer()
-	srv.AttachDB("beta", dbB)
-	srv.AttachDB("alpha", dbA)
+	srv.attachDB("beta", dbB)
+	srv.attachDB("alpha", dbA)
 	return srv, dbA, dbB
 }
 
@@ -67,7 +67,7 @@ func TestSeriesRawRejectsBadFromTo(t *testing.T) {
 // Satellite: with several DBs attached and no scope parameter, the
 // server answers from the lexicographically-first scope and names it
 // in the response — deterministic no matter the attachment order,
-// including concurrent AttachDB from parallel harness workers.
+// including concurrent attachDB from parallel harness workers.
 func TestSeriesAmbiguousScopeDeterministic(t *testing.T) {
 	srv, _, _ := twoScopeServer(t)
 	ts := httptest.NewServer(srv.Handler())
@@ -106,7 +106,7 @@ func TestSeriesAmbiguousScopeDeterministic(t *testing.T) {
 				db := tsdb.New(reg, clk, tsdb.Config{Capacity: 4})
 				reg.Gauge("cell").Set(float64(i))
 				db.Scrape()
-				srv2.AttachDB(fmt.Sprintf("cell/%d", i), db)
+				srv2.attachDB(fmt.Sprintf("cell/%d", i), db)
 			}()
 		}
 		wg.Wait()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -61,7 +62,7 @@ func TestMetricsEndpointConformance(t *testing.T) {
 	db.EventSeries("slo:burn", 16, obs.L("app", "llama")).Append(clk.t, 0.25)
 
 	srv := NewServer()
-	srv.AttachDB("unit", db)
+	srv.attachDB("unit", db)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -83,17 +84,65 @@ func TestMetricsEndpointConformance(t *testing.T) {
 	}
 }
 
+// countSink counts the spans a collector streams to it.
+type countSink struct{ n int }
+
+func (s *countSink) EmitSpan(*obs.Span) { s.n++ }
+
+// TestSpansTailIsSnapshotPrefix attaches runs through Server.Attach: a
+// streaming run gets a tail teed onto its own sink, and the tail's raw
+// bytes are a prefix of the snapshot export; a snapshot run registers
+// its store but gets no tail and stays a snapshot run unless the caller
+// lets it stream, and then its tail renders as the run's TracePID.
 func TestSpansTailIsSnapshotPrefix(t *testing.T) {
 	srv := NewServer()
-	tail := srv.Tail("unit", 0)
 
-	// Streamed collector feeding the tail.
+	// Streamed collector: Attach tees the tail onto its sink.
 	clk1 := &fakeClock{}
 	c1 := obs.New(clk1)
 	c1.SetScope("unit")
-	c1.SetSink(tail)
+	own := &countSink{}
+	c1.SetSink(own)
+	srv.Attach(false)(c1, nil)
 	addWork(c1, clk1)
 	c1.Close()
+	tail := srv.tailFor("unit")
+	if tail == nil {
+		t.Fatal("streaming run got no tail")
+	}
+
+	// Snapshot run: store registered under its scope, no tail.
+	clk3 := &fakeClock{}
+	c3 := obs.New(clk3)
+	c3.SetScope("snap")
+	srv.Attach(false)(c3, tsdb.New(c3.Metrics(), clk3, tsdb.Config{}))
+	if c3.Streaming() || srv.tailFor("snap") != nil {
+		t.Fatal("Attach switched a snapshot run to streaming")
+	}
+	if dbs := srv.snapshotDBs(); len(dbs) != 1 || dbs[0].scope != "snap" {
+		t.Fatalf("attached stores = %v, want one under scope snap", dbs)
+	}
+
+	// A snapshot run that may stream streams into its tail, rendered as
+	// the process its TracePID names: the third of a three-run export.
+	clk4 := &fakeClock{}
+	c4 := obs.New(clk4)
+	c4.SetScope("third")
+	c4.SetTracePID(3)
+	srv.Attach(true)(c4, nil)
+	if !c4.Streaming() || srv.tailFor("third") == nil {
+		t.Fatal("a run allowed to stream got no tail")
+	}
+	addWork(c4, clk4)
+	c4.Close()
+	clk5 := &fakeClock{}
+	c5 := obs.New(clk5)
+	c5.SetScope("third")
+	addWork(c5, clk5)
+	var wantThird bytes.Buffer
+	if err := obs.WriteChromeTrace(&wantThird, nil, nil, c5); err != nil {
+		t.Fatalf("WriteChromeTrace: %v", err)
+	}
 
 	// Snapshot collector with the identical span stream.
 	clk2 := &fakeClock{}
@@ -108,7 +157,7 @@ func TestSpansTailIsSnapshotPrefix(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	code, raw := get(t, ts, "/spans?format=raw")
+	code, raw := get(t, ts, "/spans?scope=unit&format=raw")
 	if code != http.StatusOK {
 		t.Fatalf("/spans?format=raw status %d", code)
 	}
@@ -120,9 +169,18 @@ func TestSpansTailIsSnapshotPrefix(t *testing.T) {
 	if got, wantLen := len(raw), want.Len()-4; got != wantLen {
 		t.Fatalf("tail covers %d bytes, want %d (snapshot minus trailer)", got, wantLen)
 	}
+	if _, raw2 := get(t, ts, "/spans?scope=third&format=raw"); len(raw2) != wantThird.Len()-4 || !bytes.HasPrefix(wantThird.Bytes(), raw2) {
+		t.Fatalf("pid-3 tail is not the snapshot export minus its trailer\ntail:\n%s\nexport:\n%s", raw2, wantThird.Bytes())
+	}
 
-	// NDJSON mode: every line is a standalone JSON object.
-	code, nd := get(t, ts, "/spans")
+	// Without a scope /spans answers from the first tail in scope order.
+	_, first := get(t, ts, "/spans?scope=third")
+	if _, unscoped := get(t, ts, "/spans"); !bytes.Equal(first, unscoped) {
+		t.Fatal("/spans without a scope did not answer from the first tail in scope order")
+	}
+
+	// NDJSON mode (the default): every line is a standalone JSON object.
+	code, nd := get(t, ts, "/spans?scope=unit")
 	if code != http.StatusOK {
 		t.Fatalf("/spans status %d", code)
 	}
@@ -139,8 +197,8 @@ func TestSpansTailIsSnapshotPrefix(t *testing.T) {
 			t.Fatalf("ndjson line %d has no ph field: %s", i, line)
 		}
 	}
-	if n := tail.Spans(); n != 20 {
-		t.Fatalf("tail saw %d spans, want 20", n)
+	if n := tail.Spans(); n != 20 || own.n != 20 {
+		t.Fatalf("tail saw %d spans and the run's own sink %d, want 20 each", n, own.n)
 	}
 
 	if code, _ := get(t, ts, "/spans?scope=bogus"); code != http.StatusNotFound {
@@ -148,7 +206,9 @@ func TestSpansTailIsSnapshotPrefix(t *testing.T) {
 	}
 }
 
-func TestSeriesAPI(t *testing.T) {
+// seriesTestServer serves one store under scope "unit", scraped twice:
+// after addWork, then 1 s later with ten more tasks counted.
+func seriesTestServer() *httptest.Server {
 	clk := &fakeClock{}
 	c := obs.New(clk)
 	addWork(c, clk) // advances clk per span; counter scraped below
@@ -159,16 +219,20 @@ func TestSeriesAPI(t *testing.T) {
 	db.Scrape()
 
 	srv := NewServer()
-	srv.AttachDB("unit", db)
-	ts := httptest.NewServer(srv.Handler())
+	srv.attachDB("unit", db)
+	return httptest.NewServer(srv.Handler())
+}
+
+func TestSeriesAPI(t *testing.T) {
+	ts := seriesTestServer()
 	defer ts.Close()
 
 	var resp struct {
-		OK      bool      `json:"ok"`
-		Value   *float64  `json:"value"`
-		Samples []any     `json:"samples"`
-		Series  []any     `json:"series"`
-		Error   string    `json:"error"`
+		OK      bool     `json:"ok"`
+		Value   *float64 `json:"value"`
+		Samples []any    `json:"samples"`
+		Series  []any    `json:"series"`
+		Error   string   `json:"error"`
 	}
 	query := func(path string, wantCode int) {
 		t.Helper()
@@ -177,11 +241,11 @@ func TestSeriesAPI(t *testing.T) {
 			t.Fatalf("%s status %d, want %d: %s", path, code, wantCode, body)
 		}
 		resp = struct {
-			OK      bool      `json:"ok"`
-			Value   *float64  `json:"value"`
-			Samples []any     `json:"samples"`
-			Series  []any     `json:"series"`
-			Error   string    `json:"error"`
+			OK      bool     `json:"ok"`
+			Value   *float64 `json:"value"`
+			Samples []any    `json:"samples"`
+			Series  []any    `json:"series"`
+			Error   string   `json:"error"`
 		}{}
 		if err := json.Unmarshal(body, &resp); err != nil {
 			t.Fatalf("%s bad JSON: %v\n%s", path, err, body)
@@ -199,6 +263,12 @@ func TestSeriesAPI(t *testing.T) {
 	query("/api/series?name=task_latency_seconds&fn=quantile&q=0.5&window=60s&app=llama", http.StatusOK)
 	if !resp.OK || resp.Value == nil || *resp.Value <= 0 {
 		t.Fatalf("quantile = %+v, want > 0", resp)
+	}
+	for _, q := range []string{"NaN", "0.5x", "1.5", "-0.1"} {
+		query("/api/series?name=task_latency_seconds&fn=quantile&app=llama&q="+q, http.StatusBadRequest)
+		if resp.Error == "" {
+			t.Fatalf("q=%s should carry an error message", q)
+		}
 	}
 	query("/api/series?name=tasks_total&fn=raw&app=llama", http.StatusOK)
 	if !resp.OK || len(resp.Samples) != 2 {
@@ -279,5 +349,37 @@ func TestServerStartClose(t *testing.T) {
 	}
 	if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
 		t.Fatal("server still reachable after Close")
+	}
+}
+
+// TestServerDropsStalledRequest: a client that sends half a request
+// line and stalls is disconnected once the header timeout passes,
+// instead of holding its connection open.
+func TestServerDropsStalledRequest(t *testing.T) {
+	prev := readHeaderTimeout
+	readHeaderTimeout = 100 * ms
+	defer func() { readHeaderTimeout = prev }()
+	srv := NewServer()
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial %s: %v", addr, err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /healthz HT")); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// The server may answer 400 before hanging up; either way the read
+	// must end at EOF, not at the client's own deadline.
+	if reply, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("stalled client still connected (read %q, err %v); want the server to hang up", reply, err)
 	}
 }

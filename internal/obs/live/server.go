@@ -8,6 +8,7 @@ import (
 	"net/http/pprof"
 	"net/url"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -16,10 +17,9 @@ import (
 	"repro/internal/obs/tsdb"
 )
 
-// Server is the observability endpoint set. Attach tsdb handles and
-// span tails as the run is assembled, then Start (real listener) or
-// Handler (httptest). All attachments are safe before or during
-// serving.
+// Server is the observability endpoint set. Attach each run as it is
+// assembled, then Start (real listener) or Handler (httptest). All
+// attachments are safe before or during serving.
 type Server struct {
 	mu       sync.Mutex
 	dbs      []scopedDB
@@ -39,14 +39,35 @@ func NewServer() *Server {
 	return &Server{progress: NewProgress()}
 }
 
-// AttachDB registers a tsdb handle under a scope label; its latest
+// Attach returns a run's live-plane hook (core.AttachFunc). The hook
+// registers the run's store, when it has one, under the collector's
+// scope, and decides whether the run gets a /spans tail; no other code
+// does. A run that streams its spans gets a tail teed onto its sink. A
+// snapshot run gets one only when mayStream is set: the caller's
+// statement that no export reads the run's retained spans, so the hook
+// switches the run to streaming into the tail. Otherwise it stays a
+// snapshot run without a tail. The tail renders as trace process
+// c.TracePID(), so its raw bytes are a prefix of the run's section in
+// the trace export. Call the hook after the run's sinks are installed
+// and its scope is final, before its first span; concurrent calls from
+// parallel runs are safe.
+func (s *Server) Attach(mayStream bool) func(c *obs.Collector, db *tsdb.DB) {
+	return func(c *obs.Collector, db *tsdb.DB) {
+		s.attachDB(c.Scope(), db)
+		if c.Streaming() || mayStream {
+			c.AddSink(s.newTail(c.TracePID(), c.Scope()))
+		}
+	}
+}
+
+// attachDB registers a tsdb handle under a scope label; its latest
 // samples appear on /metrics with scope="<scope>", its series become
 // queryable via /api/series?scope=<scope>, and its alert rules on
 // /api/alerts. Scopes are served in lexicographic order no matter the
 // attachment order, so concurrently attached cells (parallel harness
 // workers) present deterministically.
-func (s *Server) AttachDB(scope string, db *tsdb.DB) {
-	if s == nil || db == nil {
+func (s *Server) attachDB(scope string, db *tsdb.DB) {
+	if db == nil {
 		return
 	}
 	s.mu.Lock()
@@ -55,16 +76,14 @@ func (s *Server) AttachDB(scope string, db *tsdb.DB) {
 	s.mu.Unlock()
 }
 
-// Tail creates and registers a span tail for /spans. Pids are assigned
-// sequentially in registration order, matching the collectors'
-// positions in a snapshot Chrome-trace export of the same run.
-func (s *Server) Tail(scope string, maxBytes int) *SpanTail {
-	if s == nil {
-		return nil
-	}
+// newTail creates and registers a span tail for /spans. Like stores,
+// tails are kept in scope order, so /spans without a scope answers from
+// the same tail whatever order parallel runs attached in.
+func (s *Server) newTail(pid int, scope string) *SpanTail {
 	s.mu.Lock()
-	t := NewSpanTail(len(s.tails)+1, scope, maxBytes)
+	t := newSpanTail(pid, scope)
 	s.tails = append(s.tails, t)
+	sort.SliceStable(s.tails, func(i, j int) bool { return s.tails[i].scope < s.tails[j].scope })
 	s.mu.Unlock()
 	return t
 }
@@ -99,6 +118,16 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so a slow or stalled client cannot hold a
+// connection open; a variable only so tests can shorten it.
+var readHeaderTimeout = 10 * time.Second
+
+// idleTimeout closes keep-alive connections left idle this long. There
+// is deliberately no WriteTimeout: /spans?follow=1 streams for as long
+// as the client stays.
+const idleTimeout = 2 * time.Minute
+
 // Start listens on addr (e.g. "127.0.0.1:0") and serves in the
 // background, returning the bound address.
 func (s *Server) Start(addr string) (string, error) {
@@ -108,7 +137,7 @@ func (s *Server) Start(addr string) (string, error) {
 	}
 	s.mu.Lock()
 	s.ln = ln
-	s.srv = &http.Server{Handler: s.Handler()}
+	s.srv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	srv := s.srv
 	s.mu.Unlock()
 	go srv.Serve(ln) //nolint:errcheck // ErrServerClosed on Close
@@ -295,7 +324,9 @@ func evalSeries(db *tsdb.DB, scope string, q url.Values) (seriesResponse, int) {
 	case "quantile":
 		qv := 0.95
 		if qs := q.Get("q"); qs != "" {
-			if _, err := fmt.Sscanf(qs, "%g", &qv); err != nil || qv < 0 || qv > 1 {
+			var err error
+			// The negated range test also rejects NaN.
+			if qv, err = strconv.ParseFloat(qs, 64); err != nil || !(qv >= 0 && qv <= 1) {
 				return fail("bad q %q", qs)
 			}
 		}

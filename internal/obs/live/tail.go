@@ -34,17 +34,13 @@ type SpanTail struct {
 	subs    map[chan []byte]struct{}
 }
 
-// DefaultTailBytes bounds a tail's retained window when the caller
-// passes maxBytes <= 0.
-const DefaultTailBytes = 1 << 20
+// tailBytes bounds a tail's retained window.
+const tailBytes = 1 << 20
 
-// NewSpanTail builds a tail rendering as trace process pid (matching
+// newSpanTail builds a tail rendering as trace process pid (matching
 // the collector's position in the snapshot export) named by scope.
-func NewSpanTail(pid int, scope string, maxBytes int) *SpanTail {
-	if maxBytes <= 0 {
-		maxBytes = DefaultTailBytes
-	}
-	t := &SpanTail{scope: scope, max: maxBytes, subs: make(map[chan []byte]struct{})}
+func newSpanTail(pid int, scope string) *SpanTail {
+	t := &SpanTail{scope: scope, max: tailBytes, subs: make(map[chan []byte]struct{})}
 	// The TraceSection writes its process metadata on construction;
 	// route it through the same capture path as every event.
 	t.sec = obs.NewTraceSection(captureWriter{t}, pid, scope)
@@ -101,9 +97,6 @@ func (t *SpanTail) Spans() int64 {
 	return t.spans
 }
 
-// Scope returns the tail's trace-process name.
-func (t *SpanTail) Scope() string { return t.scope }
-
 // follow subscribes to future flushes; the returned cancel must be
 // called when the follower leaves.
 func (t *SpanTail) follow(buf int) (ch chan []byte, cancel func()) {
@@ -115,28 +108,5 @@ func (t *SpanTail) follow(buf int) (ch chan []byte, cancel func()) {
 		t.mu.Lock()
 		delete(t.subs, ch)
 		t.mu.Unlock()
-	}
-}
-
-// Tee fans one span stream out to several sinks — e.g. a scale shard's
-// spill-file TraceSection plus the live tail. Nil sinks are skipped.
-func Tee(sinks ...obs.SpanSink) obs.SpanSink {
-	var nn []obs.SpanSink
-	for _, s := range sinks {
-		if s != nil {
-			nn = append(nn, s)
-		}
-	}
-	if len(nn) == 1 {
-		return nn[0]
-	}
-	return teeSink(nn)
-}
-
-type teeSink []obs.SpanSink
-
-func (t teeSink) EmitSpan(s *obs.Span) {
-	for _, sink := range t {
-		sink.EmitSpan(s)
 	}
 }

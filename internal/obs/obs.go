@@ -110,6 +110,7 @@ type SpanSink interface {
 type Collector struct {
 	clock Clock
 	scope string
+	pid   int
 
 	// spans is the retained window in span-ID order: everything ever
 	// recorded in snapshot mode, only the unflushed suffix when a sink
@@ -189,6 +190,25 @@ func (c *Collector) Scope() string {
 	return c.scope
 }
 
+// SetTracePID sets the trace process id the collector's spans render
+// under when a trace section is built from the collector alone, as a
+// live span tail is: the run's position in its trace export, numbered
+// from 1. Snapshot exports number their collectors by argument
+// position instead.
+func (c *Collector) SetTracePID(pid int) {
+	if c != nil {
+		c.pid = pid
+	}
+}
+
+// TracePID returns the pid set by SetTracePID, 1 when unset.
+func (c *Collector) TracePID() int {
+	if c == nil || c.pid <= 0 {
+		return 1
+	}
+	return c.pid
+}
+
 // Now returns the current virtual time of the collector's clock.
 func (c *Collector) Now() time.Duration {
 	if c == nil {
@@ -219,6 +239,28 @@ func (c *Collector) SetSink(sink SpanSink) {
 	if sink != nil {
 		c.advance()
 	}
+}
+
+// AddSink tees sink onto the collector's stream: every span the current
+// sink receives, sink receives next, in the same order. Without a
+// current sink it is SetSink. Like SetSink, call it before the run
+// starts.
+func (c *Collector) AddSink(sink SpanSink) {
+	if c == nil || sink == nil {
+		return
+	}
+	if c.sink == nil {
+		c.SetSink(sink)
+		return
+	}
+	c.sink = teeSink{c.sink, sink}
+}
+
+type teeSink [2]SpanSink
+
+func (t teeSink) EmitSpan(s *Span) {
+	t[0].EmitSpan(s)
+	t[1].EmitSpan(s)
 }
 
 // Streaming reports whether a sink is attached.

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/obs"
 	"repro/internal/obs/tsdb"
 )
 
@@ -23,13 +22,9 @@ type AutoscaleOptions struct {
 	// flush as they end instead of being retained. The artifact is
 	// byte-identical either way: every reported quantity is virtual.
 	Stream bool
-	// WrapSink, when set with Stream, wraps each cell's span sink —
-	// the live server tees its /spans tail in here. Ignored without
-	// Stream.
-	WrapSink func(cell string, base obs.SpanSink) obs.SpanSink
-	// Telemetry attaches the live observability plane per cell (the
-	// cell label plays the fleet artifact's load role).
-	Telemetry *FleetTelemetry
+	// Attach forwards to core.AutoscaleConfig.Attach, once per cell
+	// under scope "autoscale/<cell>".
+	Attach core.AttachFunc
 	// Alerts, when set, renders each cell's end-of-run alert-rule
 	// history (engine state + resolved incidents, grid order) to this
 	// writer. Purely virtual: byte-identical at any -parallel level
@@ -76,20 +71,8 @@ func Autoscale(w io.Writer, opts AutoscaleOptions) error {
 		cfg := base
 		cfg.StaticBlocks = grid[i].staticBlocks
 		label := grid[i].label
-		if t := opts.Telemetry; t != nil && t.TSDB != nil {
-			tc := *t.TSDB
-			cfg.TSDB = &tc
-			if t.OnCellDB != nil {
-				cfg.OnDB = func(db *tsdb.DB) { t.OnCellDB(label, db) }
-			}
-		}
-		if opts.Stream {
-			sink := obs.SpanSink(discardSink{})
-			if opts.WrapSink != nil {
-				sink = opts.WrapSink(label, sink)
-			}
-			cfg.OnCollector = func(c *obs.Collector) { c.SetSink(sink) }
-		}
+		cfg.OnCollector = cellCollector(i, "autoscale/"+label, opts.Stream)
+		cfg.Attach = opts.Attach
 		res, err := core.RunAutoscale(cfg)
 		if err != nil {
 			return cell{}, fmt.Errorf("autoscale %s: %w", label, err)

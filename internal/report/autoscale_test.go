@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/harness"
-	"repro/internal/obs/tsdb"
 )
 
 // autoscaleTestOptions shrinks the grid to a fast-but-real cell: the
@@ -107,32 +105,18 @@ func TestAutoscaleVerdictHolds(t *testing.T) {
 }
 
 // TestAutoscaleTelemetryHooks checks the live-plane wiring: each cell
-// gets its own labeled series store.
+// attaches under its own scope with its own series store.
 func TestAutoscaleTelemetryHooks(t *testing.T) {
 	var b bytes.Buffer
 	opts := autoscaleTestOptions()
-	// Cells run on parallel harness workers, so the hook is called
-	// concurrently.
-	var mu sync.Mutex
-	seen := make(map[string]*tsdb.DB)
-	opts.Telemetry = &FleetTelemetry{
-		TSDB: &tsdb.Config{},
-		OnCellDB: func(cell string, db *tsdb.DB) {
-			mu.Lock()
-			defer mu.Unlock()
-			seen[cell] = db
-		},
-	}
+	var log storeLog
+	opts.Attach = log.attach
 	if err := Autoscale(&b, opts); err != nil {
 		t.Fatal(err)
 	}
+	var scopes []string
 	for _, c := range autoscaleGrid(4) {
-		db := seen[c.label]
-		if db == nil {
-			t.Fatalf("cell %s never attached a series store (got %v)", c.label, seen)
-		}
-		if len(db.List()) == 0 {
-			t.Errorf("cell %s store scraped no series", c.label)
-		}
+		scopes = append(scopes, "autoscale/"+c.label)
 	}
+	log.check(t, scopes)
 }

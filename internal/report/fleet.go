@@ -25,28 +25,29 @@ type FleetOptions struct {
 	// flush as they end instead of being retained. The artifact is
 	// byte-identical either way: every reported quantity is virtual.
 	Stream bool
-	// WrapSink, when set with Stream, wraps each cell's span sink —
-	// the live server tees its /spans tail in here. Ignored without
-	// Stream (snapshot collection has no sink to tee).
-	WrapSink func(load string, base obs.SpanSink) obs.SpanSink
-	// Telemetry attaches the live observability plane per load cell.
-	Telemetry *FleetTelemetry
+	// Attach forwards to core.FleetConfig.Attach, once per load cell
+	// under scope "fleet/<load>", and turns per-cell tsdb stores on.
+	Attach core.AttachFunc
 	// Alerts, when set, renders each cell's end-of-run alert-rule
 	// history (engine state + resolved incidents, grid order) to this
-	// writer, forcing a per-cell tsdb store on if Telemetry hasn't
-	// already. Purely virtual: byte-identical at any -parallel level
-	// and under -stream.
+	// writer, turning per-cell tsdb stores on. Purely virtual:
+	// byte-identical at any -parallel level and under -stream.
 	Alerts io.Writer
 }
 
-// FleetTelemetry carries the live-plane hooks for the fleet and
-// autoscale artifacts: one virtual-time series store per grid cell.
-type FleetTelemetry struct {
-	TSDB *tsdb.Config
-	// OnCellDB is called with each cell's store right after the cell
-	// assembles, before it runs. Called from the cell's harness worker:
-	// cells run in parallel, so it must be safe for concurrent use.
-	OnCellDB func(load string, db *tsdb.DB)
+// cellCollector is the OnCollector hook of grid cell i of a fleet or
+// autoscale artifact: it names the cell's scope, under which Attach
+// registers the cell, numbers it trace process i+1, so the cells' live
+// tails render as distinct processes in grid order, and with stream
+// gives it a discarding sink.
+func cellCollector(i int, scope string, stream bool) func(*obs.Collector) {
+	return func(c *obs.Collector) {
+		c.SetScope(scope)
+		c.SetTracePID(i + 1)
+		if stream {
+			c.SetSink(discardSink{})
+		}
+	}
 }
 
 // fleetLoads are the offered-load multipliers of the artifact's grid,
@@ -76,22 +77,10 @@ func Fleet(w io.Writer, opts FleetOptions) error {
 		cfg := base
 		cfg.ArrivalRate = base.ArrivalRate * fleetLoads[i]
 		label := fleetLoadLabel(fleetLoads[i])
-		if t := opts.Telemetry; t != nil && t.TSDB != nil {
-			tc := *t.TSDB
-			cfg.TSDB = &tc
-			if t.OnCellDB != nil {
-				cfg.OnDB = func(db *tsdb.DB) { t.OnCellDB(label, db) }
-			}
-		}
-		if opts.Alerts != nil && cfg.TSDB == nil {
+		cfg.OnCollector = cellCollector(i, "fleet/"+label, opts.Stream)
+		cfg.Attach = opts.Attach
+		if opts.Attach != nil || opts.Alerts != nil {
 			cfg.TSDB = &tsdb.Config{}
-		}
-		if opts.Stream {
-			sink := obs.SpanSink(discardSink{})
-			if opts.WrapSink != nil {
-				sink = opts.WrapSink(label, sink)
-			}
-			cfg.OnCollector = func(c *obs.Collector) { c.SetSink(sink) }
 		}
 		res, err := core.RunFleet(cfg)
 		if err != nil {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/obs"
 	"repro/internal/obs/tsdb"
 )
 
@@ -83,34 +84,61 @@ func TestFleetArtifactShape(t *testing.T) {
 	}
 }
 
+// storeLog is an Attach hook recording each run's store and trace pid
+// by scope. Cells run on parallel harness workers, so it is called
+// concurrently.
+type storeLog struct {
+	mu   sync.Mutex
+	seen map[string]*tsdb.DB
+	pids map[string]int
+}
+
+func (l *storeLog) attach(c *obs.Collector, db *tsdb.DB) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.seen == nil {
+		l.seen, l.pids = make(map[string]*tsdb.DB), make(map[string]int)
+	}
+	l.seen[c.Scope()], l.pids[c.Scope()] = db, c.TracePID()
+}
+
+// check requires exactly one attached store per scope, given in grid
+// order, each of which scraped series during its run and was numbered
+// trace process (grid position + 1).
+func (l *storeLog) check(t *testing.T, scopes []string) {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.seen) != len(scopes) {
+		t.Fatalf("attached scopes %v, want %v", l.seen, scopes)
+	}
+	for i, scope := range scopes {
+		if pid := l.pids[scope]; pid != i+1 {
+			t.Errorf("cell %s attached as trace pid %d, want %d", scope, pid, i+1)
+		}
+		db := l.seen[scope]
+		if db == nil {
+			t.Fatalf("cell %s never attached a series store (got %v)", scope, l.seen)
+		}
+		if len(db.List()) == 0 {
+			t.Errorf("cell %s store scraped no series", scope)
+		}
+	}
+}
+
 // TestFleetTelemetryHooks checks the live-plane wiring: each load
-// cell gets its own series store, labeled by cell.
+// cell attaches under its own scope with its own series store.
 func TestFleetTelemetryHooks(t *testing.T) {
 	var b bytes.Buffer
 	opts := fleetTestOptions()
-	// Cells run on parallel harness workers, so the hook is called
-	// concurrently.
-	var mu sync.Mutex
-	seen := make(map[string]*tsdb.DB)
-	opts.Telemetry = &FleetTelemetry{
-		TSDB: &tsdb.Config{},
-		OnCellDB: func(load string, db *tsdb.DB) {
-			mu.Lock()
-			defer mu.Unlock()
-			seen[load] = db
-		},
-	}
+	var log storeLog
+	opts.Attach = log.attach
 	if err := Fleet(&b, opts); err != nil {
 		t.Fatal(err)
 	}
+	var scopes []string
 	for _, m := range fleetLoads {
-		label := fleetLoadLabel(m)
-		db := seen[label]
-		if db == nil {
-			t.Fatalf("cell %s never attached a series store (got %v)", label, seen)
-		}
-		if len(db.List()) == 0 {
-			t.Errorf("cell %s store scraped no series", label)
-		}
+		scopes = append(scopes, "fleet/"+fleetLoadLabel(m))
 	}
+	log.check(t, scopes)
 }

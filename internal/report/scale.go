@@ -33,21 +33,18 @@ type ScaleOptions struct {
 	// trace section to a temp file during the run and splices them into
 	// one Perfetto-loadable artifact at this path.
 	TracePath string
-	// Telemetry forwards to core.ScaleConfig.Telemetry: per-shard tsdb
-	// stores and progress callbacks for the live observability plane.
-	// With Compare it attaches to the streaming run only (attaching the
-	// same shard scopes twice would double-register them).
-	Telemetry *core.ScaleTelemetry
-	// WrapSink, when set with Stream, wraps each shard's span sink —
-	// the live server tees its /spans tail in here. Ignored without
-	// Stream (snapshot collection has no sink to tee).
-	WrapSink func(shard int, base obs.SpanSink) obs.SpanSink
+	// Attach forwards to core.ScaleConfig.Attach and turns per-shard
+	// tsdb stores on. With Compare it attaches to the streaming run
+	// only (attaching the same shard scopes twice would double-register
+	// them), and so does Progress.
+	Attach core.AttachFunc
+	// Progress forwards to core.ScaleTelemetry.Progress.
+	Progress core.ScaleProgress
 	// Alerts, when set, renders each shard's end-of-run alert-rule
 	// history (engine state + resolved incidents, shard order) to this
-	// writer, forcing per-shard tsdb stores on if Telemetry hasn't
-	// already. With Compare the shards reported are the streaming
-	// run's (telemetry attaches there only). Purely virtual:
-	// byte-identical at any -parallel level and under -stream.
+	// writer, turning per-shard tsdb stores on. With Compare the shards
+	// reported are the streaming run's. Purely virtual: byte-identical
+	// at any -parallel level and under -stream.
 	Alerts io.Writer
 }
 
@@ -89,29 +86,6 @@ func Scale(w io.Writer, opts ScaleOptions) error {
 	bw := bufio.NewWriter(w)
 	header(bw, "Million-task throughput — sharded open-loop scenario")
 	cfg := opts.config()
-	// Alerts need the shard stores, which only surface through the
-	// telemetry hook: force per-shard tsdbs on and capture each handle
-	// into its shard slot (index-addressed, so capture order — and with
-	// it the rendered artifact — is independent of shard scheduling).
-	var shardDBs []*tsdb.DB
-	if opts.Alerts != nil {
-		tel := core.ScaleTelemetry{}
-		if opts.Telemetry != nil {
-			tel = *opts.Telemetry
-		}
-		if tel.TSDB == nil {
-			tel.TSDB = &tsdb.Config{}
-		}
-		shardDBs = make([]*tsdb.DB, cfg.Shards)
-		inner := tel.OnShardDB
-		tel.OnShardDB = func(shard int, db *tsdb.DB) {
-			shardDBs[shard] = db
-			if inner != nil {
-				inner(shard, db)
-			}
-		}
-		opts.Telemetry = &tel
-	}
 	if opts.Compare {
 		snapRes, snapWall, err := runScale(cfg, ScaleOptions{}, false)
 		if err != nil {
@@ -132,7 +106,7 @@ func Scale(w io.Writer, opts ScaleOptions) error {
 			snapRes.MaxRetained, strRes.MaxRetained)
 		fmt.Fprintf(bw, "compare: alloc_bytes snapshot=%d streaming=%d\n",
 			snapWall.allocBytes, strWall.allocBytes)
-		if err := writeScaleAlerts(opts.Alerts, shardDBs); err != nil {
+		if err := writeScaleAlerts(opts.Alerts, strRes); err != nil {
 			return err
 		}
 		return bw.Flush()
@@ -146,22 +120,19 @@ func Scale(w io.Writer, opts ScaleOptions) error {
 		return err
 	}
 	writeScaleRun(bw, mode, cfg, res, wall)
-	if err := writeScaleAlerts(opts.Alerts, shardDBs); err != nil {
+	if err := writeScaleAlerts(opts.Alerts, res); err != nil {
 		return err
 	}
 	return bw.Flush()
 }
 
 // writeScaleAlerts renders each shard's alert history in shard order.
-func writeScaleAlerts(w io.Writer, dbs []*tsdb.DB) error {
+func writeScaleAlerts(w io.Writer, res *core.ScaleResult) error {
 	if w == nil {
 		return nil
 	}
-	for i, db := range dbs {
-		if db == nil {
-			continue
-		}
-		if err := tsdb.WriteAlertHistory(w, fmt.Sprintf("shard=%d ", i), db); err != nil {
+	for _, sr := range res.Shards {
+		if err := tsdb.WriteAlertHistory(w, fmt.Sprintf("shard=%d ", sr.Shard), sr.TSDB); err != nil {
 			return err
 		}
 	}
@@ -174,7 +145,11 @@ func writeScaleAlerts(w io.Writer, dbs []*tsdb.DB) error {
 // files are spliced into the final artifact afterwards.
 func runScale(cfg core.ScaleConfig, opts ScaleOptions, stream bool) (*core.ScaleResult, scaleWall, error) {
 	tracePath := opts.TracePath
-	cfg.Telemetry = opts.Telemetry
+	cfg.TSDB = opts.Attach != nil || opts.Alerts != nil
+	cfg.Attach = opts.Attach
+	if opts.Progress != nil {
+		cfg.Telemetry = &core.ScaleTelemetry{Progress: opts.Progress}
+	}
 	var wall scaleWall
 	var files []*os.File
 	var writers []*bufio.Writer
@@ -197,11 +172,6 @@ func runScale(cfg core.ScaleConfig, opts ScaleOptions, stream bool) (*core.Scale
 			sec := obs.NewTraceSection(fw, i+1, fmt.Sprintf("scale/shard%d", i))
 			sections = append(sections, sec)
 			cfg.Sinks[i] = sec
-		}
-		if opts.WrapSink != nil {
-			for i := range cfg.Sinks {
-				cfg.Sinks[i] = opts.WrapSink(i, cfg.Sinks[i])
-			}
 		}
 		defer func() {
 			for _, f := range files {
