@@ -38,13 +38,12 @@ func BenchmarkPack100x50(b *testing.B) {
 	}
 }
 
-// BenchmarkChurn100GPUs measures steady-state incremental churn: one
-// eviction plus one placement against a loaded 100-GPU fleet.
-func BenchmarkChurn100GPUs(b *testing.B) {
-	inv := mixedInventory(50, 50)
-	c, err := New(Config{Inventory: inv})
+// loadedCluster offers 200 bench demands to a 100-GPU mixed fleet
+// without a collector and returns it with the demands it placed.
+func loadedCluster(tb testing.TB) (*Cluster, []Demand) {
+	c, err := New(Config{Inventory: mixedInventory(50, 50)})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	ds := benchDemands(200)
 	placed := make([]Demand, 0, len(ds))
@@ -54,8 +53,15 @@ func BenchmarkChurn100GPUs(b *testing.B) {
 		}
 	}
 	if len(placed) < 50 {
-		b.Fatalf("only %d demands placed", len(placed))
+		tb.Fatalf("only %d demands placed", len(placed))
 	}
+	return c, placed
+}
+
+// BenchmarkChurn100GPUs measures steady-state incremental churn: one
+// eviction plus one placement against a loaded 100-GPU fleet.
+func BenchmarkChurn100GPUs(b *testing.B) {
+	c, placed := loadedCluster(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -72,17 +78,45 @@ func BenchmarkChurn100GPUs(b *testing.B) {
 // BenchmarkFragmentation100GPUs measures the metric the sampler and
 // the rebalance comparison both lean on.
 func BenchmarkFragmentation100GPUs(b *testing.B) {
-	inv := mixedInventory(50, 50)
-	c, err := New(Config{Inventory: inv})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, d := range benchDemands(200) {
-		_, _ = c.Place(d)
-	}
+	c, _ := loadedCluster(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = c.Fragmentation().Fleet
+	}
+}
+
+// churnAllocs bounds one evict-plus-place step on a cluster without a
+// collector: the new placement's share and Placement record. A step
+// that cuts a new instance also allocates it and its share list;
+// testing.AllocsPerRun's integer mean over the cycle absorbs those.
+const churnAllocs = 2
+
+// TestPackerAllocs pins the packer's allocation guarantees on the
+// loaded 100-GPU cluster without a collector: the candidate search and
+// the fleet-fragmentation read behind the gauges allocate nothing, and
+// a churn step allocates at most churnAllocs.
+func TestPackerAllocs(t *testing.T) {
+	c, placed := loadedCluster(t)
+	d := placed[len(placed)/2]
+	if n := testing.AllocsPerRun(100, func() { c.bestCandidate(d) }); n != 0 {
+		t.Errorf("bestCandidate allocates %v per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = c.fleetFrag() }); n != 0 {
+		t.Errorf("fleetFrag allocates %v per call, want 0", n)
+	}
+	i := 0
+	n := testing.AllocsPerRun(100, func() {
+		d := placed[i%len(placed)]
+		i++
+		if err := c.Evict(d.Tenant); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Place(d); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > churnAllocs {
+		t.Errorf("evict+place allocates %v per step, want at most %d", n, churnAllocs)
 	}
 }

@@ -233,12 +233,18 @@ func (in *instance) usedMem() int64 {
 
 // gpuState is one device's occupancy.
 type gpuState struct {
-	idx      int
-	gpu      GPU
+	idx int
+	gpu GPU
+	// class numbers the device's spec among the inventory's distinct
+	// specs: GPUs of one class have identical candidates while empty.
+	class    int
 	mode     gpuMode
-	profiles []simgpu.MIGProfile // cached MIGProfilesFor(spec), small→large
+	profiles []simgpu.MIGProfile // MIGProfilesFor(spec), shared per class, small→large
 	insts    []*instance         // modeMIG, kept sorted by start
 	shares   []*share            // modeMPS whole-GPU shares
+	// frag caches gpuFrag(g); every mutation recomputes it, and Validate
+	// checks it bit for bit.
+	frag float64
 }
 
 func (g *gpuState) usedPct() int {
@@ -257,14 +263,19 @@ func (g *gpuState) usedMem() int64 {
 	return m
 }
 
+// sliceMask is a MIG compute-slice bitmap: bit s set means slice s is
+// taken. Instances start only where simgpu.MIGStarts allows, which
+// keeps every slice index below 7, so one word holds any layout.
+type sliceMask uint64
+
+// sliceSpan is the mask of n slices from start.
+func sliceSpan(start, n int) sliceMask { return (1<<n - 1) << start }
+
 // occupancy returns the compute-slice bitmap and used memory slices of
 // a MIG-mode GPU.
-func (g *gpuState) occupancy() (occupied []bool, memSlices int) {
-	occupied = make([]bool, g.gpu.Spec.MIGSlices)
+func (g *gpuState) occupancy() (occupied sliceMask, memSlices int) {
 	for _, in := range g.insts {
-		for s := in.start; s < in.start+in.prof.Slices; s++ {
-			occupied[s] = true
-		}
+		occupied |= sliceSpan(in.start, in.prof.Slices)
 		memSlices += in.prof.MemSlices
 	}
 	return occupied, memSlices
@@ -280,6 +291,9 @@ type Cluster struct {
 	// order is the arrival order of live tenants — the demand sequence
 	// a from-scratch solve replays.
 	order []string
+	// probed is bestCandidate's per-pass scratch: probed[k] is set once
+	// an empty GPU of spec class k has been probed.
+	probed []bool
 
 	obsC *obs.Collector
 	// metrics (nil without a collector)
@@ -294,16 +308,24 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		inv:      cfg.Inventory,
+		gpus:     make([]*gpuState, len(cfg.Inventory)),
 		byTenant: make(map[string]*Placement),
 		obsC:     cfg.Obs,
 	}
+	classOf := make(map[simgpu.DeviceSpec]int)
+	var tables [][]simgpu.MIGProfile
+	states := make([]gpuState, len(cfg.Inventory))
 	for i, g := range cfg.Inventory {
-		c.gpus = append(c.gpus, &gpuState{
-			idx:      i,
-			gpu:      g,
-			profiles: simgpu.MIGProfilesFor(g.Spec),
-		})
+		k, ok := classOf[g.Spec]
+		if !ok {
+			k = len(tables)
+			classOf[g.Spec] = k
+			tables = append(tables, simgpu.MIGProfilesFor(g.Spec))
+		}
+		states[i] = gpuState{idx: i, gpu: g, class: k, profiles: tables[k]}
+		c.gpus[i] = &states[i]
 	}
+	c.probed = make([]bool, len(tables))
 	if cfg.Obs != nil {
 		m := cfg.Obs.Metrics()
 		c.cPlaced = m.Counter("fleet_place_total", obs.L("status", "placed"))
@@ -320,6 +342,24 @@ func New(cfg Config) (*Cluster, error) {
 		c.gEmpty.Set(float64(len(c.gpus)))
 	}
 	return c, nil
+}
+
+// fresh returns an empty observation-free cluster over c's inventory,
+// which New already validated, sharing c's spec classes and profile
+// tables. tenants sizes the placement map.
+func (c *Cluster) fresh(tenants int) *Cluster {
+	f := &Cluster{
+		inv:      c.inv,
+		gpus:     make([]*gpuState, len(c.gpus)),
+		byTenant: make(map[string]*Placement, tenants),
+		probed:   make([]bool, len(c.probed)),
+	}
+	states := make([]gpuState, len(c.gpus))
+	for i, g := range c.gpus {
+		states[i] = gpuState{idx: i, gpu: g.gpu, class: g.class, profiles: g.profiles}
+		f.gpus[i] = &states[i]
+	}
+	return f
 }
 
 // Inventory returns the cluster's hardware list.
@@ -356,11 +396,9 @@ func (c *Cluster) Demands() []Demand {
 	return out
 }
 
-// updateGauges refreshes the fleet-level gauges after a mutation.
+// updateGauges refreshes the fleet-level gauges after a mutation. Like
+// event, it is called only on a cluster with a collector.
 func (c *Cluster) updateGauges() {
-	if c.obsC == nil {
-		return
-	}
 	var nMIG, nMPS, nEmpty int
 	for _, g := range c.gpus {
 		switch g.mode {
@@ -373,17 +411,16 @@ func (c *Cluster) updateGauges() {
 		}
 	}
 	c.gTenants.Set(float64(len(c.order)))
-	c.gFrag.Set(c.Fragmentation().Fleet)
+	c.gFrag.Set(c.fleetFrag())
 	c.gMIG.Set(float64(nMIG))
 	c.gMPS.Set(float64(nMPS))
 	c.gEmpty.Set(float64(nEmpty))
 }
 
 // event records a zero-duration marker span for one mutating operation.
+// Callers check for a collector first, so a cluster without one (every
+// scratch solve) never builds the attributes.
 func (c *Cluster) event(name string, attrs ...obs.Attr) {
-	if c.obsC == nil {
-		return
-	}
 	now := c.obsC.Now()
 	c.obsC.AddSpan("fleet", name, "fleet", 0, now, now, attrs...)
 }

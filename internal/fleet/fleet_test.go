@@ -4,9 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/devent"
 	"repro/internal/obs"
@@ -443,5 +446,215 @@ func TestInventoryValidate(t *testing.T) {
 	}
 	if _, err := New(Config{Inventory: Inventory{{ID: "", Spec: simgpu.A100SXM480GB()}}}); err == nil {
 		t.Fatal("missing ID should fail")
+	}
+}
+
+// bestCandidateRef is the reference the packer's candidate search must
+// match: the original mutate-and-revert probe. It probes every GPU,
+// empty ones included, by applying each tentative segment, rescoring
+// the whole GPU from its state with gpuFrag, and reverting — no cached
+// fragmentation, no evaluation without mutation, no skipped twins.
+func (c *Cluster) bestCandidateRef(d Demand) (candidate, bool) {
+	var best candidate
+	found := false
+	consider := func(cand candidate) {
+		if !found || cand.better(best) {
+			best, found = cand, true
+		}
+	}
+	for _, g := range c.gpus {
+		migCandidatesRef(g, d, consider)
+	}
+	if found {
+		return best, true
+	}
+	for _, g := range c.gpus {
+		mpsCandidateRef(g, d, consider)
+	}
+	return best, found
+}
+
+func migCandidatesRef(g *gpuState, d Demand, consider func(candidate)) {
+	spec := g.gpu.Spec
+	if spec.MIGSlices == 0 || g.mode == modeMPS {
+		return
+	}
+	before := gpuFrag(g)
+	for _, in := range g.insts {
+		instSMs := in.sms(spec)
+		if d.SMs > instSMs {
+			continue
+		}
+		pct := rightsize.MinGrantingPercent(instSMs, d.SMs)
+		if pct > 100-in.usedPct() {
+			continue
+		}
+		if d.MemBytes > in.prof.MemBytes-in.usedMem() {
+			continue
+		}
+		sh := &share{tenant: d.Tenant, pct: pct, sms: pctGrant(instSMs, pct), mem: d.MemBytes}
+		in.shares = append(in.shares, sh)
+		delta := gpuFrag(g) - before
+		in.shares = in.shares[:len(in.shares)-1]
+		consider(candidate{
+			g: g, kind: SegMIG, inst: in, prof: in.prof, start: in.start,
+			pct: pct, sms: sh.sms,
+			delta: delta, waste: sh.sms - d.SMs,
+			wasEmpty: g.mode == modeEmpty,
+		})
+	}
+	prof, ok := coveringProfile(spec, g.profiles, d)
+	if !ok {
+		return
+	}
+	occupied, memUsed := g.occupancy()
+	if memUsed+prof.MemSlices > spec.MemSlices {
+		return
+	}
+	instSMs := prof.Slices * spec.SMsPerSlice
+	pct := rightsize.MinGrantingPercent(instSMs, d.SMs)
+	for _, start := range simgpu.MIGStarts(prof.Slices) {
+		if start+prof.Slices > spec.MIGSlices {
+			continue
+		}
+		free := true
+		for s := start; s < start+prof.Slices; s++ {
+			if occupied&(1<<s) != 0 {
+				free = false
+				break
+			}
+		}
+		if !free {
+			continue
+		}
+		in := &instance{prof: prof, start: start,
+			shares: []*share{{tenant: d.Tenant, pct: pct, sms: pctGrant(instSMs, pct), mem: d.MemBytes}}}
+		g.insts = append(g.insts, in)
+		wasMode := g.mode
+		g.mode = modeMIG
+		delta := gpuFrag(g) - before
+		g.mode = wasMode
+		g.insts = g.insts[:len(g.insts)-1]
+		consider(candidate{
+			g: g, kind: SegMIG, prof: prof, start: start,
+			pct: pct, sms: in.shares[0].sms,
+			delta: delta, waste: in.shares[0].sms - d.SMs,
+			memWaste: prof.MemBytes - d.MemBytes,
+			wasEmpty: wasMode == modeEmpty,
+		})
+	}
+}
+
+func mpsCandidateRef(g *gpuState, d Demand, consider func(candidate)) {
+	spec := g.gpu.Spec
+	if g.mode == modeMIG {
+		return
+	}
+	if d.SMs > spec.SMs || d.MemBytes > spec.MemBytes {
+		return
+	}
+	pct := rightsize.MinGrantingPercent(spec.SMs, d.SMs)
+	if pct > 100-g.usedPct() {
+		return
+	}
+	if d.MemBytes > spec.MemBytes-g.usedMem() {
+		return
+	}
+	before := gpuFrag(g)
+	sh := &share{tenant: d.Tenant, pct: pct, sms: pctGrant(spec.SMs, pct), mem: d.MemBytes}
+	g.shares = append(g.shares, sh)
+	wasMode := g.mode
+	g.mode = modeMPS
+	delta := gpuFrag(g) - before
+	g.mode = wasMode
+	g.shares = g.shares[:len(g.shares)-1]
+	consider(candidate{
+		g: g, kind: SegMPS,
+		pct: pct, sms: sh.sms,
+		delta: delta, waste: sh.sms - d.SMs,
+		wasEmpty: wasMode == modeEmpty,
+	})
+}
+
+// checkCandidate requires the packer's search and the reference to
+// choose the same segment for d, with a bit-identical fragmentation
+// delta.
+func checkCandidate(t testing.TB, c *Cluster, d Demand) {
+	t.Helper()
+	got, gotOK := c.bestCandidate(d)
+	want, wantOK := c.bestCandidateRef(d)
+	if gotOK != wantOK {
+		t.Fatalf("demand %+v: packer found=%v, reference found=%v", d, gotOK, wantOK)
+	}
+	if got != want || math.Float64bits(got.delta) != math.Float64bits(want.delta) {
+		t.Fatalf("demand %+v:\npacker    %s\nreference %s", d, describe(got), describe(want))
+	}
+}
+
+func describe(c candidate) string {
+	return fmt.Sprintf("%s %s %s@%d share=%v %d%% (%d SMs) delta=%v (%#x)",
+		c.g.gpu.ID, c.kind, c.prof.Name, c.start, c.inst != nil, c.pct, c.sms, c.delta, math.Float64bits(c.delta))
+}
+
+// randomInventory mixes MIG-capable A100-80GB and -40GB parts with
+// MPS-only MI210s in random order, so empty GPUs of different specs
+// interleave.
+func randomInventory(rnd *randv2.Rand, n int) Inventory {
+	specs := make([]simgpu.DeviceSpec, n)
+	for i := range specs {
+		switch rnd.IntN(5) {
+		case 0, 1:
+			specs[i] = simgpu.A100SXM480GB()
+		case 2, 3:
+			specs[i] = simgpu.A100SXM440GB()
+		default:
+			specs[i] = simgpu.MI210()
+		}
+	}
+	return NewInventory(specs...)
+}
+
+// TestPackerMatchesReference drives random place, evict and Rebalance
+// sequences on mixed inventories of 3–40 GPUs and, before every
+// placement and after every operation, requires the packer's choice to
+// equal the reference's. Validate after every operation also checks the
+// cached fragmentation. The seeds are logged so a failure replays
+// exactly.
+func TestPackerMatchesReference(t *testing.T) {
+	seed1 := uint64(time.Now().UnixNano())
+	seed2 := bits.Reverse64(uint64(time.Now().UnixNano()))
+	t.Logf("seed1 = %d, seed2 = %d", seed1, seed2)
+	rnd := randv2.New(randv2.NewPCG(seed1, seed2))
+	for trial := 0; trial < 40; trial++ {
+		c, err := New(Config{Inventory: randomInventory(rnd, 3+rnd.IntN(38))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(rnd.Int64()))
+		var live []string
+		for op := 0; op < 200; op++ {
+			switch r := rnd.IntN(20); {
+			case r == 0:
+				c.Rebalance()
+			case r < 8 && len(live) > 0:
+				i := rnd.IntN(len(live))
+				if err := c.Evict(live[i]); err != nil {
+					t.Fatalf("trial %d op %d: %v", trial, op, err)
+				}
+				live = append(live[:i], live[i+1:]...)
+			default:
+				d := randomDemand(rng, fmt.Sprintf("t%d", op))
+				checkCandidate(t, c, d)
+				if _, err := c.Place(d); err == nil {
+					live = append(live, d.Tenant)
+				} else if !errors.Is(err, ErrUnplaceable) {
+					t.Fatalf("trial %d op %d: %v", trial, op, err)
+				}
+			}
+			checkCandidate(t, c, randomDemand(rng, "probe"))
+			if err := c.Validate(); err != nil {
+				t.Fatalf("trial %d op %d: %v", trial, op, err)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/simgpu"
 )
@@ -47,81 +48,99 @@ type FragReport struct {
 	Fleet  float64
 }
 
-// Fragmentation computes the current snapshot.
+// Fragmentation reports the current snapshot from the per-GPU cache.
 func (c *Cluster) Fragmentation() FragReport {
-	rep := FragReport{PerGPU: make([]GPUFrag, 0, len(c.gpus))}
-	sum := 0.0
+	rep := FragReport{PerGPU: make([]GPUFrag, 0, len(c.gpus)), Fleet: c.fleetFrag()}
 	for _, g := range c.gpus {
-		f := gpuFrag(g)
-		rep.PerGPU = append(rep.PerGPU, GPUFrag{ID: g.gpu.ID, Mode: g.mode.String(), Frag: f})
-		sum += f
-	}
-	if len(c.gpus) > 0 {
-		rep.Fleet = sum / float64(len(c.gpus))
+		rep.PerGPU = append(rep.PerGPU, GPUFrag{ID: g.gpu.ID, Mode: g.mode.String(), Frag: g.frag})
 	}
 	return rep
 }
 
-// gpuFrag scores one device.
+// fleetFrag is the fleet mean of the cached per-GPU values, summed in
+// inventory order.
+func (c *Cluster) fleetFrag() float64 {
+	if len(c.gpus) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, g := range c.gpus {
+		sum += g.frag
+	}
+	return sum / float64(len(c.gpus))
+}
+
+// gpuFrag scores one device from its state.
 func gpuFrag(g *gpuState) float64 {
 	switch g.mode {
 	case modeMPS:
-		return mpsFrag(g)
+		return mpsFrag(g.gpu.Spec, g.usedPct(), g.usedMem())
 	case modeMIG:
-		return migFrag(g)
+		return migFrag(g, tentative{})
 	}
 	return 0
 }
 
-// mpsFrag is the whole-GPU MPS imbalance: the smaller of the free
-// percentage fraction and the free memory fraction is what the next
-// arrival can actually have; the difference is stranded.
-func mpsFrag(g *gpuState) float64 {
-	spec := g.gpu.Spec
-	freePct := float64(100-g.usedPct()) / 100
+// mpsFrag is the whole-GPU MPS imbalance at usedPct percent and usedMem
+// bytes taken: the smaller of the free percentage fraction and the free
+// memory fraction is what the next arrival can actually have; the
+// difference is stranded.
+func mpsFrag(spec simgpu.DeviceSpec, usedPct int, usedMem int64) float64 {
+	freePct := float64(100-usedPct) / 100
 	freeMem := 1.0
 	if spec.MemBytes > 0 {
-		freeMem = float64(spec.MemBytes-g.usedMem()) / float64(spec.MemBytes)
+		freeMem = float64(spec.MemBytes-usedMem) / float64(spec.MemBytes)
 	}
 	return math.Abs(freePct - freeMem)
 }
 
-// migFrag scores a MIG-mode device: stranded compute slices (free but
-// not coverable by any profile placement), stranded memory slices, and
-// intra-instance percentage/memory imbalance.
-func migFrag(g *gpuState) float64 {
+// tentative is one share the packer scores without applying it: pct
+// percent and mem bytes inside the existing instance inst or, when inst
+// is nil, inside a new instance of prof at start. The zero value adds
+// nothing.
+type tentative struct {
+	inst  *instance
+	prof  simgpu.MIGProfile
+	start int
+	pct   int
+	mem   int64
+}
+
+func (t tentative) newInstance() bool { return t.pct > 0 && t.inst == nil }
+
+// migFrag scores a MIG-mode device with the tentative share t added:
+// stranded compute slices (free but not coverable by any profile
+// placement), stranded memory slices, and intra-instance
+// percentage/memory imbalance. The imbalance terms are summed over the
+// existing instances in slice order and then a new instance, so a
+// probe's score is bit-identical to scoring the state with the share
+// appended.
+func migFrag(g *gpuState, t tentative) float64 {
 	spec := g.gpu.Spec
 	occupied, memUsed := g.occupancy()
-	freeMemSl := spec.MemSlices - memUsed
-	freeSl := 0
-	for _, o := range occupied {
-		if !o {
-			freeSl++
-		}
+	if t.newInstance() {
+		occupied |= sliceSpan(t.start, t.prof.Slices)
+		memUsed += t.prof.MemSlices
 	}
+	freeMemSl := spec.MemSlices - memUsed
+	freeSl := spec.MIGSlices - bits.OnesCount64(uint64(occupied))
 
 	// Greedy largest-first cover of the free slices: the most capacity
 	// any sequence of future instances could reclaim.
-	usableSl, usableMemSl := coverFree(g, occupied, freeMemSl)
+	usableSl, usableMemSl := coverFree(g.profiles, spec.MIGSlices, occupied, freeMemSl)
 
-	strandedSMFrac := 0.0
 	totalSMSl := float64(spec.MIGSlices)
-	strandedSMFrac += float64(freeSl-usableSl) / totalSMSl
-
-	// Inside each instance, an MPS share that exhausts percentage before
-	// memory (or vice versa) strands the surplus, weighted by the
-	// instance's share of the device.
+	strandedSMFrac := float64(freeSl-usableSl) / totalSMSl
 	for _, in := range g.insts {
-		used := in.usedPct()
-		if used == 0 {
-			continue // dedicated-capacity accounting handled by the cover
+		used, mem := in.usedPct(), in.usedMem()
+		if in == t.inst {
+			used += t.pct
+			mem += t.mem
 		}
-		freePct := float64(100-used) / 100
-		freeMem := 1.0
-		if in.prof.MemBytes > 0 {
-			freeMem = float64(in.prof.MemBytes-in.usedMem()) / float64(in.prof.MemBytes)
-		}
-		strandedSMFrac += math.Abs(freePct-freeMem) * float64(in.prof.Slices) / totalSMSl
+		strandedSMFrac += imbalance(in.prof, used, mem, totalSMSl)
+	}
+	if t.newInstance() {
+		strandedSMFrac += imbalance(t.prof, t.pct, t.mem, totalSMSl)
 	}
 
 	strandedMemFrac := 0.0
@@ -131,36 +150,46 @@ func migFrag(g *gpuState) float64 {
 	return math.Max(strandedSMFrac, strandedMemFrac)
 }
 
-// coverFree greedily lays the largest fitting profiles over the free
-// slices (respecting the placement lattice and the free memory-slice
-// budget) and reports how many compute and memory slices the cover
-// reaches. Free slices outside the cover are stranded.
-func coverFree(g *gpuState, occupied []bool, freeMemSl int) (usableSl, usableMemSl int) {
-	covered := make([]bool, len(occupied))
-	copy(covered, occupied)
+// imbalance is one instance's stranding from its MPS shares: a share
+// set that exhausts percentage before memory (or vice versa) strands
+// the surplus, weighted by the instance's share of the device's
+// totalSMSl slices. An instance with no shares contributes nothing; the
+// cover accounts for dedicated capacity.
+func imbalance(prof simgpu.MIGProfile, usedPct int, usedMem int64, totalSMSl float64) float64 {
+	if usedPct == 0 {
+		return 0
+	}
+	freePct := float64(100-usedPct) / 100
+	freeMem := 1.0
+	if prof.MemBytes > 0 {
+		freeMem = float64(prof.MemBytes-usedMem) / float64(prof.MemBytes)
+	}
+	return math.Abs(freePct-freeMem) * float64(prof.Slices) / totalSMSl
+}
+
+// coverFree greedily lays the largest fitting profiles over the slices
+// of an nSlices-slice device free in occupied (respecting the placement
+// lattice and the free memory-slice budget) and reports how many
+// compute and memory slices the cover reaches. Free slices outside the
+// cover are stranded.
+func coverFree(profiles []simgpu.MIGProfile, nSlices int, occupied sliceMask, freeMemSl int) (usableSl, usableMemSl int) {
+	covered := occupied
 	memLeft := freeMemSl
 	// profiles are small→large; walk large→small.
-	for i := len(g.profiles) - 1; i >= 0; i-- {
-		p := g.profiles[i]
+	for i := len(profiles) - 1; i >= 0; i-- {
+		p := profiles[i]
+		starts := simgpu.MIGStarts(p.Slices)
 		for {
 			placed := false
-			for _, start := range simgpu.MIGStarts(p.Slices) {
-				if start+p.Slices > len(covered) || p.MemSlices > memLeft {
+			for _, start := range starts {
+				if start+p.Slices > nSlices || p.MemSlices > memLeft {
 					continue
 				}
-				free := true
-				for s := start; s < start+p.Slices; s++ {
-					if covered[s] {
-						free = false
-						break
-					}
-				}
-				if !free {
+				span := sliceSpan(start, p.Slices)
+				if covered&span != 0 {
 					continue
 				}
-				for s := start; s < start+p.Slices; s++ {
-					covered[s] = true
-				}
+				covered |= span
 				memLeft -= p.MemSlices
 				usableSl += p.Slices
 				usableMemSl += p.MemSlices

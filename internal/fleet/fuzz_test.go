@@ -6,10 +6,11 @@ import (
 )
 
 // FuzzPlace drives arbitrary demand-spec strings through the parser
-// and the packer entry, with Validate as the oracle: any input the
-// parser accepts must place (or reject with a typed error) while
-// preserving every structural invariant, then survive evicting every
-// other tenant, and the whole run must be deterministic.
+// and the packer entry, with Validate and the reference search as the
+// oracles: any input the parser accepts must place (or reject with a
+// typed error) exactly where bestCandidateRef would, while preserving
+// every structural invariant, then survive evicting every other tenant,
+// and the whole run must be deterministic.
 func FuzzPlace(f *testing.F) {
 	f.Add("a:10:5;b:99;c:3:0.5")
 	f.Add("t0:1")
@@ -33,6 +34,7 @@ func FuzzPlace(f *testing.F) {
 				t.Fatal(err)
 			}
 			for _, d := range demands {
+				checkCandidate(t, c, d)
 				if _, err := c.Place(d); err != nil && !errors.Is(err, ErrUnplaceable) {
 					t.Fatalf("demand %+v: unexpected error class: %v", d, err)
 				}
@@ -57,6 +59,7 @@ func FuzzPlace(f *testing.F) {
 			if err := a.Validate(); err != nil {
 				t.Fatalf("after evicting %q: %v", tn.Tenant, err)
 			}
+			checkCandidate(t, a, tn)
 		}
 	})
 }

@@ -2,7 +2,7 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/rightsize"
@@ -86,23 +86,23 @@ func (c *Cluster) Place(d Demand) (Placement, error) {
 	}
 	best, ok := c.bestCandidate(d)
 	if !ok {
-		if c.cRejected != nil {
+		if c.obsC != nil {
 			c.cRejected.Inc()
+			c.event("reject", obs.String("tenant", d.Tenant), obs.Int("sms", d.SMs))
 		}
-		c.event("reject", obs.String("tenant", d.Tenant), obs.Int("sms", d.SMs))
 		return Placement{}, fmt.Errorf("%w: tenant %q (%d SMs, %d bytes) on %d GPUs",
 			ErrUnplaceable, d.Tenant, d.SMs, d.MemBytes, len(c.gpus))
 	}
 	pl := c.apply(d, best)
-	if c.cPlaced != nil {
+	if c.obsC != nil {
 		c.cPlaced.Inc()
+		c.event("place", obs.String("tenant", d.Tenant),
+			obs.String("gpu", pl.Segment.GPU),
+			obs.String("kind", pl.Segment.Kind.String()),
+			obs.String("profile", pl.Segment.Profile),
+			obs.Int("percent", pl.Segment.Percent))
+		c.updateGauges()
 	}
-	c.event("place", obs.String("tenant", d.Tenant),
-		obs.String("gpu", pl.Segment.GPU),
-		obs.String("kind", pl.Segment.Kind.String()),
-		obs.String("profile", pl.Segment.Profile),
-		obs.Int("percent", pl.Segment.Percent))
-	c.updateGauges()
 	return pl, nil
 }
 
@@ -116,28 +116,48 @@ func (c *Cluster) bestCandidate(d Demand) (candidate, bool) {
 			best, found = cand, true
 		}
 	}
+	clear(c.probed)
 	for _, g := range c.gpus {
-		migCandidates(g, d, consider)
+		if !c.twinProbed(g) {
+			migCandidates(g, d, consider)
+		}
 	}
 	if found {
 		return best, true
 	}
+	clear(c.probed)
 	for _, g := range c.gpus {
-		mpsCandidate(g, d, consider)
+		if !c.twinProbed(g) {
+			mpsCandidate(g, d, consider)
+		}
 	}
 	return best, found
 }
 
+// twinProbed reports whether g is empty and this pass already probed an
+// earlier empty GPU of the same spec, marking g's class otherwise. Such
+// a GPU's candidates are the earlier one's with every key of better
+// tied except the inventory index, so none of them can win.
+func (c *Cluster) twinProbed(g *gpuState) bool {
+	if g.mode != modeEmpty {
+		return false
+	}
+	if c.probed[g.class] {
+		return true
+	}
+	c.probed[g.class] = true
+	return false
+}
+
 // migCandidates emits every feasible MIG segment on one GPU: shares of
 // existing instances and new instances of the smallest covering
-// profile at every free valid start. The candidate's fragmentation
-// delta is probed by applying the tentative segment and reverting.
+// profile at every free valid start. Each candidate's fragmentation
+// delta is the tentative share's score against the GPU's cached one.
 func migCandidates(g *gpuState, d Demand, consider func(candidate)) {
 	spec := g.gpu.Spec
 	if spec.MIGSlices == 0 || g.mode == modeMPS {
 		return
 	}
-	before := gpuFrag(g)
 	// Shares of existing instances.
 	for _, in := range g.insts {
 		instSMs := in.sms(spec)
@@ -151,14 +171,12 @@ func migCandidates(g *gpuState, d Demand, consider func(candidate)) {
 		if d.MemBytes > in.prof.MemBytes-in.usedMem() {
 			continue
 		}
-		sh := &share{tenant: d.Tenant, pct: pct, sms: pctGrant(instSMs, pct), mem: d.MemBytes}
-		in.shares = append(in.shares, sh)
-		delta := gpuFrag(g) - before
-		in.shares = in.shares[:len(in.shares)-1]
+		sms := pctGrant(instSMs, pct)
 		consider(candidate{
 			g: g, kind: SegMIG, inst: in, prof: in.prof, start: in.start,
-			pct: pct, sms: sh.sms,
-			delta: delta, waste: sh.sms - d.SMs,
+			pct: pct, sms: sms,
+			delta:    migFrag(g, tentative{inst: in, pct: pct, mem: d.MemBytes}) - g.frag,
+			waste:    sms - d.SMs,
 			wasEmpty: g.mode == modeEmpty,
 		})
 	}
@@ -173,34 +191,18 @@ func migCandidates(g *gpuState, d Demand, consider func(candidate)) {
 	}
 	instSMs := prof.Slices * spec.SMsPerSlice
 	pct := rightsize.MinGrantingPercent(instSMs, d.SMs)
+	sms := pctGrant(instSMs, pct)
 	for _, start := range simgpu.MIGStarts(prof.Slices) {
-		if start+prof.Slices > spec.MIGSlices {
+		if start+prof.Slices > spec.MIGSlices || occupied&sliceSpan(start, prof.Slices) != 0 {
 			continue
 		}
-		free := true
-		for s := start; s < start+prof.Slices; s++ {
-			if occupied[s] {
-				free = false
-				break
-			}
-		}
-		if !free {
-			continue
-		}
-		in := &instance{prof: prof, start: start,
-			shares: []*share{{tenant: d.Tenant, pct: pct, sms: pctGrant(instSMs, pct), mem: d.MemBytes}}}
-		g.insts = append(g.insts, in)
-		wasMode := g.mode
-		g.mode = modeMIG
-		delta := gpuFrag(g) - before
-		g.mode = wasMode
-		g.insts = g.insts[:len(g.insts)-1]
 		consider(candidate{
 			g: g, kind: SegMIG, prof: prof, start: start,
-			pct: pct, sms: in.shares[0].sms,
-			delta: delta, waste: in.shares[0].sms - d.SMs,
+			pct: pct, sms: sms,
+			delta:    migFrag(g, tentative{prof: prof, start: start, pct: pct, mem: d.MemBytes}) - g.frag,
+			waste:    sms - d.SMs,
 			memWaste: prof.MemBytes - d.MemBytes,
-			wasEmpty: wasMode == modeEmpty,
+			wasEmpty: g.mode == modeEmpty,
 		})
 	}
 }
@@ -222,19 +224,13 @@ func mpsCandidate(g *gpuState, d Demand, consider func(candidate)) {
 	if d.MemBytes > spec.MemBytes-g.usedMem() {
 		return
 	}
-	before := gpuFrag(g)
-	sh := &share{tenant: d.Tenant, pct: pct, sms: pctGrant(spec.SMs, pct), mem: d.MemBytes}
-	g.shares = append(g.shares, sh)
-	wasMode := g.mode
-	g.mode = modeMPS
-	delta := gpuFrag(g) - before
-	g.mode = wasMode
-	g.shares = g.shares[:len(g.shares)-1]
+	sms := pctGrant(spec.SMs, pct)
 	consider(candidate{
 		g: g, kind: SegMPS,
-		pct: pct, sms: sh.sms,
-		delta: delta, waste: sh.sms - d.SMs,
-		wasEmpty: wasMode == modeEmpty,
+		pct: pct, sms: sms,
+		delta:    mpsFrag(spec, g.usedPct()+pct, g.usedMem()+d.MemBytes) - g.frag,
+		waste:    sms - d.SMs,
+		wasEmpty: g.mode == modeEmpty,
 	})
 }
 
@@ -268,13 +264,19 @@ func (c *Cluster) apply(d Demand, cand candidate) Placement {
 		if cand.inst != nil {
 			cand.inst.shares = append(cand.inst.shares, sh)
 		} else {
-			g.insts = append(g.insts, &instance{prof: cand.prof, start: cand.start, shares: []*share{sh}})
-			sort.Slice(g.insts, func(i, j int) bool { return g.insts[i].start < g.insts[j].start })
+			// Instances never overlap, so starts are distinct and the
+			// sorted position is unique.
+			i := 0
+			for i < len(g.insts) && g.insts[i].start < cand.start {
+				i++
+			}
+			g.insts = slices.Insert(g.insts, i, &instance{prof: cand.prof, start: cand.start, shares: []*share{sh}})
 		}
 	case SegMPS:
 		g.mode = modeMPS
 		g.shares = append(g.shares, sh)
 	}
+	g.frag = gpuFrag(g)
 	pl := &Placement{Demand: d, Segment: seg}
 	c.byTenant[d.Tenant] = pl
 	c.order = append(c.order, d.Tenant)
@@ -310,6 +312,7 @@ func (c *Cluster) Evict(tenant string) error {
 			g.mode = modeEmpty
 		}
 	}
+	g.frag = gpuFrag(g)
 	delete(c.byTenant, tenant)
 	for i, t := range c.order {
 		if t == tenant {
@@ -317,11 +320,11 @@ func (c *Cluster) Evict(tenant string) error {
 			break
 		}
 	}
-	if c.cEvicted != nil {
+	if c.obsC != nil {
 		c.cEvicted.Inc()
+		c.event("evict", obs.String("tenant", tenant), obs.String("gpu", pl.Segment.GPU))
+		c.updateGauges()
 	}
-	c.event("evict", obs.String("tenant", tenant), obs.String("gpu", pl.Segment.GPU))
-	c.updateGauges()
 	return nil
 }
 
@@ -399,33 +402,35 @@ const FragGapBound = 0.5
 
 // Drift computes the rebalance comparison without applying anything.
 func (c *Cluster) Drift() RebalanceReport {
-	rep := RebalanceReport{Before: c.Fragmentation().Fleet}
+	rep, _ := c.drift()
+	return rep
+}
+
+// drift is Drift plus the scratch cluster it solved (nil when
+// infeasible), which Rebalance adopts instead of solving again.
+func (c *Cluster) drift() (RebalanceReport, *Cluster) {
+	rep := RebalanceReport{Before: c.fleetFrag()}
 	scratch, err := c.scratchSolve()
 	if err != nil {
 		rep.ScratchInfeasible = true
-		return rep
+		return rep, nil
 	}
-	rep.Scratch = scratch.Fragmentation().Fleet
+	rep.Scratch = scratch.fleetFrag()
 	rep.Gap = rep.Before - rep.Scratch
 	rep.Equal = placementsEqual(c, scratch)
-	return rep
+	return rep, scratch
 }
 
 // Rebalance adopts the from-scratch solve when it is strictly less
 // fragmented than the churned state; otherwise the incremental state
 // stands. Either way the report carries the comparison.
 func (c *Cluster) Rebalance() RebalanceReport {
-	rep := c.Drift()
-	if c.cRebalances != nil {
-		c.cRebalances.Inc()
-	}
+	rep, scratch := c.drift()
+	c.cRebalances.Inc()
 	if rep.ScratchInfeasible || rep.Equal || rep.Gap <= fragEps {
-		c.event("rebalance", obs.String("applied", "false"), obs.Float("gap", rep.Gap))
-		return rep
-	}
-	scratch, err := c.scratchSolve()
-	if err != nil {
-		rep.ScratchInfeasible = true
+		if c.obsC != nil {
+			c.event("rebalance", obs.String("applied", "false"), obs.Float("gap", rep.Gap))
+		}
 		return rep
 	}
 	for _, t := range c.order {
@@ -433,30 +438,25 @@ func (c *Cluster) Rebalance() RebalanceReport {
 			rep.Moved++
 		}
 	}
+	// The scratch GPUs carry their indices and cached fragmentation.
 	c.gpus = scratch.gpus
-	for i, g := range c.gpus {
-		g.idx = i
-	}
 	for t, pl := range scratch.byTenant {
 		*c.byTenant[t] = *pl
 	}
 	rep.Applied = true
-	if c.cMoved != nil {
+	if c.obsC != nil {
 		c.cMoved.Add(float64(rep.Moved))
+		c.event("rebalance", obs.String("applied", "true"),
+			obs.Float("gap", rep.Gap), obs.Int("moved", rep.Moved))
+		c.updateGauges()
 	}
-	c.event("rebalance", obs.String("applied", "true"),
-		obs.Float("gap", rep.Gap), obs.Int("moved", rep.Moved))
-	c.updateGauges()
 	return rep
 }
 
 // scratchSolve replays the surviving demands, in arrival order, onto a
 // fresh observation-free cluster over the same inventory.
 func (c *Cluster) scratchSolve() (*Cluster, error) {
-	fresh, err := New(Config{Inventory: c.inv})
-	if err != nil {
-		return nil, err
-	}
+	fresh := c.fresh(len(c.order))
 	for _, t := range c.order {
 		if _, err := fresh.Place(c.byTenant[t].Demand); err != nil {
 			return nil, err
@@ -469,10 +469,7 @@ func (c *Cluster) scratchSolve() (*Cluster, error) {
 // set on a fresh cluster over the same inventory. The receiver is not
 // modified.
 func (c *Cluster) Solve(demands []Demand) ([]Placement, error) {
-	fresh, err := New(Config{Inventory: c.inv})
-	if err != nil {
-		return nil, err
-	}
+	fresh := c.fresh(len(demands))
 	for _, d := range demands {
 		if _, err := fresh.Place(d); err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/simgpu"
 )
@@ -20,7 +21,9 @@ import (
 //   - demand-met: every placed tenant's segment grants at least the
 //     demanded SMs and memory;
 //   - bookkeeping: byTenant, the arrival order, and the per-GPU share
-//     lists describe exactly the same tenant set.
+//     lists describe exactly the same tenant set;
+//   - cache: every GPU's cached fragmentation equals a fresh gpuFrag
+//     of its state, bit for bit.
 func (c *Cluster) Validate() error {
 	if err := c.inv.Validate(); err != nil {
 		return err
@@ -29,6 +32,9 @@ func (c *Cluster) Validate() error {
 	for _, g := range c.gpus {
 		if err := c.validateGPU(g, seen); err != nil {
 			return err
+		}
+		if f := gpuFrag(g); math.Float64bits(f) != math.Float64bits(g.frag) {
+			return fmt.Errorf("fleet: %s cached fragmentation %v, state scores %v", g.gpu.ID, g.frag, f)
 		}
 	}
 	if len(seen) != len(c.byTenant) {
