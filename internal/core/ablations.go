@@ -139,6 +139,7 @@ func AblationBatchVsMultiplex(completions int) ([]BatchVsMultiplexRow, error) {
 // the given batch size.
 func runBatched(batch, completions int) (BatchVsMultiplexRow, error) {
 	env := devent.NewEnv()
+	defer env.Close()
 	dev, err := simgpu.NewDevice(env, "gpu0", simgpu.A100SXM480GB())
 	if err != nil {
 		return BatchVsMultiplexRow{}, err
@@ -208,6 +209,7 @@ func AblationVGPUQuantum(quanta []time.Duration, completions int) ([]QuantumRow,
 
 func runVGPUWithQuantum(q time.Duration, completions int) (time.Duration, error) {
 	env := devent.NewEnv()
+	defer env.Close()
 	dev, err := simgpu.NewDevice(env, "gpu0", simgpu.A100SXM480GB())
 	if err != nil {
 		return 0, err

@@ -169,6 +169,7 @@ func RunAutoscale(cfg AutoscaleConfig) (*AutoscaleResult, error) {
 		return nil, fmt.Errorf("core: %d static blocks exceed the %d-GPU pool", cfg.StaticBlocks, cfg.GPUs)
 	}
 	env := devent.NewEnv()
+	defer env.Close()
 	col := obs.New(env)
 	col.SetScope("autoscale")
 	if cfg.OnCollector != nil {

@@ -49,6 +49,7 @@ func RunColdStart(workerInit time.Duration) ([]ColdStartBreakdown, error) {
 
 func measureColdStart(name string, cfg llm.Config, shards int, workerInit time.Duration) (ColdStartBreakdown, error) {
 	env := devent.NewEnv()
+	defer env.Close()
 	devs := make([]*simgpu.Device, shards)
 	for i := range devs {
 		d, err := simgpu.NewDevice(env, fmt.Sprintf("gpu%d", i), simgpu.A100SXM480GB())
@@ -115,6 +116,7 @@ func RunReconfig(workerInit time.Duration) ([]ReconfigResult, error) {
 	// --- MPS repartition, with and without the weight cache.
 	for _, cached := range []bool{false, true} {
 		env := devent.NewEnv()
+		defer env.Close()
 		dev, err := simgpu.NewDevice(env, "gpu0", simgpu.A100SXM480GB())
 		if err != nil {
 			return nil, err
@@ -176,6 +178,7 @@ func RunReconfig(workerInit time.Duration) ([]ReconfigResult, error) {
 	// --- MIG re-layout: drain, reset, restart, reload.
 	{
 		env := devent.NewEnv()
+		defer env.Close()
 		dev, err := simgpu.NewDevice(env, "gpu0", simgpu.A100SXM480GB())
 		if err != nil {
 			return nil, err

@@ -50,6 +50,7 @@ func runMolDesign(cfg moldesign.Config, pipelined bool) (*Fig3Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer pl.Env.Close()
 	log := &trace.Log{}
 	res := &Fig3Result{Trace: log}
 	runErr := pl.Run(func(p *devent.Proc) error {

@@ -186,6 +186,7 @@ type FleetResult struct {
 func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	cfg = cfg.WithDefaults()
 	env := devent.NewEnv()
+	defer env.Close()
 	col := obs.New(env)
 	col.SetScope("fleet")
 	if cfg.OnCollector != nil {

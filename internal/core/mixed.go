@@ -41,6 +41,7 @@ func RunMixedTenancy(mode Mode) (*MixedTenancyResult, error) {
 		return nil, err
 	}
 	env := devent.NewEnv()
+	defer env.Close()
 	dev, err := simgpu.NewDevice(env, "gpu0", simgpu.A100SXM480GB())
 	if err != nil {
 		return nil, err
@@ -176,6 +177,7 @@ func RunMixedTenancy(mode Mode) (*MixedTenancyResult, error) {
 // resnetSolo measures the CNN's request latency on an idle device.
 func resnetSolo() (time.Duration, error) {
 	env := devent.NewEnv()
+	defer env.Close()
 	dev, err := simgpu.NewDevice(env, "gpu0", simgpu.A100SXM480GB())
 	if err != nil {
 		return 0, err

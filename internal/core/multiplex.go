@@ -165,6 +165,7 @@ func RunMultiplex(cfg MultiplexConfig) (*MultiplexResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer pl.Env.Close()
 	pl.Obs.SetScope(fmt.Sprintf("multiplex/%s/p%d", c.Mode, c.Processes))
 	if c.Attach != nil {
 		c.Attach(pl.Obs, pl.TSDB)

@@ -63,6 +63,7 @@ func RunOpenLoop(cfg OpenLoopConfig) (*OpenLoopResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer pl.Env.Close()
 	dev := pl.Devices[0]
 	hostBW := dev.Spec().HostLoadBW
 	model := llm.LLaMa27B()

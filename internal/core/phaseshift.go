@@ -147,6 +147,7 @@ func RunPhaseShift(cfg PhaseShiftConfig) (*PhaseShiftResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer pl.Env.Close()
 	label := string(c.Mode)
 	if c.Repart != nil {
 		label = "repart"

@@ -219,6 +219,7 @@ func runScaleShard(cfg ScaleConfig, shard, tasks int, sink obs.SpanSink) (shardS
 	if err != nil {
 		return sr, err
 	}
+	defer pl.Env.Close()
 	attachAlerts(pl.TSDB, ScaleAlertRules())
 	sr.TSDB = pl.TSDB
 	if sink != nil {

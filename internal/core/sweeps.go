@@ -100,6 +100,7 @@ func Fig2SinglePoint(cfg llm.Config, pct int) (time.Duration, error) {
 // one context per device capped at pct, one 20-token completion.
 func MeasureCompletionAtPercent(spec simgpu.DeviceSpec, cfg llm.Config, shards, pct int) (time.Duration, error) {
 	env := devent.NewEnv()
+	defer env.Close()
 	devs := make([]*simgpu.Device, shards)
 	for i := range devs {
 		d, err := simgpu.NewDevice(env, fmt.Sprintf("gpu%d", i), spec)

@@ -139,6 +139,7 @@ func RunTable1ObservedHook(observe bool, slo string, onCollector func(i int, c *
 // VM reboot plus context init plus model reload.
 func measureVGPUReconfig() (time.Duration, error) {
 	env := devent.NewEnv()
+	defer env.Close()
 	dev, err := simgpu.NewDevice(env, "gpu0", simgpu.A100SXM480GB())
 	if err != nil {
 		return 0, err
@@ -170,6 +171,7 @@ func measureVGPUReconfig() (time.Duration, error) {
 // disjoint.
 func isolationProbe(mode Mode) (float64, bool, error) {
 	env := devent.NewEnv()
+	defer env.Close()
 	dev, err := simgpu.NewDevice(env, "gpu0", simgpu.A100SXM480GB())
 	if err != nil {
 		return 0, false, err

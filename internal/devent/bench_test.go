@@ -31,6 +31,25 @@ func BenchmarkProcSleepLoop(b *testing.B) {
 	}
 }
 
+// BenchmarkSpawnExit measures a short-lived proc's whole life — spawn,
+// first handoff, exit, Done — as the per-task body and launch procs
+// of the FaaS layer pay it, awaited by a long-lived driver.
+func BenchmarkSpawnExit(b *testing.B) {
+	env := NewEnv()
+	defer env.Close()
+	body := func(*Proc) {}
+	b.ReportAllocs()
+	env.Spawn("driver", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Wait(env.Spawn("child", body).Done())
+		}
+	})
+	b.ResetTimer()
+	if err := env.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkChanPingPong measures rendezvous cost between two procs.
 func BenchmarkChanPingPong(b *testing.B) {
 	env := NewEnv()

@@ -11,18 +11,36 @@ type Chan[T any] struct {
 	sendq  []*chanWaiter[T]
 	recvq  []*chanWaiter[T]
 	closed bool
-	// free recycles waiters for cancel-free ops. A waiter from a
-	// cancellable op is never pooled: the cancel event's OnFire
-	// callback keeps a reference to it indefinitely.
+	// free recycles waiters. By the time an op returns its waiter has
+	// left the queues (popped, deregistered, or dropped by Close) and
+	// its cancel listener has detached, so nothing references it.
 	free []*chanWaiter[T]
 }
 
 type chanWaiter[T any] struct {
+	c         *Chan[T]
 	p         *Proc
 	val       T
 	ok        bool
+	send      bool
 	woken     bool
 	cancelled bool
+}
+
+// fired is the waiter's cancel listener: it withdraws the pending op
+// and wakes the proc.
+func (w *chanWaiter[T]) fired(*Event) {
+	if w.woken {
+		return
+	}
+	w.woken = true
+	w.cancelled = true
+	if w.send {
+		w.c.sendq = removeWaiter(w.c.sendq, w)
+	} else {
+		w.c.recvq = removeWaiter(w.c.recvq, w)
+	}
+	w.c.env.wake(w.p)
 }
 
 // NewChan returns a channel with the given buffer capacity (0 for an
@@ -61,12 +79,12 @@ func (c *Chan[T]) SendOr(p *Proc, v T, cancel *Event) bool {
 	if c.trySend(v) {
 		return true
 	}
-	w := c.getWaiter(p, cancel)
-	w.val = v
+	w := c.getWaiter(p)
+	w.val, w.send = v, true
 	c.sendq = append(c.sendq, w)
-	c.parkCancellable(p, w, cancel, func() { c.removeSender(w) })
+	c.park(w, cancel)
 	ok := w.ok
-	c.putWaiter(w, cancel)
+	c.putWaiter(w)
 	return ok
 }
 
@@ -110,11 +128,11 @@ func (c *Chan[T]) RecvOr(p *Proc, cancel *Event) (v T, ok bool, cancelled bool) 
 		var zero T
 		return zero, false, false
 	}
-	w := c.getWaiter(p, cancel)
+	w := c.getWaiter(p)
 	c.recvq = append(c.recvq, w)
-	c.parkCancellable(p, w, cancel, func() { c.removeReceiver(w) })
+	c.park(w, cancel)
 	v, ok, cancelled = w.val, w.ok, w.cancelled
-	c.putWaiter(w, cancel)
+	c.putWaiter(w)
 	return v, ok, cancelled
 }
 
@@ -169,45 +187,35 @@ func (c *Chan[T]) Close() {
 	c.sendq = nil
 }
 
-func (c *Chan[T]) parkCancellable(p *Proc, w *chanWaiter[T], cancel *Event, deregister func()) {
+// park blocks w's proc until the op completes or cancel fires. If
+// cancel has already fired, listen runs the listener at once, which
+// schedules the wake the park consumes — the same path as a later
+// cancellation.
+func (c *Chan[T]) park(w *chanWaiter[T], cancel *Event) {
+	var reg registration
 	if cancel != nil {
-		// If cancel has already fired, OnFire runs the callback
-		// immediately, which schedules the wake that the park below
-		// consumes — the same path as a later cancellation.
-		cancel.OnFire(func(*Event) {
-			if w.woken {
-				return
-			}
-			w.woken = true
-			w.cancelled = true
-			deregister()
-			c.env.wake(p)
-		})
+		reg = cancel.listen(w)
 	}
-	p.park()
+	w.p.park()
+	reg.detach()
 }
 
-// getWaiter takes a pooled waiter for a cancel-free op, or allocates.
-// By the time a cancel-free op returns, its waiter has been removed
-// from the queues (popped, deregistered, or dropped by Close), so
-// recycling it is safe.
-func (c *Chan[T]) getWaiter(p *Proc, cancel *Event) *chanWaiter[T] {
-	if cancel == nil {
-		if n := len(c.free); n > 0 {
-			w := c.free[n-1]
-			c.free[n-1] = nil
-			c.free = c.free[:n-1]
-			*w = chanWaiter[T]{p: p}
-			return w
-		}
+// getWaiter takes a pooled waiter, or allocates one.
+func (c *Chan[T]) getWaiter(p *Proc) *chanWaiter[T] {
+	if n := len(c.free); n > 0 {
+		w := c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+		*w = chanWaiter[T]{c: c, p: p}
+		return w
 	}
-	return &chanWaiter[T]{p: p}
+	return &chanWaiter[T]{c: c, p: p}
 }
 
-func (c *Chan[T]) putWaiter(w *chanWaiter[T], cancel *Event) {
-	if cancel == nil {
-		c.free = append(c.free, w)
-	}
+func (c *Chan[T]) putWaiter(w *chanWaiter[T]) {
+	var zero T
+	w.p, w.val = nil, zero
+	c.free = append(c.free, w)
 }
 
 func (c *Chan[T]) popRecv() *chanWaiter[T] {
@@ -232,20 +240,11 @@ func (c *Chan[T]) popSend() *chanWaiter[T] {
 	return nil
 }
 
-func (c *Chan[T]) removeSender(w *chanWaiter[T]) {
-	for i, x := range c.sendq {
+func removeWaiter[T any](q []*chanWaiter[T], w *chanWaiter[T]) []*chanWaiter[T] {
+	for i, x := range q {
 		if x == w {
-			c.sendq = append(c.sendq[:i], c.sendq[i+1:]...)
-			return
+			return append(q[:i], q[i+1:]...)
 		}
 	}
-}
-
-func (c *Chan[T]) removeReceiver(w *chanWaiter[T]) {
-	for i, x := range c.recvq {
-		if x == w {
-			c.recvq = append(c.recvq[:i], c.recvq[i+1:]...)
-			return
-		}
-	}
+	return q
 }

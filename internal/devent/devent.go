@@ -18,6 +18,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sort"
 	"time"
@@ -47,10 +48,18 @@ type Env struct {
 	seq     int64
 	queue   eventHeap
 	ack     chan struct{}
-	procs   map[int64]*Proc
 	nextPID int64
 	running bool
+	closed  bool
 	failure error
+	// live lists the procs whose bodies have not returned, in spawn
+	// order (an intrusive list: spawning and exiting allocate nothing).
+	live procList
+	// idle holds goroutines whose proc has exited, parked until a
+	// Spawn hands them the next body; at most maxIdle are kept, and
+	// only while Run runs.
+	idle  *procG
+	nidle int
 	// free is a free list of recycled queueItems; cancelled counts
 	// dead items still sitting in the heap (compacted when they
 	// exceed half the queue).
@@ -91,10 +100,7 @@ func (e *Env) SetObserver(o Observer) { e.obs = o }
 
 // NewEnv returns a fresh simulation environment with the clock at zero.
 func NewEnv() *Env {
-	return &Env{
-		ack:   make(chan struct{}),
-		procs: make(map[int64]*Proc),
-	}
+	return &Env{ack: make(chan struct{})}
 }
 
 // Now reports the current virtual time.
@@ -266,8 +272,14 @@ func (e *Env) run(horizon time.Duration) error {
 	if e.running {
 		return errors.New("devent: Run called re-entrantly")
 	}
+	if e.closed {
+		return ErrClosed
+	}
 	e.running = true
-	defer func() { e.running = false }()
+	defer func() {
+		e.running = false
+		e.releaseIdle()
+	}()
 
 	for e.failure == nil {
 		it := e.peek()
@@ -308,7 +320,7 @@ func (e *Env) run(horizon time.Duration) error {
 
 func (e *Env) blockedProcs() []string {
 	var names []string
-	for _, p := range e.procs {
+	for p := e.live.head; p != nil; p = p.next {
 		if p.parked && !p.daemon {
 			names = append(names, p.Name())
 		}
@@ -349,18 +361,65 @@ func (h *eventHeap) Pop() any {
 	return it
 }
 
-// Proc is a simulated process: a goroutine that runs under scheduler
-// control and may block in virtual time.
+// Proc is a simulated process: a body running on a goroutine under
+// scheduler control, blocking in virtual time.
 type Proc struct {
-	env    *Env
-	id     int64
-	base   string
-	name   string // formatted lazily from base+id
+	env  *Env
+	id   int64
+	base string
+	name string // formatted lazily from base+id
+	// resume is the channel of the goroutine running the body; nil
+	// once the body has returned or been unwound.
 	resume chan struct{}
 	parked bool
 	dead   bool
 	daemon bool
 	done   *Event
+	// prev and next link the proc into Env.live while its body runs.
+	prev, next *Proc
+}
+
+// procG is a goroutine that runs proc bodies. When a body returns the
+// goroutine (with its resume channel and grown stack) waits in the
+// Env's idle pool for the next Spawn instead of exiting.
+type procG struct {
+	resume chan struct{}
+	fn     func(*Proc)
+	p      *Proc
+	next   *procG // idle pool link
+}
+
+// maxIdle caps the idle goroutine pool: above the steady per-task
+// spawn churn of the scenarios (at most 105 idle goroutines), while a
+// burst of exits beyond it (up to 814 in an autoscaled run) lets the
+// surplus goroutines end instead of holding their stacks.
+const maxIdle = 128
+
+// procList is an intrusive doubly linked list of procs.
+type procList struct{ head, tail *Proc }
+
+func (l *procList) push(p *Proc) {
+	p.prev = l.tail
+	if l.tail != nil {
+		l.tail.next = p
+	} else {
+		l.head = p
+	}
+	l.tail = p
+}
+
+func (l *procList) remove(p *Proc) {
+	if p.prev != nil {
+		p.prev.next = p.next
+	} else {
+		l.head = p.next
+	}
+	if p.next != nil {
+		p.next.prev = p.prev
+	} else {
+		l.tail = p.prev
+	}
+	p.prev, p.next = nil, nil
 }
 
 // SetDaemon marks the proc as a daemon: a parked daemon (e.g. an idle
@@ -370,42 +429,93 @@ func (p *Proc) SetDaemon(d bool) { p.daemon = d }
 
 // Spawn starts a new process executing fn. The process begins running
 // at the current virtual time (after the caller yields control). The
-// returned Proc's Done event fires when fn returns.
+// returned Proc's Done event fires when fn returns. On a closed Env
+// the proc never runs.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	e.nextPID++
-	p := &Proc{
-		env:    e,
-		id:     e.nextPID,
-		base:   name,
-		resume: make(chan struct{}),
-		done:   e.NewEvent(),
+	p := &Proc{env: e, id: e.nextPID, base: name, done: e.NewEvent()}
+	if e.closed {
+		p.dead = true
+		return p
 	}
-	e.procs[p.id] = p
+	g := e.idle
+	if g != nil {
+		e.idle = g.next
+		e.nidle--
+		g.next = nil
+	} else {
+		g = &procG{resume: make(chan struct{})}
+		go e.serve(g)
+	}
+	g.fn, g.p = fn, p
+	p.resume = g.resume
+	e.live.push(p)
 	if e.obs != nil {
 		e.obs.ProcSpawned(p.Name(), e.now)
 	}
-	go p.body(fn)
 	e.scheduleProc(0, p)
 	return p
 }
 
-func (p *Proc) body(fn func(p *Proc)) {
-	<-p.resume
+// serve is a proc goroutine's loop: wait for a body, run it, then
+// return to the idle pool (or end, when the pool is full). Resumed
+// without a body, or by Close, it ends.
+func (e *Env) serve(g *procG) {
+	for {
+		<-g.resume
+		if g.p == nil || e.closed {
+			e.ack <- struct{}{}
+			return
+		}
+		e.body(g.p, g.fn)
+		g.fn, g.p = nil, nil
+		keep := e.nidle < maxIdle
+		if keep {
+			g.next = e.idle
+			e.idle = g
+			e.nidle++
+		}
+		e.ack <- struct{}{}
+		if !keep {
+			return
+		}
+	}
+}
+
+// body runs fn as p, recovering a panic into an Env failure. When
+// Close unwinds a parked proc, park exits the goroutine through here:
+// only the ack runs, so the unwound proc neither fires Done nor
+// reports an exit, and a panic in one of the body's deferred calls is
+// dropped, since every result has been read by then. A body that calls
+// runtime.Goexit itself (t.Fatal in a test) exits normally, then its
+// goroutine ends.
+func (e *Env) body(p *Proc, fn func(*Proc)) {
+	returned := false
 	defer func() {
-		if r := recover(); r != nil {
-			p.env.Fail(fmt.Errorf("devent: proc %s panicked: %v\n%s", p.Name(), r, debug.Stack()))
+		if e.closed {
+			recover()
+			e.ack <- struct{}{}
+			return
+		}
+		r := recover()
+		if r != nil {
+			e.Fail(fmt.Errorf("devent: proc %s panicked: %v\n%s", p.Name(), r, debug.Stack()))
 		}
 		p.dead = true
-		delete(p.env.procs, p.id)
-		if p.env.obs != nil {
-			p.env.obs.ProcExited(p.Name(), p.env.now)
+		p.resume = nil
+		e.live.remove(p)
+		if e.obs != nil {
+			e.obs.ProcExited(p.Name(), e.now)
 		}
 		if !p.done.Fired() {
 			p.done.Fire(nil)
 		}
-		p.env.ack <- struct{}{}
+		if r == nil && !returned {
+			e.ack <- struct{}{}
+		}
 	}()
 	fn(p)
+	returned = true
 }
 
 // handoff transfers control to p and waits until it parks or exits.
@@ -419,15 +529,66 @@ func (e *Env) handoff(p *Proc) {
 }
 
 // park yields control back to the scheduler until somebody resumes p.
+// A proc resumed by Close unwinds: its goroutine exits.
 func (p *Proc) park() {
+	e := p.env
+	if e.closed {
+		runtime.Goexit() // a deferred call blocking while Close unwinds
+	}
 	p.parked = true
-	p.env.ack <- struct{}{}
-	<-p.resume
+	resume := p.resume
+	e.ack <- struct{}{}
+	<-resume
+	if e.closed {
+		runtime.Goexit()
+	}
 }
 
 // wake schedules p to resume at the current virtual time.
 func (e *Env) wake(p *Proc) {
 	e.scheduleProc(0, p)
+}
+
+// releaseIdle ends the pooled goroutines. Run calls it on return, so
+// an Env that is never closed strands no idle goroutine: only procs
+// still parked when the queue drains outlive Run.
+func (e *Env) releaseIdle() {
+	for g := e.idle; g != nil; {
+		next := g.next
+		g.next = nil
+		g.resume <- struct{}{}
+		<-e.ack
+		g = next
+	}
+	e.idle, e.nidle = nil, 0
+}
+
+// Close ends the environment: every proc still parked or not yet
+// started is unwound (its goroutine exits without returning to its
+// body's caller) and the event queue is dropped. Pooled goroutines
+// already ended when Run returned. Call Close once every result has
+// been read: deferred calls in unwound bodies still run, and a panic
+// in one is dropped. Afterwards Run returns ErrClosed, Spawn returns
+// procs that never run, and Now and EventsDispatched keep their final
+// values. Close must not be called from sim context.
+func (e *Env) Close() {
+	if e.running {
+		panic("devent: Close called from sim context")
+	}
+	if e.closed {
+		return
+	}
+	e.closed = true
+	for p := e.live.head; p != nil; p = e.live.head {
+		e.live.remove(p)
+		p.dead = true
+		resume := p.resume
+		p.resume = nil
+		resume <- struct{}{}
+		<-e.ack
+	}
+	e.queue, e.free, e.cancelled = nil, nil, 0
+	e.freeWaiter, e.freeBatches = nil, nil
 }
 
 // Env returns the environment the proc runs in.

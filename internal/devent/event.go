@@ -18,8 +18,90 @@ type Event struct {
 	// awaiting one future); the slice only materialises on fanout.
 	w0      *eventWaiter
 	waiters []*eventWaiter
-	cbs     []func(*Event)
+	// cbs holds OnFire listeners in registration order. A detached
+	// listener leaves a nil slot (counted in dead) until the slice is
+	// compacted; seq numbers the registrations so a detach finds its
+	// slot after compaction moved it.
+	cbs  []callback
+	seq  uint64
+	dead int
 }
+
+// listener is the closure-free form of an OnFire callback: blocking
+// ops register their pooled waiter itself, so a cancellable wait
+// allocates nothing.
+type listener interface{ fired(*Event) }
+
+// funcListener adapts an OnFire func to a listener.
+type funcListener func(*Event)
+
+func (f funcListener) fired(ev *Event) { f(ev) }
+
+type callback struct {
+	l   listener
+	seq uint64
+}
+
+// registration is a detachable OnFire listener. Operations that wait
+// on a long-lived cancel event (Chan.RecvOr, Resource.AcquireOr,
+// AnyOf) detach theirs once they return or fire, so the event holds
+// no more listeners than it has live waiters. The zero registration
+// (from an event that had already fired) detaches as a no-op.
+type registration struct {
+	ev  *Event
+	seq uint64
+}
+
+// listen registers l, running it at once if the event already fired.
+func (ev *Event) listen(l listener) registration {
+	if ev.fired {
+		l.fired(ev)
+		return registration{}
+	}
+	ev.seq++
+	ev.cbs = append(ev.cbs, callback{l, ev.seq})
+	return registration{ev, ev.seq}
+}
+
+// detach removes the listener unless the event fired (which consumed
+// it). Slots are freed lazily: once half of them are dead the slice is
+// compacted in place, keeping registration order.
+func (r registration) detach() {
+	ev := r.ev
+	if ev == nil || ev.fired {
+		return
+	}
+	lo, hi := 0, len(ev.cbs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ev.cbs[m].seq < r.seq {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == len(ev.cbs) || ev.cbs[lo].seq != r.seq || ev.cbs[lo].l == nil {
+		return
+	}
+	ev.cbs[lo].l = nil
+	ev.dead++
+	if 2*ev.dead >= len(ev.cbs) {
+		live := ev.cbs[:0]
+		for _, c := range ev.cbs {
+			if c.l != nil {
+				live = append(live, c)
+			}
+		}
+		clear(ev.cbs[len(live):])
+		ev.cbs = live
+		ev.dead = 0
+	}
+}
+
+// Listeners reports how many OnFire slots the event holds, detached
+// ones not yet compacted included; compaction keeps it at most twice
+// the live listeners. Tests bound it to catch registration leaks.
+func (ev *Event) Listeners() int { return len(ev.cbs) }
 
 // eventWaiter links one parked proc to the event it awaits. Waiters
 // are pooled on the Env (getWaiter/putWaiter): gen distinguishes a
@@ -156,20 +238,17 @@ func (ev *Event) fire(v any, err error) {
 	}
 	cbs := ev.cbs
 	ev.cbs = nil
+	ev.dead = 0
 	for _, cb := range cbs {
-		cb(ev)
+		if cb.l != nil {
+			cb.l.fired(ev)
+		}
 	}
 }
 
 // OnFire registers a callback invoked in sim context when the event
 // fires. If the event already fired, the callback runs immediately.
-func (ev *Event) OnFire(cb func(*Event)) {
-	if ev.fired {
-		cb(ev)
-		return
-	}
-	ev.cbs = append(ev.cbs, cb)
-}
+func (ev *Event) OnFire(cb func(*Event)) { ev.listen(funcListener(cb)) }
 
 func (ev *Event) addWaiter(w *eventWaiter) {
 	if ev.w0 == nil && len(ev.waiters) == 0 {
@@ -237,21 +316,36 @@ func (p *Proc) WaitTimeout(ev *Event, d time.Duration) (any, error) {
 
 // AnyOf returns an event that fires as soon as any input event fires;
 // its value is the first firing *Event (inspect its Value/Err). With no
-// inputs the result never fires.
+// inputs the result never fires. Once it fires it detaches from the
+// other inputs; until then it stays registered on all of them, so a
+// loop waiting on long-lived events builds its AnyOf once, not once
+// per pass.
 func AnyOf(e *Env, evs ...*Event) *Event {
-	out := e.NewNamedEvent("anyOf")
+	a := &anyOf{out: e.NewNamedEvent("anyOf"), regs: make([]registration, 0, len(evs))}
 	for _, ev := range evs {
-		ev := ev
-		ev.OnFire(func(src *Event) {
-			if !out.fired {
-				out.Fire(src)
-			}
-		})
-		if out.fired {
+		a.regs = append(a.regs, ev.listen(a))
+		if a.out.fired {
 			break
 		}
 	}
-	return out
+	return a.out
+}
+
+// anyOf is AnyOf's listener on each of its inputs.
+type anyOf struct {
+	out  *Event
+	regs []registration
+}
+
+func (a *anyOf) fired(src *Event) {
+	if a.out.fired {
+		return
+	}
+	for _, r := range a.regs {
+		r.detach()
+	}
+	a.regs = nil
+	a.out.Fire(src)
 }
 
 // AllOf returns an event that fires once every input event has fired;

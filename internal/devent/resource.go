@@ -11,11 +11,24 @@ type Resource struct {
 }
 
 type resWaiter struct {
+	r         *Resource
 	p         *Proc
 	n         int
 	woken     bool
 	granted   bool
 	cancelled bool
+}
+
+// fired is the waiter's cancel listener: it withdraws the request and
+// wakes the proc.
+func (w *resWaiter) fired(*Event) {
+	if w.woken {
+		return
+	}
+	w.woken = true
+	w.cancelled = true
+	w.r.remove(w)
+	w.r.env.wake(w.p)
 }
 
 // NewResource returns a resource with the given capacity (units).
@@ -67,20 +80,14 @@ func (r *Resource) AcquireOr(p *Proc, n int, cancel *Event) bool {
 		r.inUse += n
 		return true
 	}
-	w := &resWaiter{p: p, n: n}
+	w := &resWaiter{r: r, p: p, n: n}
 	r.waitq = append(r.waitq, w)
+	var reg registration
 	if cancel != nil {
-		cancel.OnFire(func(*Event) {
-			if w.woken {
-				return
-			}
-			w.woken = true
-			w.cancelled = true
-			r.remove(w)
-			r.env.wake(p)
-		})
+		reg = cancel.listen(w)
 	}
 	p.park()
+	reg.detach()
 	return w.granted
 }
 

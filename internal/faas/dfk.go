@@ -202,12 +202,12 @@ func (d *DFK) Submit(appName string, args ...any) *Future {
 		Status:     TaskPending,
 		SubmitTime: d.env.Now(),
 	}
-	task.Span = d.obs.StartSpan("dfk", "task", TaskTrack(task.ID), 0,
+	task.Span = d.obs.StartSpan("dfk", "task", task.Track(), 0,
 		obs.Int("task", task.ID),
 		obs.String("app", appName),
 	)
 	d.obs.Metrics().Counter("faas_tasks_submitted_total", obs.L("app", appName)).Inc()
-	done := d.env.NewNamedEvent(fmt.Sprintf("task-%d", task.ID))
+	done := d.env.NewNamedEvent("task")
 	fut := NewFuture(task, done)
 
 	if d.draining {

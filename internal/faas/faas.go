@@ -15,6 +15,7 @@ package faas
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/devent"
@@ -154,11 +155,19 @@ type Task struct {
 	// parent their queue/run spans under it, so the whole causal chain
 	// submit -> queue -> pickup -> kernels hangs off one ID.
 	Span obs.SpanID
+
+	track string
 }
 
-// TaskTrack names the trace lane a task's spans render on; the DFK
-// and executors must agree on it so queue spans nest under the task.
-func TaskTrack(id int) string { return fmt.Sprintf("task-%d", id) }
+// Track names the trace lane the task's spans render on ("task-<ID>");
+// the DFK and executors must agree on it so queue spans nest under the
+// task. It is formatted once per task.
+func (t *Task) Track() string {
+	if t.track == "" {
+		t.track = "task-" + strconv.Itoa(t.ID)
+	}
+	return t.track
+}
 
 // QueueDelay is the time from submission to execution start.
 func (t *Task) QueueDelay() time.Duration { return t.StartTime - t.SubmitTime }

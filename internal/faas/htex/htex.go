@@ -277,21 +277,11 @@ func (h *HTEX) spawnBlock(node *gpuctl.Node) *blockInfo {
 		n = h.cfg.MaxWorkers
 	}
 	for wi := 0; wi < n; wi++ {
-		w := &worker{
-			name:  fmt.Sprintf("%s/block%d/worker%d", h.cfg.Label, b.id, wi),
-			node:  node,
-			obsC:  h.obs,
-			state: make(map[string]any),
-			env:   map[string]string{},
-		}
+		w := h.newWorker(fmt.Sprintf("%s/block%d/worker%d", h.cfg.Label, b.id, wi), node)
 		if len(bindings) > 0 {
 			w.binding = bindings[wi]
 			w.env = bindings[wi].Environ()
 		}
-		// Lifecycle events exist before the loop runs, so KillWorker
-		// and ScaleIn work on workers that have not been scheduled yet.
-		w.kill = h.env.NewNamedEvent("kill:" + w.name)
-		w.retire = h.env.NewNamedEvent("retire:" + w.name)
 		h.workers = append(h.workers, w)
 		b.workers = append(b.workers, w)
 		wp := h.env.Spawn(w.name, func(wp *devent.Proc) {
@@ -391,13 +381,6 @@ func (h *HTEX) ScaleIn(p *devent.Proc, n int) (int, error) {
 }
 
 func (h *HTEX) workerLoop(p *devent.Proc, w *worker) {
-	cleanup := func() {
-		if w.gpu != nil && !w.gpu.Destroyed() {
-			w.gpu.Destroy()
-			w.gpu = nil
-		}
-	}
-	defer cleanup()
 	// The worker's lifecycle is one span on its own track; init and
 	// run spans nest under it. Each loop entry is a cold start.
 	wspan := h.obs.StartSpan("htex", "worker", w.name, 0,
@@ -410,88 +393,104 @@ func (h *HTEX) workerLoop(p *devent.Proc, w *worker) {
 	h.obs.PinSpan(wspan)
 	h.gWorkers.Add(1)
 	h.cCold.Inc()
-	defer func() {
-		h.gWorkers.Add(-1)
-		h.obs.EndSpan(wspan)
-	}()
 	if h.cfg.WorkerInit > 0 {
 		t0 := p.Now()
 		p.Sleep(h.cfg.WorkerInit) // function initialization (§6)
 		h.obs.AddSpan("htex", "init", w.name, wspan, t0, p.Now())
 	}
 	w.ready = true
-	for {
-		// Retirement is checked before the queue: RecvOr drains buffered
-		// work first, so a retired worker would otherwise keep picking
-		// tasks as long as a backlog exists.
-		if w.retire.Fired() {
-			h.workerRetired(w)
-			return
-		}
-		sub, ok, cancelled := h.queue.RecvOr(p, devent.AnyOf(h.env, h.shutdown, w.kill, w.retire))
-		if cancelled || !ok {
-			if w.kill.Fired() {
-				h.workerCrashed(w)
-			} else if w.retire.Fired() {
-				h.workerRetired(w)
-			}
-			return
-		}
-		t := sub.task
-		t.Status = faas.TaskRunning
-		t.StartTime = p.Now()
-		t.Worker = w.name
-		h.obs.EndSpan(sub.qspan, obs.String("worker", w.name))
-		rspan := h.obs.StartSpan("htex", "run", w.name, t.Span,
-			obs.Int("task", t.ID), obs.String("app", t.App),
-			obs.String("accelerator", w.binding.Accelerator),
-			obs.Int("gpu_pct", w.binding.GPUPercent))
-		w.runSpan = rspan
-		if w.gpu != nil && !w.gpu.Destroyed() {
-			w.gpu.SetTraceParent(rspan)
-		}
-		h.cPicked.Inc()
-		// Run the task body in its own proc so a worker crash
-		// (KillWorker) can abandon it: the orphaned body keeps no
-		// resources once the GPU context is destroyed.
-		taskDone := h.env.NewNamedEvent("task:" + w.name)
-		body := h.env.Spawn(w.name+"/task", func(tp *devent.Proc) {
-			result, err := sub.app.Fn(faas.NewInvocation(tp, t, sub.args, w.env, w))
-			if taskDone.Fired() {
-				return // worker already declared lost
-			}
-			if err != nil {
-				taskDone.Fail(err)
-			} else {
-				taskDone.Fire(result)
-			}
-		})
-		body.SetDaemon(true)
-		v, err := p.Wait(devent.AnyOf(h.env, taskDone, w.kill))
-		if err == nil && v.(*devent.Event) == w.kill {
-			// Crash: abandon the body, abort its kernels, fail the
-			// task so the DFK can retry elsewhere.
-			t.EndTime = p.Now()
-			h.obs.EndSpan(rspan, obs.String("status", "lost"))
-			cleanup()
-			if !taskDone.Fired() {
-				taskDone.Fail(ErrWorkerLost)
-			}
-			sub.done.Fail(fmt.Errorf("%w: %s", ErrWorkerLost, w.name))
-			h.workerCrashed(w)
-			return
-		}
-		t.EndTime = p.Now()
-		if taskDone.Err() != nil {
-			h.obs.EndSpan(rspan,
-				obs.String("status", "failed"),
-				obs.String("error", taskDone.Err().Error()))
-			sub.done.Fail(taskDone.Err())
-		} else {
-			h.obs.EndSpan(rspan, obs.String("status", "done"))
-			sub.done.Fire(taskDone.Value())
-		}
+	// One stop event for the worker's whole life: shutdown, kill and
+	// retire each fire it. Built once, it is the worker's only
+	// registration on the executor-wide shutdown event, and it detaches
+	// from the other two when it fires.
+	stop := devent.AnyOf(h.env, h.shutdown, w.kill, w.retire)
+	for h.workerStep(p, w, stop) {
 	}
+	// The exit runs inline, not deferred: a worker still parked when
+	// its Env closes unwinds without touching spans, gauges or the GPU.
+	h.gWorkers.Add(-1)
+	h.obs.EndSpan(wspan)
+	w.releaseGPU()
+}
+
+// workerStep picks and runs one task. It reports false once the worker
+// has left the pool: retired, shut down, or killed (idle or mid-task).
+func (h *HTEX) workerStep(p *devent.Proc, w *worker, stop *devent.Event) bool {
+	// Retirement is checked before the queue: RecvOr drains buffered
+	// work first, so a retired worker would otherwise keep picking
+	// tasks as long as a backlog exists.
+	if w.retire.Fired() {
+		h.workerRetired(w)
+		return false
+	}
+	sub, ok, cancelled := h.queue.RecvOr(p, stop)
+	if cancelled || !ok {
+		if w.kill.Fired() {
+			h.workerCrashed(w)
+		} else if w.retire.Fired() {
+			h.workerRetired(w)
+		}
+		return false
+	}
+	t := sub.task
+	t.Status = faas.TaskRunning
+	t.StartTime = p.Now()
+	t.Worker = w.name
+	h.obs.EndSpan(sub.qspan, obs.String("worker", w.name))
+	rspan := h.obs.StartSpan("htex", "run", w.name, t.Span,
+		obs.Int("task", t.ID), obs.String("app", t.App),
+		obs.String("accelerator", w.binding.Accelerator),
+		obs.Int("gpu_pct", w.binding.GPUPercent))
+	w.runSpan = rspan
+	if w.gpu != nil && !w.gpu.Destroyed() {
+		w.gpu.SetTraceParent(rspan)
+	}
+	h.cPicked.Inc()
+	// Run the task body in its own proc so a worker crash
+	// (KillWorker) can abandon it: the orphaned body keeps no
+	// resources once the GPU context is destroyed.
+	taskDone := h.env.NewNamedEvent("htex-run")
+	w.task, w.lost = taskDone, false
+	body := h.env.Spawn(w.taskProc, func(tp *devent.Proc) {
+		result, err := sub.app.Fn(faas.NewInvocation(tp, t, sub.args, w.env, w))
+		if taskDone.Fired() {
+			return // worker already declared lost
+		}
+		if err != nil {
+			taskDone.Fail(err)
+		} else {
+			taskDone.Fire(result)
+		}
+	})
+	body.SetDaemon(true)
+	if w.kill.Fired() {
+		// Killed before this pick (during init, or after the last task
+		// finished but before the worker resumed): lost at once.
+		w.abandon()
+	}
+	p.Wait(taskDone)
+	w.task = nil
+	if w.lost {
+		// Crash: abandon the body, abort its kernels, fail the task so
+		// the DFK can retry elsewhere.
+		t.EndTime = p.Now()
+		h.obs.EndSpan(rspan, obs.String("status", "lost"))
+		w.releaseGPU()
+		sub.done.Fail(fmt.Errorf("%w: %s", ErrWorkerLost, w.name))
+		h.workerCrashed(w)
+		return false
+	}
+	t.EndTime = p.Now()
+	if taskDone.Err() != nil {
+		h.obs.EndSpan(rspan,
+			obs.String("status", "failed"),
+			obs.String("error", taskDone.Err().Error()))
+		sub.done.Fail(taskDone.Err())
+	} else {
+		h.obs.EndSpan(rspan, obs.String("status", "done"))
+		sub.done.Fire(taskDone.Value())
+	}
+	return true
 }
 
 // KillWorker simulates a worker-process crash (OOM kill, node fault):
@@ -502,6 +501,7 @@ func (h *HTEX) KillWorker(name string) bool {
 	for _, w := range h.workers {
 		if w.name == name && w.kill != nil && !w.kill.Fired() {
 			w.kill.Fire(nil)
+			w.abandon()
 			return true
 		}
 	}
@@ -599,15 +599,8 @@ func (h *HTEX) respawn(old *worker) {
 		h.failIfStranded()
 		return
 	}
-	w := &worker{
-		name:    old.name,
-		node:    old.node,
-		binding: old.binding,
-		env:     old.env,
-		state:   make(map[string]any),
-	}
-	w.kill = h.env.NewNamedEvent("kill:" + w.name)
-	w.retire = h.env.NewNamedEvent("retire:" + w.name)
+	w := h.newWorker(old.name, old.node)
+	w.binding, w.env = old.binding, old.env
 	h.workers = append(h.workers, w)
 	blk.workers[slot] = w
 	h.cWRestarts.Inc()
@@ -643,7 +636,7 @@ func (h *HTEX) failIfStranded() {
 
 // Submit implements faas.Executor.
 func (h *HTEX) Submit(task *faas.Task, app faas.App, args []any) *devent.Event {
-	done := h.env.NewNamedEvent(fmt.Sprintf("htex-%s-task-%d", h.cfg.Label, task.ID))
+	done := h.env.NewNamedEvent("htex-task")
 	sub := &submission{task: task, app: app, args: args, done: done}
 	if !h.started {
 		done.Fail(faas.ErrShutdown)
@@ -659,7 +652,7 @@ func (h *HTEX) Submit(task *faas.Task, app faas.App, args []any) *devent.Event {
 	}
 	// The queue span shares the task's track, nesting under its root
 	// span; the picking worker ends it.
-	sub.qspan = h.obs.StartSpan("htex", "queue", faas.TaskTrack(task.ID), task.Span,
+	sub.qspan = h.obs.StartSpan("htex", "queue", task.Track(), task.Span,
 		obs.String("executor", h.cfg.Label))
 	if !h.queue.TrySend(sub) {
 		h.obs.EndSpan(sub.qspan, obs.String("status", "overflow"))
@@ -749,17 +742,56 @@ func (h *HTEX) Restart(p *devent.Proc, accelerators []string, percentages []int)
 
 // worker is one pilot-job worker process.
 type worker struct {
-	name    string
-	node    *gpuctl.Node
-	binding gpuctl.Binding
-	env     map[string]string
-	gpu     *simgpu.Context
-	state   map[string]any
-	kill    *devent.Event
-	retire  *devent.Event
+	name string
+	// taskProc names the proc each task body runs in.
+	taskProc string
+	node     *gpuctl.Node
+	binding  gpuctl.Binding
+	env      map[string]string
+	gpu      *simgpu.Context
+	state    map[string]any
+	kill     *devent.Event
+	retire   *devent.Event
+	// task is the in-flight task's run event; lost marks it failed by
+	// a kill rather than by its body.
+	task    *devent.Event
+	lost    bool
 	ready   bool
 	runSpan obs.SpanID
 	obsC    *obs.Collector
+}
+
+// newWorker builds a worker and its lifecycle events. The events
+// exist before the loop runs, so KillWorker and ScaleIn work on
+// workers that have not been scheduled yet.
+func (h *HTEX) newWorker(name string, node *gpuctl.Node) *worker {
+	return &worker{
+		name:     name,
+		taskProc: name + "/task",
+		node:     node,
+		obsC:     h.obs,
+		state:    make(map[string]any),
+		env:      map[string]string{},
+		kill:     h.env.NewNamedEvent("kill:" + name),
+		retire:   h.env.NewNamedEvent("retire:" + name),
+	}
+}
+
+// abandon fails the in-flight task's run event with ErrWorkerLost, so
+// a killed worker stops waiting for its orphaned body.
+func (w *worker) abandon() {
+	if w.task != nil && !w.task.Fired() {
+		w.task.Fail(ErrWorkerLost)
+		w.lost = true
+	}
+}
+
+// releaseGPU destroys the worker's GPU context, if it holds a live one.
+func (w *worker) releaseGPU() {
+	if w.gpu != nil && !w.gpu.Destroyed() {
+		w.gpu.Destroy()
+		w.gpu = nil
+	}
 }
 
 // Name implements faas.WorkerHandle.

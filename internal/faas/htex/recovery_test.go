@@ -60,6 +60,60 @@ func TestWorkerAutoRestart(t *testing.T) {
 	}
 }
 
+// A restarted worker reports to the executor's collector like the one
+// it replaces: its GPU context bring-up records a ctxinit span too.
+func TestRestartedWorkerRecordsContextInit(t *testing.T) {
+	r := newRig(t, 1)
+	ex, err := New(r.env, Config{
+		Label:                 "gpu",
+		MaxWorkers:            1,
+		AvailableAccelerators: []string{"0"},
+		Provider:              r.local(),
+		RestartBackoff:        time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := faas.NewDFK(r.env, faas.Config{}, ex)
+	d.Register(faas.App{Name: "gpu", Executor: "gpu", Fn: func(inv *faas.Invocation) (any, error) {
+		if _, err := inv.GPU(); err != nil {
+			return nil, err
+		}
+		inv.Compute(time.Millisecond)
+		return nil, nil
+	}})
+	d.Start()
+	var name string
+	r.env.Spawn("main", func(p *devent.Proc) {
+		if _, err := d.Submit("gpu").Result(p); err != nil {
+			t.Errorf("before kill: %v", err)
+			return
+		}
+		name = ex.WorkerNames()[0]
+		if !ex.KillWorker(name) {
+			t.Error("kill failed")
+			return
+		}
+		p.Sleep(2 * time.Second) // past the 1s restart backoff
+		if _, err := d.Submit("gpu").Result(p); err != nil {
+			t.Errorf("after restart: %v", err)
+		}
+	})
+	r.run(t)
+	inits := 0
+	for _, s := range d.Collector().Spans() {
+		if s.Cat == "htex" && s.Name == "ctxinit" {
+			if s.Track != name {
+				t.Errorf("ctxinit on track %q, want %q", s.Track, name)
+			}
+			inits++
+		}
+	}
+	if inits != 2 {
+		t.Fatalf("ctxinit spans = %d, want one per worker incarnation (2)", inits)
+	}
+}
+
 // Restart delays double per crash of the same slot, capped at
 // RestartBackoffMax; after BlacklistAfter crashes the slot is
 // blacklisted and never restarted.
@@ -215,6 +269,6 @@ func TestValidateRecoveryKnobs(t *testing.T) {
 // stubProvider satisfies provider.Provider for Validate-only tests.
 type stubProvider struct{}
 
-func (stubProvider) Name() string                        { return "stub" }
-func (stubProvider) Provision(n int) *devent.Event       { return nil }
-func (stubProvider) Release(nodes []*gpuctl.Node) error  { return nil }
+func (stubProvider) Name() string                       { return "stub" }
+func (stubProvider) Provision(n int) *devent.Event      { return nil }
+func (stubProvider) Release(nodes []*gpuctl.Node) error { return nil }

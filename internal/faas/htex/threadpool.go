@@ -93,13 +93,13 @@ func (tp *ThreadPool) Start() error {
 
 // Submit implements faas.Executor.
 func (tp *ThreadPool) Submit(task *faas.Task, app faas.App, args []any) *devent.Event {
-	done := tp.env.NewNamedEvent(fmt.Sprintf("tp-%s-task-%d", tp.label, task.ID))
+	done := tp.env.NewNamedEvent("tp-task")
 	if !tp.started {
 		done.Fail(faas.ErrShutdown)
 		return done
 	}
 	sub := &submission{task: task, app: app, args: args, done: done}
-	sub.qspan = tp.obs.StartSpan("htex", "queue", faas.TaskTrack(task.ID), task.Span,
+	sub.qspan = tp.obs.StartSpan("htex", "queue", task.Track(), task.Span,
 		obs.String("executor", tp.label))
 	if !tp.queue.TrySend(sub) {
 		tp.obs.EndSpan(sub.qspan, obs.String("status", "overflow"))

@@ -147,3 +147,17 @@ func BenchmarkCounterInc(b *testing.B) {
 		b.Fatal("count mismatch")
 	}
 }
+
+// BenchmarkCounterLookup measures resolving an existing labelled
+// counter by name, as per-task completion paths do on every call.
+// Target: 0 allocs/op.
+func BenchmarkCounterLookup(b *testing.B) {
+	env := devent.NewEnv()
+	m := obs.New(env).Metrics()
+	m.Counter("tasks_total", obs.L("app", "micro"), obs.L("status", "done")).Inc()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Counter("tasks_total", obs.L("status", "done"), obs.L("app", "micro")).Inc()
+	}
+}

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -172,6 +174,50 @@ func TestRegistryIdempotentAndTyped(t *testing.T) {
 		}
 	}()
 	r.Gauge("hits")
+}
+
+// Looking up an existing series allocates nothing: per-task hot paths
+// (the DFK's completion counters and histograms) resolve their series
+// on every call.
+func TestRegistryLookupAllocs(t *testing.T) {
+	r := NewRegistry(&fakeClock{})
+	r.Counter("done", L("status", "ok"), L("app", "a"))
+	r.Gauge("busy", L("status", "ok"), L("app", "a"))
+	r.Histogram("lat", nil, L("status", "ok"), L("app", "a"))
+	for _, tc := range []struct {
+		name   string
+		lookup func()
+	}{
+		{"Counter", func() { r.Counter("done", L("status", "ok"), L("app", "a")) }},
+		{"Gauge", func() { r.Gauge("busy", L("status", "ok"), L("app", "a")) }},
+		{"Histogram", func() { r.Histogram("lat", nil, L("status", "ok"), L("app", "a")) }},
+	} {
+		if got := testing.AllocsPerRun(100, tc.lookup); got != 0 {
+			t.Errorf("%s lookup: %v allocs, want 0", tc.name, got)
+		}
+	}
+}
+
+// Label sets beyond the lookup's stack space, and keys beyond its
+// buffer, resolve the same way; a new series owns a sorted copy of its
+// labels.
+func TestRegistryLargeLabelSets(t *testing.T) {
+	r := NewRegistry(&fakeClock{})
+	var ls []Label
+	for i := 11; i >= 0; i-- {
+		ls = append(ls, L(string(rune('a'+i)), strings.Repeat("v", 20)))
+	}
+	c := r.Counter("wide", ls...)
+	rev := append([]Label(nil), ls...)
+	slices.Reverse(rev)
+	if r.Counter("wide", rev...) != c {
+		t.Fatal("label order changed the series")
+	}
+	ls[0].Value = "mutated"
+	got := c.Labels()
+	if len(got) != 12 || got[0].Key != "a" || got[11].Key != "l" || got[11].Value != strings.Repeat("v", 20) {
+		t.Fatalf("labels = %v", got)
+	}
 }
 
 func TestGaugeSeriesTracksVirtualTime(t *testing.T) {

@@ -252,14 +252,32 @@ func (r *Registry) family(name string, kind Kind, buckets []float64) *family {
 	return f
 }
 
-// canonical sorts a copy of the labels by key and renders the series
-// identity string.
-func canonical(labels []Label) ([]Label, string) {
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	key := ""
+// seriesKey is the scratch space a lookup renders a label set's
+// identity into. Callers keep it on their stack, so finding an existing
+// series allocates nothing; only a new series copies its labels and
+// key to the heap.
+type seriesKey struct {
+	ls  [8]Label
+	buf [128]byte
+}
+
+// canonical sorts the labels by key and renders the series identity
+// string, both into k. A set of more than len(k.ls) labels, or a key
+// longer than k.buf, spills to the heap. The insertion sort is stable,
+// so labels that share a key keep their given order.
+func (k *seriesKey) canonical(labels []Label) ([]Label, []byte) {
+	ls := append(k.ls[:0], labels...)
+	for i := 1; i < len(ls); i++ {
+		for j := i; j > 0 && ls[j].Key < ls[j-1].Key; j-- {
+			ls[j], ls[j-1] = ls[j-1], ls[j]
+		}
+	}
+	key := k.buf[:0]
 	for _, l := range ls {
-		key += l.Key + "\x00" + l.Value + "\x00"
+		key = append(key, l.Key...)
+		key = append(key, 0)
+		key = append(key, l.Value...)
+		key = append(key, 0)
 	}
 	return ls, key
 }
@@ -270,12 +288,13 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 		return nil
 	}
 	f := r.family(name, KindCounter, nil)
-	ls, key := canonical(labels)
-	if c, ok := f.series[key]; ok {
+	var k seriesKey
+	ls, key := k.canonical(labels)
+	if c, ok := f.series[string(key)]; ok {
 		return c.(*Counter)
 	}
-	c := &Counter{labels: ls}
-	f.series[key] = c
+	c := &Counter{labels: append([]Label(nil), ls...)}
+	f.series[string(key)] = c
 	r.gen++
 	return c
 }
@@ -286,12 +305,13 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 		return nil
 	}
 	f := r.family(name, KindGauge, nil)
-	ls, key := canonical(labels)
-	if g, ok := f.series[key]; ok {
+	var k seriesKey
+	ls, key := k.canonical(labels)
+	if g, ok := f.series[string(key)]; ok {
 		return g.(*Gauge)
 	}
-	g := &Gauge{labels: ls, clock: r.clock}
-	f.series[key] = g
+	g := &Gauge{labels: append([]Label(nil), ls...), clock: r.clock}
+	f.series[string(key)] = g
 	r.gen++
 	return g
 }
@@ -333,12 +353,13 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...Label) *H
 		buckets = normalizeBuckets(buckets)
 	}
 	f := r.family(name, KindHistogram, buckets)
-	ls, key := canonical(labels)
-	if h, ok := f.series[key]; ok {
+	var k seriesKey
+	ls, key := k.canonical(labels)
+	if h, ok := f.series[string(key)]; ok {
 		return h.(*Histogram)
 	}
-	h := &Histogram{labels: ls, bounds: f.buckets, counts: make([]uint64, len(f.buckets)+1)}
-	f.series[key] = h
+	h := &Histogram{labels: append([]Label(nil), ls...), bounds: f.buckets, counts: make([]uint64, len(f.buckets)+1)}
+	f.series[string(key)] = h
 	r.gen++
 	return h
 }

@@ -2,8 +2,10 @@ package report
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/harness"
@@ -98,6 +100,24 @@ func TestObservedCollectorsDrainCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkNoLeakedSpans(t, collectors...)
+}
+
+// TestObservedCollectorsLeaveNoGoroutines: every grid cell and Table 1
+// burst closes its Env once its result is read, so the instrumented
+// runs leave no parked worker or pooled goroutine behind.
+func TestObservedCollectorsLeaveNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	if _, err := ObservedCollectors(2, "llama-complete:10s:0.9"); err != nil {
+		t.Fatal(err)
+	}
+	n := runtime.NumGoroutine()
+	for i := 0; i < 200 && n > before; i++ {
+		time.Sleep(5 * time.Millisecond) // exiting goroutines count briefly
+		n = runtime.NumGoroutine()
+	}
+	if n > before {
+		t.Fatalf("goroutines: %d before ObservedCollectors, %d after", before, n)
+	}
 }
 
 // TestTraceDiffKernelQueueStory locks the paper's Fig. 4/5 explanation
