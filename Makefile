@@ -69,8 +69,9 @@ cover:
 # the attribution sweep (random interval sets against the quadratic
 # oracle), the SLO-spec parser (accepted rules must be evaluable), and
 # the live server's /api/series query parsing (every answer is 200, 400
-# or 404 with a JSON body); the checked-in corpora run as regular tests
-# in `make test`.
+# or 404 with a JSON body), and the in-place max–min allocator (bit for
+# bit against the sort.Slice oracle); the checked-in corpora run as
+# regular tests in `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz FuzzConfigValidate -fuzztime 10s ./internal/faas/htex
@@ -79,6 +80,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecompose -fuzztime 10s ./internal/obs/analyze
 	$(GO) test -run '^$$' -fuzz FuzzParseSLOSpec -fuzztime 10s ./internal/obs/analyze
 	$(GO) test -run '^$$' -fuzz FuzzSeriesQuery -fuzztime 10s ./internal/obs/live
+	$(GO) test -run '^$$' -fuzz FuzzMaxMinFair -fuzztime 10s ./internal/simgpu
 
 bench: bench-devent bench-paper bench-obs bench-fleet bench-autoscale bench-check
 

@@ -117,7 +117,8 @@ func (e *Env) Fail(err error) {
 // Timer is a handle to a scheduled callback. Cancelling an already
 // fired or cancelled timer is a no-op. Queue items are pooled, so the
 // handle carries the item's generation: a stale handle (whose item has
-// since fired and been recycled) is recognised and ignored.
+// since fired and been recycled) is recognised and ignored. The zero
+// Timer is inactive; ArmAt arms a caller-owned one in place.
 type Timer struct {
 	env  *Env
 	item *queueItem
@@ -167,12 +168,24 @@ func (e *Env) Schedule(delay time.Duration, fn func()) *Timer {
 // ScheduleAt runs fn at absolute virtual time t. Times in the past are
 // clamped to Now().
 func (e *Env) ScheduleAt(t time.Duration, fn func()) *Timer {
-	if t < e.now {
-		t = e.now
+	tm := &Timer{}
+	e.ArmAt(tm, t, fn)
+	return tm
+}
+
+// ArmAt schedules fn at absolute virtual time at on the caller-owned
+// timer t, first cancelling whatever t still has pending, so a deadline
+// that is re-armed over and over keeps one Timer instead of allocating
+// a handle per arm. A copy of t taken before the re-arm is a stale
+// handle: its Cancel is a no-op. Times in the past are clamped to Now().
+func (e *Env) ArmAt(t *Timer, at time.Duration, fn func()) {
+	t.Cancel()
+	if at < e.now {
+		at = e.now
 	}
-	it := e.newItem(t, fn, nil)
+	it := e.newItem(at, fn, nil)
 	heap.Push(&e.queue, it)
-	return &Timer{env: e, item: it, gen: it.gen, at: t}
+	*t = Timer{env: e, item: it, gen: it.gen, at: at}
 }
 
 // scheduleFn is ScheduleAt without the Timer handle, for internal

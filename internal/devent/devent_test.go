@@ -65,6 +65,55 @@ func TestTimerCancel(t *testing.T) {
 	}
 }
 
+// TestArmAtReArmsInPlace pins the caller-owned timer contract: a
+// re-arm replaces the pending item, Active and When follow the latest
+// arm, and a stale copy of the handle cannot cancel anything once its
+// item is replaced or recycled.
+func TestArmAtReArmsInPlace(t *testing.T) {
+	env := NewEnv()
+	var tm Timer
+	if tm.Active() || tm.When() != 0 || tm.Cancel() {
+		t.Fatal("the zero Timer must be inactive")
+	}
+	var fired []string
+	env.ArmAt(&tm, 3*time.Second, func() { fired = append(fired, "first") })
+	stale := tm
+	env.ArmAt(&tm, 2*time.Second, func() { fired = append(fired, "second") })
+	if !tm.Active() || tm.When() != 2*time.Second {
+		t.Fatalf("after re-arm: active=%v when=%v, want true 2s", tm.Active(), tm.When())
+	}
+	if stale.Active() || stale.Cancel() {
+		t.Fatal("the replaced arm's handle still controls a pending item")
+	}
+	if !tm.Active() {
+		t.Fatal("cancelling the stale handle cancelled the re-arm")
+	}
+	if err := env.RunUntil(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if len(fired) != 1 || fired[0] != "second" || tm.Active() || tm.When() != 2*time.Second {
+		t.Fatalf("fired %v, active=%v when=%v; want only the re-arm, at 2s", fired, tm.Active(), tm.When())
+	}
+	// Both items are back in the pool (the replaced one was dropped
+	// from the queue head), and the next schedule reuses the replaced
+	// one: neither old handle may reach the item's new owner.
+	fired = nil
+	fresh := env.Schedule(time.Second, func() { fired = append(fired, "fresh") })
+	if stale.Cancel() || tm.Active() || tm.Cancel() || !fresh.Active() {
+		t.Fatal("a stale handle controls a recycled item")
+	}
+	env.ArmAt(&tm, 0, func() { fired = append(fired, "past") }) // clamped to Now
+	if tm.When() != 2*time.Second {
+		t.Fatalf("past arm When = %v, want Now (2s)", tm.When())
+	}
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(fired) != 2 || fired[0] != "past" || fired[1] != "fresh" {
+		t.Fatalf("fired %v, want [past fresh]", fired)
+	}
+}
+
 func TestNegativeDelayClamped(t *testing.T) {
 	env := NewEnv()
 	env.Schedule(5*time.Second, func() {

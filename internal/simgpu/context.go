@@ -85,7 +85,7 @@ func (c *Context) smCap() int {
 // ErrAborted if the context is destroyed first.
 func (c *Context) Launch(k Kernel) *devent.Event {
 	if c.destroyed {
-		ev := c.dom.env.NewNamedEvent("kernel:" + k.Name)
+		ev := c.dom.env.NewNamedEvent(k.Name)
 		ev.Fail(ErrDestroyed)
 		return ev
 	}

@@ -2,6 +2,7 @@ package simgpu
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/devent"
@@ -58,9 +59,19 @@ type domain struct {
 	lastCtx    *Context
 	groups     []string
 	activeGrp  int
-	rotT       *devent.Timer
+	rotT       devent.Timer
+	rotate     func() // the vGPU quantum expiry, bound once
 	busy       metrics.StepSeries
 	onDone     func(KernelRecord)
+
+	// Scratch for reevaluate, reused across calls so the engine
+	// allocates nothing in steady state. reevaluate never nests: it
+	// only schedules, so no callback runs while these are in use.
+	sel     []*launched
+	dem     []float64
+	smAlloc []float64
+	bwAlloc []float64
+	idx     []int
 
 	// Observability: kernel spans and per-domain gauges flow into obs
 	// when a collector is attached; everything below is nil-safe.
@@ -88,7 +99,7 @@ func (d *domain) setCollector(c *obs.Collector) {
 }
 
 func newDomain(env *devent.Env, name string, sms int, perSM, bw float64, switchCost time.Duration) *domain {
-	return &domain{
+	d := &domain{
 		env:        env,
 		name:       name,
 		sms:        sms,
@@ -98,6 +109,13 @@ func newDomain(env *devent.Env, name string, sms int, perSM, bw float64, switchC
 		policy:     PolicyTimeShare,
 		quantum:    2 * time.Millisecond,
 	}
+	d.rotate = func() {
+		d.activeGrp = (d.activeGrp + 1) % len(d.groups)
+		d.switches++
+		d.cSwitch.Inc()
+		d.reevaluate()
+	}
+	return d
 }
 
 func (d *domain) addContext(c *Context) {
@@ -117,11 +135,8 @@ func (d *domain) addContext(c *Context) {
 }
 
 func (d *domain) removeContext(c *Context) {
-	for i, x := range d.ctxs {
-		if x == c {
-			d.ctxs = append(d.ctxs[:i], d.ctxs[i+1:]...)
-			break
-		}
+	if i := slices.Index(d.ctxs, c); i >= 0 {
+		d.ctxs = slices.Delete(d.ctxs, i, i+1)
 	}
 	if d.lastCtx == c {
 		d.lastCtx = nil
@@ -134,10 +149,11 @@ func (d *domain) launch(c *Context, k Kernel) *devent.Event {
 	l := &launched{
 		k:       k,
 		ctx:     c,
-		done:    d.env.NewNamedEvent("kernel:" + k.Name),
+		done:    d.env.NewNamedEvent(k.Name),
 		enqueue: d.env.Now(),
 		frac:    1,
 	}
+	l.complete = func() { d.complete(l) }
 	c.queue = append(c.queue, l)
 	d.depth++
 	d.gQueue.Set(float64(d.depth))
@@ -157,6 +173,7 @@ func (c *Context) head() *launched {
 
 func (c *Context) popHead(l *launched) {
 	if len(c.queue) > 0 && c.queue[0] == l {
+		c.queue[0] = nil // the backing array must not pin a finished kernel
 		c.queue = c.queue[1:]
 	}
 }
@@ -173,10 +190,7 @@ func (d *domain) reevaluate() {
 		if l == nil || !l.running {
 			continue
 		}
-		if l.finishT != nil {
-			l.finishT.Cancel()
-			l.finishT = nil
-		}
+		l.finishT.Cancel()
 		if l.dur > 0 {
 			elapsed := now - l.lastEv
 			l.frac -= float64(elapsed) / float64(l.dur)
@@ -188,16 +202,21 @@ func (d *domain) reevaluate() {
 		l.running = false
 	}
 	// Phase 2: policy selects the new running set.
-	sel := d.selectRunnable()
+	sel := d.selectRunnable(d.sel[:0])
+	n := len(sel)
+	dem := resize(d.dem, n)
+	smAlloc := resize(d.smAlloc, n)
+	bwAlloc := resize(d.bwAlloc, n)
+	idx := resize(d.idx, n)
+	d.sel, d.dem, d.smAlloc, d.bwAlloc, d.idx = sel, dem, smAlloc, bwAlloc, idx
 	// Phase 3: allocate SMs max–min fairly among demands.
-	smDem := make([]float64, len(sel))
 	for i, l := range sel {
-		smDem[i] = d.smDemand(l)
+		dem[i] = d.smDemand(l)
 	}
-	smAlloc := MaxMinFair(float64(d.sms), smDem)
+	maxMinFairInto(smAlloc, idx, float64(d.sms), dem)
 	// Phase 4: bandwidth demands given SM allocations, then max–min.
-	bwDem := make([]float64, len(sel))
 	for i, l := range sel {
+		dem[i] = 0
 		if l.k.Bytes <= 0 {
 			continue
 		}
@@ -206,12 +225,12 @@ func (d *domain) reevaluate() {
 			ct = l.k.FLOPs / (smAlloc[i] * d.perSM)
 		}
 		if ct <= 0 {
-			bwDem[i] = d.bw
+			dem[i] = d.bw
 		} else {
-			bwDem[i] = math.Min(d.bw, l.k.Bytes/ct)
+			dem[i] = math.Min(d.bw, l.k.Bytes/ct)
 		}
 	}
-	bwAlloc := MaxMinFair(d.bw, bwDem)
+	maxMinFairInto(bwAlloc, idx, d.bw, dem)
 	// Phase 5: start/resume kernels and schedule completions.
 	total := 0.0
 	for i, l := range sel {
@@ -229,10 +248,10 @@ func (d *domain) reevaluate() {
 		l.dur = d.soloDuration(l, smAlloc[i], bwAlloc[i])
 		l.lastEv = now
 		rem := time.Duration(l.frac * float64(l.dur))
-		ll := l
-		l.finishT = d.env.Schedule(rem, func() { d.complete(ll) })
+		d.env.ArmAt(&l.finishT, now+rem, l.complete)
 		total += smAlloc[i]
 	}
+	clear(sel) // the scratch must not pin finished kernels
 	d.busy.Set(now, total)
 	d.gBusy.Set(total)
 	if d.policy == PolicyVGPU {
@@ -276,22 +295,21 @@ func (d *domain) soloDuration(l *launched, sms, bw float64) time.Duration {
 	return l.k.Overhead + l.extra + time.Duration(sec*float64(time.Second))
 }
 
-// selectRunnable picks stream heads according to the policy.
-func (d *domain) selectRunnable() []*launched {
+// selectRunnable appends the stream heads the policy runs to sel
+// (the domain's scratch, passed empty) and returns it.
+func (d *domain) selectRunnable(sel []*launched) []*launched {
 	switch d.policy {
 	case PolicySpatial:
-		var sel []*launched
 		for _, c := range d.ctxs {
 			if l := c.head(); l != nil && !l.fin {
 				sel = append(sel, l)
 			}
 		}
-		return sel
 	case PolicyTimeShare:
 		// Non-preemptive: continue an in-flight kernel first.
 		for _, c := range d.ctxs {
 			if l := c.head(); l != nil && l.started && !l.fin {
-				return []*launched{l}
+				return append(sel, l)
 			}
 		}
 		// Round-robin: start scanning after the context that ran
@@ -309,18 +327,13 @@ func (d *domain) selectRunnable() []*launched {
 		for i := 0; i < n; i++ {
 			c := d.ctxs[(start+i)%n]
 			if l := c.head(); l != nil && !l.fin {
-				return []*launched{l}
+				return append(sel, l)
 			}
 		}
-		return nil
 	case PolicyVGPU:
-		if len(d.groups) == 0 {
-			return nil
-		}
 		// Skip to a group with pending work (up to one full cycle).
 		for i := 0; i < len(d.groups); i++ {
 			g := d.groups[(d.activeGrp+i)%len(d.groups)]
-			var sel []*launched
 			for _, c := range d.ctxs {
 				if c.group != g {
 					continue
@@ -334,9 +347,8 @@ func (d *domain) selectRunnable() []*launched {
 				return sel
 			}
 		}
-		return nil
 	}
-	return nil
+	return sel
 }
 
 func (d *domain) hasWork() bool {
@@ -349,19 +361,10 @@ func (d *domain) hasWork() bool {
 }
 
 func (d *domain) ensureRotation() {
-	if d.rotT != nil && d.rotT.Active() {
+	if d.rotT.Active() || !d.hasWork() || len(d.groups) < 2 {
 		return
 	}
-	if !d.hasWork() || len(d.groups) < 2 {
-		return
-	}
-	d.rotT = d.env.Schedule(d.quantum, func() {
-		d.rotT = nil
-		d.activeGrp = (d.activeGrp + 1) % len(d.groups)
-		d.switches++
-		d.cSwitch.Inc()
-		d.reevaluate()
-	})
+	d.env.ArmAt(&d.rotT, d.env.Now()+d.quantum, d.rotate)
 }
 
 func (d *domain) complete(l *launched) {
@@ -416,10 +419,7 @@ func (d *domain) abortContext(c *Context, err error) {
 		}
 		l.fin = true
 		l.running = false
-		if l.finishT != nil {
-			l.finishT.Cancel()
-			l.finishT = nil
-		}
+		l.finishT.Cancel()
 		d.depth--
 		d.cAbort.Inc()
 		if d.obs != nil {
@@ -449,6 +449,12 @@ func (d *domain) abortContext(c *Context, err error) {
 	d.gQueue.Set(float64(d.depth))
 	d.removeContext(c)
 	d.reevaluate()
+}
+
+// resize returns s with length n, reusing its backing array when it
+// is large enough. The contents are stale; callers overwrite them.
+func resize[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // busySeries exposes the Σ-allocated-SMs step series.

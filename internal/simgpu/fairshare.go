@@ -1,6 +1,6 @@
 package simgpu
 
-import "sort"
+import "slices"
 
 // MaxMinFair allocates capacity among demands using max–min (water
 // filling) fairness: every demand receives min(demand, fair share),
@@ -15,14 +15,33 @@ import "sort"
 //	implies alloc[i] <= alloc[j].
 func MaxMinFair(capacity float64, demands []float64) []float64 {
 	alloc := make([]float64, len(demands))
+	maxMinFairInto(alloc, make([]int, len(demands)), capacity, demands)
+	return alloc
+}
+
+// maxMinFairInto is MaxMinFair writing into alloc, with idx as the
+// sort permutation's scratch; both must have len(demands). It
+// allocates nothing. Tied demands are ordered exactly as sort.Slice
+// orders them (slices.SortFunc runs the same pdqsort), which fixes
+// which of them absorbs each ULP of rounding in the running share.
+func maxMinFairInto(alloc []float64, idx []int, capacity float64, demands []float64) {
 	if capacity <= 0 || len(demands) == 0 {
-		return alloc
+		clear(alloc)
+		return
 	}
-	idx := make([]int, len(demands))
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool { return demand(demands[idx[a]]) < demand(demands[idx[b]]) })
+	slices.SortFunc(idx, func(a, b int) int {
+		da, db := demand(demands[a]), demand(demands[b])
+		switch {
+		case da < db:
+			return -1
+		case db < da:
+			return 1
+		}
+		return 0
+	})
 	remaining := capacity
 	left := len(demands)
 	for _, i := range idx {
@@ -37,7 +56,6 @@ func MaxMinFair(capacity float64, demands []float64) []float64 {
 		}
 		left--
 	}
-	return alloc
 }
 
 func demand(d float64) float64 {

@@ -64,8 +64,11 @@ type launched struct {
 	frac    float64 // remaining fraction of the kernel
 	dur     time.Duration
 	lastEv  time.Duration
-	finishT *devent.Timer
-	smAlloc float64
-	extra   time.Duration // context-switch overhead folded into this run
-	fin     bool
+	finishT devent.Timer
+	// complete is d.complete(l), bound once at launch and re-armed on
+	// finishT at every share change.
+	complete func()
+	smAlloc  float64
+	extra    time.Duration // context-switch overhead folded into this run
+	fin      bool
 }
