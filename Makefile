@@ -1,17 +1,15 @@
 # Developer entry points. `make check` is the tier-1 gate (gofmt,
-# build, vet, staticcheck when installed, test, plus vet of the bench/
-# module, which `./...` never reaches because it is a module of its
-# own);
+# build, vet, staticcheck when installed, test, plus vet and the smoke
+# test of the bench/ module, which `./...` never reaches because it is
+# a module of its own);
 # `make race` reruns the tests under the race detector — the parallel
 # harness and the chaos suite must stay race-clean — and runs as its
 # own CI job. `make cover` prints
-# per-package statement coverage. `make bench` regenerates the kernel,
-# paper, and observability benchmark records as `go test -json` event
-# streams (BENCH_devent.json, BENCH_paper.json, BENCH_obs.json,
-# BENCH_fleet.json, BENCH_autoscale.json), which benchstat and x/perf
-# tooling both consume, and validates them with cmd/benchjson.
-# `make bench-diff` compares the committed records against freshly
-# regenerated ones via benchstat (skipped when benchstat is absent).
+# per-package statement coverage. `make bench` is the one measurement
+# path: it runs the four bench/ workloads (scale, fleet, autoscale,
+# paper-observed) on seed 1 and records each run's output, medians,
+# quartiles, digest and JSON record, in the tracked
+# BENCH_<workload>.txt.
 # `make scale` runs a modest snapshot-vs-streaming throughput compare
 # of the sharded million-task scenario. `make fleet` runs the
 # fleet-scale placement artifact at a modest size and checks it stays
@@ -24,9 +22,9 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet bench-vet staticcheck test race cover fuzz bench bench-devent bench-paper bench-obs bench-fleet bench-autoscale bench-check bench-diff scale fleet autoscale attrib serve-smoke clean
+.PHONY: check fmt build vet bench-test staticcheck test race cover fuzz bench scale fleet autoscale attrib serve-smoke clean
 
-check: fmt build vet bench-vet staticcheck test
+check: fmt build vet bench-test staticcheck test
 
 # Fails, listing the files, when any Go file is not gofmt-formatted.
 fmt:
@@ -41,9 +39,10 @@ vet:
 
 # bench/ is a separate module (replace repro => ../), so `go build
 # ./...` skips it; vetting it compiles the benchmark against the
-# current exported API.
-bench-vet:
-	cd bench && $(GO) vet .
+# current exported API, and its smoke test checks the layer table and
+# that BENCHMARK.json agrees with the emitted metrics.
+bench-test:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # staticcheck is optional locally (no network installs in the dev
 # container) but mandatory in CI, which installs it on the runner.
@@ -54,8 +53,11 @@ staticcheck:
 		echo "staticcheck not installed; skipping (CI runs it)"; \
 	fi
 
+# Runs every benchmark body once too, so the untracked
+# micro-benchmarks cannot rot.
 test:
 	$(GO) test ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 race:
 	$(GO) test -race ./...
@@ -82,53 +84,14 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSeriesQuery -fuzztime 10s ./internal/obs/live
 	$(GO) test -run '^$$' -fuzz FuzzMaxMinFair -fuzztime 10s ./internal/simgpu
 
-bench: bench-devent bench-paper bench-obs bench-fleet bench-autoscale bench-check
-
-bench-devent:
-	$(GO) test -json -run '^$$' -bench=. -benchmem -benchtime=1x ./internal/devent ./internal/obs > BENCH_devent.json
-
-bench-paper:
-	$(GO) test -json -run '^$$' -bench=. -benchtime=1x . > BENCH_paper.json
-
-# The telemetry-plane record: tsdb scrape/query benchmarks (the scrape
-# path must stay 0 allocs/op — BenchmarkScrape enforces it), the
-# live-server package, and critical-path attribution over the paper's
-# observed grid.
-bench-obs:
-	$(GO) test -json -run '^$$' -bench=. -benchmem -benchtime=1x ./internal/obs/tsdb ./internal/obs/live ./internal/obs/analyze > BENCH_obs.json
-
-# The fleet-layer record: the from-scratch 100-GPU greedy solve, the
-# steady-state churn step, and the fragmentation metric.
-bench-fleet:
-	$(GO) test -json -run '^$$' -bench=. -benchmem -benchtime=1x ./internal/fleet > BENCH_fleet.json
-
-# The autoscaling record: the controller's per-tick overhead, the
-# million-user traffic sampler, and the end-to-end autoscaled cell.
-bench-autoscale:
-	$(GO) test -json -run '^$$' -bench=. -benchmem -benchtime=1x ./internal/autoscale ./internal/core > BENCH_autoscale.json
-
-# Fail on malformed or benchmark-free records so a truncated `go test
-# -json` stream can't land as the current trajectory point.
-bench-check:
-	$(GO) run ./cmd/benchjson check BENCH_devent.json BENCH_paper.json BENCH_obs.json BENCH_fleet.json BENCH_autoscale.json
-
-# Compare the committed records (HEAD) against freshly regenerated
-# ones. benchstat is optional locally (no network installs in the dev
-# container); without it the target reports how to read the records.
-bench-diff: bench
-	@if command -v benchstat >/dev/null 2>&1; then \
-		tmp=$$(mktemp -d); \
-		for f in BENCH_devent BENCH_paper BENCH_obs BENCH_fleet BENCH_autoscale; do \
-			git show HEAD:$$f.json > $$tmp/$$f.old.json 2>/dev/null || continue; \
-			$(GO) run ./cmd/benchjson text $$tmp/$$f.old.json > $$tmp/$$f.old.txt; \
-			$(GO) run ./cmd/benchjson text $$f.json > $$tmp/$$f.new.txt; \
-			echo "== $$f (HEAD vs regenerated) =="; \
-			benchstat $$tmp/$$f.old.txt $$tmp/$$f.new.txt; \
-		done; \
-		rm -rf $$tmp; \
-	else \
-		echo "benchstat not installed; skipping bench-diff (compare with: go run ./cmd/benchjson text BENCH_devent.json)"; \
-	fi
+# One seed-1 run of each bench/ workload (~25 s each), recorded
+# verbatim under a one-line toolchain and core-count header.
+bench:
+	@set -e; \
+	for w in scale fleet autoscale paper-observed; do \
+		{ echo "# $$($(GO) version), nproc $$(nproc)"; bash bench/run.sh -workload $$w -seed 1; } > BENCH_$$w.txt; \
+		tail -n 1 BENCH_$$w.txt; \
+	done
 
 # Modest-size snapshot-vs-streaming throughput compare of the sharded
 # open-loop scenario (the full 10^6-task run is `paperbench scale`
@@ -222,4 +185,4 @@ attrib:
 	@sort -t' ' -k2 -rn FLAME_table1.folded | head -5
 
 clean:
-	rm -f BENCH_devent.json BENCH_paper.json BENCH_obs.json BENCH_fleet.json BENCH_autoscale.json ATTRIB_table1.json FLAME_table1.folded
+	rm -rf ATTRIB_table1.json FLAME_table1.folded .bench_build

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// benchDemands is the tracked benchmark's workload: 50 app demands
+// benchDemands is the packer benchmarks' workload: 50 app demands
 // drawn from the scenario's demand classes with a fixed seed.
 func benchDemands(n int) []Demand {
 	rng := rand.New(rand.NewSource(42))
@@ -17,9 +17,8 @@ func benchDemands(n int) []Demand {
 	return ds
 }
 
-// BenchmarkPack100x50 is the tracked fleet record (BENCH_fleet.json):
-// a from-scratch greedy solve of 50 app demands over a 100-GPU mixed
-// inventory, the shape `paperbench fleet` runs at.
+// BenchmarkPack100x50 is a from-scratch greedy solve of 50 app demands
+// over a 100-GPU mixed inventory, the shape `paperbench fleet` runs at.
 func BenchmarkPack100x50(b *testing.B) {
 	inv := mixedInventory(50, 50)
 	ds := benchDemands(50)

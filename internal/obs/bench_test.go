@@ -55,8 +55,7 @@ func BenchmarkChanPingPongObserved(b *testing.B) {
 }
 
 // BenchmarkNilCollectorSpan measures the disabled-instrumentation fast
-// path: all span calls on a nil collector must be a nil check and no
-// allocations.
+// path: all span calls on a nil collector are a nil check.
 func BenchmarkNilCollectorSpan(b *testing.B) {
 	var c *obs.Collector
 	b.ReportAllocs()
@@ -79,9 +78,9 @@ func BenchmarkNilInstruments(b *testing.B) {
 }
 
 // BenchmarkSpanLifecycle measures the enabled snapshot span path:
-// StartSpan + EndSpan with no exporter attached. Target: 0 allocs/op
-// amortized but ~500 B/op of retained-slice growth — snapshot
-// collection memory scales with span count (see retained-spans).
+// StartSpan + EndSpan with no exporter attached. The retained slice
+// grows by ~500 B/op — snapshot collection memory scales with span
+// count (see retained-spans).
 func BenchmarkSpanLifecycle(b *testing.B) {
 	env := devent.NewEnv()
 	c := obs.New(env)
@@ -96,10 +95,10 @@ func BenchmarkSpanLifecycle(b *testing.B) {
 
 // BenchmarkSpanLifecycleStreamed measures the streaming span path:
 // StartSpan + EndSpan with a TraceSection exporter attached, each span
-// rendered and released as its flush frontier passes. Target:
-// 0 allocs/op steady state — the retained window and the section's
-// render buffer are both recycled, so collection memory stays flat no
-// matter how many spans the run records.
+// rendered and released as its flush frontier passes. The retained
+// window and the section's render buffer are both recycled, so
+// collection memory stays flat no matter how many spans the run
+// records.
 func BenchmarkSpanLifecycleStreamed(b *testing.B) {
 	env := devent.NewEnv()
 	c := obs.New(env)
@@ -116,7 +115,6 @@ func BenchmarkSpanLifecycleStreamed(b *testing.B) {
 // BenchmarkSpanLifecycleSampledOut measures the streaming path when
 // sampling drops the span: the cheapest instrumented configuration
 // (span recorded for listeners and leak checks, never rendered).
-// Target: 0 allocs/op steady state.
 func BenchmarkSpanLifecycleSampledOut(b *testing.B) {
 	env := devent.NewEnv()
 	c := obs.New(env)
@@ -132,8 +130,8 @@ func BenchmarkSpanLifecycleSampledOut(b *testing.B) {
 }
 
 // BenchmarkCounterInc measures a pre-resolved live counter increment —
-// the steady-state cost instrumented hot paths pay per event. Target:
-// 0 allocs/op (the registry lookup happens once, outside the loop).
+// the steady-state cost instrumented hot paths pay per event (the
+// registry lookup happens once, outside the loop).
 func BenchmarkCounterInc(b *testing.B) {
 	env := devent.NewEnv()
 	c := obs.New(env)
@@ -150,7 +148,6 @@ func BenchmarkCounterInc(b *testing.B) {
 
 // BenchmarkCounterLookup measures resolving an existing labelled
 // counter by name, as per-task completion paths do on every call.
-// Target: 0 allocs/op.
 func BenchmarkCounterLookup(b *testing.B) {
 	env := devent.NewEnv()
 	m := obs.New(env).Metrics()

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"io"
 	"slices"
 	"strings"
 	"testing"
@@ -176,25 +177,52 @@ func TestRegistryIdempotentAndTyped(t *testing.T) {
 	r.Gauge("hits")
 }
 
-// Looking up an existing series allocates nothing: per-task hot paths
-// (the DFK's completion counters and histograms) resolve their series
-// on every call.
-func TestRegistryLookupAllocs(t *testing.T) {
+// The per-event paths allocate nothing in steady state: disabled
+// instrumentation, streamed and sampled-out spans, pre-resolved
+// instruments, and lookups of an existing series, which per-task hot
+// paths (the DFK's completion counters and histograms) make on every
+// call.
+func TestHotPathsAllocateNothing(t *testing.T) {
+	streamed := func(sampleMod int, track string) func() {
+		c := New(&fakeClock{})
+		c.SetSink(NewTraceSection(io.Discard, 1, "test"))
+		c.SetSampleMod(sampleMod)
+		return func() { c.EndSpan(c.StartSpan("htex", "run", track, 0)) }
+	}
 	r := NewRegistry(&fakeClock{})
-	r.Counter("done", L("status", "ok"), L("app", "a"))
+	cnt := r.Counter("done", L("status", "ok"), L("app", "a"))
 	r.Gauge("busy", L("status", "ok"), L("app", "a"))
 	r.Histogram("lat", nil, L("status", "ok"), L("app", "a"))
 	for _, tc := range []struct {
-		name   string
-		lookup func()
+		name string
+		op   func()
 	}{
-		{"Counter", func() { r.Counter("done", L("status", "ok"), L("app", "a")) }},
-		{"Gauge", func() { r.Gauge("busy", L("status", "ok"), L("app", "a")) }},
-		{"Histogram", func() { r.Histogram("lat", nil, L("status", "ok"), L("app", "a")) }},
+		{"nil collector span", func() {
+			var c *Collector
+			c.EndSpan(c.StartSpan("cat", "name", "track", 0))
+		}},
+		{"nil instruments", func() {
+			var cnt *Counter
+			var g *Gauge
+			cnt.Inc()
+			g.Set(1)
+		}},
+		{"streamed span", streamed(1, "w0")},
+		// "w1" hashes to a nonzero residue mod 1<<20, so every span drops.
+		{"sampled-out span", streamed(1<<20, "w1")},
+		{"pre-resolved counter", cnt.Inc},
+		{"counter lookup", func() { r.Counter("done", L("status", "ok"), L("app", "a")) }},
+		{"gauge lookup", func() { r.Gauge("busy", L("status", "ok"), L("app", "a")) }},
+		{"histogram lookup", func() { r.Histogram("lat", nil, L("status", "ok"), L("app", "a")) }},
 	} {
-		if got := testing.AllocsPerRun(100, tc.lookup); got != 0 {
-			t.Errorf("%s lookup: %v allocs, want 0", tc.name, got)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			for i := 0; i < 1000; i++ { // reach steady state
+				tc.op()
+			}
+			if got := testing.AllocsPerRun(1000, tc.op); got != 0 {
+				t.Errorf("%v allocs per call, want 0", got)
+			}
+		})
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 // benchDB builds a DB over a registry shaped like an instrumented
 // platform run: a few dozen counter/gauge series plus latency
 // histograms, pre-scraped once so the flattened target list is cached.
-func benchDB(b *testing.B) (*DB, *fakeClock, *obs.Registry) {
-	b.Helper()
+func benchDB(tb testing.TB) (*DB, *fakeClock, *obs.Registry) {
+	tb.Helper()
 	clk := &fakeClock{}
 	reg := obs.NewRegistry(clk)
 	for i := 0; i < 16; i++ {
@@ -30,9 +30,54 @@ func benchDB(b *testing.B) (*DB, *fakeClock, *obs.Registry) {
 	return db, clk, reg
 }
 
+// addAlertPack adds eight multi-window threshold rules that never fire,
+// then scrapes until their cached series bindings are warm and their
+// windows full.
+func addAlertPack(db *DB, clk *fakeClock) {
+	for i := 0; i < 8; i++ {
+		app := string(rune('a' + i))
+		db.AddAlert(AlertRule{
+			Name: "depth-high", Labels: []obs.Label{obs.L("app", app)},
+			Series: "depth", SeriesLabels: []obs.Label{obs.L("app", app)},
+			Fn: "avg", Windows: []time.Duration{10 * time.Second, time.Minute},
+			Threshold: 1e9, For: 30 * time.Second,
+		})
+	}
+	for i := 0; i < 8; i++ {
+		clk.t += time.Second
+		db.Scrape()
+	}
+}
+
+// A scrape with the registry generation unchanged is pure ring writes,
+// and rule evaluation reuses the cached series handles and the locked
+// window helpers, so neither allocates.
+func TestSteadyStateScrapeAllocatesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		alerts bool
+	}{
+		{"scrape", false},
+		{"scrape with alert pack", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db, clk, _ := benchDB(t)
+			if tc.alerts {
+				addAlertPack(db, clk)
+			}
+			scrape := func() {
+				clk.t += time.Second
+				db.Scrape()
+			}
+			if got := testing.AllocsPerRun(100, scrape); got != 0 {
+				t.Errorf("%v allocs per scrape, want 0", got)
+			}
+		})
+	}
+}
+
 // BenchmarkScrape is the steady-state path: the registry generation is
-// unchanged, so a scrape is pure ring writes — the acceptance gate
-// holds it at 0 allocs/op.
+// unchanged, so a scrape is pure ring writes.
 func BenchmarkScrape(b *testing.B) {
 	db, clk, _ := benchDB(b)
 	b.ReportAllocs()
@@ -40,9 +85,6 @@ func BenchmarkScrape(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		clk.t += time.Second
 		db.Scrape()
-	}
-	if testing.AllocsPerRun(10, db.Scrape) != 0 {
-		b.Fatal("steady-state Scrape allocates")
 	}
 }
 
@@ -62,33 +104,15 @@ func BenchmarkScrapeWithRules(b *testing.B) {
 
 // BenchmarkAlertEval is the alert engine's steady-state path: a pack
 // of multi-window threshold rules re-evaluated on every scrape with no
-// state transitions. The acceptance gate holds the combined
-// scrape-plus-eval at 0 allocs/op — rule evaluation reuses the cached
-// series handles and the locked window helpers.
+// state transitions.
 func BenchmarkAlertEval(b *testing.B) {
 	db, clk, _ := benchDB(b)
-	for i := 0; i < 8; i++ {
-		app := string(rune('a' + i))
-		db.AddAlert(AlertRule{
-			Name: "depth-high", Labels: []obs.Label{obs.L("app", app)},
-			Series: "depth", SeriesLabels: []obs.Label{obs.L("app", app)},
-			Fn: "avg", Windows: []time.Duration{10 * time.Second, time.Minute},
-			Threshold: 1e9, For: 30 * time.Second,
-		})
-	}
-	// Warm the cached series bindings and fill the windows.
-	for i := 0; i < 8; i++ {
-		clk.t += time.Second
-		db.Scrape()
-	}
+	addAlertPack(db, clk)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clk.t += time.Second
 		db.Scrape()
-	}
-	if testing.AllocsPerRun(10, db.Scrape) != 0 {
-		b.Fatal("steady-state alert evaluation allocates")
 	}
 }
 
