@@ -2,6 +2,7 @@ package cli
 
 import (
 	"flag"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,14 +13,52 @@ import (
 	"repro/internal/obs/live"
 )
 
+// The flag sets the commands bind: paperbench's paper grid, its scale
+// artifact (fleet and autoscale bind the same minus Sample), and
+// gpufaas multiplex.
+const (
+	paperGrid  = Exports
+	paperScale = Exports | RulePack | Sample
+	multiplex  = Exports | Single
+)
+
+func bind(set Set, args ...string) (*Flags, error) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	f := Bind(fs, "test", set)
+	return f, fs.Parse(args)
+}
+
 func parse(t *testing.T, set Set, args ...string) *Flags {
 	t.Helper()
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	f := Bind(fs, "test", set)
-	if err := fs.Parse(args); err != nil {
+	f, err := bind(set, args...)
+	if err != nil {
 		t.Fatalf("parse %v: %v", args, err)
 	}
 	return f
+}
+
+// TestSampleOnlyOnScale pins that -sample exists only where a run
+// samples a sink: on paperbench scale. Anywhere else it is an undefined
+// flag, which the commands' ExitOnError flag sets turn into exit 2.
+func TestSampleOnlyOnScale(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		set     Set
+		defined bool
+	}{
+		{"paperbench scale", paperScale, true},
+		{"paperbench fig4", paperGrid, false},
+		{"gpufaas multiplex", multiplex, false},
+	} {
+		f, err := bind(tc.set, "-sample", "4")
+		switch {
+		case tc.defined && (err != nil || f.Sample != 4):
+			t.Errorf("%s: -sample 4 gave Sample=%d, err %v", tc.name, f.Sample, err)
+		case !tc.defined && (err == nil || !strings.Contains(err.Error(), "not defined: -sample")):
+			t.Errorf("%s: -sample parse error %v, want an undefined flag", tc.name, err)
+		}
+	}
 }
 
 func TestValidate(t *testing.T) {
@@ -28,12 +67,11 @@ func TestValidate(t *testing.T) {
 		args    []string
 		wantErr string
 	}{
-		{All, []string{"-sample", "4"}, "-sample requires -stream"},
-		{All, []string{"-stream", "-sample", "4"}, ""},
-		{All, []string{"-alerts", "a.txt"}, "-alerts requires -slo"},
-		{All, []string{"-alerts", "a.txt", "-slo", "app:1s:0.9"}, ""},
-		{All | RulePack, []string{"-alerts", "a.txt"}, ""},
-		{All, []string{"-slo", "app:1s:NaN"}, "-slo:"},
+		{paperScale, []string{"-sample", "4", "-trace", "t.json"}, ""},
+		{paperGrid, []string{"-alerts", "a.txt"}, "-alerts requires -slo"},
+		{paperGrid, []string{"-alerts", "a.txt", "-slo", "app:1s:0.9"}, ""},
+		{paperScale, []string{"-alerts", "a.txt"}, ""},
+		{paperGrid, []string{"-slo", "app:1s:NaN"}, "-slo:"},
 	} {
 		err := parse(t, tc.set, tc.args...).validate()
 		switch {
@@ -46,11 +84,12 @@ func TestValidate(t *testing.T) {
 }
 
 // TestAttachTailPolicy pins which runs get a /spans tail under -serve:
-// every streaming run, and on a Single command also a snapshot run
-// whose retained spans no export reads, which Attach switches to
-// streaming. Any other snapshot run stays one.
+// every streaming run (paperbench scale, fleet and autoscale always
+// stream), and on a Single command also a snapshot run whose retained
+// spans no export reads, which Attach switches to streaming. Any other
+// snapshot run stays one.
 func TestAttachTailPolicy(t *testing.T) {
-	if parse(t, All).Attach() != nil {
+	if parse(t, paperGrid).Attach() != nil {
 		t.Fatal("Attach without -serve must be nil, so no store is requested")
 	}
 	for _, tc := range []struct {
@@ -60,13 +99,12 @@ func TestAttachTailPolicy(t *testing.T) {
 		streams bool // the run streams before Attach
 		tail    bool
 	}{
-		{"grid snapshot", All | RulePack, nil, false, false},
-		{"grid streaming", All | RulePack, []string{"-stream"}, true, true},
-		{"single, no export", All | Single, nil, false, true},
-		{"single, metrics only", All | Single, []string{"-metrics", "m.prom"}, false, true},
-		{"single, snapshot trace", All | Single, []string{"-trace", "t.json"}, false, false},
-		{"single, streamed trace", All | Single, []string{"-stream", "-trace", "t.json"}, true, true},
-		{"single, attribution", All | Single, []string{"-attrib", "a.json"}, false, false},
+		{"grid snapshot", paperGrid, nil, false, false},
+		{"grid streaming", paperScale, []string{"-trace", "t.json"}, true, true},
+		{"single, no export", multiplex, nil, false, true},
+		{"single, metrics only", multiplex, []string{"-metrics", "m.prom"}, false, true},
+		{"single, snapshot trace", multiplex, []string{"-trace", "t.json"}, false, false},
+		{"single, attribution", multiplex, []string{"-attrib", "a.json"}, false, false},
 		{"single, rule-pack alerts", RulePack | Single, []string{"-alerts", "a.txt"}, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -100,9 +138,9 @@ func TestStoreRequest(t *testing.T) {
 		serve bool
 		want  bool
 	}{
-		{"plain", All | Single, nil, false, false},
-		{"serve", All | Single, nil, true, true},
-		{"slo alerts", All | Single, []string{"-slo", "app:1s:0.9", "-alerts", "a.txt"}, false, false},
+		{"plain", multiplex, nil, false, false},
+		{"serve", multiplex, nil, true, true},
+		{"slo alerts", multiplex, []string{"-slo", "app:1s:0.9", "-alerts", "a.txt"}, false, false},
 		{"rule-pack alerts", RulePack | Single, []string{"-alerts", "a.txt"}, false, true},
 	} {
 		f := parse(t, tc.set, tc.args...)

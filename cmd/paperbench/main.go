@@ -49,7 +49,7 @@ artifacts:
              Table 1 bursts plus the timeshare-vs-MPS trace diff
   scale      million-task throughput: sharded open-loop microtask run
              reporting events/sec, span counts, and retained-window
-             memory (see -tasks/-shards/-stream/-compare)
+             memory (see -tasks/-shards/-sample)
   fleet      fleet-scale placement: fragmentation-aware MIG+MPS
              packing of 50+ apps over a 128-GPU mixed inventory under
              seeded churn, across a 0.5x/1.0x/1.5x offered-load grid
@@ -101,23 +101,15 @@ flags:
                    alone: each cell's alert-rule history (resolved
                    incidents + still-active rules from the scenario's
                    default rule pack) renders to FILE, byte-identical
-                   at any -parallel level and under -stream
-  -stream          export -trace/-metrics/-attrib/-flame/-alerts (and
-                   the scale run) in streaming mode: spans flush to
-                   exporters as they end instead of being retained;
-                   artifacts are byte-identical to snapshot mode
-  -sample N        with -stream, deterministically keep ~1/N of task
-                   trees in the trace (metrics and attribution see
-                   everything regardless); an error without -stream
+                   at any -parallel level
   -serve ADDR      serve live observability over HTTP on ADDR while
                    the run executes (e.g. -serve 127.0.0.1:9190):
                    /metrics, /api/series, /spans, /progress, /healthz,
                    /debug/pprof. The scale, fleet, and autoscale
-                   artifacts attach a virtual-time series store per
-                   shard or cell, and with -stream a live span tail on
-                   each. The process keeps serving after the run
-                   completes — interrupt it to exit. Without -serve
-                   nothing changes.
+                   artifacts attach a virtual-time series store and a
+                   live span tail per shard or cell. The process keeps
+                   serving after the run completes — interrupt it to
+                   exit. Without -serve nothing changes.
 
 scale flags:
   -tasks N         total tasks (default 1000000)
@@ -126,8 +118,10 @@ scale flags:
   -window N        in-flight submissions per shard (default 64)
   -arrival R       per-shard offered load, tasks/sec (default 8000)
   -seed N          arrival/service RNG seed (default 1)
-  -compare         run snapshot then streaming and report the
-                   events/sec and memory deltas
+  -trace FILE      stream every shard's spans into one Chrome
+                   trace-event JSON file as they end
+  -sample N        deterministically keep ~1/N of task trees in the
+                   -trace file (counters see everything regardless)
 
 fleet flags (-arrival and -seed apply here too):
   -gpus80 N        A100-80GB parts in the inventory (default 64)
@@ -157,9 +151,12 @@ func main() {
 	// own span streams; the instrumented reruns serve every other artifact.
 	scenarioArtifact := artifact == "scale" || artifact == "fleet" || artifact == "autoscale"
 	fs := flag.NewFlagSet(artifact, flag.ExitOnError)
-	telSet := cli.All
+	telSet := cli.Exports
 	if scenarioArtifact {
 		telSet |= cli.RulePack
+	}
+	if artifact == "scale" {
+		telSet |= cli.Sample
 	}
 	tel := cli.Bind(fs, "paperbench", telSet)
 	completions := fs.Int("completions", 100, "completions for the fig4/fig5 experiment")
@@ -173,7 +170,6 @@ func main() {
 	window := fs.Int("window", 0, "scale: in-flight submissions per shard (default 64)")
 	arrival := fs.Float64("arrival", 0, "scale: per-shard offered load in tasks/sec (default 8000)")
 	seed := fs.Int64("seed", 0, "scale/fleet: RNG seed (default 1)")
-	compare := fs.Bool("compare", false, "scale: run snapshot then streaming and report deltas")
 	gpus80 := fs.Int("gpus80", 0, "fleet: A100-80GB parts (default 64)")
 	gpus40 := fs.Int("gpus40", 0, "fleet: A100-40GB parts (default 64)")
 	apps := fs.Int("apps", 0, "fleet: distinct applications (default 56)")
@@ -246,12 +242,11 @@ func main() {
 		err = report.Attribution(w, *completions)
 	case "scale":
 		// Under -serve: per-shard series stores, batched progress, and
-		// (with -stream) a live span tail on each shard.
+		// a live span tail on each shard.
 		opts := report.ScaleOptions{
 			Tasks: *tasks, Shards: *shards, Workers: *workers, Window: *window,
 			ArrivalRate: *arrival, Seed: *seed, SampleMod: tel.Sample,
-			Stream: tel.Stream, Compare: *compare, TracePath: tel.Trace,
-			Attach: tel.Attach(), Alerts: scenarioAlerts,
+			TracePath: tel.Trace, Attach: tel.Attach(), Alerts: scenarioAlerts,
 		}
 		if p := tel.Progress(); p != nil {
 			p.SetShards(core.ScaleConfig{Shards: *shards}.WithDefaults().Shards)
@@ -262,12 +257,12 @@ func main() {
 		err = report.Fleet(w, report.FleetOptions{
 			GPUs80: *gpus80, GPUs40: *gpus40, Apps: *apps,
 			Duration: *horizon, ArrivalRate: *arrival, Seed: *seed,
-			Stream: tel.Stream, Attach: tel.Attach(), Alerts: scenarioAlerts,
+			Attach: tel.Attach(), Alerts: scenarioAlerts,
 		})
 	case "autoscale":
 		err = report.Autoscale(w, report.AutoscaleOptions{
 			GPUs: *gpus, Horizon: *horizon, Seed: *seed,
-			Stream: tel.Stream, Attach: tel.Attach(), Alerts: scenarioAlerts,
+			Attach: tel.Attach(), Alerts: scenarioAlerts,
 		})
 	case "all":
 		err = report.All(w, *completions)
@@ -278,10 +273,10 @@ func main() {
 		err = report.WriteFigureCSVs(*csvDir, *completions)
 	}
 	if err == nil && !scenarioArtifact && (tel.Trace != "" || tel.Metrics != "") {
-		err = writeObservability(tel.Trace, tel.Metrics, *completions, tel.Stream, tel.Sample)
+		err = writeObservability(tel.Trace, tel.Metrics, *completions)
 	}
 	if err == nil && !scenarioArtifact && (tel.Attrib != "" || tel.Flame != "" || tel.Alerts != "") {
-		err = writeAttribution(tel.Attrib, tel.Flame, tel.Alerts, tel.SLO, *completions, tel.Stream)
+		err = writeAttribution(tel.Attrib, tel.Flame, tel.Alerts, tel.SLO, *completions)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "paperbench:", err)
@@ -292,7 +287,7 @@ func main() {
 
 // writeAttribution reruns the instrumented grid once and writes the
 // requested attribution artifacts. Any path may be empty.
-func writeAttribution(attribPath, flamePath, alertsPath, slo string, completions int, stream bool) error {
+func writeAttribution(attribPath, flamePath, alertsPath, slo string, completions int) error {
 	open := func(path string) (io.Writer, func(), error) {
 		if path == "" {
 			return nil, func() {}, nil
@@ -318,15 +313,12 @@ func writeAttribution(attribPath, flamePath, alertsPath, slo string, completions
 		return err
 	}
 	defer closeAl()
-	if stream {
-		return report.AttributionArtifactsStreamed(attribW, flameW, alertsW, completions, slo)
-	}
 	return report.AttributionArtifacts(attribW, flameW, alertsW, completions, slo)
 }
 
 // writeObservability reruns the instrumented grid once and writes the
 // requested artifacts. Either path may be empty.
-func writeObservability(tracePath, metricsPath string, completions int, stream bool, sample int) error {
+func writeObservability(tracePath, metricsPath string, completions int) error {
 	var traceW, promW io.Writer
 	if tracePath != "" {
 		f, err := os.Create(tracePath)
@@ -343,9 +335,6 @@ func writeObservability(tracePath, metricsPath string, completions int, stream b
 		}
 		defer f.Close()
 		promW = f
-	}
-	if stream {
-		return report.ObservabilityStreamed(traceW, promW, completions, sample)
 	}
 	return report.Observability(traceW, promW, completions)
 }

@@ -61,15 +61,6 @@ func RunTable1() ([]Table1Row, error) {
 // paper's row order. A non-empty slo spec (see Options.SLO) attaches
 // the burn-rate monitor to every burst.
 func RunTable1Observed(observe bool, slo string) ([]Table1Row, []*obs.Collector, error) {
-	return RunTable1ObservedHook(observe, slo, nil)
-}
-
-// RunTable1ObservedHook is RunTable1Observed with a per-burst collector
-// hook: onCollector (when non-nil) is called with the row index and the
-// burst's collector before the burst runs, so streaming exporters can
-// attach sinks from the first span. Isolation-probe collectors are not
-// exported and never hooked.
-func RunTable1ObservedHook(observe bool, slo string, onCollector func(i int, c *obs.Collector)) ([]Table1Row, []*obs.Collector, error) {
 	reconfigs, err := RunReconfig(2 * time.Second)
 	if err != nil {
 		return nil, nil, err
@@ -95,11 +86,7 @@ func RunTable1ObservedHook(observe bool, slo string, onCollector func(i int, c *
 	}
 	cells, err := harness.Map(len(Table1Modes), func(i int) (cell, error) {
 		mode := Table1Modes[i]
-		var hook func(*obs.Collector)
-		if onCollector != nil {
-			hook = func(c *obs.Collector) { onCollector(i, c) }
-		}
-		mr, err := RunMultiplex(MultiplexConfig{Mode: mode, Processes: 4, Completions: 32, Observe: observe, SLO: slo, OnCollector: hook})
+		mr, err := RunMultiplex(MultiplexConfig{Mode: mode, Processes: 4, Completions: 32, Observe: observe, SLO: slo})
 		if err != nil {
 			return cell{}, fmt.Errorf("core: table1 %s burst: %w", mode, err)
 		}

@@ -341,40 +341,6 @@ func TestEvictAndMigrate(t *testing.T) {
 	}
 }
 
-// TestPlannerMatchesRightsize pins the repart bridge: planning through
-// the fleet API is exactly the rightsize packers.
-func TestPlannerMatchesRightsize(t *testing.T) {
-	spec := simgpu.A100SXM480GB()
-	p := NewPlanner(spec)
-	demands := []rightsize.TenantDemand{
-		{Name: "a", SMs: 26, MemBytes: 10 * simgpu.GB},
-		{Name: "b", SMs: 52, MemBytes: 20 * simgpu.GB},
-		{Name: "c", SMs: 9, MemBytes: 4 * simgpu.GB},
-	}
-	gotMPS, err := p.PlanMPS(demands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMPS, err := rightsize.PackMPS(spec, demands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotMPS, wantMPS) {
-		t.Fatalf("PlanMPS diverged: %+v vs %+v", gotMPS, wantMPS)
-	}
-	gotMIG, err := p.PlanMIG(demands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMIG, err := rightsize.PackMIG(spec, demands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotMIG, wantMIG) {
-		t.Fatalf("PlanMIG diverged: %+v vs %+v", gotMIG, wantMIG)
-	}
-}
-
 // TestMetricsRegistered checks the obs wiring: mutations move the
 // fleet counters and gauges.
 func TestMetricsRegistered(t *testing.T) {

@@ -253,9 +253,6 @@ func newAnalyzer() *analyzer {
 
 // addEvidence indexes one span into the analyzer's evidence structures
 // and reports whether it is a dfk task span (the attribution unit).
-// Shared by the snapshot path (which feeds a full Spans() snapshot in
-// ID order) and the Streamer (which feeds spans as they end; see
-// Streamer.attribute for why arrival order is enough).
 func (a *analyzer) addEvidence(s *obs.Span) bool {
 	if s.Parent != 0 {
 		a.children[s.Parent] = append(a.children[s.Parent], s)
@@ -322,7 +319,7 @@ func (a *analyzer) attributeTask(t *obs.Span) TaskAttribution {
 				if in.Track != w {
 					continue
 				}
-				lo, hi := maxDur(ch.Start, in.Start), minDur(ch.End, in.End)
+				lo, hi := max(ch.Start, in.Start), min(ch.End, in.End)
 				if hi > lo {
 					ivs = append(ivs, interval{lo, hi, PhaseColdStart, prioInitWait})
 				}
@@ -336,7 +333,7 @@ func (a *analyzer) attributeTask(t *obs.Span) TaskAttribution {
 					continue
 				}
 				for _, riv := range a.runIntervals(run) {
-					lo, hi := maxDur(riv.start, ch.Start), minDur(riv.end, ch.End)
+					lo, hi := max(riv.start, ch.Start), min(riv.end, ch.End)
 					if hi > lo {
 						ivs = append(ivs, interval{lo, hi, riv.phase, blockedPrio(riv.prio)})
 					}
@@ -407,7 +404,7 @@ func (s *sweep) decompose(start, end time.Duration, ivs []interval) Breakdown {
 	// Clip to the task window, dropping empty intervals.
 	edges := s.edges[:0]
 	for _, iv := range ivs {
-		lo, hi := maxDur(iv.start, start), minDur(iv.end, end)
+		lo, hi := max(iv.start, start), min(iv.end, end)
 		if hi > lo {
 			s.phase[iv.prio] = iv.phase
 			edges = append(edges, edge{lo, int32(iv.prio), 1}, edge{hi, int32(iv.prio), -1})
@@ -496,18 +493,4 @@ func (r *Report) buildGroups() {
 		g.P99NS = int64(d.Percentile(99))
 		r.Groups = append(r.Groups, *g)
 	}
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minDur(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
 }

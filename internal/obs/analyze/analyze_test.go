@@ -647,11 +647,11 @@ func decomposeRef(start, end time.Duration, ivs []interval) Breakdown {
 	var clipped []interval
 	covLo, covHi := end, start
 	for _, iv := range ivs {
-		iv.start, iv.end = maxDur(iv.start, start), minDur(iv.end, end)
+		iv.start, iv.end = max(iv.start, start), min(iv.end, end)
 		if iv.end <= iv.start {
 			continue
 		}
-		covLo, covHi = minDur(covLo, iv.start), maxDur(covHi, iv.end)
+		covLo, covHi = min(covLo, iv.start), max(covHi, iv.end)
 		clipped = append(clipped, iv)
 	}
 	if len(clipped) == 0 {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/devent"
 	"repro/internal/faas"
 	"repro/internal/faas/htex"
-	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/rightsize"
 	"repro/internal/simgpu"
@@ -92,11 +91,6 @@ type Controller struct {
 	cache   *weightcache.Cache
 	tenants []*tenantState
 	stop    *devent.Event
-	// planner is the fleet-API planning surface for the controller's
-	// device — the degenerate single-GPU case of cluster placement,
-	// delegating to the rightsize packers so plans are bit-identical to
-	// calling them directly.
-	planner fleet.Planner
 
 	layout         []string // current MIG layout (mode=mig)
 	lastTransition time.Duration
@@ -121,12 +115,11 @@ func New(cfg Config) (*Controller, error) {
 		return nil, err
 	}
 	c := &Controller{
-		env:     cfg.Env,
-		spec:    cfg.Spec.withDefaults(),
-		obsC:    cfg.Obs,
-		dev:     cfg.Device,
-		cache:   cfg.Cache,
-		planner: fleet.NewPlanner(cfg.Device.Spec()),
+		env:   cfg.Env,
+		spec:  cfg.Spec.withDefaults(),
+		obsC:  cfg.Obs,
+		dev:   cfg.Device,
+		cache: cfg.Cache,
 	}
 	m := cfg.Obs.Metrics()
 	c.cDecisions = m.Counter("repart_decisions_total")
@@ -370,7 +363,7 @@ func (c *Controller) planMPS(p *devent.Proc, parent obs.SpanID, obsv []window) s
 			}
 		}
 		var err error
-		plan, err = c.planner.PlanMPS(demands)
+		plan, err = rightsize.PackMPS(c.dev.Spec(), demands)
 		if err == nil {
 			break
 		}
@@ -470,7 +463,7 @@ func (c *Controller) planMIG(p *devent.Proc, parent obs.SpanID, obsv []window) s
 	var plan *rightsize.MIGPlan
 	for {
 		var err error
-		plan, err = c.planner.PlanMIG(demands)
+		plan, err = rightsize.PackMIG(spec, demands)
 		if err == nil {
 			break
 		}
@@ -611,11 +604,4 @@ func abs(v int) int {
 		return -v
 	}
 	return v
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -9,27 +9,25 @@ import (
 )
 
 // The alerts artifact's regression contract: for every scenario the
-// rendered alert history is byte-identical at -parallel 1 and 4 and
-// under -stream. The artifact goes to its own writer, so the scale
-// scenario's wall-clock lines (which legitimately vary) never enter
-// the comparison.
+// rendered alert history is byte-identical at -parallel 1 and 4. The
+// artifact goes to its own writer, so the scale scenario's wall-clock
+// lines (which legitimately vary) never enter the comparison.
 
-func renderAutoscaleAlerts(t *testing.T, workers int, stream bool) []byte {
+func renderAutoscaleAlerts(t *testing.T, workers int) []byte {
 	t.Helper()
 	prev := harness.SetParallelism(workers)
 	defer harness.SetParallelism(prev)
 	var art, alerts bytes.Buffer
 	opts := autoscaleTestOptions()
-	opts.Stream = stream
 	opts.Alerts = &alerts
 	if err := Autoscale(&art, opts); err != nil {
-		t.Fatalf("Autoscale with %d workers (stream=%v): %v", workers, stream, err)
+		t.Fatalf("Autoscale with %d workers: %v", workers, err)
 	}
 	return alerts.Bytes()
 }
 
 func TestAutoscaleAlertsArtifactDeterminism(t *testing.T) {
-	seq := renderAutoscaleAlerts(t, 1, false)
+	seq := renderAutoscaleAlerts(t, 1)
 	if len(seq) == 0 {
 		t.Fatal("autoscale alerts artifact is empty")
 	}
@@ -45,30 +43,26 @@ func TestAutoscaleAlertsArtifactDeterminism(t *testing.T) {
 			t.Errorf("alerts artifact is missing %q:\n%s", want, out)
 		}
 	}
-	if par := renderAutoscaleAlerts(t, 4, false); !bytes.Equal(seq, par) {
+	if par := renderAutoscaleAlerts(t, 4); !bytes.Equal(seq, par) {
 		t.Fatalf("parallel alerts artifact differs from sequential:\n%s", firstDiff(seq, par))
-	}
-	if str := renderAutoscaleAlerts(t, 4, true); !bytes.Equal(seq, str) {
-		t.Fatalf("streaming alerts artifact differs from snapshot:\n%s", firstDiff(seq, str))
 	}
 }
 
-func renderFleetAlerts(t *testing.T, workers int, stream bool) []byte {
+func renderFleetAlerts(t *testing.T, workers int) []byte {
 	t.Helper()
 	prev := harness.SetParallelism(workers)
 	defer harness.SetParallelism(prev)
 	var art, alerts bytes.Buffer
 	opts := fleetTestOptions()
-	opts.Stream = stream
 	opts.Alerts = &alerts
 	if err := Fleet(&art, opts); err != nil {
-		t.Fatalf("Fleet with %d workers (stream=%v): %v", workers, stream, err)
+		t.Fatalf("Fleet with %d workers: %v", workers, err)
 	}
 	return alerts.Bytes()
 }
 
 func TestFleetAlertsArtifactDeterminism(t *testing.T) {
-	seq := renderFleetAlerts(t, 1, false)
+	seq := renderFleetAlerts(t, 1)
 	if len(seq) == 0 {
 		t.Fatal("fleet alerts artifact is empty")
 	}
@@ -84,28 +78,25 @@ func TestFleetAlertsArtifactDeterminism(t *testing.T) {
 			t.Errorf("alerts artifact is missing %q:\n%s", want, out)
 		}
 	}
-	if par := renderFleetAlerts(t, 4, false); !bytes.Equal(seq, par) {
+	if par := renderFleetAlerts(t, 4); !bytes.Equal(seq, par) {
 		t.Fatalf("parallel alerts artifact differs from sequential:\n%s", firstDiff(seq, par))
-	}
-	if str := renderFleetAlerts(t, 4, true); !bytes.Equal(seq, str) {
-		t.Fatalf("streaming alerts artifact differs from snapshot:\n%s", firstDiff(seq, str))
 	}
 }
 
-func renderScaleAlerts(t *testing.T, workers int, stream bool) []byte {
+func renderScaleAlerts(t *testing.T, workers int) []byte {
 	t.Helper()
 	prev := harness.SetParallelism(workers)
 	defer harness.SetParallelism(prev)
 	var art, alerts bytes.Buffer
-	opts := ScaleOptions{Tasks: 8000, Shards: 4, Seed: 3, Stream: stream, Alerts: &alerts}
+	opts := ScaleOptions{Tasks: 8000, Shards: 4, Seed: 3, Alerts: &alerts}
 	if err := Scale(&art, opts); err != nil {
-		t.Fatalf("Scale with %d workers (stream=%v): %v", workers, stream, err)
+		t.Fatalf("Scale with %d workers: %v", workers, err)
 	}
 	return alerts.Bytes()
 }
 
 func TestScaleAlertsArtifactDeterminism(t *testing.T) {
-	seq := renderScaleAlerts(t, 1, false)
+	seq := renderScaleAlerts(t, 1)
 	if len(seq) == 0 {
 		t.Fatal("scale alerts artifact is empty")
 	}
@@ -117,10 +108,7 @@ func TestScaleAlertsArtifactDeterminism(t *testing.T) {
 			t.Errorf("alerts artifact is missing %q:\n%s", want, out)
 		}
 	}
-	if par := renderScaleAlerts(t, 4, false); !bytes.Equal(seq, par) {
+	if par := renderScaleAlerts(t, 4); !bytes.Equal(seq, par) {
 		t.Fatalf("parallel alerts artifact differs from sequential:\n%s", firstDiff(seq, par))
-	}
-	if str := renderScaleAlerts(t, 4, true); !bytes.Equal(seq, str) {
-		t.Fatalf("streaming alerts artifact differs from snapshot:\n%s", firstDiff(seq, str))
 	}
 }

@@ -18,17 +18,12 @@ type AutoscaleOptions struct {
 	GPUs    int
 	Horizon time.Duration
 	Seed    int64
-	// Stream attaches a streaming span sink to every cell so spans
-	// flush as they end instead of being retained. The artifact is
-	// byte-identical either way: every reported quantity is virtual.
-	Stream bool
 	// Attach forwards to core.AutoscaleConfig.Attach, once per cell
 	// under scope "autoscale/<cell>".
 	Attach core.AttachFunc
 	// Alerts, when set, renders each cell's end-of-run alert-rule
 	// history (engine state + resolved incidents, grid order) to this
-	// writer. Purely virtual: byte-identical at any -parallel level
-	// and under -stream.
+	// writer. Purely virtual: byte-identical at any -parallel level.
 	Alerts io.Writer
 }
 
@@ -54,7 +49,7 @@ func autoscaleGrid(gpus int) []autoscaleCell {
 // config echo, demand/outcome counts, served-latency percentiles, and
 // the GPU-seconds economics; then a verdict comparing the autoscaler
 // to each baseline on its axis. Every line is virtual —
-// byte-identical at any -parallel level and under -stream.
+// byte-identical at any -parallel level.
 func Autoscale(w io.Writer, opts AutoscaleOptions) error {
 	bw := bufio.NewWriter(w)
 	header(bw, "SLO-driven autoscaling — hybrid block scaling + admission control vs static provisioning")
@@ -71,7 +66,7 @@ func Autoscale(w io.Writer, opts AutoscaleOptions) error {
 		cfg := base
 		cfg.StaticBlocks = grid[i].staticBlocks
 		label := grid[i].label
-		cfg.OnCollector = cellCollector(i, "autoscale/"+label, opts.Stream)
+		cfg.OnCollector = cellCollector(i, "autoscale/"+label)
 		cfg.Attach = opts.Attach
 		res, err := core.RunAutoscale(cfg)
 		if err != nil {

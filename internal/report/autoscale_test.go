@@ -18,35 +18,29 @@ func autoscaleTestOptions() AutoscaleOptions {
 }
 
 // TestAutoscaleDeterminism is the artifact's regression contract:
-// byte-identical at -parallel 1 and 4, across repeated parallel runs,
-// and under -stream.
+// byte-identical at -parallel 1 and 4 and across repeated parallel
+// runs.
 func TestAutoscaleDeterminism(t *testing.T) {
-	render := func(workers int, stream bool) []byte {
+	render := func(workers int) []byte {
 		prev := harness.SetParallelism(workers)
 		defer harness.SetParallelism(prev)
 		var b bytes.Buffer
-		opts := autoscaleTestOptions()
-		opts.Stream = stream
-		if err := Autoscale(&b, opts); err != nil {
-			t.Fatalf("Autoscale with %d workers (stream=%v): %v", workers, stream, err)
+		if err := Autoscale(&b, autoscaleTestOptions()); err != nil {
+			t.Fatalf("Autoscale with %d workers: %v", workers, err)
 		}
 		return b.Bytes()
 	}
-	seq := render(1, false)
+	seq := render(1)
 	if len(seq) == 0 {
 		t.Fatal("sequential autoscale artifact is empty")
 	}
-	par := render(4, false)
+	par := render(4)
 	if !bytes.Equal(seq, par) {
 		t.Fatalf("parallel output differs from sequential:\n%s", firstDiff(seq, par))
 	}
-	par2 := render(4, false)
+	par2 := render(4)
 	if !bytes.Equal(par, par2) {
 		t.Fatalf("repeated parallel runs differ:\n%s", firstDiff(par, par2))
-	}
-	str := render(4, true)
-	if !bytes.Equal(seq, str) {
-		t.Fatalf("streaming output differs from snapshot:\n%s", firstDiff(seq, str))
 	}
 }
 

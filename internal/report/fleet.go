@@ -21,32 +21,26 @@ type FleetOptions struct {
 	Duration       time.Duration
 	ArrivalRate    float64
 	Seed           int64
-	// Stream attaches a streaming span sink to every cell so spans
-	// flush as they end instead of being retained. The artifact is
-	// byte-identical either way: every reported quantity is virtual.
-	Stream bool
 	// Attach forwards to core.FleetConfig.Attach, once per load cell
 	// under scope "fleet/<load>", and turns per-cell tsdb stores on.
 	Attach core.AttachFunc
 	// Alerts, when set, renders each cell's end-of-run alert-rule
 	// history (engine state + resolved incidents, grid order) to this
 	// writer, turning per-cell tsdb stores on. Purely virtual:
-	// byte-identical at any -parallel level and under -stream.
+	// byte-identical at any -parallel level.
 	Alerts io.Writer
 }
 
 // cellCollector is the OnCollector hook of grid cell i of a fleet or
 // autoscale artifact: it names the cell's scope, under which Attach
 // registers the cell, numbers it trace process i+1, so the cells' live
-// tails render as distinct processes in grid order, and with stream
-// gives it a discarding sink.
-func cellCollector(i int, scope string, stream bool) func(*obs.Collector) {
+// tails render as distinct processes in grid order, and gives it a
+// discarding sink, since nothing in these artifacts reads spans.
+func cellCollector(i int, scope string) func(*obs.Collector) {
 	return func(c *obs.Collector) {
 		c.SetScope(scope)
 		c.SetTracePID(i + 1)
-		if stream {
-			c.SetSink(discardSink{})
-		}
+		c.SetSink(discardSink{})
 	}
 }
 
@@ -61,7 +55,7 @@ func fleetLoadLabel(m float64) string { return fmt.Sprintf("load%.1fx", m) }
 // grid and writes the artifact: per cell, the config echo, admission
 // and per-class SLO attainment, the fragmentation timeline, and the
 // rebalance ledger. Every line is virtual — byte-identical at any
-// -parallel level and under -stream.
+// -parallel level.
 func Fleet(w io.Writer, opts FleetOptions) error {
 	bw := bufio.NewWriter(w)
 	header(bw, "Fleet-scale placement — fragmentation-aware MIG+MPS packing")
@@ -77,7 +71,7 @@ func Fleet(w io.Writer, opts FleetOptions) error {
 		cfg := base
 		cfg.ArrivalRate = base.ArrivalRate * fleetLoads[i]
 		label := fleetLoadLabel(fleetLoads[i])
-		cfg.OnCollector = cellCollector(i, "fleet/"+label, opts.Stream)
+		cfg.OnCollector = cellCollector(i, "fleet/"+label)
 		cfg.Attach = opts.Attach
 		if opts.Attach != nil || opts.Alerts != nil {
 			cfg.TSDB = &tsdb.Config{}

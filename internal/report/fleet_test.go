@@ -23,36 +23,30 @@ func fleetTestOptions() FleetOptions {
 }
 
 // TestFleetDeterminism is the fleet artifact's regression contract:
-// the rendering is byte-identical at -parallel 1 and 4, across
-// repeated parallel runs, and under -stream (every reported line is
-// virtual, so neither scheduling nor collection mode may leak in).
+// the rendering is byte-identical at -parallel 1 and 4 and across
+// repeated parallel runs (every reported line is virtual, so
+// scheduling may not leak in).
 func TestFleetDeterminism(t *testing.T) {
-	render := func(workers int, stream bool) []byte {
+	render := func(workers int) []byte {
 		prev := harness.SetParallelism(workers)
 		defer harness.SetParallelism(prev)
 		var b bytes.Buffer
-		opts := fleetTestOptions()
-		opts.Stream = stream
-		if err := Fleet(&b, opts); err != nil {
-			t.Fatalf("Fleet with %d workers (stream=%v): %v", workers, stream, err)
+		if err := Fleet(&b, fleetTestOptions()); err != nil {
+			t.Fatalf("Fleet with %d workers: %v", workers, err)
 		}
 		return b.Bytes()
 	}
-	seq := render(1, false)
+	seq := render(1)
 	if len(seq) == 0 {
 		t.Fatal("sequential fleet artifact is empty")
 	}
-	par := render(4, false)
+	par := render(4)
 	if !bytes.Equal(seq, par) {
 		t.Fatalf("parallel output differs from sequential:\n%s", firstDiff(seq, par))
 	}
-	par2 := render(4, false)
+	par2 := render(4)
 	if !bytes.Equal(par, par2) {
 		t.Fatalf("repeated parallel runs differ:\n%s", firstDiff(par, par2))
-	}
-	str := render(4, true)
-	if !bytes.Equal(seq, str) {
-		t.Fatalf("streaming output differs from snapshot:\n%s", firstDiff(seq, str))
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 	"repro/internal/obs/live"
 )
 
-// TestScaleShardTailsMatchTraceSections runs a streamed, traced scale
+// TestScaleShardTailsMatchTraceSections runs a traced scale
 // artifact on parallel shards under the live server: each shard's raw
 // /spans tail must be exactly that shard's section of the -trace
 // export, whatever order the shards attached in. The trace splices the
@@ -28,7 +28,7 @@ func TestScaleShardTailsMatchTraceSections(t *testing.T) {
 		srv := live.NewServer()
 		path := filepath.Join(t.TempDir(), "scale.json")
 		opts := ScaleOptions{
-			Tasks: 1200, Shards: shards, Seed: 3, Stream: true,
+			Tasks: 1200, Shards: shards, Seed: 3,
 			TracePath: path, Attach: srv.Attach(false),
 		}
 		if err := Scale(&bytes.Buffer{}, opts); err != nil {

@@ -19,32 +19,22 @@ type ScaleOptions struct {
 	Tasks, Shards, Workers, Window int
 	ArrivalRate                    float64
 	Seed                           int64
-	// SampleMod enables deterministic span sampling in streaming mode
-	// (kept task trees ~1/SampleMod).
+	// SampleMod enables deterministic span sampling: the trace keeps
+	// ~1/SampleMod of task trees.
 	SampleMod int
-	// Stream runs with per-shard streaming sinks (bounded collection
-	// memory); false keeps the snapshot collector.
-	Stream bool
-	// Compare runs the scenario twice — snapshot then streaming — and
-	// reports both, plus the events/sec delta. Implies Stream for the
-	// second run.
-	Compare bool
-	// TracePath, when set with Stream, spills each shard's Chrome
-	// trace section to a temp file during the run and splices them into
-	// one Perfetto-loadable artifact at this path.
+	// TracePath, when set, spills each shard's Chrome trace section to
+	// a temp file during the run and splices them into one
+	// Perfetto-loadable artifact at this path.
 	TracePath string
 	// Attach forwards to core.ScaleConfig.Attach and turns per-shard
-	// tsdb stores on. With Compare it attaches to the streaming run
-	// only (attaching the same shard scopes twice would double-register
-	// them), and so does Progress.
+	// tsdb stores on.
 	Attach core.AttachFunc
 	// Progress forwards to core.ScaleTelemetry.Progress.
 	Progress core.ScaleProgress
 	// Alerts, when set, renders each shard's end-of-run alert-rule
 	// history (engine state + resolved incidents, shard order) to this
-	// writer, turning per-shard tsdb stores on. With Compare the shards
-	// reported are the streaming run's. Purely virtual: byte-identical
-	// at any -parallel level and under -stream.
+	// writer, turning per-shard tsdb stores on. Purely virtual:
+	// byte-identical at any -parallel level.
 	Alerts io.Writer
 }
 
@@ -55,8 +45,8 @@ func (o ScaleOptions) config() core.ScaleConfig {
 	}.WithDefaults()
 }
 
-// discardSink enables streaming collection without retaining the
-// rendered spans (the scenario's counters are the artifact).
+// discardSink enables streaming collection without keeping the spans:
+// the run's counters are the artifact.
 type discardSink struct{}
 
 func (discardSink) EmitSpan(*obs.Span) {}
@@ -81,45 +71,18 @@ func (w scaleWall) eventsPerSec(events int64) float64 {
 // artifact: the deterministic virtual results ("virtual:" and
 // "shard N:" lines, byte-identical at any -parallel level) followed by
 // wall-clock measurements ("wall:" lines — elapsed, events/sec, and
-// the allocation proxy for peak memory).
+// the allocation proxy for peak memory). Every shard streams its spans
+// to a sink as they end, so collection memory stays bounded at any
+// task count.
 func Scale(w io.Writer, opts ScaleOptions) error {
 	bw := bufio.NewWriter(w)
 	header(bw, "Million-task throughput — sharded open-loop scenario")
 	cfg := opts.config()
-	if opts.Compare {
-		snapRes, snapWall, err := runScale(cfg, ScaleOptions{}, false)
-		if err != nil {
-			return err
-		}
-		writeScaleRun(bw, "snapshot", cfg, snapRes, snapWall)
-		strRes, strWall, err := runScale(cfg, opts, true)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(bw)
-		writeScaleRun(bw, "streaming", cfg, strRes, strWall)
-		snapEPS, strEPS := snapWall.eventsPerSec(snapRes.Events), strWall.eventsPerSec(strRes.Events)
-		fmt.Fprintln(bw)
-		fmt.Fprintf(bw, "compare: events_per_sec snapshot=%.0f streaming=%.0f speedup=%+.1f%%\n",
-			snapEPS, strEPS, 100*(strEPS/snapEPS-1))
-		fmt.Fprintf(bw, "compare: retained_high_water snapshot=%d streaming=%d\n",
-			snapRes.MaxRetained, strRes.MaxRetained)
-		fmt.Fprintf(bw, "compare: alloc_bytes snapshot=%d streaming=%d\n",
-			snapWall.allocBytes, strWall.allocBytes)
-		if err := writeScaleAlerts(opts.Alerts, strRes); err != nil {
-			return err
-		}
-		return bw.Flush()
-	}
-	mode := "snapshot"
-	if opts.Stream {
-		mode = "streaming"
-	}
-	res, wall, err := runScale(cfg, opts, opts.Stream)
+	res, wall, err := runScale(cfg, opts)
 	if err != nil {
 		return err
 	}
-	writeScaleRun(bw, mode, cfg, res, wall)
+	writeScaleRun(bw, cfg, res, wall)
 	if err := writeScaleAlerts(opts.Alerts, res); err != nil {
 		return err
 	}
@@ -139,12 +102,11 @@ func writeScaleAlerts(w io.Writer, res *core.ScaleResult) error {
 	return nil
 }
 
-// runScale executes one scenario run, timing it and measuring
-// allocation deltas. In streaming mode with a trace path, each shard's
-// section spills to its own temp file as the run progresses, and the
-// files are spliced into the final artifact afterwards.
-func runScale(cfg core.ScaleConfig, opts ScaleOptions, stream bool) (*core.ScaleResult, scaleWall, error) {
-	tracePath := opts.TracePath
+// runScale executes the scenario, timing it and measuring allocation
+// deltas. Each shard streams into a discarding sink or, with a trace
+// path, into its own trace section spilled to a temp file as the run
+// progresses; the files are spliced into the final artifact afterwards.
+func runScale(cfg core.ScaleConfig, opts ScaleOptions) (*core.ScaleResult, scaleWall, error) {
 	cfg.TSDB = opts.Attach != nil || opts.Alerts != nil
 	cfg.Attach = opts.Attach
 	if opts.Progress != nil {
@@ -154,31 +116,28 @@ func runScale(cfg core.ScaleConfig, opts ScaleOptions, stream bool) (*core.Scale
 	var files []*os.File
 	var writers []*bufio.Writer
 	var sections []*obs.TraceSection
-	if stream {
-		cfg = cfg.WithDefaults()
-		cfg.Sinks = make([]obs.SpanSink, cfg.Shards)
-		for i := range cfg.Sinks {
-			if tracePath == "" {
-				cfg.Sinks[i] = discardSink{}
-				continue
-			}
-			f, err := os.CreateTemp("", "scale-shard-*.trace")
-			if err != nil {
-				return nil, wall, err
-			}
-			files = append(files, f)
-			fw := bufio.NewWriterSize(f, 1<<20)
-			writers = append(writers, fw)
-			sec := obs.NewTraceSection(fw, i+1, fmt.Sprintf("scale/shard%d", i))
-			sections = append(sections, sec)
-			cfg.Sinks[i] = sec
+	defer func() {
+		for _, f := range files {
+			f.Close()
+			os.Remove(f.Name())
 		}
-		defer func() {
-			for _, f := range files {
-				f.Close()
-				os.Remove(f.Name())
-			}
-		}()
+	}()
+	cfg.Sinks = make([]obs.SpanSink, cfg.Shards)
+	for i := range cfg.Sinks {
+		if opts.TracePath == "" {
+			cfg.Sinks[i] = discardSink{}
+			continue
+		}
+		f, err := os.CreateTemp("", "scale-shard-*.trace")
+		if err != nil {
+			return nil, wall, err
+		}
+		files = append(files, f)
+		fw := bufio.NewWriterSize(f, 1<<20)
+		writers = append(writers, fw)
+		sec := obs.NewTraceSection(fw, i+1, fmt.Sprintf("scale/shard%d", i))
+		sections = append(sections, sec)
+		cfg.Sinks[i] = sec
 	}
 	runtime.GC()
 	var before, after runtime.MemStats
@@ -192,42 +151,46 @@ func runScale(cfg core.ScaleConfig, opts ScaleOptions, stream bool) (*core.Scale
 	if err != nil {
 		return nil, wall, err
 	}
-	if stream && tracePath != "" {
-		for i, sec := range sections {
-			if err := sec.Err(); err != nil {
-				return nil, wall, err
-			}
-			if err := writers[i].Flush(); err != nil {
-				return nil, wall, err
-			}
-		}
-		out, err := os.Create(tracePath)
-		if err != nil {
+	if opts.TracePath == "" {
+		return res, wall, nil
+	}
+	for i, sec := range sections {
+		if err := sec.Err(); err != nil {
 			return nil, wall, err
 		}
-		defer out.Close()
-		ts := obs.NewTraceStream(out)
-		for _, f := range files {
-			if _, err := f.Seek(0, io.SeekStart); err != nil {
-				return nil, wall, err
-			}
-			if err := ts.Append(bufio.NewReaderSize(f, 1<<20)); err != nil {
-				return nil, wall, err
-			}
-		}
-		if err := ts.Close(); err != nil {
+		if err := writers[i].Flush(); err != nil {
 			return nil, wall, err
 		}
+	}
+	out, err := os.Create(opts.TracePath)
+	if err != nil {
+		return nil, wall, err
+	}
+	defer out.Close() // error paths; the success path checks Close below
+	ts := obs.NewTraceStream(out)
+	for _, f := range files {
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			return nil, wall, err
+		}
+		if err := ts.Append(bufio.NewReaderSize(f, 1<<20)); err != nil {
+			return nil, wall, err
+		}
+	}
+	if err := ts.Close(); err != nil {
+		return nil, wall, err
+	}
+	if err := out.Close(); err != nil {
+		return nil, wall, err
 	}
 	return res, wall, nil
 }
 
 // writeScaleRun renders one run: config echo, deterministic virtual
 // lines, then wall-clock lines.
-func writeScaleRun(w io.Writer, mode string, cfg core.ScaleConfig, res *core.ScaleResult, wall scaleWall) {
+func writeScaleRun(w io.Writer, cfg core.ScaleConfig, res *core.ScaleResult, wall scaleWall) {
 	c := cfg.WithDefaults()
-	fmt.Fprintf(w, "config: mode=%s tasks=%d shards=%d workers=%d window=%d arrival=%.0f/s seed=%d sample_mod=%d\n",
-		mode, res.Tasks, len(res.Shards), c.Workers, c.Window, c.ArrivalRate, c.Seed, c.SampleMod)
+	fmt.Fprintf(w, "config: tasks=%d shards=%d workers=%d window=%d arrival=%.0f/s seed=%d sample_mod=%d\n",
+		res.Tasks, len(res.Shards), c.Workers, c.Window, c.ArrivalRate, c.Seed, c.SampleMod)
 	fmt.Fprintf(w, "virtual: events=%d spans=%d retained_high_water=%d makespan=%s\n",
 		res.Events, res.Spans, res.MaxRetained, res.Makespan)
 	fmt.Fprintf(w, "virtual: latency p50=%s p90=%s p99=%s max=%s\n",
