@@ -67,19 +67,21 @@ cover:
 
 # Short fuzz passes over the chaos-spec parser, the executor config
 # validator, the repartitioning-spec parser, the fleet packer
-# (demand-spec strings through Place with Validate as the oracle), and
-# the attribution sweep (random interval sets against the quadratic
-# oracle), the SLO-spec parser (accepted rules must be evaluable), and
-# the live server's /api/series query parsing (every answer is 200, 400
-# or 404 with a JSON body), and the in-place max–min allocator (bit for
-# bit against the sort.Slice oracle); the checked-in corpora run as
-# regular tests in `make test`.
+# (demand-spec strings through Place with Validate as the oracle), the
+# attribution sweep (random interval sets against the quadratic
+# oracle), attribution as a whole (random collectors against the oracle
+# over each task's full interval list), the SLO-spec parser (accepted
+# rules must be evaluable), the live server's /api/series query parsing
+# (every answer is 200, 400 or 404 with a JSON body), and the in-place
+# max–min allocator (bit for bit against the sort.Slice oracle); the
+# checked-in corpora run as regular tests in `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz FuzzConfigValidate -fuzztime 10s ./internal/faas/htex
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/repart
 	$(GO) test -run '^$$' -fuzz FuzzPlace -fuzztime 10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzDecompose -fuzztime 10s ./internal/obs/analyze
+	$(GO) test -run '^$$' -fuzz FuzzAttribute -fuzztime 10s ./internal/obs/analyze
 	$(GO) test -run '^$$' -fuzz FuzzParseSLOSpec -fuzztime 10s ./internal/obs/analyze
 	$(GO) test -run '^$$' -fuzz FuzzSeriesQuery -fuzztime 10s ./internal/obs/live
 	$(GO) test -run '^$$' -fuzz FuzzMaxMinFair -fuzztime 10s ./internal/simgpu

@@ -8,27 +8,42 @@
 // Attribution is a counted edge sweep. Each span kind that can explain
 // a slice of a task's wall time contributes an interval with a fixed
 // phase and priority, and every priority names exactly one phase.
-// Intervals are clipped to the task span and become one start and one
-// end edge each; the edges are sorted once and walked with a live
-// count per priority plus a 128-bit mask of the live priorities, so
-// each elementary segment between edges takes the phase of the highest
-// live priority in O(m log m) per task of m intervals. Because a
-// priority names one phase, it never matters which of several
-// equal-priority intervals covers a segment: the result does not
-// depend on interval order. Uncovered segments are classified
-// positionally (before the first evidence: submit; between evidence:
-// retry/backoff; after the last: other). Executor queue time
-// is critical-path-reattributed: while a task waits for a busy worker,
-// the blocking run's own phases (kernel queueing, compute, transfers)
-// claim that wait, so device-level contention surfaces in end-to-end
-// blame instead of hiding behind a generic "queue" bucket. All
-// arithmetic is integer virtual nanoseconds, so the per-task phase
-// vector sums to the task duration exactly — the invariant the
-// acceptance tests lock.
+// Intervals become one start and one end edge each, walked in time
+// order with a live count per priority plus a 128-bit mask of the live
+// priorities, so each elementary segment between edges takes the phase
+// of the highest live priority. Because a priority names one phase, it
+// never matters which of several equal-priority intervals covers a
+// segment, and nothing accumulates between edges at the same time: the
+// result depends only on the multiset of edges, not on their order
+// among ties. Uncovered segments are classified positionally (before
+// the first evidence: submit; between evidence: retry/backoff; after
+// the last: other). Executor queue time is critical-path-reattributed:
+// while a task waits for a busy worker, the blocking run's own phases
+// (kernel queueing, compute, transfers) claim that wait, so
+// device-level contention surfaces in end-to-end blame instead of
+// hiding behind a generic "queue" bucket. All arithmetic is integer
+// virtual nanoseconds, so the per-task phase vector sums to the task
+// duration exactly — the invariant the acceptance tests lock.
+//
+// A queued task re-blames every run ahead of it, so neighbouring tasks
+// share most of their edges. Each htex run's evidence is therefore
+// built once per collector, its edges sorted once into one flat arena.
+// A task sorts only its own few edges (queue, init and restart windows,
+// plus any run that straddles a window's end, clipped: at most two per
+// window when a track's runs do not overlap) and merges them with the
+// memoised lists of the runs that lie wholly inside its windows. Lists
+// whose extents follow each other in time share one merge cursor, so
+// the merge is a handful of cursors wide and a task of m edges costs
+// O(m) plus the sort of its own edges, instead of O(m log m). A run
+// whose evidence covers its extent without a gap also memoises its own
+// decomposition; where it outranks everything live across that extent,
+// as a blocking run does over a bare queue wait, the merge adds that
+// decomposition and skips the run's edges.
 package analyze
 
 import (
 	"cmp"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -217,24 +232,44 @@ func Analyze(collectors ...*obs.Collector) *Report {
 
 // analyzer holds one collector's span indexes during attribution.
 type analyzer struct {
-	children    map[obs.SpanID][]*obs.Span
-	restarts    []*obs.Span
-	inits       []*obs.Span
-	runsByTrack map[string][]*obs.Span // htex run spans per worker track
-	runIvs      map[obs.SpanID][]interval
-	ivs         []interval // the current task's evidence, reused across tasks
-	sw          sweep
+	children map[obs.SpanID][]*obs.Span
+	restarts []*obs.Span
+	tracks   map[string]*track // htex run and init spans per worker track
+	runOf    map[obs.SpanID]int
+	runs     []runMemo
+	// The memo arenas: run r's non-empty intervals are
+	// runIvs[r.off:r.off+r.n], and their edges, sorted by time, are
+	// runEdges[2*r.off:2*(r.off+r.n)].
+	runIvs   []interval
+	runEdges []edge
+	ivs      []interval // the current task's own evidence, reused across tasks
+	sw       sweep
+}
+
+// track is one worker's htex spans: its runs, by start, and its init
+// windows.
+type track struct {
+	runs   []int           // indexes into analyzer.runs
+	maxEnd []time.Duration // maxEnd[i] is the latest End of runs[:i+1]
+	inits  []*obs.Span
+}
+
+// runMemo is one htex run span's memoised evidence: the run itself as
+// host time plus its device-side children. [lo, hi] is the extent of
+// that evidence, which can reach outside the run span: a kernel's
+// dispatch delay may start before the run does. self is the run's own
+// decomposition of its extent; solid reports that the evidence covers
+// the extent without a gap.
+type runMemo struct {
+	span   *obs.Span
+	off, n int
+	lo, hi time.Duration
+	self   Breakdown
+	solid  bool
 }
 
 func analyzeCollector(rep *Report, c *obs.Collector) {
-	spans := c.Spans()
-	a := newAnalyzer()
-	var tasks []*obs.Span
-	for i := range spans {
-		if a.addEvidence(&spans[i]) {
-			tasks = append(tasks, &spans[i])
-		}
-	}
+	a, tasks := newAnalyzer(c.Spans())
 	scope := c.Scope()
 	for _, t := range tasks {
 		ta := a.attributeTask(t)
@@ -243,12 +278,22 @@ func analyzeCollector(rep *Report, c *obs.Collector) {
 	}
 }
 
-func newAnalyzer() *analyzer {
-	return &analyzer{
-		children:    make(map[obs.SpanID][]*obs.Span),
-		runsByTrack: make(map[string][]*obs.Span),
-		runIvs:      make(map[obs.SpanID][]interval),
+// newAnalyzer indexes one collector's spans, memoises every run's
+// evidence, and returns the dfk task spans to attribute.
+func newAnalyzer(spans []obs.Span) (*analyzer, []*obs.Span) {
+	a := &analyzer{
+		children: make(map[obs.SpanID][]*obs.Span),
+		tracks:   make(map[string]*track),
+		runOf:    make(map[obs.SpanID]int),
 	}
+	var tasks []*obs.Span
+	for i := range spans {
+		if a.addEvidence(&spans[i]) {
+			tasks = append(tasks, &spans[i])
+		}
+	}
+	a.memoise()
+	return a, tasks
 }
 
 // addEvidence indexes one span into the analyzer's evidence structures
@@ -263,24 +308,87 @@ func (a *analyzer) addEvidence(s *obs.Span) bool {
 	case s.Cat == "htex" && s.Name == "restart":
 		a.restarts = append(a.restarts, s)
 	case s.Cat == "htex" && s.Name == "init":
-		a.inits = append(a.inits, s)
+		tr := a.track(s.Track)
+		tr.inits = append(tr.inits, s)
 	case s.Cat == "htex" && s.Name == "run":
-		a.runsByTrack[s.Track] = append(a.runsByTrack[s.Track], s)
+		tr := a.track(s.Track)
+		a.runOf[s.ID] = len(a.runs)
+		tr.runs = append(tr.runs, len(a.runs))
+		a.runs = append(a.runs, runMemo{span: s})
 	}
 	return false
 }
 
-// runIntervals returns (memoized) the full evidence set of one run
-// span: the run itself as host time plus its device-side children.
-func (a *analyzer) runIntervals(run *obs.Span) []interval {
-	if ivs, ok := a.runIvs[run.ID]; ok {
-		return ivs
+func (a *analyzer) track(name string) *track {
+	tr := a.tracks[name]
+	if tr == nil {
+		tr = &track{}
+		a.tracks[name] = tr
 	}
-	ivs := appendDeviceIntervals(
-		[]interval{{run.Start, run.End, PhaseHost, prioRun}},
-		a.children[run.ID])
-	a.runIvs[run.ID] = ivs
-	return ivs
+	return tr
+}
+
+// memoise builds every run's evidence once: its intervals, their
+// edges sorted, and its own decomposition, with the phases of its
+// priorities, own and blocked, entered in the sweep's table. It then
+// orders each track's runs by start for the queue-window search.
+func (a *analyzer) memoise() {
+	// A run yields its host interval and at most two per child, so
+	// the arenas are allocated once.
+	size := 0
+	for i := range a.runs {
+		size += 1 + 2*len(a.children[a.runs[i].span.ID])
+	}
+	ivs := make([]interval, 0, size)
+	for i := range a.runs {
+		r := &a.runs[i]
+		r.off = len(ivs)
+		ivs = appendDeviceIntervals(
+			append(ivs, interval{r.span.Start, r.span.End, PhaseHost, prioRun}),
+			a.children[r.span.ID])
+		n := r.off
+		r.lo, r.hi = math.MaxInt64, math.MinInt64
+		for _, iv := range ivs[r.off:] {
+			if iv.end > iv.start {
+				ivs[n] = iv
+				n++
+				r.lo, r.hi = min(r.lo, iv.start), max(r.hi, iv.end)
+			}
+		}
+		ivs = ivs[:n]
+		r.n = n - r.off
+	}
+	a.runIvs = ivs
+	a.runEdges = make([]edge, 2*len(ivs))
+	for i := range a.runs {
+		r := &a.runs[i]
+		edges := a.runEdges[2*r.off : 2*(r.off+r.n)]
+		for j, iv := range ivs[r.off : r.off+r.n] {
+			edges[2*j] = edge{iv.start, int32(iv.prio), 1}
+			edges[2*j+1] = edge{iv.end, int32(iv.prio), -1}
+			a.sw.phase[iv.prio] = iv.phase
+			a.sw.phase[blockedPrio(iv.prio)] = iv.phase
+		}
+		slices.SortFunc(edges, edgeAt)
+		if r.n > 0 {
+			a.sw.lists = append(a.sw.lists, list{edges: edges, lo: r.lo, hi: r.hi})
+			r.self = a.sw.decompose(r.lo, r.hi, nil)
+			r.solid = r.self[PhaseRetryBackoff] == 0
+		}
+	}
+	for _, tr := range a.tracks {
+		slices.SortFunc(tr.runs, func(x, y int) int {
+			return cmp.Compare(a.runs[x].span.Start, a.runs[y].span.Start)
+		})
+		// Runs on one track may overlap, so End is not sorted with
+		// Start; its running maximum is, and bounds the search.
+		tr.maxEnd = make([]time.Duration, len(tr.runs))
+		hi := time.Duration(math.MinInt64)
+		for i, ri := range tr.runs {
+			hi = max(hi, a.runs[ri].span.End)
+			tr.maxEnd[i] = hi
+		}
+	}
 }
 
 func (a *analyzer) attributeTask(t *obs.Span) TaskAttribution {
@@ -294,6 +402,15 @@ func (a *analyzer) attributeTask(t *obs.Span) TaskAttribution {
 	if id, err := strconv.Atoi(t.Attr("task")); err == nil {
 		ta.Task = id
 	}
+	a.evidence(t, &ta)
+	ta.Phases = a.sw.decompose(t.Start, t.End, a.ivs)
+	return ta
+}
+
+// evidence gathers task t's evidence for the sweep: its own intervals
+// into a.ivs, and the memoised edge lists of runs that lie inside the
+// windows they explain into a.sw.lists. It also fills ta.GPUPct.
+func (a *analyzer) evidence(t *obs.Span, ta *TaskAttribution) {
 	ivs := a.ivs[:0]
 
 	// Executor drain/restart windows are the weakest evidence: they
@@ -310,45 +427,71 @@ func (a *analyzer) attributeTask(t *obs.Span) TaskAttribution {
 		case ch.Cat == "htex" && ch.Name == "queue":
 			ivs = append(ivs, interval{ch.Start, ch.End, PhaseQueue, prioQueue})
 			w := ch.Attr("worker")
-			if w == "" {
+			tr := a.tracks[w]
+			if w == "" || tr == nil {
 				continue
 			}
 			// Queue wait that overlaps the picked worker's init window
 			// is a cold start, not scheduling delay.
-			for _, in := range a.inits {
-				if in.Track != w {
-					continue
-				}
+			for _, in := range tr.inits {
 				lo, hi := max(ch.Start, in.Start), min(ch.End, in.End)
 				if hi > lo {
 					ivs = append(ivs, interval{lo, hi, PhaseColdStart, prioInitWait})
 				}
 			}
 			// Critical-path reattribution: while the task waited for
-			// worker w, w was serving other runs. That wait is caused
-			// by — and decomposed along — the blocking runs' phases
-			// (their kernel queueing, compute, transfers, host time).
-			for _, run := range a.runsByTrack[w] {
-				if run.Parent == t.ID || run.End <= ch.Start || run.Start >= ch.End {
-					continue
+			// the worker, it was serving other runs. That wait is
+			// caused by — and decomposed along — the blocking runs'
+			// phases (their kernel queueing, compute, transfers, host
+			// time), clipped to the wait.
+			lo, hi := max(ch.Start, t.Start), min(ch.End, t.End)
+			i := sort.Search(len(tr.runs), func(i int) bool { return tr.maxEnd[i] > ch.Start })
+			for _, ri := range tr.runs[i:] {
+				r := &a.runs[ri]
+				if r.span.Start >= ch.End {
+					break
 				}
-				for _, riv := range a.runIntervals(run) {
-					lo, hi := max(riv.start, ch.Start), min(riv.end, ch.End)
-					if hi > lo {
-						ivs = append(ivs, interval{lo, hi, riv.phase, blockedPrio(riv.prio)})
-					}
+				if r.span.Parent != t.ID && r.span.End > ch.Start {
+					ivs = a.addRun(ivs, r, lo, hi, true)
 				}
 			}
 		case ch.Cat == "htex" && ch.Name == "run":
 			if ta.GPUPct == "" {
 				ta.GPUPct = ch.Attr("gpu_pct")
 			}
-			ivs = append(ivs, a.runIntervals(ch)...)
+			ivs = a.addRun(ivs, &a.runs[a.runOf[ch.ID]], t.Start, t.End, false)
 		}
 	}
 	a.ivs = ivs
-	ta.Phases = a.sw.decompose(t.Start, t.End, ivs)
-	return ta
+}
+
+// addRun adds run r's evidence, clipped to [lo, hi]. Evidence inside
+// the window joins the sweep as r's memoised edge list; a run that
+// straddles the window's ends is clipped interval by interval into
+// ivs, the task's own evidence, which it returns. A blocked run's
+// priorities map through blockedPrio either way.
+func (a *analyzer) addRun(ivs []interval, r *runMemo, lo, hi time.Duration, blocked bool) []interval {
+	if r.n == 0 {
+		return ivs
+	}
+	if lo <= r.lo && r.hi <= hi {
+		l := list{edges: a.runEdges[2*r.off : 2*(r.off+r.n)], lo: r.lo, hi: r.hi, blocked: blocked}
+		if r.solid {
+			l.self = &r.self
+		}
+		a.sw.lists = append(a.sw.lists, l)
+		return ivs
+	}
+	for _, iv := range a.runIvs[r.off : r.off+r.n] {
+		iv.start, iv.end = max(iv.start, lo), min(iv.end, hi)
+		if iv.end > iv.start {
+			if blocked {
+				iv.prio = blockedPrio(iv.prio)
+			}
+			ivs = append(ivs, iv)
+		}
+	}
+	return ivs
 }
 
 // appendDeviceIntervals adds the device-side evidence parented to one
@@ -386,22 +529,61 @@ type edge struct {
 	prio, delta int32
 }
 
+func edgeAt(x, y edge) int { return cmp.Compare(x.at, y.at) }
+
+func listLo(x, y list) int { return cmp.Compare(x.lo, y.lo) }
+
+// list is one time-sorted edge list the sweep merges: a task's own
+// clipped edges or a memoised run's. [lo, hi] spans its first and last
+// edge. A blocked list's priorities map through blockedPrio; next links
+// the list its merge cursor walks after this one, or is -1. A solid
+// run's list carries the run's own decomposition, self.
+type list struct {
+	edges   []edge
+	lo, hi  time.Duration
+	blocked bool
+	next    int
+	self    *Breakdown
+}
+
+// floor is the lowest priority a run's list can hold.
+func (l *list) floor() int {
+	if l.blocked {
+		return blockedPrio(prioRun)
+	}
+	return prioRun
+}
+
+// cursor walks one chain of lists whose extents do not overlap; cur
+// indexes the list edges belongs to.
+type cursor struct {
+	edges []edge
+	cur   int
+}
+
 // sweep is the counted edge sweep's scratch, reused across tasks. Every
 // count is back to zero when a sweep ends, so nothing needs resetting.
 type sweep struct {
-	edges []edge
+	edges []edge         // the task's own clipped edges
+	lists []list         // memoised lists queued for the next decompose
+	curs  []cursor       // one per chain of lists
+	tails []int          // the last list of each chain
 	count [maxPrio]int32 // live intervals per priority
 	live  [2]uint64      // bit p set iff count[p] > 0
 	phase [maxPrio]Phase // the one phase each priority names
 }
 
-// decompose runs the counted edge sweep over [start, end].
+// decompose runs the counted edge sweep over [start, end]. ivs are
+// clipped to the window and sorted, then merged with the lists queued
+// in s.lists, which must lie inside the window; decompose empties
+// s.lists.
 func (s *sweep) decompose(start, end time.Duration, ivs []interval) Breakdown {
 	var b Breakdown
+	lists := s.lists
 	if end <= start {
+		s.lists = lists[:0]
 		return b
 	}
-	// Clip to the task window, dropping empty intervals.
 	edges := s.edges[:0]
 	for _, iv := range ivs {
 		lo, hi := max(iv.start, start), min(iv.end, end)
@@ -411,35 +593,124 @@ func (s *sweep) decompose(start, end time.Duration, ivs []interval) Breakdown {
 		}
 	}
 	s.edges = edges
-	if len(edges) == 0 {
+	if len(edges) > 0 {
+		slices.SortFunc(edges, edgeAt)
+		// Runs are queued in start order, so the lists are usually
+		// sorted by lo once the task's own list takes its place.
+		i := 0
+		for i < len(lists) && lists[i].lo < edges[0].at {
+			i++
+		}
+		lists = slices.Insert(lists, i, list{edges: edges, lo: edges[0].at, hi: edges[len(edges)-1].at})
+	}
+	s.lists = lists[:0]
+	if len(lists) == 0 {
 		b[PhaseSubmit] = end - start
 		return b
 	}
-	slices.SortFunc(edges, func(x, y edge) int { return cmp.Compare(x.at, y.at) })
-	// The segment before each edge takes the highest live priority's
-	// phase; uncovered, it is submit before the first evidence and
-	// retry/backoff between evidence.
-	at, gap := start, PhaseSubmit
-	for _, e := range edges {
-		if e.at > at {
-			ph := gap
-			if p := s.top(); p >= 0 {
-				ph = s.phase[p]
-			}
-			b[ph] += e.at - at
-			at = e.at
-		}
-		gap = PhaseRetryBackoff
-		s.count[e.prio] += e.delta
-		if w, bit := e.prio>>6, uint64(1)<<(e.prio&63); s.count[e.prio] > 0 {
-			s.live[w] |= bit
-		} else {
-			s.live[w] &^= bit
-		}
+	// Time before the first edge is submit; the last edge closes the
+	// last evidence, and the rest is other.
+	if !slices.IsSortedFunc(lists, listLo) {
+		slices.SortFunc(lists, listLo)
 	}
-	// The last edge closes the last evidence; the rest is other.
+	b[PhaseSubmit] = lists[0].lo - start
+	at := s.merge(lists, &b)
 	b[PhaseOther] += end - at
 	return b
+}
+
+// merge walks the lists' edges in time order, sorted by lo, adding
+// every segment between the first and the last edge to b, and returns
+// the last edge's time. A segment takes the highest live priority's
+// phase; uncovered, it is retry/backoff. The result depends only on
+// the multiset of edges, because nothing accumulates between edges at
+// the same time, so ties may go in any order.
+//
+// Lists are chained first fit by extent, so one cursor walks a chain
+// of lists that follow each other in time (the runs on one track) and
+// only overlapping chains merge edge by edge. The cursor with the
+// earliest edge runs on alone up to the next cursor's earliest edge.
+// When that span holds a solid run's whole list and everything live
+// ranks below the list, the run decides every segment of its extent,
+// so its own decomposition is added instead of its edges. (A list
+// walked part way keeps its own priorities live, so it never passes
+// the floor test.)
+func (s *sweep) merge(lists []list, b *Breakdown) time.Duration {
+	curs, tails := s.curs[:0], s.tails[:0]
+	for i := range lists {
+		lists[i].next = -1
+		c := 0
+		for c < len(tails) && lists[tails[c]].hi > lists[i].lo {
+			c++
+		}
+		if c < len(tails) {
+			lists[tails[c]].next = i
+			tails[c] = i
+			continue
+		}
+		tails = append(tails, i)
+		curs = append(curs, cursor{lists[i].edges, i})
+	}
+	at := lists[0].lo
+	for len(curs) > 0 {
+		c, bound := 0, time.Duration(math.MaxInt64)
+		for i := 1; i < len(curs); i++ {
+			if h := curs[i].edges[0].at; h < curs[c].edges[0].at {
+				bound, c = curs[c].edges[0].at, i
+			} else if h < bound {
+				bound = h
+			}
+		}
+		cu := &curs[c]
+		l := &lists[cu.cur]
+		if l.self != nil && l.hi <= bound && s.top() < l.floor() {
+			if l.lo > at {
+				s.segment(b, at, l.lo)
+			}
+			b.add(l.self)
+			at, cu.edges = l.hi, nil
+		} else {
+			es, i := cu.edges, 0
+			for ; i < len(es) && es[i].at <= bound; i++ {
+				e := es[i]
+				if e.at > at {
+					s.segment(b, at, e.at)
+					at = e.at
+				}
+				p := e.prio
+				if l.blocked {
+					p = int32(blockedPrio(int(p)))
+				}
+				s.count[p] += e.delta
+				if w, bit := p>>6, uint64(1)<<(p&63); s.count[p] > 0 {
+					s.live[w] |= bit
+				} else {
+					s.live[w] &^= bit
+				}
+			}
+			cu.edges = es[i:]
+		}
+		if len(cu.edges) > 0 {
+			continue
+		}
+		if cu.cur = l.next; cu.cur >= 0 {
+			cu.edges = lists[cu.cur].edges
+		} else {
+			curs[c] = curs[len(curs)-1]
+			curs = curs[:len(curs)-1]
+		}
+	}
+	s.curs, s.tails = curs, tails
+	return at
+}
+
+// segment adds [from, to) to b under the live set.
+func (s *sweep) segment(b *Breakdown, from, to time.Duration) {
+	ph := PhaseRetryBackoff
+	if p := s.top(); p >= 0 {
+		ph = s.phase[p]
+	}
+	b[ph] += to - from
 }
 
 // top returns the highest live priority, or -1 when none is live.

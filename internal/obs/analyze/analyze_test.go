@@ -2,6 +2,7 @@ package analyze
 
 import (
 	"bytes"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -607,26 +608,36 @@ func TestPrioNamesOnePhase(t *testing.T) {
 	c.AddSpan("htex", "queue", "task", waiter, 0, 100*ms, obs.String("worker", "w0"))
 	addEveryDeviceKind(c, waiter, 100*ms)
 
-	a := newAnalyzer()
-	spans := c.Spans()
-	var tasks []*obs.Span
-	for i := range spans {
-		if a.addEvidence(&spans[i]) {
-			tasks = append(tasks, &spans[i])
-		}
-	}
+	a, tasks := newAnalyzer(c.Spans())
 	seen := make(map[int]bool)
-	for _, task := range tasks {
-		a.attributeTask(task)
-		for _, iv := range a.ivs {
-			switch ph, ok := want[iv.prio]; {
-			case !ok:
-				t.Errorf("interval priority %d (%s) is in no band", iv.prio, iv.phase)
-			case ph != iv.phase:
-				t.Errorf("interval priority %d carries %s; the table says %s", iv.prio, iv.phase, ph)
-			}
-			seen[iv.prio] = true
+	check := func(what string, prio int, phase Phase) {
+		switch ph, ok := want[prio]; {
+		case !ok:
+			t.Errorf("%s priority %d (%s) is in no band", what, prio, phase)
+		case ph != phase:
+			t.Errorf("%s priority %d carries %s; the table says %s", what, prio, phase, ph)
 		}
+		seen[prio] = true
+	}
+	for _, task := range tasks {
+		// Every edge the merge consumes: the task's own intervals, and
+		// the memoised lists with the blocked mapping applied, whose
+		// phase comes from the sweep's table.
+		var ta TaskAttribution
+		a.evidence(task, &ta)
+		for _, iv := range a.ivs {
+			check("interval", iv.prio, iv.phase)
+		}
+		for _, l := range a.sw.lists {
+			for _, e := range l.edges {
+				p := int(e.prio)
+				if l.blocked {
+					p = blockedPrio(p)
+				}
+				check("memoised edge", p, a.sw.phase[p])
+			}
+		}
+		a.sw.decompose(task.Start, task.End, a.ivs)
 	}
 	for p, ph := range want {
 		if !seen[p] {
@@ -766,4 +777,231 @@ func FuzzDecompose(f *testing.F) {
 		var sw sweep
 		checkDecompose(t, rand.New(rand.NewPCG(seed1, seed2)), &sw, prios)
 	})
+}
+
+// refIndex is the evidence index attribution used before runs were
+// memoised, rebuilt from the raw spans so the reference shares no index
+// with the code under test.
+type refIndex struct {
+	children    map[obs.SpanID][]*obs.Span
+	restarts    []*obs.Span
+	inits       []*obs.Span
+	runsByTrack map[string][]*obs.Span
+}
+
+func newRefIndex(spans []obs.Span) *refIndex {
+	x := &refIndex{
+		children:    make(map[obs.SpanID][]*obs.Span),
+		runsByTrack: make(map[string][]*obs.Span),
+	}
+	for i := range spans {
+		s := &spans[i]
+		if s.Parent != 0 {
+			x.children[s.Parent] = append(x.children[s.Parent], s)
+		}
+		switch {
+		case s.Cat == "htex" && s.Name == "restart":
+			x.restarts = append(x.restarts, s)
+		case s.Cat == "htex" && s.Name == "init":
+			x.inits = append(x.inits, s)
+		case s.Cat == "htex" && s.Name == "run":
+			x.runsByTrack[s.Track] = append(x.runsByTrack[s.Track], s)
+		}
+	}
+	return x
+}
+
+// referenceIntervals is task t's full evidence in one list: every
+// interval of every run it ran or waited behind, the blocking runs'
+// clipped to the queue window, with nothing memoised or pre-sorted.
+func (x *refIndex) referenceIntervals(t *obs.Span) []interval {
+	runIvs := func(run *obs.Span) []interval {
+		return appendDeviceIntervals([]interval{{run.Start, run.End, PhaseHost, prioRun}}, x.children[run.ID])
+	}
+	var ivs []interval
+	executor := t.Attr("executor")
+	for _, r := range x.restarts {
+		if ex := r.Attr("executor"); ex == "" || executor == "" || ex == executor {
+			ivs = append(ivs, interval{r.Start, r.End, PhaseRestartStall, prioRestart})
+		}
+	}
+	for _, ch := range x.children[t.ID] {
+		switch {
+		case ch.Cat == "htex" && ch.Name == "queue":
+			ivs = append(ivs, interval{ch.Start, ch.End, PhaseQueue, prioQueue})
+			w := ch.Attr("worker")
+			if w == "" {
+				continue
+			}
+			for _, in := range x.inits {
+				lo, hi := max(ch.Start, in.Start), min(ch.End, in.End)
+				if in.Track == w && hi > lo {
+					ivs = append(ivs, interval{lo, hi, PhaseColdStart, prioInitWait})
+				}
+			}
+			for _, run := range x.runsByTrack[w] {
+				if run.Parent == t.ID || run.End <= ch.Start || run.Start >= ch.End {
+					continue
+				}
+				for _, riv := range runIvs(run) {
+					lo, hi := max(riv.start, ch.Start), min(riv.end, ch.End)
+					if hi > lo {
+						ivs = append(ivs, interval{lo, hi, riv.phase, blockedPrio(riv.prio)})
+					}
+				}
+			}
+		case ch.Cat == "htex" && ch.Name == "run":
+			ivs = append(ivs, runIvs(ch)...)
+		}
+	}
+	return ivs
+}
+
+// referencePhases attributes every dfk task of the collectors, in
+// Analyze's order, by decomposing its reference intervals.
+func referencePhases(decomp func(start, end time.Duration, ivs []interval) Breakdown, collectors ...*obs.Collector) []Breakdown {
+	var out []Breakdown
+	for _, c := range collectors {
+		spans := c.Spans()
+		x := newRefIndex(spans)
+		for i := range spans {
+			if t := &spans[i]; t.Cat == "dfk" && t.Name == "task" {
+				out = append(out, decomp(t.Start, t.End, x.referenceIntervals(t)))
+			}
+		}
+	}
+	return out
+}
+
+// AttributeSorted returns every task's phases from the reference
+// evidence, decomposed by the sweep with every edge in one sorted list.
+// It is exported for the external test over report.ObservedCollectors,
+// which this package cannot import.
+func AttributeSorted(collectors ...*obs.Collector) []Breakdown {
+	var sw sweep
+	return referencePhases(sw.decompose, collectors...)
+}
+
+// randomCollector draws a small run on a coarse millisecond grid, so
+// shared and touching edges are common: restart windows, init windows,
+// tasks retried through several queue and run children, runs that
+// overlap on one track or straddle another task's queue window, and
+// device evidence reaching outside its run span.
+func randomCollector(rnd *rand.Rand) *obs.Collector {
+	grid := func(n int) time.Duration { return time.Duration(rnd.IntN(n)) * ms }
+	pick := func(xs ...string) string { return xs[rnd.IntN(len(xs))] }
+	c := obs.New(&tickClock{})
+	for range rnd.IntN(3) {
+		at := grid(80)
+		var attrs []obs.Attr
+		if ex := pick("ex1", "ex2", ""); ex != "" {
+			attrs = append(attrs, obs.String("executor", ex))
+		}
+		c.AddSpan("htex", "restart", "ex", 0, at, at+grid(30), attrs...)
+	}
+	for range rnd.IntN(3) {
+		at := grid(80)
+		c.AddSpan("htex", "init", pick("w0", "w1"), 0, at, at+grid(30))
+	}
+	for id := range 1 + rnd.IntN(8) {
+		start := grid(60)
+		task := addTask(c, id, "a", pick("ex1", "ex2", ""), "done", start, start+grid(80))
+		for range 1 + rnd.IntN(3) {
+			if rnd.IntN(4) > 0 {
+				at := grid(100)
+				c.AddSpan("htex", "queue", "task", task, at, at+grid(40), obs.String("worker", pick("w0", "w1", "")))
+			}
+			if rnd.IntN(4) == 0 {
+				continue
+			}
+			at := grid(100)
+			run := c.AddSpan("htex", "run", pick("w0", "w1", ""), task, at, at+grid(40), obs.Int("gpu_pct", 50))
+			for range rnd.IntN(6) {
+				k := max(at+grid(50)-5*ms, 0)
+				switch rnd.IntN(4) {
+				case 0:
+					c.AddSpan("htex", "ctxinit", "w", run, k, k+grid(10))
+				case 1:
+					c.AddSpan("simgpu", "xfer", "ctx", run, k, k+grid(10), obs.String("tag", pick("weights", "act")))
+				default:
+					c.AddSpan("simgpu", "decode", "ctx", run, k, k+grid(10), obs.Dur("queue_ns", grid(20)))
+				}
+			}
+		}
+	}
+	return c
+}
+
+// checkAttribute draws one collector and checks that Analyze equals
+// the quadratic oracle over the reference evidence, task by task.
+func checkAttribute(t *testing.T, rnd *rand.Rand) {
+	t.Helper()
+	c := randomCollector(rnd)
+	rep := Analyze(c)
+	want := referencePhases(decomposeRef, c)
+	if len(rep.Tasks) != len(want) {
+		t.Fatalf("%d tasks attributed, reference has %d", len(rep.Tasks), len(want))
+	}
+	for i := range want {
+		if rep.Tasks[i].Phases != want[i] {
+			var spans strings.Builder
+			for _, s := range c.Spans() {
+				fmt.Fprintf(&spans, "\n  %d<-%d %s/%s %s [%v, %v] %v", s.ID, s.Parent, s.Cat, s.Name, s.Track, s.Start, s.End, s.Attrs)
+			}
+			t.Fatalf("task %d:\nmerge     %v\nreference %v\nspans:%s", rep.Tasks[i].Task, rep.Tasks[i].Phases, want[i], spans.String())
+		}
+	}
+}
+
+// TestAttributeMatchesReference checks memoised, merged attribution
+// against the quadratic oracle over each task's full interval list, on
+// random collectors. The seeds are logged so a failure replays exactly.
+func TestAttributeMatchesReference(t *testing.T) {
+	seed1 := uint64(time.Now().UnixNano())
+	seed2 := bits.Reverse64(uint64(time.Now().UnixNano()))
+	t.Logf("seed1 = %d, seed2 = %d", seed1, seed2)
+	rnd := rand.New(rand.NewPCG(seed1, seed2))
+	for range 2000 {
+		checkAttribute(t, rnd)
+	}
+}
+
+// FuzzAttribute searches the same generator's seed space for a
+// collector on which attribution and the oracle disagree.
+func FuzzAttribute(f *testing.F) {
+	f.Add(uint64(1), uint64(2))
+	f.Add(uint64(0), uint64(0))
+	f.Fuzz(func(t *testing.T, seed1, seed2 uint64) {
+		checkAttribute(t, rand.New(rand.NewPCG(seed1, seed2)))
+	})
+}
+
+// TestAttributeTaskAllocatesNothing: once a collector's runs are
+// memoised and the scratch slices have grown, attributing a task
+// allocates nothing. Tasks arrive every 5ms at a worker that serves
+// one 20ms run at a time, and each run's kernel waits from 5ms before
+// the run starts, so queue windows hold memoised runs whole and clip
+// the run they open on.
+func TestAttributeTaskAllocatesNothing(t *testing.T) {
+	c := obs.New(&tickClock{})
+	c.AddSpan("htex", "init", "w0", 0, 0, 10*ms)
+	c.AddSpan("htex", "restart", "ex", 0, 30*ms, 40*ms)
+	for i := range 8 {
+		at, run := time.Duration(5*i)*ms, time.Duration(20*i)*ms
+		task := addTask(c, i, "a", "ex", "done", at, run+20*ms)
+		c.AddSpan("htex", "queue", "task", task, at, run, obs.String("worker", "w0"))
+		r := c.AddSpan("htex", "run", "w0", task, run, run+20*ms)
+		c.AddSpan("simgpu", "decode", "ctx", r, run+5*ms, run+15*ms, obs.Dur("queue_ns", 10*ms))
+	}
+	a, tasks := newAnalyzer(c.Spans())
+	for _, task := range tasks {
+		a.attributeTask(task)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(100, func() {
+		a.attributeTask(tasks[i%len(tasks)])
+		i++
+	}); n != 0 {
+		t.Errorf("attributing a task allocates %v, want 0", n)
+	}
 }

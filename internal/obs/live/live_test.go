@@ -383,3 +383,63 @@ func TestServerDropsStalledRequest(t *testing.T) {
 		t.Fatalf("stalled client still connected (read %q, err %v); want the server to hang up", reply, err)
 	}
 }
+
+// followers returns how many /spans?follow=1 handlers the tail feeds.
+func (t *SpanTail) followers() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.subs)
+}
+
+// TestSpansFollowDropsStalledClient: a follower that connects and
+// never reads is disconnected once a write outlasts the write timeout,
+// instead of pinning its handler for as long as the run streams.
+func TestSpansFollowDropsStalledClient(t *testing.T) {
+	prev := spansWriteTimeout
+	spansWriteTimeout = 100 * ms
+	defer func() { spansWriteTimeout = prev }()
+	srv := NewServer()
+	clk := &fakeClock{}
+	c := obs.New(clk)
+	c.SetScope("unit")
+	srv.Attach(true)(c, nil)
+	tail := srv.tailFor("unit")
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /spans?scope=unit&follow=1 HTTP/1.1\r\nHost: x\r\n\r\n")); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	// waitFollowers polls for the tail's follower count to reach n while
+	// emit keeps the stream flowing, and reports whether it did.
+	waitFollowers := func(n int, emit bool) bool {
+		for stop := time.Now().Add(10 * time.Second); time.Now().Before(stop); {
+			if tail.followers() == n {
+				return true
+			}
+			if !emit {
+				time.Sleep(ms)
+				continue
+			}
+			for range 1000 {
+				clk.t += ms
+				c.AddSpan("dfk", "task", "task", 0, clk.t-ms, clk.t, obs.String("app", strings.Repeat("x", 200)))
+			}
+		}
+		return false
+	}
+	if !waitFollowers(1, false) {
+		t.Fatal("the follow request never subscribed")
+	}
+	// The client reads nothing, so once the socket buffers fill the
+	// handler's writes block until their deadline.
+	if !waitFollowers(0, true) {
+		t.Fatal("a follower that stopped reading is still subscribed after 10s")
+	}
+	c.Close()
+}

@@ -2,6 +2,7 @@ package live
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -127,6 +128,11 @@ var readHeaderTimeout = 10 * time.Second
 // is deliberately no WriteTimeout: /spans?follow=1 streams for as long
 // as the client stays.
 const idleTimeout = 2 * time.Minute
+
+// spansWriteTimeout bounds each /spans write instead, so a follower
+// that stops reading is dropped rather than pinning its handler; a
+// variable only so tests can shorten it.
+var spansWriteTimeout = 10 * time.Second
 
 // Start listens on addr (e.g. "127.0.0.1:0") and serves in the
 // background, returning the bound address.
@@ -435,7 +441,9 @@ func (s *Server) tailFor(scope string) *SpanTail {
 // snapshot Chrome-trace export starts with (header + events, no
 // trailer) so a client can diff the live stream against the artifact.
 // follow=1 keeps the connection open and streams future events (slow
-// followers drop events rather than stalling the simulation).
+// followers drop events rather than stalling the simulation). Every
+// write carries its own deadline, so a client that stops reading is
+// disconnected.
 func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	tail := s.tailFor(r.URL.Query().Get("scope"))
 	if tail == nil {
@@ -447,6 +455,16 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 
 	chunks, evicted := tail.Snapshot()
 	w.Header().Set("X-Spans-Evicted", fmt.Sprintf("%d", evicted))
+	rc := http.NewResponseController(w)
+	// deadline arms the next write's timeout; a writer without
+	// deadlines (a test recorder) writes unbounded.
+	deadline := func() error {
+		err := rc.SetWriteDeadline(time.Now().Add(spansWriteTimeout))
+		if errors.Is(err, http.ErrNotSupported) {
+			return nil
+		}
+		return err
+	}
 	var write func(chunk []byte) error
 	if raw {
 		w.Header().Set("Content-Type", "application/json")
@@ -482,14 +500,11 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	for _, c := range chunks {
-		if write(c) != nil {
+		if deadline() != nil || write(c) != nil {
 			return
 		}
 	}
-	if f, fok := w.(http.Flusher); fok {
-		f.Flush()
-	}
-	if !follow {
+	if deadline() != nil || rc.Flush() != nil || !follow {
 		return
 	}
 	ch, cancel := tail.follow(256)
@@ -499,11 +514,8 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			return
 		case chunk := <-ch:
-			if write(chunk) != nil {
+			if deadline() != nil || write(chunk) != nil || rc.Flush() != nil {
 				return
-			}
-			if f, fok := w.(http.Flusher); fok {
-				f.Flush()
 			}
 		}
 	}
