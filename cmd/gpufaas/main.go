@@ -34,7 +34,6 @@ import (
 	"repro/internal/report"
 	"repro/internal/rightsize"
 	"repro/internal/simgpu"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -223,9 +222,7 @@ func runMolDesign(args []string) error {
 	}
 	fmt.Printf("GPU busy %.0f%% with %d idle gaps\n", res.GPUBusyFraction*100, res.GPUIdleGaps)
 	if *gantt {
-		fmt.Print(res.Trace.Gantt(trace.GanttOpts{Width: 100, GroupBy: "kind", Glyphs: map[string]rune{
-			"simulation": 'S', "training": 'T', "inference": 'I',
-		}}))
+		fmt.Print(report.Fig3Gantt(res, 100))
 	}
 	return nil
 }

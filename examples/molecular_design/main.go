@@ -12,7 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/moldesign"
-	"repro/internal/trace"
+	"repro/internal/report"
 )
 
 func main() {
@@ -35,8 +35,6 @@ func main() {
 
 	fmt.Printf("the Fig. 3 observation — the GPU is busy only %.0f%% of the campaign (%d idle gaps):\n\n",
 		res.GPUBusyFraction*100, res.GPUIdleGaps)
-	fmt.Print(res.Trace.Gantt(trace.GanttOpts{Width: 110, GroupBy: "kind", Glyphs: map[string]rune{
-		"simulation": 'S', "training": 'T', "inference": 'I',
-	}}))
+	fmt.Print(report.Fig3Gantt(res, 110))
 	fmt.Println("\npipelining another tenant onto the idle GPU is exactly what the paper's partitioning enables.")
 }

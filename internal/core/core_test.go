@@ -262,8 +262,8 @@ func TestRunMolDesignFig3(t *testing.T) {
 	if res.GPUIdleGaps < 2 {
 		t.Errorf("idle gaps = %d", res.GPUIdleGaps)
 	}
-	if res.Trace.Len() == 0 {
-		t.Error("empty trace")
+	if len(res.Runs) == 0 {
+		t.Error("no run spans")
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"repro/internal/faas"
 	"repro/internal/models"
 	"repro/internal/simgpu"
-	"repro/internal/trace"
 )
 
 // Config parameterizes the active-learning campaign (§3.1's seven-step
@@ -39,6 +38,50 @@ type Config struct {
 	// RandomSelection replaces the greedy top-K pick with a uniform
 	// random pick — the scientific control for the active learner.
 	RandomSelection bool
+}
+
+// Validate rejects configurations the campaign cannot run: empty
+// pools, batches or chunks, negative rounds, and a per-round batch
+// larger than the candidate pool it is picked from.
+func (cfg Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"InitialPool", cfg.InitialPool},
+		{"CandidatePool", cfg.CandidatePool},
+		{"BatchSize", cfg.BatchSize},
+		{"InferChunk", cfg.InferChunk},
+		{"TrainEpochs", cfg.TrainEpochs},
+	} {
+		if f.v < 1 {
+			return fmt.Errorf("moldesign: %s = %d, must be at least 1", f.name, f.v)
+		}
+	}
+	if cfg.Rounds < 0 {
+		return fmt.Errorf("moldesign: Rounds = %d, must not be negative", cfg.Rounds)
+	}
+	if cfg.BatchSize > cfg.CandidatePool {
+		return fmt.Errorf("moldesign: BatchSize %d exceeds CandidatePool %d", cfg.BatchSize, cfg.CandidatePool)
+	}
+	return nil
+}
+
+// Phases lists the campaign's Fig. 3 phases in table order.
+var Phases = []string{"simulation", "training", "inference"}
+
+// Phase maps a campaign method (a task's app name) to its Fig. 3
+// phase, or "" if the method is not one of the campaign's.
+func Phase(method string) string {
+	switch method {
+	case "simulate":
+		return "simulation"
+	case "train":
+		return "training"
+	case "infer":
+		return "inference"
+	}
+	return ""
 }
 
 // DefaultConfig returns a campaign sized like the paper's testbed run:
@@ -85,7 +128,6 @@ type Report struct {
 type Campaign struct {
 	cfg    Config
 	server *colmena.TaskServer
-	trace  *trace.Log
 	mlp    models.MLP
 
 	// pipelineScored buffers inference results between chunks of the
@@ -95,9 +137,10 @@ type Campaign struct {
 
 // New registers the campaign's methods ("simulate" on the CPU
 // executor, "train" and "infer" on the GPU executor) with the task
-// server.
-func New(cfg Config, server *colmena.TaskServer, cpuExecutor, gpuExecutor string, log *trace.Log) *Campaign {
-	c := &Campaign{cfg: cfg, server: server, trace: log, mlp: models.MolDesignEmulator()}
+// server. Each method runs as one task, so the executors' run spans
+// are the campaign's timeline (see Phase).
+func New(cfg Config, server *colmena.TaskServer, cpuExecutor, gpuExecutor string) *Campaign {
+	c := &Campaign{cfg: cfg, server: server, mlp: models.MolDesignEmulator()}
 	server.RegisterMethod("simulate", cpuExecutor, c.simulateMethod)
 	server.RegisterMethod("train", gpuExecutor, c.trainMethod)
 	server.RegisterMethod("infer", gpuExecutor, c.inferMethod)
@@ -192,7 +235,6 @@ func (c *Campaign) Run(p *devent.Proc) (*Report, error) {
 		}
 		res := r.Value.(SimResult)
 		dataset = append(dataset, res)
-		c.span(r, "simulation")
 		if res.IP > rep.InitialBestIP {
 			rep.InitialBestIP = res.IP
 			rep.BestIP, rep.BestMolecule = res.IP, res.Molecule
@@ -208,7 +250,6 @@ func (c *Campaign) Run(p *devent.Proc) (*Report, error) {
 			return nil, tr.Err
 		}
 		emulator = tr.Value.(*Emulator)
-		c.span(tr, "training")
 
 		candidates := Pool(cfg.Seed, next, cfg.CandidatePool)
 		next += cfg.CandidatePool
@@ -227,7 +268,6 @@ func (c *Campaign) Run(p *devent.Proc) (*Report, error) {
 				return nil, r.Err
 			}
 			scored = append(scored, r.Value.([]Scored)...)
-			c.span(r, "inference")
 		}
 		if cfg.RandomSelection {
 			// Control arm: deterministic pseudo-random shuffle keyed
@@ -252,7 +292,6 @@ func (c *Campaign) Run(p *devent.Proc) (*Report, error) {
 			res := r.Value.(SimResult)
 			dataset = append(dataset, res)
 			batchSum += res.IP
-			c.span(r, "simulation")
 			if res.IP > rep.BestIP {
 				rep.BestIP, rep.BestMolecule = res.IP, res.Molecule
 			}
@@ -273,17 +312,4 @@ func (c *Campaign) Run(p *devent.Proc) (*Report, error) {
 	}
 	rep.Makespan = p.Now() - start
 	return rep, nil
-}
-
-func (c *Campaign) span(r colmena.Result, kind string) {
-	if c.trace == nil || r.Task == nil {
-		return
-	}
-	c.trace.Add(trace.Span{
-		Track: r.Task.Worker,
-		Label: r.Method,
-		Kind:  kind,
-		Start: r.Task.StartTime,
-		End:   r.Task.EndTime,
-	})
 }

@@ -1,6 +1,7 @@
 package moldesign
 
 import (
+	"sort"
 	"testing"
 	"time"
 
@@ -10,13 +11,14 @@ import (
 	"repro/internal/faas/htex"
 	"repro/internal/faas/provider"
 	"repro/internal/gpuctl"
+	"repro/internal/obs"
 	"repro/internal/simgpu"
-	"repro/internal/trace"
 )
 
 // campaignRig is the paper's testbed in miniature: a 24-core node with
-// GPUs, a cpu executor with 16 workers, and a gpu executor.
-func campaignRig(t *testing.T, cfg Config) (*devent.Env, *Campaign, *trace.Log, *simgpu.Device) {
+// GPUs, a cpu executor with 16 workers, and a gpu executor. The
+// returned collector records one htex run span per task.
+func campaignRig(t *testing.T, cfg Config) (*devent.Env, *Campaign, *obs.Collector, *simgpu.Device) {
 	t.Helper()
 	env := devent.NewEnv()
 	dev, err := simgpu.NewDevice(env, "gpu0", simgpu.A100SXM440GB())
@@ -42,8 +44,48 @@ func campaignRig(t *testing.T, cfg Config) (*devent.Env, *Campaign, *trace.Log, 
 		t.Fatal(err)
 	}
 	ts := colmena.NewTaskServer(dfk, colmena.NewQueues(env))
-	log := &trace.Log{}
-	return env, New(cfg, ts, "cpu", "gpu", log), log, dev
+	return env, New(cfg, ts, "cpu", "gpu"), dfk.Collector(), dev
+}
+
+// phaseRuns returns the collector's htex run spans of the given
+// campaign phases.
+func phaseRuns(c *obs.Collector, phases ...string) []obs.Span {
+	var out []obs.Span
+	for _, s := range c.Spans() {
+		if s.Cat != "htex" || s.Name != "run" {
+			continue
+		}
+		for _, ph := range phases {
+			if Phase(s.Attr("app")) == ph {
+				out = append(out, s)
+			}
+		}
+	}
+	return out
+}
+
+// coverage returns the time in [0, to) that the spans cover, counting
+// overlaps once, and the number of idle gaps they leave.
+func coverage(spans []obs.Span, to time.Duration) (covered time.Duration, gaps int) {
+	spans = append([]obs.Span(nil), spans...)
+	sort.Slice(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
+	var cursor time.Duration
+	for _, s := range spans {
+		if s.End <= s.Start {
+			continue
+		}
+		if s.Start > cursor {
+			gaps++
+		}
+		if s.End > cursor {
+			covered += s.End - max(s.Start, cursor)
+			cursor = s.End
+		}
+	}
+	if cursor < to {
+		gaps++
+	}
+	return covered, gaps
 }
 
 func smallConfig() Config {
@@ -53,6 +95,31 @@ func smallConfig() Config {
 	cfg.BatchSize = 8
 	cfg.Rounds = 3
 	return cfg
+}
+
+func TestConfigValidate(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+		ok   bool
+	}{
+		{"default", func(*Config) {}, true},
+		{"no rounds", func(c *Config) { c.Rounds = 0 }, true},
+		{"batch equals pool", func(c *Config) { c.BatchSize, c.CandidatePool = 10, 10 }, true},
+		{"batch exceeds pool", func(c *Config) { c.BatchSize, c.CandidatePool = 16, 10 }, false},
+		{"negative pool", func(c *Config) { c.CandidatePool = -5 }, false},
+		{"zero batch", func(c *Config) { c.BatchSize = 0 }, false},
+		{"zero initial pool", func(c *Config) { c.InitialPool = 0 }, false},
+		{"zero infer chunk", func(c *Config) { c.InferChunk = 0 }, false},
+		{"zero epochs", func(c *Config) { c.TrainEpochs = 0 }, false},
+		{"negative rounds", func(c *Config) { c.Rounds = -1 }, false},
+	} {
+		cfg := DefaultConfig()
+		tc.edit(&cfg)
+		if err := cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
 }
 
 func TestCampaignActiveLearningBeatsRandom(t *testing.T) {
@@ -96,7 +163,7 @@ func TestCampaignActiveLearningBeatsRandom(t *testing.T) {
 // Fig. 3's observation: the trace shows all three phases, and the GPU
 // has substantial idle time while simulations run.
 func TestCampaignTraceShowsPhasesAndGPUIdle(t *testing.T) {
-	env, c, log, dev := campaignRig(t, smallConfig())
+	env, c, col, dev := campaignRig(t, smallConfig())
 	var makespan time.Duration
 	env.Spawn("thinker", func(p *devent.Proc) {
 		if _, err := c.Run(p); err != nil {
@@ -108,17 +175,13 @@ func TestCampaignTraceShowsPhasesAndGPUIdle(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	kinds := map[string]bool{}
-	for _, k := range log.Kinds() {
-		kinds[k] = true
-	}
-	for _, k := range []string{"simulation", "training", "inference"} {
-		if !kinds[k] {
-			t.Errorf("missing %s spans", k)
+	for _, ph := range Phases {
+		if len(phaseRuns(col, ph)) == 0 {
+			t.Errorf("missing %s spans", ph)
 		}
 	}
-	gpuSpans := append(log.OfKind("training"), log.OfKind("inference")...)
-	busy := trace.BusyFraction(gpuSpans, 0, makespan)
+	covered, gaps := coverage(phaseRuns(col, "training", "inference"), makespan)
+	busy := float64(covered) / float64(makespan)
 	if busy > 0.5 {
 		t.Errorf("GPU busy fraction %.2f — expected large idle gaps", busy)
 	}
@@ -131,9 +194,8 @@ func TestCampaignTraceShowsPhasesAndGPUIdle(t *testing.T) {
 	}
 	// There are real gaps between GPU bursts (the "white lines" of
 	// Fig. 3).
-	gaps := trace.Gaps(gpuSpans, 0, makespan)
-	if len(gaps) < 3 {
-		t.Errorf("only %d GPU idle gaps", len(gaps))
+	if gaps < 3 {
+		t.Errorf("only %d GPU idle gaps", gaps)
 	}
 }
 
@@ -165,27 +227,25 @@ func TestCampaignDeterminism(t *testing.T) {
 func TestCampaignSimulationsRunInParallel(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Rounds = 1
-	env, c, log, _ := campaignRig(t, cfg)
+	env, c, col, _ := campaignRig(t, cfg)
+	var makespan time.Duration
 	env.Spawn("thinker", func(p *devent.Proc) {
 		if _, err := c.Run(p); err != nil {
 			t.Error(err)
 		}
+		makespan = p.Now()
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	sims := log.OfKind("simulation")
+	sims := phaseRuns(col, "simulation")
 	// 16 initial sims over 16 workers: the union coverage must be far
 	// less than the summed durations (i.e., they overlapped).
 	var sum time.Duration
 	for _, s := range sims {
 		sum += s.Duration()
 	}
-	var busy time.Duration
-	for _, iv := range trace.Union(sims) {
-		busy += iv.Duration()
-	}
-	if busy >= sum/2 {
+	if busy, _ := coverage(sims, makespan); busy >= sum/2 {
 		t.Fatalf("simulations barely overlapped: busy=%v sum=%v", busy, sum)
 	}
 }
@@ -196,8 +256,8 @@ func TestCampaignSimulationsRunInParallel(t *testing.T) {
 func TestPipelinedCampaignOverlapsAndSpeedsUp(t *testing.T) {
 	cfg := smallConfig()
 
-	runMode := func(pipelined bool) (*Report, *trace.Log) {
-		env, c, log, _ := campaignRig(t, cfg)
+	runMode := func(pipelined bool) (*Report, *obs.Collector) {
+		env, c, col, _ := campaignRig(t, cfg)
 		var rep *Report
 		env.Spawn("thinker", func(p *devent.Proc) {
 			var err error
@@ -213,11 +273,11 @@ func TestPipelinedCampaignOverlapsAndSpeedsUp(t *testing.T) {
 		if err := env.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return rep, log
+		return rep, col
 	}
 
 	sync, _ := runMode(false)
-	async, asyncLog := runMode(true)
+	async, asyncCol := runMode(true)
 
 	if async.Dataset != sync.Dataset {
 		t.Fatalf("budgets differ: sync=%d async=%d", sync.Dataset, async.Dataset)
@@ -227,8 +287,8 @@ func TestPipelinedCampaignOverlapsAndSpeedsUp(t *testing.T) {
 	}
 	// GPU work overlaps simulations: some instant has both kinds
 	// active.
-	gpu := trace.Union(append(asyncLog.OfKind("training"), asyncLog.OfKind("inference")...))
-	sims := trace.Union(asyncLog.OfKind("simulation"))
+	gpu := phaseRuns(asyncCol, "training", "inference")
+	sims := phaseRuns(asyncCol, "simulation")
 	overlap := false
 	for _, g := range gpu {
 		for _, s := range sims {

@@ -81,7 +81,6 @@ func (c *Campaign) RunPipelined(p *devent.Proc) (*Report, error) {
 			res := r.Value.(SimResult)
 			dataset = append(dataset, res)
 			simsDone++
-			c.span(r, "simulation")
 			if res.IP > rep.BestIP {
 				rep.BestIP, rep.BestMolecule = res.IP, res.Molecule
 			}
@@ -100,7 +99,6 @@ func (c *Campaign) RunPipelined(p *devent.Proc) (*Report, error) {
 		case "train":
 			emulator = r.Value.(*Emulator)
 			trainInFlight = false
-			c.span(r, "training")
 			// Score a fresh pool with the new emulator, overlapping
 			// with the in-flight simulations.
 			candidates := Pool(cfg.Seed, nextID, cfg.CandidatePool)
@@ -116,7 +114,6 @@ func (c *Campaign) RunPipelined(p *devent.Proc) (*Report, error) {
 			c.pipelineScored = c.pipelineScored[:0]
 		case "infer":
 			c.pipelineScored = append(c.pipelineScored, r.Value.([]Scored)...)
-			c.span(r, "inference")
 			chunksLeft--
 			if chunksLeft == 0 {
 				sort.Slice(c.pipelineScored, func(i, j int) bool {

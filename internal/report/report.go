@@ -7,6 +7,7 @@ package report
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -14,11 +15,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/llm"
+	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/moldesign"
 	"repro/internal/rightsize"
 	"repro/internal/simgpu"
-	"repro/internal/trace"
 )
 
 func header(w io.Writer, title string) {
@@ -125,8 +126,8 @@ func Fig3(w io.Writer, cfg moldesign.Config) error {
 		rep.BestIP, rep.InitialBestIP, rep.PoolMeanIP, rep.FinalRMSE)
 	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "phase\ttasks\tbusy (s)\tsummed task time (s)")
-	for _, s := range res.Trace.Summarize() {
-		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\n", s.Kind, s.Count, sec(s.TotalBusy), sec(s.SumSpans))
+	for _, s := range res.Phases {
+		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\n", s.Phase, s.Tasks, sec(s.Busy), sec(s.Summed))
 	}
 	if err := tw.Flush(); err != nil {
 		return err
@@ -134,11 +135,9 @@ func Fig3(w io.Writer, cfg moldesign.Config) error {
 	fmt.Fprintf(w, "GPU busy fraction: %.0f%% (%d idle gaps — the \"white lines\" of Fig. 3)\n",
 		res.GPUBusyFraction*100, res.GPUIdleGaps)
 	fmt.Fprintln(w, "\ntimeline (S=simulation on CPU workers, T=training, I=inference on the GPU worker):")
-	fmt.Fprint(w, res.Trace.Gantt(trace.GanttOpts{Width: 100, GroupBy: "kind", Glyphs: map[string]rune{
-		"simulation": 'S', "training": 'T', "inference": 'I',
-	}}))
+	fmt.Fprint(w, Fig3Gantt(res, 100))
 	fmt.Fprintf(w, "%10s  |%s| busy SMs (0..%d)\n", "gpu util",
-		trace.Sparkline(res.DeviceBusy, res.Makespan, 100, float64(res.DeviceSMs)), res.DeviceSMs)
+		sparkline(res.DeviceBusy, res.Makespan, 100, float64(res.DeviceSMs)), res.DeviceSMs)
 	// The paper's remark under Fig. 3: pipelining raises utilization.
 	piped, err := core.RunMolDesignPipelined(cfg)
 	if err != nil {
@@ -151,6 +150,69 @@ func Fig3(w io.Writer, cfg moldesign.Config) error {
 		res.GPUBusyFraction*100, piped.GPUBusyFraction*100,
 		piped.Report.Dataset, piped.Report.BestIP)
 	return nil
+}
+
+// Fig3Gantt renders the campaign's task timeline as an ASCII chart of
+// width columns scaled to the latest run end: one row per phase,
+// sorted by name, marked with the phase's upper-case initial where a
+// task ran and '.' where none did.
+func Fig3Gantt(res *core.Fig3Result, width int) string {
+	var end time.Duration
+	for _, s := range res.Runs {
+		end = max(end, s.End)
+	}
+	if end == 0 {
+		return "(empty trace)\n"
+	}
+	rows := map[string][]byte{}
+	var order []string
+	for _, s := range res.Runs {
+		phase := moldesign.Phase(s.Attr("app"))
+		row, ok := rows[phase]
+		if !ok {
+			row = []byte(strings.Repeat(".", width))
+			rows[phase] = row
+			order = append(order, phase)
+		}
+		lo := int(float64(s.Start) / float64(end) * float64(width))
+		hi := int(float64(s.End) / float64(end) * float64(width))
+		if hi == lo {
+			hi = lo + 1
+		}
+		glyph := strings.ToUpper(phase)[0]
+		for i := lo; i < hi && i < width; i++ {
+			row[i] = glyph
+		}
+	}
+	sort.Strings(order)
+	labelW := 0
+	for _, k := range order {
+		labelW = max(labelW, len(k))
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%*s  |%s| 0 .. %s\n", labelW, "", strings.Repeat("-", width), end.Round(time.Millisecond))
+	for _, k := range order {
+		fmt.Fprintf(&b, "%*s  |%s|\n", labelW, k, rows[k])
+	}
+	return b.String()
+}
+
+// sparkline renders a step series (busy SMs over time) as one row of
+// width block glyphs over [0, to), scaled to full, to sit under a
+// Fig3Gantt chart of the same width.
+func sparkline(s *metrics.StepSeries, to time.Duration, width int, full float64) string {
+	glyphs := []rune(" ▁▂▃▄▅▆▇█")
+	row := make([]rune, width)
+	for i := range row {
+		a := time.Duration(float64(to) * float64(i) / float64(width))
+		b := time.Duration(float64(to) * float64(i+1) / float64(width))
+		idx := 0
+		if full > 0 {
+			idx = int(s.Mean(a, b) / full * float64(len(glyphs)-1))
+		}
+		row[i] = glyphs[min(len(glyphs)-1, max(0, idx))]
+	}
+	return string(row)
 }
 
 // Fig45 runs the multiplexed-vs-non-multiplexed matrix and prints

@@ -5,8 +5,12 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/moldesign"
+	"repro/internal/obs"
 )
 
 func TestFig1Report(t *testing.T) {
@@ -40,6 +44,9 @@ func TestFig2Report(t *testing.T) {
 	}
 }
 
+// TestFig3Report pins the whole Fig. 3 artifact (phase table, GPU
+// idle statistics, timeline, utilization sparkline and the pipelined
+// comparison) for a small campaign against testdata/fig3.golden.
 func TestFig3Report(t *testing.T) {
 	cfg := moldesign.DefaultConfig()
 	cfg.InitialPool = 8
@@ -50,11 +57,65 @@ func TestFig3Report(t *testing.T) {
 	if err := Fig3(&b, cfg); err != nil {
 		t.Fatal(err)
 	}
-	out := b.String()
-	for _, want := range []string{"simulation", "training", "inference", "GPU busy fraction", "timeline"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("fig3 output missing %q", want)
-		}
+	want, err := os.ReadFile(filepath.Join("testdata", "fig3.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Fatalf("fig3 output differs from testdata/fig3.golden:\n--- got\n%s--- want\n%s", got, want)
+	}
+}
+
+// run builds a campaign run span for the given method.
+func run(worker, method string, start, end time.Duration) obs.Span {
+	return obs.Span{Cat: "htex", Name: "run", Track: worker, Start: start, End: end,
+		Attrs: []obs.Attr{obs.String("app", method)}}
+}
+
+func TestFig3GanttRendering(t *testing.T) {
+	res := &core.Fig3Result{Runs: []obs.Span{
+		run("gpu0", "train", 0, 5*time.Second),
+		run("gpu0", "infer", 5*time.Second, 10*time.Second),
+		run("cpu0", "simulate", 0, 4*time.Second),
+		run("cpu1", "simulate", 6*time.Second, 10*time.Second),
+	}}
+	want := `            |----------| 0 .. 10s
+ inference  |.....IIIII|
+simulation  |SSSS..SSSS|
+  training  |TTTTT.....|
+`
+	if got := Fig3Gantt(res, 10); got != want {
+		t.Fatalf("got:\n%swant:\n%s", got, want)
+	}
+}
+
+func TestFig3GanttTinySpanVisible(t *testing.T) {
+	res := &core.Fig3Result{Runs: []obs.Span{
+		run("cpu0", "simulate", 0, 100*time.Second),
+		run("gpu0", "infer", 50*time.Second, 50*time.Second+time.Millisecond),
+	}}
+	if out := Fig3Gantt(res, 20); !strings.Contains(out, "I") {
+		t.Fatalf("tiny span invisible:\n%s", out)
+	}
+}
+
+func TestFig3GanttEmpty(t *testing.T) {
+	if got := Fig3Gantt(&core.Fig3Result{}, 100); got != "(empty trace)\n" {
+		t.Fatalf("got %q", got)
+	}
+}
+
+func TestSparkline(t *testing.T) {
+	var s metrics.StepSeries
+	s.Set(0, 0)
+	s.Set(5*time.Second, 100)
+	row := sparkline(&s, 10*time.Second, 10, 100)
+	if r := []rune(row); len(r) != 10 || r[0] != ' ' || r[9] != '█' {
+		t.Fatalf("row = %q", row)
+	}
+	// A zero full scale draws an empty row rather than dividing by it.
+	if got := sparkline(&s, 10*time.Second, 4, 0); got != "    " {
+		t.Fatalf("zero scale row = %q", got)
 	}
 }
 
