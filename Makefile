@@ -132,8 +132,8 @@ autoscale:
 	echo "autoscale: ok (byte-identical across -parallel)"
 
 # End-to-end smoke of the live observability plane: boot small
-# paperbench scale, fleet, and autoscale runs and gpufaas autoscale and
-# multiplex runs, each with -serve, poll /healthz until every run
+# paperbench scale, fleet, and autoscale runs and a gpufaas multiplex
+# run, each with -serve, poll /healthz until every run
 # reports done, then curl the endpoints — /metrics (the merged
 # multi-scope exposition must pass promlint), /api/scopes, /api/alerts,
 # /dashboard, /progress, and /spans. The servers linger after their
@@ -149,12 +149,10 @@ serve-smoke:
 	fleet_pid=$$!; \
 	/tmp/paperbench-smoke autoscale -gpus 4 -horizon 30m -serve 127.0.0.1:9192 >/dev/null 2>&1 & \
 	auto_pid=$$!; \
-	/tmp/gpufaas-smoke autoscale -gpus 4 -horizon 30m -serve 127.0.0.1:9193 >/dev/null 2>&1 & \
-	gauto_pid=$$!; \
 	/tmp/gpufaas-smoke multiplex -completions 8 -serve 127.0.0.1:9194 >/dev/null 2>&1 & \
 	gmx_pid=$$!; \
-	trap "kill $$scale_pid $$fleet_pid $$auto_pid $$gauto_pid $$gmx_pid 2>/dev/null || true" EXIT; \
-	for port in 9190 9191 9192 9193 9194; do \
+	trap "kill $$scale_pid $$fleet_pid $$auto_pid $$gmx_pid 2>/dev/null || true" EXIT; \
+	for port in 9190 9191 9192 9194; do \
 		ok=0; \
 		for i in $$(seq 1 90); do \
 			if curl -fsS http://127.0.0.1:$$port/healthz 2>/dev/null | grep -q '"phase":"done"'; then ok=1; break; fi; \
@@ -176,11 +174,11 @@ serve-smoke:
 	curl -fsS http://127.0.0.1:9192/api/scopes | grep -q '"scope":"autoscale/static-1"'; \
 	curl -fsS http://127.0.0.1:9192/api/alerts | grep -q '"name":"slo-burn-page"'; \
 	curl -fsS 'http://127.0.0.1:9192/api/series?name=autoscale_blocks&fn=latest&scope=*' | grep -q '"results"'; \
-	curl -fsS http://127.0.0.1:9193/api/scopes | grep -q '"scope":"autoscale"'; \
-	curl -fsS 'http://127.0.0.1:9193/spans?scope=autoscale' | grep -c '"name":"decide"' >/dev/null; \
+	curl -fsS http://127.0.0.1:9192/api/scopes | grep -q '"scope":"autoscale/autoscaled"'; \
+	curl -fsS 'http://127.0.0.1:9192/spans?scope=autoscale/autoscaled' | grep -c '"name":"decide"' >/dev/null; \
 	curl -fsS http://127.0.0.1:9194/api/scopes | grep -q '"scope":"multiplex/mps/p4"'; \
 	curl -fsS 'http://127.0.0.1:9194/spans?scope=multiplex/mps/p4' | grep -c '"name":"task"' >/dev/null; \
-	echo "serve-smoke: ok (metrics $$(wc -l < /tmp/serve-smoke.metrics) lines, spans $$(wc -l < /tmp/serve-smoke.spans) events; fleet+autoscale scopes, alerts, dashboard, promlint, gpufaas autoscale+multiplex scopes and tails ok)"
+	echo "serve-smoke: ok (metrics $$(wc -l < /tmp/serve-smoke.metrics) lines, spans $$(wc -l < /tmp/serve-smoke.spans) events; fleet+autoscale scopes, alerts, dashboard, promlint, autoscale+multiplex scopes and tails ok)"
 
 # End-to-end smoke test of the attribution pipeline: run the Table 1
 # bursts instrumented, render the folded-stack artifact, and print the

@@ -1,14 +1,16 @@
 // Package cli is the command-line surface paperbench and gpufaas share:
 // one binder for the telemetry flags (-serve, -sample, -trace,
 // -metrics, -attrib, -flame, -slo, -alerts) that validates
-// them, runs the live observability server and hands each run its
-// Attach hook, plus the tracediff mode.
+// them, runs the live observability server, hands each run its
+// Attach hook and writes every snapshot telemetry file, plus the
+// tracediff mode.
 package cli
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -25,9 +27,11 @@ type Set uint
 
 const (
 	Sample  Set = 1 << iota // -sample
+	Trace                   // -trace
 	Exports                 // -trace, -metrics, -attrib, -flame, -slo
-	// RulePack marks a scenario with its own alert-rule pack: -alerts
-	// writes the pack's history and stands alone. Without it -alerts
+	// RulePack marks a streaming scenario with its own alert-rule pack:
+	// its run writes -trace and -alerts (the pack's history, standing
+	// alone) itself, so Export has nothing to write. Without it -alerts
 	// writes the SLO monitor's stream and requires -slo.
 	RulePack
 	// Single marks a command that runs one simulation. Under -serve
@@ -59,8 +63,10 @@ func Bind(fs *flag.FlagSet, prog string, set Set) *Flags {
 	if set&Sample != 0 {
 		fs.IntVar(&f.Sample, "sample", 0, "keep ~1/N of task trees in the trace")
 	}
-	if set&Exports != 0 {
+	if set&(Trace|Exports) != 0 {
 		fs.StringVar(&f.Trace, "trace", "", "write a Chrome trace-event JSON file")
+	}
+	if set&Exports != 0 {
 		fs.StringVar(&f.Metrics, "metrics", "", "write Prometheus text metrics")
 		fs.StringVar(&f.Attrib, "attrib", "", "write the latency-attribution JSON")
 		fs.StringVar(&f.Flame, "flame", "", "write folded flamegraph stacks")
@@ -102,10 +108,59 @@ func (f *Flags) validate() error {
 	return nil
 }
 
-// Analyzes reports whether an attribution export — -attrib, -flame,
+// analyzes reports whether an attribution export — -attrib, -flame,
 // or the SLO -alerts stream — reads the run's spans.
-func (f *Flags) Analyzes() bool {
+func (f *Flags) analyzes() bool {
 	return f.Attrib != "" || f.Flame != "" || (f.Alerts != "" && f.set&RulePack == 0)
+}
+
+// Observe reports whether Export has a file to write, so the runs must
+// be instrumented (Observe in their configs) and handed to it.
+func (f *Flags) Observe() bool {
+	return f.set&RulePack == 0 && (f.Trace != "" || f.Metrics != "" || f.analyzes())
+}
+
+// Export writes the snapshot telemetry files the flags request from the
+// runs' collectors, merged in order: -trace, -metrics, and the
+// attribution exports -attrib, -flame and the SLO -alerts stream.
+// Without such a file it writes nothing.
+func (f *Flags) Export(cs ...*obs.Collector) error {
+	if !f.Observe() {
+		return nil
+	}
+	if err := create(f.Trace, func(w io.Writer) error { return obs.WriteChromeTrace(w, cs...) }); err != nil {
+		return err
+	}
+	if err := create(f.Metrics, func(w io.Writer) error { return obs.WritePrometheus(w, cs...) }); err != nil {
+		return err
+	}
+	if !f.analyzes() {
+		return nil
+	}
+	rep := analyze.Analyze(cs...)
+	if err := create(f.Attrib, rep.WriteJSON); err != nil {
+		return err
+	}
+	if err := create(f.Flame, func(w io.Writer) error { return analyze.WriteFolded(w, rep) }); err != nil {
+		return err
+	}
+	return create(f.Alerts, func(w io.Writer) error { return analyze.WriteAlerts(w, cs...) })
+}
+
+// create writes path through fn; an empty path is skipped.
+func create(path string, fn func(io.Writer) error) error {
+	if path == "" {
+		return nil
+	}
+	w, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := fn(w); err != nil {
+		w.Close()
+		return err
+	}
+	return w.Close()
 }
 
 // Attach returns the hook a command sets as its runs' Attach: nil
@@ -118,15 +173,14 @@ func (f *Flags) Attach() func(*obs.Collector, *tsdb.DB) {
 	if f.srv == nil {
 		return nil
 	}
-	retained := f.Trace != "" || f.Analyzes()
+	retained := f.Trace != "" || f.analyzes()
 	return f.srv.Attach(f.set&Single != 0 && !retained)
 }
 
 // TSDB returns the store request of a Single command's run: the
-// default store under -serve, which serves it, or with -alerts on a
-// RulePack command, whose rule pack lives on the store; else nil.
+// default store under -serve, which serves it; else nil.
 func (f *Flags) TSDB() *tsdb.Config {
-	if f.srv != nil || (f.Alerts != "" && f.set&RulePack != 0) {
+	if f.srv != nil {
 		return &tsdb.Config{}
 	}
 	return nil

@@ -43,18 +43,8 @@ func TraceDiff(prog string, args []string) error {
 		return err
 	}
 	d := analyze.Diff(a, b, *labelA, *labelB)
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			return err
-		}
-		if err := d.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+	if err := create(*outPath, d.WriteJSON); err != nil {
+		return err
 	}
 	return d.WriteText(os.Stdout)
 }

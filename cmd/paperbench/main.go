@@ -22,6 +22,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/harness"
 	"repro/internal/moldesign"
+	"repro/internal/obs"
 	"repro/internal/repart"
 	"repro/internal/report"
 )
@@ -75,7 +76,10 @@ flags:
                    at any setting)
   -trace FILE      rerun the fig4/fig5 grid and Table 1 bursts with
                    deep instrumentation and write a Perfetto-loadable
-                   Chrome trace-event JSON file
+                   Chrome trace-event JSON file. -trace, -metrics,
+                   -attrib, -flame, and -slo share that one rerun; scale
+                   takes only -trace (see scale flags), fleet and
+                   autoscale take none of them (exit 2)
   -metrics FILE    same instrumented rerun, exported as Prometheus
                    text exposition
   -chaos SPEC      run every experiment under seeded fault injection,
@@ -93,9 +97,10 @@ flags:
                    blame profiles) as JSON — the tracediff input
   -flame FILE      same rerun, exported as folded flamegraph stacks
                    (flamegraph.pl / speedscope)
-  -slo SPEC        attach the SLO burn-rate monitor to instrumented
-                   reruns: comma-separated app:latency:target[:window]
-                   rules, e.g. -slo llama-complete:12s:0.9
+  -slo SPEC        attach the SLO burn-rate monitor to the instrumented
+                   rerun: comma-separated app:latency:target[:window]
+                   rules, e.g. -slo llama-complete:12s:0.9; its spans
+                   and slo_* families join the -trace and -metrics files
   -alerts FILE     write the SLO alert stream (requires -slo). For the
                    scale, fleet, and autoscale artifacts it stands
                    alone: each cell's alert-rule history (resolved
@@ -148,16 +153,16 @@ func main() {
 		return
 	}
 	// scale/fleet/autoscale carry their own alert-rule packs and run their
-	// own span streams; the instrumented reruns serve every other artifact.
-	scenarioArtifact := artifact == "scale" || artifact == "fleet" || artifact == "autoscale"
-	fs := flag.NewFlagSet(artifact, flag.ExitOnError)
+	// own span streams, so they bind only the telemetry flags they honour;
+	// the instrumented reruns serve every other artifact.
 	telSet := cli.Exports
-	if scenarioArtifact {
-		telSet |= cli.RulePack
+	switch artifact {
+	case "scale":
+		telSet = cli.Trace | cli.Sample | cli.RulePack
+	case "fleet", "autoscale":
+		telSet = cli.RulePack
 	}
-	if artifact == "scale" {
-		telSet |= cli.Sample
-	}
+	fs := flag.NewFlagSet(artifact, flag.ExitOnError)
 	tel := cli.Bind(fs, "paperbench", telSet)
 	completions := fs.Int("completions", 100, "completions for the fig4/fig5 experiment")
 	csvDir := fs.String("csv", "", "also write figure CSV series into this directory")
@@ -204,7 +209,7 @@ func main() {
 	w := os.Stdout
 	var err error
 	var scenarioAlerts io.Writer
-	if tel.Alerts != "" && scenarioArtifact {
+	if tel.Alerts != "" && telSet&cli.RulePack != 0 {
 		f, ferr := os.Create(tel.Alerts)
 		if ferr != nil {
 			fmt.Fprintln(os.Stderr, "paperbench: -alerts:", ferr)
@@ -272,69 +277,15 @@ func main() {
 	if err == nil && *csvDir != "" {
 		err = report.WriteFigureCSVs(*csvDir, *completions)
 	}
-	if err == nil && !scenarioArtifact && (tel.Trace != "" || tel.Metrics != "") {
-		err = writeObservability(tel.Trace, tel.Metrics, *completions)
-	}
-	if err == nil && !scenarioArtifact && (tel.Attrib != "" || tel.Flame != "" || tel.Alerts != "") {
-		err = writeAttribution(tel.Attrib, tel.Flame, tel.Alerts, tel.SLO, *completions)
+	if err == nil && tel.Observe() {
+		var cs []*obs.Collector
+		if cs, err = report.ObservedCollectors(*completions, tel.SLO); err == nil {
+			err = tel.Export(cs...)
+		}
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "paperbench:", err)
 		os.Exit(1)
 	}
 	tel.Linger()
-}
-
-// writeAttribution reruns the instrumented grid once and writes the
-// requested attribution artifacts. Any path may be empty.
-func writeAttribution(attribPath, flamePath, alertsPath, slo string, completions int) error {
-	open := func(path string) (io.Writer, func(), error) {
-		if path == "" {
-			return nil, func() {}, nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return f, func() { f.Close() }, nil
-	}
-	attribW, closeA, err := open(attribPath)
-	if err != nil {
-		return err
-	}
-	defer closeA()
-	flameW, closeF, err := open(flamePath)
-	if err != nil {
-		return err
-	}
-	defer closeF()
-	alertsW, closeAl, err := open(alertsPath)
-	if err != nil {
-		return err
-	}
-	defer closeAl()
-	return report.AttributionArtifacts(attribW, flameW, alertsW, completions, slo)
-}
-
-// writeObservability reruns the instrumented grid once and writes the
-// requested artifacts. Either path may be empty.
-func writeObservability(tracePath, metricsPath string, completions int) error {
-	var traceW, promW io.Writer
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		traceW = f
-	}
-	if metricsPath != "" {
-		f, err := os.Create(metricsPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		promW = f
-	}
-	return report.Observability(traceW, promW, completions)
 }

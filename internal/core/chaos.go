@@ -14,10 +14,6 @@ var globalChaos *fault.Spec
 // drivers gain fault injection without signature changes.
 func SetChaos(s *fault.Spec) { globalChaos = s }
 
-// ChaosSpec returns the process-wide chaos spec (nil when chaos is
-// off).
-func ChaosSpec() *fault.Spec { return globalChaos }
-
 // RunChaosBurst runs the Table 1 burst workload (4 concurrent LLaMa
 // processes under MPS, 32 completions) with the given fault schedule.
 // It is the chaos soak's unit of work: the returned result carries

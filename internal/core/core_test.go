@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -98,6 +100,17 @@ func TestFig5LatencyShapes(t *testing.T) {
 	}
 	if mig[4].MeanLatency() >= ts[4].MeanLatency() {
 		t.Errorf("MIG-4 latency %v not below timeshare %v", mig[4].MeanLatency(), ts[4].MeanLatency())
+	}
+}
+
+// TestFig2SweepRejectsBadPercent: a percentage outside 1..100 is an
+// error naming the value, returned before any cell runs.
+func TestFig2SweepRejectsBadPercent(t *testing.T) {
+	for _, pct := range []int{0, -5, 101} {
+		_, err := Fig2Sweep([]int{50, pct})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("percentage %d ", pct)) {
+			t.Errorf("Fig2Sweep(50, %d): err = %v, want one naming %d", pct, err, pct)
+		}
 	}
 }
 

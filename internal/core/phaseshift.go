@@ -28,10 +28,6 @@ var globalRepart *repart.Spec
 // static experiments.
 func SetRepart(s *repart.Spec) { globalRepart = s }
 
-// RepartSpec returns the process-wide repartitioning spec (nil when
-// the controller is off).
-func RepartSpec() *repart.Spec { return globalRepart }
-
 // PhaseShiftConfig parameterizes the repartitioning scenario: two
 // LLaMa tenants on one A100 whose load phases are shifted against each
 // other — tenant A bursts first while B trickles, then the roles swap

@@ -29,9 +29,14 @@ type Fig2Result struct {
 
 // Fig2Sweep reproduces Fig. 2: 20-token completions of LLaMa-2-7B
 // (fp32, one A100) and LLaMa-2-13B (fp32, sharded over two A100s)
-// under CUDA MPS active-thread percentages. The paper's testbed GPUs
-// (40 GB A100s, §5.1) are used.
+// under CUDA MPS active-thread percentages, each in 1..100. The
+// paper's testbed GPUs (40 GB A100s, §5.1) are used.
 func Fig2Sweep(percents []int) (*Fig2Result, error) {
+	for _, pct := range percents {
+		if pct < 1 || pct > 100 {
+			return nil, fmt.Errorf("core: fig2 MPS percentage %d outside 1..100", pct)
+		}
+	}
 	res := &Fig2Result{CPUBaselines: map[string]time.Duration{}}
 	scenarios := []struct {
 		name   string

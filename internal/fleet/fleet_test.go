@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	randv2 "math/rand/v2"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -394,9 +395,17 @@ func TestParseDemandsRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(back, ds) {
 		t.Fatalf("round trip diverged: %+v", back)
 	}
-	for _, bad := range []string{"", ";", "a", "a:x", "a:0", "a:5:x", "a:5;a:6", ":5", "a:5:-1", "a:5:2e9"} {
+	for _, bad := range []string{"", ";", "a", "a:x", "a:0", "a:-5:1", "a:5:x", "a:5;a:6", ":5", "a:5:-1", "a:5:2e9"} {
 		if _, err := ParseDemands(bad); err == nil {
 			t.Fatalf("spec %q should not parse", bad)
+		}
+	}
+	// A non-finite size fails the memory range check itself, not a
+	// later sign check on its int64 conversion, which is
+	// platform-defined for NaN.
+	for _, bad := range []string{"a:5:NaN", "a:5:nan", "a:5:+Inf", "a:5:-Inf"} {
+		if _, err := ParseDemands(bad); err == nil || !strings.Contains(err.Error(), "bad memory") {
+			t.Fatalf("spec %q: err = %v, want a bad-memory error", bad, err)
 		}
 	}
 }

@@ -45,7 +45,7 @@ func ParseDemands(spec string) ([]Demand, error) {
 		d := Demand{Tenant: name, SMs: sms}
 		if len(fields) == 3 {
 			gb, err := strconv.ParseFloat(strings.TrimSpace(fields[2]), 64)
-			if err != nil || gb < 0 || gb > 1e6 {
+			if err != nil || !(gb >= 0 && gb <= 1e6) { // NaN fails too
 				return nil, fmt.Errorf("%w: entry %q: bad memory %q", ErrBadDemand, part, fields[2])
 			}
 			d.MemBytes = int64(gb * 1e9)

@@ -8,36 +8,6 @@ import (
 	"repro/internal/obs/analyze"
 )
 
-// AttributionArtifacts runs the instrumented experiment grid once and
-// writes the selected attribution artifacts: the machine-readable
-// attribution JSON (consumed by tracediff) to attribW, folded
-// flamegraph stacks to flameW, and the SLO alert stream to alertsW.
-// Any writer may be nil to skip that artifact; slo is the burn-rate
-// spec ("" disables the monitor, leaving the alert stream empty).
-func AttributionArtifacts(attribW, flameW, alertsW io.Writer, completions int, slo string) error {
-	collectors, err := ObservedCollectors(completions, slo)
-	if err != nil {
-		return err
-	}
-	rep := analyze.Analyze(collectors...)
-	if attribW != nil {
-		if err := rep.WriteJSON(attribW); err != nil {
-			return err
-		}
-	}
-	if flameW != nil {
-		if err := analyze.WriteFolded(flameW, rep); err != nil {
-			return err
-		}
-	}
-	if alertsW != nil {
-		if err := analyze.WriteAlerts(alertsW, collectors...); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Attribution renders the human-readable latency-attribution section:
 // the Table 1 burst per technique, each task's end-to-end time
 // decomposed into phases and aggregated into per-scope blame profiles,

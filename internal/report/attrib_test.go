@@ -154,9 +154,9 @@ func TestTraceDiffKernelQueueStory(t *testing.T) {
 }
 
 // TestAttributionParallelDeterminism extends the harness determinism
-// contract to every new artifact: attribution JSON, folded stacks, the
-// SLO alert stream, and the tracediff JSON must be byte-identical at
-// any worker count.
+// contract to the attribution artifacts of ObservedCollectors: the
+// attribution JSON, folded stacks, the SLO alert stream, and the
+// tracediff JSON must be byte-identical at any worker count.
 func TestAttributionParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full instrumented grid in -short mode")
@@ -165,17 +165,28 @@ func TestAttributionParallelDeterminism(t *testing.T) {
 	render := func(workers int) (attrib, flame, alerts, diff []byte) {
 		prev := harness.SetParallelism(workers)
 		defer harness.SetParallelism(prev)
-		var aw, fw, lw bytes.Buffer
-		if err := AttributionArtifacts(&aw, &fw, &lw, 2, slo); err != nil {
-			t.Fatalf("AttributionArtifacts with %d workers: %v", workers, err)
+		cs, err := ObservedCollectors(2, slo)
+		if err != nil {
+			t.Fatalf("ObservedCollectors with %d workers: %v", workers, err)
 		}
-		rep, err := analyze.ReadReport(bytes.NewReader(aw.Bytes()))
+		rep := analyze.Analyze(cs...)
+		var aw, fw, lw bytes.Buffer
+		if err := rep.WriteJSON(&aw); err != nil {
+			t.Fatal(err)
+		}
+		if err := analyze.WriteFolded(&fw, rep); err != nil {
+			t.Fatal(err)
+		}
+		if err := analyze.WriteAlerts(&lw, cs...); err != nil {
+			t.Fatal(err)
+		}
+		back, err := analyze.ReadReport(bytes.NewReader(aw.Bytes()))
 		if err != nil {
 			t.Fatalf("re-reading attribution JSON: %v", err)
 		}
 		byScope := func(scope string) *analyze.Report {
 			sub := &analyze.Report{}
-			for _, ta := range rep.Tasks {
+			for _, ta := range back.Tasks {
 				if ta.Scope == scope {
 					sub.Tasks = append(sub.Tasks, ta)
 				}

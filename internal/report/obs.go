@@ -2,7 +2,6 @@ package report
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/core"
 	"repro/internal/harness"
@@ -42,26 +41,4 @@ func ObservedCollectors(completions int, slo string) ([]*obs.Collector, error) {
 		return nil, err
 	}
 	return append(cells, t1...), nil
-}
-
-// Observability runs the instrumented experiments once and exports
-// their merged traces and metrics: a Chrome trace-event JSON stream
-// (Perfetto-loadable) to traceW and Prometheus text exposition to
-// promW. Either writer may be nil to skip that artifact.
-func Observability(traceW, promW io.Writer, completions int) error {
-	collectors, err := ObservedCollectors(completions, "")
-	if err != nil {
-		return err
-	}
-	if traceW != nil {
-		if err := obs.WriteChromeTrace(traceW, collectors...); err != nil {
-			return err
-		}
-	}
-	if promW != nil {
-		if err := obs.WritePrometheus(promW, collectors...); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/obs"
 )
 
 // obsEvent mirrors the Chrome trace-event fields validated here. Span
@@ -30,8 +31,15 @@ func TestObservabilitySchema(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full instrumented grid in -short mode")
 	}
+	collectors, err := ObservedCollectors(2, "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var tr, pr bytes.Buffer
-	if err := Observability(&tr, &pr, 2); err != nil {
+	if err := obs.WriteChromeTrace(&tr, collectors...); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.WritePrometheus(&pr, collectors...); err != nil {
 		t.Fatal(err)
 	}
 
@@ -114,7 +122,7 @@ func TestObservabilitySchema(t *testing.T) {
 
 // TestTraceParallelMatchesSequential extends the harness determinism
 // contract to the observability artifacts: trace and metrics exports
-// must be byte-identical at any worker count.
+// of ObservedCollectors must be byte-identical at any worker count.
 func TestTraceParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full instrumented grid in -short mode")
@@ -122,9 +130,16 @@ func TestTraceParallelMatchesSequential(t *testing.T) {
 	render := func(workers int) ([]byte, []byte) {
 		prev := harness.SetParallelism(workers)
 		defer harness.SetParallelism(prev)
+		cs, err := ObservedCollectors(2, "")
+		if err != nil {
+			t.Fatalf("ObservedCollectors with %d workers: %v", workers, err)
+		}
 		var tr, pr bytes.Buffer
-		if err := Observability(&tr, &pr, 2); err != nil {
-			t.Fatalf("Observability with %d workers: %v", workers, err)
+		if err := obs.WriteChromeTrace(&tr, cs...); err != nil {
+			t.Fatal(err)
+		}
+		if err := obs.WritePrometheus(&pr, cs...); err != nil {
+			t.Fatal(err)
 		}
 		return tr.Bytes(), pr.Bytes()
 	}

@@ -90,11 +90,11 @@ func Fig2(w io.Writer, percents []int) error {
 	if len(percents) == 0 {
 		percents = []int{5, 10, 15, 19, 25, 37, 50, 75, 100}
 	}
-	header(w, "Figure 2 — LLaMa-2 inference runtime vs #SMs under CUDA MPS (fp32)")
 	res, err := core.Fig2Sweep(percents)
 	if err != nil {
 		return err
 	}
+	header(w, "Figure 2 — LLaMa-2 inference runtime vs #SMs under CUDA MPS (fp32)")
 	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "model\tMPS %\t#SMs\tlatency (s, 20-token completion)")
 	for _, p := range res.Points {

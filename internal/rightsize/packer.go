@@ -54,17 +54,12 @@ type MPSPlan struct {
 // fall one SM short). Memory is checked against the single shared pool
 // (MPS has no isolation, but capacity is still physical).
 func PackMPS(spec simgpu.DeviceSpec, demands []TenantDemand) (*MPSPlan, error) {
+	if err := checkDemands(spec, demands); err != nil {
+		return nil, err
+	}
 	var mem int64
 	totalSMs := 0
-	seen := make(map[string]bool, len(demands))
 	for _, d := range demands {
-		if d.SMs <= 0 || d.SMs > spec.SMs {
-			return nil, fmt.Errorf("%w: tenant %q wants %d SMs of %d", ErrUnpackable, d.Name, d.SMs, spec.SMs)
-		}
-		if seen[d.Name] {
-			return nil, fmt.Errorf("%w: %q", ErrDuplicateTenant, d.Name)
-		}
-		seen[d.Name] = true
 		mem += d.MemBytes
 		totalSMs += d.SMs
 	}
@@ -100,6 +95,25 @@ func PackMPS(spec simgpu.DeviceSpec, demands []TenantDemand) (*MPSPlan, error) {
 	}
 	plan.Oversubscribed = plan.TotalPercent > 100
 	return plan, nil
+}
+
+// checkDemands is the input check both packers make: every tenant wants
+// 1..device SMs and a non-negative memory size, and names are unique.
+func checkDemands(spec simgpu.DeviceSpec, demands []TenantDemand) error {
+	seen := make(map[string]bool, len(demands))
+	for _, d := range demands {
+		if d.SMs <= 0 || d.SMs > spec.SMs {
+			return fmt.Errorf("%w: tenant %q wants %d SMs of %d", ErrUnpackable, d.Name, d.SMs, spec.SMs)
+		}
+		if d.MemBytes < 0 {
+			return fmt.Errorf("%w: tenant %q wants %d bytes of memory", ErrUnpackable, d.Name, d.MemBytes)
+		}
+		if seen[d.Name] {
+			return fmt.Errorf("%w: %q", ErrDuplicateTenant, d.Name)
+		}
+		seen[d.Name] = true
+	}
+	return nil
 }
 
 // EqualShares splits a device into n equal MPS percentage shares via
@@ -167,8 +181,12 @@ type MIGPlan struct {
 // PackMIG picks, for every tenant, the smallest profile covering its
 // SM and memory demand, then validates that the resulting layout
 // actually places on the device (slice and memory-slice constraints
-// included), using the simulator's own placement engine.
+// included), using the simulator's own placement engine. Demands are
+// checked as PackMPS checks them.
 func PackMIG(spec simgpu.DeviceSpec, demands []TenantDemand) (*MIGPlan, error) {
+	if err := checkDemands(spec, demands); err != nil {
+		return nil, err
+	}
 	profiles := simgpu.MIGProfilesFor(spec)
 	if len(profiles) == 0 {
 		return nil, fmt.Errorf("%w: %s has no MIG support", ErrUnpackable, spec.Name)

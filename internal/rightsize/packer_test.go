@@ -190,6 +190,32 @@ func TestPackMPSMemoryBound(t *testing.T) {
 	}
 }
 
+// TestPackersRejectBadDemands: PackMPS and PackMIG make the same demand
+// check — SMs in 1..device SMs, non-negative memory, unique names.
+func TestPackersRejectBadDemands(t *testing.T) {
+	spec := simgpu.A100SXM480GB()
+	ok := TenantDemand{Name: "ok", SMs: 10, MemBytes: simgpu.GB}
+	for _, tc := range []struct {
+		name string
+		bad  TenantDemand
+		want error
+	}{
+		{"negative SMs", TenantDemand{Name: "a", SMs: -5, MemBytes: simgpu.GB}, ErrUnpackable},
+		{"zero SMs", TenantDemand{Name: "a", SMs: 0}, ErrUnpackable},
+		{"too many SMs", TenantDemand{Name: "a", SMs: spec.SMs + 1}, ErrUnpackable},
+		{"negative memory", TenantDemand{Name: "a", SMs: 10, MemBytes: -1}, ErrUnpackable},
+		{"duplicate name", ok, ErrDuplicateTenant},
+	} {
+		demands := []TenantDemand{ok, tc.bad}
+		if _, err := PackMPS(spec, demands); !errors.Is(err, tc.want) {
+			t.Errorf("%s: PackMPS err = %v, want %v", tc.name, err, tc.want)
+		}
+		if _, err := PackMIG(spec, demands); !errors.Is(err, tc.want) {
+			t.Errorf("%s: PackMIG err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestPackMPSInvalidSMs(t *testing.T) {
 	spec := simgpu.A100SXM480GB()
 	if _, err := PackMPS(spec, []TenantDemand{{Name: "x", SMs: 0}}); !errors.Is(err, ErrUnpackable) {
