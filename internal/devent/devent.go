@@ -2,9 +2,9 @@
 // discrete-event simulation kernel.
 //
 // An Env owns a virtual clock and an event queue. Simulated activities
-// are either plain scheduled callbacks (Schedule) or Procs: goroutines
-// that run one at a time under the scheduler's control and advance
-// virtual time by blocking on Sleep, Events, Chans, or Resources.
+// are either plain scheduled callbacks (Schedule) or Procs: coroutines
+// that the scheduler resumes one at a time and that advance virtual
+// time by blocking on Sleep, Events, Chans, or Resources.
 //
 // The kernel is logically single-threaded: at any instant either the
 // scheduler loop or exactly one Proc is executing. All devent objects
@@ -18,8 +18,6 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"runtime"
-	"runtime/debug"
 	"sort"
 	"time"
 )
@@ -47,7 +45,6 @@ type Env struct {
 	now     time.Duration
 	seq     int64
 	queue   eventHeap
-	ack     chan struct{}
 	nextPID int64
 	running bool
 	closed  bool
@@ -55,7 +52,7 @@ type Env struct {
 	// live lists the procs whose bodies have not returned, in spawn
 	// order (an intrusive list: spawning and exiting allocate nothing).
 	live procList
-	// idle holds goroutines whose proc has exited, parked until a
+	// idle holds coroutines whose proc has exited, suspended until a
 	// Spawn hands them the next body; at most maxIdle are kept, and
 	// only while Run runs.
 	idle  *procG
@@ -99,9 +96,7 @@ type Observer interface {
 func (e *Env) SetObserver(o Observer) { e.obs = o }
 
 // NewEnv returns a fresh simulation environment with the clock at zero.
-func NewEnv() *Env {
-	return &Env{ack: make(chan struct{})}
-}
+func NewEnv() *Env { return &Env{} }
 
 // Now reports the current virtual time.
 func (e *Env) Now() time.Duration { return e.now }
@@ -374,39 +369,22 @@ func (h *eventHeap) Pop() any {
 	return it
 }
 
-// Proc is a simulated process: a body running on a goroutine under
-// scheduler control, blocking in virtual time.
+// Proc is a simulated process: a body running on a pooled coroutine
+// under scheduler control, blocking in virtual time.
 type Proc struct {
 	env  *Env
 	id   int64
 	base string
 	name string // formatted lazily from base+id
-	// resume is the channel of the goroutine running the body; nil
-	// once the body has returned or been unwound.
-	resume chan struct{}
+	// g is the coroutine running the body; nil once the body returned.
+	g      *procG
 	parked bool
 	dead   bool
 	daemon bool
-	done   *Event
+	done   Event
 	// prev and next link the proc into Env.live while its body runs.
 	prev, next *Proc
 }
-
-// procG is a goroutine that runs proc bodies. When a body returns the
-// goroutine (with its resume channel and grown stack) waits in the
-// Env's idle pool for the next Spawn instead of exiting.
-type procG struct {
-	resume chan struct{}
-	fn     func(*Proc)
-	p      *Proc
-	next   *procG // idle pool link
-}
-
-// maxIdle caps the idle goroutine pool: above the steady per-task
-// spawn churn of the scenarios (at most 105 idle goroutines), while a
-// burst of exits beyond it (up to 814 in an autoscaled run) lets the
-// surplus goroutines end instead of holding their stacks.
-const maxIdle = 128
 
 // procList is an intrusive doubly linked list of procs.
 type procList struct{ head, tail *Proc }
@@ -446,22 +424,21 @@ func (p *Proc) SetDaemon(d bool) { p.daemon = d }
 // the proc never runs.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	e.nextPID++
-	p := &Proc{env: e, id: e.nextPID, base: name, done: e.NewEvent()}
+	p := &Proc{env: e, id: e.nextPID, base: name}
+	p.done.env = e
 	if e.closed {
 		p.dead = true
 		return p
 	}
 	g := e.idle
 	if g != nil {
-		e.idle = g.next
+		e.idle, g.link = g.link, nil
 		e.nidle--
-		g.next = nil
 	} else {
-		g = &procG{resume: make(chan struct{})}
-		go e.serve(g)
+		g = e.newProcG()
 	}
 	g.fn, g.p = fn, p
-	p.resume = g.resume
+	p.g = g
 	e.live.push(p)
 	if e.obs != nil {
 		e.obs.ProcSpawned(p.Name(), e.now)
@@ -470,115 +447,46 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// serve is a proc goroutine's loop: wait for a body, run it, then
-// return to the idle pool (or end, when the pool is full). Resumed
-// without a body, or by Close, it ends.
-func (e *Env) serve(g *procG) {
-	for {
-		<-g.resume
-		if g.p == nil || e.closed {
-			e.ack <- struct{}{}
-			return
-		}
-		e.body(g.p, g.fn)
-		g.fn, g.p = nil, nil
-		keep := e.nidle < maxIdle
-		if keep {
-			g.next = e.idle
-			e.idle = g
-			e.nidle++
-		}
-		e.ack <- struct{}{}
-		if !keep {
-			return
-		}
-	}
-}
-
-// body runs fn as p, recovering a panic into an Env failure. When
-// Close unwinds a parked proc, park exits the goroutine through here:
-// only the ack runs, so the unwound proc neither fires Done nor
-// reports an exit, and a panic in one of the body's deferred calls is
-// dropped, since every result has been read by then. A body that calls
-// runtime.Goexit itself (t.Fatal in a test) exits normally, then its
-// goroutine ends.
-func (e *Env) body(p *Proc, fn func(*Proc)) {
-	returned := false
-	defer func() {
-		if e.closed {
-			recover()
-			e.ack <- struct{}{}
-			return
-		}
-		r := recover()
-		if r != nil {
-			e.Fail(fmt.Errorf("devent: proc %s panicked: %v\n%s", p.Name(), r, debug.Stack()))
-		}
-		p.dead = true
-		p.resume = nil
-		e.live.remove(p)
-		if e.obs != nil {
-			e.obs.ProcExited(p.Name(), e.now)
-		}
-		if !p.done.Fired() {
-			p.done.Fire(nil)
-		}
-		if r == nil && !returned {
-			e.ack <- struct{}{}
-		}
-	}()
-	fn(p)
-	returned = true
-}
-
-// handoff transfers control to p and waits until it parks or exits.
+// handoff runs p until it parks or exits. A coroutine left inside a
+// body's runtime.Goexit is stopped on a throwaway goroutine, where
+// stop re-raises the Goexit.
 func (e *Env) handoff(p *Proc) {
 	if p.dead {
 		return
 	}
 	p.parked = false
-	p.resume <- struct{}{}
-	<-e.ack
+	g := p.g
+	if g.next(); g.goexit {
+		go g.stop()
+	}
 }
 
 // park yields control back to the scheduler until somebody resumes p.
-// A proc resumed by Close unwinds: its goroutine exits.
+// A proc stopped by Close unwinds with a panic that its body recovers;
+// so does a deferred call that blocks while it unwinds.
 func (p *Proc) park() {
-	e := p.env
-	if e.closed {
-		runtime.Goexit() // a deferred call blocking while Close unwinds
-	}
 	p.parked = true
-	resume := p.resume
-	e.ack <- struct{}{}
-	<-resume
-	if e.closed {
-		runtime.Goexit()
+	if !p.g.yield(struct{}{}) {
+		panic(unwind{})
 	}
 }
 
 // wake schedules p to resume at the current virtual time.
-func (e *Env) wake(p *Proc) {
-	e.scheduleProc(0, p)
-}
+func (e *Env) wake(p *Proc) { e.scheduleProc(0, p) }
 
-// releaseIdle ends the pooled goroutines. Run calls it on return, so
-// an Env that is never closed strands no idle goroutine: only procs
+// releaseIdle ends the pooled coroutines. Run calls it on return, so
+// an Env that is never closed strands no idle coroutine: only procs
 // still parked when the queue drains outlive Run.
 func (e *Env) releaseIdle() {
-	for g := e.idle; g != nil; {
-		next := g.next
-		g.next = nil
-		g.resume <- struct{}{}
-		<-e.ack
-		g = next
+	for ; e.idle != nil; e.idle = e.idle.link {
+		e.idle.stop()
 	}
-	e.idle, e.nidle = nil, 0
+	e.nidle = 0
 }
 
 // Close ends the environment: every proc still parked or not yet
-// started is unwound (its goroutine exits without returning to its
-// body's caller) and the event queue is dropped. Pooled goroutines
+// started is unwound (its coroutine is stopped without returning to
+// its body's caller) and the event queue is dropped. Pooled coroutines
 // already ended when Run returned. Call Close once every result has
 // been read: deferred calls in unwound bodies still run, and a panic
 // in one is dropped. Afterwards Run returns ErrClosed, Spawn returns
@@ -595,10 +503,7 @@ func (e *Env) Close() {
 	for p := e.live.head; p != nil; p = e.live.head {
 		e.live.remove(p)
 		p.dead = true
-		resume := p.resume
-		p.resume = nil
-		resume <- struct{}{}
-		<-e.ack
+		p.g.stop()
 	}
 	e.queue, e.free, e.cancelled = nil, nil, 0
 	e.freeWaiter, e.freeBatches = nil, nil
@@ -619,7 +524,7 @@ func (p *Proc) Name() string {
 func (p *Proc) Now() time.Duration { return p.env.now }
 
 // Done returns the event fired when the proc's body returns.
-func (p *Proc) Done() *Event { return p.done }
+func (p *Proc) Done() *Event { return &p.done }
 
 // Sleep blocks the proc for d of virtual time. Non-positive durations
 // yield (the proc re-queues at the current time).

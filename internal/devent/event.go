@@ -104,16 +104,19 @@ func (r registration) detach() {
 func (ev *Event) Listeners() int { return len(ev.cbs) }
 
 // eventWaiter links one parked proc to the event it awaits. Waiters
-// are pooled on the Env (getWaiter/putWaiter): gen distinguishes a
-// live waiter from a recycled one a stale timeout closure still
-// references, and timed marks waiters owned by WaitTimeout, which
-// releases them itself after the proc resumes.
+// are pooled on the Env (getWaiter/putWaiter). A waiter with ev set is
+// owned by WaitTimeout, which releases it itself after the proc
+// resumes, having cancelled the timer unless it fired; it keeps its
+// timer and timeout callback (bound the first time it is timed) across
+// reuses, so a timed wait allocates nothing.
 type eventWaiter struct {
-	p     *Proc
-	woken bool
-	timed bool
-	gen   uint64
-	next  *eventWaiter
+	p         *Proc
+	woken     bool
+	timedOut  bool
+	ev        *Event
+	timer     Timer
+	onTimeout func()
+	next      *eventWaiter
 }
 
 func (e *Env) getWaiter(p *Proc) *eventWaiter {
@@ -125,16 +128,25 @@ func (e *Env) getWaiter(p *Proc) *eventWaiter {
 		w = &eventWaiter{}
 	}
 	w.p = p
-	w.woken = false
-	w.timed = false
+	w.woken, w.timedOut = false, false
 	return w
 }
 
 func (e *Env) putWaiter(w *eventWaiter) {
-	w.gen++
-	w.p = nil
+	w.p, w.ev = nil, nil
 	w.next = e.freeWaiter
 	e.freeWaiter = w
+}
+
+// timeout is a timed waiter's timer callback.
+func (w *eventWaiter) timeout() {
+	if w.woken {
+		return
+	}
+	w.woken = true
+	w.timedOut = true
+	w.ev.removeWaiter(w)
+	w.p.env.wake(w.p)
 }
 
 // getBatch pops a pooled proc buffer for fanout wakeups.
@@ -193,15 +205,15 @@ func (ev *Event) fire(v any, err error) {
 	env := ev.env
 	// Collect live waiters in registration order into a pooled batch.
 	// Plain Wait waiters return to the pool here (their proc never
-	// touches them after parking); timed waiters are released by
-	// WaitTimeout once the proc resumes.
+	// touches them after parking); timed waiters (ev set) are released
+	// by WaitTimeout once the proc resumes.
 	batch := env.getBatch()
 	if w := ev.w0; w != nil {
 		ev.w0 = nil
 		if !w.woken {
 			w.woken = true
 			batch = append(batch, w.p)
-			if !w.timed {
+			if w.ev == nil {
 				env.putWaiter(w)
 			}
 		}
@@ -210,7 +222,7 @@ func (ev *Event) fire(v any, err error) {
 		if !w.woken {
 			w.woken = true
 			batch = append(batch, w.p)
-			if !w.timed {
+			if w.ev == nil {
 				env.putWaiter(w)
 			}
 		}
@@ -289,28 +301,21 @@ func (p *Proc) WaitTimeout(ev *Event, d time.Duration) (any, error) {
 	if ev.fired {
 		return ev.value, ev.err
 	}
-	w := p.env.getWaiter(p)
-	w.timed = true
-	wgen := w.gen
+	e := p.env
+	w := e.getWaiter(p)
+	w.ev = ev
+	if w.onTimeout == nil {
+		w.onTimeout = w.timeout
+	}
 	ev.addWaiter(w)
-	timedOut := false
-	t := p.env.Schedule(d, func() {
-		// gen guards against the waiter being recycled before a stale
-		// (uncancellable-in-time) timer pops.
-		if w.gen != wgen || w.woken {
-			return
-		}
-		w.woken = true
-		timedOut = true
-		ev.removeWaiter(w)
-		p.env.wake(p)
-	})
+	e.ArmAt(&w.timer, e.now+d, w.onTimeout)
 	p.park()
-	p.env.putWaiter(w)
+	timedOut := w.timedOut
+	e.putWaiter(w)
 	if timedOut {
 		return nil, ErrTimeout
 	}
-	t.Cancel()
+	w.timer.Cancel()
 	return ev.value, ev.err
 }
 

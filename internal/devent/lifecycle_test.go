@@ -249,8 +249,38 @@ func TestClosePanickingDefer(t *testing.T) {
 	}
 }
 
-// Inside Run a finished proc's goroutine serves the next Spawn and the
-// idle pool holds at most maxIdle goroutines; when Run returns the pool
+// A deferred recover that swallows the unwind panic does not keep a
+// proc alive: Close still unwinds it, its Done stays unfired and its
+// coroutine ends.
+func TestCloseRecoveringDefer(t *testing.T) {
+	before := runtime.NumGoroutine()
+	env := NewEnv()
+	gate := env.NewEvent()
+	var procs []*Proc
+	for i := 0; i < 3; i++ {
+		procs = append(procs, env.Spawn("recovering", func(p *Proc) {
+			defer func() { recover() }()
+			p.Wait(gate)
+			t.Error("parked proc resumed")
+		}))
+		procs[i].SetDaemon(true)
+	}
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	env.Close()
+	for _, p := range procs {
+		if p.Done().Fired() {
+			t.Fatal("unwound proc fired Done")
+		}
+	}
+	if got := settledGoroutines(before); got > before {
+		t.Fatalf("goroutines: %d before, %d after Close", before, got)
+	}
+}
+
+// Inside Run a finished proc's coroutine serves the next Spawn and the
+// idle pool holds at most maxIdle coroutines; when Run returns the pool
 // is empty, so an Env that is never closed strands none.
 func TestProcGoroutinePool(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -265,23 +295,23 @@ func TestProcGoroutinePool(t *testing.T) {
 			p.Wait(bp.Done())
 		}
 		if env.nidle != maxIdle {
-			t.Errorf("idle goroutines after a %d-proc burst = %d, want the cap %d", burst, env.nidle, maxIdle)
+			t.Errorf("idle coroutines after a %d-proc burst = %d, want the cap %d", burst, env.nidle, maxIdle)
 		}
 		g := env.idle
 		reused := env.Spawn("reuse", func(*Proc) {})
-		if reused.resume != g.resume {
-			t.Error("Spawn did not take the idle goroutine")
+		if reused.g != g {
+			t.Error("Spawn did not take the idle coroutine")
 		}
 		p.Wait(reused.Done())
 		if env.idle != g {
-			t.Error("reused goroutine did not return to the pool")
+			t.Error("reused coroutine did not return to the pool")
 		}
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if env.nidle != 0 || env.idle != nil {
-		t.Fatalf("%d idle goroutines left after Run", env.nidle)
+		t.Fatalf("%d idle coroutines left after Run", env.nidle)
 	}
 	if got := settledGoroutines(before); got > before {
 		t.Fatalf("goroutines: %d before, %d after Run without Close", before, got)
@@ -289,8 +319,10 @@ func TestProcGoroutinePool(t *testing.T) {
 }
 
 // A body that calls runtime.Goexit (t.Fatal) exits like one that
-// returns: its Done fires and the scheduler does not hang.
+// returns: its Done fires, the scheduler does not hang, and its
+// coroutine ends.
 func TestProcGoexit(t *testing.T) {
+	before := runtime.NumGoroutine()
 	env := NewEnv()
 	exited := env.Spawn("goexit", func(*Proc) { runtime.Goexit() })
 	ran := false
@@ -301,27 +333,88 @@ func TestProcGoexit(t *testing.T) {
 	if err := env.Run(); err != nil || !ran {
 		t.Fatalf("after Goexit: err=%v ran=%v", err, ran)
 	}
+	if got := settledGoroutines(before); got > before {
+		t.Fatalf("goroutines: %d before, %d after Run", before, got)
+	}
 }
 
-// A reused Spawn -> exit cycle allocates only the Proc and its Done
-// event: the goroutine, its resume channel, the queue item, the
-// waiter and the live-list link are all recycled.
+// A reused Spawn -> exit cycle allocates only the Proc, which embeds
+// its Done event: the coroutine, the queue item, the waiter and the
+// live-list link are all recycled.
 func TestSpawnExitAllocs(t *testing.T) {
 	env := NewEnv()
 	body := func(*Proc) {}
 	var got float64
 	env.Spawn("driver", func(p *Proc) {
 		cycle := func() { p.Wait(env.Spawn("cycle", body).Done()) }
-		// Warm the goroutine pool and free lists; then each cycle may
-		// allocate only the *Proc and its done *Event.
+		// Warm the coroutine pool and free lists; then each cycle may
+		// allocate only the *Proc.
 		cycle()
 		got = testing.AllocsPerRun(100, cycle)
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	const want = 2
+	const want = 1
 	if got > want {
 		t.Fatalf("Spawn->exit cycle: %v allocs, want <= %d", got, want)
+	}
+}
+
+// A Sleep round trip, a switch into the scheduler and back, allocates
+// nothing.
+func TestProcSwitchAllocs(t *testing.T) {
+	env := NewEnv()
+	var got float64
+	env.Spawn("sleeper", func(p *Proc) {
+		got = testing.AllocsPerRun(100, func() { p.Sleep(time.Microsecond) })
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got != 0 {
+		t.Fatalf("Sleep round trip: %v allocs, want 0", got)
+	}
+}
+
+// WaitTimeout allocates nothing once its waiter is pooled, whether the
+// timeout wins or the event fires first.
+func TestWaitTimeoutAllocs(t *testing.T) {
+	const runs = 100
+	env := NewEnv()
+	never := env.NewNamedEvent("never")
+	evs := make([]*Event, runs+2) // AllocsPerRun adds a warm-up run
+	for i := range evs {
+		evs[i] = env.NewEvent()
+	}
+	var timedOut, fired float64
+	env.Spawn("firer", func(p *Proc) {
+		p.Sleep(time.Second)
+		for _, ev := range evs {
+			p.Sleep(time.Microsecond)
+			ev.Fire(nil)
+		}
+	})
+	env.Spawn("waiter", func(p *Proc) {
+		p.WaitTimeout(never, time.Microsecond) // warm the waiter pool
+		timedOut = testing.AllocsPerRun(runs, func() {
+			if _, err := p.WaitTimeout(never, time.Microsecond); !errors.Is(err, ErrTimeout) {
+				t.Errorf("WaitTimeout on a never-fired event: %v", err)
+			}
+		})
+		p.Sleep(time.Second - p.Now())
+		i := 0
+		fired = testing.AllocsPerRun(runs, func() {
+			if _, err := p.WaitTimeout(evs[i], time.Hour); err != nil {
+				t.Errorf("WaitTimeout on event %d: %v", i, err)
+			}
+			i++
+		})
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if timedOut != 0 || fired != 0 {
+		t.Fatalf("WaitTimeout allocs: %v on timeout, %v when the event fired first; want 0", timedOut, fired)
 	}
 }
