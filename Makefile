@@ -18,11 +18,12 @@
 # smoke-tests the latency attribution pipeline end to end on the
 # Table 1 bursts. `make serve-smoke` boots the live observability
 # server on a scale run and curls its endpoints — the CI smoke for the
-# -serve plane.
+# -serve plane. `make chaos-smoke` runs the open-loop and Table 1
+# artifacts under a dense fault schedule and requires both to finish.
 
 GO ?= go
 
-.PHONY: check fmt build vet bench-test staticcheck test race cover fuzz bench scale fleet autoscale attrib serve-smoke clean
+.PHONY: check fmt build vet bench-test staticcheck test race cover fuzz bench scale fleet autoscale attrib serve-smoke chaos-smoke clean
 
 check: fmt build vet bench-test staticcheck test
 
@@ -179,6 +180,17 @@ serve-smoke:
 	curl -fsS http://127.0.0.1:9194/api/scopes | grep -q '"scope":"multiplex/mps/p4"'; \
 	curl -fsS 'http://127.0.0.1:9194/spans?scope=multiplex/mps/p4' | grep -c '"name":"task"' >/dev/null; \
 	echo "serve-smoke: ok (metrics $$(wc -l < /tmp/serve-smoke.metrics) lines, spans $$(wc -l < /tmp/serve-smoke.spans) events; fleet+autoscale scopes, alerts, dashboard, promlint, autoscale+multiplex scopes and tails ok)"
+
+# Chaos smoke: the open-loop and Table 1 drivers must ride through a
+# seeded schedule of worker kills, GPU context losses and submit
+# failures (seed=1,rate=0.5) and exit 0. fig3 is left out: the moldesign
+# campaign does not yet tolerate lost workers (ROADMAP).
+chaos-smoke:
+	@set -e; \
+	$(GO) build -o /tmp/paperbench-chaos ./cmd/paperbench; \
+	/tmp/paperbench-chaos openloop -chaos seed=1,rate=0.5 > /dev/null; \
+	/tmp/paperbench-chaos table1 -chaos seed=1,rate=0.5 > /dev/null; \
+	echo "chaos-smoke: ok (openloop and table1 finished under seed=1,rate=0.5)"
 
 # End-to-end smoke test of the attribution pipeline: run the Table 1
 # bursts instrumented, render the folded-stack artifact, and print the

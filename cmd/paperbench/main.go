@@ -191,7 +191,6 @@ func main() {
 			os.Exit(2)
 		}
 		repartSpec = spec
-		core.SetRepart(&spec)
 	}
 	if *chaos != "" {
 		spec, err := fault.ParseSpec(*chaos)

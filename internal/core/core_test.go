@@ -284,6 +284,9 @@ func TestMultiplexValidation(t *testing.T) {
 	if _, err := RunMultiplex(MultiplexConfig{Mode: "bogus", Processes: 2, Completions: 4}); err == nil {
 		t.Error("bogus mode accepted")
 	}
+	if _, err := RunOpenLoop(OpenLoopConfig{Mode: "bogus"}); err == nil || !strings.Contains(err.Error(), "core: unknown mode") {
+		t.Errorf("open loop, bogus mode: err = %v", err)
+	}
 	if _, err := MIGLayoutFor(5); err == nil {
 		t.Error("MIG layout for 5 accepted")
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/devent"
@@ -48,72 +47,13 @@ func RunMixedTenancy(mode Mode) (*MixedTenancyResult, error) {
 	}
 	hostBW := dev.Spec().HostLoadBW
 
-	var resnetCtx, llamaCtx func(p *devent.Proc) (*simgpu.Context, error)
-	switch mode {
-	case ModeTimeshare:
-		resnetCtx = func(p *devent.Proc) (*simgpu.Context, error) {
-			return dev.NewContext(p, simgpu.ContextOpts{SkipInit: true, Name: "resnet"})
-		}
-		llamaCtx = func(p *devent.Proc) (*simgpu.Context, error) {
-			return dev.NewContext(p, simgpu.ContextOpts{SkipInit: true, Name: "llama"})
-		}
-	case ModeMPSDefault, ModeMPS:
-		if err := dev.SetPolicy(simgpu.PolicySpatial); err != nil {
-			return nil, err
-		}
-		rPct, lPct := 0, 0
-		if mode == ModeMPS {
-			rPct, lPct = 20, 80 // right-sized split
-		}
-		resnetCtx = func(p *devent.Proc) (*simgpu.Context, error) {
-			return dev.NewContext(p, simgpu.ContextOpts{SkipInit: true, Name: "resnet", SMPercent: rPct})
-		}
-		llamaCtx = func(p *devent.Proc) (*simgpu.Context, error) {
-			return dev.NewContext(p, simgpu.ContextOpts{SkipInit: true, Name: "llama", SMPercent: lPct})
-		}
-	case ModeMIG:
-		ready := env.NewEvent()
-		var rIn, lIn *simgpu.Instance
-		var setupErr error
-		env.Spawn("mig-setup", func(p *devent.Proc) {
-			defer ready.Fire(nil)
-			if err := dev.EnableMIG(p); err != nil {
-				setupErr = err
-				return
-			}
-			ins, err := dev.ConfigureMIG(p, []string{"1g.10gb", "3g.40gb"})
-			if err != nil {
-				setupErr = err
-				return
-			}
-			rIn, lIn = ins[0], ins[1]
-		})
-		resnetCtx = func(p *devent.Proc) (*simgpu.Context, error) {
-			p.Wait(ready)
-			if setupErr != nil {
-				return nil, setupErr
-			}
-			return rIn.NewContext(p, simgpu.ContextOpts{SkipInit: true, Name: "resnet"})
-		}
-		llamaCtx = func(p *devent.Proc) (*simgpu.Context, error) {
-			p.Wait(ready)
-			if setupErr != nil {
-				return nil, setupErr
-			}
-			return lIn.NewContext(p, simgpu.ContextOpts{SkipInit: true, Name: "llama"})
-		}
-	case ModeVGPU:
-		if err := dev.SetPolicy(simgpu.PolicyVGPU); err != nil {
-			return nil, err
-		}
-		resnetCtx = func(p *devent.Proc) (*simgpu.Context, error) {
-			return dev.NewContext(p, simgpu.ContextOpts{SkipInit: true, Name: "resnet", Group: "vm-resnet"})
-		}
-		llamaCtx = func(p *devent.Proc) (*simgpu.Context, error) {
-			return dev.NewContext(p, simgpu.ContextOpts{SkipInit: true, Name: "llama", Group: "vm-llama"})
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown mode %q", mode)
+	// Under MPS the split is right-sized: 20% of the SMs for the CNN.
+	mkCtx, err := tenantContexts(env, dev, mode, []deviceTenant{
+		{name: "resnet", pct: 20, profile: "1g.10gb", group: "vm-resnet"},
+		{name: "llama", pct: 80, profile: "3g.40gb", group: "vm-llama"},
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	res := &MixedTenancyResult{Mode: mode, ResNetSolo: solo}
@@ -122,7 +62,7 @@ func RunMixedTenancy(mode Mode) (*MixedTenancyResult, error) {
 	resnetDone := env.NewEvent()
 	env.Spawn("resnet", func(p *devent.Proc) {
 		defer resnetDone.Fire(nil)
-		ctx, err := resnetCtx(p)
+		ctx, err := mkCtx(p, 0)
 		if err != nil {
 			env.Fail(err)
 			return
@@ -144,7 +84,7 @@ func RunMixedTenancy(mode Mode) (*MixedTenancyResult, error) {
 		}
 	})
 	llamaProc := env.Spawn("llama", func(p *devent.Proc) {
-		ctx, err := llamaCtx(p)
+		ctx, err := mkCtx(p, 1)
 		if err != nil {
 			env.Fail(err)
 			return

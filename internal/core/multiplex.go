@@ -11,44 +11,8 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/obs/tsdb"
-	"repro/internal/rightsize"
 	"repro/internal/simgpu"
 )
-
-// Mode selects the GPU sharing technique (Table 1).
-type Mode string
-
-// The multiplexing techniques compared in the evaluation.
-const (
-	// ModeTimeshare is the GPU default: no multiplexing software.
-	ModeTimeshare Mode = "timeshare"
-	// ModeMPSDefault is CUDA MPS without percentages.
-	ModeMPSDefault Mode = "mps-default"
-	// ModeMPS is CUDA MPS with equal GPU-percentage splits (the
-	// paper's Figs. 4–5 configuration).
-	ModeMPS Mode = "mps"
-	// ModeMIG uses MIG instances (3g/2g/1g per the paper).
-	ModeMIG Mode = "mig"
-	// ModeVGPU is vGPU-style VM time slicing.
-	ModeVGPU Mode = "vgpu"
-)
-
-// MIGLayoutFor returns the paper's instance layout for n concurrent
-// LLaMa processes on an 80 GB A100: 3/7 each at two, 2/7 at three,
-// 1/7 at four (§5.2).
-func MIGLayoutFor(n int) ([]string, error) {
-	switch n {
-	case 1:
-		return []string{"7g.80gb"}, nil
-	case 2:
-		return []string{"3g.40gb", "3g.40gb"}, nil
-	case 3:
-		return []string{"2g.20gb", "2g.20gb", "2g.20gb"}, nil
-	case 4:
-		return []string{"1g.10gb", "1g.10gb", "1g.10gb", "1g.10gb"}, nil
-	}
-	return nil, fmt.Errorf("core: no MIG layout for %d processes", n)
-}
 
 // MultiplexConfig parameterizes the Fig. 4/5 experiment.
 type MultiplexConfig struct {
@@ -103,14 +67,7 @@ func (c MultiplexConfig) withDefaults() MultiplexConfig {
 	if c.Model.Spec.Layers == 0 {
 		c.Model = llm.LLaMa27B()
 	}
-	if c.Mode == ModeMIG && c.Processes == 4 {
-		// 1g.10gb cannot hold fp16 7B weights; the paper nevertheless
-		// runs 4 instances — only feasible with a quantized (≈int8)
-		// deployment, which we model as a footprint change only (the
-		// latency calibration is unchanged). See EXPERIMENTS.md.
-		c.Model.WeightBytesOverride = 6 * simgpu.GB
-		c.Model.WorkspaceBytes = 3 * simgpu.GB
-	}
+	c.Model = servedModel(c.Model, c.Mode, c.Processes)
 	return c
 }
 
@@ -171,8 +128,6 @@ func RunMultiplex(cfg MultiplexConfig) (*MultiplexResult, error) {
 		c.Attach(pl.Obs, pl.TSDB)
 	}
 	dev := pl.Devices[0]
-	hostBW := dev.Spec().HostLoadBW
-	model := c.Model
 
 	res := &MultiplexResult{
 		Mode:        c.Mode,
@@ -181,81 +136,15 @@ func RunMultiplex(cfg MultiplexConfig) (*MultiplexResult, error) {
 		Latencies:   &metrics.Durations{},
 	}
 
-	getEngine := func(inv *faas.Invocation) (*llm.Engine, error) {
-		// Resident (not just Loaded): a GPU context loss destroys the
-		// warm engine's shards, and the replacement worker context
-		// needs a fresh load.
-		if e, ok := inv.State()["engine"].(*llm.Engine); ok && e.Resident() {
-			return e, nil
-		}
-		ctx, err := inv.GPU()
-		if err != nil {
-			return nil, err
-		}
-		e := llm.New(model)
-		if err := e.Load(inv.Proc(), []*simgpu.Context{ctx}, hostBW); err != nil {
-			return nil, err
-		}
-		inv.State()["engine"] = e
-		return e, nil
-	}
-	pl.Register(faas.App{Name: "llama-load", Executor: "gpu", Fn: func(inv *faas.Invocation) (any, error) {
-		_, err := getEngine(inv)
-		return nil, err
-	}})
-	pl.Register(faas.App{Name: "llama-complete", Executor: "gpu", Fn: func(inv *faas.Invocation) (any, error) {
-		e, err := getEngine(inv)
-		if err != nil {
-			return nil, err
-		}
-		comp, err := e.Complete(inv.Proc(), c.PromptTokens, c.OutputTokens)
-		if err != nil {
-			return nil, err
-		}
-		return comp.Latency, nil
-	}})
+	pl.registerLLaMa(llamaService{
+		exec: "gpu", load: "llama-load", serve: "llama-complete",
+		model: c.Model, prompt: c.PromptTokens, output: c.OutputTokens,
+	})
 
 	runErr := pl.Run(func(p *devent.Proc) error {
-		accels := make([]string, c.Processes)
-		var pcts []int
-		switch c.Mode {
-		case ModeTimeshare:
-			for i := range accels {
-				accels[i] = "0"
-			}
-		case ModeMPSDefault, ModeMPS:
-			if _, err := pl.StartMPS(p, 0); err != nil {
-				return err
-			}
-			for i := range accels {
-				accels[i] = "0"
-			}
-			if c.Mode == ModeMPS {
-				shares, err := rightsize.EqualShares(dev.Spec(), c.Processes)
-				if err != nil {
-					return err
-				}
-				pcts = shares
-			}
-		case ModeMIG:
-			layout, err := MIGLayoutFor(c.Processes)
-			if err != nil {
-				return err
-			}
-			uuids, err := pl.ConfigureMIG(p, 0, layout)
-			if err != nil {
-				return err
-			}
-			accels = uuids
-		case ModeVGPU:
-			if err := dev.SetPolicy(simgpu.PolicyVGPU); err != nil {
-				return err
-			}
-			for i := range accels {
-				accels[i] = "0"
-			}
-		default:
-			return fmt.Errorf("core: unknown mode %q", c.Mode)
+		accels, pcts, err := pl.partition(p, c.Mode, c.Processes)
+		if err != nil {
+			return err
 		}
 		if err := pl.ConfigureGPUExecutor(p, accels, pcts); err != nil {
 			return err

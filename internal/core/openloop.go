@@ -8,7 +8,6 @@ import (
 	"repro/internal/faas"
 	"repro/internal/llm"
 	"repro/internal/metrics"
-	"repro/internal/rightsize"
 	"repro/internal/simgpu"
 )
 
@@ -33,9 +32,9 @@ type OpenLoopConfig struct {
 type OpenLoopResult struct {
 	Mode      Mode
 	Processes int
-	// Latencies are end-to-end (queue + service) per request.
+	// Latencies are end-to-end (queue + service) per served request.
 	Latencies *metrics.Durations
-	// ServiceCapacity is requests/second actually sustained.
+	// ServiceCapacity is served requests/second actually sustained.
 	ServiceCapacity float64
 	// Stable reports whether the backlog stayed bounded: an unstable
 	// queue (offered load above capacity) shows monotonically growing
@@ -43,6 +42,10 @@ type OpenLoopResult struct {
 	// the first.
 	Stable   bool
 	Makespan time.Duration
+	// Failed counts requests whose futures failed terminally (always 0
+	// without chaos: any failure aborts the run instead); they are
+	// excluded from Latencies and ServiceCapacity.
+	Failed int
 }
 
 // RunOpenLoop submits Poisson arrivals to the partitioned platform.
@@ -64,90 +67,28 @@ func RunOpenLoop(cfg OpenLoopConfig) (*OpenLoopResult, error) {
 		return nil, err
 	}
 	defer pl.Env.Close()
-	dev := pl.Devices[0]
-	hostBW := dev.Spec().HostLoadBW
-	model := llm.LLaMa27B()
-	if cfg.Mode == ModeMIG && cfg.Processes == 4 {
-		model.WeightBytesOverride = 6 * simgpu.GB
-		model.WorkspaceBytes = 3 * simgpu.GB
-	}
-
-	getEngine := func(inv *faas.Invocation) (*llm.Engine, error) {
-		if e, ok := inv.State()["engine"].(*llm.Engine); ok && e.Loaded() {
-			return e, nil
-		}
-		ctx, err := inv.GPU()
-		if err != nil {
-			return nil, err
-		}
-		e := llm.New(model)
-		if err := e.Load(inv.Proc(), []*simgpu.Context{ctx}, hostBW); err != nil {
-			return nil, err
-		}
-		inv.State()["engine"] = e
-		return e, nil
-	}
-	pl.Register(faas.App{Name: "load", Executor: "gpu", Fn: func(inv *faas.Invocation) (any, error) {
-		_, err := getEngine(inv)
-		return nil, err
-	}})
-	pl.Register(faas.App{Name: "chat", Executor: "gpu", Fn: func(inv *faas.Invocation) (any, error) {
-		e, err := getEngine(inv)
-		if err != nil {
-			return nil, err
-		}
-		_, err = e.Complete(inv.Proc(), 20, 20)
-		return nil, err
-	}})
+	pl.registerLLaMa(llamaService{
+		exec: "gpu", load: "load", serve: "chat",
+		model: servedModel(llm.LLaMa27B(), cfg.Mode, cfg.Processes), prompt: 20, output: 20,
+	})
 
 	res := &OpenLoopResult{Mode: cfg.Mode, Processes: cfg.Processes, Latencies: &metrics.Durations{}}
 	var ordered []time.Duration
 	runErr := pl.Run(func(p *devent.Proc) error {
-		accels := make([]string, cfg.Processes)
-		var pcts []int
-		switch cfg.Mode {
-		case ModeTimeshare, ModeVGPU:
-			if cfg.Mode == ModeVGPU {
-				if err := dev.SetPolicy(simgpu.PolicyVGPU); err != nil {
-					return err
-				}
-			}
-			for i := range accels {
-				accels[i] = "0"
-			}
-		case ModeMPSDefault, ModeMPS:
-			if _, err := pl.StartMPS(p, 0); err != nil {
-				return err
-			}
-			for i := range accels {
-				accels[i] = "0"
-			}
-			if cfg.Mode == ModeMPS {
-				pcts, err = rightsize.EqualShares(dev.Spec(), cfg.Processes)
-				if err != nil {
-					return err
-				}
-			}
-		case ModeMIG:
-			layout, err := MIGLayoutFor(cfg.Processes)
-			if err != nil {
-				return err
-			}
-			uuids, err := pl.ConfigureMIG(p, 0, layout)
-			if err != nil {
-				return err
-			}
-			accels = uuids
+		accels, pcts, err := pl.partition(p, cfg.Mode, cfg.Processes)
+		if err != nil {
+			return err
 		}
 		if err := pl.ConfigureGPUExecutor(p, accels, pcts); err != nil {
 			return err
 		}
-		// Pre-warm all instances.
+		// Pre-warm all instances. Under chaos a failed preload is
+		// tolerated — that worker simply cold-loads on first use.
 		loads := make([]*devent.Event, cfg.Processes)
 		for i := range loads {
 			loads[i] = pl.DFK.Submit("load").Event()
 		}
-		if _, err := p.Wait(devent.AllOf(pl.Env, loads...)); err != nil {
+		if _, err := p.Wait(devent.AllOf(pl.Env, loads...)); err != nil && pl.Injector == nil {
 			return err
 		}
 
@@ -161,7 +102,11 @@ func RunOpenLoop(cfg OpenLoopConfig) (*OpenLoopResult, error) {
 		}
 		for _, f := range futs {
 			if _, err := f.Result(p); err != nil {
-				return err
+				if pl.Injector == nil {
+					return err
+				}
+				res.Failed++
+				continue
 			}
 			// End-to-end latency includes queueing.
 			lat := f.Task().EndTime - f.Task().SubmitTime
@@ -169,7 +114,7 @@ func RunOpenLoop(cfg OpenLoopConfig) (*OpenLoopResult, error) {
 			ordered = append(ordered, lat)
 		}
 		res.Makespan = p.Now() - start
-		res.ServiceCapacity = metrics.Throughput(cfg.Requests, res.Makespan)
+		res.ServiceCapacity = metrics.Throughput(cfg.Requests-res.Failed, res.Makespan)
 		return nil
 	})
 	if runErr != nil {

@@ -17,17 +17,6 @@ import (
 	"repro/internal/weightcache"
 )
 
-// globalRepart is the process-wide repartitioning spec installed by
-// SetRepart; PhaseShiftConfig.Repart overrides it per run.
-var globalRepart *repart.Spec
-
-// SetRepart installs (or, with nil, removes) a process-wide
-// repartitioning spec. The CLIs' -repart flag routes here so the
-// phase-shift scenario gains the online controller without signature
-// changes; with the flag unset every run stays byte-identical to the
-// static experiments.
-func SetRepart(s *repart.Spec) { globalRepart = s }
-
 // PhaseShiftConfig parameterizes the repartitioning scenario: two
 // LLaMa tenants on one A100 whose load phases are shifted against each
 // other — tenant A bursts first while B trickles, then the roles swap
@@ -39,9 +28,7 @@ type PhaseShiftConfig struct {
 	// Repart is set.
 	Mode Mode
 	// Repart, when non-nil, runs the online controller instead of a
-	// static plan. Deliberately no fallback to the SetRepart global:
-	// the comparison report runs static and controlled cells in one
-	// process, and the static baselines must stay static.
+	// static plan.
 	Repart *repart.Spec
 	// HeavyCompletions is each tenant's burst size (default 24).
 	HeavyCompletions int
@@ -153,7 +140,6 @@ func RunPhaseShift(cfg PhaseShiftConfig) (*PhaseShiftResult, error) {
 		c.Attach(pl.Obs, pl.TSDB)
 	}
 	dev := pl.Devices[0]
-	hostBW := dev.Spec().HostLoadBW
 	model := llm.LLaMa27B()
 	cache := weightcache.New()
 
@@ -165,48 +151,19 @@ func RunPhaseShift(cfg PhaseShiftConfig) (*PhaseShiftResult, error) {
 
 	// Per-tenant apps: each tenant's service attaches its model through
 	// the shared cache, so a repartitioned worker skips the reload.
-	registerTenant := func(name, exec, key string) {
-		getEngine := func(inv *faas.Invocation) (*llm.Engine, error) {
-			if e, ok := inv.State()["engine"].(*llm.Engine); ok && e.Resident() {
-				return e, nil
-			}
-			ctx, err := inv.GPU()
-			if err != nil {
-				return nil, err
-			}
-			e, _, err := cache.AttachOrLoad(inv.Proc(), key, model, []*simgpu.Context{ctx}, hostBW)
-			if err != nil {
-				return nil, err
-			}
-			inv.State()["engine"] = e
-			return e, nil
-		}
-		pl.Register(faas.App{Name: "load-" + name, Executor: exec, Fn: func(inv *faas.Invocation) (any, error) {
-			_, err := getEngine(inv)
-			return nil, err
-		}})
-		pl.Register(faas.App{Name: "svc-" + name, Executor: exec, Fn: func(inv *faas.Invocation) (any, error) {
-			e, err := getEngine(inv)
-			if err != nil {
-				return nil, err
-			}
-			comp, err := e.Complete(inv.Proc(), c.PromptTokens, c.OutputTokens)
-			if err != nil {
-				return nil, err
-			}
-			return comp.Latency, nil
-		}})
+	for _, t := range []string{"a", "b"} {
+		pl.registerLLaMa(llamaService{
+			exec: "ten-" + t, load: "load-" + t, serve: "svc-" + t,
+			model: model, prompt: c.PromptTokens, output: c.OutputTokens,
+			cache: cache, key: "model-" + t,
+		})
 	}
-	registerTenant("a", "ten-a", "model-a")
-	registerTenant("b", "ten-b", "model-b")
 
 	var ctl *repart.Controller
 	runErr := pl.Run(func(p *devent.Proc) error {
 		// Initial partitioning: the chosen static plan, or — under the
 		// controller — an even MPS split (mode=mig starts on the bare
 		// device; the first transition installs the MIG layout).
-		accels := [2][]string{{"0"}, {"0"}}
-		var pcts [2][]int
 		mode := c.Mode
 		if c.Repart != nil {
 			mode = ModeMPS
@@ -214,59 +171,39 @@ func RunPhaseShift(cfg PhaseShiftConfig) (*PhaseShiftResult, error) {
 				mode = ModeTimeshare
 			}
 		}
-		switch mode {
-		case ModeTimeshare:
-		case ModeMPSDefault, ModeMPS:
-			if _, err := pl.StartMPS(p, 0); err != nil {
-				return err
-			}
-			if mode == ModeMPS {
-				pcts[0], pcts[1] = []int{50}, []int{50}
-			}
-		case ModeMIG:
-			uuids, err := pl.ConfigureMIG(p, 0, []string{"3g.40gb", "3g.40gb"})
-			if err != nil {
-				return err
-			}
-			accels[0], accels[1] = []string{uuids[0]}, []string{uuids[1]}
-		case ModeVGPU:
-			if err := dev.SetPolicy(simgpu.PolicyVGPU); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("core: unknown mode %q", c.Mode)
+		accels, pcts, err := pl.partition(p, mode, 2)
+		if err != nil {
+			return err
 		}
-		execs := make([]*htex.HTEX, 2)
-		for i, label := range []string{"ten-a", "ten-b"} {
-			ex, err := htex.New(pl.Env, htex.Config{
-				Label:                 label,
-				AvailableAccelerators: accels[i],
-				GPUPercentages:        pcts[i],
+		tenants := make([]repart.Tenant, 2)
+		for i, t := range []string{"a", "b"} {
+			cfg := htex.Config{
+				Label:                 "ten-" + t,
+				AvailableAccelerators: accels[i : i+1],
 				WorkerInit:            pl.opts.WorkerInit,
 				Provider:              provider.NewLocal(pl.Env, pl.Node),
-			})
+			}
+			if pcts != nil {
+				cfg.GPUPercentages = pcts[i : i+1]
+			}
+			ex, err := htex.New(pl.Env, cfg)
 			if err != nil {
 				return err
 			}
 			if err := pl.DFK.AddExecutor(ex); err != nil {
 				return err
 			}
-			execs[i] = ex
+			tenants[i] = repart.Tenant{Name: t, App: "svc-" + t, Exec: ex, Accelerator: "0",
+				WeightBytes: model.WeightBytes(), WorkspaceBytes: model.WorkspaceBytes}
 		}
 		if c.Repart != nil {
-			var err error
 			ctl, err = repart.New(repart.Config{
-				Env:    pl.Env,
-				Spec:   *c.Repart,
-				Obs:    pl.Obs,
-				Device: dev,
-				Cache:  cache,
-				Tenants: []repart.Tenant{
-					{Name: "a", App: "svc-a", Exec: execs[0], Accelerator: "0",
-						WeightBytes: model.WeightBytes(), WorkspaceBytes: model.WorkspaceBytes},
-					{Name: "b", App: "svc-b", Exec: execs[1], Accelerator: "0",
-						WeightBytes: model.WeightBytes(), WorkspaceBytes: model.WorkspaceBytes},
-				},
+				Env:     pl.Env,
+				Spec:    *c.Repart,
+				Obs:     pl.Obs,
+				Device:  dev,
+				Cache:   cache,
+				Tenants: tenants,
 			})
 			if err != nil {
 				return err
@@ -307,13 +244,18 @@ func RunPhaseShift(cfg PhaseShiftConfig) (*PhaseShiftResult, error) {
 			}
 			return nil
 		}
+		serve := func(dp *devent.Proc, app string) error {
+			v, err := pl.DFK.Submit(app).Result(dp)
+			if err == nil {
+				res.Latencies.Add(v.(time.Duration))
+			}
+			return err
+		}
 		trickle := func(dp *devent.Proc, app string, n int) error {
 			for i := 0; i < n; i++ {
-				v, err := pl.DFK.Submit(app).Result(dp)
-				if err != nil {
+				if err := serve(dp, app); err != nil {
 					return err
 				}
-				res.Latencies.Add(v.(time.Duration))
 				if i < n-1 {
 					dp.Sleep(c.LightEvery)
 				}
@@ -322,16 +264,11 @@ func RunPhaseShift(cfg PhaseShiftConfig) (*PhaseShiftResult, error) {
 		}
 		trickleUntil := func(dp *devent.Proc, app string, until time.Duration) error {
 			for dp.Now() < until {
-				v, err := pl.DFK.Submit(app).Result(dp)
-				if err != nil {
+				if err := serve(dp, app); err != nil {
 					return err
 				}
-				res.Latencies.Add(v.(time.Duration))
 				if wait := until - dp.Now(); wait > 0 {
-					if wait > c.LightEvery {
-						wait = c.LightEvery
-					}
-					dp.Sleep(wait)
+					dp.Sleep(min(wait, c.LightEvery))
 				}
 			}
 			return nil

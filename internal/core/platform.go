@@ -50,9 +50,6 @@ type Options struct {
 	// and per-kernel spans from the devices. Task and worker spans are
 	// always collected (attribution and the SLO monitor read them).
 	Observe bool
-	// TaskTimeout is the per-task deadline passed to the DFK (0 = no
-	// deadlines, the seed behavior).
-	TaskTimeout time.Duration
 	// SLO, when non-empty, attaches a burn-rate monitor over the task
 	// span stream: comma-separated "<app>:<latency>:<target>[:<window>]"
 	// rules evaluated on the virtual clock (see analyze.ParseSLOSpec).
@@ -194,7 +191,6 @@ func NewPlatform(opts Options) (*Platform, error) {
 	fcfg := faas.Config{
 		RunDir:    "sim",
 		Retries:   o.Retries,
-		Timeout:   o.TaskTimeout,
 		Collector: collector,
 	}
 	if o.RetryBackoff > 0 {

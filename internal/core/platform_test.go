@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -147,5 +149,62 @@ func TestPlatformRunPropagatesMainError(t *testing.T) {
 	sentinel := simgpu.ErrBusy
 	if got := pl.Run(func(p *devent.Proc) error { return sentinel }); got != sentinel {
 		t.Fatalf("got = %v", got)
+	}
+}
+
+// partition is the one Table 1 configuration step behind every FaaS
+// driver: each mode's plan for 1–4 processes on one A100-80GB.
+func TestPartitionPlans(t *testing.T) {
+	equal := map[int][]int{1: {100}, 2: {50, 50}, 3: {34, 33, 33}, 4: {25, 25, 25, 25}}
+	for _, mode := range Table1Modes {
+		for n := 1; n <= 4; n++ {
+			pl, err := NewPlatform(Options{DeviceSpecs: []simgpu.DeviceSpec{simgpu.A100SXM480GB()}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var accels []string
+			var pcts []int
+			if err := pl.Run(func(p *devent.Proc) (err error) {
+				accels, pcts, err = pl.partition(p, mode, n)
+				return err
+			}); err != nil {
+				t.Fatalf("%s/%d: %v", mode, n, err)
+			}
+			pl.Env.Close()
+			if len(accels) != n {
+				t.Fatalf("%s/%d: accels = %v", mode, n, accels)
+			}
+			for _, a := range accels {
+				ok := a == "0"
+				if mode == ModeMIG {
+					ok = strings.HasPrefix(a, "MIG-")
+				}
+				if !ok {
+					t.Errorf("%s/%d: accels = %v", mode, n, accels)
+				}
+			}
+			var want []int
+			if mode == ModeMPS {
+				want = equal[n]
+			}
+			if !slices.Equal(pcts, want) || (want == nil) != (pcts == nil) {
+				t.Errorf("%s/%d: pcts = %v, want %v", mode, n, pcts, want)
+			}
+			if got := pl.Devices[0].Policy() == simgpu.PolicyVGPU; got != (mode == ModeVGPU) {
+				t.Errorf("%s/%d: vGPU policy = %v", mode, n, got)
+			}
+		}
+	}
+	pl, err := NewPlatform(Options{DeviceSpecs: []simgpu.DeviceSpec{simgpu.A100SXM480GB()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pl.Env.Close()
+	err = pl.Run(func(p *devent.Proc) error {
+		_, _, err := pl.partition(p, "bogus", 2)
+		return err
+	})
+	if err == nil || !strings.Contains(err.Error(), "core: unknown mode") {
+		t.Fatalf("bogus mode: err = %v", err)
 	}
 }

@@ -165,67 +165,16 @@ func isolationProbe(mode Mode) (float64, bool, error) {
 	}
 	hostBW := dev.Spec().HostLoadBW
 	model := llm.LLaMa27B()
-	aggModel := model
-
-	// Partition setup + per-tenant context factory.
-	type tenantCtx func(p *devent.Proc, i int) (*simgpu.Context, error)
-	var mkCtx tenantCtx
-	switch mode {
-	case ModeTimeshare:
-		mkCtx = func(p *devent.Proc, i int) (*simgpu.Context, error) {
-			return dev.NewContext(p, simgpu.ContextOpts{SkipInit: true})
-		}
-	case ModeMPSDefault:
-		if err := dev.SetPolicy(simgpu.PolicySpatial); err != nil {
-			return 0, false, err
-		}
-		mkCtx = func(p *devent.Proc, i int) (*simgpu.Context, error) {
-			return dev.NewContext(p, simgpu.ContextOpts{SkipInit: true})
-		}
-	case ModeMPS:
-		if err := dev.SetPolicy(simgpu.PolicySpatial); err != nil {
-			return 0, false, err
-		}
-		mkCtx = func(p *devent.Proc, i int) (*simgpu.Context, error) {
-			return dev.NewContext(p, simgpu.ContextOpts{SkipInit: true, SMPercent: 25})
-		}
-	case ModeVGPU:
-		if err := dev.SetPolicy(simgpu.PolicyVGPU); err != nil {
-			return 0, false, err
-		}
-		mkCtx = func(p *devent.Proc, i int) (*simgpu.Context, error) {
-			return dev.NewContext(p, simgpu.ContextOpts{SkipInit: true, Group: fmt.Sprintf("vm%d", i)})
-		}
-	case ModeMIG:
-		var setupErr error
-		ready := env.NewEvent()
-		var instances []*simgpu.Instance
-		env.Spawn("mig-setup", func(p *devent.Proc) {
-			if err := dev.EnableMIG(p); err != nil {
-				setupErr = err
-				ready.Fire(nil)
-				return
-			}
-			ins, err := dev.ConfigureMIG(p, []string{"3g.40gb", "1g.10gb", "1g.10gb", "1g.10gb"})
-			if err != nil {
-				setupErr = err
-				ready.Fire(nil)
-				return
-			}
-			instances = ins
-			ready.Fire(nil)
-		})
-		aggModel.WeightBytesOverride = 6 * simgpu.GB
-		aggModel.WorkspaceBytes = 3 * simgpu.GB
-		mkCtx = func(p *devent.Proc, i int) (*simgpu.Context, error) {
-			p.Wait(ready)
-			if setupErr != nil {
-				return nil, setupErr
-			}
-			return instances[i].NewContext(p, simgpu.ContextOpts{SkipInit: true})
-		}
-	default:
-		return 0, false, fmt.Errorf("core: unknown mode %q", mode)
+	// Aggressors sit on the 1g.10gb slices of the 4-way MIG layout.
+	aggModel := servedModel(model, mode, 4)
+	mkCtx, err := tenantContexts(env, dev, mode, []deviceTenant{
+		{pct: 25, profile: "3g.40gb", group: "vm0"},
+		{pct: 25, profile: "1g.10gb", group: "vm1"},
+		{pct: 25, profile: "1g.10gb", group: "vm2"},
+		{pct: 25, profile: "1g.10gb", group: "vm3"},
+	})
+	if err != nil {
+		return 0, false, err
 	}
 
 	var lat metrics.Durations

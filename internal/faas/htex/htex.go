@@ -812,6 +812,13 @@ func (w *worker) GPUContext(p *devent.Proc) (*simgpu.Context, error) {
 	if err != nil {
 		return nil, err
 	}
+	if w.kill.Fired() {
+		// Killed during bring-up: releaseGPU already ran and found no
+		// context, so this one would outlive the worker and collide
+		// with its respawn's allocations under the same name.
+		ctx.Destroy()
+		return nil, ErrWorkerLost
+	}
 	// Lazy context bring-up charged to the invocation that paid it: a
 	// cold-start phase boundary for the attribution engine.
 	if now := p.Now(); now > t0 {

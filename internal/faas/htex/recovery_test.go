@@ -9,6 +9,7 @@ import (
 	"repro/internal/faas"
 	"repro/internal/gpuctl"
 	"repro/internal/obs"
+	"repro/internal/simgpu"
 )
 
 // With RestartBackoff set, a crashed worker slot comes back after the
@@ -111,6 +112,60 @@ func TestRestartedWorkerRecordsContextInit(t *testing.T) {
 	}
 	if inits != 2 {
 		t.Fatalf("ctxinit spans = %d, want one per worker incarnation (2)", inits)
+	}
+}
+
+// A worker killed while its first task is still bringing up the GPU
+// context leaves nothing behind: the orphaned body must not keep the
+// context it was opening (or load into it), so the respawned worker,
+// which reuses the slot's name, loads without colliding.
+func TestKillDuringContextBringUp(t *testing.T) {
+	r := newRig(t, 1)
+	ex, err := New(r.env, Config{
+		Label:                 "gpu",
+		MaxWorkers:            1,
+		AvailableAccelerators: []string{"0"},
+		Provider:              r.local(),
+		RestartBackoff:        time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := faas.NewDFK(r.env, faas.Config{}, ex)
+	d.Register(faas.App{Name: "load", Executor: "gpu", Fn: func(inv *faas.Invocation) (any, error) {
+		ctx, err := inv.GPU()
+		if err != nil {
+			return nil, err
+		}
+		_, err = ctx.Alloc("weights", simgpu.GB)
+		return nil, err
+	}})
+	d.Start()
+	var first, second error
+	r.env.Spawn("main", func(p *devent.Proc) {
+		f := d.Submit("load")
+		p.Sleep(100 * time.Millisecond) // inside the 800 ms context init
+		if !ex.KillWorker(f.Task().Worker) {
+			t.Error("kill failed")
+			return
+		}
+		_, first = f.Result(p)
+		p.Sleep(2 * time.Second) // past the bring-up and the 1 s restart backoff
+		_, second = d.Submit("load").Result(p)
+		ex.ShutdownAndWait(p)
+	})
+	r.run(t)
+	if !errors.Is(first, ErrWorkerLost) {
+		t.Fatalf("killed task err = %v, want ErrWorkerLost", first)
+	}
+	if second != nil {
+		t.Fatalf("respawned worker's load: %v", second)
+	}
+	if got := r.devs[0].ContextNames(); len(got) != 0 {
+		t.Errorf("contexts after shutdown = %v", got)
+	}
+	if got := r.devs[0].Mem().Segments(); len(got) != 0 {
+		t.Errorf("segments after shutdown = %v", got)
 	}
 }
 
