@@ -1,7 +1,7 @@
 # Developer entry points. `make check` is the tier-1 gate (gofmt,
-# build, vet, staticcheck when installed, test, plus vet and the smoke
-# test of the bench/ module, which `./...` never reaches because it is
-# a module of its own);
+# build, vet, the reachability gate, staticcheck when installed, test,
+# plus vet and the smoke test of the bench/ module, which `./...` never
+# reaches because it is a module of its own);
 # `make race` reruns the tests under the race detector — the parallel
 # harness and the chaos suite must stay race-clean — and runs as its
 # own CI job. `make cover` prints
@@ -20,12 +20,14 @@
 # server on a scale run and curls its endpoints — the CI smoke for the
 # -serve plane. `make chaos-smoke` runs the open-loop and Table 1
 # artifacts under a dense fault schedule and requires both to finish.
+# `make examples` runs every examples/ program and requires each to
+# exit 0 and print something.
 
 GO ?= go
 
-.PHONY: check fmt build vet bench-test staticcheck test race cover fuzz bench scale fleet autoscale attrib serve-smoke chaos-smoke clean
+.PHONY: check fmt build vet reach examples bench-test staticcheck test race cover fuzz bench scale fleet autoscale attrib serve-smoke chaos-smoke clean
 
-check: fmt build vet bench-test staticcheck test
+check: fmt build vet reach bench-test staticcheck test
 
 # Fails, listing the files, when any Go file is not gofmt-formatted.
 fmt:
@@ -37,6 +39,24 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fails, listing them, when some internal package is not a dependency
+# of any cmd/ binary: a package only its own tests or an example use
+# is dead weight no artifact measures.
+reach:
+	@deps=$$($(GO) list -deps ./cmd/... | grep '^repro/internal' | sort -u); \
+	out=$$($(GO) list ./internal/... | sort -u | grep -vxF "$$deps" || true); \
+	if [ -n "$$out" ]; then echo "internal packages no cmd/ binary reaches:"; echo "$$out"; exit 1; fi
+
+# Runs each example to completion; each must exit 0 with non-empty
+# stdout.
+examples:
+	@set -e; \
+	for dir in examples/*/; do \
+		out=$$($(GO) run ./$$dir); \
+		test -n "$$out" || { echo "examples: $$dir printed nothing"; exit 1; }; \
+		echo "examples: $$dir ok"; \
+	done
 
 # bench/ is a separate module (replace repro => ../), so `go build
 # ./...` skips it; vetting it compiles the benchmark against the

@@ -84,9 +84,9 @@ flags:
                    text exposition
   -chaos SPEC      run every experiment under seeded fault injection,
                    e.g. -chaos seed=7,rate=0.5 (keys: seed, rate,
-                   pfail, kinds=worker+gpu+reconfig+endpoint+submit,
-                   after, until, max, reconnect); same seed gives a
-                   byte-identical run at any -parallel level
+                   pfail, kinds=worker+gpu+reconfig+submit, after,
+                   until, max); same seed gives a byte-identical run at
+                   any -parallel level
   -repart SPEC     controller spec for the repart artifact, e.g.
                    -repart policy=knee,interval=10s,delta=5 (keys:
                    policy, mode, interval, tolerance, cooldown, delta,

@@ -10,7 +10,6 @@
 //   - internal/core: the Platform facade and experiment drivers
 //   - cmd/paperbench: regenerate every figure and table
 //   - cmd/gpufaas: ad-hoc scenarios
-//   - cmd/migctl, cmd/mpsctl: device-administration CLIs
 //   - examples/: runnable walkthroughs
 //
 // See DESIGN.md for the architecture and EXPERIMENTS.md for

@@ -7,7 +7,6 @@ package colmena
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/devent"
 	"repro/internal/faas"
@@ -70,7 +69,6 @@ func (q *Queues) Pending(topic string) int { return q.topic(topic).Len() }
 // TaskServer registers methods on the DFK and dispatches invocations,
 // pushing each completion to the requested topic.
 type TaskServer struct {
-	env    *devent.Env
 	dfk    *faas.DFK
 	queues *Queues
 	n      int
@@ -78,7 +76,7 @@ type TaskServer struct {
 
 // NewTaskServer wires a task server over a DFK.
 func NewTaskServer(dfk *faas.DFK, queues *Queues) *TaskServer {
-	return &TaskServer{env: dfk.Env(), dfk: dfk, queues: queues}
+	return &TaskServer{dfk: dfk, queues: queues}
 }
 
 // Queues returns the server's topic router.
@@ -110,38 +108,6 @@ func (ts *TaskServer) Submit(topic, method string, args ...any) *faas.Future {
 // Submitted reports how many invocations have been dispatched.
 func (ts *TaskServer) Submitted() int { return ts.n }
 
-// Thinker hosts steering agents (procs) that consume result queues
-// and submit new work.
-type Thinker struct {
-	env    *devent.Env
-	server *TaskServer
-	agents []*devent.Proc
-}
-
-// NewThinker creates a thinker bound to a task server.
-func NewThinker(server *TaskServer) *Thinker {
-	return &Thinker{env: server.env, server: server}
-}
-
-// Server returns the task server.
-func (t *Thinker) Server() *TaskServer { return t.server }
-
-// Agent spawns a steering agent.
-func (t *Thinker) Agent(name string, fn func(p *devent.Proc, ts *TaskServer, q *Queues)) *devent.Proc {
-	pr := t.env.Spawn("agent:"+name, func(p *devent.Proc) {
-		fn(p, t.server, t.server.queues)
-	})
-	t.agents = append(t.agents, pr)
-	return pr
-}
-
-// Join blocks until every agent has finished.
-func (t *Thinker) Join(p *devent.Proc) {
-	for _, a := range t.agents {
-		p.Wait(a.Done())
-	}
-}
-
 // CollectN receives exactly n results from a topic, in arrival order.
 func CollectN(p *devent.Proc, q *Queues, topic string, n int) []Result {
 	out := make([]Result, 0, n)
@@ -149,12 +115,4 @@ func CollectN(p *devent.Proc, q *Queues, topic string, n int) []Result {
 		out = append(out, q.Recv(p, topic))
 	}
 	return out
-}
-
-// Elapsed is a convenience for task wall-clock spans.
-func Elapsed(r Result) time.Duration {
-	if r.Task == nil {
-		return 0
-	}
-	return r.Task.EndTime - r.Task.StartTime
 }

@@ -110,33 +110,36 @@ func TestCollectN(t *testing.T) {
 	if got[0].Value != 1 || got[2].Value != 3 {
 		t.Fatalf("order: %v %v %v", got[0].Value, got[1].Value, got[2].Value)
 	}
-	if Elapsed(got[2]) != 3*time.Second {
-		t.Fatalf("elapsed = %v", Elapsed(got[2]))
+	if d := got[2].Task.EndTime - got[2].Task.StartTime; d != 3*time.Second {
+		t.Fatalf("elapsed = %v", d)
 	}
 }
 
 func TestThinkerAgentsJoin(t *testing.T) {
 	env, ts := newServer(t)
 	ts.RegisterMethod("id", "cpu", func(inv *faas.Invocation) (any, error) { return inv.Arg(0), nil })
-	th := NewThinker(ts)
-	total := 0
-	th.Agent("submitter", func(p *devent.Proc, ts *TaskServer, q *Queues) {
+	total, joined := 0, false
+	submitter := env.Spawn("agent:submitter", func(p *devent.Proc) {
 		for i := 0; i < 5; i++ {
 			ts.Submit("r", "id", i)
 		}
 	})
-	th.Agent("consumer", func(p *devent.Proc, ts *TaskServer, q *Queues) {
+	consumer := env.Spawn("agent:consumer", func(p *devent.Proc) {
 		for i := 0; i < 5; i++ {
-			r := q.Recv(p, "r")
+			r := ts.Queues().Recv(p, "r")
 			total += r.Value.(int)
 		}
 	})
-	env.Spawn("main", func(p *devent.Proc) { th.Join(p) })
+	env.Spawn("main", func(p *devent.Proc) {
+		p.Wait(submitter.Done())
+		p.Wait(consumer.Done())
+		joined = true
+	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if total != 10 {
-		t.Fatalf("total = %d", total)
+	if total != 10 || !joined {
+		t.Fatalf("total = %d, joined = %v", total, joined)
 	}
 }
 

@@ -26,7 +26,7 @@ func chaosSpecFor(seed int) fault.Spec {
 	case 4:
 		spec.Kinds = []fault.Kind{fault.KindWorker}
 	case 5:
-		spec.Kinds = []fault.Kind{fault.KindGPU, fault.KindEndpoint}
+		spec.Kinds = []fault.Kind{fault.KindGPU}
 	}
 	return spec
 }

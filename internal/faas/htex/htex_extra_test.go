@@ -179,32 +179,3 @@ func TestConfigBindings(t *testing.T) {
 		t.Fatalf("env = %v", env)
 	}
 }
-
-// ThreadPool submissions after shutdown fail; workers report zero.
-func TestThreadPoolShutdown(t *testing.T) {
-	env := devent.NewEnv()
-	tp, _ := NewThreadPool(env, "t", 2)
-	d := faas.NewDFK(env, faas.Config{}, tp)
-	d.Register(faas.App{Name: "fn", Executor: "t", Fn: func(inv *faas.Invocation) (any, error) {
-		inv.Compute(time.Second)
-		return nil, nil
-	}})
-	d.Start()
-	var queued error
-	env.Spawn("main", func(p *devent.Proc) {
-		running := d.Submit("fn")
-		p.Sleep(100 * time.Millisecond)
-		tp.Shutdown()
-		_, queued = d.Submit("fn").Result(p)
-		running.Result(p)
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(queued, faas.ErrShutdown) {
-		t.Fatalf("queued = %v", queued)
-	}
-	if tp.Workers() != 0 {
-		t.Fatalf("workers = %d", tp.Workers())
-	}
-}

@@ -351,40 +351,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestThreadPoolExecutor(t *testing.T) {
-	r := newRig(t, 0)
-	tp, err := NewThreadPool(r.env, "threads", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := faas.NewDFK(r.env, faas.Config{}, tp)
-	d.Register(sleepApp("threads", time.Second))
-	d.Start()
-	var makespan time.Duration
-	r.env.Spawn("main", func(p *devent.Proc) {
-		evs := make([]*devent.Event, 6)
-		for i := range evs {
-			evs[i] = d.Submit("sleep").Event()
-		}
-		p.Wait(devent.AllOf(r.env, evs...))
-		makespan = p.Now()
-	})
-	r.run(t)
-	if makespan != 2*time.Second { // 6 tasks / 3 threads × 1 s
-		t.Fatalf("makespan = %v", makespan)
-	}
-	if tp.Workers() != 3 {
-		t.Fatalf("workers = %d", tp.Workers())
-	}
-}
-
-func TestThreadPoolRejectsZeroSize(t *testing.T) {
-	r := newRig(t, 0)
-	if _, err := NewThreadPool(r.env, "x", 0); err == nil {
-		t.Fatal("zero size accepted")
-	}
-}
-
 func TestGPUOnCPUWorkerFails(t *testing.T) {
 	r := newRig(t, 1)
 	ex, _ := New(r.env, Config{Label: "cpu", MaxWorkers: 1, Provider: r.local()})

@@ -102,31 +102,3 @@ func TestKillMidTaskFailsWithWorkerLost(t *testing.T) {
 	})
 	r.run(t)
 }
-
-// The thread pool's workers receive against the pool-wide shutdown
-// event on every pick; each receive detaches when it returns.
-func TestThreadPoolShutdownListenersBounded(t *testing.T) {
-	r := newRig(t, 0)
-	tp, err := NewThreadPool(r.env, "threads", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := faas.NewDFK(r.env, faas.Config{}, tp)
-	d.Register(sleepApp("threads", time.Millisecond))
-	if err := d.Start(); err != nil {
-		t.Fatal(err)
-	}
-	r.env.Spawn("main", func(p *devent.Proc) {
-		for i := 0; i < 1000; i++ {
-			if _, err := d.Submit("sleep").Result(p); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-		if n := tp.shutdown.Listeners(); n > 2*tp.size {
-			t.Errorf("shutdown listeners after 1000 tasks = %d, want <= %d", n, 2*tp.size)
-		}
-		d.Shutdown()
-	})
-	r.run(t)
-}

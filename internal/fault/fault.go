@@ -9,8 +9,7 @@
 // Fault kinds map to the platform's real failure modes: worker-process
 // crashes (OOM kills), GPU context loss (uncorrectable ECC errors),
 // reconfiguration kills (a MIG/MPS repartition destroying every worker
-// of an executor), endpoint WAN disconnects, and transient submit
-// failures.
+// of an executor), and transient submit failures.
 package fault
 
 import (
@@ -38,21 +37,17 @@ const (
 	// KindReconfig kills every worker of one executor at once — the
 	// blast radius of a MIG/MPS repartition racing live work.
 	KindReconfig Kind = "reconfig"
-	// KindEndpoint takes one endpoint's WAN link down for
-	// Spec.ReconnectAfter, then restores it.
-	KindEndpoint Kind = "endpoint"
 	// KindSubmit fails a task dispatch attempt with ErrInjected
 	// (retriable), with probability Spec.SubmitFailProb per attempt.
 	KindSubmit Kind = "submit"
 )
 
 // kindOrder fixes the deterministic candidate-listing order.
-var kindOrder = []Kind{KindWorker, KindGPU, KindReconfig, KindEndpoint}
+var kindOrder = []Kind{KindWorker, KindGPU, KindReconfig}
 
 // validKinds is the parse/validate whitelist.
 var validKinds = map[Kind]bool{
-	KindWorker: true, KindGPU: true, KindReconfig: true,
-	KindEndpoint: true, KindSubmit: true,
+	KindWorker: true, KindGPU: true, KindReconfig: true, KindSubmit: true,
 }
 
 // Spec configures a chaos run. The zero Spec injects nothing.
@@ -77,9 +72,6 @@ type Spec struct {
 	Until time.Duration
 	// MaxFaults caps the number of injected faults (0 = uncapped).
 	MaxFaults int
-	// ReconnectAfter is how long an endpoint disconnect window lasts
-	// (default 2s).
-	ReconnectAfter time.Duration
 }
 
 // Validate checks the spec's ranges.
@@ -90,7 +82,7 @@ func (s Spec) Validate() error {
 	if math.IsNaN(s.SubmitFailProb) || s.SubmitFailProb < 0 || s.SubmitFailProb > 1 {
 		return fmt.Errorf("fault: pfail %v outside [0,1]", s.SubmitFailProb)
 	}
-	if s.After < 0 || s.Until < 0 || s.ReconnectAfter < 0 {
+	if s.After < 0 || s.Until < 0 {
 		return errors.New("fault: negative time bound")
 	}
 	if s.Until > 0 && s.Until < s.After {
@@ -156,16 +148,13 @@ func (s Spec) String() string {
 	if s.MaxFaults != 0 {
 		add("max", strconv.Itoa(s.MaxFaults))
 	}
-	if s.ReconnectAfter != 0 {
-		add("reconnect", s.ReconnectAfter.String())
-	}
 	return strings.Join(parts, ",")
 }
 
 // ParseSpec parses the -chaos flag syntax: comma-separated key=value
 // pairs, e.g. "seed=3,rate=0.5,pfail=0.05,kinds=worker+gpu,until=60s".
-// Keys: seed, rate, pfail, kinds ('+'-separated), after, until, max,
-// reconnect. An empty string yields the zero Spec.
+// Keys: seed, rate, pfail, kinds ('+'-separated), after, until, max.
+// An empty string yields the zero Spec.
 func ParseSpec(s string) (Spec, error) {
 	var spec Spec
 	if strings.TrimSpace(s) == "" {
@@ -195,8 +184,6 @@ func ParseSpec(s string) (Spec, error) {
 			spec.Until, err = time.ParseDuration(val)
 		case "max":
 			spec.MaxFaults, err = strconv.Atoi(val)
-		case "reconnect":
-			spec.ReconnectAfter, err = time.ParseDuration(val)
 		default:
 			return Spec{}, fmt.Errorf("fault: unknown key %q", key)
 		}

@@ -2,7 +2,6 @@ package fault
 
 import (
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
@@ -10,7 +9,7 @@ import (
 )
 
 func TestParseSpec(t *testing.T) {
-	spec, err := ParseSpec("seed=3,rate=0.5,pfail=0.05,kinds=worker+gpu,after=1s,until=30s,max=10,reconnect=2s")
+	spec, err := ParseSpec("seed=3,rate=0.5,pfail=0.05,kinds=worker+gpu,after=1s,until=30s,max=10")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,11 +17,11 @@ func TestParseSpec(t *testing.T) {
 		Seed: 3, Rate: 0.5, SubmitFailProb: 0.05,
 		Kinds: []Kind{KindGPU, KindWorker}, // sorted
 		After: time.Second, Until: 30 * time.Second,
-		MaxFaults: 10, ReconnectAfter: 2 * time.Second,
+		MaxFaults: 10,
 	}
 	if spec.Seed != want.Seed || spec.Rate != want.Rate || spec.SubmitFailProb != want.SubmitFailProb ||
 		spec.After != want.After || spec.Until != want.Until ||
-		spec.MaxFaults != want.MaxFaults || spec.ReconnectAfter != want.ReconnectAfter {
+		spec.MaxFaults != want.MaxFaults {
 		t.Fatalf("spec = %+v, want %+v", spec, want)
 	}
 	if len(spec.Kinds) != 2 || spec.Kinds[0] != KindGPU || spec.Kinds[1] != KindWorker {
@@ -42,10 +41,12 @@ func TestParseSpecErrors(t *testing.T) {
 		"pfail=1.5",         // above 1
 		"pfail=NaN",         // NaN
 		"kinds=worker+disk", // unknown kind
+		"kinds=endpoint",    // unknown kind
 		"kinds=gpu+gpu",     // duplicate kind
 		"after=2s,until=1s", // until before after
 		"max=-3",            // negative cap
 		"flavor=spicy",      // unknown key
+		"reconnect=2s",      // unknown key
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
@@ -54,7 +55,7 @@ func TestParseSpecErrors(t *testing.T) {
 }
 
 func TestSpecRoundTrip(t *testing.T) {
-	in := "seed=42,rate=1.25,pfail=0.1,kinds=endpoint+worker,after=500ms,until=1m0s,max=7,reconnect=3s"
+	in := "seed=42,rate=1.25,pfail=0.1,kinds=reconfig+worker,after=500ms,until=1m0s,max=7"
 	spec, err := ParseSpec(in)
 	if err != nil {
 		t.Fatal(err)
@@ -91,39 +92,13 @@ func (f *fakePool) KillWorker(name string) bool {
 	return false
 }
 
-// fakeFabric implements Fabric over a name set.
-type fakeFabric struct {
-	names []string
-	down  map[string]bool
-	log   []string
-}
-
-func (f *fakeFabric) Endpoints() []string { return f.names }
-func (f *fakeFabric) Disconnect(n string) bool {
-	if f.down[n] {
-		return false
-	}
-	f.down[n] = true
-	f.log = append(f.log, "down:"+n)
-	return true
-}
-func (f *fakeFabric) Reconnect(n string) bool {
-	if !f.down[n] {
-		return false
-	}
-	f.down[n] = false
-	f.log = append(f.log, "up:"+n)
-	return true
-}
-
 // chaosTrace runs a seeded injector against fresh fake targets and
 // returns the fault log.
 func chaosTrace(t *testing.T, seed int64) []Fault {
 	t.Helper()
 	env := devent.NewEnv()
-	inj := New(env, Spec{Seed: seed, Rate: 2, Until: 20 * time.Second, ReconnectAfter: time.Second}, nil)
+	inj := New(env, Spec{Seed: seed, Rate: 2, Until: 20 * time.Second}, nil)
 	inj.AttachPool(&fakePool{label: "cpu", alive: []string{"w0", "w1", "w2", "w3"}})
-	inj.AttachFabric(&fakeFabric{names: []string{"ep0", "ep1"}, down: map[string]bool{}})
 	var log []Fault
 	inj.OnFault(func(f Fault) { log = append(log, f) })
 	inj.Start()
@@ -209,31 +184,6 @@ func TestReconfigKillsWholePool(t *testing.T) {
 	}
 	if len(pool.alive) != 0 || len(pool.killed) != 2 {
 		t.Fatalf("alive=%v killed=%v", pool.alive, pool.killed)
-	}
-}
-
-// Endpoint faults open a disconnect window that closes after
-// ReconnectAfter.
-func TestEndpointDisconnectWindow(t *testing.T) {
-	env := devent.NewEnv()
-	fab := &fakeFabric{names: []string{"ep0"}, down: map[string]bool{}}
-	inj := New(env, Spec{Seed: 1, ReconnectAfter: 4 * time.Second}, nil)
-	inj.AttachFabric(fab)
-	inj.At(time.Second, KindEndpoint, "ep0")
-	inj.Start()
-	env.Schedule(3*time.Second, func() {
-		if !fab.down["ep0"] {
-			t.Error("endpoint not down inside the window")
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fab.down["ep0"] {
-		t.Fatal("endpoint still down after the window")
-	}
-	if strings.Join(fab.log, " ") != "down:ep0 up:ep0" {
-		t.Fatalf("log = %v", fab.log)
 	}
 }
 

@@ -8,7 +8,7 @@ import "testing"
 func FuzzParseSpec(f *testing.F) {
 	f.Add("")
 	f.Add("seed=3,rate=0.5")
-	f.Add("seed=3,rate=0.5,pfail=0.05,kinds=worker+gpu,after=1s,until=30s,max=10,reconnect=2s")
+	f.Add("seed=3,rate=0.5,pfail=0.05,kinds=worker+gpu,after=1s,until=30s,max=10")
 	f.Add("kinds=submit")
 	f.Add("rate=1e309")
 	f.Add("pfail=NaN")

@@ -29,14 +29,6 @@ type Device interface {
 	InjectContextLoss(name string) bool
 }
 
-// Fabric is the WAN surface for endpoint disconnect windows
-// (implemented by endpoint.Service).
-type Fabric interface {
-	Endpoints() []string
-	Disconnect(name string) bool
-	Reconnect(name string) bool
-}
-
 // Fault records one injected fault (for hooks and tests).
 type Fault struct {
 	At     time.Duration
@@ -56,9 +48,8 @@ type Injector struct {
 	arrivalRng *rand.Rand
 	submitRng  *rand.Rand
 
-	pools  []WorkerPool
-	devs   []Device
-	fabric Fabric
+	pools []WorkerPool
+	devs  []Device
 
 	injected int
 	started  bool
@@ -101,9 +92,6 @@ func (i *Injector) AttachPool(p WorkerPool) { i.pools = append(i.pools, p) }
 
 // AttachDevice adds a GPU as a KindGPU target.
 func (i *Injector) AttachDevice(d Device) { i.devs = append(i.devs, d) }
-
-// AttachFabric sets the endpoint service for KindEndpoint targets.
-func (i *Injector) AttachFabric(f Fabric) { i.fabric = f }
 
 // SubmitFault implements the DFK dispatch-fault hook: with
 // SubmitFailProb it fails the attempt with ErrInjected. Draws happen
@@ -151,8 +139,8 @@ func (i *Injector) Start() {
 	i.arm(base + i.interarrival())
 }
 
-// Stop cancels future arrivals; faults already firing and pending
-// endpoint reconnects complete. Idempotent.
+// Stop cancels future arrivals; faults already firing complete.
+// Idempotent.
 func (i *Injector) Stop() {
 	i.stopped = true
 	i.timer.Cancel()
@@ -244,24 +232,6 @@ func (i *Injector) candidates(only Kind, target string) []candidate {
 						}
 					}
 					return killed
-				}})
-			}
-		case KindEndpoint:
-			if i.fabric == nil {
-				continue
-			}
-			for _, name := range i.fabric.Endpoints() {
-				n := name
-				add(candidate{kind, n, func() bool {
-					if !i.fabric.Disconnect(n) {
-						return false
-					}
-					window := i.spec.ReconnectAfter
-					if window <= 0 {
-						window = 2 * time.Second
-					}
-					i.env.Schedule(window, func() { i.fabric.Reconnect(n) })
-					return true
 				}})
 			}
 		}

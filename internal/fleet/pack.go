@@ -465,19 +465,6 @@ func (c *Cluster) scratchSolve() (*Cluster, error) {
 	return fresh, nil
 }
 
-// Solve is the batch entry: a from-scratch placement of a whole demand
-// set on a fresh cluster over the same inventory. The receiver is not
-// modified.
-func (c *Cluster) Solve(demands []Demand) ([]Placement, error) {
-	fresh := c.fresh(len(demands))
-	for _, d := range demands {
-		if _, err := fresh.Place(d); err != nil {
-			return nil, err
-		}
-	}
-	return fresh.Placements(), nil
-}
-
 func placementsEqual(a, b *Cluster) bool {
 	if len(a.order) != len(b.order) {
 		return false

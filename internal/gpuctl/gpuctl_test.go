@@ -314,90 +314,3 @@ func TestMPSDefaultPercentAppliesAtOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestAMDBindingEnviron(t *testing.T) {
-	env := AMDBinding{Accelerator: "0", CUs: 26}.Environ()
-	if env[EnvROCRVisibleDevices] != "0" || env[EnvHSACUMask] != "0:0-25" {
-		t.Fatalf("env = %v", env)
-	}
-	env = AMDBinding{Accelerator: "1"}.Environ()
-	if _, ok := env[EnvHSACUMask]; ok {
-		t.Fatal("unmasked binding exported a CU mask")
-	}
-}
-
-func TestCUsFromEnv(t *testing.T) {
-	cases := map[string]int{
-		"0:0-25":  26,
-		"0:0-0":   1,
-		"garbage": 0,
-		"0:5-2":   0,
-		"0:a-b":   0,
-		"":        0,
-	}
-	for mask, want := range cases {
-		env := map[string]string{}
-		if mask != "" {
-			env[EnvHSACUMask] = mask
-		}
-		if got := CUsFromEnv(env); got != want {
-			t.Errorf("CUsFromEnv(%q) = %d, want %d", mask, got, want)
-		}
-	}
-}
-
-func TestAMDPercentToCUs(t *testing.T) {
-	spec := simgpu.MI210()
-	if got := AMDPercentToCUs(spec, 25); got != 26 { // ceil(0.25×104)
-		t.Fatalf("25%% = %d CUs", got)
-	}
-	if AMDPercentToCUs(spec, 0) != 0 || AMDPercentToCUs(spec, 100) != 0 {
-		t.Fatal("unbounded percentages should yield no mask")
-	}
-}
-
-func TestOpenAMDContext(t *testing.T) {
-	env := devent.NewEnv()
-	mi, err := simgpu.NewDevice(env, "mi0", simgpu.MI210())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ConfigureAMD(mi); err != nil {
-		t.Fatal(err)
-	}
-	if mi.Policy() != simgpu.PolicySpatial {
-		t.Fatal("AMD default should be spatial")
-	}
-	n := NewNode(env, mi)
-	env.Spawn("worker", func(p *devent.Proc) {
-		cus := AMDPercentToCUs(mi.Spec(), 25)
-		b := AMDBinding{Accelerator: "0", CUs: cus}
-		ctx, err := n.OpenAMDContext(p, "fn", b.Environ())
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if ctx.SMPercent() != 25 {
-			t.Errorf("SMPercent = %d", ctx.SMPercent())
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestOpenAMDContextErrors(t *testing.T) {
-	env := devent.NewEnv()
-	n := NewNode(env)
-	env.Spawn("worker", func(p *devent.Proc) {
-		if _, err := n.OpenAMDContext(p, "fn", nil); !errors.Is(err, ErrNoDevice) {
-			t.Errorf("empty env: %v", err)
-		}
-		if _, err := n.OpenAMDContext(p, "fn", map[string]string{EnvROCRVisibleDevices: "3"}); !errors.Is(err, ErrNoDevice) {
-			t.Errorf("bad index: %v", err)
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -1,14 +1,12 @@
 // Package metrics provides small statistics helpers used across the
 // simulator: online summary statistics, duration samples with
-// percentiles, fixed-bucket histograms, throughput computation, and
-// step time-series for utilization accounting.
+// percentiles, throughput computation, and step time-series for
+// utilization accounting.
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -170,77 +168,6 @@ func Throughput(items int, makespan time.Duration) float64 {
 		return 0
 	}
 	return float64(items) / makespan.Seconds()
-}
-
-// Histogram is a fixed-width bucket histogram over [lo, hi); samples
-// outside the range land in under/overflow buckets.
-type Histogram struct {
-	lo, hi    float64
-	buckets   []int
-	under     int
-	over      int
-	n         int
-	bucketW   float64
-	totalOnly bool
-}
-
-// NewHistogram creates a histogram with n equal buckets spanning
-// [lo, hi). It panics on invalid arguments: histograms are always
-// constructed from code, not input.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("metrics: invalid histogram bounds")
-	}
-	return &Histogram{lo: lo, hi: hi, buckets: make([]int, n), bucketW: (hi - lo) / float64(n)}
-}
-
-// Add records a sample.
-func (h *Histogram) Add(x float64) {
-	h.n++
-	switch {
-	case x < h.lo:
-		h.under++
-	case x >= h.hi:
-		h.over++
-	default:
-		i := int((x - h.lo) / h.bucketW)
-		if i >= len(h.buckets) { // float edge
-			i = len(h.buckets) - 1
-		}
-		h.buckets[i]++
-	}
-}
-
-// N returns the total sample count.
-func (h *Histogram) N() int { return h.n }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int { return h.buckets[i] }
-
-// NumBuckets returns the number of in-range buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
-// Underflow and Overflow return the out-of-range counts.
-func (h *Histogram) Underflow() int { return h.under }
-
-// Overflow returns the count of samples >= hi.
-func (h *Histogram) Overflow() int { return h.over }
-
-// String renders a compact ASCII bar chart.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	max := 1
-	for _, c := range h.buckets {
-		if c > max {
-			max = c
-		}
-	}
-	for i, c := range h.buckets {
-		lo := h.lo + float64(i)*h.bucketW
-		bar := strings.Repeat("#", c*40/max)
-		fmt.Fprintf(&b, "[%10.3f, %10.3f) %6d %s\n", lo, lo+h.bucketW, c, bar)
-	}
-	return b.String()
 }
 
 // StepSeries is a piecewise-constant time series: value v holds from

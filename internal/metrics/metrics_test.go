@@ -102,40 +102,6 @@ func TestThroughput(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.9, 10, 25} {
-		h.Add(x)
-	}
-	if h.N() != 7 {
-		t.Fatalf("N = %d", h.N())
-	}
-	if h.Underflow() != 1 || h.Overflow() != 2 {
-		t.Fatalf("under=%d over=%d", h.Underflow(), h.Overflow())
-	}
-	if h.Bucket(0) != 2 { // 0 and 1.9
-		t.Fatalf("bucket0 = %d", h.Bucket(0))
-	}
-	if h.Bucket(1) != 1 { // 2
-		t.Fatalf("bucket1 = %d", h.Bucket(1))
-	}
-	if h.Bucket(4) != 1 { // 9.9
-		t.Fatalf("bucket4 = %d", h.Bucket(4))
-	}
-	if h.String() == "" {
-		t.Fatal("empty render")
-	}
-}
-
-func TestHistogramInvalidPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
-
 func TestStepSeries(t *testing.T) {
 	var s StepSeries
 	s.Set(0, 0)
@@ -243,24 +209,6 @@ func TestQuickPercentileMonotone(t *testing.T) {
 			prev = v
 		}
 		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: histogram conserves samples across buckets and overflow.
-func TestQuickHistogramConservation(t *testing.T) {
-	f := func(raw []int16) bool {
-		h := NewHistogram(-100, 100, 13)
-		for _, r := range raw {
-			h.Add(float64(r))
-		}
-		total := h.Underflow() + h.Overflow()
-		for i := 0; i < h.NumBuckets(); i++ {
-			total += h.Bucket(i)
-		}
-		return total == h.N() && h.N() == len(raw)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

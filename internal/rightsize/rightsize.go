@@ -7,9 +7,9 @@
 //   - measurement-based: sweep a workload across SM budgets (the
 //     experiment behind Fig. 2) and find the knee of the latency
 //     curve;
-//   - static: predict the same curve analytically from the workload's
-//     kernel stream (the paper's "hints ... based on static analysis
-//     of applications").
+//   - static: read an SM demand off the workload's kernel stream
+//     (DemandSMs; the paper's "hints ... based on static analysis of
+//     applications").
 package rightsize
 
 import (
@@ -160,38 +160,6 @@ func Recommend(spec simgpu.DeviceSpec, c Curve, tolerance float64, memNeeded int
 		}
 	}
 	return rec, nil
-}
-
-// PredictCurve statically estimates the latency-vs-SMs curve of a
-// kernel stream on the given device: for each SM budget, sum each
-// kernel's roofline duration. This is the "static analysis" tool — no
-// simulation run needed.
-func PredictCurve(spec simgpu.DeviceSpec, kernels []simgpu.Kernel, budgets []int) Curve {
-	perSM := spec.PerSMFLOPS()
-	var curve Curve
-	for _, sms := range budgets {
-		if sms < 1 {
-			sms = 1
-		}
-		var total float64
-		for _, k := range kernels {
-			eff := float64(sms)
-			if k.MaxSMs > 0 && float64(k.MaxSMs) < eff {
-				eff = float64(k.MaxSMs)
-			}
-			var compute, mem float64
-			if k.FLOPs > 0 {
-				compute = k.FLOPs / (eff * perSM)
-			}
-			if k.Bytes > 0 {
-				mem = k.Bytes / spec.MemBW
-			}
-			total += k.Overhead.Seconds() + math.Max(compute, mem)
-		}
-		curve = append(curve, Point{SMs: sms, Latency: time.Duration(total * float64(time.Second))})
-	}
-	curve.Sort()
-	return curve
 }
 
 // DemandSMs is the cheapest static hint: the largest per-kernel

@@ -113,29 +113,6 @@ func TestSweepRejectsBadPercent(t *testing.T) {
 	}
 }
 
-func TestPredictCurveMatchesRooflineShape(t *testing.T) {
-	spec := simgpu.A100SXM480GB()
-	kernels := []simgpu.Kernel{
-		{FLOPs: spec.PerSMFLOPS() * 20, MaxSMs: 20},    // 1 s at ≥20 SMs
-		{FLOPs: spec.PerSMFLOPS() * 5, MaxSMs: 0},      // parallelizes fully
-		{Bytes: spec.MemBW / 2, Overhead: time.Second}, // memory + overhead
-	}
-	curve := PredictCurve(spec, kernels, []int{5, 10, 20, 54, 108})
-	if len(curve) != 5 {
-		t.Fatalf("curve = %v", curve)
-	}
-	// Monotone non-increasing in SMs.
-	for i := 1; i < len(curve); i++ {
-		if curve[i].Latency > curve[i-1].Latency {
-			t.Fatalf("not monotone: %v", curve)
-		}
-	}
-	// At 5 SMs the bounded kernel takes 4 s; at 20+ it takes 1 s.
-	if curve[0].Latency < curve[2].Latency+2*time.Second {
-		t.Fatalf("low-budget penalty missing: %v", curve)
-	}
-}
-
 func TestDemandSMsWeightedByDuration(t *testing.T) {
 	spec := simgpu.A100SXM480GB()
 	perSM := spec.PerSMFLOPS()

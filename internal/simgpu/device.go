@@ -232,11 +232,6 @@ func (d *Device) Utilization(from, to time.Duration) float64 {
 // MIGEnabled reports whether the device is in MIG mode.
 func (d *Device) MIGEnabled() bool { return d.migEnabled }
 
-// Instances returns the live MIG instances in creation order.
-func (d *Device) Instances() []*Instance {
-	return append([]*Instance(nil), d.instances...)
-}
-
 // InstanceByUUID finds an instance (nil if absent).
 func (d *Device) InstanceByUUID(uuid string) *Instance {
 	for _, in := range d.instances {

@@ -99,9 +99,6 @@ func (in *Instance) UUID() string { return in.uuid }
 // Profile returns the instance's MIG profile.
 func (in *Instance) Profile() MIGProfile { return in.profile }
 
-// StartSlice returns the first compute slice the instance occupies.
-func (in *Instance) StartSlice() int { return in.start }
-
 // SMs returns the instance's SM count.
 func (in *Instance) SMs() int { return in.dom.sms }
 
@@ -135,21 +132,6 @@ func (d *Device) EnableMIG(p *devent.Proc) error {
 		return err
 	}
 	d.migEnabled = true
-	return nil
-}
-
-// DisableMIG leaves MIG mode. All instances must have been destroyed.
-func (d *Device) DisableMIG(p *devent.Proc) error {
-	if !d.migEnabled {
-		return nil
-	}
-	if len(d.instances) > 0 {
-		return ErrBusy
-	}
-	if err := d.Reset(p); err != nil {
-		return err
-	}
-	d.migEnabled = false
 	return nil
 }
 

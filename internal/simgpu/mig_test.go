@@ -74,8 +74,8 @@ func TestMIGPlacementRules(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if a.StartSlice() != 0 || b.StartSlice() != 4 {
-			t.Errorf("starts = %d, %d", a.StartSlice(), b.StartSlice())
+		if a.start != 0 || b.start != 4 {
+			t.Errorf("starts = %d, %d", a.start, b.start)
 		}
 		if a.SMs() != 3*14 {
 			t.Errorf("SMs = %d", a.SMs())
@@ -122,8 +122,8 @@ func TestMIGSevenWay(t *testing.T) {
 				return
 			}
 		}
-		if len(dev.Instances()) != 7 {
-			t.Errorf("instances = %d", len(dev.Instances()))
+		if len(dev.instances) != 7 {
+			t.Errorf("instances = %d", len(dev.instances))
 		}
 		if _, err := dev.CreateInstance("1g.10gb"); !errors.Is(err, ErrPlacement) {
 			t.Errorf("8th 1g: %v", err)
@@ -258,7 +258,7 @@ func TestDestroyInstanceRequiresNoContexts(t *testing.T) {
 		if err := dev.DestroyInstance(in); err != nil {
 			t.Error(err)
 		}
-		if len(dev.Instances()) != 0 {
+		if len(dev.instances) != 0 {
 			t.Error("instance still listed")
 		}
 	})
@@ -283,8 +283,8 @@ func TestConfigureMIGReplacesLayoutWithResetCost(t *testing.T) {
 		if p.Now()-before != dev.Spec().ResetTime {
 			t.Errorf("reconfigure took %v", p.Now()-before)
 		}
-		if len(ins) != 3 || len(dev.Instances()) != 3 {
-			t.Errorf("layout = %d instances", len(dev.Instances()))
+		if len(ins) != 3 || len(dev.instances) != 3 {
+			t.Errorf("layout = %d instances", len(dev.instances))
 		}
 	})
 	run(t, env)
@@ -305,7 +305,7 @@ func TestConfigureMIGBusyAndRollback(t *testing.T) {
 		if _, err := dev.ConfigureMIG(p, []string{"4g.40gb", "4g.40gb"}); !errors.Is(err, ErrPlacement) {
 			t.Errorf("invalid layout: %v", err)
 		}
-		if len(dev.Instances()) != 1 || dev.Instances()[0] != in {
+		if len(dev.instances) != 1 || dev.instances[0] != in {
 			t.Error("rollback failed")
 		}
 	})
@@ -352,7 +352,7 @@ func TestMIGReconfigureUnderLoad(t *testing.T) {
 		if err := dev.DestroyInstance(in); !errors.Is(err, ErrBusy) {
 			t.Errorf("DestroyInstance mid-kernel: %v", err)
 		}
-		if len(dev.Instances()) != 1 || dev.Instances()[0] != in {
+		if len(dev.instances) != 1 || dev.instances[0] != in {
 			t.Error("layout perturbed by rejected reconfiguration")
 		}
 		p.Wait(tenant.Done())
@@ -364,8 +364,8 @@ func TestMIGReconfigureUnderLoad(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if len(ins) != 2 || len(dev.Instances()) != 2 {
-			t.Errorf("layout = %d instances", len(dev.Instances()))
+		if len(ins) != 2 || len(dev.instances) != 2 {
+			t.Errorf("layout = %d instances", len(dev.instances))
 		}
 	})
 	run(t, env)
