@@ -14,7 +14,7 @@
 # and checks it writes its streamed trace. `make fleet` runs the
 # fleet-scale placement artifact at a modest size and checks it stays
 # byte-identical across -parallel. `make autoscale` does the same for
-# the SLO-driven autoscaling artifact. `make attrib`
+# the SLO-driven autoscaling artifact and its -alerts history. `make attrib`
 # smoke-tests the latency attribution pipeline end to end on the
 # Table 1 bursts. `make serve-smoke` boots the live observability
 # server on a scale run and curls its endpoints — the CI smoke for the
@@ -93,9 +93,12 @@ cover:
 # oracle), attribution as a whole (random collectors against the oracle
 # over each task's full interval list), the SLO-spec parser (accepted
 # rules must be evaluable), the live server's /api/series query parsing
-# (every answer is 200, 400 or 404 with a JSON body), and the in-place
-# max–min allocator (bit for bit against the sort.Slice oracle); the
-# checked-in corpora run as regular tests in `make test`.
+# (every answer is 200, 400 or 404 with a JSON body), the in-place
+# max–min allocator (bit for bit against the sort.Slice oracle), and
+# the alert engine's sliding windows (max, flips and rate bit for bit
+# against rescans, avg against a math/big exact sum, over random
+# append/scrape/bind sequences with ring wrap); the checked-in corpora
+# run as regular tests in `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz FuzzConfigValidate -fuzztime 10s ./internal/faas/htex
@@ -106,6 +109,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseSLOSpec -fuzztime 10s ./internal/obs/analyze
 	$(GO) test -run '^$$' -fuzz FuzzSeriesQuery -fuzztime 10s ./internal/obs/live
 	$(GO) test -run '^$$' -fuzz FuzzMaxMinFair -fuzztime 10s ./internal/simgpu
+	$(GO) test -run '^$$' -fuzz FuzzAlertWindows -fuzztime 10s ./internal/obs/tsdb
 
 # One seed-1 run of each bench/ workload (~25 s each), recorded
 # verbatim under a one-line toolchain and core-count header.
@@ -139,14 +143,17 @@ fleet:
 	echo "fleet: ok (byte-identical across -parallel)"
 
 # Modest-size autoscaling smoke: render the SLO-driven autoscaling
-# artifact twice — default vs sequential — and require the outputs
-# byte-identical, with all three verdict lines present.
+# artifact twice — default vs sequential — and require the outputs and
+# the -alerts histories byte-identical, with all three verdict lines
+# and a resolved slo-burn-page incident present.
 autoscale:
 	@set -e; \
 	$(GO) build -o /tmp/paperbench-autoscale ./cmd/paperbench; \
-	/tmp/paperbench-autoscale autoscale -gpus 4 -horizon 40m > /tmp/autoscale.a.txt; \
-	/tmp/paperbench-autoscale autoscale -gpus 4 -horizon 40m -parallel 1 > /tmp/autoscale.b.txt; \
+	/tmp/paperbench-autoscale autoscale -gpus 4 -horizon 40m -alerts /tmp/autoscale.a.alerts > /tmp/autoscale.a.txt; \
+	/tmp/paperbench-autoscale autoscale -gpus 4 -horizon 40m -parallel 1 -alerts /tmp/autoscale.b.alerts > /tmp/autoscale.b.txt; \
 	cmp /tmp/autoscale.a.txt /tmp/autoscale.b.txt; \
+	cmp /tmp/autoscale.a.alerts /tmp/autoscale.b.alerts; \
+	grep -q 'slo-burn-page{app=infer} state=resolved' /tmp/autoscale.a.alerts; \
 	grep -q 'virtual: verdict cost' /tmp/autoscale.a.txt; \
 	grep -q 'virtual: verdict attainment' /tmp/autoscale.a.txt; \
 	grep -q 'virtual: verdict cold-starts' /tmp/autoscale.a.txt; \

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -28,10 +29,14 @@ import (
 // Resolved firings accumulate as AlertIncidents — the deterministic
 // alert history behind /api/alerts and the end-of-run artifact.
 //
-// Steady-state evaluation adds no allocations: the watched series
-// handle is resolved once and cached, window functions walk the ring
-// in place, and transitions (the only allocating moments) are by
-// definition not steady state.
+// Steady-state evaluation adds no allocations and costs O(1) per
+// window: the watched series handle is resolved once and cached, and
+// each windowed function keeps sliding state bound to the series
+// (window.go) instead of walking the ring. avg rounds the exact window
+// sum once; max, flips and rate are bit-identical to a rescan. Binding
+// grows a scraped series' ring to hold the rule's longest window.
+// Transitions (the only allocating moments) are by definition not
+// steady state.
 
 // AlertState is the rule state machine's position.
 type AlertState uint8
@@ -146,8 +151,9 @@ type Alert struct {
 	rule AlertRule
 	lkey string // rendered rule labels, the deterministic sort key
 	fn   int
-	wkey string  // watched-series key (scrape-driven only)
-	s    *Series // resolved watched series, cached
+	wkey string    // watched-series key (scrape-driven only)
+	s    *Series   // resolved watched series, cached
+	wins []*window // one per rule window, bound with s (nil for latest)
 
 	state    AlertState
 	activeAt time.Duration // pending start of the current cycle
@@ -239,34 +245,19 @@ func (a *Alert) worse(v, peak float64) bool {
 // clear the threshold — and the maximum for Below rules). ok is false
 // when the watched series is missing or any window lacks data.
 func (a *Alert) evalLocked(now time.Duration) (float64, bool) {
-	s := a.s
-	if s == nil {
-		s = a.db.series[a.wkey]
+	if a.s == nil {
+		s := a.db.series[a.wkey]
 		if s == nil {
 			return 0, false
 		}
-		a.s = s
+		a.bindLocked(s)
 	}
-	if len(a.rule.Windows) == 0 {
-		return s.latestLocked()
+	if len(a.wins) == 0 {
+		return a.s.latestLocked()
 	}
 	var out float64
-	for i, w := range a.rule.Windows {
-		cutoff := now - w
-		var v float64
-		var ok bool
-		switch a.fn {
-		case alertFnAvg:
-			v, ok = s.avgLocked(cutoff)
-		case alertFnRate:
-			v, ok = s.rateLocked(cutoff)
-		case alertFnMax:
-			v, ok = s.maxLocked(cutoff)
-		case alertFnFlips:
-			v, ok = s.flipsLocked(cutoff)
-		default:
-			v, ok = s.latestLocked()
-		}
+	for i, w := range a.wins {
+		v, ok := w.eval(now)
 		if !ok {
 			return 0, false
 		}
@@ -275,6 +266,28 @@ func (a *Alert) evalLocked(now time.Duration) (float64, bool) {
 		}
 	}
 	return out, true
+}
+
+// bindLocked caches the watched series and binds one sliding window
+// per rule window to it, first growing a scraped series' ring to hold
+// the longest window at the scrape interval.
+func (a *Alert) bindLocked(s *Series) {
+	a.s = s
+	if a.fn == alertFnLatest || len(a.rule.Windows) == 0 {
+		return
+	}
+	if s.scraped {
+		iv := a.db.cfg.Interval
+		if need := int((slices.Max(a.rule.Windows)+iv-1)/iv) + 1; need > len(s.ring) {
+			s.grow(need)
+		}
+	}
+	for _, span := range a.rule.Windows {
+		w := &window{s: s, span: span, fn: a.fn}
+		w.fill()
+		s.wins = append(s.wins, w)
+		a.wins = append(a.wins, w)
+	}
 }
 
 // stepLocked advances the state machine with one evaluation.
@@ -582,9 +595,9 @@ func (s *Series) pushFrom(t time.Duration, v float64) {
 	}
 }
 
-// Locked windowed helpers for the alert engine: identical semantics to
-// the Querier functions, evaluated in place on a bound series with no
-// allocation. cutoff is now-window; callers hold the DB lock.
+// Rescans over the samples with T >= cutoff: the ad-hoc query path
+// (view) and the reference the alert engine's sliding windows
+// (window.go) are checked against. Callers hold the DB lock.
 
 func (s *Series) latestLocked() (float64, bool) {
 	if s.n == 0 {
@@ -593,16 +606,17 @@ func (s *Series) latestLocked() (float64, bool) {
 	return s.at(s.n - 1).V, true
 }
 
+// avgLocked is the window's exact sum, rounded once, over its count.
 func (s *Series) avgLocked(cutoff time.Duration) (float64, bool) {
 	lo := s.searchLocked(cutoff)
 	if lo >= s.n {
 		return 0, false
 	}
-	sum := 0.0
+	var sum exactSum
 	for i := lo; i < s.n; i++ {
-		sum += s.at(i).V
+		sum.add(s.at(i).V, 1)
 	}
-	return sum / float64(s.n-lo), true
+	return sum.float() / float64(s.n-lo), true
 }
 
 func (s *Series) rateLocked(cutoff time.Duration) (float64, bool) {
@@ -610,7 +624,12 @@ func (s *Series) rateLocked(cutoff time.Duration) (float64, bool) {
 	if s.n-lo < 2 {
 		return 0, false
 	}
-	first, last := s.at(lo), s.at(s.n-1)
+	return rateOf(s.at(lo), s.at(s.n-1))
+}
+
+// rateOf is the per-second increase from first to last; ok is false
+// unless time advanced between them.
+func rateOf(first, last Sample) (float64, bool) {
 	dt := (last.T - first.T).Seconds()
 	if dt <= 0 {
 		return 0, false

@@ -248,6 +248,32 @@ func TestAlertFlipsFn(t *testing.T) {
 	}
 }
 
+// A scrape-driven rule whose window is longer than the ring grows the
+// scraped series' ring when it binds, so oscillations 520–600 s back
+// still count in a 10 min window over a 512-sample, 1 s ring.
+func TestAlertWindowLongerThanRing(t *testing.T) {
+	clk := &fakeClock{}
+	reg := obs.NewRegistry(clk)
+	db := New(reg, clk, Config{Interval: time.Second, Capacity: 512})
+	g := reg.Gauge("blocks")
+	a := db.AddAlert(AlertRule{
+		Name: "scale-flap", Series: "blocks", Fn: "flips",
+		Windows: []time.Duration{10 * time.Minute}, Threshold: 5,
+	})
+	for i := 1; i <= 600; i++ {
+		clk.t = time.Duration(i) * time.Second
+		v := 4.0
+		if i <= 80 {
+			v = float64(1 + i%2)
+		}
+		g.Set(v)
+		db.Scrape()
+	}
+	if st := a.State(); st != AlertFiring {
+		t.Fatalf("state %v at 600 s, want firing: flips 520–600 s back are inside the 10 min window", st)
+	}
+}
+
 func TestAlertNoDataNeverFiresAndVanishedDataResolves(t *testing.T) {
 	h := newAlertHarness(t)
 	a := h.db.AddAlert(AlertRule{

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -30,41 +31,46 @@ func benchDB(tb testing.TB) (*DB, *fakeClock, *obs.Registry) {
 	return db, clk, reg
 }
 
-// addAlertPack adds eight multi-window threshold rules that never fire,
-// then scrapes until their cached series bindings are warm and their
-// windows full.
-func addAlertPack(db *DB, clk *fakeClock) {
+// addAlertPack adds eight threshold rules that never fire, one per
+// app's depth gauge, each evaluating fn over windows, then scrapes until
+// their series bindings are warm and their longest window is full.
+func addAlertPack(db *DB, clk *fakeClock, fn string, windows ...time.Duration) {
 	for i := 0; i < 8; i++ {
 		app := string(rune('a' + i))
 		db.AddAlert(AlertRule{
-			Name: "depth-high", Labels: []obs.Label{obs.L("app", app)},
+			Name: "depth-" + fn, Labels: []obs.Label{obs.L("app", app)},
 			Series: "depth", SeriesLabels: []obs.Label{obs.L("app", app)},
-			Fn: "avg", Windows: []time.Duration{10 * time.Second, time.Minute},
+			Fn: fn, Windows: windows,
 			Threshold: 1e9, For: 30 * time.Second,
 		})
 	}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < max(8, int(slices.Max(windows)/time.Second)+1); i++ {
 		clk.t += time.Second
 		db.Scrape()
 	}
 }
 
 // A scrape with the registry generation unchanged is pure ring writes,
-// and rule evaluation reuses the cached series handles and the locked
-// window helpers, so neither allocates.
+// and rule evaluation reuses the cached series handles and the bound
+// sliding windows of every kind, so neither allocates.
 func TestSteadyStateScrapeAllocatesNothing(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		alerts bool
+		name  string
+		packs func(db *DB, clk *fakeClock)
 	}{
-		{"scrape", false},
-		{"scrape with alert pack", true},
+		{"scrape", func(*DB, *fakeClock) {}},
+		{"scrape with alert pack", func(db *DB, clk *fakeClock) {
+			addAlertPack(db, clk, "avg", 10*time.Second, time.Minute)
+		}},
+		{"scrape with max, flips and rate packs", func(db *DB, clk *fakeClock) {
+			addAlertPack(db, clk, "max", 10*time.Second, time.Minute)
+			addAlertPack(db, clk, "flips", 10*time.Minute)
+			addAlertPack(db, clk, "rate", time.Minute)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			db, clk, _ := benchDB(t)
-			if tc.alerts {
-				addAlertPack(db, clk)
-			}
+			tc.packs(db, clk)
 			scrape := func() {
 				clk.t += time.Second
 				db.Scrape()
@@ -103,16 +109,28 @@ func BenchmarkScrapeWithRules(b *testing.B) {
 }
 
 // BenchmarkAlertEval is the alert engine's steady-state path: a pack
-// of multi-window threshold rules re-evaluated on every scrape with no
-// state transitions.
+// of avg threshold rules re-evaluated on every scrape with no state
+// transitions. The 1h case binds 3600-sample windows (the scraped rings
+// grow to hold them); sliding windows keep its cost near the 10s+1m
+// case's.
 func BenchmarkAlertEval(b *testing.B) {
-	db, clk, _ := benchDB(b)
-	addAlertPack(db, clk)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		clk.t += time.Second
-		db.Scrape()
+	for _, bc := range []struct {
+		name    string
+		windows []time.Duration
+	}{
+		{"10s+1m", []time.Duration{10 * time.Second, time.Minute}},
+		{"1h", []time.Duration{time.Hour}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			db, clk, _ := benchDB(b)
+			addAlertPack(db, clk, "avg", bc.windows...)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				clk.t += time.Second
+				db.Scrape()
+			}
+		})
 	}
 }
 

@@ -41,12 +41,6 @@ func (v view) histFor(name string, labels []obs.Label) *histSeries {
 	return v.db.hists[seriesKey(name, sortLabels(labels))]
 }
 
-// window returns the index range [lo, s.n) of samples inside
-// [now-window, now], using the DB's newest written time as now.
-func (v view) window(s *Series, window time.Duration) int {
-	return s.searchLocked(v.db.last - window)
-}
-
 func (v view) Latest(name string, labels ...obs.Label) (Sample, bool) {
 	s := v.scalarFor(name, labels)
 	if s == nil || s.n == 0 {
@@ -56,54 +50,24 @@ func (v view) Latest(name string, labels ...obs.Label) (Sample, bool) {
 }
 
 func (v view) Rate(name string, window time.Duration, labels ...obs.Label) (float64, bool) {
-	s := v.scalarFor(name, labels)
-	if s == nil {
-		return 0, false
+	if s := v.scalarFor(name, labels); s != nil {
+		return s.rateLocked(v.db.last - window)
 	}
-	lo := v.window(s, window)
-	if s.n-lo < 2 {
-		return 0, false
-	}
-	first, last := s.at(lo), s.at(s.n-1)
-	dt := (last.T - first.T).Seconds()
-	if dt <= 0 {
-		return 0, false
-	}
-	return (last.V - first.V) / dt, true
+	return 0, false
 }
 
 func (v view) Avg(name string, window time.Duration, labels ...obs.Label) (float64, bool) {
-	s := v.scalarFor(name, labels)
-	if s == nil {
-		return 0, false
+	if s := v.scalarFor(name, labels); s != nil {
+		return s.avgLocked(v.db.last - window)
 	}
-	lo := v.window(s, window)
-	if lo >= s.n {
-		return 0, false
-	}
-	sum := 0.0
-	for i := lo; i < s.n; i++ {
-		sum += s.at(i).V
-	}
-	return sum / float64(s.n-lo), true
+	return 0, false
 }
 
 func (v view) Max(name string, window time.Duration, labels ...obs.Label) (float64, bool) {
-	s := v.scalarFor(name, labels)
-	if s == nil {
-		return 0, false
+	if s := v.scalarFor(name, labels); s != nil {
+		return s.maxLocked(v.db.last - window)
 	}
-	lo := v.window(s, window)
-	if lo >= s.n {
-		return 0, false
-	}
-	max := s.at(lo).V
-	for i := lo + 1; i < s.n; i++ {
-		if x := s.at(i).V; x > max {
-			max = x
-		}
-	}
-	return max, true
+	return 0, false
 }
 
 func (v view) Quantile(name string, q float64, window time.Duration, labels ...obs.Label) (float64, bool) {

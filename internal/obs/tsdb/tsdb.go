@@ -17,7 +17,7 @@
 // Scrapes add no allocations in the steady state: the flattened
 // instrument list is cached and rebuilt only when the registry's
 // structural generation changes, and rings are preallocated at
-// creation.
+// creation (a scraped ring grows only when an alert rule binds it).
 package tsdb
 
 import (
@@ -38,6 +38,10 @@ type Config struct {
 	// Capacity is the per-series ring size in samples (default 512).
 	// Once full, the oldest samples are overwritten; windowed queries
 	// reaching past the oldest retained sample see a truncated window.
+	// A scraped series (a registry instrument or a recording rule's
+	// output) grows when an alert rule binds it with a longer window, to
+	// ceil(window/Interval)+1 samples, so scrape-driven rules see whole
+	// windows; event series keep the capacity they were created with.
 	Capacity int
 }
 
@@ -69,6 +73,9 @@ type Series struct {
 	head   int // index of the oldest sample
 	n      int
 	drops  int64
+
+	scraped bool      // written by the scrape; may grow for alert windows
+	wins    []*window // alert windows bound to this series, fed on push
 }
 
 // Name returns the series' family name.
@@ -280,26 +287,38 @@ func (db *DB) scalar(name string, labels []obs.Label) *Series {
 	s, ok := db.series[key]
 	if !ok {
 		s = &Series{
-			db:     db,
-			name:   name,
-			labels: labels,
-			lkey:   labelKey(labels),
-			ring:   make([]Sample, db.cfg.Capacity),
+			db:      db,
+			name:    name,
+			labels:  labels,
+			lkey:    labelKey(labels),
+			ring:    make([]Sample, db.cfg.Capacity),
+			scraped: true,
 		}
 		db.series[key] = s
 	}
 	return s
 }
 
+// push appends a sample and feeds it to the bound alert windows. A
+// full ring first evicts its oldest sample from every window still
+// holding it, then overwrites it.
 func (s *Series) push(t time.Duration, v float64) {
 	if s.n < len(s.ring) {
 		s.ring[(s.head+s.n)%len(s.ring)] = Sample{T: t, V: v}
 		s.n++
-		return
+	} else {
+		for _, w := range s.wins {
+			if w.lo == s.drops {
+				w.drop()
+			}
+		}
+		s.ring[s.head] = Sample{T: t, V: v}
+		s.head = (s.head + 1) % len(s.ring)
+		s.drops++
 	}
-	s.ring[s.head] = Sample{T: t, V: v}
-	s.head = (s.head + 1) % len(s.ring)
-	s.drops++
+	for _, w := range s.wins {
+		w.add(s.drops+int64(s.n)-1, v)
+	}
 }
 
 // at returns the i-th retained sample, oldest first.
@@ -422,6 +441,7 @@ func (db *DB) AddRule(name string, labels []obs.Label, fn func(q Querier, now ti
 	}
 	s := db.EventSeries(name, 0, labels...)
 	db.mu.Lock()
+	s.scraped = true
 	db.rules = append(db.rules, rule{fn: fn, s: s})
 	db.mu.Unlock()
 	return s
