@@ -1,6 +1,7 @@
 package report
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -63,6 +64,37 @@ func TestFig3Report(t *testing.T) {
 	}
 	if got := b.String(); got != string(want) {
 		t.Fatalf("fig3 output differs from testdata/fig3.golden:\n--- got\n%s--- want\n%s", got, want)
+	}
+}
+
+// TestArtifactGoldens pins the default output of the artifacts built
+// from small single-device simulations against testdata/<name>.golden.
+func TestArtifactGoldens(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		render func(io.Writer) error
+	}{
+		{"fig2", func(w io.Writer) error { return Fig2(w, nil) }},
+		{"coldstart", ColdStart},
+		{"reconfig", Reconfig},
+		{"table1", Table1},
+		{"ablations", Ablations},
+		{"mixed", MixedTenancy},
+		{"rightsize", Rightsize},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var b strings.Builder
+			if err := tc.render(&b); err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", tc.name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := b.String(); got != string(want) {
+				t.Fatalf("%s output differs from testdata/%s.golden:\n--- got\n%s--- want\n%s", tc.name, tc.name, got, want)
+			}
+		})
 	}
 }
 
