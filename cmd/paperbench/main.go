@@ -82,11 +82,14 @@ flags:
                    autoscale take none of them (exit 2)
   -metrics FILE    same instrumented rerun, exported as Prometheus
                    text exposition
-  -chaos SPEC      run every experiment under seeded fault injection,
-                   e.g. -chaos seed=7,rate=0.5 (keys: seed, rate,
-                   pfail, kinds=worker+gpu+reconfig+submit, after,
-                   until, max); same seed gives a byte-identical run at
-                   any -parallel level
+  -chaos SPEC      run the artifact's platform runs under seeded fault
+                   injection, e.g. -chaos seed=7,rate=0.5 (keys: seed,
+                   rate, pfail, kinds=worker+gpu+reconfig+submit,
+                   after, until, max); same seed gives a byte-identical
+                   run at any -parallel level. Only fig3, fig4, fig5,
+                   table1, ablations, openloop, repart, attrib, scale
+                   and all run platforms; the others take no -chaos
+                   (exit 2)
   -repart SPEC     controller spec for the repart artifact, e.g.
                    -repart policy=knee,interval=10s,delta=5 (keys:
                    policy, mode, interval, tolerance, cooldown, delta,
@@ -167,7 +170,12 @@ func main() {
 	completions := fs.Int("completions", 100, "completions for the fig4/fig5 experiment")
 	csvDir := fs.String("csv", "", "also write figure CSV series into this directory")
 	parallel := fs.Int("parallel", runtime.NumCPU(), "max independent scenarios run concurrently")
-	chaos := fs.String("chaos", "", "seeded fault-injection spec, e.g. seed=7,rate=0.5")
+	// Only artifacts that run platforms have a fault injector to attach.
+	chaos := new(string)
+	switch artifact {
+	case "fig3", "fig4", "fig5", "table1", "ablations", "openloop", "repart", "attrib", "scale", "all":
+		chaos = fs.String("chaos", "", "seeded fault-injection spec, e.g. seed=7,rate=0.5")
+	}
 	repartFlag := fs.String("repart", "", "repartitioning-controller spec, e.g. policy=knee,interval=10s")
 	tasks := fs.Int("tasks", 0, "scale: total tasks (default 1000000)")
 	shards := fs.Int("shards", 0, "scale: independent platform shards (default 8)")

@@ -138,30 +138,22 @@ func AblationBatchVsMultiplex(completions int) ([]BatchVsMultiplexRow, error) {
 // runBatched serves `completions` requests from a single engine with
 // the given batch size.
 func runBatched(batch, completions int) (BatchVsMultiplexRow, error) {
-	env := devent.NewEnv()
-	defer env.Close()
-	dev, err := simgpu.NewDevice(env, "gpu0", simgpu.A100SXM480GB())
-	if err != nil {
-		return BatchVsMultiplexRow{}, err
-	}
 	cfg := llm.LLaMa27B()
 	cfg.BatchSize = batch
 	var lat metrics.Durations
 	var makespan time.Duration
-	env.Spawn("svc", func(p *devent.Proc) {
-		ctx, _ := dev.NewContext(p, simgpu.ContextOpts{SkipInit: true})
-		eng := llm.New(cfg)
-		if err := eng.Load(p, []*simgpu.Context{ctx}, dev.Spec().HostLoadBW); err != nil {
-			env.Fail(err)
-			return
+	err := probe(1, simgpu.A100SXM480GB(), simgpu.PolicyTimeShare, func(s *sim, p *devent.Proc) error {
+		ctx, _ := s.devs[0].NewContext(p, simgpu.ContextOpts{SkipInit: true})
+		eng, err := s.load(p, cfg, ctx)
+		if err != nil {
+			return err
 		}
 		start := p.Now()
 		done := 0
 		for done < completions {
 			cs, err := eng.CompleteBatch(p, 20, 20)
 			if err != nil {
-				env.Fail(err)
-				return
+				return err
 			}
 			for _, c := range cs {
 				if done < completions {
@@ -171,8 +163,9 @@ func runBatched(batch, completions int) (BatchVsMultiplexRow, error) {
 			}
 		}
 		makespan = p.Now() - start
+		return nil
 	})
-	if err := env.Run(); err != nil {
+	if err != nil {
 		return BatchVsMultiplexRow{}, err
 	}
 	return BatchVsMultiplexRow{
@@ -208,38 +201,30 @@ func AblationVGPUQuantum(quanta []time.Duration, completions int) ([]QuantumRow,
 }
 
 func runVGPUWithQuantum(q time.Duration, completions int) (time.Duration, error) {
-	env := devent.NewEnv()
-	defer env.Close()
-	dev, err := simgpu.NewDevice(env, "gpu0", simgpu.A100SXM480GB())
+	s, err := newSim(simgpu.PolicyVGPU, simgpu.A100SXM480GB())
 	if err != nil {
 		return 0, err
 	}
-	if err := dev.SetPolicy(simgpu.PolicyVGPU); err != nil {
-		return 0, err
-	}
+	dev := s.devs[0]
 	dev.SetVGPUQuantum(q)
 	var lat metrics.Durations
 	for i := 0; i < 4; i++ {
-		i := i
-		env.Spawn("vm", func(p *devent.Proc) {
+		s.spawn("vm", func(p *devent.Proc) error {
 			ctx, _ := dev.NewContext(p, simgpu.ContextOpts{SkipInit: true, Group: fmt.Sprintf("vm%d", i)})
-			eng := llm.New(llm.LLaMa27B())
-			if err := eng.Load(p, []*simgpu.Context{ctx}, dev.Spec().HostLoadBW); err != nil {
-				env.Fail(err)
-				return
+			eng, err := s.load(p, llm.LLaMa27B(), ctx)
+			if err != nil {
+				return err
 			}
 			for c := 0; c < completions/4; c++ {
 				comp, err := eng.Complete(p, 20, 20)
 				if err != nil {
-					env.Fail(err)
-					return
+					return err
 				}
 				lat.Add(comp.Latency)
 			}
+			return nil
 		})
 	}
-	if err := env.Run(); err != nil {
-		return 0, err
-	}
-	return lat.Mean(), nil
+	err = s.drain()
+	return lat.Mean(), err
 }

@@ -107,13 +107,3 @@ func ScaleAlertRules() []tsdb.AlertRule {
 		},
 	}
 }
-
-// attachAlerts registers a pack on a DB (nil-safe on both sides).
-func attachAlerts(db *tsdb.DB, rules []tsdb.AlertRule) {
-	if db == nil {
-		return
-	}
-	for _, r := range rules {
-		db.AddAlert(r)
-	}
-}

@@ -168,17 +168,10 @@ func RunAutoscale(cfg AutoscaleConfig) (*AutoscaleResult, error) {
 	if cfg.StaticBlocks > cfg.GPUs {
 		return nil, fmt.Errorf("core: %d static blocks exceed the %d-GPU pool", cfg.StaticBlocks, cfg.GPUs)
 	}
-	env := devent.NewEnv()
-	defer env.Close()
-	col := obs.New(env)
-	col.SetScope("autoscale")
-	if cfg.OnCollector != nil {
-		cfg.OnCollector(col)
-	}
-	db := tsdb.New(col.Metrics(), env, tsdb.Config{})
-	if cfg.Attach != nil {
-		cfg.Attach(col, db)
-	}
+	s := newCell("autoscale", cfg.OnCollector, &tsdb.Config{})
+	defer s.env.Close()
+	s.attach(cfg.Attach)
+	env, col, db := s.env, s.col, s.db
 
 	spec := simgpu.A100SXM480GB()
 	nodes := make([]*gpuctl.Node, cfg.GPUs)
@@ -215,10 +208,10 @@ func RunAutoscale(cfg AutoscaleConfig) (*AutoscaleResult, error) {
 		_, err = ctx.Run(inv.Proc(), kernel)
 		return nil, err
 	}})
-	analyze.NewMonitor(col, env, []analyze.Rule{
+	s.mon = analyze.NewMonitor(col, env, []analyze.Rule{
 		{App: "infer", Latency: cfg.SLOLatency, Target: cfg.SLOTarget, Window: cfg.SLOWindow},
 	}, db)
-	attachAlerts(db, AutoscaleAlertRules(cfg))
+	s.addAlerts(AutoscaleAlertRules(cfg))
 
 	var ctl *autoscale.Controller
 	if cfg.StaticBlocks <= 0 {
@@ -253,7 +246,7 @@ func RunAutoscale(cfg AutoscaleConfig) (*AutoscaleResult, error) {
 	}
 
 	var endAt time.Duration
-	env.Spawn("traffic", func(p *devent.Proc) {
+	err = s.run(func(p *devent.Proc) error {
 		var futs []*faas.Future
 		for {
 			at, ok := tr.Next()
@@ -295,14 +288,11 @@ func RunAutoscale(cfg AutoscaleConfig) (*AutoscaleResult, error) {
 		if ctl != nil {
 			ctl.Stop() // closes the block-seconds integral
 		}
-		db.Stop()
+		return nil
 	})
-
-	db.Start(env)
-	if err := env.Run(); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	db.Scrape()
 
 	if ctl != nil {
 		res.ScaleOuts = ctl.ScaleOuts()

@@ -185,30 +185,20 @@ type FleetResult struct {
 // RunFleet runs the fleet-scale placement scenario.
 func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	cfg = cfg.WithDefaults()
-	env := devent.NewEnv()
-	defer env.Close()
-	col := obs.New(env)
-	col.SetScope("fleet")
-	if cfg.OnCollector != nil {
-		cfg.OnCollector(col)
-	}
+	s := newCell("fleet", cfg.OnCollector, cfg.TSDB)
+	defer s.env.Close()
+	env := s.env
 	specs := interleaveSpecs(cfg.GPUs80, cfg.GPUs40)
-	cl, err := fleet.New(fleet.Config{Inventory: fleet.NewInventory(specs...), Obs: col})
+	cl, err := fleet.New(fleet.Config{Inventory: fleet.NewInventory(specs...), Obs: s.col})
 	if err != nil {
 		return nil, err
 	}
-	var db *tsdb.DB
-	if cfg.TSDB != nil {
-		db = tsdb.New(col.Metrics(), env, *cfg.TSDB)
-		attachAlerts(db, FleetAlertRules())
-	}
-	if cfg.Attach != nil {
-		cfg.Attach(col, db)
-	}
+	s.addAlerts(FleetAlertRules())
+	s.attach(cfg.Attach)
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	apps := drawApps(rng, cfg.Apps)
-	res := &FleetResult{GPUs: len(specs), Apps: cfg.Apps, Obs: col, TSDB: db}
+	res := &FleetResult{GPUs: len(specs), Apps: cfg.Apps, Obs: s.col, TSDB: s.db}
 	classIdx := make(map[string]int, len(fleetClasses))
 	for i, c := range fleetClasses {
 		classIdx[c] = i
@@ -267,10 +257,11 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		})
 	}
 
-	// Churn driver: Poisson arrivals over the horizon; each placed
-	// tenant departs after an exponential lifetime (its own proc, so
-	// departures outlive the arrival loop and drain naturally).
-	env.Spawn("fleet-churn", func(p *devent.Proc) {
+	// Churn driver, the run's main: Poisson arrivals over the horizon;
+	// each placed tenant departs after an exponential lifetime (its own
+	// proc, so departures outlive the arrival loop and drain naturally
+	// after the store stops with the horizon).
+	err = s.run(func(p *devent.Proc) error {
 		seq := 0
 		for {
 			p.Sleep(time.Duration(rng.ExpFloat64() / cfg.ArrivalRate * float64(time.Second)))
@@ -302,16 +293,11 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 				res.Evicted++
 			})
 		}
-		// The scrape daemon holds a pending timer; stop it with the
-		// arrival horizon (tail departures continue to drain).
-		db.Stop()
+		return nil
 	})
-
-	db.Start(env)
-	if err := env.Run(); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	db.Scrape()
 	if err := cl.Validate(); err != nil {
 		return nil, fmt.Errorf("fleet scenario: post-drain invariants: %w", err)
 	}

@@ -39,16 +39,14 @@ func RunMixedTenancy(mode Mode) (*MixedTenancyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	env := devent.NewEnv()
-	defer env.Close()
-	dev, err := simgpu.NewDevice(env, "gpu0", simgpu.A100SXM480GB())
+	s, err := newSim(simgpu.PolicyTimeShare, simgpu.A100SXM480GB())
 	if err != nil {
 		return nil, err
 	}
-	hostBW := dev.Spec().HostLoadBW
+	dev := s.devs[0]
 
 	// Under MPS the split is right-sized: 20% of the SMs for the CNN.
-	mkCtx, err := tenantContexts(env, dev, mode, []deviceTenant{
+	mkCtx, err := tenantContexts(s.env, dev, mode, []deviceTenant{
 		{name: "resnet", pct: 20, profile: "1g.10gb", group: "vm-resnet"},
 		{name: "llama", pct: 80, profile: "3g.40gb", group: "vm-llama"},
 	})
@@ -59,52 +57,47 @@ func RunMixedTenancy(mode Mode) (*MixedTenancyResult, error) {
 	res := &MixedTenancyResult{Mode: mode, ResNetSolo: solo}
 	var rLat metrics.Durations
 	var lLat metrics.Durations
-	resnetDone := env.NewEvent()
-	env.Spawn("resnet", func(p *devent.Proc) {
+	resnetDone := s.env.NewEvent()
+	s.spawn("resnet", func(p *devent.Proc) error {
 		defer resnetDone.Fire(nil)
 		ctx, err := mkCtx(p, 0)
 		if err != nil {
-			env.Fail(err)
-			return
+			return err
 		}
 		e := vision.New(vision.Config{Model: models.ResNet50()})
-		if err := e.Load(p, ctx, hostBW); err != nil {
-			env.Fail(err)
-			return
+		if err := e.Load(p, ctx, dev.Spec().HostLoadBW); err != nil {
+			return err
 		}
 		p.Sleep(5 * time.Second) // let the LLM settle
 		for i := 0; i < 300; i++ {
 			l, err := e.Infer(p)
 			if err != nil {
-				env.Fail(err)
-				return
+				return err
 			}
 			rLat.Add(l)
 			p.Sleep(20 * time.Millisecond) // camera frame pacing
 		}
+		return nil
 	})
-	llamaProc := env.Spawn("llama", func(p *devent.Proc) {
+	s.spawn("llama", func(p *devent.Proc) error {
 		ctx, err := mkCtx(p, 1)
 		if err != nil {
-			env.Fail(err)
-			return
+			return err
 		}
-		e := llm.New(llm.LLaMa27B())
-		if err := e.Load(p, []*simgpu.Context{ctx}, hostBW); err != nil {
-			env.Fail(err)
-			return
+		e, err := s.load(p, llm.LLaMa27B(), ctx)
+		if err != nil {
+			return err
 		}
 		for !resnetDone.Fired() {
 			c, err := e.Complete(p, 20, 20)
 			if err != nil {
-				env.Fail(err)
-				return
+				return err
 			}
 			lLat.Add(c.Latency)
 		}
-	})
-	llamaProc.SetDaemon(true)
-	if err := env.Run(); err != nil {
+		return nil
+	}).SetDaemon(true)
+	if err := s.drain(); err != nil {
 		return nil, err
 	}
 	res.ResNetMean = rLat.Mean()
@@ -116,31 +109,22 @@ func RunMixedTenancy(mode Mode) (*MixedTenancyResult, error) {
 
 // resnetSolo measures the CNN's request latency on an idle device.
 func resnetSolo() (time.Duration, error) {
-	env := devent.NewEnv()
-	defer env.Close()
-	dev, err := simgpu.NewDevice(env, "gpu0", simgpu.A100SXM480GB())
-	if err != nil {
-		return 0, err
-	}
 	var lat metrics.Durations
-	env.Spawn("resnet", func(p *devent.Proc) {
+	err := probe(1, simgpu.A100SXM480GB(), simgpu.PolicyTimeShare, func(s *sim, p *devent.Proc) error {
+		dev := s.devs[0]
 		ctx, _ := dev.NewContext(p, simgpu.ContextOpts{SkipInit: true})
 		e := vision.New(vision.Config{Model: models.ResNet50()})
 		if err := e.Load(p, ctx, dev.Spec().HostLoadBW); err != nil {
-			env.Fail(err)
-			return
+			return err
 		}
 		for i := 0; i < 50; i++ {
 			l, err := e.Infer(p)
 			if err != nil {
-				env.Fail(err)
-				return
+				return err
 			}
 			lat.Add(l)
 		}
+		return nil
 	})
-	if err := env.Run(); err != nil {
-		return 0, err
-	}
-	return lat.Mean(), nil
+	return lat.Mean(), err
 }

@@ -124,9 +124,7 @@ func RunMultiplex(cfg MultiplexConfig) (*MultiplexResult, error) {
 	}
 	defer pl.Env.Close()
 	pl.Obs.SetScope(fmt.Sprintf("multiplex/%s/p%d", c.Mode, c.Processes))
-	if c.Attach != nil {
-		c.Attach(pl.Obs, pl.TSDB)
-	}
+	pl.attach(c.Attach)
 	dev := pl.Devices[0]
 
 	res := &MultiplexResult{

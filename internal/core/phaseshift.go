@@ -136,9 +136,7 @@ func RunPhaseShift(cfg PhaseShiftConfig) (*PhaseShiftResult, error) {
 		label = "repart"
 	}
 	pl.Obs.SetScope("phaseshift/" + label)
-	if c.Attach != nil {
-		c.Attach(pl.Obs, pl.TSDB)
-	}
+	pl.attach(c.Attach)
 	dev := pl.Devices[0]
 	model := llm.LLaMa27B()
 	cache := weightcache.New()

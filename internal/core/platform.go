@@ -151,8 +151,9 @@ type Platform struct {
 	// Checker watches every task for the exactly-one-terminal-state
 	// invariant (nil when chaos is off).
 	Checker *fault.Checker
-	opts    Options
-	gpu     *htex.HTEX
+	*sim
+	opts Options
+	gpu  *htex.HTEX
 }
 
 // NewPlatform builds the testbed with a started CPU executor; the GPU
@@ -160,25 +161,18 @@ type Platform struct {
 // chosen.
 func NewPlatform(opts Options) (*Platform, error) {
 	o := opts.withDefaults()
-	env := devent.NewEnv()
-	devices := make([]*simgpu.Device, len(o.DeviceSpecs))
-	for i, spec := range o.DeviceSpecs {
-		d, err := simgpu.NewDevice(env, fmt.Sprintf("gpu%d", i), spec)
-		if err != nil {
-			return nil, err
-		}
-		devices[i] = d
+	s, err := newSim(simgpu.PolicyTimeShare, o.DeviceSpecs...)
+	if err != nil {
+		return nil, err
 	}
+	s.observe("", o.OnCollector, o.TSDB)
+	env, devices, collector := s.env, s.devs, s.col
 	node := gpuctl.NewNode(env, devices...)
-	collector := obs.New(env)
 	if o.Observe {
 		env.SetObserver(collector)
 		for _, d := range devices {
 			d.SetCollector(collector)
 		}
-	}
-	if o.OnCollector != nil {
-		o.OnCollector(collector)
 	}
 	cpu, err := htex.New(env, o.chaosHTEX(htex.Config{
 		Label:      "cpu",
@@ -205,6 +199,7 @@ func NewPlatform(opts Options) (*Platform, error) {
 	}
 	dfk := faas.NewDFK(env, fcfg, cpu)
 	pl := &Platform{
+		sim:       s,
 		Env:       env,
 		Devices:   devices,
 		Inventory: fleet.NewInventory(o.DeviceSpecs...),
@@ -212,17 +207,16 @@ func NewPlatform(opts Options) (*Platform, error) {
 		DFK:       dfk,
 		CPU:       cpu,
 		Obs:       collector,
+		TSDB:      s.db,
 		opts:      o,
-	}
-	if o.TSDB != nil {
-		pl.TSDB = tsdb.New(collector.Metrics(), env, *o.TSDB)
 	}
 	if o.SLO != "" {
 		rules, err := analyze.ParseSLOSpec(o.SLO)
 		if err != nil {
 			return nil, err
 		}
-		pl.SLOMon = analyze.NewMonitor(collector, env, rules, pl.TSDB)
+		s.mon = analyze.NewMonitor(collector, env, rules, s.db)
+		pl.SLOMon = s.mon
 	}
 	if o.Chaos != nil {
 		inj := fault.New(env, *o.Chaos, collector)
@@ -301,10 +295,10 @@ func (pl *Platform) ConfigureMIG(p *devent.Proc, idx int, profiles []string) ([]
 // Register registers an app on the DFK.
 func (pl *Platform) Register(app faas.App) { pl.DFK.Register(app) }
 
-// Run starts the DFK (and, under chaos, the fault injector), spawns
-// main as the workflow proc, and drives the simulation to completion.
-// The injector stops when main returns, so the event queue drains and
-// the run terminates even with an unbounded fault schedule.
+// Run starts the DFK (and, under chaos, the fault injector) and runs
+// main as the workflow proc through the shell's drain sequence. The
+// injector stops when main returns, so the event queue drains and the
+// run terminates even with an unbounded fault schedule.
 func (pl *Platform) Run(main func(p *devent.Proc) error) error {
 	if err := pl.DFK.Start(); err != nil {
 		return err
@@ -312,24 +306,10 @@ func (pl *Platform) Run(main func(p *devent.Proc) error) error {
 	if pl.Injector != nil {
 		pl.Injector.Start()
 	}
-	// The scrape daemon holds a pending timer, so it must stop when the
-	// workflow completes or the queue would never drain.
-	pl.TSDB.Start(pl.Env)
-	var mainErr error
-	pl.Env.Spawn("main", func(p *devent.Proc) {
-		mainErr = main(p)
+	return pl.run(func(p *devent.Proc) error {
 		if pl.Injector != nil {
-			pl.Injector.Stop()
+			defer pl.Injector.Stop()
 		}
-		pl.TSDB.Stop()
+		return main(p)
 	})
-	if err := pl.Env.Run(); err != nil {
-		return err
-	}
-	// Flush SLO alert windows still burning when the simulation drains.
-	pl.SLOMon.Close()
-	// One final scrape at drain time captures the run's end state
-	// (including any alert counters the flush just bumped).
-	pl.TSDB.Scrape()
-	return mainErr
 }

@@ -220,7 +220,7 @@ func runScaleShard(cfg ScaleConfig, shard, tasks int, sink obs.SpanSink) (shardS
 		return sr, err
 	}
 	defer pl.Env.Close()
-	attachAlerts(pl.TSDB, ScaleAlertRules())
+	pl.addAlerts(ScaleAlertRules())
 	sr.TSDB = pl.TSDB
 	if sink != nil {
 		pl.Obs.SetSink(sink)
@@ -231,9 +231,7 @@ func runScaleShard(cfg ScaleConfig, shard, tasks int, sink obs.SpanSink) (shardS
 	// Shard i is process i+1 of the scale trace export.
 	pl.Obs.SetScope(fmt.Sprintf("scale/shard%d", shard))
 	pl.Obs.SetTracePID(shard + 1)
-	if cfg.Attach != nil {
-		cfg.Attach(pl.Obs, pl.TSDB)
-	}
+	pl.attach(cfg.Attach)
 	if tel.Progress != nil {
 		tel.Progress.ShardStarted(shard)
 		defer tel.Progress.ShardFinished(shard)

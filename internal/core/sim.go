@@ -1,0 +1,140 @@
+package core
+
+import (
+	"fmt"
+
+	"repro/internal/devent"
+	"repro/internal/llm"
+	"repro/internal/obs"
+	"repro/internal/obs/analyze"
+	"repro/internal/obs/tsdb"
+	"repro/internal/simgpu"
+)
+
+// sim is the one simulation shell every core driver builds, runs and
+// drains its simulation through. A probe — one of the paper's small
+// device measurements — owns a fresh Env with its devices and spawns
+// procs whose body returns an error. A cell — a Platform, a fleet cell,
+// an autoscale cell — also owns the collector, the optional series
+// store with its alert pack, the SLO monitor, and the OnCollector and
+// Attach hooks. Every run ends in run's one drain sequence.
+type sim struct {
+	env  *devent.Env
+	devs []*simgpu.Device
+	col  *obs.Collector
+	db   *tsdb.DB
+	mon  *analyze.Monitor
+}
+
+// newSim builds a fresh Env with one device per spec, named gpu0,
+// gpu1, ..., each under policy (PolicyTimeShare is the device default).
+func newSim(policy simgpu.Policy, specs ...simgpu.DeviceSpec) (*sim, error) {
+	s := &sim{env: devent.NewEnv()}
+	for i, spec := range specs {
+		d, err := simgpu.NewDevice(s.env, fmt.Sprintf("gpu%d", i), spec)
+		if err == nil {
+			err = d.SetPolicy(policy)
+		}
+		if err != nil {
+			return nil, err
+		}
+		s.devs = append(s.devs, d)
+	}
+	return s, nil
+}
+
+// newCell builds a device-less shell with its collector (see observe).
+func newCell(scope string, onCollector func(*obs.Collector), store *tsdb.Config) *sim {
+	s := &sim{env: devent.NewEnv()}
+	s.observe(scope, onCollector, store)
+	return s
+}
+
+// observe gives the shell its collector, named scope, and calls the
+// OnCollector hook before any span exists; with store set it also
+// attaches a series store over the collector's registry.
+func (s *sim) observe(scope string, onCollector func(*obs.Collector), store *tsdb.Config) {
+	s.col = obs.New(s.env)
+	s.col.SetScope(scope)
+	if onCollector != nil {
+		onCollector(s.col)
+	}
+	if store != nil {
+		s.db = tsdb.New(s.col.Metrics(), s.env, *store)
+	}
+}
+
+// addAlerts registers a rule pack on the store (a no-op without one).
+func (s *sim) addAlerts(rules []tsdb.AlertRule) {
+	for _, r := range rules {
+		s.db.AddAlert(r)
+	}
+}
+
+// attach calls the run's Attach hook, once its own sinks and scope are
+// final.
+func (s *sim) attach(fn AttachFunc) {
+	if fn != nil {
+		fn(s.col, s.db)
+	}
+}
+
+// load opens an LLM engine for cfg on ctxs, streaming the weights at
+// the host bandwidth of the shell's first device.
+func (s *sim) load(p *devent.Proc, cfg llm.Config, ctxs ...*simgpu.Context) (*llm.Engine, error) {
+	e := llm.New(cfg)
+	return e, e.Load(p, ctxs, s.devs[0].Spec().HostLoadBW)
+}
+
+// spawn starts body as a proc; an error it returns fails the run.
+func (s *sim) spawn(name string, body func(*devent.Proc) error) *devent.Proc {
+	return s.env.Spawn(name, func(p *devent.Proc) {
+		if err := body(p); err != nil {
+			s.env.Fail(err)
+		}
+	})
+}
+
+// run is the one drain sequence: start the store, spawn main, stop the
+// store when main returns (its scrape daemon holds a pending timer, so
+// the queue would never drain), run to drain, flush the SLO windows
+// still burning, and take a final scrape of the run's end state. A nil
+// main runs only the procs already spawned. Main's error is returned
+// once the run has drained.
+func (s *sim) run(main func(*devent.Proc) error) error {
+	s.db.Start(s.env)
+	var mainErr error
+	if main != nil {
+		s.env.Spawn("main", func(p *devent.Proc) {
+			mainErr = main(p)
+			s.db.Stop()
+		})
+	}
+	if err := s.env.Run(); err != nil {
+		return err
+	}
+	s.mon.Close()
+	s.db.Scrape()
+	return mainErr
+}
+
+// drain runs a probe to drain and closes its Env.
+func (s *sim) drain() error {
+	defer s.env.Close()
+	return s.run(nil)
+}
+
+// probe runs body as the one proc of a fresh shell holding n devices
+// of spec under policy, then drains and closes it.
+func probe(n int, spec simgpu.DeviceSpec, policy simgpu.Policy, body func(s *sim, p *devent.Proc) error) error {
+	specs := make([]simgpu.DeviceSpec, n)
+	for i := range specs {
+		specs[i] = spec
+	}
+	s, err := newSim(policy, specs...)
+	if err != nil {
+		return err
+	}
+	s.spawn("probe", func(p *devent.Proc) error { return body(s, p) })
+	return s.drain()
+}

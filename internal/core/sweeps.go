@@ -52,14 +52,14 @@ func Fig2Sweep(percents []int) (*Fig2Result, error) {
 	// Every grid cell is an independent simulation: fan them out
 	// across cores, collecting points in scenario-major, percent-minor
 	// order — the same order the sequential loop produced.
+	spec := simgpu.A100SXM440GB()
 	points, err := harness.Map(len(scenarios)*len(percents), func(i int) (SweepPoint, error) {
 		sc := scenarios[i/len(percents)]
 		pct := percents[i%len(percents)]
-		lat, err := measureAtPercent(sc.cfg, sc.shards, pct)
+		lat, err := MeasureCompletionAtPercent(spec, sc.cfg, sc.shards, pct)
 		if err != nil {
 			return SweepPoint{}, fmt.Errorf("core: fig2 %s@%d%%: %w", sc.name, pct, err)
 		}
-		spec := simgpu.A100SXM440GB()
 		return SweepPoint{
 			Model:   sc.name,
 			Percent: pct,
@@ -86,13 +86,6 @@ func smsFor(deviceSMs, pct int) int {
 	return int(math.Ceil(float64(pct) / 100 * float64(deviceSMs)))
 }
 
-// measureAtPercent builds a fresh simulated testbed and measures one
-// 20-token completion with every shard capped at pct percent of its
-// device's SMs.
-func measureAtPercent(cfg llm.Config, shards, pct int) (time.Duration, error) {
-	return MeasureCompletionAtPercent(simgpu.A100SXM440GB(), cfg, shards, pct)
-}
-
 // Fig2SinglePoint measures one completion latency at an MPS
 // percentage on a single 80 GB A100 — the probe the right-sizing
 // study sweeps.
@@ -104,45 +97,23 @@ func Fig2SinglePoint(cfg llm.Config, pct int) (time.Duration, error) {
 // environment, `shards` devices of the given spec with MPS enabled,
 // one context per device capped at pct, one 20-token completion.
 func MeasureCompletionAtPercent(spec simgpu.DeviceSpec, cfg llm.Config, shards, pct int) (time.Duration, error) {
-	env := devent.NewEnv()
-	defer env.Close()
-	devs := make([]*simgpu.Device, shards)
-	for i := range devs {
-		d, err := simgpu.NewDevice(env, fmt.Sprintf("gpu%d", i), spec)
-		if err != nil {
-			return 0, err
-		}
-		if err := d.SetPolicy(simgpu.PolicySpatial); err != nil {
-			return 0, err
-		}
-		devs[i] = d
-	}
 	var lat time.Duration
-	var runErr error
-	env.Spawn("probe", func(p *devent.Proc) {
+	err := probe(shards, spec, simgpu.PolicySpatial, func(s *sim, p *devent.Proc) error {
 		ctxs := make([]*simgpu.Context, shards)
-		for i, d := range devs {
+		for i, d := range s.devs {
 			ctx, err := d.NewContext(p, simgpu.ContextOpts{SkipInit: true, SMPercent: pct})
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			ctxs[i] = ctx
 		}
-		e := llm.New(cfg)
-		if err := e.Load(p, ctxs, devs[0].Spec().HostLoadBW); err != nil {
-			runErr = err
-			return
+		e, err := s.load(p, cfg, ctxs...)
+		if err != nil {
+			return err
 		}
 		c, err := e.Complete(p, 20, 20)
-		if err != nil {
-			runErr = err
-			return
-		}
 		lat = c.Latency
+		return err
 	})
-	if err := env.Run(); err != nil {
-		return 0, err
-	}
-	return lat, runErr
+	return lat, err
 }

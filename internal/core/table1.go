@@ -125,31 +125,16 @@ func RunTable1Observed(observe bool, slo string) ([]Table1Row, []*obs.Collector,
 // measureVGPUReconfig models Table 1's "requires restarting a VM":
 // VM reboot plus context init plus model reload.
 func measureVGPUReconfig() (time.Duration, error) {
-	env := devent.NewEnv()
-	defer env.Close()
-	dev, err := simgpu.NewDevice(env, "gpu0", simgpu.A100SXM480GB())
-	if err != nil {
-		return 0, err
-	}
-	if err := dev.SetPolicy(simgpu.PolicyVGPU); err != nil {
-		return 0, err
-	}
 	var downtime time.Duration
-	env.Spawn("vm", func(p *devent.Proc) {
+	err := probe(1, simgpu.A100SXM480GB(), simgpu.PolicyVGPU, func(s *sim, p *devent.Proc) error {
 		start := p.Now()
 		p.Sleep(30 * time.Second) // VM reboot
-		ctx, _ := dev.NewContext(p, simgpu.ContextOpts{Group: "vm1"})
-		eng := llm.New(fp32(llm.LLaMa27B()))
-		if err := eng.Load(p, []*simgpu.Context{ctx}, dev.Spec().HostLoadBW); err != nil {
-			env.Fail(err)
-			return
-		}
+		ctx, _ := s.devs[0].NewContext(p, simgpu.ContextOpts{Group: "vm1"})
+		_, err := s.load(p, fp32(llm.LLaMa27B()), ctx)
 		downtime = p.Now() - start
+		return err
 	})
-	if err := env.Run(); err != nil {
-		return 0, err
-	}
-	return downtime, nil
+	return downtime, err
 }
 
 // isolationProbe runs one steady victim against three synchronized
@@ -157,17 +142,15 @@ func measureVGPUReconfig() (time.Duration, error) {
 // the victim's completion latency plus whether tenant memory pools are
 // disjoint.
 func isolationProbe(mode Mode) (float64, bool, error) {
-	env := devent.NewEnv()
-	defer env.Close()
-	dev, err := simgpu.NewDevice(env, "gpu0", simgpu.A100SXM480GB())
+	s, err := newSim(simgpu.PolicyTimeShare, simgpu.A100SXM480GB())
 	if err != nil {
 		return 0, false, err
 	}
-	hostBW := dev.Spec().HostLoadBW
+	dev := s.devs[0]
 	model := llm.LLaMa27B()
 	// Aggressors sit on the 1g.10gb slices of the 4-way MIG layout.
 	aggModel := servedModel(model, mode, 4)
-	mkCtx, err := tenantContexts(env, dev, mode, []deviceTenant{
+	mkCtx, err := tenantContexts(s.env, dev, mode, []deviceTenant{
 		{pct: 25, profile: "3g.40gb", group: "vm0"},
 		{pct: 25, profile: "1g.10gb", group: "vm1"},
 		{pct: 25, profile: "1g.10gb", group: "vm2"},
@@ -179,60 +162,54 @@ func isolationProbe(mode Mode) (float64, bool, error) {
 
 	var lat metrics.Durations
 	var victimPool, aggPool *simgpu.MemPool
-	victimDone := env.NewEvent()
-	env.Spawn("victim", func(p *devent.Proc) {
+	victimDone := s.env.NewEvent()
+	s.spawn("victim", func(p *devent.Proc) error {
 		defer victimDone.Fire(nil)
 		ctx, err := mkCtx(p, 0)
 		if err != nil {
-			env.Fail(err)
-			return
+			return err
 		}
 		victimPool = ctx.Pool()
-		eng := llm.New(model)
-		if err := eng.Load(p, []*simgpu.Context{ctx}, hostBW); err != nil {
-			env.Fail(err)
-			return
+		eng, err := s.load(p, model, ctx)
+		if err != nil {
+			return err
 		}
 		for i := 0; i < 12; i++ {
 			c, err := eng.Complete(p, 20, 20)
 			if err != nil {
-				env.Fail(err)
-				return
+				return err
 			}
 			lat.Add(c.Latency)
 			p.Sleep(3 * time.Second)
 		}
+		return nil
 	})
 	for i := 1; i <= 3; i++ {
-		i := i
-		agg := env.Spawn("aggressor", func(p *devent.Proc) {
+		s.spawn("aggressor", func(p *devent.Proc) error {
 			ctx, err := mkCtx(p, i)
 			if err != nil {
-				env.Fail(err)
-				return
+				return err
 			}
 			if aggPool == nil {
 				aggPool = ctx.Pool()
 			}
-			eng := llm.New(aggModel)
-			if err := eng.Load(p, []*simgpu.Context{ctx}, hostBW); err != nil {
-				env.Fail(err)
-				return
+			eng, err := s.load(p, aggModel, ctx)
+			if err != nil {
+				return err
 			}
 			p.Sleep(8 * time.Second) // let the victim settle
 			for !victimDone.Fired() {
 				for b := 0; b < 2 && !victimDone.Fired(); b++ {
 					if _, err := eng.Complete(p, 20, 20); err != nil {
-						env.Fail(err)
-						return
+						return err
 					}
 				}
 				p.Sleep(12 * time.Second)
 			}
-		})
-		agg.SetDaemon(true)
+			return nil
+		}).SetDaemon(true)
 	}
-	if err := env.Run(); err != nil {
+	if err := s.drain(); err != nil {
 		return 0, false, err
 	}
 	isolated := victimPool != nil && aggPool != nil && victimPool != aggPool

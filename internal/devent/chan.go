@@ -62,30 +62,21 @@ func (c *Chan[T]) Cap() int { return c.cap }
 func (c *Chan[T]) Closed() bool { return c.closed }
 
 // Send delivers v, blocking the proc until a receiver or buffer slot is
-// available. Sending on a closed channel panics, mirroring Go.
+// available. Sending on a closed channel, or on one closed while the
+// sender waits, panics, mirroring Go.
 func (c *Chan[T]) Send(p *Proc, v T) {
-	if !c.SendOr(p, v, nil) {
+	ok := !c.closed
+	if ok && !c.trySend(v) {
+		w := c.getWaiter(p)
+		w.val, w.send = v, true
+		c.sendq = append(c.sendq, w)
+		c.park(w, nil)
+		ok = w.ok
+		c.putWaiter(w)
+	}
+	if !ok {
 		panic("devent: send on closed channel")
 	}
-}
-
-// SendOr is Send with an optional cancel event. It reports true if the
-// value was delivered, false if cancel fired first or the channel was
-// (or became) closed while waiting.
-func (c *Chan[T]) SendOr(p *Proc, v T, cancel *Event) bool {
-	if c.closed {
-		return false
-	}
-	if c.trySend(v) {
-		return true
-	}
-	w := c.getWaiter(p)
-	w.val, w.send = v, true
-	c.sendq = append(c.sendq, w)
-	c.park(w, cancel)
-	ok := w.ok
-	c.putWaiter(w)
-	return ok
 }
 
 // TrySend delivers v without blocking. It reports whether the value was

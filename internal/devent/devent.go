@@ -250,8 +250,7 @@ func (e *Env) compact() {
 	e.cancelled = 0
 }
 
-// peek returns the head live item, lazily dropping cancelled items so
-// horizon checks see the true next event.
+// peek returns the head live item, lazily dropping cancelled items.
 func (e *Env) peek() *queueItem {
 	for len(e.queue) > 0 {
 		it := e.queue[0]
@@ -269,14 +268,7 @@ func (e *Env) peek() *queueItem {
 // remain or a failure is recorded. It returns ErrDeadlock (wrapped with
 // the blocked proc names) if procs are still parked when the queue
 // empties.
-func (e *Env) Run() error { return e.run(-1) }
-
-// RunUntil behaves like Run but stops once the next event would occur
-// after t; the clock is then advanced to t. Procs still blocked at the
-// horizon are not a deadlock.
-func (e *Env) RunUntil(t time.Duration) error { return e.run(t) }
-
-func (e *Env) run(horizon time.Duration) error {
+func (e *Env) Run() error {
 	if e.running {
 		return errors.New("devent: Run called re-entrantly")
 	}
@@ -293,10 +285,6 @@ func (e *Env) run(horizon time.Duration) error {
 		it := e.peek()
 		if it == nil {
 			break
-		}
-		if horizon >= 0 && it.at > horizon {
-			e.now = horizon
-			return nil
 		}
 		heap.Pop(&e.queue)
 		if it.at > e.now {
@@ -316,9 +304,6 @@ func (e *Env) run(horizon time.Duration) error {
 	}
 	if e.failure != nil {
 		return e.failure
-	}
-	if horizon >= 0 {
-		e.now = horizon
 	}
 	if blocked := e.blockedProcs(); len(blocked) > 0 {
 		return fmt.Errorf("%w: %d proc(s) blocked forever: %v", ErrDeadlock, len(blocked), blocked)

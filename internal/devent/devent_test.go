@@ -88,7 +88,7 @@ func TestArmAtReArmsInPlace(t *testing.T) {
 	if !tm.Active() {
 		t.Fatal("cancelling the stale handle cancelled the re-arm")
 	}
-	if err := env.RunUntil(2 * time.Second); err != nil {
+	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(fired) != 1 || fired[0] != "second" || tm.Active() || tm.When() != 2*time.Second {
@@ -624,27 +624,6 @@ func TestDeadlockDetection(t *testing.T) {
 	err := env.Run()
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestRunUntilHorizon(t *testing.T) {
-	env := NewEnv()
-	fired := false
-	env.Schedule(10*time.Second, func() { fired = true })
-	if err := env.RunUntil(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Fatal("future event fired early")
-	}
-	if env.Now() != 5*time.Second {
-		t.Fatalf("Now = %v", env.Now())
-	}
-	if err := env.RunUntil(20 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if !fired || env.Now() != 20*time.Second {
-		t.Fatalf("fired=%v now=%v", fired, env.Now())
 	}
 }
 

@@ -35,37 +35,6 @@ func TestAnyOfWithPreFiredInput(t *testing.T) {
 	}
 }
 
-func TestChanSendOrCancel(t *testing.T) {
-	env := NewEnv()
-	c := NewChan[int](env, 0) // no receiver ever
-	cancel := env.NewEvent()
-	var delivered = true
-	env.Spawn("s", func(p *Proc) {
-		delivered = c.SendOr(p, 7, cancel)
-	})
-	env.Schedule(time.Second, func() { cancel.Fire(nil) })
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if delivered {
-		t.Fatal("send should have been cancelled")
-	}
-}
-
-func TestChanSendOrClosed(t *testing.T) {
-	env := NewEnv()
-	c := NewChan[int](env, 0)
-	c.Close()
-	env.Spawn("s", func(p *Proc) {
-		if c.SendOr(p, 1, nil) {
-			t.Error("send on closed chan succeeded")
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestChanCloseTwicePanics(t *testing.T) {
 	env := NewEnv()
 	c := NewChan[int](env, 0)
@@ -76,27 +45,6 @@ func TestChanCloseTwicePanics(t *testing.T) {
 		}
 	}()
 	c.Close()
-}
-
-func TestRunUntilThenContinue(t *testing.T) {
-	env := NewEnv()
-	var done bool
-	env.Spawn("sleeper", func(p *Proc) {
-		p.Sleep(10 * time.Second)
-		done = true
-	})
-	if err := env.RunUntil(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if done {
-		t.Fatal("woke early")
-	}
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !done || env.Now() != 10*time.Second {
-		t.Fatalf("done=%v now=%v", done, env.Now())
-	}
 }
 
 func TestScheduleFromCallback(t *testing.T) {

@@ -191,7 +191,8 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		env.Spawn("short", func(p *Proc) { p.Sleep(time.Duration(i) * time.Millisecond) })
 	}
-	if err := env.RunUntil(time.Second); err != nil {
+	env.Spawn("clock", func(p *Proc) { p.Sleep(time.Second) })
+	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
 	env.Spawn("never-started", func(*Proc) { t.Error("never-started proc ran") })

@@ -14,9 +14,8 @@ import (
 // This file is the alerting-rules engine: deterministic threshold and
 // multi-window rules over the DB's series, evaluated on the virtual
 // clock with Prometheus-style pending ("for") and keep-firing
-// hold-down semantics. Scrape-driven rules run after every scrape (and
-// after recording rules, so rule outputs of the same tick are
-// visible); event-driven rules are fed one observation at a time
+// hold-down semantics. Scrape-driven rules run after every scrape;
+// event-driven rules are fed one observation at a time
 // through Alert.Observe — the SLO burn monitor drives its per-task
 // burn values through that path so its alert boundaries land on event
 // times, not scrape ticks.

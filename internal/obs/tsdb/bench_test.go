@@ -94,20 +94,6 @@ func BenchmarkScrape(b *testing.B) {
 	}
 }
 
-// BenchmarkScrapeWithRules adds a recording rule per scrape tick.
-func BenchmarkScrapeWithRules(b *testing.B) {
-	db, clk, _ := benchDB(b)
-	db.AddRule("tasks:rate", nil, func(q Querier, now time.Duration) (float64, bool) {
-		return q.Rate("tasks_total", 30*time.Second, obs.L("app", "a"))
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		clk.t += time.Second
-		db.Scrape()
-	}
-}
-
 // BenchmarkAlertEval is the alert engine's steady-state path: a pack
 // of avg threshold rules re-evaluated on every scrape with no state
 // transitions. The 1h case binds 3600-sample windows (the scraped rings

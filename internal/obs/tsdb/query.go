@@ -7,30 +7,10 @@ import (
 	"repro/internal/obs"
 )
 
-// Querier is the read API shared by external callers (DB methods, the
-// live HTTP server) and recording rules. Windowed functions evaluate
-// over samples with T in [now-window, now]; ok is false when the
-// series is unknown or the window holds too few samples to answer.
-type Querier interface {
-	// Latest returns the newest sample of a scalar series.
-	Latest(name string, labels ...obs.Label) (Sample, bool)
-	// Rate returns the per-second increase of a counter series over
-	// the window: (last-first)/seconds between the window's first and
-	// last samples. Needs at least two samples at distinct times.
-	Rate(name string, window time.Duration, labels ...obs.Label) (float64, bool)
-	// Avg returns the mean sample value over the window.
-	Avg(name string, window time.Duration, labels ...obs.Label) (float64, bool)
-	// Max returns the largest sample value over the window.
-	Max(name string, window time.Duration, labels ...obs.Label) (float64, bool)
-	// Quantile estimates the q-quantile of a histogram series over the
-	// window by le-bucket interpolation on the delta between the newest
-	// snapshot and the last snapshot before the window start.
-	Quantile(name string, q float64, window time.Duration, labels ...obs.Label) (float64, bool)
-}
-
-// view reads the DB without taking its lock: it backs both the public
-// query methods (which lock around it) and recording rules (which run
-// inside the scrape's write lock).
+// view reads the DB without taking its lock: the public query methods
+// lock around it. Windowed functions evaluate over samples with T in
+// [now-window, now]; ok is false when the series is unknown or the
+// window holds too few samples to answer.
 type view struct{ db *DB }
 
 func (v view) scalarFor(name string, labels []obs.Label) *Series {
@@ -103,9 +83,9 @@ func (v view) Quantile(name string, q float64, window time.Duration, labels ...o
 	return obs.HistogramQuantile(q, hs.bounds, delta[:len(hs.bounds)], total), true
 }
 
-// Public query methods: identical semantics to the rule-side Querier,
-// but safe from any goroutine — they evaluate "now" as the newest
-// virtual time written (LastTime), never the simulation clock.
+// Public query methods, safe from any goroutine: they evaluate "now"
+// as the newest virtual time written (LastTime), never the simulation
+// clock.
 
 func (db *DB) Latest(name string, labels ...obs.Label) (Sample, bool) {
 	if db == nil {

@@ -38,10 +38,10 @@ type Config struct {
 	// Capacity is the per-series ring size in samples (default 512).
 	// Once full, the oldest samples are overwritten; windowed queries
 	// reaching past the oldest retained sample see a truncated window.
-	// A scraped series (a registry instrument or a recording rule's
-	// output) grows when an alert rule binds it with a longer window, to
-	// ceil(window/Interval)+1 samples, so scrape-driven rules see whole
-	// windows; event series keep the capacity they were created with.
+	// A scraped series (a registry instrument) grows when an alert rule
+	// binds it with a longer window, to ceil(window/Interval)+1
+	// samples, so scrape-driven rules see whole windows; event series
+	// keep the capacity they were created with.
 	Capacity int
 }
 
@@ -61,9 +61,9 @@ type Sample struct {
 	V float64
 }
 
-// Series is one scalar ring: a scraped counter or gauge, a recording
-// rule's output, or a direct-append event series. All mutation goes
-// through the owning DB's lock.
+// Series is one scalar ring: a scraped counter or gauge or a
+// direct-append event series. All mutation goes through the owning
+// DB's lock.
 type Series struct {
 	db     *DB
 	name   string
@@ -109,11 +109,6 @@ type target struct {
 	hs *histSeries
 }
 
-type rule struct {
-	fn func(q Querier, now time.Duration) (float64, bool)
-	s  *Series
-}
-
 // DB is the store. Writes (scrapes, appends) must come from sim
 // context; reads may come from any goroutine.
 type DB struct {
@@ -127,7 +122,6 @@ type DB struct {
 	series  map[string]*Series // name+labels -> scalar ring
 	hists   map[string]*histSeries
 	kinds   map[string]obs.Kind
-	rules   []rule
 
 	scrapes int64
 	last    time.Duration
@@ -195,7 +189,7 @@ func sortLabels(labels []obs.Label) []obs.Label {
 }
 
 // Scrape records one sample per registry instrument at the current
-// virtual time, then evaluates recording rules and alert rules in
+// virtual time, then evaluates alert rules in
 // registration order. Must be called from sim context; safe on a nil
 // DB. Steady-state cost is ring writes only — the instrument list is
 // cached and rebuilt only when the registry's generation moved. Alert
@@ -225,15 +219,6 @@ func (db *DB) scrapeLocked(now time.Duration) {
 			t.s.push(now, t.g.Value())
 		default:
 			t.hs.push(now, t.h)
-		}
-	}
-	if len(db.rules) > 0 {
-		q := view{db}
-		for i := range db.rules {
-			r := &db.rules[i]
-			if v, ok := r.fn(q, now); ok {
-				r.s.push(now, v)
-			}
 		}
 	}
 	db.scrapes++
@@ -427,24 +412,6 @@ func (s *Series) SumSince(t time.Duration) float64 {
 // observe one virtual clock.
 func (s *Series) searchLocked(t time.Duration) int {
 	return sort.Search(s.n, func(i int) bool { return s.at(i).T >= t })
-}
-
-// AddRule registers a recording rule: fn runs after every scrape's
-// instrument pass (in registration order) against the freshly written
-// samples, and its result is recorded as a new series under name.
-// Returning ok=false skips the sample for that tick. The Querier
-// passed to fn reads the DB without extra locking — fn must not call
-// other DB methods.
-func (db *DB) AddRule(name string, labels []obs.Label, fn func(q Querier, now time.Duration) (float64, bool)) *Series {
-	if db == nil {
-		return nil
-	}
-	s := db.EventSeries(name, 0, labels...)
-	db.mu.Lock()
-	s.scraped = true
-	db.rules = append(db.rules, rule{fn: fn, s: s})
-	db.mu.Unlock()
-	return s
 }
 
 // Scrapes returns how many scrape passes have run.

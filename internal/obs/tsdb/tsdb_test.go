@@ -189,31 +189,6 @@ func TestEventSeries(t *testing.T) {
 	}
 }
 
-func TestRecordingRules(t *testing.T) {
-	clk := &fakeClock{}
-	reg := obs.NewRegistry(clk)
-	db := New(reg, clk, Config{Capacity: 8})
-	c := reg.Counter("done_total")
-	db.AddRule("done:rate", nil, func(q Querier, now time.Duration) (float64, bool) {
-		return q.Rate("done_total", 2*time.Second)
-	})
-	for i := 1; i <= 4; i++ {
-		clk.t = time.Duration(i) * time.Second
-		c.Add(10)
-		db.Scrape()
-	}
-	// First tick has one sample (no rate); afterwards 10/s.
-	got := db.Samples("done:rate", 0, 0)
-	if len(got) != 3 {
-		t.Fatalf("rule samples = %v, want 3", got)
-	}
-	for _, s := range got {
-		if !almost(s.V, 10) {
-			t.Fatalf("rule sample %v, want V=10", s)
-		}
-	}
-}
-
 func TestStartStopDaemon(t *testing.T) {
 	env := devent.NewEnv()
 	reg := obs.NewRegistry(env)

@@ -342,7 +342,7 @@ func Rightsize(w io.Writer) error {
 	spec := simgpu.A100SXM480GB()
 	cfg := llm.LLaMa27B()
 	curve, err := rightsize.Sweep(spec.SMs, []int{5, 10, 15, 19, 25, 37, 50, 75, 100},
-		func(pct int) (time.Duration, error) { return measureForRightsize(cfg, pct) })
+		func(pct int) (time.Duration, error) { return core.Fig2SinglePoint(cfg, pct) })
 	if err != nil {
 		return err
 	}
@@ -370,14 +370,6 @@ func Rightsize(w io.Writer) error {
 	static := rightsize.DemandSMs(spec, kernels, 0.9)
 	fmt.Fprintf(w, "static estimate from kernel stream: %d SMs (measured knee: %d)\n", static, rec.KneeSMs)
 	return nil
-}
-
-func measureForRightsize(cfg llm.Config, pct int) (time.Duration, error) {
-	res, err := core.Fig2SinglePoint(cfg, pct)
-	if err != nil {
-		return 0, err
-	}
-	return res, nil
 }
 
 // All regenerates every artifact in paper order. Artifacts render

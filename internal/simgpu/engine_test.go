@@ -1,6 +1,7 @@
 package simgpu
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -32,7 +33,10 @@ func loadedDevice(t *testing.T, policy Policy, n int) *Device {
 			ctx.Launch(k)
 		}
 	})
-	if err := env.RunUntil(time.Second); err != nil {
+	// Stop the run at 1 s, while every kernel still runs.
+	horizon := errors.New("horizon")
+	env.Schedule(time.Second, func() { env.Fail(horizon) })
+	if err := env.Run(); !errors.Is(err, horizon) {
 		t.Fatal(err)
 	}
 	return dev
