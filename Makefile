@@ -95,11 +95,13 @@ cover:
 # over each task's full interval list), the SLO-spec parser (accepted
 # rules must be evaluable), the live server's /api/series query parsing
 # (every answer is 200, 400 or 404 with a JSON body), the in-place
-# max–min allocator (bit for bit against the sort.Slice oracle), and
-# the alert engine's sliding windows (max, flips and rate bit for bit
+# max–min allocator (bit for bit against the sort.Slice oracle), the
+# alert engine's sliding windows (max, flips and rate bit for bit
 # against rescans, avg against a math/big exact sum, over random
-# append/scrape/bind sequences with ring wrap); the checked-in corpora
-# run as regular tests in `make test`.
+# append/scrape/bind sequences with ring wrap), and span attribute
+# formatting (any int64 or float64 reads back through Span.Attr and
+# renders in a Chrome trace exactly as strconv formats it); the
+# checked-in corpora and seeds run as regular tests in `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz FuzzConfigValidate -fuzztime 10s ./internal/faas/htex
@@ -111,6 +113,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSeriesQuery -fuzztime 10s ./internal/obs/live
 	$(GO) test -run '^$$' -fuzz FuzzMaxMinFair -fuzztime 10s ./internal/simgpu
 	$(GO) test -run '^$$' -fuzz FuzzAlertWindows -fuzztime 10s ./internal/obs/tsdb
+	$(GO) test -run '^$$' -fuzz FuzzAttrFormat -fuzztime 10s ./internal/obs
 
 # One seed-1 run of each bench/ workload (~25 s each), recorded
 # verbatim under a one-line toolchain and core-count header.

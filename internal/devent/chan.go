@@ -7,9 +7,9 @@ package devent
 type Chan[T any] struct {
 	env    *Env
 	cap    int
-	buf    []T
-	sendq  []*chanWaiter[T]
-	recvq  []*chanWaiter[T]
+	buf    fifo[T]
+	sendq  fifo[*chanWaiter[T]]
+	recvq  fifo[*chanWaiter[T]]
 	closed bool
 	// free recycles waiters. By the time an op returns its waiter has
 	// left the queues (popped, deregistered, or dropped by Close) and
@@ -36,9 +36,9 @@ func (w *chanWaiter[T]) fired(*Event) {
 	w.woken = true
 	w.cancelled = true
 	if w.send {
-		w.c.sendq = removeWaiter(w.c.sendq, w)
+		removeWaiter(&w.c.sendq, w)
 	} else {
-		w.c.recvq = removeWaiter(w.c.recvq, w)
+		removeWaiter(&w.c.recvq, w)
 	}
 	w.c.env.wake(w.p)
 }
@@ -53,7 +53,7 @@ func NewChan[T any](env *Env, capacity int) *Chan[T] {
 }
 
 // Len reports the number of buffered values.
-func (c *Chan[T]) Len() int { return len(c.buf) }
+func (c *Chan[T]) Len() int { return c.buf.len() }
 
 // Cap reports the buffer capacity.
 func (c *Chan[T]) Cap() int { return c.cap }
@@ -69,7 +69,7 @@ func (c *Chan[T]) Send(p *Proc, v T) {
 	if ok && !c.trySend(v) {
 		w := c.getWaiter(p)
 		w.val, w.send = v, true
-		c.sendq = append(c.sendq, w)
+		c.sendq.push(w)
 		c.park(w, nil)
 		ok = w.ok
 		c.putWaiter(w)
@@ -95,8 +95,8 @@ func (c *Chan[T]) trySend(v T) bool {
 		c.env.wake(w.p)
 		return true
 	}
-	if len(c.buf) < c.cap {
-		c.buf = append(c.buf, v)
+	if c.buf.len() < c.cap {
+		c.buf.push(v)
 		return true
 	}
 	return false
@@ -120,7 +120,7 @@ func (c *Chan[T]) RecvOr(p *Proc, cancel *Event) (v T, ok bool, cancelled bool) 
 		return zero, false, false
 	}
 	w := c.getWaiter(p)
-	c.recvq = append(c.recvq, w)
+	c.recvq.push(w)
 	c.park(w, cancel)
 	v, ok, cancelled = w.val, w.ok, w.cancelled
 	c.putWaiter(w)
@@ -130,13 +130,12 @@ func (c *Chan[T]) RecvOr(p *Proc, cancel *Event) (v T, ok bool, cancelled bool) 
 // TryRecv receives without blocking; ok is false when nothing was
 // available.
 func (c *Chan[T]) TryRecv() (v T, ok bool) {
-	if len(c.buf) > 0 {
-		v = c.buf[0]
-		c.buf = c.buf[1:]
+	if c.buf.len() > 0 {
+		v = c.buf.pop()
 		// A blocked sender can now occupy the freed slot (or, for an
 		// unbuffered channel, this branch never runs).
 		if w := c.popSend(); w != nil {
-			c.buf = append(c.buf, w.val)
+			c.buf.push(w.val)
 			w.ok = true
 			w.woken = true
 			c.env.wake(w.p)
@@ -160,22 +159,22 @@ func (c *Chan[T]) Close() {
 		panic("devent: close of closed channel")
 	}
 	c.closed = true
-	for _, w := range c.recvq {
+	for _, w := range c.recvq.s[c.recvq.head:] {
 		if !w.woken {
 			w.woken = true
 			w.ok = false
 			c.env.wake(w.p)
 		}
 	}
-	c.recvq = nil
-	for _, w := range c.sendq {
+	c.recvq = fifo[*chanWaiter[T]]{}
+	for _, w := range c.sendq.s[c.sendq.head:] {
 		if !w.woken {
 			w.woken = true
 			w.ok = false
 			c.env.wake(w.p)
 		}
 	}
-	c.sendq = nil
+	c.sendq = fifo[*chanWaiter[T]]{}
 }
 
 // park blocks w's proc until the op completes or cancel fires. If
@@ -209,33 +208,58 @@ func (c *Chan[T]) putWaiter(w *chanWaiter[T]) {
 	c.free = append(c.free, w)
 }
 
-func (c *Chan[T]) popRecv() *chanWaiter[T] {
-	for len(c.recvq) > 0 {
-		w := c.recvq[0]
-		c.recvq = c.recvq[1:]
-		if !w.woken {
+func (c *Chan[T]) popRecv() *chanWaiter[T] { return popLive(&c.recvq) }
+
+func (c *Chan[T]) popSend() *chanWaiter[T] { return popLive(&c.sendq) }
+
+// popLive pops waiters until one not yet woken, or returns nil.
+func popLive[T any](q *fifo[*chanWaiter[T]]) *chanWaiter[T] {
+	for q.len() > 0 {
+		if w := q.pop(); !w.woken {
 			return w
 		}
 	}
 	return nil
 }
 
-func (c *Chan[T]) popSend() *chanWaiter[T] {
-	for len(c.sendq) > 0 {
-		w := c.sendq[0]
-		c.sendq = c.sendq[1:]
-		if !w.woken {
-			return w
-		}
-	}
-	return nil
+// fifo is a queue over a slice that keeps its backing array: a pop
+// advances head, and a push into a full array whose front half is
+// popped slides the values down instead of growing it. A queue whose
+// length stays bounded therefore stops allocating.
+type fifo[T any] struct {
+	s    []T
+	head int
 }
 
-func removeWaiter[T any](q []*chanWaiter[T], w *chanWaiter[T]) []*chanWaiter[T] {
-	for i, x := range q {
-		if x == w {
-			return append(q[:i], q[i+1:]...)
+func (q *fifo[T]) len() int { return len(q.s) - q.head }
+
+func (q *fifo[T]) push(v T) {
+	if len(q.s) == cap(q.s) && 2*q.head >= len(q.s) {
+		n := copy(q.s, q.s[q.head:])
+		clear(q.s[n:])
+		q.s, q.head = q.s[:n], 0
+	}
+	q.s = append(q.s, v)
+}
+
+func (q *fifo[T]) pop() T {
+	var zero T
+	v := q.s[q.head]
+	q.s[q.head] = zero
+	if q.head++; q.head == len(q.s) {
+		q.s, q.head = q.s[:0], 0
+	}
+	return v
+}
+
+// removeWaiter deletes w from q, keeping the order of the rest.
+func removeWaiter[T any](q *fifo[*chanWaiter[T]], w *chanWaiter[T]) {
+	for i := q.head; i < len(q.s); i++ {
+		if q.s[i] == w {
+			copy(q.s[i:], q.s[i+1:])
+			q.s[len(q.s)-1] = nil
+			q.s = q.s[:len(q.s)-1]
+			return
 		}
 	}
-	return q
 }

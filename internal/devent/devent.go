@@ -410,7 +410,7 @@ func (p *Proc) SetDaemon(d bool) { p.daemon = d }
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	e.nextPID++
 	p := &Proc{env: e, id: e.nextPID, base: name}
-	p.done.env = e
+	e.InitEvent(&p.done, "")
 	if e.closed {
 		p.dead = true
 		return p

@@ -167,10 +167,22 @@ func (e *Env) putBatch(b []*Proc) {
 }
 
 // NewEvent returns an unfired event bound to the environment.
-func (e *Env) NewEvent() *Event { return &Event{env: e} }
+func (e *Env) NewEvent() *Event { return e.NewNamedEvent("") }
 
 // NewNamedEvent returns an unfired event with a diagnostic name.
-func (e *Env) NewNamedEvent(name string) *Event { return &Event{env: e, name: name} }
+func (e *Env) NewNamedEvent(name string) *Event {
+	ev := new(Event)
+	e.InitEvent(ev, name)
+	return ev
+}
+
+// InitEvent makes ev, a zero Event embedded in a caller's struct, an
+// unfired event of the environment with a diagnostic name, so an object
+// that owns a one-shot event costs one allocation, not two. Initialise
+// each embedded event once: events are never recycled.
+func (e *Env) InitEvent(ev *Event, name string) {
+	ev.env, ev.name = e, name
+}
 
 // Fired reports whether the event has fired (successfully or not).
 func (ev *Event) Fired() bool { return ev.fired }

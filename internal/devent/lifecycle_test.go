@@ -362,6 +362,36 @@ func TestSpawnExitAllocs(t *testing.T) {
 	}
 }
 
+// A channel whose length stays bounded stops allocating: its buffer
+// and its receiver queue keep their backing arrays as values pass.
+func TestChanSteadyStateAllocs(t *testing.T) {
+	const runs = 100
+	env := NewEnv()
+	c := NewChan[int](env, 8)
+	var buffered, parked float64
+	env.Spawn("receiver", func(p *Proc) {
+		c.TrySend(0) // one value stays queued while others pass
+		buffered = testing.AllocsPerRun(runs, func() {
+			c.TrySend(1)
+			c.TryRecv()
+		})
+		c.TryRecv()
+		parked = testing.AllocsPerRun(runs, func() { c.Recv(p) })
+	})
+	env.Spawn("sender", func(p *Proc) {
+		for i := 0; i <= runs; i++ { // AllocsPerRun adds a warm-up run
+			p.Sleep(time.Microsecond)
+			c.TrySend(i)
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if buffered != 0 || parked != 0 {
+		t.Fatalf("channel allocs: %v per buffered pass, %v per parked receive; want 0", buffered, parked)
+	}
+}
+
 // A Sleep round trip, a switch into the scheduler and back, allocates
 // nothing.
 func TestProcSwitchAllocs(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/devent"
@@ -20,6 +21,7 @@ type DFK struct {
 	obs       *obs.Collector
 	executors map[string]Executor
 	apps      map[string]App
+	metrics   map[string]*appMetrics
 	hooks     []func(TaskEvent)
 	nextID    int
 	started   bool
@@ -52,6 +54,7 @@ func NewDFK(env *devent.Env, cfg Config, executors ...Executor) *DFK {
 		obs:       cfg.Collector,
 		executors: make(map[string]Executor),
 		apps:      make(map[string]App),
+		metrics:   make(map[string]*appMetrics),
 		rng:       rand.New(rand.NewSource(seed)),
 	}
 	for _, ex := range executors {
@@ -111,6 +114,26 @@ func (d *DFK) emit(t *Task) {
 	}
 }
 
+// appMetrics holds one app's per-task instruments. Each is looked up
+// in the registry the first time it is used, so series are created in
+// the same order as by a lookup per task.
+type appMetrics struct {
+	submitted *obs.Counter
+	completed [TaskShed + 1]*obs.Counter // by terminal status
+	queue     *obs.Histogram
+	run       *obs.Histogram
+}
+
+// metricsFor returns the instrument cache of the named app.
+func (d *DFK) metricsFor(app string) *appMetrics {
+	m := d.metrics[app]
+	if m == nil {
+		m = &appMetrics{}
+		d.metrics[app] = m
+	}
+	return m
+}
+
 // finish records a terminal status: hooks, span end (carrying the
 // fields monitoring needs to rebuild the record), and counters.
 func (d *DFK) finish(t *Task) {
@@ -127,11 +150,18 @@ func (d *DFK) finish(t *Task) {
 		obs.Dur("start_ns", t.StartTime),
 		obs.String("error", errStr),
 	)
-	m := d.obs.Metrics()
-	m.Counter("faas_tasks_completed_total", obs.L("app", t.App), obs.L("status", t.Status.String())).Inc()
+	reg, am := d.obs.Metrics(), t.m
+	if am.completed[t.Status] == nil {
+		am.completed[t.Status] = reg.Counter("faas_tasks_completed_total", obs.L("app", t.App), obs.L("status", t.Status.String()))
+	}
+	am.completed[t.Status].Inc()
 	if t.Status == TaskDone {
-		m.Histogram("faas_task_queue_delay_seconds", nil, obs.L("app", t.App)).ObserveDuration(t.QueueDelay())
-		m.Histogram("faas_task_run_seconds", nil, obs.L("app", t.App)).ObserveDuration(t.RunTime())
+		if am.queue == nil {
+			am.queue = reg.Histogram("faas_task_queue_delay_seconds", nil, obs.L("app", t.App))
+			am.run = reg.Histogram("faas_task_run_seconds", nil, obs.L("app", t.App))
+		}
+		am.queue.ObserveDuration(t.QueueDelay())
+		am.run.ObserveDuration(t.RunTime())
 	}
 }
 
@@ -201,14 +231,20 @@ func (d *DFK) Submit(appName string, args ...any) *Future {
 		App:        appName,
 		Status:     TaskPending,
 		SubmitTime: d.env.Now(),
+		m:          d.metricsFor(appName),
 	}
 	task.Span = d.obs.StartSpan("dfk", "task", task.Track(), 0,
 		obs.Int("task", task.ID),
 		obs.String("app", appName),
 	)
-	d.obs.Metrics().Counter("faas_tasks_submitted_total", obs.L("app", appName)).Inc()
-	done := d.env.NewNamedEvent("task")
-	fut := NewFuture(task, done)
+	if task.m.submitted == nil {
+		task.m.submitted = d.obs.Metrics().Counter("faas_tasks_submitted_total", obs.L("app", appName))
+	}
+	task.m.submitted.Inc()
+	done := &task.done
+	d.env.InitEvent(done, "task")
+	task.fut = Future{task: task, done: done}
+	fut := &task.fut
 
 	if d.draining {
 		task.Status = TaskFailed
@@ -363,19 +399,25 @@ func (d *DFK) backoff(attempt int) time.Duration {
 }
 
 // resolveArgs waits for future-valued arguments and substitutes their
-// results.
+// results in a copy; without any it returns args itself.
 func (d *DFK) resolveArgs(p *devent.Proc, args []any) ([]any, error) {
-	resolved := make([]any, len(args))
+	var resolved []any
 	for i, a := range args {
-		if fut, ok := a.(*Future); ok {
-			v, err := fut.Result(p)
-			if err != nil {
-				return nil, err
-			}
-			resolved[i] = v
+		fut, ok := a.(*Future)
+		if !ok {
 			continue
 		}
-		resolved[i] = a
+		v, err := fut.Result(p)
+		if err != nil {
+			return nil, err
+		}
+		if resolved == nil {
+			resolved = slices.Clone(args)
+		}
+		resolved[i] = v
+	}
+	if resolved == nil {
+		return args, nil
 	}
 	return resolved, nil
 }

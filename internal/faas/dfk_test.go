@@ -33,7 +33,8 @@ func (s *stubExecutor) Submit(task *Task, app App, args []any) *devent.Event {
 		task.StartTime = p.Now()
 		task.Worker = "stub"
 		p.Sleep(s.delay)
-		res, err := app.Fn(NewInvocation(p, task, args, nil, nil))
+		inv := NewInvocation(p, task, args, nil, nil)
+		res, err := app.Fn(&inv)
 		task.EndTime = p.Now()
 		if err != nil {
 			done.Fail(err)
@@ -316,7 +317,7 @@ func TestFutureAccessors(t *testing.T) {
 	env := NewEnvForTest()
 	task := &Task{ID: 7}
 	done := env.NewEvent()
-	fut := NewFuture(task, done)
+	fut := &Future{task: task, done: done}
 	if fut.Done() || fut.Task() != task || fut.Event() != done {
 		t.Fatal("future accessors")
 	}

@@ -157,14 +157,20 @@ type Task struct {
 	Span obs.SpanID
 
 	track string
+	// The DFK's task keeps its future, completion event and app
+	// instruments in the same allocation.
+	fut  Future
+	done devent.Event
+	m    *appMetrics
 }
 
 // Track names the trace lane the task's spans render on ("task-<ID>");
 // the DFK and executors must agree on it so queue spans nest under the
-// task. It is formatted once per task.
+// task. It is formatted once per task, into one allocation.
 func (t *Task) Track() string {
 	if t.track == "" {
-		t.track = "task-" + strconv.Itoa(t.ID)
+		b := append(make([]byte, 0, 32), "task-"...)
+		t.track = string(strconv.AppendInt(b, int64(t.ID), 10))
 	}
 	return t.track
 }
@@ -188,9 +194,10 @@ type Invocation struct {
 }
 
 // NewInvocation assembles an invocation context; it is exported for
-// executor implementations.
-func NewInvocation(p *devent.Proc, task *Task, args []any, env map[string]string, w WorkerHandle) *Invocation {
-	return &Invocation{proc: p, task: task, args: args, env: env, worker: w}
+// executor implementations, which keep it inside their per-task record
+// and pass its address to the app.
+func NewInvocation(p *devent.Proc, task *Task, args []any, env map[string]string, w WorkerHandle) Invocation {
+	return Invocation{proc: p, task: task, args: args, env: env, worker: w}
 }
 
 // Proc returns the simulated process running the invocation.
@@ -256,11 +263,6 @@ type WorkerHandle interface {
 type Future struct {
 	task *Task
 	done *devent.Event
-}
-
-// NewFuture pairs a task with its completion event (used by the DFK).
-func NewFuture(task *Task, done *devent.Event) *Future {
-	return &Future{task: task, done: done}
 }
 
 // Task returns the underlying task record. The DFK keeps no finished

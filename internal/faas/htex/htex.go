@@ -116,13 +116,20 @@ var ErrWorkerLost = errors.New("htex: worker lost")
 // the queue would strand tasks forever.
 var ErrNoWorkers = errors.New("htex: no live workers")
 
-// submission is one queued task.
+// submission is one dispatch attempt of a task. It owns the attempt's
+// events and invocation, so a pick allocates nothing beyond the body's
+// proc. A submission is never reused: a lost worker's orphaned body
+// still holds it, and can only reach its own run event.
 type submission struct {
 	task  *faas.Task
 	app   faas.App
 	args  []any
-	done  *devent.Event
 	qspan obs.SpanID
+	// done fires with the attempt's outcome (Submit's event); run fires
+	// when the body returns, or fails when the worker is lost.
+	done devent.Event
+	run  devent.Event
+	inv  faas.Invocation
 }
 
 // blockInfo tracks one provisioned block: the node it runs on and its
@@ -449,10 +456,12 @@ func (h *HTEX) workerStep(p *devent.Proc, w *worker, stop *devent.Event) bool {
 	// Run the task body in its own proc so a worker crash
 	// (KillWorker) can abandon it: the orphaned body keeps no
 	// resources once the GPU context is destroyed.
-	taskDone := h.env.NewNamedEvent("htex-run")
+	taskDone := &sub.run
+	h.env.InitEvent(taskDone, "htex-run")
 	w.task, w.lost = taskDone, false
 	body := h.env.Spawn(w.taskProc, func(tp *devent.Proc) {
-		result, err := sub.app.Fn(faas.NewInvocation(tp, t, sub.args, w.env, w))
+		sub.inv = faas.NewInvocation(tp, t, sub.args, w.env, w)
+		result, err := sub.app.Fn(&sub.inv)
 		if taskDone.Fired() {
 			return // worker already declared lost
 		}
@@ -636,8 +645,9 @@ func (h *HTEX) failIfStranded() {
 
 // Submit implements faas.Executor.
 func (h *HTEX) Submit(task *faas.Task, app faas.App, args []any) *devent.Event {
-	done := h.env.NewNamedEvent("htex-task")
-	sub := &submission{task: task, app: app, args: args, done: done}
+	sub := &submission{task: task, app: app, args: args}
+	done := &sub.done
+	h.env.InitEvent(done, "htex-task")
 	if !h.started {
 		done.Fail(faas.ErrShutdown)
 		return done

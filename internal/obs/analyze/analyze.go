@@ -47,7 +47,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"strconv"
 	"time"
 
 	"repro/internal/metrics"
@@ -399,8 +398,8 @@ func (a *analyzer) attributeTask(t *obs.Span) TaskAttribution {
 		StartNS:  int64(t.Start),
 		EndNS:    int64(t.End),
 	}
-	if id, err := strconv.Atoi(t.Attr("task")); err == nil {
-		ta.Task = id
+	if id, ok := t.AttrInt("task"); ok {
+		ta.Task = int(id)
 	}
 	a.evidence(t, &ta)
 	ta.Phases = a.sw.decompose(t.Start, t.End, a.ivs)
@@ -511,7 +510,7 @@ func appendDeviceIntervals(ivs []interval, kids []*obs.Span) []interval {
 			// A kernel span: [start,end] is execution; the queue_ns
 			// attribute recovers the dispatch delay before it.
 			ivs = append(ivs, interval{k.Start, k.End, PhaseCompute, prioCompute})
-			if q, err := strconv.ParseInt(k.Attr("queue_ns"), 10, 64); err == nil && q > 0 {
+			if q, _ := k.AttrInt("queue_ns"); q > 0 {
 				ivs = append(ivs, interval{k.Start - time.Duration(q), k.Start, PhaseKernelQueue, prioKernQueue})
 			}
 		}

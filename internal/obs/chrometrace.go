@@ -146,7 +146,12 @@ func (ts *TraceSection) appendComplete(tid int, s *Span) {
 		ts.buf = append(ts.buf, ',')
 		ts.buf = strconv.AppendQuote(ts.buf, a.Key)
 		ts.buf = append(ts.buf, ':')
-		ts.buf = strconv.AppendQuote(ts.buf, a.Value)
+		if a.isString() {
+			ts.buf = strconv.AppendQuote(ts.buf, a.str())
+		} else {
+			// A formatted number needs no escaping.
+			ts.buf = append(a.appendNum(append(ts.buf, '"')), '"')
+		}
 	}
 	ts.buf = append(ts.buf, "}}"...)
 }

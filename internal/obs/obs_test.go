@@ -133,8 +133,8 @@ func TestAttrConstructors(t *testing.T) {
 		{Float("f", 0.5), "f", "0.5"},
 		{Dur("d", 1500*time.Nanosecond), "d", "1500"},
 	} {
-		if tc.a.Key != tc.k || tc.a.Value != tc.v {
-			t.Errorf("%+v != (%s, %s)", tc.a, tc.k, tc.v)
+		if s := (Span{Attrs: []Attr{tc.a}}); tc.a.Key != tc.k || s.Attr(tc.k) != tc.v {
+			t.Errorf("%v != (%s, %s)", tc.a, tc.k, tc.v)
 		}
 	}
 }
@@ -189,6 +189,14 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 		c.SetSampleMod(sampleMod)
 		return func() { c.EndSpan(c.StartSpan("htex", "run", track, 0)) }
 	}
+	withAttrs := func() func() {
+		c := New(&fakeClock{})
+		c.SetSink(NewTraceSection(io.Discard, 1, "test"))
+		return func() {
+			id := c.StartSpan("htex", "run", "w0", 0, Int("task", 12345), String("app", "micro"))
+			c.EndSpan(id, Dur("start_ns", 1234567), Float("sms", 0.375), String("status", "done"))
+		}
+	}
 	r := NewRegistry(&fakeClock{})
 	cnt := r.Counter("done", L("status", "ok"), L("app", "a"))
 	r.Gauge("busy", L("status", "ok"), L("app", "a"))
@@ -208,6 +216,7 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 			g.Set(1)
 		}},
 		{"streamed span", streamed(1, "w0")},
+		{"streamed span with attributes", withAttrs()},
 		// "w1" hashes to a nonzero residue mod 1<<20, so every span drops.
 		{"sampled-out span", streamed(1<<20, "w1")},
 		{"pre-resolved counter", cnt.Inc},

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strconv"
 	"time"
 
 	"repro/internal/devent"
@@ -198,7 +197,7 @@ func (c *Context) transfer(p *devent.Proc, bytes int64, bw float64, tag string) 
 	t0 := p.Now()
 	p.Sleep(time.Duration(float64(bytes) / bw * float64(time.Second)))
 	if c.dom.obs != nil {
-		attrs := []obs.Attr{obs.String("bytes", strconv.FormatInt(bytes, 10))}
+		attrs := append(make([]obs.Attr, 0, 2), obs.Int("bytes", int(bytes)))
 		if tag != "" {
 			attrs = append(attrs, obs.String("tag", tag))
 		}

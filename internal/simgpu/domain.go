@@ -390,12 +390,13 @@ func (d *domain) complete(l *launched) {
 	d.gQueue.Set(float64(d.depth))
 	d.cDone.Inc()
 	if d.obs != nil {
-		attrs := []obs.Attr{
+		// Room for the optional tag keeps the slice on the stack.
+		attrs := append(make([]obs.Attr, 0, 5),
 			obs.String("domain", d.name),
 			obs.String("context", l.ctx.name),
 			obs.Float("sms", l.smAlloc),
 			obs.Dur("queue_ns", l.start-l.enqueue),
-		}
+		)
 		if l.k.Tag != "" {
 			attrs = append(attrs, obs.String("tag", l.k.Tag))
 		}
@@ -427,11 +428,11 @@ func (d *domain) abortContext(c *Context, err error) {
 			if !l.started {
 				start = l.enqueue
 			}
-			attrs := []obs.Attr{
+			attrs := append(make([]obs.Attr, 0, 4),
 				obs.String("domain", d.name),
 				obs.String("context", c.name),
 				obs.String("status", "aborted"),
-			}
+			)
 			if l.k.Tag != "" {
 				attrs = append(attrs, obs.String("tag", l.k.Tag))
 			}
