@@ -35,8 +35,10 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/obs"
+	"repro/internal/rightsize"
 	"repro/internal/simgpu"
 )
 
@@ -204,63 +206,89 @@ type share struct {
 	mem    int64
 }
 
-// instance is one placed MIG instance and the shares inside it.
-type instance struct {
-	prof   simgpu.MIGProfile
-	start  int
+// domain is one MPS domain's shares with their running sums: the
+// percentage and the memory they take. add and drop are the only
+// writers, and Validate re-sums the list against them.
+type domain struct {
 	shares []*share
+	pct    int
+	mem    int64
 }
 
-func (in *instance) sms(spec simgpu.DeviceSpec) int {
+func (d *domain) add(sh *share) {
+	d.shares = append(d.shares, sh)
+	d.pct += sh.pct
+	d.mem += sh.mem
+}
+
+// drop removes the i'th share.
+func (d *domain) drop(i int) {
+	sh := d.shares[i]
+	d.shares = append(d.shares[:i], d.shares[i+1:]...)
+	d.pct -= sh.pct
+	d.mem -= sh.mem
+}
+
+// find returns the index of the tenant's share, or -1.
+func (d *domain) find(tenant string) int {
+	for i, sh := range d.shares {
+		if sh.tenant == tenant {
+			return i
+		}
+	}
+	return -1
+}
+
+// instance is one placed MIG instance and the shares inside it. prof
+// points into the GPU's class profile table at index pi.
+type instance struct {
+	prof  *simgpu.MIGProfile
+	pi    int
+	start int
+	domain
+}
+
+func (in *instance) sms(spec *simgpu.DeviceSpec) int {
 	return in.prof.Slices * spec.SMsPerSlice
 }
 
-func (in *instance) usedPct() int {
-	p := 0
-	for _, s := range in.shares {
-		p += s.pct
-	}
-	return p
-}
-
-func (in *instance) usedMem() int64 {
-	var m int64
-	for _, s := range in.shares {
-		m += s.mem
-	}
-	return m
-}
+func (in *instance) span() sliceMask { return sliceSpan(in.start, in.prof.Slices) }
 
 // gpuState is one device's occupancy.
 type gpuState struct {
 	idx int
 	gpu GPU
 	// class numbers the device's spec among the inventory's distinct
-	// specs: GPUs of one class have identical candidates while empty.
-	class    int
-	mode     gpuMode
-	profiles []simgpu.MIGProfile // MIGProfilesFor(spec), shared per class, small→large
-	insts    []*instance         // modeMIG, kept sorted by start
-	shares   []*share            // modeMPS whole-GPU shares
+	// specs: GPUs of one class share a profile table and lattice, and
+	// have identical candidates while empty.
+	class int
+	mode  gpuMode
+	insts []*instance // modeMIG, kept sorted by start
+	mps   domain      // modeMPS whole-GPU shares
+	// occupied and memSlices are the running compute-slice bitmap and
+	// memory-slice total of insts; insertInstance and removeInstance
+	// are their only writers.
+	occupied  sliceMask
+	memSlices int
 	// frag caches gpuFrag(g); every mutation recomputes it, and Validate
 	// checks it bit for bit.
 	frag float64
 }
 
-func (g *gpuState) usedPct() int {
-	p := 0
-	for _, s := range g.shares {
-		p += s.pct
-	}
-	return p
+// insertInstance puts in at position i of the instance list and claims
+// its slices.
+func (g *gpuState) insertInstance(i int, in *instance) {
+	g.insts = slices.Insert(g.insts, i, in)
+	g.occupied |= in.span()
+	g.memSlices += in.prof.MemSlices
 }
 
-func (g *gpuState) usedMem() int64 {
-	var m int64
-	for _, s := range g.shares {
-		m += s.mem
-	}
-	return m
+// removeInstance destroys the i'th instance and frees its slices.
+func (g *gpuState) removeInstance(i int) {
+	in := g.insts[i]
+	g.insts = append(g.insts[:i], g.insts[i+1:]...)
+	g.occupied &^= in.span()
+	g.memSlices -= in.prof.MemSlices
 }
 
 // sliceMask is a MIG compute-slice bitmap: bit s set means slice s is
@@ -271,14 +299,49 @@ type sliceMask uint64
 // sliceSpan is the mask of n slices from start.
 func sliceSpan(start, n int) sliceMask { return (1<<n - 1) << start }
 
-// occupancy returns the compute-slice bitmap and used memory slices of
-// a MIG-mode GPU.
-func (g *gpuState) occupancy() (occupied sliceMask, memSlices int) {
-	for _, in := range g.insts {
-		occupied |= sliceSpan(in.start, in.prof.Slices)
-		memSlices += in.prof.MemSlices
+// specClass is one distinct spec of the inventory: its profile table
+// and lattice, shared by every GPU of the class, plus what bestCandidate
+// computes once per Place for the class.
+type specClass struct {
+	spec     simgpu.DeviceSpec
+	profiles []simgpu.MIGProfile // MIGProfilesFor(spec), small→large
+	lat      *lattice            // nil without MIG
+
+	// Per-Place scratch. probed is set once an empty GPU of the class
+	// has been probed in the current pass. cover indexes the smallest
+	// profile covering the demand (-1: none); grants[i] is the demand's
+	// share of an instance of profiles[i]; mps is its whole-GPU share.
+	probed bool
+	cover  int
+	grants []grant
+	mps    grant
+}
+
+// grant is a demand's minimal MPS share of one domain size.
+type grant struct {
+	ok  bool // the domain has at least the demanded SMs
+	pct int
+	sms int
+}
+
+func grantOf(domSMs int, d Demand) grant {
+	pct := rightsize.MinGrantingPercent(domSMs, d.SMs)
+	return grant{ok: d.SMs <= domSMs, pct: pct, sms: pctGrant(domSMs, pct)}
+}
+
+// prepare fills the class's per-Place scratch for demand d.
+func (k *specClass) prepare(d Demand) {
+	k.probed = false
+	k.cover = -1
+	for i := range k.profiles {
+		p := &k.profiles[i]
+		k.grants[i] = grantOf(p.Slices*k.spec.SMsPerSlice, d)
+		if k.cover < 0 && k.grants[i].ok && p.MemBytes >= d.MemBytes {
+			k.cover = i
+		}
 	}
-	return occupied, memSlices
+	k.mps = grantOf(k.spec.SMs, d)
+	k.mps.ok = k.mps.ok && d.MemBytes <= k.spec.MemBytes
 }
 
 // Cluster is the fleet's placement state. Not safe for concurrent use:
@@ -291,9 +354,13 @@ type Cluster struct {
 	// order is the arrival order of live tenants — the demand sequence
 	// a from-scratch solve replays.
 	order []string
-	// probed is bestCandidate's per-pass scratch: probed[k] is set once
-	// an empty GPU of spec class k has been probed.
-	probed []bool
+	// index maps a GPU ID to its inventory position; scratch clusters
+	// share it.
+	index   map[string]int
+	classes []specClass
+	// modes counts the GPUs in each mode; setMode is its only writer
+	// until Rebalance adopts a scratch solve and recounts.
+	modes [3]int
 
 	obsC *obs.Collector
 	// metrics (nil without a collector)
@@ -308,24 +375,27 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		inv:      cfg.Inventory,
-		gpus:     make([]*gpuState, len(cfg.Inventory)),
 		byTenant: make(map[string]*Placement),
+		index:    make(map[string]int, len(cfg.Inventory)),
 		obsC:     cfg.Obs,
 	}
 	classOf := make(map[simgpu.DeviceSpec]int)
-	var tables [][]simgpu.MIGProfile
-	states := make([]gpuState, len(cfg.Inventory))
+	class := make([]int, len(cfg.Inventory))
 	for i, g := range cfg.Inventory {
 		k, ok := classOf[g.Spec]
 		if !ok {
-			k = len(tables)
+			k = len(c.classes)
 			classOf[g.Spec] = k
-			tables = append(tables, simgpu.MIGProfilesFor(g.Spec))
+			cls := specClass{spec: g.Spec, profiles: simgpu.MIGProfilesFor(g.Spec)}
+			if cls.profiles != nil {
+				cls.lat = latticeFor(&cls.spec, cls.profiles)
+			}
+			c.classes = append(c.classes, cls)
 		}
-		states[i] = gpuState{idx: i, gpu: g, class: k, profiles: tables[k]}
-		c.gpus[i] = &states[i]
+		class[i] = k
+		c.index[g.ID] = i
 	}
-	c.probed = make([]bool, len(tables))
+	c.initGPUs(class)
 	if cfg.Obs != nil {
 		m := cfg.Obs.Metrics()
 		c.cPlaced = m.Counter("fleet_place_total", obs.L("status", "placed"))
@@ -344,22 +414,53 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
+// initGPUs gives every class its per-Place scratch and builds one empty
+// GPU per inventory entry, the i'th of spec class class[i].
+func (c *Cluster) initGPUs(class []int) {
+	for k := range c.classes {
+		c.classes[k].grants = make([]grant, len(c.classes[k].profiles))
+	}
+	c.gpus = make([]*gpuState, len(c.inv))
+	states := make([]gpuState, len(c.inv))
+	for i, g := range c.inv {
+		states[i] = gpuState{idx: i, gpu: g, class: class[i]}
+		c.gpus[i] = &states[i]
+	}
+	c.modes[modeEmpty] = len(c.gpus)
+}
+
 // fresh returns an empty observation-free cluster over c's inventory,
-// which New already validated, sharing c's spec classes and profile
-// tables. tenants sizes the placement map.
+// which New already validated, sharing c's ID index, spec classes and
+// lattices. tenants sizes the placement map.
 func (c *Cluster) fresh(tenants int) *Cluster {
 	f := &Cluster{
 		inv:      c.inv,
-		gpus:     make([]*gpuState, len(c.gpus)),
 		byTenant: make(map[string]*Placement, tenants),
-		probed:   make([]bool, len(c.probed)),
+		index:    c.index,
+		classes:  slices.Clone(c.classes),
 	}
-	states := make([]gpuState, len(c.gpus))
+	class := make([]int, len(c.gpus))
 	for i, g := range c.gpus {
-		states[i] = gpuState{idx: i, gpu: g.gpu, class: g.class, profiles: g.profiles}
-		f.gpus[i] = &states[i]
+		class[i] = g.class
 	}
+	f.initGPUs(class)
 	return f
+}
+
+// setMode moves g to mode m, keeping the per-mode counts.
+func (c *Cluster) setMode(g *gpuState, m gpuMode) {
+	c.modes[g.mode]--
+	c.modes[m]++
+	g.mode = m
+}
+
+// countModes recounts the GPUs in each mode.
+func (c *Cluster) countModes() [3]int {
+	var n [3]int
+	for _, g := range c.gpus {
+		n[g.mode]++
+	}
+	return n
 }
 
 // Inventory returns the cluster's hardware list.
@@ -399,22 +500,11 @@ func (c *Cluster) Demands() []Demand {
 // updateGauges refreshes the fleet-level gauges after a mutation. Like
 // event, it is called only on a cluster with a collector.
 func (c *Cluster) updateGauges() {
-	var nMIG, nMPS, nEmpty int
-	for _, g := range c.gpus {
-		switch g.mode {
-		case modeMIG:
-			nMIG++
-		case modeMPS:
-			nMPS++
-		default:
-			nEmpty++
-		}
-	}
 	c.gTenants.Set(float64(len(c.order)))
 	c.gFrag.Set(c.fleetFrag())
-	c.gMIG.Set(float64(nMIG))
-	c.gMPS.Set(float64(nMPS))
-	c.gEmpty.Set(float64(nEmpty))
+	c.gMIG.Set(float64(c.modes[modeMIG]))
+	c.gMPS.Set(float64(c.modes[modeMPS]))
+	c.gEmpty.Set(float64(c.modes[modeEmpty]))
 }
 
 // event records a zero-duration marker span for one mutating operation.

@@ -428,61 +428,74 @@ func TestInventoryValidate(t *testing.T) {
 // match: the original mutate-and-revert probe. It probes every GPU,
 // empty ones included, by applying each tentative segment, rescoring
 // the whole GPU from its state with gpuFrag, and reverting — no cached
-// fragmentation, no evaluation without mutation, no skipped twins.
+// fragmentation, no evaluation without mutation, no per-class grants,
+// no skipped twins. It moves the running sums through the same helpers
+// apply and Evict use, so Validate's check of those sums covers the
+// states it scores.
 func (c *Cluster) bestCandidateRef(d Demand) (candidate, bool) {
-	var best candidate
-	found := false
-	consider := func(cand candidate) {
-		if !found || cand.better(best) {
-			best, found = cand, true
-		}
+	var p picker
+	for _, g := range c.gpus {
+		migCandidatesRef(g, &c.classes[g.class], d, &p)
+	}
+	if p.found {
+		return p.best, true
 	}
 	for _, g := range c.gpus {
-		migCandidatesRef(g, d, consider)
+		mpsCandidateRef(g, &c.classes[g.class], d, &p)
 	}
-	if found {
-		return best, true
-	}
-	for _, g := range c.gpus {
-		mpsCandidateRef(g, d, consider)
-	}
-	return best, found
+	return p.best, p.found
 }
 
-func migCandidatesRef(g *gpuState, d Demand, consider func(candidate)) {
-	spec := g.gpu.Spec
+func migCandidatesRef(g *gpuState, k *specClass, d Demand, p *picker) {
+	spec := &g.gpu.Spec
 	if spec.MIGSlices == 0 || g.mode == modeMPS {
 		return
 	}
-	before := gpuFrag(g)
+	before := gpuFrag(g, k)
 	for _, in := range g.insts {
 		instSMs := in.sms(spec)
 		if d.SMs > instSMs {
 			continue
 		}
 		pct := rightsize.MinGrantingPercent(instSMs, d.SMs)
-		if pct > 100-in.usedPct() {
-			continue
+		used, mem := 0, int64(0)
+		for _, sh := range in.shares {
+			used += sh.pct
+			mem += sh.mem
 		}
-		if d.MemBytes > in.prof.MemBytes-in.usedMem() {
+		if pct > 100-used || d.MemBytes > in.prof.MemBytes-mem {
 			continue
 		}
 		sh := &share{tenant: d.Tenant, pct: pct, sms: pctGrant(instSMs, pct), mem: d.MemBytes}
-		in.shares = append(in.shares, sh)
-		delta := gpuFrag(g) - before
-		in.shares = in.shares[:len(in.shares)-1]
-		consider(candidate{
-			g: g, kind: SegMIG, inst: in, prof: in.prof, start: in.start,
+		in.add(sh)
+		delta := gpuFrag(g, k) - before
+		in.drop(len(in.shares) - 1)
+		p.consider(&candidate{
+			g: g, kind: SegMIG, inst: in, prof: in.prof, pi: in.pi, start: in.start,
 			pct: pct, sms: sh.sms,
 			delta: delta, waste: sh.sms - d.SMs,
 			wasEmpty: g.mode == modeEmpty,
 		})
 	}
-	prof, ok := coveringProfile(spec, g.profiles, d)
-	if !ok {
+	pi := -1
+	for i, prof := range k.profiles {
+		if prof.Slices*spec.SMsPerSlice >= d.SMs && prof.MemBytes >= d.MemBytes {
+			pi = i
+			break
+		}
+	}
+	if pi < 0 {
 		return
 	}
-	occupied, memUsed := g.occupancy()
+	prof := &k.profiles[pi]
+	memUsed := 0
+	occupied := make([]bool, spec.MIGSlices)
+	for _, in := range g.insts {
+		memUsed += in.prof.MemSlices
+		for s := in.start; s < in.start+in.prof.Slices; s++ {
+			occupied[s] = true
+		}
+	}
 	if memUsed+prof.MemSlices > spec.MemSlices {
 		return
 	}
@@ -494,7 +507,7 @@ func migCandidatesRef(g *gpuState, d Demand, consider func(candidate)) {
 		}
 		free := true
 		for s := start; s < start+prof.Slices; s++ {
-			if occupied&(1<<s) != 0 {
+			if occupied[s] {
 				free = false
 				break
 			}
@@ -502,16 +515,16 @@ func migCandidatesRef(g *gpuState, d Demand, consider func(candidate)) {
 		if !free {
 			continue
 		}
-		in := &instance{prof: prof, start: start,
-			shares: []*share{{tenant: d.Tenant, pct: pct, sms: pctGrant(instSMs, pct), mem: d.MemBytes}}}
-		g.insts = append(g.insts, in)
+		in := &instance{prof: prof, pi: pi, start: start}
+		in.add(&share{tenant: d.Tenant, pct: pct, sms: pctGrant(instSMs, pct), mem: d.MemBytes})
+		g.insertInstance(len(g.insts), in)
 		wasMode := g.mode
 		g.mode = modeMIG
-		delta := gpuFrag(g) - before
+		delta := gpuFrag(g, k) - before
 		g.mode = wasMode
-		g.insts = g.insts[:len(g.insts)-1]
-		consider(candidate{
-			g: g, kind: SegMIG, prof: prof, start: start,
+		g.removeInstance(len(g.insts) - 1)
+		p.consider(&candidate{
+			g: g, kind: SegMIG, prof: prof, pi: pi, start: start,
 			pct: pct, sms: in.shares[0].sms,
 			delta: delta, waste: in.shares[0].sms - d.SMs,
 			memWaste: prof.MemBytes - d.MemBytes,
@@ -520,8 +533,8 @@ func migCandidatesRef(g *gpuState, d Demand, consider func(candidate)) {
 	}
 }
 
-func mpsCandidateRef(g *gpuState, d Demand, consider func(candidate)) {
-	spec := g.gpu.Spec
+func mpsCandidateRef(g *gpuState, k *specClass, d Demand, p *picker) {
+	spec := &g.gpu.Spec
 	if g.mode == modeMIG {
 		return
 	}
@@ -529,21 +542,23 @@ func mpsCandidateRef(g *gpuState, d Demand, consider func(candidate)) {
 		return
 	}
 	pct := rightsize.MinGrantingPercent(spec.SMs, d.SMs)
-	if pct > 100-g.usedPct() {
+	used, mem := 0, int64(0)
+	for _, sh := range g.mps.shares {
+		used += sh.pct
+		mem += sh.mem
+	}
+	if pct > 100-used || d.MemBytes > spec.MemBytes-mem {
 		return
 	}
-	if d.MemBytes > spec.MemBytes-g.usedMem() {
-		return
-	}
-	before := gpuFrag(g)
+	before := gpuFrag(g, k)
 	sh := &share{tenant: d.Tenant, pct: pct, sms: pctGrant(spec.SMs, pct), mem: d.MemBytes}
-	g.shares = append(g.shares, sh)
+	g.mps.add(sh)
 	wasMode := g.mode
 	g.mode = modeMPS
-	delta := gpuFrag(g) - before
+	delta := gpuFrag(g, k) - before
 	g.mode = wasMode
-	g.shares = g.shares[:len(g.shares)-1]
-	consider(candidate{
+	g.mps.drop(len(g.mps.shares) - 1)
+	p.consider(&candidate{
 		g: g, kind: SegMPS,
 		pct: pct, sms: sh.sms,
 		delta: delta, waste: sh.sms - d.SMs,

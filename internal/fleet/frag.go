@@ -19,12 +19,16 @@ import (
 //     memory runs out first strands the surplus of the other;
 //   - MIG → the max of the compute-side and memory-side stranding. The
 //     compute side covers the free slices greedily with the largest
-//     profiles that still fit (the best case for a future arrival);
-//     slices no profile can reach — wrong start position in the
-//     placement lattice, or no memory slices left to pair with them —
-//     are stranded, as is the percentage/memory imbalance inside each
-//     partially-shared instance. The memory side counts free memory
-//     slices no coverable profile can claim.
+//     profiles that still fit (an estimate of the best case for a
+//     future arrival: in a few states an exact search over the
+//     lattice reaches more, see buildLattice); slices the cover
+//     misses — wrong start position in the placement lattice, or no
+//     memory slices left to pair with them — are stranded, as is the
+//     percentage/memory imbalance inside each partially-shared
+//     instance. The memory side counts free memory slices the cover
+//     does not claim. Every state's cover is tabulated once per
+//     lattice, so scoring a GPU is a table lookup plus one imbalance
+//     term per instance.
 //
 // The constant MIG-mode tax (the A100's 108 SMs expose only 98 under
 // MIG) is deliberately excluded: it is a cost of the mode, not of any
@@ -71,12 +75,12 @@ func (c *Cluster) fleetFrag() float64 {
 }
 
 // gpuFrag scores one device from its state.
-func gpuFrag(g *gpuState) float64 {
+func gpuFrag(g *gpuState, k *specClass) float64 {
 	switch g.mode {
 	case modeMPS:
-		return mpsFrag(g.gpu.Spec, g.usedPct(), g.usedMem())
+		return mpsFrag(&k.spec, g.mps.pct, g.mps.mem)
 	case modeMIG:
-		return migFrag(g, tentative{})
+		return migFrag(g, k, nil)
 	}
 	return 0
 }
@@ -85,7 +89,7 @@ func gpuFrag(g *gpuState) float64 {
 // bytes taken: the smaller of the free percentage fraction and the free
 // memory fraction is what the next arrival can actually have; the
 // difference is stranded.
-func mpsFrag(spec simgpu.DeviceSpec, usedPct int, usedMem int64) float64 {
+func mpsFrag(spec *simgpu.DeviceSpec, usedPct int, usedMem int64) float64 {
 	freePct := float64(100-usedPct) / 100
 	freeMem := 1.0
 	if spec.MemBytes > 0 {
@@ -96,56 +100,51 @@ func mpsFrag(spec simgpu.DeviceSpec, usedPct int, usedMem int64) float64 {
 
 // tentative is one share the packer scores without applying it: pct
 // percent and mem bytes inside the existing instance inst or, when inst
-// is nil, inside a new instance of prof at start. The zero value adds
-// nothing.
+// is nil, inside a new instance of prof claiming the slices in span.
 type tentative struct {
-	inst  *instance
-	prof  simgpu.MIGProfile
-	start int
-	pct   int
-	mem   int64
+	inst *instance
+	prof *simgpu.MIGProfile
+	span sliceMask
+	pct  int
+	mem  int64
 }
 
-func (t tentative) newInstance() bool { return t.pct > 0 && t.inst == nil }
-
-// migFrag scores a MIG-mode device with the tentative share t added:
-// stranded compute slices (free but not coverable by any profile
-// placement), stranded memory slices, and intra-instance
+// migFrag scores a MIG-mode device of class k with the tentative share
+// t added (nil adds nothing): stranded compute slices (free but outside
+// the tabulated cover), stranded memory slices, and intra-instance
 // percentage/memory imbalance. The imbalance terms are summed over the
 // existing instances in slice order and then a new instance, so a
 // probe's score is bit-identical to scoring the state with the share
 // appended.
-func migFrag(g *gpuState, t tentative) float64 {
-	spec := g.gpu.Spec
-	occupied, memUsed := g.occupancy()
-	if t.newInstance() {
-		occupied |= sliceSpan(t.start, t.prof.Slices)
+func migFrag(g *gpuState, k *specClass, t *tentative) float64 {
+	spec := &k.spec
+	occupied, memUsed := g.occupied, g.memSlices
+	newInst := t != nil && t.inst == nil
+	if newInst {
+		occupied |= t.span
 		memUsed += t.prof.MemSlices
 	}
 	freeMemSl := spec.MemSlices - memUsed
 	freeSl := spec.MIGSlices - bits.OnesCount64(uint64(occupied))
-
-	// Greedy largest-first cover of the free slices: the most capacity
-	// any sequence of future instances could reclaim.
-	usableSl, usableMemSl := coverFree(g.profiles, spec.MIGSlices, occupied, freeMemSl)
+	cover := k.lat.at(occupied, freeMemSl)
 
 	totalSMSl := float64(spec.MIGSlices)
-	strandedSMFrac := float64(freeSl-usableSl) / totalSMSl
+	strandedSMFrac := float64(freeSl-int(cover.sl)) / totalSMSl
 	for _, in := range g.insts {
-		used, mem := in.usedPct(), in.usedMem()
-		if in == t.inst {
+		used, mem := in.pct, in.mem
+		if t != nil && in == t.inst {
 			used += t.pct
 			mem += t.mem
 		}
 		strandedSMFrac += imbalance(in.prof, used, mem, totalSMSl)
 	}
-	if t.newInstance() {
+	if newInst {
 		strandedSMFrac += imbalance(t.prof, t.pct, t.mem, totalSMSl)
 	}
 
 	strandedMemFrac := 0.0
 	if spec.MemSlices > 0 {
-		strandedMemFrac = float64(freeMemSl-usableMemSl) / float64(spec.MemSlices)
+		strandedMemFrac = float64(freeMemSl-int(cover.memSl)) / float64(spec.MemSlices)
 	}
 	return math.Max(strandedSMFrac, strandedMemFrac)
 }
@@ -155,7 +154,7 @@ func migFrag(g *gpuState, t tentative) float64 {
 // the surplus, weighted by the instance's share of the device's
 // totalSMSl slices. An instance with no shares contributes nothing; the
 // cover accounts for dedicated capacity.
-func imbalance(prof simgpu.MIGProfile, usedPct int, usedMem int64, totalSMSl float64) float64 {
+func imbalance(prof *simgpu.MIGProfile, usedPct int, usedMem int64, totalSMSl float64) float64 {
 	if usedPct == 0 {
 		return 0
 	}
@@ -165,41 +164,4 @@ func imbalance(prof simgpu.MIGProfile, usedPct int, usedMem int64, totalSMSl flo
 		freeMem = float64(prof.MemBytes-usedMem) / float64(prof.MemBytes)
 	}
 	return math.Abs(freePct-freeMem) * float64(prof.Slices) / totalSMSl
-}
-
-// coverFree greedily lays the largest fitting profiles over the slices
-// of an nSlices-slice device free in occupied (respecting the placement
-// lattice and the free memory-slice budget) and reports how many
-// compute and memory slices the cover reaches. Free slices outside the
-// cover are stranded.
-func coverFree(profiles []simgpu.MIGProfile, nSlices int, occupied sliceMask, freeMemSl int) (usableSl, usableMemSl int) {
-	covered := occupied
-	memLeft := freeMemSl
-	// profiles are small→large; walk large→small.
-	for i := len(profiles) - 1; i >= 0; i-- {
-		p := profiles[i]
-		starts := simgpu.MIGStarts(p.Slices)
-		for {
-			placed := false
-			for _, start := range starts {
-				if start+p.Slices > nSlices || p.MemSlices > memLeft {
-					continue
-				}
-				span := sliceSpan(start, p.Slices)
-				if covered&span != 0 {
-					continue
-				}
-				covered |= span
-				memLeft -= p.MemSlices
-				usableSl += p.Slices
-				usableMemSl += p.MemSlices
-				placed = true
-				break
-			}
-			if !placed {
-				break
-			}
-		}
-	}
-	return usableSl, usableMemSl
 }

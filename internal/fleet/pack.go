@@ -2,10 +2,8 @@ package fleet
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/obs"
-	"repro/internal/rightsize"
 	"repro/internal/simgpu"
 )
 
@@ -22,10 +20,13 @@ func pctGrant(domSMs, pct int) int {
 // candidate is one feasible segment for a demand, scored for the
 // greedy choice.
 type candidate struct {
-	g     *gpuState
-	kind  SegmentKind
-	inst  *instance         // existing instance to share (nil → new instance or whole-GPU)
-	prof  simgpu.MIGProfile // new-instance profile (SegMIG with inst == nil)
+	g    *gpuState
+	kind SegmentKind
+	inst *instance // existing instance to share (nil → new instance or whole-GPU)
+	// prof and pi are the MIG profile (SegMIG) and its index in the
+	// class profile table.
+	prof  *simgpu.MIGProfile
+	pi    int
 	start int
 	pct   int
 	sms   int
@@ -47,7 +48,7 @@ type candidate struct {
 // memory fit, then already-used GPUs over empty ones, then inventory
 // order, then sharing an existing instance over cutting a new one,
 // then the lowest start slice.
-func (a candidate) better(b candidate) bool {
+func (a *candidate) better(b *candidate) bool {
 	if a.delta != b.delta {
 		return a.delta < b.delta
 	}
@@ -68,6 +69,18 @@ func (a candidate) better(b candidate) bool {
 		return aShare
 	}
 	return a.start < b.start
+}
+
+// picker keeps the best candidate considered so far.
+type picker struct {
+	best  candidate
+	found bool
+}
+
+func (p *picker) consider(c *candidate) {
+	if !p.found || c.better(&p.best) {
+		p.best, p.found = *c, true
+	}
 }
 
 // Place finds the lowest-fragmentation feasible segment for the demand
@@ -93,7 +106,7 @@ func (c *Cluster) Place(d Demand) (Placement, error) {
 		return Placement{}, fmt.Errorf("%w: tenant %q (%d SMs, %d bytes) on %d GPUs",
 			ErrUnplaceable, d.Tenant, d.SMs, d.MemBytes, len(c.gpus))
 	}
-	pl := c.apply(d, best)
+	pl := c.apply(d, &best)
 	if c.obsC != nil {
 		c.cPlaced.Inc()
 		c.event("place", obs.String("tenant", d.Tenant),
@@ -109,144 +122,114 @@ func (c *Cluster) Place(d Demand) (Placement, error) {
 // bestCandidate runs the greedy search: the MIG candidate set first,
 // the whole-GPU MPS set only when that is empty.
 func (c *Cluster) bestCandidate(d Demand) (candidate, bool) {
-	var best candidate
-	found := false
-	consider := func(cand candidate) {
-		if !found || cand.better(best) {
-			best, found = cand, true
-		}
+	var p picker
+	for k := range c.classes {
+		c.classes[k].prepare(d)
 	}
-	clear(c.probed)
 	for _, g := range c.gpus {
-		if !c.twinProbed(g) {
-			migCandidates(g, d, consider)
+		k := &c.classes[g.class]
+		if !k.twinProbed(g) {
+			migCandidates(g, k, d, &p)
 		}
 	}
-	if found {
-		return best, true
+	if p.found {
+		return p.best, true
 	}
-	clear(c.probed)
+	for k := range c.classes {
+		c.classes[k].probed = false
+	}
 	for _, g := range c.gpus {
-		if !c.twinProbed(g) {
-			mpsCandidate(g, d, consider)
+		k := &c.classes[g.class]
+		if !k.twinProbed(g) {
+			mpsCandidate(g, k, d, &p)
 		}
 	}
-	return best, found
+	return p.best, p.found
 }
 
 // twinProbed reports whether g is empty and this pass already probed an
-// earlier empty GPU of the same spec, marking g's class otherwise. Such
-// a GPU's candidates are the earlier one's with every key of better
-// tied except the inventory index, so none of them can win.
-func (c *Cluster) twinProbed(g *gpuState) bool {
+// earlier empty GPU of g's class k, marking the class otherwise. Such a
+// GPU's candidates are the earlier one's with every key of better tied
+// except the inventory index, so none of them can win.
+func (k *specClass) twinProbed(g *gpuState) bool {
 	if g.mode != modeEmpty {
 		return false
 	}
-	if c.probed[g.class] {
+	if k.probed {
 		return true
 	}
-	c.probed[g.class] = true
+	k.probed = true
 	return false
 }
 
-// migCandidates emits every feasible MIG segment on one GPU: shares of
-// existing instances and new instances of the smallest covering
-// profile at every free valid start. Each candidate's fragmentation
-// delta is the tentative share's score against the GPU's cached one.
-func migCandidates(g *gpuState, d Demand, consider func(candidate)) {
-	spec := g.gpu.Spec
-	if spec.MIGSlices == 0 || g.mode == modeMPS {
+// migCandidates offers every feasible MIG segment on one GPU of class
+// k to p: shares of existing instances and new instances of the
+// smallest covering profile at every free valid start. Each
+// candidate's fragmentation delta is the tentative share's score
+// against the GPU's cached one.
+func migCandidates(g *gpuState, k *specClass, d Demand, p *picker) {
+	if k.lat == nil || g.mode == modeMPS {
 		return
 	}
 	// Shares of existing instances.
 	for _, in := range g.insts {
-		instSMs := in.sms(spec)
-		if d.SMs > instSMs {
+		gr := &k.grants[in.pi]
+		if !gr.ok || gr.pct > 100-in.pct || d.MemBytes > in.prof.MemBytes-in.mem {
 			continue
 		}
-		pct := rightsize.MinGrantingPercent(instSMs, d.SMs)
-		if pct > 100-in.usedPct() {
-			continue
-		}
-		if d.MemBytes > in.prof.MemBytes-in.usedMem() {
-			continue
-		}
-		sms := pctGrant(instSMs, pct)
-		consider(candidate{
-			g: g, kind: SegMIG, inst: in, prof: in.prof, start: in.start,
-			pct: pct, sms: sms,
-			delta:    migFrag(g, tentative{inst: in, pct: pct, mem: d.MemBytes}) - g.frag,
-			waste:    sms - d.SMs,
+		p.consider(&candidate{
+			g: g, kind: SegMIG, inst: in, prof: in.prof, pi: in.pi, start: in.start,
+			pct: gr.pct, sms: gr.sms,
+			delta:    migFrag(g, k, &tentative{inst: in, pct: gr.pct, mem: d.MemBytes}) - g.frag,
+			waste:    gr.sms - d.SMs,
 			wasEmpty: g.mode == modeEmpty,
 		})
 	}
 	// New instance of the smallest covering profile.
-	prof, ok := coveringProfile(spec, g.profiles, d)
-	if !ok {
+	if k.cover < 0 {
 		return
 	}
-	occupied, memUsed := g.occupancy()
-	if memUsed+prof.MemSlices > spec.MemSlices {
+	prof := &k.profiles[k.cover]
+	if g.memSlices+prof.MemSlices > k.spec.MemSlices {
 		return
 	}
-	instSMs := prof.Slices * spec.SMsPerSlice
-	pct := rightsize.MinGrantingPercent(instSMs, d.SMs)
-	sms := pctGrant(instSMs, pct)
-	for _, start := range simgpu.MIGStarts(prof.Slices) {
-		if start+prof.Slices > spec.MIGSlices || occupied&sliceSpan(start, prof.Slices) != 0 {
+	gr := &k.grants[k.cover]
+	for _, m := range k.lat.moves[k.cover] {
+		if g.occupied&m.span != 0 {
 			continue
 		}
-		consider(candidate{
-			g: g, kind: SegMIG, prof: prof, start: start,
-			pct: pct, sms: sms,
-			delta:    migFrag(g, tentative{prof: prof, start: start, pct: pct, mem: d.MemBytes}) - g.frag,
-			waste:    sms - d.SMs,
+		p.consider(&candidate{
+			g: g, kind: SegMIG, prof: prof, pi: k.cover, start: m.start,
+			pct: gr.pct, sms: gr.sms,
+			delta:    migFrag(g, k, &tentative{prof: prof, span: m.span, pct: gr.pct, mem: d.MemBytes}) - g.frag,
+			waste:    gr.sms - d.SMs,
 			memWaste: prof.MemBytes - d.MemBytes,
 			wasEmpty: g.mode == modeEmpty,
 		})
 	}
 }
 
-// mpsCandidate emits the whole-GPU MPS fallback segment on one GPU,
-// when it has percentage and memory room.
-func mpsCandidate(g *gpuState, d Demand, consider func(candidate)) {
-	spec := g.gpu.Spec
-	if g.mode == modeMIG {
+// mpsCandidate offers the whole-GPU MPS fallback segment on one GPU of
+// class k to p, when it has percentage and memory room.
+func mpsCandidate(g *gpuState, k *specClass, d Demand, p *picker) {
+	gr := &k.mps
+	if g.mode == modeMIG || !gr.ok {
 		return
 	}
-	if d.SMs > spec.SMs || d.MemBytes > spec.MemBytes {
+	if gr.pct > 100-g.mps.pct || d.MemBytes > k.spec.MemBytes-g.mps.mem {
 		return
 	}
-	pct := rightsize.MinGrantingPercent(spec.SMs, d.SMs)
-	if pct > 100-g.usedPct() {
-		return
-	}
-	if d.MemBytes > spec.MemBytes-g.usedMem() {
-		return
-	}
-	sms := pctGrant(spec.SMs, pct)
-	consider(candidate{
+	p.consider(&candidate{
 		g: g, kind: SegMPS,
-		pct: pct, sms: sms,
-		delta:    mpsFrag(spec, g.usedPct()+pct, g.usedMem()+d.MemBytes) - g.frag,
-		waste:    sms - d.SMs,
+		pct: gr.pct, sms: gr.sms,
+		delta:    mpsFrag(&k.spec, g.mps.pct+gr.pct, g.mps.mem+d.MemBytes) - g.frag,
+		waste:    gr.sms - d.SMs,
 		wasEmpty: g.mode == modeEmpty,
 	})
 }
 
-// coveringProfile returns the smallest profile covering the demand's
-// SMs and memory (profiles are ordered small → large).
-func coveringProfile(spec simgpu.DeviceSpec, profiles []simgpu.MIGProfile, d Demand) (simgpu.MIGProfile, bool) {
-	for _, p := range profiles {
-		if p.Slices*spec.SMsPerSlice >= d.SMs && p.MemBytes >= d.MemBytes {
-			return p, true
-		}
-	}
-	return simgpu.MIGProfile{}, false
-}
-
 // apply installs the chosen candidate and records the placement.
-func (c *Cluster) apply(d Demand, cand candidate) Placement {
+func (c *Cluster) apply(d Demand, cand *candidate) Placement {
 	g := cand.g
 	seg := Segment{
 		GPU:      g.gpu.ID,
@@ -260,9 +243,9 @@ func (c *Cluster) apply(d Demand, cand candidate) Placement {
 	case SegMIG:
 		seg.Profile = cand.prof.Name
 		seg.Start = cand.start
-		g.mode = modeMIG
+		c.setMode(g, modeMIG)
 		if cand.inst != nil {
-			cand.inst.shares = append(cand.inst.shares, sh)
+			cand.inst.add(sh)
 		} else {
 			// Instances never overlap, so starts are distinct and the
 			// sorted position is unique.
@@ -270,17 +253,24 @@ func (c *Cluster) apply(d Demand, cand candidate) Placement {
 			for i < len(g.insts) && g.insts[i].start < cand.start {
 				i++
 			}
-			g.insts = slices.Insert(g.insts, i, &instance{prof: cand.prof, start: cand.start, shares: []*share{sh}})
+			in := &instance{prof: cand.prof, pi: cand.pi, start: cand.start}
+			in.add(sh)
+			g.insertInstance(i, in)
 		}
 	case SegMPS:
-		g.mode = modeMPS
-		g.shares = append(g.shares, sh)
+		c.setMode(g, modeMPS)
+		g.mps.add(sh)
 	}
-	g.frag = gpuFrag(g)
+	c.rescore(g)
 	pl := &Placement{Demand: d, Segment: seg}
 	c.byTenant[d.Tenant] = pl
 	c.order = append(c.order, d.Tenant)
 	return *pl
+}
+
+// rescore refreshes g's cached fragmentation after a mutation.
+func (c *Cluster) rescore(g *gpuState) {
+	g.frag = gpuFrag(g, &c.classes[g.class])
 }
 
 // Evict removes a tenant, destroying its instance when it held the last
@@ -290,29 +280,29 @@ func (c *Cluster) Evict(tenant string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownTenant, tenant)
 	}
-	g := c.gpuByID(pl.Segment.GPU)
+	g := c.gpus[c.index[pl.Segment.GPU]]
 	switch pl.Segment.Kind {
 	case SegMIG:
 		for i, in := range g.insts {
 			if in.start != pl.Segment.Start {
 				continue
 			}
-			in.shares = removeShare(in.shares, tenant)
+			in.drop(in.find(tenant))
 			if len(in.shares) == 0 {
-				g.insts = append(g.insts[:i], g.insts[i+1:]...)
+				g.removeInstance(i)
 			}
 			break
 		}
 		if len(g.insts) == 0 {
-			g.mode = modeEmpty
+			c.setMode(g, modeEmpty)
 		}
 	case SegMPS:
-		g.shares = removeShare(g.shares, tenant)
-		if len(g.shares) == 0 {
-			g.mode = modeEmpty
+		g.mps.drop(g.mps.find(tenant))
+		if len(g.mps.shares) == 0 {
+			c.setMode(g, modeEmpty)
 		}
 	}
-	g.frag = gpuFrag(g)
+	c.rescore(g)
 	delete(c.byTenant, tenant)
 	for i, t := range c.order {
 		if t == tenant {
@@ -324,24 +314,6 @@ func (c *Cluster) Evict(tenant string) error {
 		c.cEvicted.Inc()
 		c.event("evict", obs.String("tenant", tenant), obs.String("gpu", pl.Segment.GPU))
 		c.updateGauges()
-	}
-	return nil
-}
-
-func removeShare(shares []*share, tenant string) []*share {
-	for i, s := range shares {
-		if s.tenant == tenant {
-			return append(shares[:i], shares[i+1:]...)
-		}
-	}
-	return shares
-}
-
-func (c *Cluster) gpuByID(id string) *gpuState {
-	for _, g := range c.gpus {
-		if g.gpu.ID == id {
-			return g
-		}
 	}
 	return nil
 }
@@ -438,8 +410,10 @@ func (c *Cluster) Rebalance() RebalanceReport {
 			rep.Moved++
 		}
 	}
-	// The scratch GPUs carry their indices and cached fragmentation.
+	// The scratch GPUs carry their indices, running sums and cached
+	// fragmentation; only the mode counts are the cluster's own.
 	c.gpus = scratch.gpus
+	c.modes = c.countModes()
 	for t, pl := range scratch.byTenant {
 		*c.byTenant[t] = *pl
 	}

@@ -22,6 +22,10 @@ import (
 //     demanded SMs and memory;
 //   - bookkeeping: byTenant, the arrival order, and the per-GPU share
 //     lists describe exactly the same tenant set;
+//   - running sums: every domain's percentage and memory sums, every
+//     GPU's slice bitmap and memory-slice total, and the per-mode GPU
+//     counts equal what their lists add up to, and every instance's
+//     profile is its class table's entry;
 //   - cache: every GPU's cached fragmentation equals a fresh gpuFrag
 //     of its state, bit for bit.
 func (c *Cluster) Validate() error {
@@ -33,9 +37,12 @@ func (c *Cluster) Validate() error {
 		if err := c.validateGPU(g, seen); err != nil {
 			return err
 		}
-		if f := gpuFrag(g); math.Float64bits(f) != math.Float64bits(g.frag) {
+		if f := gpuFrag(g, &c.classes[g.class]); math.Float64bits(f) != math.Float64bits(g.frag) {
 			return fmt.Errorf("fleet: %s cached fragmentation %v, state scores %v", g.gpu.ID, g.frag, f)
 		}
+	}
+	if n := c.countModes(); n != c.modes {
+		return fmt.Errorf("fleet: per-mode GPU counts %v, GPUs are in modes %v", c.modes, n)
 	}
 	if len(seen) != len(c.byTenant) {
 		return fmt.Errorf("fleet: %d tenants on GPUs but %d placements recorded", len(seen), len(c.byTenant))
@@ -67,40 +74,59 @@ func (c *Cluster) Validate() error {
 }
 
 func (c *Cluster) validateGPU(g *gpuState, seen map[string]Segment) error {
-	spec := g.gpu.Spec
+	k := &c.classes[g.class]
 	id := g.gpu.ID
+	if g.gpu.Spec != k.spec {
+		return fmt.Errorf("fleet: %s spec differs from its class's", id)
+	}
+	var occupied sliceMask
+	memSl := 0
+	for _, in := range g.insts {
+		occupied |= in.span()
+		memSl += in.prof.MemSlices
+	}
+	if occupied != g.occupied || memSl != g.memSlices {
+		return fmt.Errorf("fleet: %s running occupancy %07b/%d memory slices, instances take %07b/%d",
+			id, g.occupied, g.memSlices, occupied, memSl)
+	}
 	switch g.mode {
 	case modeEmpty:
-		if len(g.insts) != 0 || len(g.shares) != 0 {
-			return fmt.Errorf("fleet: %s empty but holds %d instances, %d shares", id, len(g.insts), len(g.shares))
+		if len(g.insts) != 0 || len(g.mps.shares) != 0 {
+			return fmt.Errorf("fleet: %s empty but holds %d instances, %d shares", id, len(g.insts), len(g.mps.shares))
 		}
-		return nil
 	case modeMIG:
-		if len(g.shares) != 0 {
+		if len(g.mps.shares) != 0 {
 			return fmt.Errorf("fleet: %s in MIG mode but holds whole-GPU shares", id)
 		}
 		if len(g.insts) == 0 {
 			return fmt.Errorf("fleet: %s in MIG mode with no instances", id)
 		}
-		return c.validateMIG(g, spec, id, seen)
+		if err := validateMIG(g, k, seen); err != nil {
+			return err
+		}
 	case modeMPS:
 		if len(g.insts) != 0 {
 			return fmt.Errorf("fleet: %s in MPS mode but holds MIG instances", id)
 		}
-		if len(g.shares) == 0 {
+		if len(g.mps.shares) == 0 {
 			return fmt.Errorf("fleet: %s in MPS mode with no shares", id)
 		}
-		return validateDomain(id, "gpu", g.shares, spec.SMs, spec.MemBytes, seen, func(sh *share) Segment {
-			return Segment{GPU: id, Kind: SegMPS, Percent: sh.pct, SMs: sh.sms, MemBytes: sh.mem}
-		})
+	default:
+		return fmt.Errorf("fleet: %s has unknown mode %d", id, g.mode)
 	}
-	return fmt.Errorf("fleet: %s has unknown mode %d", id, g.mode)
+	return validateDomain(id, "gpu", &g.mps, k.spec.SMs, k.spec.MemBytes, seen, func(sh *share) Segment {
+		return Segment{GPU: id, Kind: SegMPS, Percent: sh.pct, SMs: sh.sms, MemBytes: sh.mem}
+	})
 }
 
-func (c *Cluster) validateMIG(g *gpuState, spec simgpu.DeviceSpec, id string, seen map[string]Segment) error {
+func validateMIG(g *gpuState, k *specClass, seen map[string]Segment) error {
+	spec := &k.spec
+	id := g.gpu.ID
 	occupied := make([]bool, spec.MIGSlices)
-	memSl := 0
 	for _, in := range g.insts {
+		if in.pi < 0 || in.pi >= len(k.profiles) || in.prof != &k.profiles[in.pi] {
+			return fmt.Errorf("fleet: %s instance at %d is not profile %d of its class table", id, in.start, in.pi)
+		}
 		validStart := false
 		for _, s := range simgpu.MIGStarts(in.prof.Slices) {
 			if s == in.start {
@@ -120,12 +146,11 @@ func (c *Cluster) validateMIG(g *gpuState, spec simgpu.DeviceSpec, id string, se
 			}
 			occupied[s] = true
 		}
-		memSl += in.prof.MemSlices
 		if len(in.shares) == 0 {
 			return fmt.Errorf("fleet: %s instance %s has no shares (should be destroyed)", id, in.prof.Name)
 		}
 		in := in
-		err := validateDomain(id, in.prof.Name, in.shares, in.sms(spec), in.prof.MemBytes, seen, func(sh *share) Segment {
+		err := validateDomain(id, in.prof.Name, &in.domain, in.sms(spec), in.prof.MemBytes, seen, func(sh *share) Segment {
 			return Segment{GPU: id, Kind: SegMIG, Profile: in.prof.Name, Start: in.start,
 				Percent: sh.pct, SMs: sh.sms, MemBytes: sh.mem}
 		})
@@ -133,39 +158,42 @@ func (c *Cluster) validateMIG(g *gpuState, spec simgpu.DeviceSpec, id string, se
 			return err
 		}
 	}
-	if memSl > spec.MemSlices {
-		return fmt.Errorf("fleet: %s uses %d memory slices of %d", id, memSl, spec.MemSlices)
+	if g.memSlices > spec.MemSlices {
+		return fmt.Errorf("fleet: %s uses %d memory slices of %d", id, g.memSlices, spec.MemSlices)
 	}
 	return nil
 }
 
 // validateDomain checks the MPS shares inside one domain (a MIG
-// instance or a whole GPU) and records each share's reconstructed
-// segment into seen.
-func validateDomain(gpuID, dom string, shares []*share, domSMs int, domMem int64, seen map[string]Segment, segOf func(*share) Segment) error {
+// instance or a whole GPU) against its running sums and records each
+// share's reconstructed segment into seen.
+func validateDomain(gpuID, name string, dom *domain, domSMs int, domMem int64, seen map[string]Segment, segOf func(*share) Segment) error {
 	pct, mem := 0, int64(0)
-	for _, sh := range shares {
+	for _, sh := range dom.shares {
 		if sh.tenant == "" {
-			return fmt.Errorf("fleet: %s/%s holds a share with no tenant", gpuID, dom)
+			return fmt.Errorf("fleet: %s/%s holds a share with no tenant", gpuID, name)
 		}
 		if _, dup := seen[sh.tenant]; dup {
 			return fmt.Errorf("fleet: tenant %q holds two segments", sh.tenant)
 		}
 		if sh.pct < 1 || sh.pct > 100 {
-			return fmt.Errorf("fleet: %s/%s tenant %q has share percentage %d", gpuID, dom, sh.tenant, sh.pct)
+			return fmt.Errorf("fleet: %s/%s tenant %q has share percentage %d", gpuID, name, sh.tenant, sh.pct)
 		}
 		if sh.sms != pctGrant(domSMs, sh.pct) {
-			return fmt.Errorf("fleet: %s/%s tenant %q grant %d SMs ≠ ceil(%d%% of %d)", gpuID, dom, sh.tenant, sh.sms, sh.pct, domSMs)
+			return fmt.Errorf("fleet: %s/%s tenant %q grant %d SMs ≠ ceil(%d%% of %d)", gpuID, name, sh.tenant, sh.sms, sh.pct, domSMs)
 		}
 		pct += sh.pct
 		mem += sh.mem
 		seen[sh.tenant] = segOf(sh)
 	}
+	if pct != dom.pct || mem != dom.mem {
+		return fmt.Errorf("fleet: %s/%s running sums %d%%/%d bytes, shares add up to %d%%/%d bytes", gpuID, name, dom.pct, dom.mem, pct, mem)
+	}
 	if pct > 100 {
-		return fmt.Errorf("fleet: %s/%s shares sum to %d%%", gpuID, dom, pct)
+		return fmt.Errorf("fleet: %s/%s shares sum to %d%%", gpuID, name, pct)
 	}
 	if mem > domMem {
-		return fmt.Errorf("fleet: %s/%s reserves %d bytes of %d", gpuID, dom, mem, domMem)
+		return fmt.Errorf("fleet: %s/%s reserves %d bytes of %d", gpuID, name, mem, domMem)
 	}
 	return nil
 }

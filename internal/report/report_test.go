@@ -68,7 +68,8 @@ func TestFig3Report(t *testing.T) {
 }
 
 // TestArtifactGoldens pins the default output of the artifacts built
-// from small single-device simulations against testdata/<name>.golden.
+// from small single-device simulations, and of the fleet artifact on
+// its test grid, against testdata/<name>.golden.
 func TestArtifactGoldens(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -81,6 +82,7 @@ func TestArtifactGoldens(t *testing.T) {
 		{"ablations", Ablations},
 		{"mixed", MixedTenancy},
 		{"rightsize", Rightsize},
+		{"fleet", func(w io.Writer) error { return Fleet(w, fleetTestOptions()) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var b strings.Builder

@@ -29,9 +29,10 @@ type MIGProfile struct {
 	MemBytes int64
 }
 
-// migPlacements lists the allowed start slice per compute-slice count
-// on A100-class 7-slice GPUs (mirrors nvidia-smi's placement table).
-var migPlacements = map[int][]int{
+// migPlacements lists the allowed start slices, indexed by compute-slice
+// count, on A100-class 7-slice GPUs (mirrors nvidia-smi's placement
+// table); a nil row means no placement exists.
+var migPlacements = [...][]int{
 	1: {0, 1, 2, 3, 4, 5, 6},
 	2: {0, 2, 4},
 	3: {0, 4},
@@ -45,6 +46,9 @@ var migPlacements = map[int][]int{
 // same table, so out-of-band placement decisions always match what the
 // device will accept.
 func MIGStarts(slices int) []int {
+	if slices < 0 || slices >= len(migPlacements) {
+		return nil
+	}
 	return migPlacements[slices]
 }
 
@@ -145,8 +149,8 @@ func (d *Device) CreateInstance(profileName string) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	starts, ok := migPlacements[prof.Slices]
-	if !ok {
+	starts := MIGStarts(prof.Slices)
+	if starts == nil {
 		return nil, fmt.Errorf("%w: profile %s has no placement row", ErrPlacement, prof.Name)
 	}
 	occupied := make([]bool, d.spec.MIGSlices)
