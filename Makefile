@@ -22,11 +22,12 @@
 # ablation artifacts under a dense fault schedule, requires all three
 # to finish, and requires coldstart to reject -chaos.
 # `make examples` runs every examples/ program and requires each to
-# exit 0 and print something.
+# exit 0 and print something. `make loc` counts the non-test Go lines
+# of internal/ plus cmd/, per package and in total.
 
 GO ?= go
 
-.PHONY: check fmt build vet reach examples bench-test staticcheck test race cover fuzz bench scale fleet autoscale attrib serve-smoke chaos-smoke clean
+.PHONY: check fmt build vet reach loc examples bench-test staticcheck test race cover fuzz bench scale fleet autoscale attrib serve-smoke chaos-smoke clean
 
 check: fmt build vet reach bench-test staticcheck test
 
@@ -48,6 +49,13 @@ reach:
 	@deps=$$($(GO) list -deps ./cmd/... | grep '^repro/internal' | sort -u); \
 	out=$$($(GO) list ./internal/... | sort -u | grep -vxF "$$deps" || true); \
 	if [ -n "$$out" ]; then echo "internal packages no cmd/ binary reaches:"; echo "$$out"; exit 1; fi
+
+# Prints the non-test Go lines of every package under internal/ and
+# cmd/, then their total: the size figure simplicity changes report.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' -print0 | xargs -0 wc -l | \
+	awk '$$2 != "total" { p = $$2; sub(/\/[^\/]*$$/, "", p); n[p] += $$1; sum += $$1 } \
+	END { for (p in n) printf "%6d %s\n", n[p], p | "sort -k2"; close("sort -k2"); printf "%6d total\n", sum }'
 
 # Runs each example to completion; each must exit 0 with non-empty
 # stdout.

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -52,6 +53,29 @@ func TestPackTenantRejectsBadDemands(t *testing.T) {
 	}
 	if _, err := rightsize.PackMIG(spec, tf); !errors.Is(err, rightsize.ErrDuplicateTenant) {
 		t.Errorf("PackMIG on duplicate tenants: err = %v", err)
+	}
+}
+
+// TestPackPlacesThreeTwoTwo: 42, 28 and 28 SMs cover as 3g, 2g and
+// 2g, which fill the A100 only as 2g@0, 2g@2 and 3g@4. Placing the
+// largest-first layout in order would put the 3g at slice 0 and find no
+// room for the second 2g; pack must still print the plan.
+func TestPackPlacesThreeTwoTwo(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	err = runPack([]string{"-tenant", "a:42", "-tenant", "b:28", "-tenant", "c:28"})
+	os.Stdout = stdout
+	w.Close()
+	out, readErr := io.ReadAll(r)
+	if err != nil || readErr != nil {
+		t.Fatal(err, readErr)
+	}
+	if !strings.Contains(string(out), "MIG plan (layout [3g.40gb 2g.20gb 2g.20gb])") || strings.Contains(string(out), "infeasible") {
+		t.Fatalf("pack output:\n%s", out)
 	}
 }
 

@@ -27,7 +27,7 @@ func migSpecs() []simgpu.DeviceSpec {
 // nSlices-slice device free in occupied (respecting the placement
 // lattice and the free memory-slice budget) and reports how many
 // compute and memory slices the cover reaches.
-func coverFree(profiles []simgpu.MIGProfile, nSlices int, occupied sliceMask, freeMemSl int) (usableSl, usableMemSl int) {
+func coverFree(profiles []simgpu.MIGProfile, nSlices int, occupied simgpu.SliceMask, freeMemSl int) (usableSl, usableMemSl int) {
 	covered := occupied
 	memLeft := freeMemSl
 	// profiles are small→large; walk large→small.
@@ -40,7 +40,7 @@ func coverFree(profiles []simgpu.MIGProfile, nSlices int, occupied sliceMask, fr
 				if start+p.Slices > nSlices || p.MemSlices > memLeft {
 					continue
 				}
-				span := sliceSpan(start, p.Slices)
+				span := simgpu.SliceSpan(start, p.Slices)
 				if covered&span != 0 {
 					continue
 				}
@@ -59,41 +59,59 @@ func coverFree(profiles []simgpu.MIGProfile, nSlices int, occupied sliceMask, fr
 	return usableSl, usableMemSl
 }
 
+// coverState is one (occupancy mask, free memory slices) state of a
+// spec's cover table.
+type coverState struct {
+	mask simgpu.SliceMask
+	free int
+}
+
+// states lists every state of the spec's cover table.
+func states(spec *simgpu.DeviceSpec) []coverState {
+	var out []coverState
+	for mask := simgpu.SliceMask(0); mask < 1<<spec.MIGSlices; mask++ {
+		for free := 0; free <= spec.MemSlices; free++ {
+			out = append(out, coverState{mask, free})
+		}
+	}
+	return out
+}
+
 // exactCover is the best cover of every state by exhaustive search
 // over the MIGStarts lattice: the most compute slices any set of
 // disjoint lattice placements within the memory budget reaches, then
-// the most memory slices. It is indexed like lattice.cover.
-func exactCover(l *lattice, profiles []simgpu.MIGProfile) []coverCell {
-	memo := make([]coverCell, len(l.cover))
-	done := make([]bool, len(l.cover))
-	var best func(mask sliceMask, free int) coverCell
-	best = func(mask sliceMask, free int) coverCell {
-		at := int(mask)*l.memRow + free
-		if done[at] {
-			return memo[at]
+// the most memory slices.
+func exactCover(spec *simgpu.DeviceSpec) map[coverState]simgpu.MIGCover {
+	l := simgpu.MIGLatticeFor(*spec)
+	profiles := simgpu.MIGProfilesFor(*spec)
+	memo := map[coverState]simgpu.MIGCover{}
+	var best func(st coverState) simgpu.MIGCover
+	best = func(st coverState) simgpu.MIGCover {
+		if b, ok := memo[st]; ok {
+			return b
 		}
-		var b coverCell
+		var b simgpu.MIGCover
 		for i, p := range profiles {
-			if p.MemSlices > free {
+			if p.MemSlices > st.free {
 				continue
 			}
-			for _, m := range l.moves[i] {
-				if mask&m.span != 0 {
+			for _, m := range l.Moves(i) {
+				if st.mask&m.Span != 0 {
 					continue
 				}
-				r := best(mask|m.span, free-p.MemSlices)
-				r.sl += int32(p.Slices)
-				r.memSl += int32(p.MemSlices)
-				if r.sl > b.sl || r.sl == b.sl && r.memSl > b.memSl {
+				r := best(coverState{st.mask | m.Span, st.free - p.MemSlices})
+				r.Slices += int32(p.Slices)
+				r.MemSlices += int32(p.MemSlices)
+				if r.Slices > b.Slices || r.Slices == b.Slices && r.MemSlices > b.MemSlices {
 					b = r
 				}
 			}
 		}
-		memo[at], done[at] = b, true
+		memo[st] = b
 		return b
 	}
-	for at := range memo {
-		best(sliceMask(at/l.memRow), at%l.memRow)
+	for _, st := range states(spec) {
+		best(st)
 	}
 	return memo
 }
@@ -104,16 +122,13 @@ func exactCover(l *lattice, profiles []simgpu.MIGProfile) []coverCell {
 func TestCoverTableMatchesGreedy(t *testing.T) {
 	for _, spec := range migSpecs() {
 		profiles := simgpu.MIGProfilesFor(spec)
-		l := latticeFor(&spec, profiles)
-		if want := 128 * (spec.MemSlices + 1); len(l.cover) != want {
-			t.Fatalf("%s: %d table states, want %d", spec.Name, len(l.cover), want)
-		}
-		for at, got := range l.cover {
-			mask, free := sliceMask(at/l.memRow), at%l.memRow
-			sl, memSl := coverFree(profiles, spec.MIGSlices, mask, free)
-			if int(got.sl) != sl || int(got.memSl) != memSl {
+		l := simgpu.MIGLatticeFor(spec)
+		for _, st := range states(&spec) {
+			got := l.Cover(st.mask, st.free)
+			sl, memSl := coverFree(profiles, spec.MIGSlices, st.mask, st.free)
+			if int(got.Slices) != sl || int(got.MemSlices) != memSl {
 				t.Fatalf("%s mask %07b free memory %d: table covers %d/%d slices, greedy walk %d/%d",
-					spec.Name, mask, free, got.sl, got.memSl, sl, memSl)
+					spec.Name, st.mask, st.free, got.Slices, got.MemSlices, sl, memSl)
 			}
 		}
 	}
@@ -128,14 +143,13 @@ func TestCoverTableMatchesGreedy(t *testing.T) {
 // purpose: it changes placement decisions.
 func TestCoverTableGreedyGap(t *testing.T) {
 	for _, spec := range migSpecs() {
-		profiles := simgpu.MIGProfilesFor(spec)
-		l := latticeFor(&spec, profiles)
-		exact := exactCover(l, profiles)
+		l := simgpu.MIGLatticeFor(spec)
+		exact := exactCover(&spec)
 		short := 0
-		for at, got := range l.cover {
-			want := exact[at]
-			if got.sl > want.sl || got.sl == want.sl && got.memSl > want.memSl {
-				t.Fatalf("%s state %d: table %+v beats exhaustive search %+v", spec.Name, at, got, want)
+		for _, st := range states(&spec) {
+			got, want := l.Cover(st.mask, st.free), exact[st]
+			if got.Slices > want.Slices || got.Slices == want.Slices && got.MemSlices > want.MemSlices {
+				t.Fatalf("%s state %+v: table %+v beats exhaustive search %+v", spec.Name, st, got, want)
 			}
 			if got != want {
 				short++
@@ -145,11 +159,11 @@ func TestCoverTableGreedyGap(t *testing.T) {
 			t.Errorf("%s: table falls short of exhaustive search in %d states, want 56", spec.Name, short)
 		}
 		// The 3g@0 state: slices 0–2 and 4 of 8 memory slices taken.
-		at := int(sliceSpan(0, 3))*l.memRow + spec.MemSlices - 4
-		if got, want := l.cover[at], (coverCell{sl: 3, memSl: 4}); got != want {
+		st := coverState{simgpu.SliceSpan(0, 3), spec.MemSlices - 4}
+		if got, want := l.Cover(st.mask, st.free), (simgpu.MIGCover{Slices: 3, MemSlices: 4}); got != want {
 			t.Errorf("%s 3g@0: table covers %+v, want greedy's %+v", spec.Name, got, want)
 		}
-		if got, want := exact[at], (coverCell{sl: 4, memSl: 4}); got != want {
+		if got, want := exact[st], (simgpu.MIGCover{Slices: 4, MemSlices: 4}); got != want {
 			t.Errorf("%s 3g@0: exhaustive search covers %+v, want %+v", spec.Name, got, want)
 		}
 	}
@@ -161,21 +175,24 @@ func TestCoverTableGreedyGap(t *testing.T) {
 func TestLatticeForConcurrent(t *testing.T) {
 	spec := simgpu.A100SXM480GB()
 	spec.MemSlices = 6 // a geometry no other test builds first
-	profiles := simgpu.MIGProfilesFor(spec)
-	got := make([]*lattice, 8)
+	got := make([]*simgpu.MIGLattice, 8)
 	var wg sync.WaitGroup
 	for i := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i] = latticeFor(&spec, profiles)
+			got[i] = simgpu.MIGLatticeFor(spec)
 		}()
 	}
 	wg.Wait()
 	for i, l := range got {
-		if l != got[0] || len(l.cover) != 128*7 {
-			t.Fatalf("goroutine %d got lattice %p with %d states, goroutine 0 got %p", i, l, len(l.cover), got[0])
+		if l != got[0] {
+			t.Fatalf("goroutine %d got lattice %p, goroutine 0 got %p", i, l, got[0])
 		}
+	}
+	// The last state of the 6-memory-slice geometry is in the table.
+	if got := got[0].Cover(simgpu.SliceSpan(0, 7), 6); got != (simgpu.MIGCover{}) {
+		t.Fatalf("full mask covers %+v, want nothing", got)
 	}
 }
 
@@ -188,7 +205,7 @@ func TestFuzzCorpusReachesGreedyGap(t *testing.T) {
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no seed-gap corpus entries (%v)", err)
 	}
-	exact := map[*lattice][]coverCell{}
+	exact := map[*simgpu.MIGLattice]map[coverState]simgpu.MIGCover{}
 	for _, f := range files {
 		b, err := os.ReadFile(f)
 		if err != nil {
@@ -215,10 +232,10 @@ func TestFuzzCorpusReachesGreedyGap(t *testing.T) {
 					continue
 				}
 				if exact[k.lat] == nil {
-					exact[k.lat] = exactCover(k.lat, k.profiles)
+					exact[k.lat] = exactCover(&k.spec)
 				}
-				at := int(g.occupied)*k.lat.memRow + k.spec.MemSlices - g.memSlices
-				gap = gap || k.lat.cover[at] != exact[k.lat][at]
+				st := coverState{g.occupied, k.spec.MemSlices - g.memSlices}
+				gap = gap || k.lat.Cover(st.mask, st.free) != exact[k.lat][st]
 			}
 		}
 		for _, d := range demands {

@@ -252,7 +252,7 @@ func (in *instance) sms(spec *simgpu.DeviceSpec) int {
 	return in.prof.Slices * spec.SMsPerSlice
 }
 
-func (in *instance) span() sliceMask { return sliceSpan(in.start, in.prof.Slices) }
+func (in *instance) span() simgpu.SliceMask { return simgpu.SliceSpan(in.start, in.prof.Slices) }
 
 // gpuState is one device's occupancy.
 type gpuState struct {
@@ -268,7 +268,7 @@ type gpuState struct {
 	// occupied and memSlices are the running compute-slice bitmap and
 	// memory-slice total of insts; insertInstance and removeInstance
 	// are their only writers.
-	occupied  sliceMask
+	occupied  simgpu.SliceMask
 	memSlices int
 	// frag caches gpuFrag(g); every mutation recomputes it, and Validate
 	// checks it bit for bit.
@@ -291,21 +291,13 @@ func (g *gpuState) removeInstance(i int) {
 	g.memSlices -= in.prof.MemSlices
 }
 
-// sliceMask is a MIG compute-slice bitmap: bit s set means slice s is
-// taken. Instances start only where simgpu.MIGStarts allows, which
-// keeps every slice index below 7, so one word holds any layout.
-type sliceMask uint64
-
-// sliceSpan is the mask of n slices from start.
-func sliceSpan(start, n int) sliceMask { return (1<<n - 1) << start }
-
 // specClass is one distinct spec of the inventory: its profile table
 // and lattice, shared by every GPU of the class, plus what bestCandidate
 // computes once per Place for the class.
 type specClass struct {
 	spec     simgpu.DeviceSpec
 	profiles []simgpu.MIGProfile // MIGProfilesFor(spec), small→large
-	lat      *lattice            // nil without MIG
+	lat      *simgpu.MIGLattice  // nil without MIG
 
 	// Per-Place scratch. probed is set once an empty GPU of the class
 	// has been probed in the current pass. cover indexes the smallest
@@ -332,13 +324,9 @@ func grantOf(domSMs int, d Demand) grant {
 // prepare fills the class's per-Place scratch for demand d.
 func (k *specClass) prepare(d Demand) {
 	k.probed = false
-	k.cover = -1
+	k.cover = simgpu.CoveringProfile(&k.spec, k.profiles, d.SMs, d.MemBytes)
 	for i := range k.profiles {
-		p := &k.profiles[i]
-		k.grants[i] = grantOf(p.Slices*k.spec.SMsPerSlice, d)
-		if k.cover < 0 && k.grants[i].ok && p.MemBytes >= d.MemBytes {
-			k.cover = i
-		}
+		k.grants[i] = grantOf(k.profiles[i].Slices*k.spec.SMsPerSlice, d)
 	}
 	k.mps = grantOf(k.spec.SMs, d)
 	k.mps.ok = k.mps.ok && d.MemBytes <= k.spec.MemBytes
@@ -388,7 +376,7 @@ func New(cfg Config) (*Cluster, error) {
 			classOf[g.Spec] = k
 			cls := specClass{spec: g.Spec, profiles: simgpu.MIGProfilesFor(g.Spec)}
 			if cls.profiles != nil {
-				cls.lat = latticeFor(&cls.spec, cls.profiles)
+				cls.lat = simgpu.MIGLatticeFor(cls.spec)
 			}
 			c.classes = append(c.classes, cls)
 		}

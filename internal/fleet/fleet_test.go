@@ -435,18 +435,19 @@ func TestInventoryValidate(t *testing.T) {
 func (c *Cluster) bestCandidateRef(d Demand) (candidate, bool) {
 	var p picker
 	for _, g := range c.gpus {
-		migCandidatesRef(g, &c.classes[g.class], d, &p)
+		migCandidatesRef(g, &c.classes[g.class], d, p.consider)
 	}
 	if p.found {
 		return p.best, true
 	}
 	for _, g := range c.gpus {
-		mpsCandidateRef(g, &c.classes[g.class], d, &p)
+		mpsCandidateRef(g, &c.classes[g.class], d, p.consider)
 	}
 	return p.best, p.found
 }
 
-func migCandidatesRef(g *gpuState, k *specClass, d Demand, p *picker) {
+// migCandidatesRef offers consider every MIG segment on g for d.
+func migCandidatesRef(g *gpuState, k *specClass, d Demand, consider func(*candidate)) {
 	spec := &g.gpu.Spec
 	if spec.MIGSlices == 0 || g.mode == modeMPS {
 		return
@@ -470,7 +471,7 @@ func migCandidatesRef(g *gpuState, k *specClass, d Demand, p *picker) {
 		in.add(sh)
 		delta := gpuFrag(g, k) - before
 		in.drop(len(in.shares) - 1)
-		p.consider(&candidate{
+		consider(&candidate{
 			g: g, kind: SegMIG, inst: in, prof: in.prof, pi: in.pi, start: in.start,
 			pct: pct, sms: sh.sms,
 			delta: delta, waste: sh.sms - d.SMs,
@@ -523,7 +524,7 @@ func migCandidatesRef(g *gpuState, k *specClass, d Demand, p *picker) {
 		delta := gpuFrag(g, k) - before
 		g.mode = wasMode
 		g.removeInstance(len(g.insts) - 1)
-		p.consider(&candidate{
+		consider(&candidate{
 			g: g, kind: SegMIG, prof: prof, pi: pi, start: start,
 			pct: pct, sms: in.shares[0].sms,
 			delta: delta, waste: in.shares[0].sms - d.SMs,
@@ -533,7 +534,9 @@ func migCandidatesRef(g *gpuState, k *specClass, d Demand, p *picker) {
 	}
 }
 
-func mpsCandidateRef(g *gpuState, k *specClass, d Demand, p *picker) {
+// mpsCandidateRef offers consider the whole-GPU MPS segment on g for
+// d, when it has room.
+func mpsCandidateRef(g *gpuState, k *specClass, d Demand, consider func(*candidate)) {
 	spec := &g.gpu.Spec
 	if g.mode == modeMIG {
 		return
@@ -558,7 +561,7 @@ func mpsCandidateRef(g *gpuState, k *specClass, d Demand, p *picker) {
 	delta := gpuFrag(g, k) - before
 	g.mode = wasMode
 	g.mps.drop(len(g.mps.shares) - 1)
-	p.consider(&candidate{
+	consider(&candidate{
 		g: g, kind: SegMPS,
 		pct: pct, sms: sh.sms,
 		delta: delta, waste: sh.sms - d.SMs,

@@ -21,7 +21,7 @@ import (
 //     compute side covers the free slices greedily with the largest
 //     profiles that still fit (an estimate of the best case for a
 //     future arrival: in a few states an exact search over the
-//     lattice reaches more, see buildLattice); slices the cover
+//     lattice reaches more, see simgpu.MIGLatticeFor); slices the cover
 //     misses — wrong start position in the placement lattice, or no
 //     memory slices left to pair with them — are stranded, as is the
 //     percentage/memory imbalance inside each partially-shared
@@ -104,7 +104,7 @@ func mpsFrag(spec *simgpu.DeviceSpec, usedPct int, usedMem int64) float64 {
 type tentative struct {
 	inst *instance
 	prof *simgpu.MIGProfile
-	span sliceMask
+	span simgpu.SliceMask
 	pct  int
 	mem  int64
 }
@@ -126,10 +126,10 @@ func migFrag(g *gpuState, k *specClass, t *tentative) float64 {
 	}
 	freeMemSl := spec.MemSlices - memUsed
 	freeSl := spec.MIGSlices - bits.OnesCount64(uint64(occupied))
-	cover := k.lat.at(occupied, freeMemSl)
+	cover := k.lat.Cover(occupied, freeMemSl)
 
 	totalSMSl := float64(spec.MIGSlices)
-	strandedSMFrac := float64(freeSl-int(cover.sl)) / totalSMSl
+	strandedSMFrac := float64(freeSl-int(cover.Slices)) / totalSMSl
 	for _, in := range g.insts {
 		used, mem := in.pct, in.mem
 		if t != nil && in == t.inst {
@@ -144,7 +144,7 @@ func migFrag(g *gpuState, k *specClass, t *tentative) float64 {
 
 	strandedMemFrac := 0.0
 	if spec.MemSlices > 0 {
-		strandedMemFrac = float64(freeMemSl-int(cover.memSl)) / float64(spec.MemSlices)
+		strandedMemFrac = float64(freeMemSl-int(cover.MemSlices)) / float64(spec.MemSlices)
 	}
 	return math.Max(strandedSMFrac, strandedMemFrac)
 }

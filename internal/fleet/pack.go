@@ -194,14 +194,14 @@ func migCandidates(g *gpuState, k *specClass, d Demand, p *picker) {
 		return
 	}
 	gr := &k.grants[k.cover]
-	for _, m := range k.lat.moves[k.cover] {
-		if g.occupied&m.span != 0 {
+	for _, m := range k.lat.Moves(k.cover) {
+		if g.occupied&m.Span != 0 {
 			continue
 		}
 		p.consider(&candidate{
-			g: g, kind: SegMIG, prof: prof, pi: k.cover, start: m.start,
+			g: g, kind: SegMIG, prof: prof, pi: k.cover, start: m.Start,
 			pct: gr.pct, sms: gr.sms,
-			delta:    migFrag(g, k, &tentative{prof: prof, span: m.span, pct: gr.pct, mem: d.MemBytes}) - g.frag,
+			delta:    migFrag(g, k, &tentative{prof: prof, span: m.Span, pct: gr.pct, mem: d.MemBytes}) - g.frag,
 			waste:    gr.sms - d.SMs,
 			memWaste: prof.MemBytes - d.MemBytes,
 			wasEmpty: g.mode == modeEmpty,

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/simgpu"
 )
@@ -79,7 +80,7 @@ func (c *Cluster) validateGPU(g *gpuState, seen map[string]Segment) error {
 	if g.gpu.Spec != k.spec {
 		return fmt.Errorf("fleet: %s spec differs from its class's", id)
 	}
-	var occupied sliceMask
+	var occupied simgpu.SliceMask
 	memSl := 0
 	for _, in := range g.insts {
 		occupied |= in.span()
@@ -122,30 +123,20 @@ func (c *Cluster) validateGPU(g *gpuState, seen map[string]Segment) error {
 func validateMIG(g *gpuState, k *specClass, seen map[string]Segment) error {
 	spec := &k.spec
 	id := g.gpu.ID
-	occupied := make([]bool, spec.MIGSlices)
+	var taken simgpu.SliceMask
 	for _, in := range g.insts {
 		if in.pi < 0 || in.pi >= len(k.profiles) || in.prof != &k.profiles[in.pi] {
 			return fmt.Errorf("fleet: %s instance at %d is not profile %d of its class table", id, in.start, in.pi)
 		}
-		validStart := false
-		for _, s := range simgpu.MIGStarts(in.prof.Slices) {
-			if s == in.start {
-				validStart = true
-				break
-			}
+		// The lattice's moves start only where simgpu.MIGStarts allows
+		// and end inside the device.
+		if !slices.Contains(k.lat.Moves(in.pi), simgpu.MIGMove{Start: in.start, Span: in.span()}) {
+			return fmt.Errorf("fleet: %s instance %s at slice %d is not a move of the placement lattice", id, in.prof.Name, in.start)
 		}
-		if !validStart {
-			return fmt.Errorf("fleet: %s instance %s starts at slice %d, not in the placement lattice", id, in.prof.Name, in.start)
+		if taken&in.span() != 0 {
+			return fmt.Errorf("fleet: %s instance %s at %d overlaps another instance", id, in.prof.Name, in.start)
 		}
-		if in.start+in.prof.Slices > spec.MIGSlices {
-			return fmt.Errorf("fleet: %s instance %s at %d overruns the %d-slice device", id, in.prof.Name, in.start, spec.MIGSlices)
-		}
-		for s := in.start; s < in.start+in.prof.Slices; s++ {
-			if occupied[s] {
-				return fmt.Errorf("fleet: %s slice %d claimed by two instances", id, s)
-			}
-			occupied[s] = true
-		}
+		taken |= in.span()
 		if len(in.shares) == 0 {
 			return fmt.Errorf("fleet: %s instance %s has no shares (should be destroyed)", id, in.prof.Name)
 		}

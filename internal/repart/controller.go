@@ -540,32 +540,20 @@ func (c *Controller) planMIG(p *devent.Proc, parent obs.SpanID, obsv []window) s
 // (the plan is genuinely infeasible). Ties pick the first tenant, so
 // shrinking is deterministic.
 func shrinkMIGDemand(spec simgpu.DeviceSpec, profiles []simgpu.MIGProfile, demands []rightsize.TenantDemand) bool {
-	covering := func(d rightsize.TenantDemand) (simgpu.MIGProfile, bool) {
-		for _, p := range profiles { // ordered small → large
-			if p.Slices*spec.SMsPerSlice >= d.SMs && p.MemBytes >= d.MemBytes {
-				return p, true
-			}
-		}
-		return simgpu.MIGProfile{}, false
-	}
 	widest, widestSl := -1, 0
 	var next simgpu.MIGProfile
 	for i, d := range demands {
-		cur, ok := covering(d)
-		if !ok || cur.Slices <= widestSl {
+		ci := simgpu.CoveringProfile(&spec, profiles, d.SMs, d.MemBytes)
+		if ci < 0 || profiles[ci].Slices <= widestSl {
 			continue
 		}
-		// The largest profile strictly below cur that still holds the
-		// tenant's memory.
-		var down simgpu.MIGProfile
-		found := false
-		for _, p := range profiles {
-			if p.Slices < cur.Slices && p.MemBytes >= d.MemBytes {
-				down, found = p, true
+		// The largest profile below the covering one (the table is
+		// small → large) that still holds the tenant's memory.
+		for j := ci - 1; j >= 0; j-- {
+			if profiles[j].MemBytes >= d.MemBytes {
+				widest, widestSl, next = i, profiles[ci].Slices, profiles[j]
+				break
 			}
-		}
-		if found {
-			widest, widestSl, next = i, cur.Slices, down
 		}
 	}
 	if widest < 0 {

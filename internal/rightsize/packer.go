@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/devent"
 	"repro/internal/simgpu"
 )
 
@@ -173,16 +172,16 @@ type MIGAssignment struct {
 type MIGPlan struct {
 	// Assignments pair tenants with profiles, in input order.
 	Assignments []MIGAssignment
-	// Layout is the profile list in the creation order that places
-	// successfully (largest first).
+	// Layout is the profile list in creation order, largest first;
+	// ConfigureMIG places it.
 	Layout []string
 }
 
 // PackMIG picks, for every tenant, the smallest profile covering its
-// SM and memory demand, then validates that the resulting layout
-// actually places on the device (slice and memory-slice constraints
-// included), using the simulator's own placement engine. Demands are
-// checked as PackMPS checks them.
+// SM and memory demand (simgpu.CoveringProfile), then checks that the
+// resulting layout places on the device, slice and memory-slice
+// constraints included, with the placement search ConfigureMIG uses
+// (simgpu.PlaceMIG). Demands are checked as PackMPS checks them.
 func PackMIG(spec simgpu.DeviceSpec, demands []TenantDemand) (*MIGPlan, error) {
 	if err := checkDemands(spec, demands); err != nil {
 		return nil, err
@@ -192,53 +191,24 @@ func PackMIG(spec simgpu.DeviceSpec, demands []TenantDemand) (*MIGPlan, error) {
 		return nil, fmt.Errorf("%w: %s has no MIG support", ErrUnpackable, spec.Name)
 	}
 	plan := &MIGPlan{}
-	type sized struct {
-		profile string
-		slices  int
-	}
-	var chosen []sized
+	var chosen []int
 	for _, d := range demands {
-		found := ""
-		sl := 0
-		for _, p := range profiles { // ordered small → large
-			if p.Slices*spec.SMsPerSlice >= d.SMs && p.MemBytes >= d.MemBytes {
-				found, sl = p.Name, p.Slices
-				break
-			}
-		}
-		if found == "" {
+		i := simgpu.CoveringProfile(&spec, profiles, d.SMs, d.MemBytes)
+		if i < 0 {
 			return nil, fmt.Errorf("%w: no profile covers tenant %q (%d SMs, %d bytes)",
 				ErrUnpackable, d.Name, d.SMs, d.MemBytes)
 		}
-		plan.Assignments = append(plan.Assignments, MIGAssignment{Tenant: d.Name, Profile: found})
-		chosen = append(chosen, sized{found, sl})
+		plan.Assignments = append(plan.Assignments, MIGAssignment{Tenant: d.Name, Profile: profiles[i].Name})
+		chosen = append(chosen, i)
 	}
-	// Place largest-first: the A100 placement table is feasibility-
-	// monotone under this order for any satisfiable multiset.
-	sort.SliceStable(chosen, func(i, j int) bool { return chosen[i].slices > chosen[j].slices })
-	for _, c := range chosen {
-		plan.Layout = append(plan.Layout, c.profile)
+	// List largest-first, so layouts keep the instance positions they
+	// have always had: the placement search tries the given order first.
+	sort.SliceStable(chosen, func(i, j int) bool { return profiles[chosen[i]].Slices > profiles[chosen[j]].Slices })
+	for _, i := range chosen {
+		plan.Layout = append(plan.Layout, profiles[i].Name)
 	}
-	if err := validateLayout(spec, plan.Layout); err != nil {
-		return nil, err
+	if _, err := simgpu.PlaceMIG(spec, plan.Layout); err != nil {
+		return nil, fmt.Errorf("%w: layout %v: %v", ErrUnpackable, plan.Layout, err)
 	}
 	return plan, nil
-}
-
-// validateLayout materializes the layout on a throwaway device.
-func validateLayout(spec simgpu.DeviceSpec, layout []string) error {
-	env := devent.NewEnv()
-	dev, err := simgpu.NewDevice(env, "probe", spec)
-	if err != nil {
-		return err
-	}
-	if err := dev.EnableMIG(nil); err != nil {
-		return err
-	}
-	for _, prof := range layout {
-		if _, err := dev.CreateInstance(prof); err != nil {
-			return fmt.Errorf("%w: layout %v: %v", ErrUnpackable, layout, err)
-		}
-	}
-	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/devent"
 	"repro/internal/simgpu"
 )
 
@@ -273,10 +274,37 @@ func TestPackMIGNoMIGSupport(t *testing.T) {
 	}
 }
 
-// Property: whenever PackMIG succeeds, every tenant's profile covers
-// its demand and the layout materializes on a real device.
+// placeable is a brute force over every assignment of MIGStarts
+// entries to the profiles: whether one keeps the instances inside the
+// device and disjoint, within the memory slices.
+func placeable(spec simgpu.DeviceSpec, profs []simgpu.MIGProfile) bool {
+	mem := 0
+	for _, p := range profs {
+		mem += p.MemSlices
+	}
+	var try func(i int, used simgpu.SliceMask) bool
+	try = func(i int, used simgpu.SliceMask) bool {
+		if i == len(profs) {
+			return true
+		}
+		for _, s := range simgpu.MIGStarts(profs[i].Slices) {
+			span := simgpu.SliceSpan(s, profs[i].Slices)
+			if s+profs[i].Slices <= spec.MIGSlices && used&span == 0 && try(i+1, used|span) {
+				return true
+			}
+		}
+		return false
+	}
+	return mem <= spec.MemSlices && try(0, 0)
+}
+
+// Property: PackMIG is sound and complete. An accepted plan gives every
+// tenant a covering profile, and its layout configures on a fresh
+// device. A rejection is genuine: some tenant has no covering profile,
+// or the covering profiles place together in no start assignment.
 func TestQuickPackMIGSound(t *testing.T) {
 	spec := simgpu.A100SXM480GB()
+	profiles := simgpu.MIGProfilesFor(spec)
 	f := func(raw []uint8) bool {
 		if len(raw) == 0 || len(raw) > 4 {
 			return true
@@ -289,21 +317,34 @@ func TestQuickPackMIGSound(t *testing.T) {
 				MemBytes: int64(r%30+1) * simgpu.GB,
 			})
 		}
+		// The smallest covering profile of each tenant.
+		var covering []simgpu.MIGProfile
+		for _, d := range demands {
+			for _, p := range profiles {
+				if p.Slices*spec.SMsPerSlice >= d.SMs && p.MemBytes >= d.MemBytes {
+					covering = append(covering, p)
+					break
+				}
+			}
+		}
 		plan, err := PackMIG(spec, demands)
 		if err != nil {
-			return true // infeasible inputs are allowed to fail
-		}
-		profByName := map[string]simgpu.MIGProfile{}
-		for _, p := range simgpu.MIGProfilesFor(spec) {
-			profByName[p.Name] = p
+			return len(covering) < len(demands) || !placeable(spec, covering)
 		}
 		for i, a := range plan.Assignments {
-			p := profByName[a.Profile]
-			if p.Slices*spec.SMsPerSlice < demands[i].SMs || p.MemBytes < demands[i].MemBytes {
+			if a.Profile != covering[i].Name {
 				return false
 			}
 		}
-		return validateLayout(spec, plan.Layout) == nil
+		dev, err := simgpu.NewDevice(devent.NewEnv(), "gpu0", spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dev.EnableMIG(nil); err != nil {
+			t.Fatal(err)
+		}
+		_, err = dev.ConfigureMIG(nil, plan.Layout)
+		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

@@ -153,11 +153,9 @@ func Recommend(spec simgpu.DeviceSpec, c Curve, tolerance float64, memNeeded int
 			return n
 		}(),
 	}
-	for _, prof := range simgpu.MIGProfilesFor(spec) { // ordered small→large
-		if prof.Slices*spec.SMsPerSlice >= knee.SMs && prof.MemBytes >= memNeeded {
-			rec.MIGProfile = prof.Name
-			break
-		}
+	profiles := simgpu.MIGProfilesFor(spec)
+	if i := simgpu.CoveringProfile(&spec, profiles, knee.SMs, memNeeded); i >= 0 {
+		rec.MIGProfile = profiles[i].Name
 	}
 	return rec, nil
 }

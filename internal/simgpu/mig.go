@@ -41,10 +41,9 @@ var migPlacements = [...][]int{
 }
 
 // MIGStarts returns the allowed start slices for an instance of the
-// given compute-slice count (nil when no placement row exists). The
-// fleet packer enumerates these; Device.CreateInstance consumes the
-// same table, so out-of-band placement decisions always match what the
-// device will accept.
+// given compute-slice count (nil when no placement row exists). Every
+// MIGLattice is built from this table, so the fleet packer's and
+// PackMIG's placement decisions always match what the device accepts.
 func MIGStarts(slices int) []int {
 	if slices < 0 || slices >= len(migPlacements) {
 		return nil
@@ -84,6 +83,18 @@ func LookupProfile(spec DeviceSpec, name string) (MIGProfile, error) {
 		}
 	}
 	return MIGProfile{}, fmt.Errorf("simgpu: unknown MIG profile %q for %s", name, spec.Name)
+}
+
+// CoveringProfile returns the index of the smallest profile of the
+// table (small → large) whose SMs (Slices·SMsPerSlice) and MemBytes
+// cover a demand of sms SMs and memBytes bytes, or -1 when none does.
+func CoveringProfile(spec *DeviceSpec, profiles []MIGProfile, sms int, memBytes int64) int {
+	for i := range profiles {
+		if p := &profiles[i]; p.Slices*spec.SMsPerSlice >= sms && p.MemBytes >= memBytes {
+			return i
+		}
+	}
+	return -1
 }
 
 // Instance is one MIG instance: an isolated compute domain plus an
@@ -140,46 +151,23 @@ func (d *Device) EnableMIG(p *devent.Proc) error {
 }
 
 // CreateInstance places a new instance of the named profile at the
-// first valid free position (nvidia-smi-style auto placement).
+// first valid free position (nvidia-smi-style auto placement), on the
+// same lattice search ConfigureMIG uses.
 func (d *Device) CreateInstance(profileName string) (*Instance, error) {
 	if !d.migEnabled {
 		return nil, ErrMIGMode
 	}
-	prof, err := LookupProfile(d.spec, profileName)
+	var occupied SliceMask
+	memUsed := 0
+	for _, in := range d.instances {
+		occupied |= SliceSpan(in.start, in.profile.Slices)
+		memUsed += in.profile.MemSlices
+	}
+	profs, starts, err := placeMIG(&d.spec, []string{profileName}, occupied, memUsed)
 	if err != nil {
 		return nil, err
 	}
-	starts := MIGStarts(prof.Slices)
-	if starts == nil {
-		return nil, fmt.Errorf("%w: profile %s has no placement row", ErrPlacement, prof.Name)
-	}
-	occupied := make([]bool, d.spec.MIGSlices)
-	memUsed := 0
-	for _, in := range d.instances {
-		for s := in.start; s < in.start+in.profile.Slices; s++ {
-			occupied[s] = true
-		}
-		memUsed += in.profile.MemSlices
-	}
-	if memUsed+prof.MemSlices > d.spec.MemSlices {
-		return nil, fmt.Errorf("%w: out of memory slices (%d used of %d)", ErrPlacement, memUsed, d.spec.MemSlices)
-	}
-	for _, start := range starts {
-		if start+prof.Slices > d.spec.MIGSlices {
-			continue
-		}
-		free := true
-		for s := start; s < start+prof.Slices; s++ {
-			if occupied[s] {
-				free = false
-				break
-			}
-		}
-		if free {
-			return d.placeInstance(prof, start), nil
-		}
-	}
-	return nil, fmt.Errorf("%w: no free slice range for %s", ErrPlacement, prof.Name)
+	return d.placeInstance(profs[0], starts[0]), nil
 }
 
 func (d *Device) placeInstance(prof MIGProfile, start int) *Instance {
@@ -225,7 +213,10 @@ func (d *Device) DestroyInstance(in *Instance) error {
 // ConfigureMIG atomically replaces the instance layout with the named
 // profiles. Per the paper (§6), this requires shutting down every
 // application on the GPU first and costs a reset (1–2 s) on top of the
-// clients' own restart costs. Profiles are placed in the given order.
+// clients' own restart costs. Every start is found before any instance
+// is created, by the lattice search: a layout that in-order first-fit
+// places keeps first-fit's positions, and any other placeable layout
+// places too. An unplaceable layout leaves the old one untouched.
 func (d *Device) ConfigureMIG(p *devent.Proc, profileNames []string) ([]*Instance, error) {
 	if !d.migEnabled {
 		return nil, ErrMIGMode
@@ -235,16 +226,14 @@ func (d *Device) ConfigureMIG(p *devent.Proc, profileNames []string) ([]*Instanc
 			return nil, ErrBusy
 		}
 	}
-	old := d.instances
+	profs, starts, err := placeMIG(&d.spec, profileNames, 0, 0)
+	if err != nil {
+		return nil, err
+	}
 	d.instances = nil
-	created := make([]*Instance, 0, len(profileNames))
-	for _, name := range profileNames {
-		in, err := d.CreateInstance(name)
-		if err != nil {
-			d.instances = old // roll back
-			return nil, err
-		}
-		created = append(created, in)
+	created := make([]*Instance, len(profs))
+	for i, prof := range profs {
+		created[i] = d.placeInstance(prof, starts[i])
 	}
 	if p != nil {
 		p.Sleep(d.spec.ResetTime)

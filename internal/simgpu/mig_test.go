@@ -301,7 +301,7 @@ func TestConfigureMIGBusyAndRollback(t *testing.T) {
 			t.Errorf("configure while busy: %v", err)
 		}
 		ctx.Destroy()
-		// Invalid layout rolls back to the old one.
+		// An unplaceable layout leaves the old one in place.
 		if _, err := dev.ConfigureMIG(p, []string{"4g.40gb", "4g.40gb"}); !errors.Is(err, ErrPlacement) {
 			t.Errorf("invalid layout: %v", err)
 		}
