@@ -143,7 +143,7 @@ func runBatched(batch, completions int) (BatchVsMultiplexRow, error) {
 	var lat metrics.Durations
 	var makespan time.Duration
 	err := probe(1, simgpu.A100SXM480GB(), simgpu.PolicyTimeShare, func(s *sim, p *devent.Proc) error {
-		ctx, _ := s.devs[0].NewContext(p, simgpu.ContextOpts{SkipInit: true})
+		ctx, _ := s.Devices[0].NewContext(p, simgpu.ContextOpts{SkipInit: true})
 		eng, err := s.load(p, cfg, ctx)
 		if err != nil {
 			return err
@@ -205,7 +205,7 @@ func runVGPUWithQuantum(q time.Duration, completions int) (time.Duration, error)
 	if err != nil {
 		return 0, err
 	}
-	dev := s.devs[0]
+	dev := s.Devices[0]
 	dev.SetVGPUQuantum(q)
 	var lat metrics.Durations
 	for i := 0; i < 4; i++ {

@@ -169,9 +169,9 @@ func RunAutoscale(cfg AutoscaleConfig) (*AutoscaleResult, error) {
 		return nil, fmt.Errorf("core: %d static blocks exceed the %d-GPU pool", cfg.StaticBlocks, cfg.GPUs)
 	}
 	s := newCell("autoscale", cfg.OnCollector, &tsdb.Config{})
-	defer s.env.Close()
+	defer s.Env.Close()
 	s.attach(cfg.Attach)
-	env, col, db := s.env, s.col, s.db
+	env, col, db := s.Env, s.Obs, s.TSDB
 
 	spec := simgpu.A100SXM480GB()
 	nodes := make([]*gpuctl.Node, cfg.GPUs)
@@ -208,7 +208,7 @@ func RunAutoscale(cfg AutoscaleConfig) (*AutoscaleResult, error) {
 		_, err = ctx.Run(inv.Proc(), kernel)
 		return nil, err
 	}})
-	s.mon = analyze.NewMonitor(col, env, []analyze.Rule{
+	s.SLOMon = analyze.NewMonitor(col, env, []analyze.Rule{
 		{App: "infer", Latency: cfg.SLOLatency, Target: cfg.SLOTarget, Window: cfg.SLOWindow},
 	}, db)
 	s.addAlerts(AutoscaleAlertRules(cfg))

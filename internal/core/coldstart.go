@@ -46,7 +46,7 @@ func RunColdStart(workerInit time.Duration) ([]ColdStartBreakdown, error) {
 
 			t := p.Now()
 			ctxs := make([]*simgpu.Context, sc.shards)
-			for i, d := range s.devs {
+			for i, d := range s.Devices {
 				ctx, err := d.NewContext(p, simgpu.ContextOpts{}) // pays context init
 				if err != nil {
 					return err
@@ -100,7 +100,7 @@ func RunReconfig(workerInit time.Duration) ([]ReconfigResult, error) {
 		cached := i == 1
 		cache := weightcache.New()
 		err := probe(1, simgpu.A100SXM480GB(), simgpu.PolicySpatial, func(s *sim, p *devent.Proc) error {
-			dev := s.devs[0]
+			dev := s.Devices[0]
 			load := func(ctx *simgpu.Context) (*llm.Engine, error) {
 				if cached {
 					eng, _, err := cache.AttachOrLoad(p, "7b", cfg, []*simgpu.Context{ctx}, dev.Spec().HostLoadBW)
@@ -135,7 +135,7 @@ func RunReconfig(workerInit time.Duration) ([]ReconfigResult, error) {
 	// --- MIG re-layout: drain, reset, restart, reload.
 	var downtime time.Duration
 	err := probe(1, simgpu.A100SXM480GB(), simgpu.PolicyTimeShare, func(s *sim, p *devent.Proc) error {
-		dev := s.devs[0]
+		dev := s.Devices[0]
 		if err := dev.EnableMIG(p); err != nil {
 			return err
 		}

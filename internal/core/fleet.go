@@ -186,10 +186,10 @@ type FleetResult struct {
 func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	cfg = cfg.WithDefaults()
 	s := newCell("fleet", cfg.OnCollector, cfg.TSDB)
-	defer s.env.Close()
-	env := s.env
+	defer s.Env.Close()
+	env := s.Env
 	specs := interleaveSpecs(cfg.GPUs80, cfg.GPUs40)
-	cl, err := fleet.New(fleet.Config{Inventory: fleet.NewInventory(specs...), Obs: s.col})
+	cl, err := fleet.New(fleet.Config{Inventory: fleet.NewInventory(specs...), Obs: s.Obs})
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +198,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	apps := drawApps(rng, cfg.Apps)
-	res := &FleetResult{GPUs: len(specs), Apps: cfg.Apps, Obs: s.col, TSDB: s.db}
+	res := &FleetResult{GPUs: len(specs), Apps: cfg.Apps, Obs: s.Obs, TSDB: s.TSDB}
 	classIdx := make(map[string]int, len(fleetClasses))
 	for i, c := range fleetClasses {
 		classIdx[c] = i

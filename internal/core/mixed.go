@@ -43,10 +43,10 @@ func RunMixedTenancy(mode Mode) (*MixedTenancyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	dev := s.devs[0]
+	dev := s.Devices[0]
 
 	// Under MPS the split is right-sized: 20% of the SMs for the CNN.
-	mkCtx, err := tenantContexts(s.env, dev, mode, []deviceTenant{
+	mkCtx, err := tenantContexts(s.Env, dev, mode, []deviceTenant{
 		{name: "resnet", pct: 20, profile: "1g.10gb", group: "vm-resnet"},
 		{name: "llama", pct: 80, profile: "3g.40gb", group: "vm-llama"},
 	})
@@ -57,7 +57,7 @@ func RunMixedTenancy(mode Mode) (*MixedTenancyResult, error) {
 	res := &MixedTenancyResult{Mode: mode, ResNetSolo: solo}
 	var rLat metrics.Durations
 	var lLat metrics.Durations
-	resnetDone := s.env.NewEvent()
+	resnetDone := s.Env.NewEvent()
 	s.spawn("resnet", func(p *devent.Proc) error {
 		defer resnetDone.Fire(nil)
 		ctx, err := mkCtx(p, 0)
@@ -111,7 +111,7 @@ func RunMixedTenancy(mode Mode) (*MixedTenancyResult, error) {
 func resnetSolo() (time.Duration, error) {
 	var lat metrics.Durations
 	err := probe(1, simgpu.A100SXM480GB(), simgpu.PolicyTimeShare, func(s *sim, p *devent.Proc) error {
-		dev := s.devs[0]
+		dev := s.Devices[0]
 		ctx, _ := dev.NewContext(p, simgpu.ContextOpts{SkipInit: true})
 		e := vision.New(vision.Config{Model: models.ResNet50()})
 		if err := e.Load(p, ctx, dev.Spec().HostLoadBW); err != nil {

@@ -124,10 +124,9 @@ func (o Options) chaosHTEX(cfg htex.Config) htex.Config {
 	return cfg
 }
 
-// Platform is an assembled testbed.
+// Platform is an assembled testbed. Env, Devices, Obs, TSDB and SLOMon
+// come from its embedded simulation shell.
 type Platform struct {
-	Env     *devent.Env
-	Devices []*simgpu.Device
 	// Inventory is the fleet-layer view of Devices: one entry per GPU,
 	// IDs matching the device names, in the same order. Placement-aware
 	// callers (the fleet packer, multi-GPU scenarios) target it instead
@@ -136,16 +135,6 @@ type Platform struct {
 	Node      *gpuctl.Node
 	DFK       *faas.DFK
 	CPU       *htex.HTEX
-	// Obs is the platform's collector: every span and metric from the
-	// DFK, executors, and (with Options.Observe) devices and scheduler.
-	Obs *obs.Collector
-	// SLOMon is the attached SLO burn-rate monitor (nil unless
-	// Options.SLO is set); Run closes it when the simulation drains.
-	SLOMon *analyze.Monitor
-	// TSDB is the attached time-series store (nil unless Options.TSDB
-	// is set); Run starts its scrape daemon and stops it when the
-	// workflow completes.
-	TSDB *tsdb.DB
 	// Injector drives fault injection (nil when chaos is off).
 	Injector *fault.Injector
 	// Checker watches every task for the exactly-one-terminal-state
@@ -166,7 +155,7 @@ func NewPlatform(opts Options) (*Platform, error) {
 		return nil, err
 	}
 	s.observe("", o.OnCollector, o.TSDB)
-	env, devices, collector := s.env, s.devs, s.col
+	env, devices, collector := s.Env, s.Devices, s.Obs
 	node := gpuctl.NewNode(env, devices...)
 	if o.Observe {
 		env.SetObserver(collector)
@@ -200,14 +189,10 @@ func NewPlatform(opts Options) (*Platform, error) {
 	dfk := faas.NewDFK(env, fcfg, cpu)
 	pl := &Platform{
 		sim:       s,
-		Env:       env,
-		Devices:   devices,
 		Inventory: fleet.NewInventory(o.DeviceSpecs...),
 		Node:      node,
 		DFK:       dfk,
 		CPU:       cpu,
-		Obs:       collector,
-		TSDB:      s.db,
 		opts:      o,
 	}
 	if o.SLO != "" {
@@ -215,8 +200,7 @@ func NewPlatform(opts Options) (*Platform, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.mon = analyze.NewMonitor(collector, env, rules, s.db)
-		pl.SLOMon = s.mon
+		s.SLOMon = analyze.NewMonitor(collector, env, rules, s.TSDB)
 	}
 	if o.Chaos != nil {
 		inj := fault.New(env, *o.Chaos, collector)

@@ -17,35 +17,44 @@ import (
 // procs whose body returns an error. A cell — a Platform, a fleet cell,
 // an autoscale cell — also owns the collector, the optional series
 // store with its alert pack, the SLO monitor, and the OnCollector and
-// Attach hooks. Every run ends in run's one drain sequence.
+// Attach hooks. Every run ends in run's one drain sequence. A
+// Platform embeds its shell, so these fields are the Platform's too.
 type sim struct {
-	env  *devent.Env
-	devs []*simgpu.Device
-	col  *obs.Collector
-	db   *tsdb.DB
-	mon  *analyze.Monitor
+	Env     *devent.Env
+	Devices []*simgpu.Device
+	// Obs is the cell's collector; on a Platform it holds every span
+	// and metric from the DFK, executors, and (with Options.Observe)
+	// devices and scheduler.
+	Obs *obs.Collector
+	// TSDB is the attached time-series store (nil unless one was
+	// requested); run starts its scrape daemon and stops it when the
+	// main proc returns.
+	TSDB *tsdb.DB
+	// SLOMon is the attached SLO burn-rate monitor (nil unless SLO
+	// rules are set); run closes it when the simulation drains.
+	SLOMon *analyze.Monitor
 }
 
 // newSim builds a fresh Env with one device per spec, named gpu0,
 // gpu1, ..., each under policy (PolicyTimeShare is the device default).
 func newSim(policy simgpu.Policy, specs ...simgpu.DeviceSpec) (*sim, error) {
-	s := &sim{env: devent.NewEnv()}
+	s := &sim{Env: devent.NewEnv()}
 	for i, spec := range specs {
-		d, err := simgpu.NewDevice(s.env, fmt.Sprintf("gpu%d", i), spec)
+		d, err := simgpu.NewDevice(s.Env, fmt.Sprintf("gpu%d", i), spec)
 		if err == nil {
 			err = d.SetPolicy(policy)
 		}
 		if err != nil {
 			return nil, err
 		}
-		s.devs = append(s.devs, d)
+		s.Devices = append(s.Devices, d)
 	}
 	return s, nil
 }
 
 // newCell builds a device-less shell with its collector (see observe).
 func newCell(scope string, onCollector func(*obs.Collector), store *tsdb.Config) *sim {
-	s := &sim{env: devent.NewEnv()}
+	s := &sim{Env: devent.NewEnv()}
 	s.observe(scope, onCollector, store)
 	return s
 }
@@ -54,20 +63,20 @@ func newCell(scope string, onCollector func(*obs.Collector), store *tsdb.Config)
 // OnCollector hook before any span exists; with store set it also
 // attaches a series store over the collector's registry.
 func (s *sim) observe(scope string, onCollector func(*obs.Collector), store *tsdb.Config) {
-	s.col = obs.New(s.env)
-	s.col.SetScope(scope)
+	s.Obs = obs.New(s.Env)
+	s.Obs.SetScope(scope)
 	if onCollector != nil {
-		onCollector(s.col)
+		onCollector(s.Obs)
 	}
 	if store != nil {
-		s.db = tsdb.New(s.col.Metrics(), s.env, *store)
+		s.TSDB = tsdb.New(s.Obs.Metrics(), s.Env, *store)
 	}
 }
 
 // addAlerts registers a rule pack on the store (a no-op without one).
 func (s *sim) addAlerts(rules []tsdb.AlertRule) {
 	for _, r := range rules {
-		s.db.AddAlert(r)
+		s.TSDB.AddAlert(r)
 	}
 }
 
@@ -75,7 +84,7 @@ func (s *sim) addAlerts(rules []tsdb.AlertRule) {
 // final.
 func (s *sim) attach(fn AttachFunc) {
 	if fn != nil {
-		fn(s.col, s.db)
+		fn(s.Obs, s.TSDB)
 	}
 }
 
@@ -83,14 +92,14 @@ func (s *sim) attach(fn AttachFunc) {
 // the host bandwidth of the shell's first device.
 func (s *sim) load(p *devent.Proc, cfg llm.Config, ctxs ...*simgpu.Context) (*llm.Engine, error) {
 	e := llm.New(cfg)
-	return e, e.Load(p, ctxs, s.devs[0].Spec().HostLoadBW)
+	return e, e.Load(p, ctxs, s.Devices[0].Spec().HostLoadBW)
 }
 
 // spawn starts body as a proc; an error it returns fails the run.
 func (s *sim) spawn(name string, body func(*devent.Proc) error) *devent.Proc {
-	return s.env.Spawn(name, func(p *devent.Proc) {
+	return s.Env.Spawn(name, func(p *devent.Proc) {
 		if err := body(p); err != nil {
-			s.env.Fail(err)
+			s.Env.Fail(err)
 		}
 	})
 }
@@ -102,25 +111,25 @@ func (s *sim) spawn(name string, body func(*devent.Proc) error) *devent.Proc {
 // main runs only the procs already spawned. Main's error is returned
 // once the run has drained.
 func (s *sim) run(main func(*devent.Proc) error) error {
-	s.db.Start(s.env)
+	s.TSDB.Start(s.Env)
 	var mainErr error
 	if main != nil {
-		s.env.Spawn("main", func(p *devent.Proc) {
+		s.Env.Spawn("main", func(p *devent.Proc) {
 			mainErr = main(p)
-			s.db.Stop()
+			s.TSDB.Stop()
 		})
 	}
-	if err := s.env.Run(); err != nil {
+	if err := s.Env.Run(); err != nil {
 		return err
 	}
-	s.mon.Close()
-	s.db.Scrape()
+	s.SLOMon.Close()
+	s.TSDB.Scrape()
 	return mainErr
 }
 
 // drain runs a probe to drain and closes its Env.
 func (s *sim) drain() error {
-	defer s.env.Close()
+	defer s.Env.Close()
 	return s.run(nil)
 }
 

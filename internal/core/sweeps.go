@@ -100,7 +100,7 @@ func MeasureCompletionAtPercent(spec simgpu.DeviceSpec, cfg llm.Config, shards, 
 	var lat time.Duration
 	err := probe(shards, spec, simgpu.PolicySpatial, func(s *sim, p *devent.Proc) error {
 		ctxs := make([]*simgpu.Context, shards)
-		for i, d := range s.devs {
+		for i, d := range s.Devices {
 			ctx, err := d.NewContext(p, simgpu.ContextOpts{SkipInit: true, SMPercent: pct})
 			if err != nil {
 				return err

@@ -129,7 +129,7 @@ func measureVGPUReconfig() (time.Duration, error) {
 	err := probe(1, simgpu.A100SXM480GB(), simgpu.PolicyVGPU, func(s *sim, p *devent.Proc) error {
 		start := p.Now()
 		p.Sleep(30 * time.Second) // VM reboot
-		ctx, _ := s.devs[0].NewContext(p, simgpu.ContextOpts{Group: "vm1"})
+		ctx, _ := s.Devices[0].NewContext(p, simgpu.ContextOpts{Group: "vm1"})
 		_, err := s.load(p, fp32(llm.LLaMa27B()), ctx)
 		downtime = p.Now() - start
 		return err
@@ -146,11 +146,11 @@ func isolationProbe(mode Mode) (float64, bool, error) {
 	if err != nil {
 		return 0, false, err
 	}
-	dev := s.devs[0]
+	dev := s.Devices[0]
 	model := llm.LLaMa27B()
 	// Aggressors sit on the 1g.10gb slices of the 4-way MIG layout.
 	aggModel := servedModel(model, mode, 4)
-	mkCtx, err := tenantContexts(s.env, dev, mode, []deviceTenant{
+	mkCtx, err := tenantContexts(s.Env, dev, mode, []deviceTenant{
 		{pct: 25, profile: "3g.40gb", group: "vm0"},
 		{pct: 25, profile: "1g.10gb", group: "vm1"},
 		{pct: 25, profile: "1g.10gb", group: "vm2"},
@@ -162,7 +162,7 @@ func isolationProbe(mode Mode) (float64, bool, error) {
 
 	var lat metrics.Durations
 	var victimPool, aggPool *simgpu.MemPool
-	victimDone := s.env.NewEvent()
+	victimDone := s.Env.NewEvent()
 	s.spawn("victim", func(p *devent.Proc) error {
 		defer victimDone.Fire(nil)
 		ctx, err := mkCtx(p, 0)

@@ -4,7 +4,7 @@
 // An Env owns a virtual clock and an event queue. Simulated activities
 // are either plain scheduled callbacks (Schedule) or Procs: coroutines
 // that the scheduler resumes one at a time and that advance virtual
-// time by blocking on Sleep, Events, Chans, or Resources.
+// time by blocking on Sleep, Events, or Chans.
 //
 // The kernel is logically single-threaded: at any instant either the
 // scheduler loop or exactly one Proc is executing. All devent objects
@@ -517,7 +517,3 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.env.scheduleProc(d, p)
 	p.park()
 }
-
-// Yield re-queues the proc at the current time, letting other pending
-// events at this timestamp run first.
-func (p *Proc) Yield() { p.Sleep(0) }

@@ -43,10 +43,10 @@ type callback struct {
 }
 
 // registration is a detachable OnFire listener. Operations that wait
-// on a long-lived cancel event (Chan.RecvOr, Resource.AcquireOr,
-// AnyOf) detach theirs once they return or fire, so the event holds
-// no more listeners than it has live waiters. The zero registration
-// (from an event that had already fired) detaches as a no-op.
+// on a long-lived cancel event (Chan.RecvOr, AnyOf) detach theirs once
+// they return or fire, so the event holds no more listeners than it
+// has live waiters. The zero registration (from an event that had
+// already fired) detaches as a no-op.
 type registration struct {
 	ev  *Event
 	seq uint64

@@ -170,31 +170,6 @@ func TestProcNameAndEnvAccessors(t *testing.T) {
 	}
 }
 
-func TestResourceQueuedCount(t *testing.T) {
-	env := NewEnv()
-	r := NewResource(env, 1)
-	env.Spawn("holder", func(p *Proc) {
-		r.Acquire(p, 1)
-		p.Sleep(2 * time.Second)
-		r.Release(1)
-	})
-	for i := 0; i < 3; i++ {
-		env.Spawn("waiter", func(p *Proc) {
-			p.Sleep(time.Second)
-			r.Acquire(p, 1)
-			r.Release(1)
-		})
-	}
-	env.Schedule(1500*time.Millisecond, func() {
-		if r.Queued() != 3 {
-			t.Errorf("queued = %d", r.Queued())
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestReentrantRunErrors(t *testing.T) {
 	env := NewEnv()
 	var innerErr error

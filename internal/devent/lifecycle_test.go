@@ -46,39 +46,6 @@ func TestRecvOrDetachesFromCancel(t *testing.T) {
 	}
 }
 
-// Each granted AcquireOr detaches from its cancel event.
-func TestAcquireOrDetachesFromCancel(t *testing.T) {
-	env := NewEnv()
-	r := NewResource(env, 1)
-	cancel := env.NewNamedEvent("kill")
-	env.Spawn("holder", func(p *Proc) {
-		for i := 0; i < leakOps; i++ {
-			r.Acquire(p, 1)
-			p.Sleep(time.Microsecond) // the acquirer queues behind us
-			r.Release(1)
-			p.Yield()
-		}
-	})
-	high := 0
-	env.Spawn("acquirer", func(p *Proc) {
-		for i := 0; i < leakOps; i++ {
-			if !r.AcquireOr(p, 1, cancel) {
-				t.Errorf("acquire %d cancelled", i)
-				return
-			}
-			high = max(high, cancel.Listeners())
-			r.Release(1)
-			p.Yield()
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if high > maxListeners || cancel.Listeners() != 0 {
-		t.Fatalf("cancel event holds %d listeners (high-water %d) after %d acquires", cancel.Listeners(), high, leakOps)
-	}
-}
-
 // An AnyOf detaches from its other inputs once one fires, so 10k of
 // them over a never-firing input do not accumulate on it.
 func TestAnyOfDetachesFromUnfiredInputs(t *testing.T) {

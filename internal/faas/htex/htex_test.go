@@ -260,16 +260,12 @@ func TestMIGUUIDBinding(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		in1, err := dev.CreateInstance("3g.40gb")
+		ins, err := dev.ConfigureMIG(p, []string{"3g.40gb", "3g.40gb"})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		in2, err := dev.CreateInstance("3g.40gb")
-		if err != nil {
-			t.Error(err)
-			return
-		}
+		in1, in2 := ins[0], ins[1]
 		// Listing 3: accelerators are MIG UUIDs.
 		ex, err := New(env, Config{
 			Label:                 "gpu",

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/devent"
+	"repro/internal/obs"
 )
 
 func TestParseSpec(t *testing.T) {
@@ -92,19 +93,31 @@ func (f *fakePool) KillWorker(name string) bool {
 	return false
 }
 
+// faultLog reads the injected faults back from the collector's fault
+// spans, in injection order.
+func faultLog(c *obs.Collector) []Fault {
+	var log []Fault
+	for _, s := range c.Spans() {
+		if s.Cat == "fault" {
+			log = append(log, Fault{At: s.Start, Kind: Kind(s.Name), Target: s.Attr("target")})
+		}
+	}
+	return log
+}
+
 // chaosTrace runs a seeded injector against fresh fake targets and
 // returns the fault log.
 func chaosTrace(t *testing.T, seed int64) []Fault {
 	t.Helper()
 	env := devent.NewEnv()
-	inj := New(env, Spec{Seed: seed, Rate: 2, Until: 20 * time.Second}, nil)
+	c := obs.New(env)
+	inj := New(env, Spec{Seed: seed, Rate: 2, Until: 20 * time.Second}, c)
 	inj.AttachPool(&fakePool{label: "cpu", alive: []string{"w0", "w1", "w2", "w3"}})
-	var log []Fault
-	inj.OnFault(func(f Fault) { log = append(log, f) })
 	inj.Start()
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
+	log := faultLog(c)
 	if inj.Injected() != len(log) {
 		t.Fatalf("Injected() = %d, log has %d", inj.Injected(), len(log))
 	}
@@ -146,10 +159,9 @@ func TestInjectorDeterministic(t *testing.T) {
 func TestScheduledFaultsAndCap(t *testing.T) {
 	env := devent.NewEnv()
 	pool := &fakePool{label: "cpu", alive: []string{"w0", "w1", "w2"}}
-	inj := New(env, Spec{Seed: 1, MaxFaults: 2}, nil)
+	c := obs.New(env)
+	inj := New(env, Spec{Seed: 1, MaxFaults: 2}, c)
 	inj.AttachPool(pool)
-	var log []Fault
-	inj.OnFault(func(f Fault) { log = append(log, f) })
 	inj.At(3*time.Second, KindWorker, "w1")
 	inj.At(5*time.Second, KindWorker, "") // first candidate: w0
 	inj.At(7*time.Second, KindWorker, "") // capped by MaxFaults=2
@@ -157,6 +169,7 @@ func TestScheduledFaultsAndCap(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
+	log := faultLog(c)
 	if len(log) != 2 {
 		t.Fatalf("log = %+v", log)
 	}

@@ -29,7 +29,8 @@ type Device interface {
 	InjectContextLoss(name string) bool
 }
 
-// Fault records one injected fault (for hooks and tests).
+// Fault is one injected fault; record writes it as a "fault" span
+// (name = kind, attribute target) at its firing time.
 type Fault struct {
 	At     time.Duration
 	Kind   Kind
@@ -55,7 +56,6 @@ type Injector struct {
 	started  bool
 	stopped  bool
 	timer    *devent.Timer
-	onFault  func(Fault)
 }
 
 // New creates an injector over env; a nil collector gets a private
@@ -82,10 +82,6 @@ func (i *Injector) Spec() Spec { return i.spec }
 
 // Injected reports how many faults have fired so far.
 func (i *Injector) Injected() int { return i.injected }
-
-// OnFault installs a hook receiving every injected fault (tests use
-// it to assert determinism).
-func (i *Injector) OnFault(fn func(Fault)) { i.onFault = fn }
 
 // AttachPool adds a worker pool as a KindWorker/KindReconfig target.
 func (i *Injector) AttachPool(p WorkerPool) { i.pools = append(i.pools, p) }
@@ -272,7 +268,4 @@ func (i *Injector) record(f Fault) {
 	i.obs.Metrics().Counter("fault_injected_total", obs.L("kind", string(f.Kind))).Inc()
 	i.obs.AddSpan("fault", string(f.Kind), "faults", 0, f.At, f.At,
 		obs.String("target", f.Target))
-	if i.onFault != nil {
-		i.onFault(f)
-	}
 }

@@ -50,8 +50,8 @@ var (
 	// ErrDuplicateTenant is returned when a tenant of the same name is
 	// already placed.
 	ErrDuplicateTenant = errors.New("fleet: tenant already placed")
-	// ErrUnknownTenant is returned by Evict/Migrate for tenants that are
-	// not placed.
+	// ErrUnknownTenant is returned by Evict for tenants that are not
+	// placed.
 	ErrUnknownTenant = errors.New("fleet: unknown tenant")
 	// ErrBadDemand is returned for malformed demands (empty tenant name,
 	// non-positive SMs, negative memory).
@@ -352,8 +352,8 @@ type Cluster struct {
 
 	obsC *obs.Collector
 	// metrics (nil without a collector)
-	cPlaced, cRejected, cEvicted, cMigrated, cRebalances, cMoved *obs.Counter
-	gTenants, gFrag, gMIG, gMPS, gEmpty                          *obs.Gauge
+	cPlaced, cRejected, cEvicted, cRebalances, cMoved *obs.Counter
+	gTenants, gFrag, gMIG, gMPS, gEmpty               *obs.Gauge
 }
 
 // New builds an empty cluster over the inventory.
@@ -389,7 +389,6 @@ func New(cfg Config) (*Cluster, error) {
 		c.cPlaced = m.Counter("fleet_place_total", obs.L("status", "placed"))
 		c.cRejected = m.Counter("fleet_place_total", obs.L("status", "rejected"))
 		c.cEvicted = m.Counter("fleet_evict_total")
-		c.cMigrated = m.Counter("fleet_migrate_total")
 		c.cRebalances = m.Counter("fleet_rebalance_total")
 		c.cMoved = m.Counter("fleet_rebalance_moved_total")
 		c.gTenants = m.Gauge("fleet_tenants")

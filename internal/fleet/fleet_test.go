@@ -291,14 +291,12 @@ func TestHardShapes(t *testing.T) {
 }
 
 // TestEvictAndMigrate pins the lifecycle semantics: evicting the last
-// tenant empties the GPU, unknown tenants are typed errors, and
-// migration re-places onto the least-fragmenting segment.
+// tenant empties the GPU, unknown tenants are typed errors, and a
+// tenant evicted and placed again (a migration) lands on the
+// least-fragmenting segment.
 func TestEvictAndMigrate(t *testing.T) {
 	c, _ := New(Config{Inventory: mixedInventory(1, 0)})
 	if err := c.Evict("ghost"); !errors.Is(err, ErrUnknownTenant) {
-		t.Fatalf("want ErrUnknownTenant, got %v", err)
-	}
-	if _, err := c.Migrate("ghost"); !errors.Is(err, ErrUnknownTenant) {
 		t.Fatalf("want ErrUnknownTenant, got %v", err)
 	}
 	if _, err := c.Place(Demand{Tenant: "a", SMs: 10, MemBytes: simgpu.GB}); err != nil {
@@ -319,8 +317,8 @@ func TestEvictAndMigrate(t *testing.T) {
 	if f := c.Fragmentation().Fleet; f != 0 {
 		t.Fatalf("empty fleet fragmentation %v, want 0", f)
 	}
-	// Migrate: a survivor sharing a large instance moves to a tight one
-	// once the fleet has room.
+	// Migration: a survivor sharing a large instance moves to a tight
+	// one once the fleet has room.
 	if _, err := c.Place(Demand{Tenant: "big", SMs: 90, MemBytes: 60 * simgpu.GB}); err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +328,10 @@ func TestEvictAndMigrate(t *testing.T) {
 	if err := c.Evict("big"); err != nil {
 		t.Fatal(err)
 	}
-	pl, err := c.Migrate("small")
+	if err := c.Evict("small"); err != nil {
+		t.Fatal(err)
+	}
+	pl, err := c.Place(Demand{Tenant: "small", SMs: 5, MemBytes: simgpu.GB})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -318,32 +318,6 @@ func (c *Cluster) Evict(tenant string) error {
 	return nil
 }
 
-// Migrate evicts and re-places one tenant — the packer may choose a
-// better segment now that the fleet has churned since its arrival. On
-// failure the tenant is restored to some feasible segment (its old one
-// was just freed, so one exists) and the placement error is returned.
-func (c *Cluster) Migrate(tenant string) (Placement, error) {
-	old, ok := c.byTenant[tenant]
-	if !ok {
-		return Placement{}, fmt.Errorf("%w: %q", ErrUnknownTenant, tenant)
-	}
-	d := old.Demand
-	if err := c.Evict(tenant); err != nil {
-		return Placement{}, err
-	}
-	pl, err := c.Place(d)
-	if err != nil {
-		if _, rerr := c.Place(d); rerr != nil {
-			return Placement{}, fmt.Errorf("fleet: migrate lost tenant %q: %v (restore: %w)", tenant, err, rerr)
-		}
-		return Placement{}, err
-	}
-	if c.cMigrated != nil {
-		c.cMigrated.Inc()
-	}
-	return pl, nil
-}
-
 // RebalanceReport compares the churned incremental state with a
 // from-scratch solve of the surviving tenants.
 type RebalanceReport struct {

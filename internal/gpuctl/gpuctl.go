@@ -32,10 +32,6 @@ const (
 // client.
 var ErrNoDevice = errors.New("gpuctl: no visible CUDA device")
 
-// ErrMPSNotRunning is returned for control operations against a
-// stopped MPS daemon.
-var ErrMPSNotRunning = errors.New("gpuctl: MPS control daemon not running")
-
 // RefKind distinguishes accelerator reference syntaxes.
 type RefKind int
 

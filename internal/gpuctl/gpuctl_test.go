@@ -148,23 +148,13 @@ func TestMPSDaemonLifecycle(t *testing.T) {
 		if err != nil || d2 != d {
 			t.Errorf("second start: %v %v", d2, err)
 		}
-		if err := d.SetDefaultActiveThreadPercentage(50); err != nil {
+		ctx, err := n.OpenContext(p, "fn", map[string]string{EnvVisibleDevices: "0", EnvMPSThreadPct: "20"})
+		if err != nil {
 			t.Error(err)
+			return
 		}
-		if got := d.ClientPercent(nil); got != 50 {
-			t.Errorf("default pct = %d", got)
-		}
-		if got := d.ClientPercent(map[string]string{EnvMPSThreadPct: "20"}); got != 20 {
+		if got := ctx.SMPercent(); got != 20 {
 			t.Errorf("env pct = %d", got)
-		}
-		if err := d.Quit(); err != nil {
-			t.Error(err)
-		}
-		if n.Device(0).Policy() != simgpu.PolicyTimeShare {
-			t.Error("policy not restored")
-		}
-		if err := d.Quit(); !errors.Is(err, ErrMPSNotRunning) {
-			t.Errorf("double quit: %v", err)
 		}
 	})
 	if err := env.Run(); err != nil {
@@ -244,11 +234,12 @@ func TestOpenContextMIGUUID(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		in, err := dev.CreateInstance("3g.40gb")
+		ins, err := dev.ConfigureMIG(p, []string{"3g.40gb"})
 		if err != nil {
 			t.Error(err)
 			return
 		}
+		in := ins[0]
 		ctx, err := n.OpenContext(p, "fn", map[string]string{EnvVisibleDevices: in.UUID()})
 		if err != nil {
 			t.Error(err)
@@ -292,25 +283,5 @@ func TestResolveGPUUUID(t *testing.T) {
 	_, dev, err := n.Resolve(Ref{Kind: RefGPUUUID, UUID: "GPU-gpu1"})
 	if err != nil || dev != n.Device(1) {
 		t.Fatalf("resolve: %v %v", dev, err)
-	}
-}
-
-func TestMPSDefaultPercentAppliesAtOpen(t *testing.T) {
-	env := devent.NewEnv()
-	n := newTestNode(t, env, 1)
-	env.Spawn("worker", func(p *devent.Proc) {
-		d, _ := n.StartMPS(p, 0)
-		d.SetDefaultActiveThreadPercentage(25)
-		ctx, err := n.OpenContext(p, "fn", map[string]string{EnvVisibleDevices: "0"})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if ctx.SMPercent() != 25 {
-			t.Errorf("SMPercent = %d", ctx.SMPercent())
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -1,7 +1,6 @@
 package gpuctl
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/devent"
@@ -14,9 +13,7 @@ import (
 // The paper's executor must ensure the daemon is "launched in the
 // compute node before any function with GPU code runs" (§4.1).
 type MPSDaemon struct {
-	dev        *simgpu.Device
-	running    bool
-	defaultPct int
+	dev *simgpu.Device
 }
 
 // StartMPS starts the control daemon on dev, switching it to spatial
@@ -34,53 +31,8 @@ func StartMPS(p *devent.Proc, dev *simgpu.Device) (*MPSDaemon, error) {
 	if p != nil {
 		p.Sleep(100 * time.Millisecond) // daemon startup
 	}
-	return &MPSDaemon{dev: dev, running: true}, nil
+	return &MPSDaemon{dev: dev}, nil
 }
-
-// Running reports whether the daemon is active.
-func (m *MPSDaemon) Running() bool { return m.running }
 
 // Device returns the device the daemon controls.
 func (m *MPSDaemon) Device() *simgpu.Device { return m.dev }
-
-// DefaultActiveThreadPercentage returns the daemon-wide default cap
-// (0 = none).
-func (m *MPSDaemon) DefaultActiveThreadPercentage() int { return m.defaultPct }
-
-// SetDefaultActiveThreadPercentage sets the daemon-wide default cap
-// applied to clients whose environment specifies none (the
-// set_default_active_thread_percentage control command). It affects
-// only clients created afterwards, as on real hardware.
-func (m *MPSDaemon) SetDefaultActiveThreadPercentage(pct int) error {
-	if !m.running {
-		return ErrMPSNotRunning
-	}
-	if pct < 0 || pct > 100 {
-		return fmt.Errorf("gpuctl: percentage %d out of range", pct)
-	}
-	m.defaultPct = pct
-	return nil
-}
-
-// ClientPercent resolves the effective SM cap for a client with the
-// given environment: explicit env beats the daemon default.
-func (m *MPSDaemon) ClientPercent(env map[string]string) int {
-	if pct := PercentFromEnv(env); pct > 0 {
-		return pct
-	}
-	return m.defaultPct
-}
-
-// Quit stops the daemon, returning the device to time-sharing. All
-// client contexts must be gone first (echo quit refuses while clients
-// hold the GPU in a way that matters here).
-func (m *MPSDaemon) Quit() error {
-	if !m.running {
-		return ErrMPSNotRunning
-	}
-	if err := m.dev.SetPolicy(simgpu.PolicyTimeShare); err != nil {
-		return err
-	}
-	m.running = false
-	return nil
-}

@@ -45,7 +45,7 @@ func (n *Node) StartMPS(p *devent.Proc, i int) (*MPSDaemon, error) {
 	if dev == nil {
 		return nil, fmt.Errorf("%w: index %d", ErrNoDevice, i)
 	}
-	if d, ok := n.mps[dev]; ok && d.Running() {
+	if d, ok := n.mps[dev]; ok {
 		return d, nil
 	}
 	d, err := StartMPS(p, dev)
@@ -104,9 +104,9 @@ func (n *Node) Resolve(ref Ref) (Target, *simgpu.Device, error) {
 // OpenContext performs client-process GPU bring-up from an
 // environment, exactly as the CUDA runtime would inside a freshly
 // started worker: take the first entry of CUDA_VISIBLE_DEVICES,
-// resolve it (device or MIG instance), determine the MPS percentage
-// (environment first, then daemon default, only when a daemon runs on
-// a whole device), and create the context, paying initialization time.
+// resolve it (device or MIG instance), read the MPS percentage from
+// the environment (only when a daemon runs on a whole device), and
+// create the context, paying initialization time.
 func (n *Node) OpenContext(p *devent.Proc, name string, env map[string]string) (*simgpu.Context, error) {
 	refs := ParseVisibleDevices(env[EnvVisibleDevices])
 	if len(refs) == 0 {
@@ -118,8 +118,8 @@ func (n *Node) OpenContext(p *devent.Proc, name string, env map[string]string) (
 	}
 	opts := simgpu.ContextOpts{Name: name}
 	if _, isWholeDevice := target.(*simgpu.Device); isWholeDevice {
-		if daemon := n.mps[dev]; daemon != nil && daemon.Running() {
-			opts.SMPercent = daemon.ClientPercent(env)
+		if n.mps[dev] != nil {
+			opts.SMPercent = PercentFromEnv(env)
 		}
 		// Without MPS the percentage env var is inert, as on real
 		// hardware: time-sharing ignores it.

@@ -147,9 +147,9 @@ func (d *Durations) Summary() *Summary {
 	return s
 }
 
-// Samples returns a copy of the recorded samples in insertion order is
-// not preserved once percentile queries have run; callers needing
-// order should keep their own slice.
+// Samples returns a copy of the recorded samples. They are in
+// insertion order only until a percentile query sorts them in place;
+// callers needing insertion order should keep their own slice.
 func (d *Durations) Samples() []time.Duration {
 	return append([]time.Duration(nil), d.samples...)
 }

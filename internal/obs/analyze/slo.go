@@ -119,7 +119,7 @@ func NewMonitor(c *obs.Collector, clk obs.Clock, rules []Rule, db *tsdb.DB) *Mon
 	}
 	alerts := db
 	if alerts == nil {
-		alerts = tsdb.New(obs.NewRegistry(clk), clk, tsdb.Config{})
+		alerts = tsdb.New(obs.NewRegistry(), clk, tsdb.Config{})
 	}
 	m := &Monitor{c: c, clk: clk, apps: make(map[string]*appState)}
 	for _, r := range rules {

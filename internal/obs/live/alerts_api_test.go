@@ -21,7 +21,7 @@ func twoScopeServer(t *testing.T) (*Server, *tsdb.DB, *tsdb.DB) {
 	t.Helper()
 	mk := func(v float64) *tsdb.DB {
 		clk := &fakeClock{}
-		reg := obs.NewRegistry(clk)
+		reg := obs.NewRegistry()
 		db := tsdb.New(reg, clk, tsdb.Config{Capacity: 16})
 		reg.Gauge("depth").Set(v)
 		clk.t = time.Second
@@ -102,7 +102,7 @@ func TestSeriesAmbiguousScopeDeterministic(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				reg := obs.NewRegistry(clk)
+				reg := obs.NewRegistry()
 				db := tsdb.New(reg, clk, tsdb.Config{Capacity: 4})
 				reg.Gauge("cell").Set(float64(i))
 				db.Scrape()

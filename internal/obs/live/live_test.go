@@ -443,3 +443,37 @@ func TestSpansFollowDropsStalledClient(t *testing.T) {
 	}
 	c.Close()
 }
+
+// A raw /api/series answer carries at most maxSeriesSamples samples in
+// total: one full 1<<16 ring still fits, but scope=* over two of them
+// is refused with 400 and an error naming the cap.
+func TestSeriesRawSampleCap(t *testing.T) {
+	srv := NewServer()
+	for _, scope := range []string{"a", "b"} {
+		clk := &fakeClock{}
+		db := tsdb.New(obs.NewRegistry(), clk, tsdb.Config{})
+		s := db.EventSeries("burn", maxSeriesSamples)
+		for i := 0; i < maxSeriesSamples; i++ {
+			s.Append(time.Duration(i)*ms, 1)
+		}
+		srv.attachDB(scope, db)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	code, body := get(t, ts, "/api/series?scope=a&name=burn&fn=raw")
+	var one struct {
+		Samples []tsdb.Sample `json:"samples"`
+	}
+	if err := json.Unmarshal(body, &one); code != http.StatusOK || err != nil || len(one.Samples) != maxSeriesSamples {
+		t.Fatalf("one full ring: status %d, %d samples, err %v; want 200 with %d", code, len(one.Samples), err, maxSeriesSamples)
+	}
+
+	code, body = get(t, ts, "/api/series?scope=*&name=burn&fn=raw")
+	var both struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(body, &both); code != http.StatusBadRequest || err != nil || !strings.Contains(both.Error, "65536") {
+		t.Fatalf("two full rings: status %d, error %q, err %v; want 400 naming the 65536 cap", code, both.Error, err)
+	}
+}

@@ -208,6 +208,12 @@ type federatedResponse struct {
 	Results []seriesResponse `json:"results"`
 }
 
+// maxSeriesSamples caps the raw samples one /api/series response
+// carries, summed over every scope of a scope=* query. It is the
+// largest ring any series keeps (an app's slo:burn event series), so
+// one full ring still fits.
+const maxSeriesSamples = 1 << 16
+
 // reserved /api/series query parameters; everything else is a label
 // matcher.
 var reservedParams = map[string]bool{
@@ -231,15 +237,18 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// scope=* federates: one query, every attached DB, results in
-	// scope order. Parameter errors fail the whole request.
+	// scope order. Parameter errors, and raw results that together
+	// exceed maxSeriesSamples, fail the whole request.
 	if scope == "*" {
 		fresp := federatedResponse{Name: q.Get("name"), Fn: q.Get("fn")}
+		budget := maxSeriesSamples
 		for _, sd := range dbs {
-			resp, code := evalSeries(sd.db, sd.scope, q)
+			resp, code := evalSeries(sd.db, sd.scope, q, budget)
 			if code != http.StatusOK {
 				writeJSON(w, code, resp)
 				return
 			}
+			budget -= len(resp.Samples)
 			if resp.OK {
 				fresp.OK = true
 			}
@@ -271,14 +280,15 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	resp, code := evalSeries(db, scope, q)
+	resp, code := evalSeries(db, scope, q, maxSeriesSamples)
 	writeJSON(w, code, resp)
 }
 
-// evalSeries answers one /api/series query against one DB. The
-// returned code is StatusOK or StatusBadRequest (malformed
-// parameters); "no such series" is OK=false, not an HTTP error.
-func evalSeries(db *tsdb.DB, scope string, q url.Values) (seriesResponse, int) {
+// evalSeries answers one /api/series query against one DB, allowing
+// fn=raw at most budget samples. The returned code is StatusOK or
+// StatusBadRequest (malformed parameters, or more raw samples than
+// budget); "no such series" is OK=false, not an HTTP error.
+func evalSeries(db *tsdb.DB, scope string, q url.Values, budget int) (seriesResponse, int) {
 	resp := seriesResponse{Scope: scope, Name: q.Get("name"), Fn: q.Get("fn"), LastNS: db.LastTime()}
 	fail := func(format string, args ...any) (seriesResponse, int) {
 		resp.Error = fmt.Sprintf(format, args...)
@@ -351,6 +361,10 @@ func evalSeries(db *tsdb.DB, scope string, q url.Values) (seriesResponse, int) {
 			}
 		}
 		resp.Samples = db.Samples(resp.Name, from, to, labels...)
+		if len(resp.Samples) > budget {
+			resp.Samples = nil
+			return fail("raw result exceeds the %d-sample response cap; narrow from/to or query one scope", maxSeriesSamples)
+		}
 		ok = len(resp.Samples) > 0
 	default:
 		return fail("unknown fn %q (want latest|rate|avg|max|quantile|raw)", fn)

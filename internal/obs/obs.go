@@ -239,7 +239,7 @@ func New(clock Clock) *Collector {
 	c := &Collector{
 		clock:   clock,
 		winBase: 1,
-		reg:     NewRegistry(clock),
+		reg:     NewRegistry(),
 	}
 	c.cDispatched = c.reg.Counter("devent_events_dispatched_total")
 	c.cSpawned = c.reg.Counter("devent_procs_spawned_total")
@@ -566,10 +566,10 @@ func (c *Collector) emit(s *Span) {
 func (c *Collector) noteRetained() {
 	if r := len(c.spans) - c.head + len(c.parked); r > c.maxRetained {
 		c.maxRetained = r
-		// The gauge trails the exact high-water by at most 1/16: a
-		// snapshot-mode window grows with every span, and appending a
-		// step-history sample each time would make the gauge history
-		// itself scale with run length. MaxRetained stays exact.
+		// The gauge moves only when the high-water has grown by more
+		// than 1/16 since it last moved, so it trails the exact value
+		// by at most that; the exported metrics record this
+		// quantised value. MaxRetained stays exact.
 		if r >= c.retainedNoted+c.retainedNoted/16+1 {
 			c.retainedNoted = r
 			c.gRetained.Set(float64(r))

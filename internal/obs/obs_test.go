@@ -160,7 +160,7 @@ func TestObserverHooksCount(t *testing.T) {
 }
 
 func TestRegistryIdempotentAndTyped(t *testing.T) {
-	r := NewRegistry(&fakeClock{})
+	r := NewRegistry()
 	a := r.Counter("hits", L("app", "x"), L("zone", "y"))
 	b := r.Counter("hits", L("zone", "y"), L("app", "x")) // label order irrelevant
 	if a != b {
@@ -197,7 +197,7 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 			c.EndSpan(id, Dur("start_ns", 1234567), Float("sms", 0.375), String("status", "done"))
 		}
 	}
-	r := NewRegistry(&fakeClock{})
+	r := NewRegistry()
 	cnt := r.Counter("done", L("status", "ok"), L("app", "a"))
 	r.Gauge("busy", L("status", "ok"), L("app", "a"))
 	r.Histogram("lat", nil, L("status", "ok"), L("app", "a"))
@@ -239,7 +239,7 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 // buffer, resolve the same way; a new series owns a sorted copy of its
 // labels.
 func TestRegistryLargeLabelSets(t *testing.T) {
-	r := NewRegistry(&fakeClock{})
+	r := NewRegistry()
 	var ls []Label
 	for i := 11; i >= 0; i-- {
 		ls = append(ls, L(string(rune('a'+i)), strings.Repeat("v", 20)))
@@ -257,25 +257,8 @@ func TestRegistryLargeLabelSets(t *testing.T) {
 	}
 }
 
-func TestGaugeSeriesTracksVirtualTime(t *testing.T) {
-	clk := &fakeClock{}
-	r := NewRegistry(clk)
-	g := r.Gauge("busy")
-	g.Set(10)
-	clk.t = 2 * time.Second
-	g.Add(-4)
-	if g.Value() != 6 {
-		t.Fatalf("value = %v", g.Value())
-	}
-	// Step series: 10 for [0,2s), 6 after — time-weighted mean over
-	// [0,4s) is (10*2 + 6*2)/4 = 8.
-	if m := g.Series().Mean(0, 4*time.Second); m != 8 {
-		t.Fatalf("mean = %v", m)
-	}
-}
-
 func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry(&fakeClock{})
+	r := NewRegistry()
 	h := r.Histogram("lat", []float64{1, 2, 5})
 	for _, v := range []float64{0.5, 1.5, 1.7, 4, 100} {
 		h.Observe(v)
@@ -299,7 +282,7 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 func TestCounterIgnoresNegative(t *testing.T) {
-	r := NewRegistry(&fakeClock{})
+	r := NewRegistry()
 	c := r.Counter("n")
 	c.Add(3)
 	c.Add(-5)

@@ -6,8 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 // Label is one metric dimension.
@@ -87,23 +85,17 @@ func (c *Counter) Labels() []Label {
 	return c.labels
 }
 
-// Gauge is a point-in-time value whose history is kept as a
-// piecewise-constant step series in virtual time.
+// Gauge is a point-in-time value. It keeps no history: a scraping
+// tsdb records the values it samples.
 type Gauge struct {
 	labels []Label
-	clock  Clock
 	v      float64
-	series metrics.StepSeries
 }
 
-// Set records the value at the current virtual time.
+// Set replaces the value.
 func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.v = v
-	if g.clock != nil {
-		g.series.Set(g.clock.Now(), v)
+	if g != nil {
+		g.v = v
 	}
 }
 
@@ -120,14 +112,6 @@ func (g *Gauge) Value() float64 {
 		return 0
 	}
 	return g.v
-}
-
-// Series exposes the gauge's full step history (nil receiver: nil).
-func (g *Gauge) Series() *metrics.StepSeries {
-	if g == nil {
-		return nil
-	}
-	return &g.series
 }
 
 // Labels returns the gauge's canonical (key-sorted) labels. The slice
@@ -226,7 +210,6 @@ type family struct {
 // the same name and label set always return the same instrument. A
 // nil *Registry returns nil instruments, which are themselves no-ops.
 type Registry struct {
-	clock    Clock
 	families map[string]*family
 	// gen counts structural changes (new family or new series) so
 	// scrapers can cache their flattened instrument list and rebuild it
@@ -234,9 +217,9 @@ type Registry struct {
 	gen uint64
 }
 
-// NewRegistry creates an empty registry stamping gauges with clock.
-func NewRegistry(clock Clock) *Registry {
-	return &Registry{clock: clock, families: make(map[string]*family)}
+// NewRegistry creates an empty registry.
+func NewRegistry() *Registry {
+	return &Registry{families: make(map[string]*family)}
 }
 
 func (r *Registry) family(name string, kind Kind, buckets []float64) *family {
@@ -310,7 +293,7 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	if g, ok := f.series[string(key)]; ok {
 		return g.(*Gauge)
 	}
-	g := &Gauge{labels: append([]Label(nil), ls...), clock: r.clock}
+	g := &Gauge{labels: append([]Label(nil), ls...)}
 	f.series[string(key)] = g
 	r.gen++
 	return g

@@ -20,7 +20,7 @@ type alertHarness struct {
 func newAlertHarness(t *testing.T) *alertHarness {
 	t.Helper()
 	clk := &fakeClock{}
-	reg := obs.NewRegistry(clk)
+	reg := obs.NewRegistry()
 	db := New(reg, clk, Config{Interval: time.Second, Capacity: 64})
 	return &alertHarness{clk: clk, reg: reg, db: db, g: reg.Gauge("depth")}
 }
@@ -253,7 +253,7 @@ func TestAlertFlipsFn(t *testing.T) {
 // still count in a 10 min window over a 512-sample, 1 s ring.
 func TestAlertWindowLongerThanRing(t *testing.T) {
 	clk := &fakeClock{}
-	reg := obs.NewRegistry(clk)
+	reg := obs.NewRegistry()
 	db := New(reg, clk, Config{Interval: time.Second, Capacity: 512})
 	g := reg.Gauge("blocks")
 	a := db.AddAlert(AlertRule{

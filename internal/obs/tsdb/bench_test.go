@@ -14,7 +14,7 @@ import (
 func benchDB(tb testing.TB) (*DB, *fakeClock, *obs.Registry) {
 	tb.Helper()
 	clk := &fakeClock{}
-	reg := obs.NewRegistry(clk)
+	reg := obs.NewRegistry()
 	for i := 0; i < 16; i++ {
 		reg.Counter("tasks_total", obs.L("app", string(rune('a'+i)))).Add(float64(i))
 		reg.Gauge("depth", obs.L("app", string(rune('a'+i)))).Set(float64(i))

@@ -13,7 +13,7 @@ import (
 
 func TestQueryEmptyWindow(t *testing.T) {
 	clk := &fakeClock{}
-	reg := obs.NewRegistry(clk)
+	reg := obs.NewRegistry()
 	db := New(reg, clk, Config{Interval: time.Second, Capacity: 8})
 
 	// An event series whose lone sample is older than the DB's newest
@@ -42,7 +42,7 @@ func TestQueryEmptyWindow(t *testing.T) {
 
 func TestQuerySingleSampleRate(t *testing.T) {
 	clk := &fakeClock{}
-	reg := obs.NewRegistry(clk)
+	reg := obs.NewRegistry()
 	db := New(reg, clk, Config{Interval: time.Second, Capacity: 8})
 	c := reg.Counter("events_total")
 	c.Add(7)
@@ -64,7 +64,7 @@ func TestQuerySingleSampleRate(t *testing.T) {
 
 func TestQueryWindowClippedByRingWrap(t *testing.T) {
 	clk := &fakeClock{}
-	reg := obs.NewRegistry(clk)
+	reg := obs.NewRegistry()
 	db := New(reg, clk, Config{Interval: time.Second, Capacity: 4})
 	g := reg.Gauge("depth")
 	// 8 scrapes through a 4-slot ring: t=1..8s written, t=5..8s retained.
@@ -95,7 +95,7 @@ func TestQueryWindowClippedByRingWrap(t *testing.T) {
 	}
 	// Before any eviction the bit is always true.
 	clk2 := &fakeClock{}
-	reg2 := obs.NewRegistry(clk2)
+	reg2 := obs.NewRegistry()
 	db2 := New(reg2, clk2, Config{Capacity: 4})
 	ev := db2.EventSeries("x", 4)
 	ev.Append(time.Second, 1)
@@ -106,7 +106,7 @@ func TestQueryWindowClippedByRingWrap(t *testing.T) {
 
 func TestQuantileAllZeroBuckets(t *testing.T) {
 	clk := &fakeClock{}
-	reg := obs.NewRegistry(clk)
+	reg := obs.NewRegistry()
 	db := New(reg, clk, Config{Interval: time.Second, Capacity: 8})
 	reg.Histogram("latency", obs.DefLatencyBuckets)
 	clk.t = time.Second

@@ -18,7 +18,7 @@ func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 func TestScrapeAndScalarQueries(t *testing.T) {
 	clk := &fakeClock{}
-	reg := obs.NewRegistry(clk)
+	reg := obs.NewRegistry()
 	db := New(reg, clk, Config{Interval: time.Second, Capacity: 8})
 
 	c := reg.Counter("tasks_total", obs.L("app", "a"))
@@ -78,7 +78,7 @@ func TestScrapeAndScalarQueries(t *testing.T) {
 
 func TestRingEviction(t *testing.T) {
 	clk := &fakeClock{}
-	reg := obs.NewRegistry(clk)
+	reg := obs.NewRegistry()
 	db := New(reg, clk, Config{Capacity: 4})
 	g := reg.Gauge("v")
 	for i := 1; i <= 10; i++ {
@@ -98,7 +98,7 @@ func TestRingEviction(t *testing.T) {
 
 func TestHistogramQuantileWindow(t *testing.T) {
 	clk := &fakeClock{}
-	reg := obs.NewRegistry(clk)
+	reg := obs.NewRegistry()
 	db := New(reg, clk, Config{Capacity: 16})
 	h := reg.Histogram("lat", []float64{0.1, 1, 10})
 
@@ -133,7 +133,7 @@ func TestHistogramQuantileWindow(t *testing.T) {
 
 func TestRebuildKeepsHistory(t *testing.T) {
 	clk := &fakeClock{}
-	reg := obs.NewRegistry(clk)
+	reg := obs.NewRegistry()
 	db := New(reg, clk, Config{Capacity: 8})
 	a := reg.Counter("a_total")
 	clk.t = time.Second
@@ -158,7 +158,7 @@ func TestRebuildKeepsHistory(t *testing.T) {
 
 func TestEventSeries(t *testing.T) {
 	clk := &fakeClock{}
-	reg := obs.NewRegistry(clk)
+	reg := obs.NewRegistry()
 	db := New(reg, clk, Config{Capacity: 8})
 	s := db.EventSeries("slo:events", 4, obs.L("app", "x"))
 	if again := db.EventSeries("slo:events", 4, obs.L("app", "x")); again != s {
@@ -191,7 +191,7 @@ func TestEventSeries(t *testing.T) {
 
 func TestStartStopDaemon(t *testing.T) {
 	env := devent.NewEnv()
-	reg := obs.NewRegistry(env)
+	reg := obs.NewRegistry()
 	db := New(reg, env, Config{Interval: time.Second, Capacity: 64})
 	g := reg.Gauge("tick")
 
@@ -228,7 +228,7 @@ func TestStartStopDaemon(t *testing.T) {
 
 func TestExpositionConformance(t *testing.T) {
 	clk := &fakeClock{}
-	reg := obs.NewRegistry(clk)
+	reg := obs.NewRegistry()
 	db := New(reg, clk, Config{Capacity: 8})
 	reg.Counter("tasks_total", obs.L("app", "a")).Add(3)
 	reg.Counter("tasks_total", obs.L("app", "b")).Add(4)

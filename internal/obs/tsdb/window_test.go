@@ -32,7 +32,7 @@ var windowFuzzFns = []string{"avg", "rate", "max", "flips"}
 func checkAlertWindows(t *testing.T, capacity uint8, ops []byte) {
 	t.Helper()
 	clk := &fakeClock{}
-	reg := obs.NewRegistry(clk)
+	reg := obs.NewRegistry()
 	ringCap := 1 + int(capacity%16)
 	db := New(reg, clk, Config{Interval: time.Second, Capacity: ringCap})
 	g := reg.Gauge("g")

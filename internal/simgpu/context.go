@@ -42,7 +42,6 @@ type Context struct {
 	name      string
 	dom       *domain
 	mem       *MemPool
-	pcieBW    float64
 	devBW     float64
 	smPct     int
 	group     string
@@ -169,12 +168,6 @@ func (c *Context) SpecView() SpecView {
 		DomainSMs:   c.dom.sms,
 		DomainMemBW: c.dom.bw,
 	}
-}
-
-// CopyH2D blocks the proc for a host-to-device transfer of the given
-// size over PCIe.
-func (c *Context) CopyH2D(p *devent.Proc, bytes int64) {
-	c.transfer(p, bytes, c.pcieBW, "pcie")
 }
 
 // Transfer blocks the proc for bytes moved at bw bytes/s (callers pick

@@ -30,7 +30,6 @@ type Device struct {
 	instances  []*Instance
 	nctx       int
 	nInst      int
-	onDone     func(KernelRecord)
 	obsC       *obs.Collector
 }
 
@@ -47,7 +46,6 @@ func NewDevice(env *devent.Env, name string, spec DeviceSpec) (*Device, error) {
 		mem:  NewMemPool(name, spec.MemBytes),
 	}
 	d.root = newDomain(env, name, spec.SMs, spec.PerSMFLOPS(), spec.MemBW, spec.ContextSwitch)
-	d.root.onDone = d.kernelDone
 	return d, nil
 }
 
@@ -63,10 +61,6 @@ func (d *Device) Mem() *MemPool { return d.mem }
 
 // Env returns the simulation environment.
 func (d *Device) Env() *devent.Env { return d.env }
-
-// OnKernelDone installs a hook receiving every completed or aborted
-// kernel on the device, including MIG instances.
-func (d *Device) OnKernelDone(fn func(KernelRecord)) { d.onDone = fn }
 
 // SetCollector attaches a collector to every compute domain (root and
 // MIG instances, current and future): kernels become spans, and busy
@@ -88,12 +82,6 @@ func (d *Device) ContextSwitches() int {
 		n += in.dom.switches
 	}
 	return n
-}
-
-func (d *Device) kernelDone(rec KernelRecord) {
-	if d.onDone != nil {
-		d.onDone(rec)
-	}
 }
 
 // SetPolicy switches the whole-device sharing policy. Enabling
@@ -153,7 +141,6 @@ func (d *Device) newContextOn(p *devent.Proc, dom *domain, mem *MemPool, opts Co
 		name:      name,
 		dom:       dom,
 		mem:       mem,
-		pcieBW:    d.spec.PCIeBW,
 		devBW:     d.spec.MemBW,
 		smPct:     opts.SMPercent,
 		group:     opts.Group,

@@ -445,30 +445,15 @@ func TestVGPUTimeSlicing(t *testing.T) {
 	}
 }
 
-func TestCopyH2D(t *testing.T) {
+func TestTransferH2D(t *testing.T) {
 	env := devent.NewEnv()
 	dev := mustDevice(t, env, testSpec())
 	env.Spawn("c", func(p *devent.Proc) {
 		ctx, _ := dev.NewContext(p, ContextOpts{SkipInit: true})
-		ctx.CopyH2D(p, 200) // 200 B at 100 B/s
+		ctx.Transfer(p, 200, dev.Spec().PCIeBW) // 200 B at 100 B/s
 		near(t, p.Now(), 2*time.Second)
 	})
 	run(t, env)
-}
-
-func TestOnKernelDoneHook(t *testing.T) {
-	env := devent.NewEnv()
-	dev := mustDevice(t, env, testSpec())
-	var recs []KernelRecord
-	dev.OnKernelDone(func(r KernelRecord) { recs = append(recs, r) })
-	env.Spawn("c", func(p *devent.Proc) {
-		ctx, _ := dev.NewContext(p, ContextOpts{SkipInit: true})
-		ctx.Run(p, Kernel{Name: "k1", FLOPs: 100, Tag: "train"})
-	})
-	run(t, env)
-	if len(recs) != 1 || recs[0].Kernel.Name != "k1" || recs[0].Kernel.Tag != "train" {
-		t.Fatalf("recs = %+v", recs)
-	}
 }
 
 func TestDeterministicScheduling(t *testing.T) {

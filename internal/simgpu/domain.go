@@ -62,7 +62,6 @@ type domain struct {
 	rotT       devent.Timer
 	rotate     func() // the vGPU quantum expiry, bound once
 	busy       metrics.StepSeries
-	onDone     func(KernelRecord)
 
 	// Scratch for reevaluate, reused across calls so the engine
 	// allocates nothing in steady state. reevaluate never nests: it
@@ -402,9 +401,6 @@ func (d *domain) complete(l *launched) {
 		}
 		d.obs.AddSpan("simgpu", l.k.Name, l.ctx.name, l.ctx.traceParent, l.start, now, attrs...)
 	}
-	if d.onDone != nil {
-		d.onDone(rec)
-	}
 	l.done.Fire(rec)
 	d.reevaluate()
 }
@@ -437,12 +433,6 @@ func (d *domain) abortContext(c *Context, err error) {
 				attrs = append(attrs, obs.String("tag", l.k.Tag))
 			}
 			d.obs.AddSpan("simgpu", l.k.Name, c.name, c.traceParent, start, now, attrs...)
-		}
-		if d.onDone != nil {
-			d.onDone(KernelRecord{
-				Kernel: l.k, Context: c.name, Domain: d.name,
-				Enqueue: l.enqueue, Start: l.start, End: now, Aborted: true,
-			})
 		}
 		l.done.Fail(err)
 	}

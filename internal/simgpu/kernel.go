@@ -40,7 +40,8 @@ func (k Kernel) Scale(f float64) Kernel {
 	return k
 }
 
-// KernelRecord reports a completed (or aborted) kernel for traces.
+// KernelRecord reports a completed kernel: the value its completion
+// event fires with.
 type KernelRecord struct {
 	Kernel  Kernel
 	Context string
@@ -49,7 +50,6 @@ type KernelRecord struct {
 	Start   time.Duration
 	End     time.Duration
 	SMs     float64 // SMs held at completion time
-	Aborted bool
 }
 
 // launched is the engine's per-kernel bookkeeping.

@@ -168,18 +168,19 @@ func buildLattice(nSlices, memSlices int, profiles []MIGProfile) *MIGLattice {
 // PlaceMIG returns the start slice of each named profile in a layout of
 // a spec device with no instances: the starts ConfigureMIG gives them.
 func PlaceMIG(spec DeviceSpec, names []string) ([]int, error) {
-	_, starts, err := placeMIG(&spec, names, 0, 0)
+	_, starts, err := placeMIG(&spec, names)
 	return starts, err
 }
 
-// placeMIG places the named profiles, in order, on a spec device whose
-// occupied slices and memUsed memory slices are taken: the memory
-// budget first, then the lattice's place.
-func placeMIG(spec *DeviceSpec, names []string, occupied SliceMask, memUsed int) ([]MIGProfile, []int, error) {
+// placeMIG looks the named profiles up in the spec's table and gives
+// each, in order, a start slice on a device with no instances. It
+// checks the memory-slice budget first, then runs the lattice's place;
+// either failing is an ErrPlacement.
+func placeMIG(spec *DeviceSpec, names []string) ([]MIGProfile, []int, error) {
 	table := MIGProfilesFor(*spec)
 	profs := make([]MIGProfile, len(names))
 	idx := make([]int, len(names))
-	memNeed, slNeed := 0, bits.OnesCount64(uint64(occupied))
+	memNeed, slNeed := 0, 0
 	for i, name := range names {
 		idx[i] = slices.IndexFunc(table, func(p MIGProfile) bool { return p.Name == name })
 		if idx[i] < 0 {
@@ -189,12 +190,12 @@ func placeMIG(spec *DeviceSpec, names []string, occupied SliceMask, memUsed int)
 		memNeed += profs[i].MemSlices
 		slNeed += profs[i].Slices
 	}
-	if memUsed+memNeed > spec.MemSlices {
+	if memNeed > spec.MemSlices {
 		return nil, nil, fmt.Errorf("%w: %v needs %d memory slices, %d of %d free",
-			ErrPlacement, names, memNeed, spec.MemSlices-memUsed, spec.MemSlices)
+			ErrPlacement, names, memNeed, spec.MemSlices, spec.MemSlices)
 	}
 	starts := make([]int, len(names))
-	if slNeed > spec.MIGSlices || !MIGLatticeFor(*spec).place(occupied, idx, starts) {
+	if slNeed > spec.MIGSlices || !MIGLatticeFor(*spec).place(0, idx, starts) {
 		return nil, nil, fmt.Errorf("%w: no free slice ranges for %v", ErrPlacement, names)
 	}
 	return profs, starts, nil

@@ -150,26 +150,6 @@ func (d *Device) EnableMIG(p *devent.Proc) error {
 	return nil
 }
 
-// CreateInstance places a new instance of the named profile at the
-// first valid free position (nvidia-smi-style auto placement), on the
-// same lattice search ConfigureMIG uses.
-func (d *Device) CreateInstance(profileName string) (*Instance, error) {
-	if !d.migEnabled {
-		return nil, ErrMIGMode
-	}
-	var occupied SliceMask
-	memUsed := 0
-	for _, in := range d.instances {
-		occupied |= SliceSpan(in.start, in.profile.Slices)
-		memUsed += in.profile.MemSlices
-	}
-	profs, starts, err := placeMIG(&d.spec, []string{profileName}, occupied, memUsed)
-	if err != nil {
-		return nil, err
-	}
-	return d.placeInstance(profs[0], starts[0]), nil
-}
-
 func (d *Device) placeInstance(prof MIGProfile, start int) *Instance {
 	d.nInst++
 	uuid := fmt.Sprintf("MIG-%s-%d-%s", d.name, d.nInst, prof.Name)
@@ -187,27 +167,12 @@ func (d *Device) placeInstance(prof MIGProfile, start int) *Instance {
 	// available inside MIG on real hardware; the paper runs one
 	// process per instance, for which the policy is irrelevant).
 	in.dom.policy = PolicySpatial
-	in.dom.onDone = d.kernelDone
 	if d.obsC != nil {
 		in.dom.setCollector(d.obsC)
 	}
 	d.instances = append(d.instances, in)
 	sort.Slice(d.instances, func(i, j int) bool { return d.instances[i].start < d.instances[j].start })
 	return in
-}
-
-// DestroyInstance removes an instance; it must have no live contexts.
-func (d *Device) DestroyInstance(in *Instance) error {
-	if len(in.dom.ctxs) > 0 {
-		return ErrBusy
-	}
-	for i, x := range d.instances {
-		if x == in {
-			d.instances = append(d.instances[:i], d.instances[i+1:]...)
-			return nil
-		}
-	}
-	return fmt.Errorf("simgpu: instance %s not on device %s", in.uuid, d.name)
 }
 
 // ConfigureMIG atomically replaces the instance layout with the named
@@ -226,7 +191,7 @@ func (d *Device) ConfigureMIG(p *devent.Proc, profileNames []string) ([]*Instanc
 			return nil, ErrBusy
 		}
 	}
-	profs, starts, err := placeMIG(&d.spec, profileNames, 0, 0)
+	profs, starts, err := placeMIG(&d.spec, profileNames)
 	if err != nil {
 		return nil, err
 	}

@@ -64,16 +64,12 @@ func TestMIGPlacementRules(t *testing.T) {
 			return
 		}
 		// 3g at slices 0–2, second 3g at 4–6 — the classic pair.
-		a, err := dev.CreateInstance("3g.40gb")
+		ins, err := dev.ConfigureMIG(p, []string{"3g.40gb", "3g.40gb"})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		b, err := dev.CreateInstance("3g.40gb")
-		if err != nil {
-			t.Error(err)
-			return
-		}
+		a, b := ins[0], ins[1]
 		if a.start != 0 || b.start != 4 {
 			t.Errorf("starts = %d, %d", a.start, b.start)
 		}
@@ -82,7 +78,7 @@ func TestMIGPlacementRules(t *testing.T) {
 		}
 		// Memory slices are exhausted (4+4 of 8): even the 1-slice
 		// compute hole can't be filled.
-		if _, err := dev.CreateInstance("1g.10gb"); !errors.Is(err, ErrPlacement) {
+		if _, err := dev.ConfigureMIG(p, []string{"3g.40gb", "3g.40gb", "1g.10gb"}); !errors.Is(err, ErrPlacement) {
 			t.Errorf("1g over memory budget: %v", err)
 		}
 	})
@@ -94,17 +90,18 @@ func TestMIGPlacementComputeConflict(t *testing.T) {
 	dev := migDevice(t, env)
 	env.Spawn("admin", func(p *devent.Proc) {
 		dev.EnableMIG(p)
-		if _, err := dev.CreateInstance("4g.40gb"); err != nil {
-			t.Error(err)
-			return
-		}
 		// 4g occupies slices 0–3; a second 4g has no legal start.
-		if _, err := dev.CreateInstance("4g.40gb"); !errors.Is(err, ErrPlacement) {
+		if _, err := dev.ConfigureMIG(p, []string{"4g.40gb", "4g.40gb"}); !errors.Is(err, ErrPlacement) {
 			t.Errorf("second 4g: %v", err)
 		}
 		// 3g fits at slice 4.
-		if _, err := dev.CreateInstance("3g.40gb"); err != nil {
+		ins, err := dev.ConfigureMIG(p, []string{"4g.40gb", "3g.40gb"})
+		if err != nil {
 			t.Error(err)
+			return
+		}
+		if ins[0].start != 0 || ins[1].start != 4 {
+			t.Errorf("starts = %d, %d", ins[0].start, ins[1].start)
 		}
 	})
 	run(t, env)
@@ -115,17 +112,19 @@ func TestMIGSevenWay(t *testing.T) {
 	dev := migDevice(t, env)
 	env.Spawn("admin", func(p *devent.Proc) {
 		dev.EnableMIG(p)
-		for i := 0; i < 7; i++ {
-			if _, err := dev.CreateInstance("1g.10gb"); err != nil {
-				// Only 8 memory slices, but 7×1 fits.
-				t.Errorf("instance %d: %v", i, err)
-				return
-			}
+		layout := make([]string, 8)
+		for i := range layout {
+			layout[i] = "1g.10gb"
+		}
+		// Only 8 memory slices, but 7×1 fits.
+		if _, err := dev.ConfigureMIG(p, layout[:7]); err != nil {
+			t.Error(err)
+			return
 		}
 		if len(dev.instances) != 7 {
 			t.Errorf("instances = %d", len(dev.instances))
 		}
-		if _, err := dev.CreateInstance("1g.10gb"); !errors.Is(err, ErrPlacement) {
+		if _, err := dev.ConfigureMIG(p, layout); !errors.Is(err, ErrPlacement) {
 			t.Errorf("8th 1g: %v", err)
 		}
 	})
@@ -137,7 +136,7 @@ func TestMIGUnknownProfile(t *testing.T) {
 	dev := migDevice(t, env)
 	env.Spawn("admin", func(p *devent.Proc) {
 		dev.EnableMIG(p)
-		if _, err := dev.CreateInstance("9g.90gb"); err == nil {
+		if _, err := dev.ConfigureMIG(p, []string{"9g.90gb"}); err == nil {
 			t.Error("unknown profile accepted")
 		}
 	})
@@ -150,16 +149,12 @@ func TestMIGIsolation(t *testing.T) {
 	var soloEnd, sharedEnd time.Duration
 	env.Spawn("admin", func(p *devent.Proc) {
 		dev.EnableMIG(p)
-		a, err := dev.CreateInstance("3g.40gb")
+		ins, err := dev.ConfigureMIG(p, []string{"3g.40gb", "3g.40gb"})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		b, err := dev.CreateInstance("3g.40gb")
-		if err != nil {
-			t.Error(err)
-			return
-		}
+		a, b := ins[0], ins[1]
 		base := p.Now()
 		k := Kernel{FLOPs: A100SXM480GB().PerSMFLOPS() * 42} // 1 s on 42 SMs
 		done := make([]*devent.Event, 0, 2)
@@ -208,8 +203,8 @@ func TestMIGMemoryIsolation(t *testing.T) {
 	dev := migDevice(t, env)
 	env.Spawn("admin", func(p *devent.Proc) {
 		dev.EnableMIG(p)
-		a, _ := dev.CreateInstance("1g.10gb")
-		ctx, err := a.NewContext(p, ContextOpts{SkipInit: true})
+		ins, _ := dev.ConfigureMIG(p, []string{"1g.10gb"})
+		ctx, err := ins[0].NewContext(p, ContextOpts{SkipInit: true})
 		if err != nil {
 			t.Error(err)
 			return
@@ -229,8 +224,8 @@ func TestMIGBandwidthScalesWithMemSlices(t *testing.T) {
 	dev := migDevice(t, env)
 	env.Spawn("admin", func(p *devent.Proc) {
 		dev.EnableMIG(p)
-		in, _ := dev.CreateInstance("1g.10gb") // 1 of 8 memory slices
-		ctx, _ := in.NewContext(p, ContextOpts{SkipInit: true})
+		ins, _ := dev.ConfigureMIG(p, []string{"1g.10gb"}) // 1 of 8 memory slices
+		ctx, _ := ins[0].NewContext(p, ContextOpts{SkipInit: true})
 		spec := dev.Spec()
 		bytes := spec.MemBW / 8 // 1 s at 1/8 bandwidth
 		start := p.Now()
@@ -240,27 +235,6 @@ func TestMIGBandwidthScalesWithMemSlices(t *testing.T) {
 			return
 		}
 		near(t, rec.End-start, time.Second)
-	})
-	run(t, env)
-}
-
-func TestDestroyInstanceRequiresNoContexts(t *testing.T) {
-	env := devent.NewEnv()
-	dev := migDevice(t, env)
-	env.Spawn("admin", func(p *devent.Proc) {
-		dev.EnableMIG(p)
-		in, _ := dev.CreateInstance("7g.80gb")
-		ctx, _ := in.NewContext(p, ContextOpts{SkipInit: true})
-		if err := dev.DestroyInstance(in); !errors.Is(err, ErrBusy) {
-			t.Errorf("destroy with ctx: %v", err)
-		}
-		ctx.Destroy()
-		if err := dev.DestroyInstance(in); err != nil {
-			t.Error(err)
-		}
-		if len(dev.instances) != 0 {
-			t.Error("instance still listed")
-		}
 	})
 	run(t, env)
 }
@@ -295,7 +269,8 @@ func TestConfigureMIGBusyAndRollback(t *testing.T) {
 	dev := migDevice(t, env)
 	env.Spawn("admin", func(p *devent.Proc) {
 		dev.EnableMIG(p)
-		in, _ := dev.CreateInstance("3g.40gb")
+		ins, _ := dev.ConfigureMIG(p, []string{"3g.40gb"})
+		in := ins[0]
 		ctx, _ := in.NewContext(p, ContextOpts{SkipInit: true})
 		if _, err := dev.ConfigureMIG(p, []string{"7g.80gb"}); !errors.Is(err, ErrBusy) {
 			t.Errorf("configure while busy: %v", err)
@@ -314,20 +289,20 @@ func TestConfigureMIGBusyAndRollback(t *testing.T) {
 
 // TestMIGReconfigureUnderLoad exercises the online-repartitioning drain
 // protocol at the device layer: while a kernel is actively executing on
-// an instance, ConfigureMIG and DestroyInstance must refuse with
-// ErrBusy and leave the layout intact, and the in-flight kernel must
-// complete unperturbed. Once the tenant drains, the same
-// reconfiguration succeeds.
+// an instance, ConfigureMIG must refuse with ErrBusy and leave the
+// layout intact, and the in-flight kernel must complete unperturbed.
+// Once the tenant drains, the same reconfiguration succeeds.
 func TestMIGReconfigureUnderLoad(t *testing.T) {
 	env := devent.NewEnv()
 	dev := migDevice(t, env)
 	env.Spawn("admin", func(p *devent.Proc) {
 		dev.EnableMIG(p)
-		in, err := dev.CreateInstance("3g.40gb")
+		ins, err := dev.ConfigureMIG(p, []string{"3g.40gb"})
 		if err != nil {
 			t.Error(err)
 			return
 		}
+		in := ins[0]
 		var ctx *Context
 		var elapsed time.Duration
 		tenant := env.Spawn("tenant", func(q *devent.Proc) {
@@ -349,9 +324,6 @@ func TestMIGReconfigureUnderLoad(t *testing.T) {
 		if _, err := dev.ConfigureMIG(p, []string{"2g.20gb", "2g.20gb"}); !errors.Is(err, ErrBusy) {
 			t.Errorf("ConfigureMIG mid-kernel: %v", err)
 		}
-		if err := dev.DestroyInstance(in); !errors.Is(err, ErrBusy) {
-			t.Errorf("DestroyInstance mid-kernel: %v", err)
-		}
 		if len(dev.instances) != 1 || dev.instances[0] != in {
 			t.Error("layout perturbed by rejected reconfiguration")
 		}
@@ -359,7 +331,7 @@ func TestMIGReconfigureUnderLoad(t *testing.T) {
 		// The rejected admin calls must not have slowed the kernel.
 		near(t, elapsed, time.Second)
 		ctx.Destroy()
-		ins, err := dev.ConfigureMIG(p, []string{"2g.20gb", "2g.20gb"})
+		ins, err = dev.ConfigureMIG(p, []string{"2g.20gb", "2g.20gb"})
 		if err != nil {
 			t.Error(err)
 			return
@@ -376,7 +348,8 @@ func TestInstanceByUUID(t *testing.T) {
 	dev := migDevice(t, env)
 	env.Spawn("admin", func(p *devent.Proc) {
 		dev.EnableMIG(p)
-		in, _ := dev.CreateInstance("2g.20gb")
+		ins, _ := dev.ConfigureMIG(p, []string{"2g.20gb"})
+		in := ins[0]
 		if dev.InstanceByUUID(in.UUID()) != in {
 			t.Error("lookup by UUID failed")
 		}
@@ -392,8 +365,8 @@ func TestMIGUtilizationAggregation(t *testing.T) {
 	dev := migDevice(t, env)
 	env.Spawn("admin", func(p *devent.Proc) {
 		dev.EnableMIG(p)
-		in, _ := dev.CreateInstance("7g.80gb") // 98 SMs
-		ctx, _ := in.NewContext(p, ContextOpts{SkipInit: true})
+		ins, _ := dev.ConfigureMIG(p, []string{"7g.80gb"}) // 98 SMs
+		ctx, _ := ins[0].NewContext(p, ContextOpts{SkipInit: true})
 		base := p.Now()
 		// Busy all 98 SMs for 1 s.
 		k := Kernel{FLOPs: dev.Spec().PerSMFLOPS() * 98}
