@@ -108,8 +108,12 @@ cover:
 # against rescans, avg against a math/big exact sum, over random
 # append/scrape/bind sequences with ring wrap), and span attribute
 # formatting (any int64 or float64 reads back through Span.Attr and
-# renders in a Chrome trace exactly as strconv formats it); the
-# checked-in corpora and seeds run as regular tests in `make test`.
+# renders in a Chrome trace exactly as strconv formats it), the Chrome
+# trace's integer microseconds (any int64 against the float
+# formatting) and unescaped-string fast path (any bytes against
+# strconv.AppendQuote), and the hand-built attribution JSON (random
+# strings and numbers against json.MarshalIndent); the checked-in
+# corpora and seeds run as regular tests in `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz FuzzConfigValidate -fuzztime 10s ./internal/faas/htex
@@ -122,6 +126,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMaxMinFair -fuzztime 10s ./internal/simgpu
 	$(GO) test -run '^$$' -fuzz FuzzAlertWindows -fuzztime 10s ./internal/obs/tsdb
 	$(GO) test -run '^$$' -fuzz FuzzAttrFormat -fuzztime 10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz FuzzUsec -fuzztime 10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz FuzzQuote -fuzztime 10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz FuzzReportJSON -fuzztime 10s ./internal/obs/analyze
 
 # One seed-1 run of each bench/ workload (~25 s each), recorded
 # verbatim under a one-line toolchain and core-count header.

@@ -113,11 +113,11 @@ func campaignRuns(c *obs.Collector) ([]obs.Span, error) {
 		}
 	}
 	var runs []obs.Span
-	for _, s := range c.Spans() {
+	c.EachSpan(func(s *obs.Span) {
 		if s.Cat == "htex" && s.Name == "run" && moldesign.Phase(s.Attr("app")) != "" {
-			runs = append(runs, s)
+			runs = append(runs, *s)
 		}
-	}
+	})
 	return runs, nil
 }
 

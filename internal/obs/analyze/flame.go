@@ -2,9 +2,9 @@ package analyze
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"sort"
+	"strconv"
 )
 
 // WriteFolded emits the report as pprof-style folded stacks, one line
@@ -41,8 +41,12 @@ func WriteFolded(w io.Writer, r *Report) error {
 	}
 	sort.Strings(stacks)
 	bw := bufio.NewWriter(w)
+	var line []byte
 	for _, s := range stacks {
-		fmt.Fprintf(bw, "%s %d\n", s, weights[s])
+		line = append(line[:0], s...)
+		line = append(line, ' ')
+		line = append(strconv.AppendInt(line, weights[s], 10), '\n')
+		bw.Write(line)
 	}
 	return bw.Flush()
 }

@@ -2,10 +2,10 @@ package analyze
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"time"
 )
 
@@ -13,16 +13,16 @@ import (
 // nanosecond entry per phase, in canonical phase order. The encoding
 // is hand-built (no map iteration) so artifacts are byte-stable.
 func (b Breakdown) MarshalJSON() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteByte('{')
+	buf := []byte{'{'}
 	for i, v := range b {
 		if i > 0 {
-			buf.WriteByte(',')
+			buf = append(buf, ',')
 		}
-		fmt.Fprintf(&buf, "%q:%d", Phase(i).String(), int64(v))
+		buf = strconv.AppendQuote(buf, Phase(i).String())
+		buf = append(buf, ':')
+		buf = strconv.AppendInt(buf, int64(v), 10)
 	}
-	buf.WriteByte('}')
-	return buf.Bytes(), nil
+	return append(buf, '}'), nil
 }
 
 // UnmarshalJSON reads the object form written by MarshalJSON. Unknown
@@ -45,15 +45,123 @@ func (b *Breakdown) UnmarshalJSON(data []byte) error {
 }
 
 // WriteJSON writes the report as indented JSON, the machine-readable
-// attribution artifact consumed by tracediff.
+// attribution artifact consumed by tracediff. The bytes are those of
+// json.MarshalIndent(r, "", "  ") plus a newline, built by appends in
+// the same field order, with the same omitempty fields and null for a
+// nil slice.
 func (r *Report) WriteJSON(w io.Writer) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
+	// A task or group object of the paper's runs is about 550 bytes.
+	b := make([]byte, 0, 640*(len(r.Tasks)+len(r.Groups)+1))
+	b = append(b, "{\n  \"tasks\": "...)
+	b = appendObjects(b, r.Tasks, appendTask)
+	b = append(b, ",\n  \"groups\": "...)
+	b = appendObjects(b, r.Groups, appendGroup)
+	b = append(b, "\n}\n"...)
+	_, err := w.Write(b)
 	return err
+}
+
+// appendObjects appends a slice field's value as MarshalIndent does at
+// depth one: null when nil, [] when empty, else one indented object per
+// element whose members appendMembers writes.
+func appendObjects[T any](b []byte, xs []T, appendMembers func([]byte, *T) []byte) []byte {
+	if xs == nil {
+		return append(b, "null"...)
+	}
+	if len(xs) == 0 {
+		return append(b, "[]"...)
+	}
+	b = append(b, '[')
+	for i := range xs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n    {\n      \"scope\": "...)
+		b = appendMembers(b, &xs[i])
+		b = append(b, "\n    }"...)
+	}
+	return append(b, "\n  ]"...)
+}
+
+// appendTask and appendGroup append an object's members in struct
+// field order, starting with the value of the first, scope.
+func appendTask(b []byte, t *TaskAttribution) []byte {
+	b = appendJSONString(b, t.Scope)
+	b = appendIntField(b, "task", int64(t.Task))
+	b = appendField(b, "app", t.App, true)
+	b = appendField(b, "executor", t.Executor, false)
+	b = appendField(b, "gpu_pct", t.GPUPct, false)
+	b = appendField(b, "status", t.Status, true)
+	b = appendIntField(b, "start_ns", t.StartNS)
+	b = appendIntField(b, "end_ns", t.EndNS)
+	return appendPhases(b, &t.Phases)
+}
+
+func appendGroup(b []byte, g *Group) []byte {
+	b = appendJSONString(b, g.Scope)
+	b = appendField(b, "executor", g.Executor, false)
+	b = appendField(b, "app", g.App, true)
+	b = appendField(b, "gpu_pct", g.GPUPct, false)
+	b = appendIntField(b, "tasks", int64(g.Tasks))
+	b = appendIntField(b, "mean_ns", g.MeanNS)
+	b = appendIntField(b, "p50_ns", g.P50NS)
+	b = appendIntField(b, "p95_ns", g.P95NS)
+	b = appendIntField(b, "p99_ns", g.P99NS)
+	return appendPhases(b, &g.Phases)
+}
+
+// The member writers below append one member of a task or group
+// object, after its first, at MarshalIndent's depth.
+
+// appendField appends a string member; an empty string is omitted
+// unless keepEmpty (the fields without omitempty).
+func appendField(b []byte, key, v string, keepEmpty bool) []byte {
+	if v == "" && !keepEmpty {
+		return b
+	}
+	b = append(b, ",\n      \""...)
+	b = append(b, key...)
+	b = append(b, "\": "...)
+	return appendJSONString(b, v)
+}
+
+func appendIntField(b []byte, key string, v int64) []byte {
+	b = append(b, ",\n      \""...)
+	b = append(b, key...)
+	b = append(b, "\": "...)
+	return strconv.AppendInt(b, v, 10)
+}
+
+// appendPhases appends the phases member: the Breakdown object
+// MarshalJSON renders, indented one level deeper.
+func appendPhases(b []byte, p *Breakdown) []byte {
+	b = append(b, ",\n      \"phases\": {"...)
+	for i, v := range p {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n        \""...)
+		b = append(b, Phase(i).String()...)
+		b = append(b, "\": "...)
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return append(b, "\n      }"...)
+}
+
+// appendJSONString appends s as encoding/json quotes it. Printable
+// ASCII other than '"', '\' and the HTML-escaped '<', '>' and '&'
+// quotes to itself; any other string goes through json.Marshal, which
+// owns the escapes, U+2028/U+2029 and invalid-UTF-8 replacement.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // ReadReport parses an attribution artifact written by WriteJSON.

@@ -232,13 +232,12 @@ func WriteAlerts(w io.Writer, collectors ...*obs.Collector) error {
 			continue
 		}
 		scope := c.Scope()
-		for _, s := range c.Spans() {
-			if s.Cat != "slo" || s.Name != "burn" {
-				continue
+		c.EachSpan(func(s *obs.Span) {
+			if s.Cat == "slo" && s.Name == "burn" {
+				fmt.Fprintf(bw, "%s app=%s start=%s end=%s peak_burn=%s events=%s\n",
+					scope, s.Attr("app"), s.Start, s.End, s.Attr("peak_burn"), s.Attr("events"))
 			}
-			fmt.Fprintf(bw, "%s app=%s start=%s end=%s peak_burn=%s events=%s\n",
-				scope, s.Attr("app"), s.Start, s.End, s.Attr("peak_burn"), s.Attr("events"))
-		}
+		})
 	}
 	return bw.Flush()
 }

@@ -119,7 +119,7 @@ func (ts *TraceSection) appendMeta(tid int, name, value string) {
 	ts.buf = append(ts.buf, ",\"name\":\""...)
 	ts.buf = append(ts.buf, name...)
 	ts.buf = append(ts.buf, "\",\"args\":{\"name\":"...)
-	ts.buf = strconv.AppendQuote(ts.buf, value)
+	ts.buf = appendQuoted(ts.buf, value)
 	ts.buf = append(ts.buf, "}}"...)
 }
 
@@ -133,9 +133,9 @@ func (ts *TraceSection) appendComplete(tid int, s *Span) {
 	ts.buf = append(ts.buf, ",\"dur\":"...)
 	ts.buf = appendUsec(ts.buf, s.End-s.Start)
 	ts.buf = append(ts.buf, ",\"cat\":"...)
-	ts.buf = strconv.AppendQuote(ts.buf, s.Cat)
+	ts.buf = appendQuoted(ts.buf, s.Cat)
 	ts.buf = append(ts.buf, ",\"name\":"...)
-	ts.buf = strconv.AppendQuote(ts.buf, s.Name)
+	ts.buf = appendQuoted(ts.buf, s.Name)
 	ts.buf = append(ts.buf, ",\"args\":{\"id\":"...)
 	ts.buf = strconv.AppendInt(ts.buf, int64(s.ID), 10)
 	if s.Parent != 0 {
@@ -144,10 +144,10 @@ func (ts *TraceSection) appendComplete(tid int, s *Span) {
 	}
 	for _, a := range s.Attrs {
 		ts.buf = append(ts.buf, ',')
-		ts.buf = strconv.AppendQuote(ts.buf, a.Key)
+		ts.buf = appendQuoted(ts.buf, a.Key)
 		ts.buf = append(ts.buf, ':')
 		if a.isString() {
-			ts.buf = strconv.AppendQuote(ts.buf, a.str())
+			ts.buf = appendQuoted(ts.buf, a.str())
 		} else {
 			// A formatted number needs no escaping.
 			ts.buf = append(a.appendNum(append(ts.buf, '"')), '"')
@@ -175,9 +175,32 @@ func (ts *TraceSection) appendFlow(ph string, tid int, at time.Duration, id int6
 }
 
 // appendUsec renders a virtual time as fractional microseconds, the
-// unit of the trace-event format, keeping nanosecond precision.
+// unit of the trace-event format, keeping nanosecond precision: the
+// bytes of strconv.AppendFloat(b, float64(d)/1e3, 'f', 3, 64). Below
+// 2^50 ns (about 13 days) that quotient rounds to d/1000 exactly, so
+// the integer digits are the same bytes; at and above it, and for
+// negative d, the float path runs, since near 2^53 it drops digits.
 func appendUsec(b []byte, d time.Duration) []byte {
-	return strconv.AppendFloat(b, float64(d)/1e3, 'f', 3, 64)
+	if d < 0 || d >= 1<<50 {
+		return strconv.AppendFloat(b, float64(d)/1e3, 'f', 3, 64)
+	}
+	b = strconv.AppendInt(b, int64(d/1000), 10)
+	ns := d % 1000
+	return append(b, '.', byte('0'+ns/100), byte('0'+ns/10%10), byte('0'+ns%10))
+}
+
+// appendQuoted appends s as strconv.AppendQuote does. A string of
+// printable ASCII without '"' or '\' quotes to itself, so it is
+// appended raw; anything else takes strconv's escaping.
+func appendQuoted(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' {
+			return strconv.AppendQuote(b, s)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // TraceStream writes a complete Chrome trace artifact incrementally:
@@ -245,17 +268,16 @@ func WriteChromeTrace(w io.Writer, collectors ...*Collector) error {
 			continue
 		}
 		sec := NewTraceSection(d, ci+1, c.Scope())
-		spans := c.Spans()
-		for i := range spans {
-			if s := &spans[i]; !s.pinned && !s.drop {
+		c.EachSpan(func(s *Span) {
+			if !s.pinned && !s.drop {
 				sec.EmitSpan(s)
 			}
-		}
-		for i := range spans {
-			if s := &spans[i]; s.pinned && !s.drop {
+		})
+		c.EachSpan(func(s *Span) {
+			if s.pinned && !s.drop {
 				sec.EmitSpan(s)
 			}
-		}
+		})
 	}
 	bw.WriteString(traceTrailer)
 	return bw.Flush()

@@ -702,7 +702,9 @@ func (c *Collector) CheckClosed() []Span {
 // have left memory — that is the point of streaming). Spans still open
 // (e.g. daemon worker lifecycles when the simulation drains) are
 // clamped to end at the current virtual time, so every snapshot
-// satisfies End >= Start.
+// satisfies End >= Start. The snapshot copies the whole window; a
+// reader that needs each span only while it looks at it should use
+// EachSpan, which copies nothing.
 func (c *Collector) Spans() []Span {
 	if c == nil {
 		return nil
@@ -715,6 +717,31 @@ func (c *Collector) Spans() []Span {
 		clampSpan(&out[i], now)
 	}
 	return out
+}
+
+// EachSpan calls fn with each span Spans would return, in the same
+// order and clamped the same way, without copying the retained window:
+// a closed span is passed as a pointer into the window, an open one as
+// a clamped copy in one scratch Span reused for every open span. The
+// pointer is valid only for the duration of the call; fn must not
+// modify the span, keep the pointer, or record spans on c.
+func (c *Collector) EachSpan(fn func(*Span)) {
+	if c == nil {
+		return
+	}
+	now := c.clock.Now()
+	var open Span
+	for _, win := range [2][]Span{c.parked, c.spans[c.head:]} {
+		for i := range win {
+			s := &win[i]
+			if s.End < s.Start {
+				open = *s
+				clampSpan(&open, now)
+				s = &open
+			}
+			fn(s)
+		}
+	}
 }
 
 // fnv32a is the 32-bit FNV-1a hash, inlined so sampling stays
