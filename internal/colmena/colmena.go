@@ -24,6 +24,11 @@ type Result struct {
 	Err error
 	// Task is the underlying FaaS task record (timings, worker).
 	Task *faas.Task
+	// Args are the invocation's arguments and Attempt counts its
+	// resubmissions (0 for the first), so a thinker can Resubmit a
+	// lost task a bounded number of times.
+	Args    []any
+	Attempt int
 }
 
 // Queues routes results by topic.
@@ -91,15 +96,27 @@ func (ts *TaskServer) RegisterMethod(name, executor string, fn faas.AppFunc) {
 // Submit dispatches method(args...) and routes the result to topic.
 // It returns immediately; the result arrives on the queue.
 func (ts *TaskServer) Submit(topic, method string, args ...any) *faas.Future {
+	return ts.submit(topic, method, args, 0)
+}
+
+// Resubmit dispatches r's method and arguments again, routing the new
+// result, with Attempt one higher, to r's topic.
+func (ts *TaskServer) Resubmit(r Result) *faas.Future {
+	return ts.submit(r.Topic, r.Method, r.Args, r.Attempt+1)
+}
+
+func (ts *TaskServer) submit(topic, method string, args []any, attempt int) *faas.Future {
 	fut := ts.dfk.Submit(method, args...)
 	ts.n++
 	fut.Event().OnFire(func(ev *devent.Event) {
 		ts.queues.Send(Result{
-			Method: method,
-			Topic:  topic,
-			Value:  ev.Value(),
-			Err:    ev.Err(),
-			Task:   fut.Task(),
+			Method:  method,
+			Topic:   topic,
+			Value:   ev.Value(),
+			Err:     ev.Err(),
+			Task:    fut.Task(),
+			Args:    args,
+			Attempt: attempt,
 		})
 	})
 	return fut

@@ -69,6 +69,38 @@ func TestErrorsFlowToQueue(t *testing.T) {
 	}
 }
 
+// A resubmitted result carries the original arguments, to the same
+// topic, with its attempt counted.
+func TestResubmit(t *testing.T) {
+	env, ts := newServer(t)
+	calls := 0
+	ts.RegisterMethod("flaky", "cpu", func(inv *faas.Invocation) (any, error) {
+		if calls++; calls == 1 {
+			return nil, errors.New("worker lost")
+		}
+		return inv.Arg(0).(int) + 1, nil
+	})
+	var first, second Result
+	env.Spawn("thinker", func(p *devent.Proc) {
+		ts.Submit("results", "flaky", 41)
+		first = ts.Queues().Recv(p, "results")
+		ts.Resubmit(first)
+		second = ts.Queues().Recv(p, "results")
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if first.Err == nil || first.Attempt != 0 || len(first.Args) != 1 || first.Args[0] != 41 {
+		t.Fatalf("first = %+v", first)
+	}
+	if second.Err != nil || second.Value != 42 || second.Attempt != 1 || second.Topic != "results" || second.Method != "flaky" {
+		t.Fatalf("second = %+v", second)
+	}
+	if ts.Submitted() != 2 {
+		t.Fatalf("submitted = %d", ts.Submitted())
+	}
+}
+
 func TestTopicsAreIndependent(t *testing.T) {
 	env, ts := newServer(t)
 	ts.RegisterMethod("id", "cpu", func(inv *faas.Invocation) (any, error) { return inv.Arg(0), nil })

@@ -247,20 +247,7 @@ func RunAutoscale(cfg AutoscaleConfig) (*AutoscaleResult, error) {
 
 	var endAt time.Duration
 	err = s.run(func(p *devent.Proc) error {
-		var futs []*faas.Future
-		for {
-			at, ok := tr.Next()
-			if !ok {
-				break
-			}
-			p.Sleep(at - p.Now())
-			futs = append(futs, dfk.Submit("infer"))
-			res.Arrivals++
-			if b := ex.Blocks(); b > res.PeakBlocks {
-				res.PeakBlocks = b
-			}
-		}
-		for _, f := range futs {
+		tally := func(f *faas.Future) {
 			_, err := f.Result(p)
 			switch {
 			case err == nil:
@@ -275,6 +262,31 @@ func RunAutoscale(cfg AutoscaleConfig) (*AutoscaleResult, error) {
 			default:
 				res.Failed++
 			}
+		}
+		var futs []*faas.Future
+		for {
+			at, ok := tr.Next()
+			if !ok {
+				break
+			}
+			p.Sleep(at - p.Now())
+			futs = append(futs, dfk.Submit("infer"))
+			res.Arrivals++
+			if b := ex.Blocks(); b > res.PeakBlocks {
+				res.PeakBlocks = b
+			}
+			// Tally the finished futures at the front as the run goes,
+			// in submission order as at the end, so the run does not
+			// keep every task alive until then. Result on a finished
+			// future returns without parking, so no event moves.
+			for len(futs) > 0 && futs[0].Done() {
+				tally(futs[0])
+				futs[0] = nil
+				futs = futs[1:]
+			}
+		}
+		for _, f := range futs {
+			tally(f)
 		}
 		if b := ex.Blocks(); b > res.PeakBlocks {
 			res.PeakBlocks = b

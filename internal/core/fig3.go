@@ -36,6 +36,9 @@ type Fig3Result struct {
 	// DeviceSMs is the GPU's SM count (the sparkline's full scale).
 	DeviceSMs int
 	Makespan  time.Duration
+	// Failed counts the tasks lost for good, the sum of
+	// Report.Failed; only fault injection loses tasks.
+	Failed int
 }
 
 // PhaseSummary aggregates one campaign phase's tasks.
@@ -89,6 +92,9 @@ func runMolDesign(cfg moldesign.Config, pipelined bool) (*Fig3Result, error) {
 		}
 		res.Report = rep
 		res.Makespan = p.Now()
+		for _, n := range rep.Failed {
+			res.Failed += n
+		}
 		if res.Runs, err = campaignRuns(pl.DFK.Collector()); err != nil {
 			return err
 		}

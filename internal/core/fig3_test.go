@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/moldesign"
 	"repro/internal/obs"
 )
@@ -53,6 +54,40 @@ func TestMolDesignRunSpansMatchCollectedTasks(t *testing.T) {
 		if total != len(res.Runs) {
 			t.Errorf("pipelined=%v: phases cover %d of %d runs", pipelined, total, len(res.Runs))
 		}
+	}
+}
+
+// Under a dense fault schedule the campaign resubmits lost tasks and
+// counts those lost for good instead of aborting: every simulation of
+// the budget either joins the dataset or is counted failed.
+func TestMolDesignUnderChaos(t *testing.T) {
+	cfg := moldesign.DefaultConfig()
+	budget := cfg.InitialPool + cfg.Rounds*cfg.BatchSize
+	failed := 0
+	t.Cleanup(func() { SetChaos(nil) })
+	for _, seed := range []int64{1, 2, 7} {
+		SetChaos(&fault.Spec{Seed: seed, Rate: 0.5})
+		for _, pipelined := range []bool{false, true} {
+			res, err := runMolDesign(cfg, pipelined)
+			if err != nil {
+				t.Fatalf("seed %d pipelined=%v: %v", seed, pipelined, err)
+			}
+			sum := 0
+			for _, n := range res.Report.Failed {
+				sum += n
+			}
+			if res.Failed != sum {
+				t.Errorf("seed %d pipelined=%v: Failed = %d, per-phase counts sum to %d", seed, pipelined, res.Failed, sum)
+			}
+			if got := res.Report.Dataset + res.Report.Failed["simulation"]; got != budget {
+				t.Errorf("seed %d pipelined=%v: dataset %d + failed simulations %d != budget %d",
+					seed, pipelined, res.Report.Dataset, res.Report.Failed["simulation"], budget)
+			}
+			failed += res.Failed
+		}
+	}
+	if failed == 0 {
+		t.Error("no task was lost for good; the test no longer covers the failure path")
 	}
 }
 

@@ -50,6 +50,36 @@ func BenchmarkSpawnExit(b *testing.B) {
 	}
 }
 
+// BenchmarkSameInstantHandoff measures the same-instant path: two
+// procs hand control back and forth through an Event without the clock
+// moving, so every queue item (the wakeup and the zero-delay Sleep) is
+// due at Now().
+func BenchmarkSameInstantHandoff(b *testing.B) {
+	env := NewEnv()
+	defer env.Close()
+	b.ReportAllocs()
+	var ev *Event
+	env.Spawn("ping", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			ev = env.NewEvent()
+			p.Wait(ev)
+		}
+	})
+	env.Spawn("pong", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			ev.Fire(nil)
+			p.Sleep(0)
+		}
+	})
+	b.ResetTimer()
+	if err := env.Run(); err != nil {
+		b.Fatal(err)
+	}
+	if env.Now() != 0 {
+		b.Fatalf("clock moved to %v", env.Now())
+	}
+}
+
 // BenchmarkChanPingPong measures rendezvous cost between two procs.
 func BenchmarkChanPingPong(b *testing.B) {
 	env := NewEnv()
@@ -75,17 +105,17 @@ func BenchmarkChanPingPong(b *testing.B) {
 
 // BenchmarkTimerCancelRetention measures the schedule+cancel churn of
 // a long-lived env (the open-loop pattern: per-kernel finish timers
-// rescheduled on every share change) and asserts the heap stays
+// rescheduled on every share change) and asserts the queue stays
 // bounded instead of retaining every cancelled item until its
-// far-future deadline.
+// far-future deadline. Retained items are counted in both lanes.
 func BenchmarkTimerCancelRetention(b *testing.B) {
 	env := NewEnv()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tm := env.Schedule(time.Duration(i+1)*time.Hour, func() {})
 		tm.Cancel()
-		if len(env.queue) > 2*compactThreshold {
-			b.Fatalf("heap grew to %d cancelled items at i=%d", len(env.queue), i)
+		if n := len(env.queue) + env.ready.len(); n > 2*compactThreshold {
+			b.Fatalf("queue grew to %d cancelled items at i=%d", n, i)
 		}
 	}
 	if err := env.Run(); err != nil {

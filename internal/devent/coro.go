@@ -16,7 +16,7 @@ type procG struct {
 	next   func() (struct{}, bool)
 	yield  func(struct{}) bool
 	stop   func()
-	fn     func(*Proc)
+	body   Body
 	p      *Proc
 	link   *procG // idle pool link
 	goexit bool   // the body called runtime.Goexit (see body)
@@ -37,7 +37,7 @@ func (e *Env) newProcG() *procG {
 		g.yield = yield
 		for {
 			e.body(g)
-			g.fn, g.p = nil, nil
+			g.body, g.p = nil, nil
 			if e.closed || e.nidle >= maxIdle {
 				return
 			}
@@ -85,6 +85,6 @@ func (e *Env) body(g *procG) {
 			g.yield(struct{}{})
 		}
 	}()
-	g.fn(p)
+	g.body.Run(p)
 	returned = true
 }

@@ -15,7 +15,6 @@
 package devent
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"sort"
@@ -41,10 +40,16 @@ const compactThreshold = 64
 
 // Env is a simulation environment: a virtual clock plus an event queue.
 // The zero value is not usable; create one with NewEnv.
+//
+// The queue has two lanes. Items due at Now() when they are queued
+// (wakeups, handoffs, zero-delay sleeps: most of them) go to the ready
+// FIFO; the rest go to the heap. See pop for why the merged order is
+// the (at, seq) order.
 type Env struct {
 	now     time.Duration
 	seq     int64
 	queue   eventHeap
+	ready   fifo[*queueItem]
 	nextPID int64
 	running bool
 	closed  bool
@@ -58,8 +63,8 @@ type Env struct {
 	idle  *procG
 	nidle int
 	// free is a free list of recycled queueItems; cancelled counts
-	// dead items still sitting in the heap (compacted when they
-	// exceed half the queue).
+	// dead items still sitting in either lane (compacted when they
+	// exceed half of both).
 	free      *queueItem
 	cancelled int
 	// freeWaiter recycles eventWaiters (see event.go); freeBatches
@@ -131,7 +136,7 @@ func (t *Timer) Cancel() bool {
 	t.item = nil
 	e := t.env
 	e.cancelled++
-	if e.cancelled > len(e.queue)/2 && len(e.queue) >= compactThreshold {
+	if n := len(e.queue) + e.ready.len(); e.cancelled > n/2 && n >= compactThreshold {
 		e.compact()
 	}
 	return true
@@ -179,15 +184,14 @@ func (e *Env) ArmAt(t *Timer, at time.Duration, fn func()) {
 		at = e.now
 	}
 	it := e.newItem(at, fn, nil)
-	heap.Push(&e.queue, it)
+	e.push(it)
 	*t = Timer{env: e, item: it, gen: it.gen, at: at}
 }
 
 // scheduleFn is ScheduleAt without the Timer handle, for internal
 // callers that never cancel.
 func (e *Env) scheduleFn(delay time.Duration, fn func()) {
-	it := e.newItem(e.now+delay, fn, nil)
-	heap.Push(&e.queue, it)
+	e.push(e.newItem(e.now+delay, fn, nil))
 }
 
 // scheduleProc queues a handoff to p at Now()+delay without allocating
@@ -196,8 +200,16 @@ func (e *Env) scheduleProc(delay time.Duration, p *Proc) {
 	if delay < 0 {
 		delay = 0
 	}
-	it := e.newItem(e.now+delay, nil, p)
-	heap.Push(&e.queue, it)
+	e.push(e.newItem(e.now+delay, nil, p))
+}
+
+// push queues it on the ready lane if it is due now, else on the heap.
+func (e *Env) push(it *queueItem) {
+	if it.at == e.now {
+		e.ready.push(it)
+	} else {
+		e.queue.push(it)
+	}
 }
 
 // newItem takes a queueItem from the free list (or allocates one) and
@@ -228,11 +240,12 @@ func (e *Env) release(it *queueItem) {
 	e.free = it
 }
 
-// compact rebuilds the heap without its cancelled items, releasing
-// them to the pool. Long-lived open-loop runs cancel far more timers
-// than they fire (e.g. per-kernel completion timers rescheduled on
-// every share change); without compaction those dead items accumulate
-// until their deadline is popped.
+// compact drops the cancelled items from both lanes, releasing them to
+// the pool, and rebuilds the heap; the ready lane keeps its FIFO order.
+// Long-lived open-loop runs cancel far more timers than they fire (e.g.
+// per-kernel completion timers rescheduled on every share change);
+// without compaction those dead items accumulate until their deadline
+// is popped.
 func (e *Env) compact() {
 	live := e.queue[:0]
 	for _, it := range e.queue {
@@ -242,26 +255,54 @@ func (e *Env) compact() {
 			live = append(live, it)
 		}
 	}
-	for i := len(live); i < len(e.queue); i++ {
-		e.queue[i] = nil
-	}
+	clear(e.queue[len(live):])
 	e.queue = live
-	heap.Init(&e.queue)
+	e.queue.init()
+	r := &e.ready
+	n := 0
+	for _, it := range r.s[r.head:] {
+		if it.fn == nil && it.proc == nil {
+			e.release(it)
+		} else {
+			r.s[n] = it
+			n++
+		}
+	}
+	clear(r.s[n:])
+	r.s, r.head = r.s[:n], 0
 	e.cancelled = 0
 }
 
-// peek returns the head live item, lazily dropping cancelled items.
-func (e *Env) peek() *queueItem {
-	for len(e.queue) > 0 {
-		it := e.queue[0]
+// pop removes and returns the next live item in (at, seq) order, or nil
+// when both lanes are empty, lazily dropping cancelled items. Every
+// ready item is due at now, and now only advances when the ready lane
+// is empty. A heap item due at now was therefore queued before the
+// clock reached now, so its seq is smaller than every ready item's:
+// the heap head goes first when it is due now, the ready head next,
+// and the heap head (advancing the clock) only once no item is ready.
+func (e *Env) pop() *queueItem {
+	for {
+		if len(e.queue) > 0 {
+			it := e.queue[0]
+			if it.fn == nil && it.proc == nil {
+				e.queue.pop()
+				e.cancelled--
+				e.release(it)
+				continue
+			}
+			if it.at == e.now || e.ready.len() == 0 {
+				return e.queue.pop()
+			}
+		} else if e.ready.len() == 0 {
+			return nil
+		}
+		it := e.ready.pop()
 		if it.fn != nil || it.proc != nil {
 			return it
 		}
-		heap.Pop(&e.queue)
 		e.cancelled--
 		e.release(it)
 	}
-	return nil
 }
 
 // Run drains the event queue, advancing virtual time, until no events
@@ -282,11 +323,10 @@ func (e *Env) Run() error {
 	}()
 
 	for e.failure == nil {
-		it := e.peek()
+		it := e.pop()
 		if it == nil {
 			break
 		}
-		heap.Pop(&e.queue)
 		if it.at > e.now {
 			e.now = it.at
 		}
@@ -334,24 +374,67 @@ type queueItem struct {
 	next *queueItem
 }
 
+// eventHeap is a binary min-heap of queue items ordered by (at, seq).
 type eventHeap []*queueItem
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// before reports whether a is dispatched before b.
+func before(a, b *queueItem) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*queueItem)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return it
+
+func (h *eventHeap) push(it *queueItem) {
+	q := append(*h, it)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !before(it, q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = it
+	*h = q
+}
+
+func (h *eventHeap) pop() *queueItem {
+	q := *h
+	n := len(q) - 1
+	top, last := q[0], q[n]
+	q[n] = nil
+	q = q[:n]
+	if n > 0 {
+		q.down(0, last)
+	}
+	*h = q
+	return top
+}
+
+// down places it at hole i, sifting it down to its position.
+func (h eventHeap) down(i int, it *queueItem) {
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && before(h[r], h[c]) {
+			c = r
+		}
+		if !before(h[c], it) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = it
+}
+
+// init establishes the heap order over arbitrary contents.
+func (h eventHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i, h[i])
+	}
 }
 
 // Proc is a simulated process: a body running on a pooled coroutine
@@ -403,11 +486,26 @@ func (l *procList) remove(p *Proc) {
 // event queue drains, mirroring daemon-thread semantics.
 func (p *Proc) SetDaemon(d bool) { p.daemon = d }
 
-// Spawn starts a new process executing fn. The process begins running
-// at the current virtual time (after the caller yields control). The
-// returned Proc's Done event fires when fn returns. On a closed Env
-// the proc never runs.
+// Body is what a proc runs. Callers that already own a per-task object
+// spawn it as the body with SpawnBody, so a spawn allocates no closure.
+type Body interface{ Run(p *Proc) }
+
+// bodyFunc adapts a func to a Body; converting a func value to an
+// interface allocates nothing.
+type bodyFunc func(p *Proc)
+
+func (f bodyFunc) Run(p *Proc) { f(p) }
+
+// Spawn starts a new process executing fn; see SpawnBody.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
+	return e.SpawnBody(name, bodyFunc(fn))
+}
+
+// SpawnBody starts a new process executing b.Run. The process begins
+// running at the current virtual time (after the caller yields
+// control). The returned Proc's Done event fires when Run returns. On
+// a closed Env the proc never runs.
+func (e *Env) SpawnBody(name string, b Body) *Proc {
 	e.nextPID++
 	p := &Proc{env: e, id: e.nextPID, base: name}
 	e.InitEvent(&p.done, "")
@@ -422,7 +520,7 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	} else {
 		g = e.newProcG()
 	}
-	g.fn, g.p = fn, p
+	g.body, g.p = b, p
 	p.g = g
 	e.live.push(p)
 	if e.obs != nil {
@@ -490,7 +588,7 @@ func (e *Env) Close() {
 		p.dead = true
 		p.g.stop()
 	}
-	e.queue, e.free, e.cancelled = nil, nil, 0
+	e.queue, e.ready, e.free, e.cancelled = nil, fifo[*queueItem]{}, nil, 0
 	e.freeWaiter, e.freeBatches = nil, nil
 }
 

@@ -123,26 +123,37 @@ func TestStaleTimerHandleAfterReuse(t *testing.T) {
 }
 
 func TestCancelledTimerCompaction(t *testing.T) {
-	env := NewEnv()
-	const n = 4096
-	timers := make([]*Timer, n)
-	for i := range timers {
-		timers[i] = env.Schedule(time.Duration(i+1)*time.Hour, func() {})
-	}
-	for _, tm := range timers {
-		tm.Cancel()
-	}
-	// Compaction triggers once cancelled items exceed half the queue;
-	// after cancelling everything the heap must be (near) empty, not
-	// retaining n dead items until their far-future deadlines pop.
-	if got := len(env.queue); got > compactThreshold {
-		t.Fatalf("queue retains %d cancelled items (want <= %d)", got, compactThreshold)
-	}
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if env.Now() != 0 {
-		t.Fatalf("cancelled timers advanced the clock to %v", env.Now())
+	for _, tc := range []struct {
+		name  string
+		delay func(i int) time.Duration
+	}{
+		{"future", func(i int) time.Duration { return time.Duration(i+1) * time.Hour }},
+		{"now", func(int) time.Duration { return 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := NewEnv()
+			const n = 4096
+			timers := make([]*Timer, n)
+			for i := range timers {
+				timers[i] = env.Schedule(tc.delay(i), func() {})
+			}
+			for _, tm := range timers {
+				tm.Cancel()
+			}
+			// Compaction triggers once cancelled items exceed half of
+			// both lanes; after cancelling everything they must be
+			// (near) empty, not retaining n dead items until their
+			// deadlines pop.
+			if got := len(env.queue) + env.ready.len(); got > compactThreshold {
+				t.Fatalf("queue retains %d cancelled items (want <= %d)", got, compactThreshold)
+			}
+			if err := env.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if env.Now() != 0 {
+				t.Fatalf("cancelled timers advanced the clock to %v", env.Now())
+			}
+		})
 	}
 }
 

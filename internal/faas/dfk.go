@@ -243,7 +243,7 @@ func (d *DFK) Submit(appName string, args ...any) *Future {
 	task.m.submitted.Inc()
 	done := &task.done
 	d.env.InitEvent(done, "task")
-	task.fut = Future{task: task, done: done}
+	task.fut = Future{task: task}
 	fut := &task.fut
 
 	if d.draining {
@@ -286,72 +286,105 @@ func (d *DFK) Submit(appName string, args ...any) *Future {
 	}
 	d.emit(task)
 
-	d.env.Spawn("dfk-launch", func(p *devent.Proc) {
-		resolved, err := d.resolveArgs(p, args)
-		if err != nil {
-			task.Status = TaskFailed
-			task.Err = fmt.Errorf("%w: %v", ErrDependency, err)
-			task.EndTime = d.env.Now()
-			d.finish(task)
-			done.Fail(task.Err)
-			return
+	task.launch = launch{d: d, ex: ex, fn: app.Fn, args: args}
+	d.env.SpawnBody("dfk-launch", (*launchBody)(task))
+	return fut
+}
+
+// launch is what a task's dfk-launch proc needs besides the task: its
+// DFK, executor, app function and arguments. It lives in the Task, so
+// spawning the launch allocates nothing.
+type launch struct {
+	d    *DFK
+	ex   Executor
+	fn   AppFunc
+	args []any
+}
+
+// launchBody is a Task as its dfk-launch proc body. Converting *Task
+// to *launchBody spawns the task itself, so launch needs no pointer
+// back to it.
+type launchBody Task
+
+// Run implements devent.Body. It drops the launch's references once
+// the task is terminal, so a retained Task pins no arguments.
+func (b *launchBody) Run(p *devent.Proc) {
+	t := (*Task)(b)
+	t.launch.d.run(p, t)
+	t.launch = launch{}
+}
+
+// run resolves the task's arguments, dispatches it with retries and
+// deadline, and completes its future.
+func (d *DFK) run(p *devent.Proc, task *Task) {
+	l := &task.launch
+	ex := l.ex
+	// The App fields other than Fn are the task's App and Executor.
+	app := App{Name: task.App, Executor: task.Executor, Fn: l.fn}
+	done := &task.done
+	resolved, err := d.resolveArgs(p, l.args)
+	if err != nil {
+		task.Status = TaskFailed
+		task.Err = fmt.Errorf("%w: %v", ErrDependency, err)
+		task.EndTime = d.env.Now()
+		d.finish(task)
+		done.Fail(task.Err)
+		return
+	}
+	deadline := time.Duration(-1)
+	if d.cfg.Timeout > 0 {
+		deadline = task.SubmitTime + d.cfg.Timeout
+	}
+	var result any
+	timedOut := false
+	for try := 0; ; try++ {
+		task.Tries = try + 1
+		task.Status = TaskLaunched
+		task.DispatchTime = d.env.Now()
+		d.emit(task)
+		if try > 0 {
+			d.obs.Metrics().Counter("faas_task_retries_total", obs.L("app", task.App)).Inc()
 		}
-		deadline := time.Duration(-1)
-		if d.cfg.Timeout > 0 {
-			deadline = task.SubmitTime + d.cfg.Timeout
+		result, err = d.attempt(p, ex, task, app, resolved, deadline)
+		if errors.Is(err, devent.ErrTimeout) {
+			timedOut = true
+			break
 		}
-		var result any
-		timedOut := false
-		for try := 0; ; try++ {
-			task.Tries = try + 1
-			task.Status = TaskLaunched
-			task.DispatchTime = d.env.Now()
-			d.emit(task)
-			if try > 0 {
-				d.obs.Metrics().Counter("faas_task_retries_total", obs.L("app", task.App)).Inc()
-			}
-			result, err = d.attempt(p, ex, task, app, resolved, deadline)
-			if errors.Is(err, devent.ErrTimeout) {
+		if err == nil || try >= d.cfg.Retries {
+			break
+		}
+		if delay := d.backoff(try + 1); delay > 0 {
+			if deadline >= 0 && d.env.Now()+delay >= deadline {
+				// Sleeping out the backoff would blow the deadline;
+				// fail now rather than waste a dispatch.
 				timedOut = true
 				break
 			}
-			if err == nil || try >= d.cfg.Retries {
-				break
-			}
-			if delay := d.backoff(try + 1); delay > 0 {
-				if deadline >= 0 && d.env.Now()+delay >= deadline {
-					// Sleeping out the backoff would blow the deadline;
-					// fail now rather than waste a dispatch.
-					timedOut = true
-					break
-				}
-				p.Sleep(delay)
-			}
+			p.Sleep(delay)
 		}
-		if timedOut {
-			task.Status = TaskTimedOut
-			task.Err = fmt.Errorf("%w: %v elapsed after %d tries", ErrTaskTimeout, d.cfg.Timeout, task.Tries)
-			task.EndTime = d.env.Now()
-			d.obs.Metrics().Counter("faas_tasks_timed_out_total", obs.L("app", task.App)).Inc()
-			d.finish(task)
-			done.Fail(task.Err)
-			return
-		}
-		if err != nil {
-			task.Status = TaskFailed
-			task.Err = err
-			if task.EndTime < task.SubmitTime {
-				task.EndTime = d.env.Now()
-			}
-			d.finish(task)
-			done.Fail(err)
-			return
-		}
-		task.Status = TaskDone
+	}
+	if timedOut {
+		task.Status = TaskTimedOut
+		task.Err = fmt.Errorf("%w: %v elapsed after %d tries", ErrTaskTimeout, d.cfg.Timeout, task.Tries)
+		task.EndTime = d.env.Now()
+		d.obs.Metrics().Counter("faas_tasks_timed_out_total", obs.L("app", task.App)).Inc()
 		d.finish(task)
-		done.Fire(result)
-	})
-	return fut
+		done.Fail(task.Err)
+		return
+	}
+	if err != nil {
+		task.Status = TaskFailed
+		task.Err = err
+		if task.EndTime < task.SubmitTime {
+			task.EndTime = d.env.Now()
+		}
+		d.finish(task)
+		done.Fail(err)
+		return
+	}
+	task.Status = TaskDone
+	d.finish(task)
+	done.Fire(result)
 }
 
 // attempt makes one dispatch attempt, enforcing the deadline (negative

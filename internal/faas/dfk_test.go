@@ -316,8 +316,9 @@ func TestInvocationWithoutWorker(t *testing.T) {
 func TestFutureAccessors(t *testing.T) {
 	env := NewEnvForTest()
 	task := &Task{ID: 7}
-	done := env.NewEvent()
-	fut := &Future{task: task, done: done}
+	env.InitEvent(&task.done, "task")
+	done := &task.done
+	fut := &Future{task: task}
 	if fut.Done() || fut.Task() != task || fut.Event() != done {
 		t.Fatal("future accessors")
 	}

@@ -157,11 +157,12 @@ type Task struct {
 	Span obs.SpanID
 
 	track string
-	// The DFK's task keeps its future, completion event and app
-	// instruments in the same allocation.
-	fut  Future
-	done devent.Event
-	m    *appMetrics
+	// The DFK's task keeps its future, completion event, app
+	// instruments and launch state in the same allocation.
+	fut    Future
+	done   devent.Event
+	m      *appMetrics
+	launch launch
 }
 
 // Track names the trace lane the task's spans render on ("task-<ID>");
@@ -260,24 +261,21 @@ type WorkerHandle interface {
 
 // Future is the handle returned by Submit; it fires when the task
 // completes (with its return value) or fails.
-type Future struct {
-	task *Task
-	done *devent.Event
-}
+type Future struct{ task *Task }
 
 // Task returns the underlying task record. The DFK keeps no finished
 // tasks, so the future is the caller's handle on it after completion.
 func (f *Future) Task() *Task { return f.task }
 
 // Event returns the completion event (for AnyOf/AllOf composition).
-func (f *Future) Event() *devent.Event { return f.done }
+func (f *Future) Event() *devent.Event { return &f.task.done }
 
 // Done reports whether the task has completed.
-func (f *Future) Done() bool { return f.done.Fired() }
+func (f *Future) Done() bool { return f.task.done.Fired() }
 
 // Result blocks until completion and returns the app's return value.
 func (f *Future) Result(p *devent.Proc) (any, error) {
-	return p.Wait(f.done)
+	return p.Wait(&f.task.done)
 }
 
 // Executor runs tasks. Implementations live in subpackages.

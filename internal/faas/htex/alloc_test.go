@@ -19,11 +19,12 @@ func (discardSink) EmitSpan(*obs.Span) {}
 // A microtask allocates only what it keeps on its way from Submit
 // through the DFK, the htex queue and worker, and a streaming
 // collector: in steady state, its task, its lane name, its argument
-// slice and boxed argument, its submission, and the procs and closures
-// of its launch and body. That is 9 objects; the budget allows one
+// slice and boxed argument, its submission, and the procs of its
+// launch and body (the bodies are the task and the submission
+// themselves, not closures). That is 7 objects; the budget allows one
 // more, so one more per-task object fails the test.
 func TestPerTaskAllocationBudget(t *testing.T) {
-	const warm, tasks, window, budget = 2000, 10000, 64, 10
+	const warm, tasks, window, budget = 2000, 10000, 64, 8
 	r := newRig(t, 0)
 	ex, err := New(r.env, Config{Label: "cpu", MaxWorkers: 16, Provider: r.local()})
 	if err != nil {

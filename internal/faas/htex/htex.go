@@ -130,6 +130,25 @@ type submission struct {
 	done devent.Event
 	run  devent.Event
 	inv  faas.Invocation
+	// w is the worker that picked the submission and runs it as its
+	// task body.
+	w *worker
+}
+
+// Run implements devent.Body: it runs the app on the picking worker
+// and completes the run event, unless the worker was declared lost.
+func (sub *submission) Run(tp *devent.Proc) {
+	w := sub.w
+	sub.inv = faas.NewInvocation(tp, sub.task, sub.args, w.env, w)
+	result, err := sub.app.Fn(&sub.inv)
+	if sub.run.Fired() {
+		return // worker already declared lost
+	}
+	if err != nil {
+		sub.run.Fail(err)
+	} else {
+		sub.run.Fire(result)
+	}
 }
 
 // blockInfo tracks one provisioned block: the node it runs on and its
@@ -459,18 +478,8 @@ func (h *HTEX) workerStep(p *devent.Proc, w *worker, stop *devent.Event) bool {
 	taskDone := &sub.run
 	h.env.InitEvent(taskDone, "htex-run")
 	w.task, w.lost = taskDone, false
-	body := h.env.Spawn(w.taskProc, func(tp *devent.Proc) {
-		sub.inv = faas.NewInvocation(tp, t, sub.args, w.env, w)
-		result, err := sub.app.Fn(&sub.inv)
-		if taskDone.Fired() {
-			return // worker already declared lost
-		}
-		if err != nil {
-			taskDone.Fail(err)
-		} else {
-			taskDone.Fire(result)
-		}
-	})
+	sub.w = w
+	body := h.env.SpawnBody(w.taskProc, sub)
 	body.SetDaemon(true)
 	if w.kill.Fired() {
 		// Killed before this pick (during init, or after the last task

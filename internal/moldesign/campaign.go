@@ -112,6 +112,7 @@ type Report struct {
 	InitialBestIP float64
 	// RoundBatchMeanIP is the mean simulated IP of each round's
 	// selected batch — rising values show the active learner working.
+	// A round whose whole batch was lost (see Failed) reads NaN.
 	RoundBatchMeanIP []float64
 	// PoolMeanIP is the mean true IP over the candidate pool
 	// (baseline for selection quality).
@@ -122,6 +123,52 @@ type Report struct {
 	FinalRMSE float64
 	// Makespan is total campaign wall time.
 	Makespan time.Duration
+	// Failed counts, by phase, the tasks that still failed after
+	// maxResubmits resubmissions (workers or GPU contexts lost under
+	// fault injection); nil when none did.
+	Failed map[string]int
+}
+
+// maxResubmits bounds how many times the thinker resubmits a task that
+// came back failed, its DFK retries spent, before counting it as
+// failed.
+const maxResubmits = 2
+
+// resubmit handles a failed result: it resubmits the task and reports
+// true while resubmissions are left, and otherwise counts it in
+// rep.Failed. It reports false for a successful result.
+func (c *Campaign) resubmit(r colmena.Result, rep *Report) bool {
+	if r.Err == nil {
+		return false
+	}
+	if r.Attempt < maxResubmits {
+		c.server.Resubmit(r)
+		return true
+	}
+	if rep.Failed == nil {
+		rep.Failed = map[string]int{}
+	}
+	rep.Failed[Phase(r.Method)]++
+	return false
+}
+
+// collect receives n results from topic, in arrival order, and returns
+// the successful ones. Lost tasks are resubmitted and awaited in turn
+// (see resubmit); those that fail for good are left out.
+func (c *Campaign) collect(p *devent.Proc, topic string, n int, rep *Report) []colmena.Result {
+	var out []colmena.Result
+	for n > 0 {
+		rs := colmena.CollectN(p, c.server.Queues(), topic, n)
+		n = 0
+		for _, r := range rs {
+			if c.resubmit(r, rep) {
+				n++
+			} else if r.Err == nil {
+				out = append(out, r)
+			}
+		}
+	}
+	return out
 }
 
 // Campaign wires the methods onto a task server and runs the loop.
@@ -214,10 +261,13 @@ type Scored struct {
 }
 
 // Run executes the batch-synchronous active-learning loop from the
-// calling proc (the thinker's main agent).
+// calling proc (the thinker's main agent). A task lost for good is
+// counted in Report.Failed: a lost simulation leaves the dataset, a
+// lost training keeps the previous emulator, and a lost scoring chunk
+// leaves its candidates unranked; with no ranking at all, the round
+// simulates the pool's first BatchSize candidates.
 func (c *Campaign) Run(p *devent.Proc) (*Report, error) {
 	cfg := c.cfg
-	q := c.server.Queues()
 	start := p.Now()
 	rep := &Report{}
 
@@ -229,10 +279,7 @@ func (c *Campaign) Run(p *devent.Proc) (*Report, error) {
 		c.server.Submit("sim", "simulate", m)
 	}
 	var dataset []SimResult
-	for _, r := range colmena.CollectN(p, q, "sim", cfg.InitialPool) {
-		if r.Err != nil {
-			return nil, r.Err
-		}
+	for _, r := range c.collect(p, "sim", cfg.InitialPool, rep) {
 		res := r.Value.(SimResult)
 		dataset = append(dataset, res)
 		if res.IP > rep.InitialBestIP {
@@ -245,31 +292,32 @@ func (c *Campaign) Run(p *devent.Proc) (*Report, error) {
 	var emulator *Emulator
 	for round := 0; round < cfg.Rounds; round++ {
 		c.server.Submit("train", "train", append([]SimResult(nil), dataset...))
-		tr := q.Recv(p, "train")
-		if tr.Err != nil {
-			return nil, tr.Err
+		for _, r := range c.collect(p, "train", 1, rep) {
+			emulator = r.Value.(*Emulator)
 		}
-		emulator = tr.Value.(*Emulator)
 
 		candidates := Pool(cfg.Seed, next, cfg.CandidatePool)
 		next += cfg.CandidatePool
-		chunks := 0
-		for lo := 0; lo < len(candidates); lo += cfg.InferChunk {
-			hi := lo + cfg.InferChunk
-			if hi > len(candidates) {
-				hi = len(candidates)
-			}
-			c.server.Submit("infer", "infer", emulator, candidates[lo:hi])
-			chunks++
-		}
 		var scored []Scored
-		for _, r := range colmena.CollectN(p, q, "infer", chunks) {
-			if r.Err != nil {
-				return nil, r.Err
+		if emulator != nil {
+			chunks := 0
+			for lo := 0; lo < len(candidates); lo += cfg.InferChunk {
+				hi := lo + cfg.InferChunk
+				if hi > len(candidates) {
+					hi = len(candidates)
+				}
+				c.server.Submit("infer", "infer", emulator, candidates[lo:hi])
+				chunks++
 			}
-			scored = append(scored, r.Value.([]Scored)...)
+			for _, r := range c.collect(p, "infer", chunks, rep) {
+				scored = append(scored, r.Value.([]Scored)...)
+			}
 		}
-		if cfg.RandomSelection {
+		if len(scored) == 0 {
+			for _, m := range candidates[:cfg.BatchSize] {
+				scored = append(scored, Scored{Molecule: m})
+			}
+		} else if cfg.RandomSelection {
 			// Control arm: deterministic pseudo-random shuffle keyed
 			// on the seed and round.
 			for i := range scored {
@@ -280,15 +328,13 @@ func (c *Campaign) Run(p *devent.Proc) (*Report, error) {
 			sort.Slice(scored, func(i, j int) bool { return scored[i].Pred > scored[j].Pred })
 		}
 
-		batch := scored[:cfg.BatchSize]
+		batch := scored[:min(cfg.BatchSize, len(scored))]
 		for _, s := range batch {
 			c.server.Submit("sim", "simulate", s.Molecule)
 		}
 		var batchSum float64
-		for _, r := range colmena.CollectN(p, q, "sim", cfg.BatchSize) {
-			if r.Err != nil {
-				return nil, r.Err
-			}
+		sims := c.collect(p, "sim", len(batch), rep)
+		for _, r := range sims {
 			res := r.Value.(SimResult)
 			dataset = append(dataset, res)
 			batchSum += res.IP
@@ -296,7 +342,7 @@ func (c *Campaign) Run(p *devent.Proc) (*Report, error) {
 				rep.BestIP, rep.BestMolecule = res.IP, res.Molecule
 			}
 		}
-		rep.RoundBatchMeanIP = append(rep.RoundBatchMeanIP, batchSum/float64(cfg.BatchSize))
+		rep.RoundBatchMeanIP = append(rep.RoundBatchMeanIP, batchSum/float64(len(sims)))
 	}
 
 	// Baseline: mean true IP over a fresh pool of the same size.

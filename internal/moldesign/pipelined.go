@@ -20,7 +20,9 @@ import (
 //     simulation budget as the synchronous campaign.
 //
 // Total simulated molecules equal Run's (InitialPool + Rounds×Batch),
-// so makespan and GPU-utilization comparisons are like for like.
+// so makespan and GPU-utilization comparisons are like for like. Lost
+// tasks are resubmitted and counted as in Run; a simulation lost for
+// good still spends its share of the budget.
 func (c *Campaign) RunPipelined(p *devent.Proc) (*Report, error) {
 	cfg := c.cfg
 	q := c.server.Queues()
@@ -73,11 +75,15 @@ func (c *Campaign) RunPipelined(p *devent.Proc) (*Report, error) {
 
 	for simsDone < budget {
 		r := q.Recv(p, topic)
-		if r.Err != nil {
-			return nil, r.Err
+		if c.resubmit(r, rep) {
+			continue
 		}
-		switch r.Method {
-		case "simulate":
+		failed := r.Err != nil
+		switch {
+		case r.Method == "simulate" && failed:
+			simsDone++
+			maybeTrain()
+		case r.Method == "simulate":
 			res := r.Value.(SimResult)
 			dataset = append(dataset, res)
 			simsDone++
@@ -96,7 +102,9 @@ func (c *Campaign) RunPipelined(p *devent.Proc) (*Report, error) {
 				}
 			}
 			maybeTrain()
-		case "train":
+		case r.Method == "train" && failed:
+			trainInFlight = false
+		case r.Method == "train":
 			emulator = r.Value.(*Emulator)
 			trainInFlight = false
 			// Score a fresh pool with the new emulator, overlapping
@@ -112,8 +120,10 @@ func (c *Campaign) RunPipelined(p *devent.Proc) (*Report, error) {
 				chunksLeft++
 			}
 			c.pipelineScored = c.pipelineScored[:0]
-		case "infer":
-			c.pipelineScored = append(c.pipelineScored, r.Value.([]Scored)...)
+		case r.Method == "infer":
+			if !failed {
+				c.pipelineScored = append(c.pipelineScored, r.Value.([]Scored)...)
+			}
 			chunksLeft--
 			if chunksLeft == 0 {
 				sort.Slice(c.pipelineScored, func(i, j int) bool {
@@ -131,6 +141,14 @@ func (c *Campaign) RunPipelined(p *devent.Proc) (*Report, error) {
 				}
 				maybeTrain()
 			}
+		}
+		if simsDone < budget && simsDone == simsSubmitted && !trainInFlight && chunksLeft == 0 {
+			// Lost tasks left nothing in flight to pick the next
+			// simulations: take them unscored from a fresh pool.
+			for _, m := range Pool(cfg.Seed, nextID, cfg.BatchSize) {
+				submitSim(m)
+			}
+			nextID += cfg.BatchSize
 		}
 	}
 

@@ -132,6 +132,7 @@ func Fig3(w io.Writer, cfg moldesign.Config) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
+	writeFig3Failed(w, "", res)
 	fmt.Fprintf(w, "GPU busy fraction: %.0f%% (%d idle gaps — the \"white lines\" of Fig. 3)\n",
 		res.GPUBusyFraction*100, res.GPUIdleGaps)
 	fmt.Fprintln(w, "\ntimeline (S=simulation on CPU workers, T=training, I=inference on the GPU worker):")
@@ -149,7 +150,24 @@ func Fig3(w io.Writer, cfg moldesign.Config) error {
 		(1-piped.Makespan.Seconds()/res.Makespan.Seconds())*100,
 		res.GPUBusyFraction*100, piped.GPUBusyFraction*100,
 		piped.Report.Dataset, piped.Report.BestIP)
+	writeFig3Failed(w, "  ", piped)
 	return nil
+}
+
+// writeFig3Failed prints, when the campaign lost tasks for good, how
+// many per phase; without fault injection it prints nothing.
+func writeFig3Failed(w io.Writer, indent string, res *core.Fig3Result) {
+	if res.Failed == 0 {
+		return
+	}
+	fmt.Fprintf(w, "%slost tasks counted as failed: %d (", indent, res.Failed)
+	for i, ph := range moldesign.Phases {
+		if i > 0 {
+			fmt.Fprint(w, ", ")
+		}
+		fmt.Fprintf(w, "%s %d", ph, res.Report.Failed[ph])
+	}
+	fmt.Fprintln(w, ")")
 }
 
 // Fig3Gantt renders the campaign's task timeline as an ASCII chart of
