@@ -68,8 +68,9 @@ func TestFig3Report(t *testing.T) {
 }
 
 // TestArtifactGoldens pins the default output of the artifacts built
-// from small single-device simulations, and of the fleet artifact on
-// its test grid, against testdata/<name>.golden.
+// from small single-device simulations, of the Fig. 4/5 grid at 8
+// completions, and of the fleet artifact on its test grid, against
+// testdata/<name>.golden.
 func TestArtifactGoldens(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -79,6 +80,8 @@ func TestArtifactGoldens(t *testing.T) {
 		{"coldstart", ColdStart},
 		{"reconfig", Reconfig},
 		{"table1", Table1},
+		{"fig45", func(w io.Writer) error { return Fig45(w, 8) }},
+		{"attrib", func(w io.Writer) error { return Attribution(w, 100) }},
 		{"ablations", Ablations},
 		{"mixed", MixedTenancy},
 		{"rightsize", Rightsize},
