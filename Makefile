@@ -16,7 +16,8 @@
 # byte-identical across -parallel. `make autoscale` does the same for
 # the SLO-driven autoscaling artifact and its -alerts history. `make attrib`
 # smoke-tests the latency attribution pipeline end to end on the
-# Table 1 bursts. `make serve-smoke` boots the live observability
+# Table 1 bursts, and checks that an artifact with no runs of its own
+# to export rejects -trace. `make serve-smoke` boots the live observability
 # server on a scale run and curls its endpoints — the CI smoke for the
 # -serve plane. `make chaos-smoke` runs the open-loop, Table 1,
 # ablation and Fig 3 artifacts under a dense fault schedule, requires
@@ -238,7 +239,7 @@ chaos-smoke:
 	$(GO) build -o /tmp/paperbench-chaos ./cmd/paperbench; \
 	/tmp/paperbench-chaos openloop -chaos seed=1,rate=0.5 > /dev/null; \
 	/tmp/paperbench-chaos table1 -chaos seed=1,rate=0.5 > /dev/null; \
-	/tmp/paperbench-chaos ablations -completions 20 -chaos seed=1,rate=0.5 > /dev/null; \
+	/tmp/paperbench-chaos ablations -chaos seed=1,rate=0.5 > /dev/null; \
 	/tmp/paperbench-chaos fig3 -chaos seed=1,rate=0.5 > /dev/null; \
 	rc=0; /tmp/paperbench-chaos coldstart -chaos seed=1 > /dev/null 2>&1 || rc=$$?; \
 	test $$rc = 2 || { echo "chaos-smoke: coldstart -chaos exited $$rc, want 2"; exit 1; }; \
@@ -246,11 +247,18 @@ chaos-smoke:
 
 # End-to-end smoke test of the attribution pipeline: run the Table 1
 # bursts instrumented, render the folded-stack artifact, and print the
-# hottest stacks.
+# hottest stacks. The exports must come from the bursts table1 printed
+# (no fig45/ scope), and an artifact that exports no runs of its own
+# (fig1) must reject -trace with exit 2.
 attrib:
-	$(GO) run ./cmd/paperbench table1 -completions 8 -attrib ATTRIB_table1.json -flame FLAME_table1.folded > /dev/null
-	@echo "wrote ATTRIB_table1.json and FLAME_table1.folded; hottest stacks:"
-	@sort -t' ' -k2 -rn FLAME_table1.folded | head -5
+	@set -e; \
+	$(GO) build -o /tmp/paperbench-attrib ./cmd/paperbench; \
+	/tmp/paperbench-attrib table1 -attrib ATTRIB_table1.json -flame FLAME_table1.folded > /dev/null; \
+	if grep -q '"fig45/' ATTRIB_table1.json; then echo "attrib: ATTRIB_table1.json names a fig45/ scope"; exit 1; fi; \
+	rc=0; /tmp/paperbench-attrib fig1 -trace /tmp/x.json > /dev/null 2>&1 || rc=$$?; \
+	test $$rc = 2 || { echo "attrib: fig1 -trace exited $$rc, want 2"; exit 1; }; \
+	echo "wrote ATTRIB_table1.json and FLAME_table1.folded (table1/* scopes only; fig1 rejects -trace); hottest stacks:"; \
+	sort -t' ' -k2 -rn FLAME_table1.folded | head -5
 
 clean:
 	rm -rf ATTRIB_table1.json FLAME_table1.folded .bench_build

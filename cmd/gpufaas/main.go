@@ -171,7 +171,8 @@ func runSweep(args []string) error {
 		}
 		percents = append(percents, v)
 	}
-	return report.Fig2(os.Stdout, percents)
+	_, err := report.Fig2(os.Stdout, percents)
+	return err
 }
 
 // runRepart runs the phase-shifted two-tenant scenario once, under a

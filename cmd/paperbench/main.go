@@ -5,9 +5,8 @@
 //
 //	paperbench <artifact> [flags]
 //
-// Artifacts: fig1, fig2, fig3, fig4, fig5 (fig4 and fig5 run the same
-// experiment and print both), table1, coldstart, reconfig, rightsize,
-// all.
+// The artifact table lists every artifact with the flags it honours;
+// `paperbench` without arguments prints them.
 package main
 
 import (
@@ -16,19 +15,19 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
+	"time"
 
 	"repro/cmd/internal/cli"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/harness"
 	"repro/internal/moldesign"
-	"repro/internal/obs"
 	"repro/internal/repart"
 	"repro/internal/report"
 )
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: paperbench <artifact> [flags]
+const usageText = `usage: paperbench <artifact> [flags]
 
 artifacts:
   fig1       per-layer FLOP variation of CNNs
@@ -69,19 +68,22 @@ modes:
              [-o out.json] [-label-a NAME] [-label-b NAME]
 
 flags:
-  -completions N   completions for fig4/fig5/all (default 100)
-  -csv DIR         also write fig2/fig4/fig5 series as CSV into DIR
+  -completions N   completions per fig4/fig5 grid cell (default 100;
+                   fig4, fig5 and all only)
+  -csv DIR         write the printed series as CSV into DIR: fig2.csv
+                   (fig2, all), fig4.csv and fig5.csv (fig4, fig5, all)
   -parallel N      run up to N independent scenarios concurrently
                    (default: number of CPUs; output is byte-identical
                    at any setting)
-  -trace FILE      rerun the fig4/fig5 grid and Table 1 bursts with
-                   deep instrumentation and write a Perfetto-loadable
-                   Chrome trace-event JSON file. -trace, -metrics,
-                   -attrib, -flame, and -slo share that one rerun; scale
-                   takes only -trace (see scale flags), fleet and
-                   autoscale take none of them (exit 2)
-  -metrics FILE    same instrumented rerun, exported as Prometheus
-                   text exposition
+  -trace FILE      export the runs the artifact printed, instrumented,
+                   as a Perfetto-loadable Chrome trace-event JSON file:
+                   the grid of fig4/fig5, the Table 1 bursts of table1
+                   and attrib, both for all; -metrics, -attrib, -flame,
+                   -slo and -alerts export the same runs. fig1 fig2 fig3
+                   coldstart reconfig rightsize ablations mixed openloop
+                   repart print no such runs and take none of them (exit
+                   2); scale streams its own -trace (see scale flags)
+  -metrics FILE    the same runs as Prometheus text exposition
   -chaos SPEC      run the artifact's platform runs under seeded fault
                    injection, e.g. -chaos seed=7,rate=0.5 (keys: seed,
                    rate, pfail, kinds=worker+gpu+reconfig+submit,
@@ -95,15 +97,13 @@ flags:
                    policy, mode, interval, tolerance, cooldown, delta,
                    min, workers); unset keys take defaults, other
                    artifacts are unaffected
-  -attrib FILE     rerun the instrumented grid and write the latency
-                   attribution report (per-task phase breakdowns +
-                   blame profiles) as JSON — the tracediff input
-  -flame FILE      same rerun, exported as folded flamegraph stacks
-                   (flamegraph.pl / speedscope)
-  -slo SPEC        attach the SLO burn-rate monitor to the instrumented
-                   rerun: comma-separated app:latency:target[:window]
-                   rules, e.g. -slo llama-complete:12s:0.9; its spans
-                   and slo_* families join the -trace and -metrics files
+  -attrib FILE     their latency attribution report (per-task phase
+                   breakdowns + blame profiles) as JSON, tracediff's input
+  -flame FILE      their attribution as folded flamegraph stacks
+  -slo SPEC        attach the SLO burn-rate monitor to those runs:
+                   comma-separated app:latency:target[:window] rules,
+                   e.g. -slo llama-complete:12s:0.9; its spans and slo_*
+                   families join the -trace and -metrics files
   -alerts FILE     write the SLO alert stream (requires -slo). For the
                    scale, fleet, and autoscale artifacts it stands
                    alone: each cell's alert-rule history (resolved
@@ -139,69 +139,175 @@ fleet flags (-arrival and -seed apply here too):
                    (default 10m)
 
 autoscale flags (-horizon and -seed apply here too):
-  -gpus N          provider pool size, one GPU per node (default 6)`)
+  -gpus N          provider pool size, one GPU per node (default 6)`
+
+func usage() {
+	fmt.Fprintln(os.Stderr, usageText)
 	os.Exit(2)
+}
+
+// group is a set of paperbench's own flags an artifact honours, beside
+// the telemetry flags of its cli.Set.
+type group uint
+
+const (
+	platforms   group = 1 << iota // runs platforms: -chaos
+	completions                   // runs the Fig. 4/5 grid: -completions
+	csv                           // runs Fig. 2 or the grid: -csv
+)
+
+// params holds the parsed flags.
+type params struct {
+	tel                       *cli.Flags
+	csvDir, chaos, repartFlag string
+	parallel                  int
+	// observe instruments the paper runs when an export reads them.
+	observe     report.Observe
+	completions int
+	repart      repart.Spec
+	// alerts receives a rule-pack scenario's -alerts history.
+	alerts io.Writer
+
+	tasks, shards, workers, window, gpus80, gpus40, apps, gpus int
+	arrival                                                    float64
+	seed                                                       int64
+	horizon                                                    time.Duration
+}
+
+// An artifact is one row of the artifact table: its name, the
+// telemetry flags it honours, its own flag groups, and its runner. The
+// runner prints the artifact and returns the runs its exports are
+// written from, or nil when it exports none.
+type artifact struct {
+	name  string
+	tel   cli.Set
+	flags group
+	run   func(w io.Writer, p *params) (*report.Runs, error)
+}
+
+// artifacts is the artifact table, in usage order. Exports-set rows
+// run the paper experiments and export those same runs; scale, fleet
+// and autoscale carry their own alert-rule packs and span streams.
+var artifacts = []artifact{
+	{"fig1", 0, 0, plain(func(w io.Writer) error { return report.Fig1(w, []int{1, 8, 32}) })},
+	{"fig2", 0, csv, func(w io.Writer, _ *params) (*report.Runs, error) { return report.Fig2(w, nil) }},
+	{"fig3", 0, platforms, plain(func(w io.Writer) error { return report.Fig3(w, moldesign.DefaultConfig()) })},
+	{"fig4", cli.Exports, platforms | completions | csv, runFig45},
+	{"fig5", cli.Exports, platforms | completions | csv, runFig45},
+	{"table1", cli.Exports, platforms, func(w io.Writer, p *params) (*report.Runs, error) { return report.Table1(w, p.observe) }},
+	{"coldstart", 0, 0, plain(report.ColdStart)},
+	{"reconfig", 0, 0, plain(report.Reconfig)},
+	{"rightsize", 0, 0, plain(report.Rightsize)},
+	{"ablations", 0, platforms, plain(report.Ablations)},
+	{"mixed", 0, 0, plain(report.MixedTenancy)},
+	{"openloop", 0, platforms, plain(report.OpenLoop)},
+	{"repart", 0, platforms, func(w io.Writer, p *params) (*report.Runs, error) { return nil, report.Repart(w, p.repart) }},
+	{"attrib", cli.Exports, platforms, func(w io.Writer, p *params) (*report.Runs, error) {
+		return report.Attribution(w, p.observe.SLO)
+	}},
+	{"scale", cli.Trace | cli.Sample | cli.RulePack, platforms, runScale},
+	{"fleet", cli.RulePack, 0, func(w io.Writer, p *params) (*report.Runs, error) {
+		return nil, report.Fleet(w, report.FleetOptions{
+			GPUs80: p.gpus80, GPUs40: p.gpus40, Apps: p.apps,
+			Duration: p.horizon, ArrivalRate: p.arrival, Seed: p.seed,
+			Attach: p.tel.Attach(), Alerts: p.alerts,
+		})
+	}},
+	{"autoscale", cli.RulePack, 0, func(w io.Writer, p *params) (*report.Runs, error) {
+		return nil, report.Autoscale(w, report.AutoscaleOptions{
+			GPUs: p.gpus, Horizon: p.horizon, Seed: p.seed,
+			Attach: p.tel.Attach(), Alerts: p.alerts,
+		})
+	}},
+	{"all", cli.Exports, platforms | completions | csv, func(w io.Writer, p *params) (*report.Runs, error) {
+		return report.All(w, p.completions, p.observe)
+	}},
+}
+
+// plain adapts a renderer that exports nothing to a runner.
+func plain(render func(io.Writer) error) func(io.Writer, *params) (*report.Runs, error) {
+	return func(w io.Writer, _ *params) (*report.Runs, error) { return nil, render(w) }
+}
+
+func runFig45(w io.Writer, p *params) (*report.Runs, error) {
+	return report.Fig45(w, p.completions, p.observe)
+}
+
+// runScale runs the scale artifact; under -serve it gets per-shard
+// series stores, batched progress, and a live span tail on each shard.
+func runScale(w io.Writer, p *params) (*report.Runs, error) {
+	opts := report.ScaleOptions{
+		Tasks: p.tasks, Shards: p.shards, Workers: p.workers, Window: p.window,
+		ArrivalRate: p.arrival, Seed: p.seed, SampleMod: p.tel.Sample,
+		TracePath: p.tel.Trace, Attach: p.tel.Attach(), Alerts: p.alerts,
+	}
+	if pr := p.tel.Progress(); pr != nil {
+		pr.SetShards(core.ScaleConfig{Shards: p.shards}.WithDefaults().Shards)
+		opts.Progress = pr
+	}
+	return nil, report.Scale(w, opts)
+}
+
+// bind registers on fs the flags artifact a honours, parsing into the
+// params it returns.
+func bind(a *artifact, fs *flag.FlagSet) *params {
+	p := &params{tel: cli.Bind(fs, "paperbench", a.tel)}
+	if a.flags&completions != 0 {
+		fs.IntVar(&p.completions, "completions", 100, "completions per fig4/fig5 grid cell")
+	}
+	if a.flags&csv != 0 {
+		fs.StringVar(&p.csvDir, "csv", "", "also write the printed figure series as CSV into this directory")
+	}
+	if a.flags&platforms != 0 {
+		fs.StringVar(&p.chaos, "chaos", "", "seeded fault-injection spec, e.g. seed=7,rate=0.5")
+	}
+	fs.IntVar(&p.parallel, "parallel", runtime.NumCPU(), "max independent scenarios run concurrently")
+	fs.StringVar(&p.repartFlag, "repart", "", "repartitioning-controller spec, e.g. policy=knee,interval=10s")
+	fs.IntVar(&p.tasks, "tasks", 0, "scale: total tasks (default 1000000)")
+	fs.IntVar(&p.shards, "shards", 0, "scale: independent platform shards (default 8)")
+	fs.IntVar(&p.workers, "workers", 0, "scale: CPU workers per shard (default 16)")
+	fs.IntVar(&p.window, "window", 0, "scale: in-flight submissions per shard (default 64)")
+	fs.Float64Var(&p.arrival, "arrival", 0, "scale: per-shard offered load in tasks/sec (default 8000)")
+	fs.Int64Var(&p.seed, "seed", 0, "scale/fleet: RNG seed (default 1)")
+	fs.IntVar(&p.gpus80, "gpus80", 0, "fleet: A100-80GB parts (default 64)")
+	fs.IntVar(&p.gpus40, "gpus40", 0, "fleet: A100-40GB parts (default 64)")
+	fs.IntVar(&p.apps, "apps", 0, "fleet: distinct applications (default 56)")
+	fs.DurationVar(&p.horizon, "horizon", 0, "fleet/autoscale: arrival horizon on the virtual clock")
+	fs.IntVar(&p.gpus, "gpus", 0, "autoscale: provider pool size (default 6)")
+	return p
 }
 
 func main() {
 	if len(os.Args) < 2 {
 		usage()
 	}
-	artifact := os.Args[1]
-	if artifact == "tracediff" {
+	if os.Args[1] == "tracediff" {
 		if err := cli.TraceDiff("paperbench", os.Args[2:]); err != nil {
 			fmt.Fprintln(os.Stderr, "paperbench: tracediff:", err)
 			os.Exit(1)
 		}
 		return
 	}
-	// scale/fleet/autoscale carry their own alert-rule packs and run their
-	// own span streams, so they bind only the telemetry flags they honour;
-	// the instrumented reruns serve every other artifact.
-	telSet := cli.Exports
-	switch artifact {
-	case "scale":
-		telSet = cli.Trace | cli.Sample | cli.RulePack
-	case "fleet", "autoscale":
-		telSet = cli.RulePack
+	i := slices.IndexFunc(artifacts, func(a artifact) bool { return a.name == os.Args[1] })
+	if i < 0 {
+		usage()
 	}
-	fs := flag.NewFlagSet(artifact, flag.ExitOnError)
-	tel := cli.Bind(fs, "paperbench", telSet)
-	completions := fs.Int("completions", 100, "completions for the fig4/fig5 experiment")
-	csvDir := fs.String("csv", "", "also write figure CSV series into this directory")
-	parallel := fs.Int("parallel", runtime.NumCPU(), "max independent scenarios run concurrently")
-	// Only artifacts that run platforms have a fault injector to attach.
-	chaos := new(string)
-	switch artifact {
-	case "fig3", "fig4", "fig5", "table1", "ablations", "openloop", "repart", "attrib", "scale", "all":
-		chaos = fs.String("chaos", "", "seeded fault-injection spec, e.g. seed=7,rate=0.5")
-	}
-	repartFlag := fs.String("repart", "", "repartitioning-controller spec, e.g. policy=knee,interval=10s")
-	tasks := fs.Int("tasks", 0, "scale: total tasks (default 1000000)")
-	shards := fs.Int("shards", 0, "scale: independent platform shards (default 8)")
-	workers := fs.Int("workers", 0, "scale: CPU workers per shard (default 16)")
-	window := fs.Int("window", 0, "scale: in-flight submissions per shard (default 64)")
-	arrival := fs.Float64("arrival", 0, "scale: per-shard offered load in tasks/sec (default 8000)")
-	seed := fs.Int64("seed", 0, "scale/fleet: RNG seed (default 1)")
-	gpus80 := fs.Int("gpus80", 0, "fleet: A100-80GB parts (default 64)")
-	gpus40 := fs.Int("gpus40", 0, "fleet: A100-40GB parts (default 64)")
-	apps := fs.Int("apps", 0, "fleet: distinct applications (default 56)")
-	horizon := fs.Duration("horizon", 0, "fleet/autoscale: arrival horizon on the virtual clock")
-	gpus := fs.Int("gpus", 0, "autoscale: provider pool size (default 6)")
+	a := &artifacts[i]
+	fs := flag.NewFlagSet(a.name, flag.ExitOnError)
+	p := bind(a, fs)
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
 	}
-	var repartSpec repart.Spec
-	if *repartFlag != "" {
-		spec, err := repart.ParseSpec(*repartFlag)
+	if p.repartFlag != "" {
+		spec, err := repart.ParseSpec(p.repartFlag)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "paperbench: -repart:", err)
 			os.Exit(2)
 		}
-		repartSpec = spec
+		p.repart = spec
 	}
-	if *chaos != "" {
-		spec, err := fault.ParseSpec(*chaos)
+	if p.chaos != "" {
+		spec, err := fault.ParseSpec(p.chaos)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "paperbench: -chaos:", err)
 			os.Exit(2)
@@ -209,86 +315,29 @@ func main() {
 		core.SetChaos(&spec)
 		fmt.Fprintf(os.Stderr, "paperbench: chaos enabled (%s)\n", spec.String())
 	}
-	harness.SetParallelism(*parallel)
+	harness.SetParallelism(p.parallel)
 	// With -serve the live server starts before the run, so its endpoints
 	// answer while the scenarios execute.
+	tel := p.tel
 	tel.Start()
-	w := os.Stdout
-	var err error
-	var scenarioAlerts io.Writer
-	if tel.Alerts != "" && telSet&cli.RulePack != 0 {
-		f, ferr := os.Create(tel.Alerts)
-		if ferr != nil {
-			fmt.Fprintln(os.Stderr, "paperbench: -alerts:", ferr)
+	if tel.Observe() {
+		p.observe = report.Observe{On: true, SLO: tel.SLO}
+	}
+	if tel.Alerts != "" && a.tel&cli.RulePack != 0 {
+		f, err := os.Create(tel.Alerts)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "paperbench: -alerts:", err)
 			os.Exit(1)
 		}
 		defer f.Close()
-		scenarioAlerts = f
+		p.alerts = f
 	}
-	switch artifact {
-	case "fig1":
-		err = report.Fig1(w, []int{1, 8, 32})
-	case "fig2":
-		err = report.Fig2(w, nil)
-	case "fig3":
-		err = report.Fig3(w, moldesign.DefaultConfig())
-	case "fig4", "fig5":
-		err = report.Fig45(w, *completions)
-	case "table1":
-		err = report.Table1(w)
-	case "coldstart":
-		err = report.ColdStart(w)
-	case "reconfig":
-		err = report.Reconfig(w)
-	case "rightsize":
-		err = report.Rightsize(w)
-	case "ablations":
-		err = report.Ablations(w)
-	case "mixed":
-		err = report.MixedTenancy(w)
-	case "openloop":
-		err = report.OpenLoop(w)
-	case "repart":
-		err = report.Repart(w, repartSpec)
-	case "attrib":
-		err = report.Attribution(w, *completions)
-	case "scale":
-		// Under -serve: per-shard series stores, batched progress, and
-		// a live span tail on each shard.
-		opts := report.ScaleOptions{
-			Tasks: *tasks, Shards: *shards, Workers: *workers, Window: *window,
-			ArrivalRate: *arrival, Seed: *seed, SampleMod: tel.Sample,
-			TracePath: tel.Trace, Attach: tel.Attach(), Alerts: scenarioAlerts,
-		}
-		if p := tel.Progress(); p != nil {
-			p.SetShards(core.ScaleConfig{Shards: *shards}.WithDefaults().Shards)
-			opts.Progress = p
-		}
-		err = report.Scale(w, opts)
-	case "fleet":
-		err = report.Fleet(w, report.FleetOptions{
-			GPUs80: *gpus80, GPUs40: *gpus40, Apps: *apps,
-			Duration: *horizon, ArrivalRate: *arrival, Seed: *seed,
-			Attach: tel.Attach(), Alerts: scenarioAlerts,
-		})
-	case "autoscale":
-		err = report.Autoscale(w, report.AutoscaleOptions{
-			GPUs: *gpus, Horizon: *horizon, Seed: *seed,
-			Attach: tel.Attach(), Alerts: scenarioAlerts,
-		})
-	case "all":
-		err = report.All(w, *completions)
-	default:
-		usage()
-	}
-	if err == nil && *csvDir != "" {
-		err = report.WriteFigureCSVs(*csvDir, *completions)
+	runs, err := a.run(os.Stdout, p)
+	if err == nil && p.csvDir != "" {
+		err = report.WriteFigureCSVs(p.csvDir, runs)
 	}
 	if err == nil && tel.Observe() {
-		var cs []*obs.Collector
-		if cs, err = report.ObservedCollectors(*completions, tel.SLO); err == nil {
-			err = tel.Export(cs...)
-		}
+		err = tel.Export(runs.Collectors...)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "paperbench:", err)

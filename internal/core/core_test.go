@@ -208,7 +208,7 @@ func TestReconfigCosts(t *testing.T) {
 }
 
 func TestTable1Quantified(t *testing.T) {
-	rows, err := RunTable1()
+	rows, _, err := RunTable1(false, "")
 	if err != nil {
 		t.Fatal(err)
 	}

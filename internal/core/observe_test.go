@@ -51,12 +51,12 @@ func TestObservingLeavesVirtualOutputs(t *testing.T) {
 				}
 			}
 		}
-		plain, _, err := RunTable1Observed(false, "")
+		plain, _, err := RunTable1(false, "")
 		if err != nil {
 			t.Fatalf("%s table1: %v", label, err)
 		}
 		for _, v := range variants {
-			rows, _, err := RunTable1Observed(v.observe, v.slo)
+			rows, _, err := RunTable1(v.observe, v.slo)
 			if err != nil {
 				t.Fatalf("%s table1 %s: %v", label, v.name, err)
 			}

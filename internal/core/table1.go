@@ -50,17 +50,12 @@ var table1Software = map[Mode]string{
 }
 
 // RunTable1 measures every technique under a common 4-tenant LLaMa
-// burst plus isolation and reconfiguration micro-benchmarks.
-func RunTable1() ([]Table1Row, error) {
-	rows, _, err := RunTable1Observed(false, "")
-	return rows, err
-}
-
-// RunTable1Observed is RunTable1 with optional deep instrumentation;
-// it additionally returns each burst's collector, one per row in the
-// paper's row order. A non-empty slo spec (see Options.SLO) attaches
-// the burn-rate monitor to every burst.
-func RunTable1Observed(observe bool, slo string) ([]Table1Row, []*obs.Collector, error) {
+// burst plus isolation and reconfiguration micro-benchmarks. It also
+// returns each burst's collector, one per row in the paper's row
+// order, scoped table1/<technique>. observe turns on deep
+// instrumentation and a non-empty slo spec (see Options.SLO) attaches
+// the burn-rate monitor to every burst; neither changes the rows.
+func RunTable1(observe bool, slo string) ([]Table1Row, []*obs.Collector, error) {
 	reconfigs, err := RunReconfig(2 * time.Second)
 	if err != nil {
 		return nil, nil, err

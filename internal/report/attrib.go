@@ -12,17 +12,19 @@ import (
 // the Table 1 burst per technique, each task's end-to-end time
 // decomposed into phases and aggregated into per-scope blame profiles,
 // plus the time-share vs. MPS diff that explains the paper's latency
-// gap phase by phase.
-func Attribution(w io.Writer, completions int) error {
+// gap phase by phase. The bursts always run observed, since the
+// attribution reads their spans; a non-empty slo spec attaches the
+// burn-rate monitor too. It returns the bursts' collectors.
+func Attribution(w io.Writer, slo string) (*Runs, error) {
 	header(w, "Latency attribution — where each task's time goes, per multiplexing technique")
-	_, collectors, err := core.RunTable1Observed(true, "")
+	_, collectors, err := core.RunTable1(true, slo)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rep := analyze.Analyze(collectors...)
 	fmt.Fprintf(w, "\nblame profiles (mean ms per task per phase; %d tasks total):\n\n", len(rep.Tasks))
 	if err := rep.WriteText(w); err != nil {
-		return err
+		return nil, err
 	}
 
 	// The paper's Fig. 4/5 story, restated as a trace diff: the
@@ -41,5 +43,5 @@ func Attribution(w io.Writer, completions int) error {
 		byScope("table1/"+string(core.ModeMPS)),
 		"table1/timeshare", "table1/mps")
 	fmt.Fprintln(w)
-	return d.WriteText(w)
+	return &Runs{Collectors: collectors}, d.WriteText(w)
 }

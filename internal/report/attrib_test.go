@@ -36,7 +36,7 @@ func TestAttributionInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full instrumented bursts in -short mode")
 	}
-	_, collectors, err := core.RunTable1Observed(true, "")
+	_, collectors, err := core.RunTable1(true, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestTraceDiffKernelQueueStory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full instrumented bursts in -short mode")
 	}
-	_, collectors, err := core.RunTable1Observed(true, "")
+	_, collectors, err := core.RunTable1(true, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestAttributionSection(t *testing.T) {
 		t.Skip("full instrumented bursts in -short mode")
 	}
 	var buf bytes.Buffer
-	if err := Attribution(&buf, 2); err != nil {
+	if _, err := Attribution(&buf, ""); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -1,111 +1,54 @@
 package report
 
 import (
+	"bytes"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
-
-	"repro/internal/core"
-	"repro/internal/harness"
 )
 
-// WriteFigureCSVs regenerates the quantitative figure series and
-// writes them as CSV files (fig2.csv, fig4.csv, fig5.csv) into dir,
-// ready for external plotting. Runs are deterministic, so the files
-// match the text reports exactly.
-func WriteFigureCSVs(dir string, completions int) error {
+// WriteFigureCSVs writes the figure series runs holds as CSV files into
+// dir, ready for external plotting: fig2.csv from the Fig. 2 sweep and
+// fig4.csv and fig5.csv from the Fig. 4/5 grid. They come from the
+// runs the text reports printed, so the files match them exactly.
+func WriteFigureCSVs(dir string, runs *Runs) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if err := writeFig2CSV(filepath.Join(dir, "fig2.csv")); err != nil {
-		return err
-	}
-	return writeFig45CSV(
-		filepath.Join(dir, "fig4.csv"),
-		filepath.Join(dir, "fig5.csv"),
-		completions,
-	)
-}
-
-func writeFig2CSV(path string) error {
-	res, err := core.Fig2Sweep([]int{5, 10, 15, 19, 25, 37, 50, 75, 100})
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if _, err := fmt.Fprintln(f, "model,mps_percent,sms,latency_s"); err != nil {
-		return err
-	}
-	for _, p := range res.Points {
-		if _, err := fmt.Fprintf(f, "%s,%d,%d,%.6f\n", p.Model, p.Percent, p.SMs, p.Latency.Seconds()); err != nil {
+	if res := runs.Fig2; res != nil {
+		var b bytes.Buffer
+		fmt.Fprintln(&b, "model,mps_percent,sms,latency_s")
+		for _, p := range res.Points {
+			fmt.Fprintf(&b, "%s,%d,%d,%.6f\n", p.Model, p.Percent, p.SMs, p.Latency.Seconds())
+		}
+		// Sorted keys, not map order, so the file is byte-reproducible.
+		models := make([]string, 0, len(res.CPUBaselines))
+		for model := range res.CPUBaselines {
+			models = append(models, model)
+		}
+		sort.Strings(models)
+		for _, model := range models {
+			fmt.Fprintf(&b, "%s-cpu,0,0,%.6f\n", model, res.CPUBaselines[model].Seconds())
+		}
+		if err := os.WriteFile(filepath.Join(dir, "fig2.csv"), b.Bytes(), 0o666); err != nil {
 			return err
 		}
 	}
-	// Sorted keys, not map order, so the file is byte-reproducible.
-	models := make([]string, 0, len(res.CPUBaselines))
-	for model := range res.CPUBaselines {
-		models = append(models, model)
+	if runs.Grid == nil {
+		return nil
 	}
-	sort.Strings(models)
-	for _, model := range models {
-		if _, err := fmt.Fprintf(f, "%s-cpu,0,0,%.6f\n", model, res.CPUBaselines[model].Seconds()); err != nil {
-			return err
-		}
+	var f4, f5 bytes.Buffer
+	fmt.Fprintln(&f4, "mode,processes,makespan_s,throughput_per_s,utilization")
+	fmt.Fprintln(&f5, "mode,processes,mean_latency_s,p95_latency_s")
+	for _, r := range runs.Grid {
+		fmt.Fprintf(&f4, "%s,%d,%.3f,%.5f,%.4f\n",
+			r.Mode, r.Processes, r.Makespan.Seconds(), r.Throughput, r.Utilization)
+		fmt.Fprintf(&f5, "%s,%d,%.4f,%.4f\n",
+			r.Mode, r.Processes, r.MeanLatency().Seconds(), r.Latencies.Percentile(95).Seconds())
 	}
-	return nil
-}
-
-func writeFig45CSV(fig4Path, fig5Path string, completions int) error {
-	if completions <= 0 {
-		completions = 100
-	}
-	f4, err := os.Create(fig4Path)
-	if err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "fig4.csv"), f4.Bytes(), 0o666); err != nil {
 		return err
 	}
-	defer f4.Close()
-	f5, err := os.Create(fig5Path)
-	if err != nil {
-		return err
-	}
-	defer f5.Close()
-	if err := writeHeader(f4, "mode,processes,makespan_s,throughput_per_s,utilization"); err != nil {
-		return err
-	}
-	if err := writeHeader(f5, "mode,processes,mean_latency_s,p95_latency_s"); err != nil {
-		return err
-	}
-	modes := []core.Mode{core.ModeTimeshare, core.ModeMPS, core.ModeMIG}
-	const procsPerMode = 4
-	cells, err := harness.Map(len(modes)*procsPerMode, func(i int) (*core.MultiplexResult, error) {
-		return core.RunMultiplex(core.MultiplexConfig{
-			Mode: modes[i/procsPerMode], Processes: i%procsPerMode + 1, Completions: completions,
-		})
-	})
-	if err != nil {
-		return err
-	}
-	for i, r := range cells {
-		mode, n := modes[i/procsPerMode], i%procsPerMode+1
-		if _, err := fmt.Fprintf(f4, "%s,%d,%.3f,%.5f,%.4f\n",
-			mode, n, r.Makespan.Seconds(), r.Throughput, r.Utilization); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(f5, "%s,%d,%.4f,%.4f\n",
-			mode, n, r.MeanLatency().Seconds(), r.Latencies.Percentile(95).Seconds()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeHeader(w io.Writer, h string) error {
-	_, err := fmt.Fprintln(w, h)
-	return err
+	return os.WriteFile(filepath.Join(dir, "fig5.csv"), f5.Bytes(), 0o666)
 }

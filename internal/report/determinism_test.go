@@ -23,7 +23,7 @@ func TestAllParallelMatchesSequential(t *testing.T) {
 		prev := harness.SetParallelism(workers)
 		defer harness.SetParallelism(prev)
 		var b bytes.Buffer
-		if err := All(&b, completions); err != nil {
+		if _, err := All(&b, completions, Observe{}); err != nil {
 			t.Fatalf("All with %d workers: %v", workers, err)
 		}
 		return b.Bytes()

@@ -3,7 +3,6 @@ package report
 import (
 	"fmt"
 	"io"
-	"text/tabwriter"
 	"time"
 
 	"repro/internal/core"
@@ -20,13 +19,12 @@ func Ablations(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "host gap (ms)\tsingle (s)\ttimeshare-4 (s)\timprovement")
-	for _, r := range gapRows {
-		fmt.Fprintf(tw, "%.0f\t%s\t%s\t%.0f%%\n",
-			float64(r.HostGap.Milliseconds()), sec(r.SingleMakespan), sec(r.Timeshare4Makespan), r.Improvement*100)
-	}
-	if err := tw.Flush(); err != nil {
+	if err := table(w, "host gap (ms)\tsingle (s)\ttimeshare-4 (s)\timprovement", func(tw io.Writer) {
+		for _, r := range gapRows {
+			fmt.Fprintf(tw, "%.0f\t%s\t%s\t%.0f%%\n",
+				float64(r.HostGap.Milliseconds()), sec(r.SingleMakespan), sec(r.Timeshare4Makespan), r.Improvement*100)
+		}
+	}); err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "with no host gap the GPU is already saturated and time-sharing cannot help;")
@@ -37,12 +35,11 @@ func Ablations(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	tw = tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "mem fraction\tMPS-3 (s)\tMIG-3 (s)\tMIG penalty")
-	for _, r := range memRows {
-		fmt.Fprintf(tw, "%.2f\t%s\t%s\t%.2fx\n", r.MemFraction, sec(r.MPS3), sec(r.MIG3), r.MIGPenalty)
-	}
-	if err := tw.Flush(); err != nil {
+	if err := table(w, "mem fraction\tMPS-3 (s)\tMIG-3 (s)\tMIG penalty", func(tw io.Writer) {
+		for _, r := range memRows {
+			fmt.Fprintf(tw, "%.2f\t%s\t%s\t%.2fx\n", r.MemFraction, sec(r.MPS3), sec(r.MIG3), r.MIGPenalty)
+		}
+	}); err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "pure-compute tenants make MIG-2g equal to MPS; weight-streaming traffic exposes")
@@ -53,12 +50,11 @@ func Ablations(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	tw = tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "strategy\tthroughput (req/s)\tmean latency (s)")
-	for _, r := range bRows {
-		fmt.Fprintf(tw, "%s\t%.3f\t%s\n", r.Strategy, r.Throughput, sec(r.MeanLat))
-	}
-	if err := tw.Flush(); err != nil {
+	if err := table(w, "strategy\tthroughput (req/s)\tmean latency (s)", func(tw io.Writer) {
+		for _, r := range bRows {
+			fmt.Fprintf(tw, "%s\t%.3f\t%s\n", r.Strategy, r.Throughput, sec(r.MeanLat))
+		}
+	}); err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "a single tenant should batch; multiplexing is for the multi-tenant case the")
@@ -69,12 +65,11 @@ func Ablations(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	tw = tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "quantum\tmean latency (s)")
-	for _, r := range qRows {
-		fmt.Fprintf(tw, "%v\t%s\n", r.Quantum, sec(r.MeanLat))
-	}
-	if err := tw.Flush(); err != nil {
+	if err := table(w, "quantum\tmean latency (s)", func(tw io.Writer) {
+		for _, r := range qRows {
+			fmt.Fprintf(tw, "%v\t%s\n", r.Quantum, sec(r.MeanLat))
+		}
+	}); err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "VM-level slicing stays at ~4x single-stream latency regardless of quantum:")
@@ -86,8 +81,6 @@ func Ablations(w io.Writer) error {
 // next to a LLaMa-2 service under each technique.
 func MixedTenancy(w io.Writer) error {
 	header(w, "Mixed tenancy — real-time ResNet-50 next to a LLaMa-2 service")
-	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "technique\tresnet solo\tresnet mean\tresnet p99\tmeets 100ms\tLLM mean (s)")
 	modes := []core.Mode{core.ModeTimeshare, core.ModeMPSDefault, core.ModeMPS, core.ModeMIG, core.ModeVGPU}
 	rows, err := harness.Map(len(modes), func(i int) (*core.MixedTenancyResult, error) {
 		return core.RunMixedTenancy(modes[i])
@@ -95,16 +88,13 @@ func MixedTenancy(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	for i, r := range rows {
-		fmt.Fprintf(tw, "%s\t%.1fms\t%.1fms\t%.1fms\t%v\t%s\n",
-			modes[i],
-			r.ResNetSolo.Seconds()*1e3,
-			r.ResNetMean.Seconds()*1e3,
-			r.ResNetP99.Seconds()*1e3,
-			r.MeetsRealTime,
-			sec(r.LLMMean))
-	}
-	if err := tw.Flush(); err != nil {
+	if err := table(w, "technique\tresnet solo\tresnet mean\tresnet p99\tmeets 100ms\tLLM mean (s)", func(tw io.Writer) {
+		for i, r := range rows {
+			fmt.Fprintf(tw, "%s\t%.1fms\t%.1fms\t%.1fms\t%v\t%s\n", modes[i],
+				r.ResNetSolo.Seconds()*1e3, r.ResNetMean.Seconds()*1e3, r.ResNetP99.Seconds()*1e3,
+				r.MeetsRealTime, sec(r.LLMMean))
+		}
+	}); err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "under default time-sharing every camera frame queues behind ~180 ms decode")
@@ -118,8 +108,6 @@ func MixedTenancy(w io.Writer) error {
 // and MPS's, where stability itself separates the techniques.
 func OpenLoop(w io.Writer) error {
 	header(w, "Open-loop serving — Poisson chatbot arrivals at 0.4 req/s, 4 instances")
-	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "technique\tp50 (s)\tp99 (s)\tsustained (req/s)\tstable")
 	modes := []core.Mode{core.ModeTimeshare, core.ModeMPS, core.ModeMIG}
 	rows, err := harness.Map(len(modes), func(i int) (*core.OpenLoopResult, error) {
 		return core.RunOpenLoop(core.OpenLoopConfig{Mode: modes[i], Processes: 4, ArrivalRate: 0.4, Requests: 60})
@@ -127,14 +115,13 @@ func OpenLoop(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	for i, r := range rows {
-		fmt.Fprintf(tw, "%s\t%.1f\t%.1f\t%.3f\t%v\n",
-			modes[i],
-			r.Latencies.Percentile(50).Seconds(),
-			r.Latencies.Percentile(99).Seconds(),
-			r.ServiceCapacity, r.Stable)
-	}
-	if err := tw.Flush(); err != nil {
+	if err := table(w, "technique\tp50 (s)\tp99 (s)\tsustained (req/s)\tstable", func(tw io.Writer) {
+		for i, r := range rows {
+			fmt.Fprintf(tw, "%s\t%.1f\t%.1f\t%.3f\t%v\n", modes[i],
+				r.Latencies.Percentile(50).Seconds(), r.Latencies.Percentile(99).Seconds(),
+				r.ServiceCapacity, r.Stable)
+		}
+	}); err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "0.4 req/s sits between time-sharing's ~0.27 req/s capacity and MPS's ~0.59:")

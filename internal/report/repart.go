@@ -3,7 +3,6 @@ package report
 import (
 	"fmt"
 	"io"
-	"text/tabwriter"
 
 	"repro/internal/core"
 	"repro/internal/harness"
@@ -31,18 +30,17 @@ func Repart(w io.Writer, spec repart.Spec) error {
 	if err != nil {
 		return err
 	}
-	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "plan\tmakespan (s)\tmean latency (s)\tp95 (s)\ttransitions\tcache hit/miss")
-	for _, r := range cells {
-		name := string(r.Mode) + " (static)"
-		if r.Repart {
-			name = "repart (online)"
+	if err := table(w, "plan\tmakespan (s)\tmean latency (s)\tp95 (s)\ttransitions\tcache hit/miss", func(tw io.Writer) {
+		for _, r := range cells {
+			name := string(r.Mode) + " (static)"
+			if r.Repart {
+				name = "repart (online)"
+			}
+			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%d\t%d/%d\n", name,
+				sec(r.Makespan), sec(r.Latencies.Mean()), sec(r.Latencies.Percentile(95)),
+				r.Transitions, r.CacheHits, r.CacheMisses)
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%d\t%d/%d\n", name,
-			sec(r.Makespan), sec(r.Latencies.Mean()), sec(r.Latencies.Percentile(95)),
-			r.Transitions, r.CacheHits, r.CacheMisses)
-	}
-	if err := tw.Flush(); err != nil {
+	}); err != nil {
 		return err
 	}
 	ctl := cells[len(core.Table1Modes)]

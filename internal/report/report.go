@@ -28,6 +28,15 @@ func header(w io.Writer, title string) {
 
 func sec(d time.Duration) string { return fmt.Sprintf("%.2f", d.Seconds()) }
 
+// table writes an aligned table to w: the tab-separated head line, then
+// the lines rows writes.
+func table(w io.Writer, head string, rows func(tw io.Writer)) error {
+	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, head)
+	rows(tw)
+	return tw.Flush()
+}
+
 // Fig1 prints per-convolution-layer GFLOPs for the CNN zoo (the
 // series of the paper's Fig. 1), for the requested batch sizes.
 func Fig1(w io.Writer, batches []int) error {
@@ -85,30 +94,30 @@ func Fig1(w io.Writer, batches []int) error {
 	return nil
 }
 
-// Fig2 prints the LLaMa-2 latency-vs-SMs sweep plus CPU baselines.
-func Fig2(w io.Writer, percents []int) error {
+// Fig2 prints the LLaMa-2 latency-vs-SMs sweep plus CPU baselines and
+// returns the sweep.
+func Fig2(w io.Writer, percents []int) (*Runs, error) {
 	if len(percents) == 0 {
 		percents = []int{5, 10, 15, 19, 25, 37, 50, 75, 100}
 	}
 	res, err := core.Fig2Sweep(percents)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	header(w, "Figure 2 — LLaMa-2 inference runtime vs #SMs under CUDA MPS (fp32)")
-	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "model\tMPS %\t#SMs\tlatency (s, 20-token completion)")
-	for _, p := range res.Points {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%s\n", p.Model, p.Percent, p.SMs, sec(p.Latency))
-	}
-	if err := tw.Flush(); err != nil {
-		return err
+	if err := table(w, "model\tMPS %\t#SMs\tlatency (s, 20-token completion)", func(tw io.Writer) {
+		for _, p := range res.Points {
+			fmt.Fprintf(tw, "%s\t%d\t%d\t%s\n", p.Model, p.Percent, p.SMs, sec(p.Latency))
+		}
+	}); err != nil {
+		return nil, err
 	}
 	// Fixed order (not map iteration) so output is byte-reproducible.
 	for _, model := range []string{"llama2-7b", "llama2-13b"} {
 		fmt.Fprintf(w, "CPU baseline %s: %s s\n", model, sec(res.CPUBaselines[model]))
 	}
 	fmt.Fprintln(w, "observation: latency stops improving beyond ~20 SMs — the model cannot use more.")
-	return nil
+	return &Runs{Fig2: res}, nil
 }
 
 // Fig3 runs the molecular-design campaign and prints the phase
@@ -124,12 +133,11 @@ func Fig3(w io.Writer, cfg moldesign.Config) error {
 		cfg.InitialPool, cfg.Rounds, cfg.BatchSize, rep.Dataset, sec(res.Makespan))
 	fmt.Fprintf(w, "best IP found %.3f (initial random best %.3f, pool mean %.3f); emulator RMSE %.3f\n",
 		rep.BestIP, rep.InitialBestIP, rep.PoolMeanIP, rep.FinalRMSE)
-	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "phase\ttasks\tbusy (s)\tsummed task time (s)")
-	for _, s := range res.Phases {
-		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\n", s.Phase, s.Tasks, sec(s.Busy), sec(s.Summed))
-	}
-	if err := tw.Flush(); err != nil {
+	if err := table(w, "phase\ttasks\tbusy (s)\tsummed task time (s)", func(tw io.Writer) {
+		for _, s := range res.Phases {
+			fmt.Fprintf(tw, "%s\t%d\t%s\t%s\n", s.Phase, s.Tasks, sec(s.Busy), sec(s.Summed))
+		}
+	}); err != nil {
 		return err
 	}
 	writeFig3Failed(w, "", res)
@@ -233,65 +241,37 @@ func sparkline(s *metrics.StepSeries, to time.Duration, width int, full float64)
 	return string(row)
 }
 
-// Fig45 runs the multiplexed-vs-non-multiplexed matrix and prints
-// both the completion-time figure (Fig. 4) and the latency figure
-// (Fig. 5), plus the derived headline claims.
-func Fig45(w io.Writer, completions int) error {
+// Fig45 runs the multiplexed-vs-non-multiplexed grid, as o selects,
+// prints both the completion-time figure (Fig. 4) and the latency
+// figure (Fig. 5), plus the derived headline claims, and returns the
+// grid.
+func Fig45(w io.Writer, completions int, o Observe) (*Runs, error) {
 	if completions <= 0 {
 		completions = 100
 	}
 	header(w, "Figures 4 & 5 — 100 LLaMa-2-7B completions under time-sharing, MPS, and MIG")
-	type cell = *core.MultiplexResult
-	modes := []core.Mode{core.ModeTimeshare, core.ModeMPS, core.ModeMIG}
-	// The 3 modes × 4 process counts are 12 independent simulations —
-	// run the grid cells in parallel and index results by position.
-	const procsPerMode = 4
-	cells, err := harness.Map(len(modes)*procsPerMode, func(i int) (cell, error) {
-		m, n := modes[i/procsPerMode], i%procsPerMode+1
-		r, err := core.RunMultiplex(core.MultiplexConfig{Mode: m, Processes: n, Completions: completions})
-		if err != nil {
-			return nil, fmt.Errorf("report: %s n=%d: %w", m, n, err)
-		}
-		return r, nil
-	})
+	runs, err := runGrid(completions, o)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	results := map[core.Mode]map[int]cell{}
-	for i, r := range cells {
-		m, n := modes[i/procsPerMode], i%procsPerMode+1
-		if results[m] == nil {
-			results[m] = map[int]cell{}
-		}
-		results[m][n] = r
+	// cell(m, n) is mode gridModes[m] at n processes.
+	cell := func(m, n int) *core.MultiplexResult { return runs.Grid[m*gridProcs+n-1] }
+	grid := func(title string, v func(*core.MultiplexResult) time.Duration) error {
+		fmt.Fprint(w, title)
+		return table(w, "processes\ttimeshare\tMPS (equal %)\tMIG", func(tw io.Writer) {
+			for n := 1; n <= gridProcs; n++ {
+				fmt.Fprintf(tw, "%d\t%s\t%s\t%s\n", n, sec(v(cell(0, n))), sec(v(cell(1, n))), sec(v(cell(2, n))))
+			}
+		})
 	}
-	fmt.Fprintf(w, "\nFig 4 — total task completion time (s) for %d completions:\n", completions)
-	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "processes\ttimeshare\tMPS (equal %)\tMIG")
-	for n := 1; n <= 4; n++ {
-		fmt.Fprintf(tw, "%d\t%s\t%s\t%s\n", n,
-			sec(results[core.ModeTimeshare][n].Makespan),
-			sec(results[core.ModeMPS][n].Makespan),
-			sec(results[core.ModeMIG][n].Makespan))
+	if err := grid(fmt.Sprintf("\nFig 4 — total task completion time (s) for %d completions:\n", completions),
+		func(r *core.MultiplexResult) time.Duration { return r.Makespan }); err != nil {
+		return nil, err
 	}
-	if err := tw.Flush(); err != nil {
-		return err
+	if err := grid("\nFig 5 — average per-inference latency (s):\n", (*core.MultiplexResult).MeanLatency); err != nil {
+		return nil, err
 	}
-	fmt.Fprintln(w, "\nFig 5 — average per-inference latency (s):")
-	tw = tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "processes\ttimeshare\tMPS (equal %)\tMIG")
-	for n := 1; n <= 4; n++ {
-		fmt.Fprintf(tw, "%d\t%s\t%s\t%s\n", n,
-			sec(results[core.ModeTimeshare][n].MeanLatency()),
-			sec(results[core.ModeMPS][n].MeanLatency()),
-			sec(results[core.ModeMIG][n].MeanLatency()))
-	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	single := results[core.ModeTimeshare][1]
-	mps4 := results[core.ModeMPS][4]
-	ts4 := results[core.ModeTimeshare][4]
+	single, ts4, mps4, mig4 := cell(0, 1), cell(0, 4), cell(1, 4), cell(2, 4)
 	fmt.Fprintf(w, "\nheadline claims (paper → measured):\n")
 	fmt.Fprintf(w, "  completion time, 4-way MPS vs 1 process: −60%% → −%.0f%%\n",
 		(1-mps4.Makespan.Seconds()/single.Makespan.Seconds())*100)
@@ -300,25 +280,26 @@ func Fig45(w io.Writer, completions int) error {
 	fmt.Fprintf(w, "  latency, 4-way MPS vs 4-way timeshare: −44%% → −%.0f%%\n",
 		(1-mps4.MeanLatency().Seconds()/ts4.MeanLatency().Seconds())*100)
 	fmt.Fprintf(w, "  GPU utilization at 4 processes: timeshare %.0f%%, MPS %.0f%%, MIG %.0f%%\n",
-		ts4.Utilization*100, mps4.Utilization*100, results[core.ModeMIG][4].Utilization*100)
-	return nil
+		ts4.Utilization*100, mps4.Utilization*100, mig4.Utilization*100)
+	return runs, nil
 }
 
-// Table1 prints the quantified multiplexing-technique comparison.
-func Table1(w io.Writer) error {
+// Table1 runs the Table 1 bursts, as o selects, prints the quantified
+// multiplexing-technique comparison, and returns the bursts'
+// collectors.
+func Table1(w io.Writer, o Observe) (*Runs, error) {
 	header(w, "Table 1 — GPU multiplexing techniques, quantified on a common 4-tenant burst")
-	rows, err := core.RunTable1()
+	rows, collectors, err := core.RunTable1(o.On, o.SLO)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "technique\tutilization\tthroughput (req/s)\tmean latency (s)\tvictim CoV\tctx switches\treconfig (s)\tmem isolation\tsoftware")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%.0f%%\t%.3f\t%s\t%.3f\t%d\t%s\t%v\t%s\n",
-			r.Technique, r.Utilization*100, r.Throughput, sec(r.MeanLatency),
-			r.VictimCoV, r.ContextSwitches, sec(r.ReconfigDowntime), r.MemoryIsolated, r.Software)
-	}
-	return tw.Flush()
+	return &Runs{Collectors: collectors}, table(w, "technique\tutilization\tthroughput (req/s)\tmean latency (s)\tvictim CoV\tctx switches\treconfig (s)\tmem isolation\tsoftware", func(tw io.Writer) {
+		for _, r := range rows {
+			fmt.Fprintf(tw, "%s\t%.0f%%\t%.3f\t%s\t%.3f\t%d\t%s\t%v\t%s\n",
+				r.Technique, r.Utilization*100, r.Throughput, sec(r.MeanLatency),
+				r.VictimCoV, r.ContextSwitches, sec(r.ReconfigDowntime), r.MemoryIsolated, r.Software)
+		}
+	})
 }
 
 // ColdStart prints the §6 cold-start breakdown.
@@ -328,13 +309,12 @@ func ColdStart(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "scenario\tfunction init (s)\tcontext init (s)\tmodel load (s)\ttotal (s)")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\n", r.Scenario,
-			sec(r.WorkerInit), sec(r.ContextInit), sec(r.ModelLoad), sec(r.Total))
-	}
-	return tw.Flush()
+	return table(w, "scenario\tfunction init (s)\tcontext init (s)\tmodel load (s)\ttotal (s)", func(tw io.Writer) {
+		for _, r := range rows {
+			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\n", r.Scenario,
+				sec(r.WorkerInit), sec(r.ContextInit), sec(r.ModelLoad), sec(r.Total))
+		}
+	})
 }
 
 // Reconfig prints the §6/§7 re-partitioning costs including the
@@ -345,12 +325,11 @@ func Reconfig(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "approach\tdowntime (s)\tnote")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%s\t%s\n", r.Approach, sec(r.Downtime), r.Note)
-	}
-	return tw.Flush()
+	return table(w, "approach\tdowntime (s)\tnote", func(tw io.Writer) {
+		for _, r := range rows {
+			fmt.Fprintf(tw, "%s\t%s\t%s\n", r.Approach, sec(r.Downtime), r.Note)
+		}
+	})
 }
 
 // Rightsize prints the §7 right-sizing study: measured sweep, knee,
@@ -364,12 +343,11 @@ func Rightsize(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "#SMs\tMPS %\tlatency (s)")
-	for _, p := range curve {
-		fmt.Fprintf(tw, "%d\t%d\t%s\n", p.SMs, p.Percent, sec(p.Latency))
-	}
-	if err := tw.Flush(); err != nil {
+	if err := table(w, "#SMs\tMPS %\tlatency (s)", func(tw io.Writer) {
+		for _, p := range curve {
+			fmt.Fprintf(tw, "%d\t%d\t%s\n", p.SMs, p.Percent, sec(p.Latency))
+		}
+	}); err != nil {
 		return err
 	}
 	rec, err := rightsize.Recommend(spec, curve, 0.05, cfg.FootprintBytes())
@@ -390,17 +368,20 @@ func Rightsize(w io.Writer) error {
 	return nil
 }
 
-// All regenerates every artifact in paper order. Artifacts render
-// concurrently (each into its own buffer, one Env per scenario inside)
-// and are written in paper order, so the output is byte-identical to
-// running them sequentially.
-func All(w io.Writer, completions int) error {
-	return harness.Render(w,
+// All regenerates every artifact in paper order, running the Fig. 4/5
+// grid and the Table 1 bursts as o selects, and returns the Fig. 2
+// sweep, the grid, and the grid's then Table 1's collectors.
+// Artifacts render concurrently (each into its own buffer, one Env per
+// scenario inside) and are written in paper order, so the output is
+// byte-identical to running them sequentially.
+func All(w io.Writer, completions int, o Observe) (*Runs, error) {
+	var fig2, fig45, table1 *Runs
+	err := harness.Render(w,
 		harness.Section{Name: "fig1", Render: func(w io.Writer) error { return Fig1(w, []int{1, 8, 32}) }},
-		harness.Section{Name: "fig2", Render: func(w io.Writer) error { return Fig2(w, nil) }},
+		harness.Section{Name: "fig2", Render: func(w io.Writer) (err error) { fig2, err = Fig2(w, nil); return err }},
 		harness.Section{Name: "fig3", Render: func(w io.Writer) error { return Fig3(w, moldesign.DefaultConfig()) }},
-		harness.Section{Name: "fig45", Render: func(w io.Writer) error { return Fig45(w, completions) }},
-		harness.Section{Name: "table1", Render: Table1},
+		harness.Section{Name: "fig45", Render: func(w io.Writer) (err error) { fig45, err = Fig45(w, completions, o); return err }},
+		harness.Section{Name: "table1", Render: func(w io.Writer) (err error) { table1, err = Table1(w, o); return err }},
 		harness.Section{Name: "coldstart", Render: ColdStart},
 		harness.Section{Name: "reconfig", Render: Reconfig},
 		harness.Section{Name: "rightsize", Render: Rightsize},
@@ -408,4 +389,8 @@ func All(w io.Writer, completions int) error {
 		harness.Section{Name: "mixed", Render: MixedTenancy},
 		harness.Section{Name: "openloop", Render: OpenLoop},
 	)
+	if err != nil {
+		return nil, err
+	}
+	return &Runs{Fig2: fig2.Fig2, Grid: fig45.Grid, Collectors: append(fig45.Collectors, table1.Collectors...)}, nil
 }

@@ -34,7 +34,7 @@ func TestFig1Report(t *testing.T) {
 
 func TestFig2Report(t *testing.T) {
 	var b strings.Builder
-	if err := Fig2(&b, []int{10, 19, 100}); err != nil {
+	if _, err := Fig2(&b, []int{10, 19, 100}); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -69,19 +69,19 @@ func TestFig3Report(t *testing.T) {
 
 // TestArtifactGoldens pins the default output of the artifacts built
 // from small single-device simulations, of the Fig. 4/5 grid at 8
-// completions, and of the fleet artifact on its test grid, against
-// testdata/<name>.golden.
+// completions, of the attribution section, and of the fleet artifact on
+// its test grid, against testdata/<name>.golden.
 func TestArtifactGoldens(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		render func(io.Writer) error
 	}{
-		{"fig2", func(w io.Writer) error { return Fig2(w, nil) }},
+		{"fig2", func(w io.Writer) error { _, err := Fig2(w, nil); return err }},
 		{"coldstart", ColdStart},
 		{"reconfig", Reconfig},
-		{"table1", Table1},
-		{"fig45", func(w io.Writer) error { return Fig45(w, 8) }},
-		{"attrib", func(w io.Writer) error { return Attribution(w, 100) }},
+		{"table1", func(w io.Writer) error { _, err := Table1(w, Observe{}); return err }},
+		{"fig45", func(w io.Writer) error { _, err := Fig45(w, 8, Observe{}); return err }},
+		{"attrib", func(w io.Writer) error { _, err := Attribution(w, ""); return err }},
 		{"ablations", Ablations},
 		{"mixed", MixedTenancy},
 		{"rightsize", Rightsize},
@@ -158,7 +158,7 @@ func TestSparkline(t *testing.T) {
 
 func TestFig45Report(t *testing.T) {
 	var b strings.Builder
-	if err := Fig45(&b, 20); err != nil {
+	if _, err := Fig45(&b, 20, Observe{}); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -172,7 +172,7 @@ func TestFig45Report(t *testing.T) {
 
 func TestTable1Report(t *testing.T) {
 	var b strings.Builder
-	if err := Table1(&b); err != nil {
+	if _, err := Table1(&b, Observe{}); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -241,8 +241,17 @@ func TestMixedTenancyReport(t *testing.T) {
 }
 
 func TestWriteFigureCSVs(t *testing.T) {
+	fig2, err := Fig2(io.Discard, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := Fig45(io.Discard, 8, Observe{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs.Fig2 = fig2.Fig2
 	dir := t.TempDir()
-	if err := WriteFigureCSVs(dir, 8); err != nil {
+	if err := WriteFigureCSVs(dir, runs); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"fig2.csv", "fig4.csv", "fig5.csv"} {
