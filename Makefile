@@ -20,8 +20,10 @@
 # to export rejects -trace. `make serve-smoke` boots the live observability
 # server on a scale run and curls its endpoints — the CI smoke for the
 # -serve plane. `make chaos-smoke` runs the open-loop, Table 1,
-# ablation and Fig 3 artifacts under a dense fault schedule, requires
-# all four to finish, and requires coldstart to reject -chaos.
+# ablation, Fig 3 and repartitioning artifacts and the gpufaas
+# multiplex scenario under a dense fault schedule, requires all six to
+# finish with every task ledger balanced, and requires coldstart to
+# reject -chaos.
 # `make examples` runs every examples/ program and requires each to
 # exit 0 and print something. `make loc` counts the non-test Go lines
 # of internal/ plus cmd/, per package and in total.
@@ -229,21 +231,27 @@ serve-smoke:
 	echo "serve-smoke: ok (metrics $$(wc -l < /tmp/serve-smoke.metrics) lines, spans $$(wc -l < /tmp/serve-smoke.spans) events; fleet+autoscale scopes, alerts, dashboard, promlint, autoscale+multiplex scopes and tails ok)"
 
 # Chaos smoke: the open-loop, Table 1, ablation (device probes mixed
-# with platform runs) and Fig 3 (the molecular-design campaign, which
-# resubmits and counts lost tasks) drivers must ride through a seeded
-# schedule of worker kills, GPU context losses and submit failures
-# (seed=1,rate=0.5) and exit 0, and an artifact with no platform to
-# inject into (coldstart) must reject -chaos with exit 2.
+# with platform runs), Fig 3 (the molecular-design campaign, which
+# resubmits and counts lost tasks) and repartitioning (phase-shifted
+# tenants, whose worker pools the injector reaches too; seed 7 exhausts
+# some completions' retries) drivers and the gpufaas multiplex scenario
+# must ride through a seeded schedule of worker kills, GPU context
+# losses and submit failures (rate=0.5) and exit 0 — every run also
+# fails on an unbalanced task ledger — and an artifact with no platform
+# to inject into (coldstart) must reject -chaos with exit 2.
 chaos-smoke:
 	@set -e; \
 	$(GO) build -o /tmp/paperbench-chaos ./cmd/paperbench; \
+	$(GO) build -o /tmp/gpufaas-chaos ./cmd/gpufaas; \
 	/tmp/paperbench-chaos openloop -chaos seed=1,rate=0.5 > /dev/null; \
 	/tmp/paperbench-chaos table1 -chaos seed=1,rate=0.5 > /dev/null; \
 	/tmp/paperbench-chaos ablations -chaos seed=1,rate=0.5 > /dev/null; \
 	/tmp/paperbench-chaos fig3 -chaos seed=1,rate=0.5 > /dev/null; \
+	/tmp/paperbench-chaos repart -chaos seed=7,rate=0.5 > /dev/null; \
+	/tmp/gpufaas-chaos multiplex -chaos seed=1,rate=0.5 -completions 32 > /dev/null; \
 	rc=0; /tmp/paperbench-chaos coldstart -chaos seed=1 > /dev/null 2>&1 || rc=$$?; \
 	test $$rc = 2 || { echo "chaos-smoke: coldstart -chaos exited $$rc, want 2"; exit 1; }; \
-	echo "chaos-smoke: ok (openloop, table1, ablations and fig3 finished under seed=1,rate=0.5; coldstart rejects -chaos)"
+	echo "chaos-smoke: ok (openloop, table1, ablations, fig3, repart and gpufaas multiplex finished under chaos; coldstart rejects -chaos)"
 
 # End-to-end smoke test of the attribution pipeline: run the Table 1
 # bursts instrumented, render the folded-stack artifact, and print the

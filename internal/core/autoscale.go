@@ -199,6 +199,7 @@ func RunAutoscale(cfg AutoscaleConfig) (*AutoscaleResult, error) {
 		return nil, err
 	}
 	dfk := faas.NewDFK(env, faas.Config{Collector: col}, ex)
+	s.ledger = dfk.Ledger()
 	kernel := simgpu.Kernel{Name: "infer", FLOPs: cfg.ServiceTime.Seconds() * spec.FP32FLOPS}
 	dfk.Register(faas.App{Name: "infer", Executor: "gpu", Fn: func(inv *faas.Invocation) (any, error) {
 		ctx, err := inv.GPU()

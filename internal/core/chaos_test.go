@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -31,18 +32,33 @@ func chaosSpecFor(seed int) fault.Spec {
 	return spec
 }
 
+// runChaosBurst runs the Table 1 burst workload (4 concurrent LLaMa
+// processes under MPS, 32 completions) with the given fault schedule.
+// It is the chaos soak's unit of work: the returned result carries the
+// task ledger, the injected-fault count, and how many completions
+// failed terminally.
+func runChaosBurst(spec fault.Spec) (*MultiplexResult, error) {
+	return RunMultiplex(MultiplexConfig{
+		Mode:        ModeMPS,
+		Processes:   4,
+		Completions: 32,
+		Chaos:       &spec,
+	})
+}
+
 // TestChaosSoak is the invariant suite's property test: the Table 1
 // burst workload under ≥20 random (seeded) fault schedules. Whatever
 // the injector does — worker kills, GPU context losses, transient
 // submit failures — every submitted task must reach exactly one
-// terminal state: no lost futures, no double completions.
+// terminal state: no lost futures, no double completions. The run
+// itself fails on a ledger violation; the soak also pins the tallies.
 func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak in -short mode")
 	}
 	const seeds = 24
 	results, err := harness.Map(seeds, func(i int) (*MultiplexResult, error) {
-		return RunChaosBurst(chaosSpecFor(i + 1))
+		return runChaosBurst(chaosSpecFor(i + 1))
 	})
 	if err != nil {
 		t.Fatalf("chaos burst: %v", err)
@@ -50,19 +66,16 @@ func TestChaosSoak(t *testing.T) {
 	totalFaults, totalFailed := 0, 0
 	for i, res := range results {
 		seed := i + 1
-		ck := res.Checker
-		if ck == nil {
-			t.Fatalf("seed %d: no checker attached", seed)
-		}
-		if err := ck.Err(); err != nil {
+		l := res.Ledger
+		if err := l.Err(); err != nil {
 			t.Errorf("seed %d: invariant violated: %v", seed, err)
 		}
 		// 4 preloads + 32 completions, each submitted exactly once;
-		// retries reuse the task, so the checker must see 36 tasks and
-		// 36 terminal transitions.
-		if ck.Seen() != 36 || ck.Terminal() != 36 {
-			t.Errorf("seed %d: seen %d terminal %d tasks, want 36/36 (outcomes %v)",
-				seed, ck.Seen(), ck.Terminal(), ck.Outcomes())
+		// retries reuse the task, so the ledger must count 36
+		// submissions and 36 terminal outcomes.
+		if l.Submitted() != 36 || l.Terminal() != 36 {
+			t.Errorf("seed %d: submitted %d terminal %d tasks, want 36/36 (outcomes %v)",
+				seed, l.Submitted(), l.Terminal(), l.Outcomes())
 		}
 		if got := res.Latencies.N() + res.Failed; got != res.Completions {
 			t.Errorf("seed %d: %d latencies + %d failed = %d, want %d completions",
@@ -146,5 +159,39 @@ func TestOpenLoopUnderChaos(t *testing.T) {
 		if got := res.Latencies.N() + res.Failed; got != 60 {
 			t.Errorf("%s: served %d + failed %d of 60 requests", mode, res.Latencies.N(), res.Failed)
 		}
+	}
+}
+
+// Phase-shift under chaos: the injector reaches the tenants' worker
+// pools, and a completion whose retries are exhausted is counted, not
+// fatal. Seed 7's schedule exhausts some: once reconfig faults have
+// blacklisted every CPU worker slot, every arrival lands on a tenant's
+// single worker or its GPU context, more often than a completion takes.
+func TestPhaseShiftUnderChaos(t *testing.T) {
+	spec := fault.Spec{Seed: 7, Rate: 0.5}
+	SetChaos(&spec)
+	t.Cleanup(func() { SetChaos(nil) })
+	res, err := RunPhaseShift(PhaseShiftConfig{Mode: ModeTimeshare})
+	if err != nil {
+		t.Fatal(err)
+	}
+	completions, tenantKills := 0, 0
+	for _, s := range res.Obs.Spans() {
+		if s.Cat == "dfk" && s.Name == "task" && strings.HasPrefix(s.Attr("app"), "svc-") {
+			completions++
+		}
+		if s.Cat == "fault" && s.Name == string(fault.KindWorker) && strings.HasPrefix(s.Attr("target"), "ten-") {
+			tenantKills++
+		}
+	}
+	if tenantKills == 0 {
+		t.Error("no worker fault hit a tenant pool")
+	}
+	if res.Failed == 0 {
+		t.Error("no completion failed terminally; the seed no longer exhausts retries")
+	}
+	if got := res.Latencies.N() + res.Failed; got != completions {
+		t.Errorf("%d latencies + %d failed = %d, want %d completions",
+			res.Latencies.N(), res.Failed, got, completions)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/devent"
 	"repro/internal/faas"
 	"repro/internal/faas/htex"
-	"repro/internal/faas/provider"
 	"repro/internal/llm"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -102,6 +101,9 @@ type PhaseShiftResult struct {
 	// CacheHits and CacheMisses are the weight cache's counters: every
 	// post-transition worker restart should hit.
 	CacheHits, CacheMisses int
+	// Failed counts completions whose futures failed terminally
+	// (always 0 without chaos: any failure aborts the run instead).
+	Failed int
 	// Obs is the run's collector (spans and metrics for export).
 	Obs *obs.Collector
 }
@@ -175,20 +177,12 @@ func RunPhaseShift(cfg PhaseShiftConfig) (*PhaseShiftResult, error) {
 		}
 		tenants := make([]repart.Tenant, 2)
 		for i, t := range []string{"a", "b"} {
-			cfg := htex.Config{
-				Label:                 "ten-" + t,
-				AvailableAccelerators: accels[i : i+1],
-				WorkerInit:            pl.opts.WorkerInit,
-				Provider:              provider.NewLocal(pl.Env, pl.Node),
-			}
+			cfg := htex.Config{Label: "ten-" + t, AvailableAccelerators: accels[i : i+1]}
 			if pcts != nil {
 				cfg.GPUPercentages = pcts[i : i+1]
 			}
-			ex, err := htex.New(pl.Env, cfg)
+			ex, err := pl.addExecutor(cfg)
 			if err != nil {
-				return err
-			}
-			if err := pl.DFK.AddExecutor(ex); err != nil {
 				return err
 			}
 			tenants[i] = repart.Tenant{Name: t, App: "svc-" + t, Exec: ex, Accelerator: "0",
@@ -211,19 +205,33 @@ func RunPhaseShift(cfg PhaseShiftConfig) (*PhaseShiftResult, error) {
 		}
 
 		// Pre-warm one load per tenant (excluded from the makespan, as
-		// in the multiplex experiment).
+		// in the multiplex experiment). Under chaos a failed preload is
+		// tolerated — that worker simply cold-loads on first use.
 		t0 := p.Now()
 		loadA := pl.DFK.Submit("load-a")
 		loadB := pl.DFK.Submit("load-b")
 		for _, f := range []*faas.Future{loadA, loadB} {
-			if _, err := f.Result(p); err != nil {
+			if _, err := f.Result(p); err != nil && pl.Injector == nil {
 				return err
 			}
 		}
 		res.PreloadTime = p.Now() - t0
 
-		// Workload drivers. Any terminal task failure is fatal: the
-		// retry/backoff budget must absorb every repartitioning restart.
+		// Workload drivers. Without chaos any terminal task failure is
+		// fatal: the retry/backoff budget must absorb every
+		// repartitioning restart. Under chaos a completion that fails
+		// terminally (its retries exhausted) is counted, not fatal.
+		record := func(v any, err error) error {
+			switch {
+			case err == nil:
+				res.Latencies.Add(v.(time.Duration))
+			case pl.Injector != nil:
+				res.Failed++
+			default:
+				return err
+			}
+			return nil
+		}
 		burst := func(dp *devent.Proc, app string) error {
 			var futs []*faas.Future
 			next := 0
@@ -234,20 +242,14 @@ func RunPhaseShift(cfg PhaseShiftConfig) (*PhaseShiftResult, error) {
 				}
 				f := futs[0]
 				futs = futs[1:]
-				v, err := f.Result(dp)
-				if err != nil {
+				if err := record(f.Result(dp)); err != nil {
 					return err
 				}
-				res.Latencies.Add(v.(time.Duration))
 			}
 			return nil
 		}
 		serve := func(dp *devent.Proc, app string) error {
-			v, err := pl.DFK.Submit(app).Result(dp)
-			if err == nil {
-				res.Latencies.Add(v.(time.Duration))
-			}
-			return err
+			return record(pl.DFK.Submit(app).Result(dp))
 		}
 		trickle := func(dp *devent.Proc, app string, n int) error {
 			for i := 0; i < n; i++ {

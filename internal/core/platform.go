@@ -72,10 +72,11 @@ type Options struct {
 	OnCollector func(*obs.Collector)
 	// Chaos enables seeded fault injection for this platform; nil
 	// falls back to the process-wide spec set via SetChaos (usually
-	// also nil). A chaos platform gets recovery defaults: at least 4
-	// retries, jittered retry backoff, worker auto-restart with
-	// blacklisting, and the injector wired to every executor and
-	// device.
+	// also nil). Chaos adds only two things: the injector, wired to
+	// every executor and device, and the DFK retry policy faults need
+	// — at least 4 retries with jittered backoff. Worker restart and
+	// blacklisting are the executor's own, and the task ledger is
+	// checked on every run, with or without chaos.
 	Chaos *fault.Spec
 }
 
@@ -111,19 +112,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// chaosHTEX applies the recovery defaults every chaos-run executor
-// gets: crashed workers restart with exponential backoff and are
-// blacklisted after repeated crashes.
-func (o Options) chaosHTEX(cfg htex.Config) htex.Config {
-	if o.Chaos == nil {
-		return cfg
-	}
-	cfg.RestartBackoff = 500 * time.Millisecond
-	cfg.RestartBackoffMax = 5 * time.Second
-	cfg.BlacklistAfter = 5
-	return cfg
-}
-
 // Platform is an assembled testbed. Env, Devices, Obs, TSDB and SLOMon
 // come from its embedded simulation shell.
 type Platform struct {
@@ -137,9 +125,6 @@ type Platform struct {
 	CPU       *htex.HTEX
 	// Injector drives fault injection (nil when chaos is off).
 	Injector *fault.Injector
-	// Checker watches every task for the exactly-one-terminal-state
-	// invariant (nil when chaos is off).
-	Checker *fault.Checker
 	*sim
 	opts Options
 	gpu  *htex.HTEX
@@ -163,11 +148,11 @@ func NewPlatform(opts Options) (*Platform, error) {
 			d.SetCollector(collector)
 		}
 	}
-	cpu, err := htex.New(env, o.chaosHTEX(htex.Config{
+	cpu, err := htex.New(env, htex.Config{
 		Label:      "cpu",
 		MaxWorkers: o.CPUWorkers,
 		Provider:   provider.NewLocal(env, node),
-	}))
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -187,6 +172,7 @@ func NewPlatform(opts Options) (*Platform, error) {
 		fcfg.Seed = o.Chaos.Seed
 	}
 	dfk := faas.NewDFK(env, fcfg, cpu)
+	s.ledger = dfk.Ledger()
 	pl := &Platform{
 		sim:       s,
 		Inventory: fleet.NewInventory(o.DeviceSpecs...),
@@ -209,10 +195,7 @@ func NewPlatform(opts Options) (*Platform, error) {
 			inj.AttachDevice(d)
 		}
 		dfk.SetDispatchFault(func(*faas.Task) error { return inj.SubmitFault() })
-		ck := fault.NewChecker()
-		ck.Attach(dfk)
 		pl.Injector = inj
-		pl.Checker = ck
 	}
 	return pl, nil
 }
@@ -229,21 +212,31 @@ func (pl *Platform) ConfigureGPUExecutor(p *devent.Proc, accelerators []string, 
 	if pl.gpu != nil {
 		pl.gpu.ShutdownAndWait(p)
 	}
-	gpu, err := htex.New(pl.Env, pl.opts.chaosHTEX(htex.Config{
+	gpu, err := pl.addExecutor(htex.Config{
 		Label:                 "gpu",
 		AvailableAccelerators: accelerators,
 		GPUPercentages:        percentages,
-		WorkerInit:            pl.opts.WorkerInit,
-		Provider:              provider.NewLocal(pl.Env, pl.Node),
-	}))
+	})
+	if gpu != nil {
+		pl.gpu = gpu
+	}
+	return err
+}
+
+// addExecutor builds an executor from cfg on the platform's node, with
+// the platform's worker cold start, hands it to the injector under
+// chaos, and adds it to the DFK (started if the DFK is).
+func (pl *Platform) addExecutor(cfg htex.Config) (*htex.HTEX, error) {
+	cfg.WorkerInit = pl.opts.WorkerInit
+	cfg.Provider = provider.NewLocal(pl.Env, pl.Node)
+	ex, err := htex.New(pl.Env, cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	pl.gpu = gpu
 	if pl.Injector != nil {
-		pl.Injector.AttachPool(gpu)
+		pl.Injector.AttachPool(ex)
 	}
-	return pl.DFK.AddExecutor(gpu)
+	return ex, pl.DFK.AddExecutor(ex)
 }
 
 // StartMPS launches the MPS daemon on device idx (spatial sharing).

@@ -152,6 +152,40 @@ func TestPlatformRunPropagatesMainError(t *testing.T) {
 	}
 }
 
+// blackholeExecutor accepts every submission and never completes it.
+type blackholeExecutor struct{ env *devent.Env }
+
+func (b blackholeExecutor) Label() string { return "hole" }
+func (b blackholeExecutor) Start() error  { return nil }
+func (b blackholeExecutor) Shutdown()     {}
+func (b blackholeExecutor) Workers() int  { return 1 }
+func (b blackholeExecutor) Submit(*faas.Task, faas.App, []any) *devent.Event {
+	return b.env.NewNamedEvent("never")
+}
+
+// A task that never reaches a terminal state fails the run, without
+// chaos, and the error is the task ledger's: it names the loss, not
+// just the launch proc the lost task left parked.
+func TestPlatformRunFailsOnLostTask(t *testing.T) {
+	pl, err := NewPlatform(Options{DeviceSpecs: []simgpu.DeviceSpec{simgpu.A100SXM480GB()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pl.DFK.AddExecutor(blackholeExecutor{pl.Env}); err != nil {
+		t.Fatal(err)
+	}
+	pl.Register(faas.App{Name: "lost", Executor: "hole"})
+	pl.Register(faas.App{Name: "ok", Executor: "cpu", Fn: func(*faas.Invocation) (any, error) { return nil, nil }})
+	err = pl.Run(func(p *devent.Proc) error {
+		pl.DFK.Submit("lost")
+		_, err := pl.DFK.Submit("ok").Result(p)
+		return err
+	})
+	if err == nil || !strings.Contains(err.Error(), "1 of 2 submitted tasks never reached a terminal state") {
+		t.Fatalf("err = %v, want the ledger's lost task", err)
+	}
+}
+
 // partition is the one Table 1 configuration step behind every FaaS
 // driver: each mode's plan for 1–4 processes on one A100-80GB.
 func TestPartitionPlans(t *testing.T) {

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/devent"
+	"repro/internal/faas"
 	"repro/internal/llm"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
@@ -17,8 +19,9 @@ import (
 // procs whose body returns an error. A cell — a Platform, a fleet cell,
 // an autoscale cell — also owns the collector, the optional series
 // store with its alert pack, the SLO monitor, and the OnCollector and
-// Attach hooks. Every run ends in run's one drain sequence. A
-// Platform embeds its shell, so these fields are the Platform's too.
+// Attach hooks; a cell with a DFK also checks its task ledger. Every
+// run ends in run's one drain sequence. A Platform embeds its shell, so
+// these exported fields are the Platform's too.
 type sim struct {
 	Env     *devent.Env
 	Devices []*simgpu.Device
@@ -33,6 +36,9 @@ type sim struct {
 	// SLOMon is the attached SLO burn-rate monitor (nil unless SLO
 	// rules are set); run closes it when the simulation drains.
 	SLOMon *analyze.Monitor
+	// ledger is the run's DFK task ledger (nil when the run has no
+	// DFK); run checks it once the simulation drains.
+	ledger *faas.Ledger
 }
 
 // newSim builds a fresh Env with one device per spec, named gpu0,
@@ -109,7 +115,10 @@ func (s *sim) spawn(name string, body func(*devent.Proc) error) *devent.Proc {
 // the queue would never drain), run to drain, flush the SLO windows
 // still burning, and take a final scrape of the run's end state. A nil
 // main runs only the procs already spawned. Main's error is returned
-// once the run has drained.
+// once the run has drained; a run that otherwise succeeded, or drained
+// into a deadlock, fails if its task ledger does not balance. A task
+// stuck for good parks its launch proc, so a lost task deadlocks the
+// run, and the ledger names the loss.
 func (s *sim) run(main func(*devent.Proc) error) error {
 	s.TSDB.Start(s.Env)
 	var mainErr error
@@ -119,12 +128,18 @@ func (s *sim) run(main func(*devent.Proc) error) error {
 			s.TSDB.Stop()
 		})
 	}
-	if err := s.Env.Run(); err != nil {
-		return err
+	err := s.Env.Run()
+	if err == nil {
+		s.SLOMon.Close()
+		s.TSDB.Scrape()
+		err = mainErr
 	}
-	s.SLOMon.Close()
-	s.TSDB.Scrape()
-	return mainErr
+	if err == nil || errors.Is(err, devent.ErrDeadlock) {
+		if lerr := s.ledger.Err(); lerr != nil {
+			return errors.Join(lerr, err)
+		}
+	}
+	return err
 }
 
 // drain runs a probe to drain and closes its Env.

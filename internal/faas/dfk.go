@@ -22,7 +22,7 @@ type DFK struct {
 	executors map[string]Executor
 	apps      map[string]App
 	metrics   map[string]*appMetrics
-	hooks     []func(TaskEvent)
+	ledger    Ledger
 	nextID    int
 	started   bool
 	draining  bool
@@ -100,19 +100,8 @@ func (d *DFK) Register(app App) {
 	d.apps[app.Name] = app
 }
 
-// OnTaskEvent installs a monitoring hook invoked at each DFK-side task
-// status change (submit, launch, terminal). Worker-side pickup is
-// observable through the collector's span stream instead.
-func (d *DFK) OnTaskEvent(fn func(TaskEvent)) {
-	d.hooks = append(d.hooks, fn)
-}
-
-func (d *DFK) emit(t *Task) {
-	ev := TaskEvent{Task: t, Status: t.Status, At: d.env.Now()}
-	for _, h := range d.hooks {
-		h(ev)
-	}
-}
+// Ledger returns the DFK's task ledger (never nil).
+func (d *DFK) Ledger() *Ledger { return &d.ledger }
 
 // appMetrics holds one app's per-task instruments. Each is looked up
 // in the registry the first time it is used, so series are created in
@@ -134,10 +123,23 @@ func (d *DFK) metricsFor(app string) *appMetrics {
 	return m
 }
 
-// finish records a terminal status: hooks, span end (carrying the
-// fields monitoring needs to rebuild the record), and counters.
-func (d *DFK) finish(t *Task) {
-	d.emit(t)
+// fail ends t now in a terminal failure status with err.
+func (d *DFK) fail(t *Task, status TaskStatus, err error) {
+	t.Status, t.Err, t.EndTime = status, err, d.env.Now()
+	d.finish(t, nil)
+}
+
+// finish ends t in its terminal status: the ledger, the span end
+// (carrying the fields monitoring needs to rebuild the record), the
+// counters, and the future — fired with result when t is done, failed
+// with t.Err otherwise. A task finished a second time is a ledger
+// violation and changes nothing else.
+func (d *DFK) finish(t *Task, result any) {
+	if t.done.Fired() {
+		d.ledger.twice = append(d.ledger.twice, t.ID)
+		return
+	}
+	d.ledger.outcomes[t.Status]++
 	errStr := ""
 	if t.Err != nil {
 		errStr = t.Err.Error()
@@ -162,7 +164,10 @@ func (d *DFK) finish(t *Task) {
 		}
 		am.queue.ObserveDuration(t.QueueDelay())
 		am.run.ObserveDuration(t.RunTime())
+		t.done.Fire(result)
+		return
 	}
+	t.done.Fail(t.Err)
 }
 
 // Start launches all executors (provider blocks, workers).
@@ -226,6 +231,7 @@ func (d *DFK) Shutdown() {
 // ErrTaskTimeout regardless of retries left.
 func (d *DFK) Submit(appName string, args ...any) *Future {
 	d.nextID++
+	d.ledger.submitted++
 	task := &Task{
 		ID:         d.nextID,
 		App:        appName,
@@ -241,50 +247,32 @@ func (d *DFK) Submit(appName string, args ...any) *Future {
 		task.m.submitted = d.obs.Metrics().Counter("faas_tasks_submitted_total", obs.L("app", appName))
 	}
 	task.m.submitted.Inc()
-	done := &task.done
-	d.env.InitEvent(done, "task")
+	d.env.InitEvent(&task.done, "task")
 	task.fut = Future{task: task}
 	fut := &task.fut
 
 	if d.draining {
-		task.Status = TaskFailed
-		task.Err = fmt.Errorf("%w: DFK draining", ErrShutdown)
-		task.EndTime = d.env.Now()
-		d.finish(task)
-		done.Fail(task.Err)
+		d.fail(task, TaskFailed, fmt.Errorf("%w: DFK draining", ErrShutdown))
 		return fut
 	}
 	app, ok := d.apps[appName]
 	if !ok {
-		task.Status = TaskFailed
-		task.Err = fmt.Errorf("faas: unknown app %q", appName)
-		task.EndTime = d.env.Now()
-		d.finish(task)
-		done.Fail(task.Err)
+		d.fail(task, TaskFailed, fmt.Errorf("faas: unknown app %q", appName))
 		return fut
 	}
 	task.Executor = app.Executor
 	ex, ok := d.executors[app.Executor]
 	if !ok {
-		task.Status = TaskFailed
-		task.Err = fmt.Errorf("%w: %q (app %q)", ErrNoExecutor, app.Executor, appName)
-		task.EndTime = d.env.Now()
-		d.finish(task)
-		done.Fail(task.Err)
+		d.fail(task, TaskFailed, fmt.Errorf("%w: %q (app %q)", ErrNoExecutor, app.Executor, appName))
 		return fut
 	}
 	if d.admission != nil {
 		if shed, retryAfter := d.admission(task); shed {
-			task.Status = TaskShed
-			task.Err = &ShedError{App: appName, RetryAfter: retryAfter}
-			task.EndTime = d.env.Now()
 			d.obs.Metrics().Counter("faas_tasks_shed_total", obs.L("app", appName)).Inc()
-			d.finish(task)
-			done.Fail(task.Err)
+			d.fail(task, TaskShed, &ShedError{App: appName, RetryAfter: retryAfter})
 			return fut
 		}
 	}
-	d.emit(task)
 
 	task.launch = launch{d: d, ex: ex, fn: app.Fn, args: args}
 	d.env.SpawnBody("dfk-launch", (*launchBody)(task))
@@ -321,14 +309,9 @@ func (d *DFK) run(p *devent.Proc, task *Task) {
 	ex := l.ex
 	// The App fields other than Fn are the task's App and Executor.
 	app := App{Name: task.App, Executor: task.Executor, Fn: l.fn}
-	done := &task.done
 	resolved, err := d.resolveArgs(p, l.args)
 	if err != nil {
-		task.Status = TaskFailed
-		task.Err = fmt.Errorf("%w: %v", ErrDependency, err)
-		task.EndTime = d.env.Now()
-		d.finish(task)
-		done.Fail(task.Err)
+		d.fail(task, TaskFailed, fmt.Errorf("%w: %v", ErrDependency, err))
 		return
 	}
 	deadline := time.Duration(-1)
@@ -341,7 +324,6 @@ func (d *DFK) run(p *devent.Proc, task *Task) {
 		task.Tries = try + 1
 		task.Status = TaskLaunched
 		task.DispatchTime = d.env.Now()
-		d.emit(task)
 		if try > 0 {
 			d.obs.Metrics().Counter("faas_task_retries_total", obs.L("app", task.App)).Inc()
 		}
@@ -363,28 +345,16 @@ func (d *DFK) run(p *devent.Proc, task *Task) {
 			p.Sleep(delay)
 		}
 	}
-	if timedOut {
-		task.Status = TaskTimedOut
-		task.Err = fmt.Errorf("%w: %v elapsed after %d tries", ErrTaskTimeout, d.cfg.Timeout, task.Tries)
-		task.EndTime = d.env.Now()
+	switch {
+	case timedOut:
 		d.obs.Metrics().Counter("faas_tasks_timed_out_total", obs.L("app", task.App)).Inc()
-		d.finish(task)
-		done.Fail(task.Err)
-		return
+		d.fail(task, TaskTimedOut, fmt.Errorf("%w: %v elapsed after %d tries", ErrTaskTimeout, d.cfg.Timeout, task.Tries))
+	case err != nil:
+		d.fail(task, TaskFailed, err)
+	default:
+		task.Status = TaskDone
+		d.finish(task, result)
 	}
-	if err != nil {
-		task.Status = TaskFailed
-		task.Err = err
-		if task.EndTime < task.SubmitTime {
-			task.EndTime = d.env.Now()
-		}
-		d.finish(task)
-		done.Fail(err)
-		return
-	}
-	task.Status = TaskDone
-	d.finish(task)
-	done.Fire(result)
 }
 
 // attempt makes one dispatch attempt, enforcing the deadline (negative

@@ -2,7 +2,6 @@ package faas
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -213,26 +212,6 @@ func TestRetriesExhaust(t *testing.T) {
 	}
 	if calls != 3 { // initial + 2 retries
 		t.Fatalf("calls = %d", calls)
-	}
-}
-
-func TestTaskEventHooks(t *testing.T) {
-	env := devent.NewEnv()
-	d, _ := newTestDFK(t, env, 0)
-	d.Register(App{Name: "fn", Executor: "stub", Fn: func(*Invocation) (any, error) { return nil, nil }})
-	var seq []TaskStatus
-	d.OnTaskEvent(func(ev TaskEvent) { seq = append(seq, ev.Status) })
-	env.Spawn("main", func(p *devent.Proc) {
-		d.Submit("fn").Result(p)
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Worker-side pickup (TaskRunning) is observable through the
-	// collector's span stream, not DFK hooks.
-	want := fmt.Sprint([]TaskStatus{TaskPending, TaskLaunched, TaskDone})
-	if fmt.Sprint(seq) != want {
-		t.Fatalf("seq = %v", seq)
 	}
 }
 

@@ -125,7 +125,7 @@ func (s TaskStatus) String() string {
 
 // Terminal reports whether the status is final: a task reaches exactly
 // one of TaskDone, TaskFailed, TaskTimedOut, or TaskShed, exactly once
-// — the invariant the chaos suite asserts under fault injection.
+// — the invariant the DFK's Ledger checks.
 func (s TaskStatus) Terminal() bool {
 	return s == TaskDone || s == TaskFailed || s == TaskTimedOut || s == TaskShed
 }
@@ -291,13 +291,6 @@ type Executor interface {
 	Shutdown()
 	// Workers reports the current worker count (for tests/monitoring).
 	Workers() int
-}
-
-// TaskEvent is emitted to monitoring hooks at each status change.
-type TaskEvent struct {
-	Task   *Task
-	Status TaskStatus
-	At     time.Duration
 }
 
 // Config carries DFK-wide settings (mirrors Parsl's Config object,

@@ -46,6 +46,10 @@ func TestWorkerCrashRetriesOnSurvivor(t *testing.T) {
 			t.Errorf("kill %q failed", victim)
 			return
 		}
+		p.Sleep(100 * time.Millisecond) // inside the restart backoff
+		if ex.Workers() != 1 {
+			t.Errorf("workers after crash = %d", ex.Workers())
+		}
 		v, err := fut.Result(p)
 		if err != nil || v != "done" {
 			t.Errorf("v=%v err=%v", v, err)
@@ -62,10 +66,11 @@ func TestWorkerCrashRetriesOnSurvivor(t *testing.T) {
 	if len(runs) != 2 || runs[0] == runs[1] {
 		t.Fatalf("runs = %v", runs)
 	}
-	if ex.Workers() != 1 {
-		t.Fatalf("workers after crash = %d", ex.Workers())
+	if ex.Workers() != 2 {
+		t.Fatalf("workers after restart = %d", ex.Workers())
 	}
-	// The dead worker's GPU context is gone; the survivor's remains.
+	// The dead worker's GPU context is gone; the survivor's remains,
+	// and the restarted slot has not opened one yet.
 	if got := r.devs[0].Contexts(); got != 1 {
 		t.Fatalf("device contexts = %d", got)
 	}
@@ -94,7 +99,8 @@ func TestWorkerCrashWithoutRetries(t *testing.T) {
 	}
 }
 
-// Killing an idle worker shrinks the pool without affecting tasks.
+// Killing an idle worker shrinks the pool, until its slot restarts,
+// without affecting tasks.
 func TestKillIdleWorker(t *testing.T) {
 	r := newRig(t, 0)
 	ex, _ := New(r.env, Config{Label: "cpu", MaxWorkers: 2, Provider: r.local()})
@@ -115,7 +121,7 @@ func TestKillIdleWorker(t *testing.T) {
 			t.Error("kill failed")
 			return
 		}
-		p.Sleep(time.Second)
+		p.Sleep(100 * time.Millisecond) // inside the restart backoff
 		if ex.Workers() != 1 {
 			t.Errorf("workers = %d", ex.Workers())
 		}
@@ -126,7 +132,8 @@ func TestKillIdleWorker(t *testing.T) {
 	r.run(t)
 }
 
-// Killing an unknown worker reports false; double-kill reports false.
+// Killing an unknown worker reports false; killing it again before
+// its slot restarts reports false.
 func TestKillWorkerBookkeeping(t *testing.T) {
 	r := newRig(t, 0)
 	ex, _ := New(r.env, Config{Label: "cpu", MaxWorkers: 1, Provider: r.local()})
@@ -141,7 +148,7 @@ func TestKillWorkerBookkeeping(t *testing.T) {
 		if !ex.KillWorker(name) {
 			t.Error("first kill failed")
 		}
-		p.Sleep(time.Second)
+		p.Sleep(100 * time.Millisecond) // inside the restart backoff
 		if ex.KillWorker(name) {
 			t.Error("double kill succeeded")
 		}

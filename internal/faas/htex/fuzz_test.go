@@ -1,31 +1,21 @@
 package htex
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // FuzzConfigValidate checks that Validate never panics and that every
 // config it accepts satisfies the invariants the executor relies on:
-// a label, a worker source, aligned percentage lists with in-range
-// values, and non-negative recovery knobs.
+// a label, a worker source, and aligned percentage lists with in-range
+// values.
 func FuzzConfigValidate(f *testing.F) {
-	f.Add("gpu", 0, 3, 3, 50, int64(0), int64(0), 0)
-	f.Add("cpu", 4, 0, 0, 0, int64(0), int64(0), 0)
-	f.Add("gpu", 0, 2, 3, 120, int64(-1), int64(5), -2)
-	f.Add("", 0, 0, 0, 0, int64(1e9), int64(5e8), 3)
-	f.Fuzz(func(t *testing.T, label string, maxWorkers, nAcc, nPct, pct int, backoff, backoffMax int64, blacklist int) {
+	f.Add("gpu", 0, 3, 3, 50)
+	f.Add("cpu", 4, 0, 0, 0)
+	f.Add("gpu", 0, 2, 3, 120)
+	f.Add("", 0, 0, 0, 0)
+	f.Fuzz(func(t *testing.T, label string, maxWorkers, nAcc, nPct, pct int) {
 		if nAcc < 0 || nAcc > 64 || nPct < 0 || nPct > 64 {
 			t.Skip()
 		}
-		cfg := Config{
-			Label:             label,
-			MaxWorkers:        maxWorkers,
-			Provider:          stubProvider{},
-			RestartBackoff:    time.Duration(backoff),
-			RestartBackoffMax: time.Duration(backoffMax),
-			BlacklistAfter:    blacklist,
-		}
+		cfg := Config{Label: label, MaxWorkers: maxWorkers, Provider: stubProvider{}}
 		for i := 0; i < nAcc; i++ {
 			cfg.AvailableAccelerators = append(cfg.AvailableAccelerators, "0")
 		}
@@ -49,12 +39,6 @@ func FuzzConfigValidate(f *testing.F) {
 			if p < 0 || p > 100 {
 				t.Fatalf("accepted out-of-range percentage %d", p)
 			}
-		}
-		if cfg.RestartBackoff < 0 || cfg.RestartBackoffMax < 0 || cfg.BlacklistAfter < 0 {
-			t.Fatal("accepted negative recovery knob")
-		}
-		if cfg.RestartBackoffMax > 0 && cfg.RestartBackoffMax < cfg.RestartBackoff {
-			t.Fatal("accepted backoff cap below base")
 		}
 		// Bindings on a valid config must not panic and must align.
 		if b := cfg.Bindings(); len(b) != len(cfg.AvailableAccelerators) {

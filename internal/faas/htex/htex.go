@@ -45,16 +45,6 @@ type Config struct {
 	// (default 1).
 	Provider provider.Provider
 	Blocks   int
-	// RestartBackoff, when positive, restarts a crashed worker after an
-	// exponential delay (RestartBackoff doubled per crash of that slot,
-	// capped at RestartBackoffMax). 0 keeps the seed behavior: crashed
-	// workers stay dead.
-	RestartBackoff time.Duration
-	// RestartBackoffMax caps the restart backoff (0 = uncapped).
-	RestartBackoffMax time.Duration
-	// BlacklistAfter blacklists a worker slot after that many crashes:
-	// the slot is never restarted again. 0 disables blacklisting.
-	BlacklistAfter int
 }
 
 // Validate checks configuration consistency.
@@ -76,19 +66,6 @@ func (c Config) Validate() error {
 	}
 	if len(c.AvailableAccelerators) == 0 && c.MaxWorkers <= 0 {
 		return fmt.Errorf("htex: executor %q has no workers", c.Label)
-	}
-	if c.RestartBackoff < 0 {
-		return fmt.Errorf("htex: negative RestartBackoff %v", c.RestartBackoff)
-	}
-	if c.RestartBackoffMax < 0 {
-		return fmt.Errorf("htex: negative RestartBackoffMax %v", c.RestartBackoffMax)
-	}
-	if c.RestartBackoffMax > 0 && c.RestartBackoffMax < c.RestartBackoff {
-		return fmt.Errorf("htex: RestartBackoffMax %v below RestartBackoff %v",
-			c.RestartBackoffMax, c.RestartBackoff)
-	}
-	if c.BlacklistAfter < 0 {
-		return fmt.Errorf("htex: negative BlacklistAfter %d", c.BlacklistAfter)
 	}
 	return nil
 }
@@ -550,11 +527,18 @@ func (h *HTEX) workerRetired(w *worker) {
 	h.removeWorker(w)
 }
 
+// The worker-recovery policy: a crashed worker's slot restarts after
+// restartBackoff, doubled per crash of that slot (at most 4 s), and is
+// blacklisted — never restarted again — at its blacklistAfter-th crash.
+const (
+	restartBackoff = 500 * time.Millisecond
+	blacklistAfter = 5
+)
+
 // workerCrashed is the single exit path for killed workers (idle or
-// mid-task): it counts the crash against the worker's slot, blacklists
-// the slot after BlacklistAfter crashes, schedules an exponential-
-// backoff restart when enabled, and otherwise checks the queue for
-// stranding.
+// mid-task): it counts the crash against the worker's slot and either
+// blacklists the slot, checking the queue for stranding, or schedules
+// its restart.
 func (h *HTEX) workerCrashed(w *worker) {
 	h.removeWorker(w)
 	h.cKilled.Inc()
@@ -563,7 +547,7 @@ func (h *HTEX) workerCrashed(w *worker) {
 	}
 	h.crashes[w.name]++
 	n := h.crashes[w.name]
-	if b := h.cfg.BlacklistAfter; b > 0 && n >= b {
+	if n >= blacklistAfter {
 		if !h.blacklisted[w.name] {
 			h.blacklisted[w.name] = true
 			h.gBlacklist.Add(1)
@@ -571,18 +555,7 @@ func (h *HTEX) workerCrashed(w *worker) {
 		h.failIfStranded()
 		return
 	}
-	if h.cfg.RestartBackoff <= 0 {
-		h.failIfStranded()
-		return
-	}
-	shift := n - 1
-	if shift > 20 {
-		shift = 20
-	}
-	delay := h.cfg.RestartBackoff << uint(shift)
-	if max := h.cfg.RestartBackoffMax; max > 0 && delay > max {
-		delay = max
-	}
+	delay := restartBackoff << (n - 1)
 	h.pendingRestarts++
 	gen := h.gen
 	h.env.Schedule(delay, func() {

@@ -12,16 +12,11 @@ import (
 	"repro/internal/simgpu"
 )
 
-// With RestartBackoff set, a crashed worker slot comes back after the
-// backoff with fresh state, and subsequent work runs on it.
+// A crashed worker slot comes back after the restart backoff with
+// fresh state, and subsequent work runs on it.
 func TestWorkerAutoRestart(t *testing.T) {
 	r := newRig(t, 0)
-	ex, err := New(r.env, Config{
-		Label:          "cpu",
-		MaxWorkers:     1,
-		Provider:       r.local(),
-		RestartBackoff: time.Second,
-	})
+	ex, err := New(r.env, Config{Label: "cpu", MaxWorkers: 1, Provider: r.local()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +37,7 @@ func TestWorkerAutoRestart(t *testing.T) {
 		if ex.Workers() != 0 {
 			t.Errorf("workers after kill = %d", ex.Workers())
 		}
-		p.Sleep(1400 * time.Millisecond) // past the 1s restart backoff
+		p.Sleep(1400 * time.Millisecond) // past the 500 ms restart backoff
 		if ex.Workers() != 1 {
 			t.Errorf("workers after backoff = %d", ex.Workers())
 			return
@@ -70,7 +65,6 @@ func TestRestartedWorkerRecordsContextInit(t *testing.T) {
 		MaxWorkers:            1,
 		AvailableAccelerators: []string{"0"},
 		Provider:              r.local(),
-		RestartBackoff:        time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +89,7 @@ func TestRestartedWorkerRecordsContextInit(t *testing.T) {
 			t.Error("kill failed")
 			return
 		}
-		p.Sleep(2 * time.Second) // past the 1s restart backoff
+		p.Sleep(2 * time.Second) // past the 500 ms restart backoff
 		if _, err := d.Submit("gpu").Result(p); err != nil {
 			t.Errorf("after restart: %v", err)
 		}
@@ -126,7 +120,6 @@ func TestKillDuringContextBringUp(t *testing.T) {
 		MaxWorkers:            1,
 		AvailableAccelerators: []string{"0"},
 		Provider:              r.local(),
-		RestartBackoff:        time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +143,7 @@ func TestKillDuringContextBringUp(t *testing.T) {
 			return
 		}
 		_, first = f.Result(p)
-		p.Sleep(2 * time.Second) // past the bring-up and the 1 s restart backoff
+		p.Sleep(2 * time.Second) // past the bring-up and the 500 ms restart backoff
 		_, second = d.Submit("load").Result(p)
 		ex.ShutdownAndWait(p)
 	})
@@ -169,53 +162,59 @@ func TestKillDuringContextBringUp(t *testing.T) {
 	}
 }
 
-// Restart delays double per crash of the same slot, capped at
-// RestartBackoffMax; after BlacklistAfter crashes the slot is
-// blacklisted and never restarted.
+// crashIdle kills name's idle worker n times, each time waiting for
+// the slot's restart, and returns the restart delays.
+func crashIdle(t *testing.T, p *devent.Proc, ex *HTEX, name string, n int) []time.Duration {
+	t.Helper()
+	var delays []time.Duration
+	for crash := 1; crash <= n; crash++ {
+		if !ex.KillWorker(name) {
+			t.Errorf("kill %d failed", crash)
+			return delays
+		}
+		killedAt := p.Now()
+		p.Sleep(100 * time.Millisecond) // let the crash process
+		for ex.Workers() == 0 {
+			p.Sleep(100 * time.Millisecond)
+		}
+		delays = append(delays, p.Now()-killedAt)
+		p.Sleep(100 * time.Millisecond) // let the new worker proc boot
+	}
+	return delays
+}
+
+// Restart delays double per crash of the same slot, from 500 ms; at
+// its fifth crash the slot is blacklisted and never restarted, and
+// with no worker left new submissions fail with ErrNoWorkers.
 func TestRestartBackoffAndBlacklist(t *testing.T) {
 	r := newRig(t, 0)
-	ex, err := New(r.env, Config{
-		Label:             "cpu",
-		MaxWorkers:        1,
-		Provider:          r.local(),
-		RestartBackoff:    time.Second,
-		RestartBackoffMax: 2 * time.Second,
-		BlacklistAfter:    3,
-	})
+	ex, err := New(r.env, Config{Label: "cpu", MaxWorkers: 1, Provider: r.local()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := faas.NewDFK(r.env, faas.Config{}, ex)
+	d.Register(sleepApp("cpu", time.Second))
 	d.Start()
 	var restartDelays []time.Duration
+	var late error
 	r.env.Spawn("main", func(p *devent.Proc) {
 		p.Sleep(time.Second)
 		name := ex.WorkerNames()[0]
-		for crash := 1; crash <= 3; crash++ {
-			if !ex.KillWorker(name) {
-				t.Errorf("kill %d failed", crash)
-				return
-			}
-			killedAt := p.Now()
-			if crash == 3 {
-				break // blacklisted: no restart to wait for
-			}
-			p.Sleep(100 * time.Millisecond) // let the crash process
-			for ex.Workers() == 0 {
-				p.Sleep(100 * time.Millisecond)
-			}
-			restartDelays = append(restartDelays, p.Now()-killedAt)
-			p.Sleep(100 * time.Millisecond) // let the new worker proc boot
+		restartDelays = crashIdle(t, p, ex, name, blacklistAfter-1)
+		if !ex.KillWorker(name) {
+			t.Error("blacklisting kill failed")
+			return
 		}
 		p.Sleep(10 * time.Second)
 		if ex.Workers() != 0 {
 			t.Errorf("blacklisted slot restarted: workers = %d", ex.Workers())
 		}
+		_, late = d.Submit("sleep").Result(p)
 	})
 	r.run(t)
-	// Crash 1 → 1s backoff; crash 2 → 2s (doubled, at the cap). The
-	// poll loop rounds up to the next 100ms tick.
-	want := []time.Duration{time.Second, 2 * time.Second}
+	// Crashes 1–4 → 0.5s, 1s, 2s, 4s. The poll loop rounds up to the
+	// next 100ms tick.
+	want := []time.Duration{500 * time.Millisecond, time.Second, 2 * time.Second, 4 * time.Second}
 	if len(restartDelays) != len(want) {
 		t.Fatalf("restart delays = %v", restartDelays)
 	}
@@ -228,11 +227,14 @@ func TestRestartBackoffAndBlacklist(t *testing.T) {
 	if g.Value() != 1 {
 		t.Fatalf("blacklist_size = %v", g.Value())
 	}
+	if !errors.Is(late, ErrNoWorkers) {
+		t.Fatalf("submit after blacklisting err = %v, want ErrNoWorkers", late)
+	}
 }
 
-// When every worker is dead and none is coming back, queued
-// submissions fail with ErrNoWorkers instead of stranding, and new
-// submissions fail fast.
+// When every worker is dead and none is coming back — the last crash
+// blacklisted the only slot — queued submissions fail with
+// ErrNoWorkers instead of stranding, and new submissions fail fast.
 func TestQueueFailsWhenAllWorkersDead(t *testing.T) {
 	r := newRig(t, 0)
 	ex, err := New(r.env, Config{Label: "cpu", MaxWorkers: 1, Provider: r.local()})
@@ -247,6 +249,9 @@ func TestQueueFailsWhenAllWorkersDead(t *testing.T) {
 	d.Start()
 	var inflight, queued, late error
 	r.env.Spawn("main", func(p *devent.Proc) {
+		p.Sleep(time.Second)
+		// One crash short of the blacklist: the next kill is the last.
+		crashIdle(t, p, ex, ex.WorkerNames()[0], blacklistAfter-1)
 		running := d.Submit("slow")
 		waiting := d.Submit("slow") // queued behind the only worker
 		p.Sleep(time.Second)
@@ -298,24 +303,10 @@ func TestDrainRejectsNewWork(t *testing.T) {
 	}
 }
 
-// Config.Validate rejects the new recovery knobs' invalid values.
+// Config.Validate accepts a config with no recovery settings: worker
+// restart and blacklisting are the executor's fixed policy.
 func TestValidateRecoveryKnobs(t *testing.T) {
 	base := Config{Label: "x", MaxWorkers: 1, Provider: stubProvider{}}
-	for _, tc := range []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"negative RestartBackoff", func(c *Config) { c.RestartBackoff = -1 }},
-		{"negative RestartBackoffMax", func(c *Config) { c.RestartBackoffMax = -1 }},
-		{"max below base", func(c *Config) { c.RestartBackoff = 2; c.RestartBackoffMax = 1 }},
-		{"negative BlacklistAfter", func(c *Config) { c.BlacklistAfter = -1 }},
-	} {
-		cfg := base
-		tc.mut(&cfg)
-		if cfg.Validate() == nil {
-			t.Errorf("%s: Validate accepted %+v", tc.name, cfg)
-		}
-	}
 	if err := base.Validate(); err != nil {
 		t.Errorf("base config rejected: %v", err)
 	}

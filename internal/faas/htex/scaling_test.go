@@ -206,11 +206,10 @@ func TestScaleOutPoolExhausted(t *testing.T) {
 func TestRetiredBlockDoesNotRespawn(t *testing.T) {
 	env, slurm := slurmRig(t, 2, 0)
 	ex, err := New(env, Config{
-		Label:          "cpu",
-		MaxWorkers:     1,
-		Provider:       slurm,
-		Blocks:         2,
-		RestartBackoff: time.Second,
+		Label:      "cpu",
+		MaxWorkers: 1,
+		Provider:   slurm,
+		Blocks:     2,
 	})
 	if err != nil {
 		t.Fatal(err)

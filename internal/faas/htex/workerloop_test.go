@@ -22,7 +22,7 @@ func listenerCounts(h *HTEX, w *worker) [3]int {
 // fails that task with ErrWorkerLost and the DFK retries it.
 func TestWorkerLoopRegistrationsConstant(t *testing.T) {
 	r := newRig(t, 0)
-	ex, err := New(r.env, Config{Label: "cpu", MaxWorkers: 1, Provider: r.local(), RestartBackoff: time.Second})
+	ex, err := New(r.env, Config{Label: "cpu", MaxWorkers: 1, Provider: r.local()})
 	if err != nil {
 		t.Fatal(err)
 	}

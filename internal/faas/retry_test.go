@@ -91,6 +91,7 @@ func TestRetryExponentialBackoff(t *testing.T) {
 	boom := errors.New("boom")
 	ex := &retryExecutor{env: env, label: "x"}
 	ex.fn = func(call int) (any, error) {
+		dispatches = append(dispatches, env.Now()) // no delay: runs at dispatch
 		if call < 3 {
 			return nil, boom
 		}
@@ -98,11 +99,6 @@ func TestRetryExponentialBackoff(t *testing.T) {
 	}
 	d := NewDFK(env, Config{Retries: 2, RetryBackoff: time.Second}, ex)
 	d.Register(App{Name: "fn", Executor: "x"})
-	d.OnTaskEvent(func(ev TaskEvent) {
-		if ev.Status == TaskLaunched {
-			dispatches = append(dispatches, ev.At)
-		}
-	})
 	if err := d.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -30,15 +30,29 @@ func Repart(w io.Writer, spec repart.Spec) error {
 	if err != nil {
 		return err
 	}
-	if err := table(w, "plan\tmakespan (s)\tmean latency (s)\tp95 (s)\ttransitions\tcache hit/miss", func(tw io.Writer) {
+	// Only fault injection fails completions for good; the failed
+	// column appears only when some plan lost one.
+	failed := false
+	for _, r := range cells {
+		failed = failed || r.Failed > 0
+	}
+	cols := "plan\tmakespan (s)\tmean latency (s)\tp95 (s)\ttransitions\tcache hit/miss"
+	if failed {
+		cols += "\tfailed"
+	}
+	if err := table(w, cols, func(tw io.Writer) {
 		for _, r := range cells {
 			name := string(r.Mode) + " (static)"
 			if r.Repart {
 				name = "repart (online)"
 			}
-			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%d\t%d/%d\n", name,
+			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%d\t%d/%d", name,
 				sec(r.Makespan), sec(r.Latencies.Mean()), sec(r.Latencies.Percentile(95)),
 				r.Transitions, r.CacheHits, r.CacheMisses)
+			if failed {
+				fmt.Fprintf(tw, "\t%d", r.Failed)
+			}
+			fmt.Fprintln(tw)
 		}
 	}); err != nil {
 		return err
