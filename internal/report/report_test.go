@@ -12,6 +12,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/moldesign"
 	"repro/internal/obs"
+	"repro/internal/repart"
 )
 
 func TestFig1Report(t *testing.T) {
@@ -69,8 +70,10 @@ func TestFig3Report(t *testing.T) {
 
 // TestArtifactGoldens pins the default output of the artifacts built
 // from small single-device simulations, of the Fig. 4/5 grid at 8
-// completions, of the attribution section, and of the fleet artifact on
-// its test grid, against testdata/<name>.golden.
+// completions, of the attribution section, of the repartitioning
+// comparison under the default controller spec, and of the fleet and
+// autoscale artifacts on their test grids, against
+// testdata/<name>.golden.
 func TestArtifactGoldens(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -85,7 +88,10 @@ func TestArtifactGoldens(t *testing.T) {
 		{"ablations", Ablations},
 		{"mixed", MixedTenancy},
 		{"rightsize", Rightsize},
+		{"openloop", OpenLoop},
+		{"repart", func(w io.Writer) error { return Repart(w, repart.Spec{}) }},
 		{"fleet", func(w io.Writer) error { return Fleet(w, fleetTestOptions()) }},
+		{"autoscale", func(w io.Writer) error { return Autoscale(w, autoscaleTestOptions()) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var b strings.Builder
