@@ -20,9 +20,9 @@
 # to export rejects -trace. `make serve-smoke` boots the live observability
 # server on a scale run and curls its endpoints — the CI smoke for the
 # -serve plane. `make chaos-smoke` runs the open-loop, Table 1,
-# ablation, Fig 3 and repartitioning artifacts and the gpufaas
-# multiplex scenario under a dense fault schedule, requires all six to
-# finish with every task ledger balanced, and requires coldstart to
+# ablation, Fig 3, repartitioning and scale artifacts and the gpufaas
+# multiplex scenario under a dense fault schedule, requires all seven
+# to finish with every task ledger balanced, and requires coldstart to
 # reject -chaos.
 # `make examples` runs every examples/ program and requires each to
 # exit 0 and print something. `make loc` counts the non-test Go lines
@@ -232,13 +232,15 @@ serve-smoke:
 
 # Chaos smoke: the open-loop, Table 1, ablation (device probes mixed
 # with platform runs), Fig 3 (the molecular-design campaign, which
-# resubmits and counts lost tasks) and repartitioning (phase-shifted
+# resubmits and counts lost tasks), repartitioning (phase-shifted
 # tenants, whose worker pools the injector reaches too; seed 7 exhausts
-# some completions' retries) drivers and the gpufaas multiplex scenario
-# must ride through a seeded schedule of worker kills, GPU context
-# losses and submit failures (rate=0.5) and exit 0 — every run also
-# fails on an unbalanced task ledger — and an artifact with no platform
-# to inject into (coldstart) must reject -chaos with exit 2.
+# some completions' retries) and scale (two shards of CPU microtasks,
+# each checking its own ledger; seed 2 retries tasks through the DFK's
+# backoff loop) drivers and the gpufaas multiplex scenario must ride
+# through a seeded schedule of worker kills, GPU context losses and
+# submit failures (rate=0.5) and exit 0 — every run also fails on an
+# unbalanced task ledger — and an artifact with no platform to inject
+# into (coldstart) must reject -chaos with exit 2.
 chaos-smoke:
 	@set -e; \
 	$(GO) build -o /tmp/paperbench-chaos ./cmd/paperbench; \
@@ -248,10 +250,11 @@ chaos-smoke:
 	/tmp/paperbench-chaos ablations -chaos seed=1,rate=0.5 > /dev/null; \
 	/tmp/paperbench-chaos fig3 -chaos seed=1,rate=0.5 > /dev/null; \
 	/tmp/paperbench-chaos repart -chaos seed=7,rate=0.5 > /dev/null; \
+	/tmp/paperbench-chaos scale -tasks 20000 -shards 2 -chaos seed=2,rate=0.5 > /dev/null; \
 	/tmp/gpufaas-chaos multiplex -chaos seed=1,rate=0.5 -completions 32 > /dev/null; \
 	rc=0; /tmp/paperbench-chaos coldstart -chaos seed=1 > /dev/null 2>&1 || rc=$$?; \
 	test $$rc = 2 || { echo "chaos-smoke: coldstart -chaos exited $$rc, want 2"; exit 1; }; \
-	echo "chaos-smoke: ok (openloop, table1, ablations, fig3, repart and gpufaas multiplex finished under chaos; coldstart rejects -chaos)"
+	echo "chaos-smoke: ok (openloop, table1, ablations, fig3, repart, scale and gpufaas multiplex finished under chaos; coldstart rejects -chaos)"
 
 # End-to-end smoke test of the attribution pipeline: run the Table 1
 # bursts instrumented, render the folded-stack artifact, and print the

@@ -324,20 +324,15 @@ func (c *Controller) observe() observation {
 	m := c.obsC.Metrics()
 	var submitted float64
 	for _, app := range c.apps {
-		l := obs.L("app", app)
-		s := c.db.EventSeries("slo:burn", 0, l)
+		s := c.db.EventSeries("slo:burn", 0, obs.L("app", app))
 		if n, _ := s.CountSince(cutoff); n > 0 {
 			if burn := s.SumSince(cutoff) / float64(n); burn > o.burn {
 				o.burn = burn
 			}
 		}
-		sub := m.Counter("faas_tasks_submitted_total", l).Value()
+		backlog, sub := faas.Backlog(m, app)
+		o.backlog += backlog
 		submitted += sub
-		var done float64
-		for _, st := range faas.TerminalStatuses {
-			done += m.Counter("faas_tasks_completed_total", l, obs.L("status", st.String())).Value()
-		}
-		o.backlog += int(sub - done)
 	}
 	o.arrivals = submitted - c.lastSubmitted
 	c.lastSubmitted = submitted

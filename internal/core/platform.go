@@ -34,7 +34,8 @@ type Options struct {
 	// CPUWorkers sizes the "cpu" executor (default 16, as in
 	// Listing 1; the testbed has 24 cores).
 	CPUWorkers int
-	// Retries is the DFK retry count (default 1, as in Listing 1).
+	// Retries is the DFK retry count (default 0, so a failed task fails
+	// at once; Listing 1 sets 1, and a chaos spec raises it to 4).
 	Retries int
 	// RetryBackoff and RetryBackoffMax, when positive, space retry
 	// attempts exponentially — required when tasks must ride through a
@@ -157,7 +158,6 @@ func NewPlatform(opts Options) (*Platform, error) {
 		return nil, err
 	}
 	fcfg := faas.Config{
-		RunDir:    "sim",
 		Retries:   o.Retries,
 		Collector: collector,
 	}

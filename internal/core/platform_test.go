@@ -157,8 +157,6 @@ type blackholeExecutor struct{ env *devent.Env }
 
 func (b blackholeExecutor) Label() string { return "hole" }
 func (b blackholeExecutor) Start() error  { return nil }
-func (b blackholeExecutor) Shutdown()     {}
-func (b blackholeExecutor) Workers() int  { return 1 }
 func (b blackholeExecutor) Submit(*faas.Task, faas.App, []any) *devent.Event {
 	return b.env.NewNamedEvent("never")
 }

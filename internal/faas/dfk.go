@@ -1,10 +1,8 @@
 package faas
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"time"
 
 	"repro/internal/devent"
@@ -12,9 +10,8 @@ import (
 )
 
 // DFK is the DataFlowKernel: it owns the app registry and executors,
-// resolves future-valued arguments, dispatches tasks with deadline
-// enforcement, retries failures with exponential backoff, and emits
-// task spans and metrics to its collector.
+// dispatches tasks, retries failures with exponential backoff, and
+// emits task spans and metrics to its collector.
 type DFK struct {
 	env       *devent.Env
 	cfg       Config
@@ -25,7 +22,6 @@ type DFK struct {
 	ledger    Ledger
 	nextID    int
 	started   bool
-	draining  bool
 	rng       *rand.Rand
 	// dispatchFault, when set, is consulted before every dispatch
 	// attempt; a non-nil error fails that attempt (retriable). Fault
@@ -58,10 +54,7 @@ func NewDFK(env *devent.Env, cfg Config, executors ...Executor) *DFK {
 		rng:       rand.New(rand.NewSource(seed)),
 	}
 	for _, ex := range executors {
-		d.executors[ex.Label()] = ex
-		if o, ok := ex.(observed); ok {
-			o.SetCollector(d.obs)
-		}
+		d.AddExecutor(ex) // not started yet, so it cannot fail
 	}
 	return d
 }
@@ -69,9 +62,6 @@ func NewDFK(env *devent.Env, cfg Config, executors ...Executor) *DFK {
 // observed is implemented by executors that emit queue/run/worker
 // spans and metrics into the DFK's collector.
 type observed interface{ SetCollector(*obs.Collector) }
-
-// Env returns the simulation environment.
-func (d *DFK) Env() *devent.Env { return d.env }
 
 // Collector returns the DFK's collector (never nil).
 func (d *DFK) Collector() *obs.Collector { return d.obs }
@@ -90,9 +80,6 @@ func (d *DFK) AddExecutor(ex Executor) error {
 	}
 	return nil
 }
-
-// Executor returns the executor with the given label (nil if absent).
-func (d *DFK) Executor(label string) Executor { return d.executors[label] }
 
 // Register adds an app to the registry; re-registering a name
 // replaces it.
@@ -198,37 +185,10 @@ func (d *DFK) SetDispatchFault(fn func(*Task) error) { d.dispatchFault = fn }
 // state, in faas_tasks_completed_total.
 func (d *DFK) SetAdmission(fn func(*Task) (shed bool, retryAfter time.Duration)) { d.admission = fn }
 
-// Drain stops accepting new submissions — subsequent Submits fail fast
-// with ErrShutdown — while work already in flight runs to completion.
-// Executors that support draining are drained too.
-func (d *DFK) Drain() {
-	d.draining = true
-	for _, ex := range d.executors {
-		if dr, ok := ex.(Drainer); ok {
-			dr.Drain()
-		}
-	}
-}
-
-// Drainer is optionally implemented by executors that can stop
-// accepting new submissions without killing in-flight work.
-type Drainer interface{ Drain() }
-
-// Shutdown stops all executors.
-func (d *DFK) Shutdown() {
-	for _, ex := range d.executors {
-		ex.Shutdown()
-	}
-	d.started = false
-}
-
-// Submit schedules an app invocation. Arguments that are *Future
-// values are awaited and replaced by their results before dispatch; if
-// any fails, the task fails with ErrDependency without dispatching.
-// Failed tasks are retried up to Config.Retries times, sleeping the
-// configured exponential backoff (with jitter) between attempts; a
-// task that exceeds Config.Timeout fails terminally with
-// ErrTaskTimeout regardless of retries left.
+// Submit schedules an app invocation; its arguments reach the app
+// unchanged. Failed tasks are retried up to Config.Retries times,
+// sleeping the configured exponential backoff (with jitter) between
+// attempts.
 func (d *DFK) Submit(appName string, args ...any) *Future {
 	d.nextID++
 	d.ledger.submitted++
@@ -251,10 +211,6 @@ func (d *DFK) Submit(appName string, args ...any) *Future {
 	task.fut = Future{task: task}
 	fut := &task.fut
 
-	if d.draining {
-		d.fail(task, TaskFailed, fmt.Errorf("%w: DFK draining", ErrShutdown))
-		return fut
-	}
 	app, ok := d.apps[appName]
 	if !ok {
 		d.fail(task, TaskFailed, fmt.Errorf("faas: unknown app %q", appName))
@@ -302,76 +258,43 @@ func (b *launchBody) Run(p *devent.Proc) {
 	t.launch = launch{}
 }
 
-// run resolves the task's arguments, dispatches it with retries and
-// deadline, and completes its future.
+// run dispatches the task, sleeps out the backoff after each failed
+// attempt that has a retry left, and finishes the task.
 func (d *DFK) run(p *devent.Proc, task *Task) {
 	l := &task.launch
-	ex := l.ex
 	// The App fields other than Fn are the task's App and Executor.
 	app := App{Name: task.App, Executor: task.Executor, Fn: l.fn}
-	resolved, err := d.resolveArgs(p, l.args)
-	if err != nil {
-		d.fail(task, TaskFailed, fmt.Errorf("%w: %v", ErrDependency, err))
-		return
-	}
-	deadline := time.Duration(-1)
-	if d.cfg.Timeout > 0 {
-		deadline = task.SubmitTime + d.cfg.Timeout
-	}
-	var result any
-	timedOut := false
 	for try := 0; ; try++ {
 		task.Tries = try + 1
 		task.Status = TaskLaunched
-		task.DispatchTime = d.env.Now()
 		if try > 0 {
 			d.obs.Metrics().Counter("faas_task_retries_total", obs.L("app", task.App)).Inc()
 		}
-		result, err = d.attempt(p, ex, task, app, resolved, deadline)
-		if errors.Is(err, devent.ErrTimeout) {
-			timedOut = true
-			break
+		result, err := d.attempt(p, l.ex, task, app, l.args)
+		if err == nil {
+			task.Status = TaskDone
+			d.finish(task, result)
+			return
 		}
-		if err == nil || try >= d.cfg.Retries {
-			break
+		if try >= d.cfg.Retries {
+			d.fail(task, TaskFailed, err)
+			return
 		}
 		if delay := d.backoff(try + 1); delay > 0 {
-			if deadline >= 0 && d.env.Now()+delay >= deadline {
-				// Sleeping out the backoff would blow the deadline;
-				// fail now rather than waste a dispatch.
-				timedOut = true
-				break
-			}
 			p.Sleep(delay)
 		}
 	}
-	switch {
-	case timedOut:
-		d.obs.Metrics().Counter("faas_tasks_timed_out_total", obs.L("app", task.App)).Inc()
-		d.fail(task, TaskTimedOut, fmt.Errorf("%w: %v elapsed after %d tries", ErrTaskTimeout, d.cfg.Timeout, task.Tries))
-	case err != nil:
-		d.fail(task, TaskFailed, err)
-	default:
-		task.Status = TaskDone
-		d.finish(task, result)
-	}
 }
 
-// attempt makes one dispatch attempt, enforcing the deadline (negative
-// = none). A deadline expiry surfaces as devent.ErrTimeout; the
-// executor-side completion, if it arrives later, finds no waiter and
-// the orphaned attempt is abandoned.
-func (d *DFK) attempt(p *devent.Proc, ex Executor, task *Task, app App, args []any, deadline time.Duration) (any, error) {
+// attempt makes one dispatch attempt: the dispatch-fault check, then
+// the executor's submission, awaited.
+func (d *DFK) attempt(p *devent.Proc, ex Executor, task *Task, app App, args []any) (any, error) {
 	if d.dispatchFault != nil {
 		if err := d.dispatchFault(task); err != nil {
 			return nil, err
 		}
 	}
-	ev := ex.Submit(task, app, args)
-	if deadline < 0 {
-		return p.Wait(ev)
-	}
-	return p.WaitTimeout(ev, deadline-d.env.Now())
+	return p.Wait(ex.Submit(task, app, args))
 }
 
 // backoff returns the delay before retry number attempt (1-based):
@@ -399,28 +322,4 @@ func (d *DFK) backoff(attempt int) time.Duration {
 		}
 	}
 	return delay
-}
-
-// resolveArgs waits for future-valued arguments and substitutes their
-// results in a copy; without any it returns args itself.
-func (d *DFK) resolveArgs(p *devent.Proc, args []any) ([]any, error) {
-	var resolved []any
-	for i, a := range args {
-		fut, ok := a.(*Future)
-		if !ok {
-			continue
-		}
-		v, err := fut.Result(p)
-		if err != nil {
-			return nil, err
-		}
-		if resolved == nil {
-			resolved = slices.Clone(args)
-		}
-		resolved[i] = v
-	}
-	if resolved == nil {
-		return args, nil
-	}
-	return resolved, nil
 }

@@ -2,7 +2,6 @@ package faas
 
 import (
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
@@ -21,8 +20,6 @@ type stubExecutor struct {
 
 func (s *stubExecutor) Label() string { return s.label }
 func (s *stubExecutor) Start() error  { s.started = true; return nil }
-func (s *stubExecutor) Shutdown()     { s.started = false }
-func (s *stubExecutor) Workers() int  { return 1 }
 
 func (s *stubExecutor) Submit(task *Task, app App, args []any) *devent.Event {
 	done := s.env.NewEvent()
@@ -47,7 +44,7 @@ func (s *stubExecutor) Submit(task *Task, app App, args []any) *devent.Event {
 func newTestDFK(t *testing.T, env *devent.Env, retries int) (*DFK, *stubExecutor) {
 	t.Helper()
 	ex := &stubExecutor{env: env, label: "stub", delay: time.Second}
-	d := NewDFK(env, Config{RunDir: "test", Retries: retries}, ex)
+	d := NewDFK(env, Config{Retries: retries}, ex)
 	if err := d.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -106,56 +103,6 @@ func TestUnknownExecutorFailsFuture(t *testing.T) {
 		_, err := d.Submit("fn").Result(p)
 		if !errors.Is(err, ErrNoExecutor) {
 			t.Errorf("err = %v", err)
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFutureArgumentsResolve(t *testing.T) {
-	env := devent.NewEnv()
-	d, _ := newTestDFK(t, env, 0)
-	d.Register(App{Name: "const", Executor: "stub", Fn: func(*Invocation) (any, error) { return 10, nil }})
-	d.Register(App{Name: "addOne", Executor: "stub", Fn: func(inv *Invocation) (any, error) {
-		return inv.Arg(0).(int) + 1, nil
-	}})
-	env.Spawn("main", func(p *devent.Proc) {
-		a := d.Submit("const")
-		b := d.Submit("addOne", a) // depends on a
-		v, err := b.Result(p)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if v != 11 {
-			t.Errorf("v = %v", v)
-		}
-		// The dependent task started only after its dependency ended.
-		if b.Task().StartTime < a.Task().EndTime {
-			t.Errorf("dependency violated: %v < %v", b.Task().StartTime, a.Task().EndTime)
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDependencyFailurePropagates(t *testing.T) {
-	env := devent.NewEnv()
-	d, _ := newTestDFK(t, env, 0)
-	boom := errors.New("boom")
-	d.Register(App{Name: "bad", Executor: "stub", Fn: func(*Invocation) (any, error) { return nil, boom }})
-	d.Register(App{Name: "dependent", Executor: "stub", Fn: func(inv *Invocation) (any, error) { return 1, nil }})
-	env.Spawn("main", func(p *devent.Proc) {
-		a := d.Submit("bad")
-		b := d.Submit("dependent", a)
-		_, err := b.Result(p)
-		if !errors.Is(err, ErrDependency) {
-			t.Errorf("err = %v", err)
-		}
-		if b.Task().Status != TaskFailed {
-			t.Errorf("status = %v", b.Task().Status)
 		}
 	})
 	if err := env.Run(); err != nil {
@@ -242,13 +189,6 @@ func TestStatusString(t *testing.T) {
 		if s.String() != want {
 			t.Fatalf("%d -> %s", s, s.String())
 		}
-	}
-}
-
-func TestConfigString(t *testing.T) {
-	s := Config{RunDir: "runs", Retries: 2}.String()
-	if !strings.Contains(s, "runs") || !strings.Contains(s, "2") {
-		t.Fatalf("s = %q", s)
 	}
 }
 

@@ -2,14 +2,13 @@
 // on the devent simulation kernel.
 //
 // The shape mirrors Parsl (§2.2 of the paper): users register apps
-// (functions), submit them through a DataFlowKernel that resolves
-// future-valued arguments and retries failures, and execution happens
-// on pluggable executors — a pilot-job HighThroughputExecutor with
-// per-worker accelerator pinning (package htex) or a thread-pool
-// executor. The paper's contribution, fine-grained GPU partitioning,
-// enters through the executor configuration: the accelerator list may
-// repeat devices and carry per-entry GPU percentages or name MIG
-// instances by UUID (Listings 2 and 3).
+// (functions), submit them through a DataFlowKernel that dispatches
+// each task and retries failures with backoff, and execution happens
+// on a pilot-job HighThroughputExecutor with per-worker accelerator
+// pinning (package htex). The paper's contribution, fine-grained GPU
+// partitioning, enters through the executor configuration: the
+// accelerator list may repeat devices and carry per-entry GPU
+// percentages or name MIG instances by UUID (Listings 2 and 3).
 package faas
 
 import (
@@ -27,17 +26,8 @@ import (
 // executor label.
 var ErrNoExecutor = errors.New("faas: no such executor")
 
-// ErrDependency is returned for tasks whose future-valued arguments
-// failed.
-var ErrDependency = errors.New("faas: dependency failed")
-
 // ErrShutdown is returned for tasks aborted by executor shutdown.
 var ErrShutdown = errors.New("faas: executor shut down")
-
-// ErrTaskTimeout is returned for tasks that exceed Config.Timeout
-// between submission and completion; the deadline covers every retry,
-// so a timed-out task is terminal and never re-dispatched.
-var ErrTaskTimeout = errors.New("faas: task deadline exceeded")
 
 // ErrShed is returned for tasks rejected by admission control at
 // Submit: the platform is over its SLO burn budget and sheds load
@@ -93,7 +83,6 @@ const (
 	TaskRunning
 	TaskDone
 	TaskFailed
-	TaskTimedOut
 	// TaskShed marks tasks rejected by admission control: terminal,
 	// never dispatched. Distinct from TaskFailed so SLO monitors can
 	// keep shed load out of the latency signal — shedding is how the
@@ -115,8 +104,6 @@ func (s TaskStatus) String() string {
 		return "done"
 	case TaskFailed:
 		return "failed"
-	case TaskTimedOut:
-		return "timedout"
 	case TaskShed:
 		return "shed"
 	}
@@ -124,17 +111,28 @@ func (s TaskStatus) String() string {
 }
 
 // Terminal reports whether the status is final: a task reaches exactly
-// one of TaskDone, TaskFailed, TaskTimedOut, or TaskShed, exactly once
-// — the invariant the DFK's Ledger checks.
+// one of TaskDone, TaskFailed, or TaskShed, exactly once — the
+// invariant the DFK's Ledger checks.
 func (s TaskStatus) Terminal() bool {
-	return s == TaskDone || s == TaskFailed || s == TaskTimedOut || s == TaskShed
+	return s == TaskDone || s == TaskFailed || s == TaskShed
 }
 
-// TerminalStatuses lists every terminal state, in declaration order.
-// Controllers that derive backlog from the submitted/completed counter
-// families must range over all of them, or tasks ending in an omitted
-// state count as in-flight forever.
-var TerminalStatuses = []TaskStatus{TaskDone, TaskFailed, TaskTimedOut, TaskShed}
+// terminalStatuses lists every terminal state, in declaration order.
+var terminalStatuses = []TaskStatus{TaskDone, TaskFailed, TaskShed}
+
+// Backlog reads an app's task counters from reg: how many of its tasks
+// have not yet reached a terminal state, and how many were submitted.
+// It sums the completed counter over every terminal status, so no
+// finished task counts as in flight.
+func Backlog(reg *obs.Registry, app string) (backlog int, submitted float64) {
+	l := obs.L("app", app)
+	submitted = reg.Counter("faas_tasks_submitted_total", l).Value()
+	done := 0.0
+	for _, st := range terminalStatuses {
+		done += reg.Counter("faas_tasks_completed_total", l, obs.L("status", st.String())).Value()
+	}
+	return int(submitted - done), submitted
+}
 
 // Task is the record of one app invocation.
 type Task struct {
@@ -145,11 +143,10 @@ type Task struct {
 	Tries    int
 	Err      error
 
-	SubmitTime   time.Duration
-	DispatchTime time.Duration
-	StartTime    time.Duration
-	EndTime      time.Duration
-	Worker       string
+	SubmitTime time.Duration
+	StartTime  time.Duration
+	EndTime    time.Duration
+	Worker     string
 
 	// Span is the task's root span in the DFK's collector: executors
 	// parent their queue/run spans under it, so the whole causal chain
@@ -287,25 +284,14 @@ type Executor interface {
 	// Submit queues a task; the returned event fires with the app's
 	// return value or fails with its error.
 	Submit(task *Task, app App, args []any) *devent.Event
-	// Shutdown stops workers; queued tasks fail with ErrShutdown.
-	Shutdown()
-	// Workers reports the current worker count (for tests/monitoring).
-	Workers() int
 }
 
 // Config carries DFK-wide settings (mirrors Parsl's Config object,
 // Listing 1).
 type Config struct {
-	// RunDir is a label for the run (kept for config parity; the
-	// simulator does not write logs to disk).
-	RunDir string
 	// Retries is how many times a failed task is retried before its
 	// future fails (Parsl's retries=1 in Listing 1).
 	Retries int
-	// Timeout is the per-task deadline measured from submission across
-	// all retries; when it elapses the task fails terminally with
-	// ErrTaskTimeout. 0 disables deadlines.
-	Timeout time.Duration
 	// RetryBackoff is the delay before retry n: it doubles with each
 	// attempt (RetryBackoff << (n-1)) up to RetryBackoffMax. 0 keeps
 	// the seed behavior of immediate re-dispatch.
@@ -323,9 +309,4 @@ type Config struct {
 	// monitoring (which derives its records from span events) works
 	// without further configuration.
 	Collector *obs.Collector
-}
-
-// String renders the config compactly.
-func (c Config) String() string {
-	return fmt.Sprintf("Config{RunDir:%q Retries:%d}", c.RunDir, c.Retries)
 }

@@ -150,7 +150,6 @@ type HTEX struct {
 	started  bool
 	gen      int
 
-	draining    bool
 	provisioned bool
 	// pendingRestarts counts crashed workers whose respawn timer is
 	// running; while it is non-zero the queue is not stranded.
@@ -224,7 +223,7 @@ func (h *HTEX) SetCollector(c *obs.Collector) {
 	h.cScaleIn = m.Counter("htex_scale_in_total", l)
 }
 
-// Workers implements faas.Executor.
+// Workers reports the current worker count.
 func (h *HTEX) Workers() int { return len(h.workers) }
 
 // Start implements faas.Executor: provision blocks from the provider
@@ -634,10 +633,6 @@ func (h *HTEX) Submit(task *faas.Task, app faas.App, args []any) *devent.Event {
 		done.Fail(faas.ErrShutdown)
 		return done
 	}
-	if h.draining {
-		done.Fail(fmt.Errorf("%w: executor %q draining", faas.ErrShutdown, h.cfg.Label))
-		return done
-	}
 	if h.provisioned && len(h.workers) == 0 && h.pendingRestarts == 0 && !h.scaledToZero {
 		done.Fail(fmt.Errorf("%w: executor %q", ErrNoWorkers, h.cfg.Label))
 		return done
@@ -653,21 +648,14 @@ func (h *HTEX) Submit(task *faas.Task, app faas.App, args []any) *devent.Event {
 	return done
 }
 
-// Drain stops accepting new submissions — they fail fast with an
-// ErrShutdown-wrapped error — while queued and running tasks finish
-// normally. Part of graceful shutdown: drain, wait for in-flight work,
-// then Shutdown.
-func (h *HTEX) Drain() { h.draining = true }
-
-// Shutdown implements faas.Executor: running tasks finish, idle
-// workers exit and destroy their GPU contexts, queued submissions
-// fail with ErrShutdown.
+// Shutdown stops the executor: running tasks finish, idle workers
+// exit and destroy their GPU contexts, queued submissions fail with
+// ErrShutdown.
 func (h *HTEX) Shutdown() {
 	if !h.started {
 		return
 	}
 	h.started = false
-	h.draining = false
 	h.provisioned = false
 	h.shutdown.Fire(nil)
 	for {

@@ -275,34 +275,6 @@ func TestQueueFailsWhenAllWorkersDead(t *testing.T) {
 	}
 }
 
-// Drain lets queued and running work finish while rejecting new
-// submissions with ErrShutdown.
-func TestDrainRejectsNewWork(t *testing.T) {
-	r := newRig(t, 0)
-	ex, err := New(r.env, Config{Label: "cpu", MaxWorkers: 1, Provider: r.local()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := faas.NewDFK(r.env, faas.Config{}, ex)
-	d.Register(sleepApp("cpu", time.Second))
-	d.Start()
-	var inflight, rejected error
-	r.env.Spawn("main", func(p *devent.Proc) {
-		fut := d.Submit("sleep")
-		p.Sleep(100 * time.Millisecond) // task is running on the worker
-		ex.Drain()
-		_, rejected = d.Submit("sleep").Result(p)
-		_, inflight = fut.Result(p)
-	})
-	r.run(t)
-	if !errors.Is(rejected, faas.ErrShutdown) {
-		t.Fatalf("rejected err = %v, want ErrShutdown", rejected)
-	}
-	if inflight != nil {
-		t.Fatalf("in-flight task failed during drain: %v", inflight)
-	}
-}
-
 // Config.Validate accepts a config with no recovery settings: worker
 // restart and blacklisting are the executor's fixed policy.
 func TestValidateRecoveryKnobs(t *testing.T) {

@@ -31,10 +31,10 @@ func (l *Ledger) Terminal() int {
 }
 
 // Outcomes tallies terminal outcomes by status name ("done", "failed",
-// "timedout", "shed"), leaving out the statuses no task ended in.
+// "shed"), leaving out the statuses no task ended in.
 func (l *Ledger) Outcomes() map[string]int {
 	out := make(map[string]int)
-	for _, s := range TerminalStatuses {
+	for _, s := range terminalStatuses {
 		if n := l.outcomes[s]; n > 0 {
 			out[s.String()] = n
 		}

@@ -21,7 +21,7 @@ func TestLedgerCleanRun(t *testing.T) {
 			}
 			return "ok", nil
 		}}
-	d := runDFK(t, Config{Retries: 2, Timeout: time.Hour}, ex, func(p *devent.Proc, d *DFK) {
+	d := runDFK(t, Config{Retries: 2}, ex, func(p *devent.Proc, d *DFK) {
 		futs := []*Future{d.Submit("fn"), d.Submit("fn"), d.Submit("fn"), d.Submit("nope")}
 		for _, f := range futs {
 			f.Result(p)
@@ -44,8 +44,6 @@ type blackholeExecutor struct{ env *devent.Env }
 
 func (b blackholeExecutor) Label() string { return "hole" }
 func (b blackholeExecutor) Start() error  { return nil }
-func (b blackholeExecutor) Shutdown()     {}
-func (b blackholeExecutor) Workers() int  { return 1 }
 func (b blackholeExecutor) Submit(*Task, App, []any) *devent.Event {
 	return b.env.NewNamedEvent("never")
 }

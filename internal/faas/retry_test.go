@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/devent"
-	"repro/internal/obs"
 )
 
 // retryExecutor runs every submission through fn after delay, entirely
@@ -22,8 +21,6 @@ type retryExecutor struct {
 
 func (s *retryExecutor) Label() string { return s.label }
 func (s *retryExecutor) Start() error  { return nil }
-func (s *retryExecutor) Shutdown()     {}
-func (s *retryExecutor) Workers() int  { return 1 }
 func (s *retryExecutor) Submit(task *Task, app App, args []any) *devent.Event {
 	s.calls++
 	call := s.calls
@@ -51,36 +48,6 @@ func runDFK(t *testing.T, cfg Config, ex *retryExecutor, body func(p *devent.Pro
 		t.Fatal(err)
 	}
 	return d
-}
-
-// A task that outlives Config.Timeout fails terminally with
-// ErrTaskTimeout and status TaskTimedOut, even with retries left.
-func TestTaskTimeout(t *testing.T) {
-	env := devent.NewEnv()
-	ex := &retryExecutor{env: env, label: "x", delay: 10 * time.Second,
-		fn: func(int) (any, error) { return "late", nil }}
-	var got error
-	var task *Task
-	d := runDFK(t, Config{Retries: 3, Timeout: 2 * time.Second}, ex, func(p *devent.Proc, d *DFK) {
-		fut := d.Submit("fn")
-		task = fut.Task()
-		_, got = fut.Result(p)
-		if now := p.Now(); now != 2*time.Second {
-			t.Errorf("timed out at %v, want 2s", now)
-		}
-	})
-	if !errors.Is(got, ErrTaskTimeout) {
-		t.Fatalf("err = %v, want ErrTaskTimeout", got)
-	}
-	if task.Status != TaskTimedOut || !task.Status.Terminal() {
-		t.Fatalf("status = %v", task.Status)
-	}
-	if task.Tries != 1 {
-		t.Fatalf("tries = %d, want 1 (no retry after deadline)", task.Tries)
-	}
-	if got := d.Collector().Metrics().Counter("faas_tasks_timed_out_total", obs.L("app", "fn")).Value(); got != 1 {
-		t.Fatalf("tasks_timed_out_total = %v", got)
-	}
 }
 
 // Retries wait out the exponential backoff: with base 1s and three
@@ -201,34 +168,5 @@ func TestDispatchFaultHookRetried(t *testing.T) {
 	}
 	if attempts != 3 || ex.calls != 1 {
 		t.Fatalf("attempts=%d executor calls=%d", attempts, ex.calls)
-	}
-}
-
-// Draining DFKs fail new submissions fast with ErrShutdown while
-// in-flight work completes.
-func TestDFKDrain(t *testing.T) {
-	env := devent.NewEnv()
-	ex := &retryExecutor{env: env, label: "x", delay: time.Second,
-		fn: func(int) (any, error) { return "ok", nil }}
-	d := NewDFK(env, Config{}, ex)
-	d.Register(App{Name: "fn", Executor: "x"})
-	if err := d.Start(); err != nil {
-		t.Fatal(err)
-	}
-	var inflight, rejected error
-	env.Spawn("main", func(p *devent.Proc) {
-		fut := d.Submit("fn")
-		d.Drain()
-		_, rejected = d.Submit("fn").Result(p)
-		_, inflight = fut.Result(p)
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(rejected, ErrShutdown) {
-		t.Fatalf("rejected = %v, want ErrShutdown", rejected)
-	}
-	if inflight != nil {
-		t.Fatalf("in-flight task failed: %v", inflight)
 	}
 }

@@ -90,24 +90,11 @@ func (s TransformerSpec) DecodeFLOPsPerToken(ctxLen int) float64 {
 	return weightFLOPs + attnFLOPs
 }
 
-// DecodeBytesPerToken returns memory traffic to generate one token:
-// batch-1 decoding streams every weight once plus the KV cache.
-func (s TransformerSpec) DecodeBytesPerToken(ctxLen, bytesPerParam int) float64 {
-	weights := float64(s.WeightBytes(bytesPerParam))
-	kv := float64(s.KVCacheBytesPerToken(bytesPerParam)) * float64(ctxLen)
-	return weights + kv
-}
-
 // PrefillFLOPs returns forward FLOPs to process a prompt of the given
 // length (token-parallel, so ≈ promptLen × per-token weight FLOPs).
 func (s TransformerSpec) PrefillFLOPs(promptLen int) float64 {
 	return 2 * float64(s.Params()) * float64(promptLen)
 }
-
-// KernelsPerToken estimates how many kernels one decode step launches
-// (per layer: 4 attention projections, attention itself, 3 FFN
-// matmuls, 2 norms ≈ 10; plus embedding and head).
-func (s TransformerSpec) KernelsPerToken() int { return s.Layers*10 + 2 }
 
 // LayerCost is one transformer sublayer's per-token decode cost.
 type LayerCost struct {

@@ -239,11 +239,7 @@ func (c *Controller) observe() []window {
 	out := make([]window, len(c.tenants))
 	for i, ts := range c.tenants {
 		app := obs.L("app", ts.t.App)
-		submitted := m.Counter("faas_tasks_submitted_total", app).Value()
-		var done float64
-		for _, st := range faas.TerminalStatuses {
-			done += m.Counter("faas_tasks_completed_total", app, obs.L("status", st.String())).Value()
-		}
+		outstanding, _ := faas.Backlog(m, ts.t.App)
 		h := m.Histogram("faas_task_run_seconds", nil, app)
 		dSum, dCount := h.Sum()-ts.lastSum, h.Count()-ts.lastCount
 		ts.lastSum, ts.lastCount = h.Sum(), h.Count()
@@ -251,7 +247,7 @@ func (c *Controller) observe() []window {
 			ts.curve[ts.sampleSMs] = dSum / float64(dCount)
 		}
 		ts.mixed = false
-		w := window{outstanding: int(submitted - done)}
+		w := window{outstanding: outstanding}
 		if dCount > 0 {
 			w.runMean = dSum / float64(dCount)
 		}

@@ -108,9 +108,6 @@ func (s *Segment) Name() string { return s.name }
 // Size returns the segment size in bytes.
 func (s *Segment) Size() int64 { return s.size }
 
-// Shared reports whether the segment is reference counted.
-func (s *Segment) Shared() bool { return s.shared }
-
 // Refs returns the reference count (0 for non-shared segments).
 func (s *Segment) Refs() int { return s.refs }
 
@@ -124,9 +121,6 @@ func (s *Segment) Unpin() {
 		s.reclaim()
 	}
 }
-
-// Pinned reports whether the segment is pinned.
-func (s *Segment) Pinned() bool { return s.pinned }
 
 // Retain adds a reference to a shared segment.
 func (s *Segment) Retain() {

@@ -79,11 +79,6 @@ func New(cfg Config) *Engine {
 // Loaded reports whether weights are resident.
 func (e *Engine) Loaded() bool { return e.loaded }
 
-// Kernels returns the per-request kernel stream (for inspection).
-func (e *Engine) Kernels() []simgpu.Kernel {
-	return append([]simgpu.Kernel(nil), e.kernels...)
-}
-
 // Load allocates weights on the context and transfers them.
 func (e *Engine) Load(p *devent.Proc, ctx *simgpu.Context, hostLoadBW float64) error {
 	seg, err := ctx.Alloc(e.cfg.Model.Name+"-weights", e.cfg.WeightBytes())
