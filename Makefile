@@ -16,8 +16,9 @@
 # byte-identical across -parallel. `make autoscale` does the same for
 # the SLO-driven autoscaling artifact and its -alerts history. `make attrib`
 # smoke-tests the latency attribution pipeline end to end on the
-# Table 1 bursts, and checks that an artifact with no runs of its own
-# to export rejects -trace. `make serve-smoke` boots the live observability
+# Table 1 bursts, rewriting the tracked ATTRIB_table1.json and
+# FLAME_table1.folded (CI then requires them unchanged), and checks
+# that an artifact with no runs of its own to export rejects -trace. `make serve-smoke` boots the live observability
 # server on a scale run and curls its endpoints — the CI smoke for the
 # -serve plane. `make chaos-smoke` runs the open-loop, Table 1,
 # ablation, Fig 3, repartitioning and scale artifacts and the gpufaas
@@ -272,4 +273,4 @@ attrib:
 	sort -t' ' -k2 -rn FLAME_table1.folded | head -5
 
 clean:
-	rm -rf ATTRIB_table1.json FLAME_table1.folded .bench_build
+	rm -rf .bench_build

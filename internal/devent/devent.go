@@ -243,7 +243,7 @@ func (e *Env) release(it *queueItem) {
 // compact drops the cancelled items from both lanes, releasing them to
 // the pool, and rebuilds the heap; the ready lane keeps its FIFO order.
 // Long-lived open-loop runs cancel far more timers than they fire (e.g.
-// per-kernel completion timers rescheduled on every share change);
+// a GPU domain's completion timer, re-armed on every share change);
 // without compaction those dead items accumulate until their deadline
 // is popped.
 func (e *Env) compact() {

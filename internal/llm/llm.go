@@ -138,6 +138,7 @@ func (c Config) FootprintBytes() int64 { return c.WeightBytes() + c.WorkspaceByt
 type Engine struct {
 	cfg      Config
 	shards   []*simgpu.Context
+	kernels  []shardKernels // one per shard, built at load
 	weights  []*simgpu.Segment
 	work     []*simgpu.Segment
 	loaded   bool
@@ -208,7 +209,7 @@ func (e *Engine) Load(p *devent.Proc, shards []*simgpu.Context, hostLoadBW float
 		// Weight shards stream sequentially through host storage.
 		ctx.TransferTagged(p, wBytes, hostLoadBW, "weights")
 	}
-	e.shards = shards
+	e.setShards(shards)
 	e.weights = segs
 	e.work = work
 	e.loaded = true
@@ -236,7 +237,7 @@ func (e *Engine) AttachCached(p *devent.Proc, shards []*simgpu.Context, cached [
 		work = append(work, wk)
 		ctx.Attach(cached[i])
 	}
-	e.shards = shards
+	e.setShards(shards)
 	e.weights = nil // not owned
 	e.work = work
 	e.loaded = true
@@ -244,47 +245,61 @@ func (e *Engine) AttachCached(p *devent.Proc, shards []*simgpu.Context, cached [
 	return nil
 }
 
-// tokenKernel builds the per-shard decode macro-kernel. With batching
-// the step's compute and usable parallelism scale with the batch while
-// the weight traffic does not — one weight stream serves B sequences.
-func (e *Engine) tokenKernel(shard int) simgpu.Kernel {
-	dev := shardSpec(e.shards[shard])
-	n := float64(len(e.shards))
+// shardKernels are one shard's kernels, sized for its context once at
+// load, so a decode step builds nothing: the decode kernel whole, and
+// the prefill kernel but for its FLOPs, which scale with the prompt.
+type shardKernels struct {
+	decode     simgpu.Kernel
+	prefill    simgpu.Kernel
+	perSMFLOPS float64
+}
+
+// setShards makes the engine run on shards and builds their kernels.
+// With batching the decode step's compute and usable parallelism scale
+// with the batch while the weight traffic does not — one weight stream
+// serves B sequences.
+func (e *Engine) setShards(shards []*simgpu.Context) {
+	n := float64(len(shards))
 	b := e.cfg.Batch()
 	computeSec := e.cfg.TokenComputeTime.Seconds() / n * float64(b)
 	sat := e.cfg.SaturationSMs
 	if sat <= 0 {
 		sat = 20
 	}
-	maxSMs := sat * b
-	flops := computeSec / float64(b) * float64(sat) * dev.PerSMFLOPS * float64(b)
 	memSec := e.cfg.TokenMemFraction * e.cfg.TokenComputeTime.Seconds() / n
-	bytes := memSec * dev.MemBW
-	return simgpu.Kernel{
-		Name:   fmt.Sprintf("%s/decode-%d", e.cfg.Spec.Name, shard),
-		FLOPs:  flops,
-		Bytes:  bytes,
-		MaxSMs: maxSMs,
-		Tag:    "decode",
+	e.shards = shards
+	e.kernels = make([]shardKernels, len(shards))
+	for i, ctx := range shards {
+		dev := ctx.SpecView()
+		e.kernels[i] = shardKernels{
+			decode: simgpu.Kernel{
+				Name:   fmt.Sprintf("%s/decode-%d", e.cfg.Spec.Name, i),
+				FLOPs:  computeSec / float64(b) * float64(sat) * dev.PerSMFLOPS * float64(b),
+				Bytes:  memSec * dev.MemBW,
+				MaxSMs: sat * b,
+				Tag:    "decode",
+			},
+			prefill: simgpu.Kernel{
+				Name:   fmt.Sprintf("%s/prefill-%d", e.cfg.Spec.Name, i),
+				MaxSMs: 0, // prompt tokens parallelize across the device
+				Tag:    "prefill",
+			},
+			perSMFLOPS: dev.PerSMFLOPS,
+		}
 	}
 }
 
-// prefillKernel builds the per-shard prompt-processing kernel.
+// prefillKernel returns the shard's prompt-processing kernel.
 func (e *Engine) prefillKernel(shard, promptTokens int) simgpu.Kernel {
-	dev := shardSpec(e.shards[shard])
-	n := float64(len(e.shards))
-	perTok := e.cfg.TokenComputeTime.Seconds() / n * e.cfg.PrefillPerTokenFLOPsFrac
+	sk := &e.kernels[shard]
+	perTok := e.cfg.TokenComputeTime.Seconds() / float64(len(e.shards)) * e.cfg.PrefillPerTokenFLOPsFrac
 	sat := e.cfg.SaturationSMs
 	if sat <= 0 {
 		sat = 20
 	}
-	flops := float64(promptTokens) * perTok * float64(sat) * dev.PerSMFLOPS
-	return simgpu.Kernel{
-		Name:   fmt.Sprintf("%s/prefill-%d", e.cfg.Spec.Name, shard),
-		FLOPs:  flops,
-		MaxSMs: 0, // prompt tokens parallelize across the device
-		Tag:    "prefill",
-	}
+	k := sk.prefill
+	k.FLOPs = float64(promptTokens) * perTok * float64(sat) * sk.perSMFLOPS
+	return k
 }
 
 // Completion is the result of one text completion.
@@ -313,7 +328,7 @@ func (e *Engine) Complete(p *devent.Proc, promptTokens, outputTokens int) (Compl
 	}
 	for t := 0; t < outputTokens; t++ {
 		for s := range e.shards {
-			if _, err := e.shards[s].Run(p, e.tokenKernel(s)); err != nil {
+			if _, err := e.shards[s].Run(p, e.kernels[s].decode); err != nil {
 				return Completion{}, err
 			}
 		}
@@ -346,7 +361,7 @@ func (e *Engine) CompleteBatch(p *devent.Proc, promptTokens, outputTokens int) (
 	}
 	for t := 0; t < outputTokens; t++ {
 		for s := range e.shards {
-			if _, err := e.shards[s].Run(p, e.tokenKernel(s)); err != nil {
+			if _, err := e.shards[s].Run(p, e.kernels[s].decode); err != nil {
 				return nil, err
 			}
 		}
@@ -404,12 +419,3 @@ func (e *Engine) Unload() {
 func (c Config) CPUCompletionTime(outputTokens int) time.Duration {
 	return time.Duration(outputTokens) * c.CPUTokenTime
 }
-
-// shardSpec digs the device spec out of a context. Contexts do not
-// expose their device directly, so the engine carries what it needs:
-// we reconstruct bandwidth and per-SM throughput from the context's
-// domain at kernel build time.
-func shardSpec(ctx *simgpu.Context) specView { return ctx.SpecView() }
-
-// specView is the subset of DeviceSpec the engine needs per shard.
-type specView = simgpu.SpecView

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -179,7 +180,7 @@ func WritePrometheus(w io.Writer, collectors ...*Collector) error {
 // sortedLabels merges label slices into one copy sorted by key.
 func sortedLabels(labels []Label, extra ...Label) []Label {
 	ls := append(append([]Label(nil), labels...), extra...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
+	slices.SortFunc(ls, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
 	return ls
 }
 

@@ -79,24 +79,30 @@ func (c *Context) smCap() int {
 }
 
 // Launch enqueues a kernel on the context's stream, returning its
-// completion event. The event fires with a KernelRecord or fails with
-// ErrAborted if the context is destroyed first.
+// completion event. The event fires with a *KernelRecord, or fails
+// with ErrAborted if the context is destroyed first (ErrDestroyed if
+// it already was).
 func (c *Context) Launch(k Kernel) *devent.Event {
 	if c.destroyed {
 		ev := c.dom.env.NewNamedEvent(k.Name)
 		ev.Fail(ErrDestroyed)
 		return ev
 	}
-	return c.dom.launch(c, k)
+	return &c.dom.launch(c, k).done
 }
 
-// Run launches k and blocks the proc until it completes.
+// Run launches k and blocks the proc until it completes, returning a
+// copy of its record. The launch allocates one object, the engine's
+// bookkeeping, which holds the completion event and the record.
 func (c *Context) Run(p *devent.Proc, k Kernel) (KernelRecord, error) {
-	v, err := p.Wait(c.Launch(k))
-	if err != nil {
+	if c.destroyed {
+		return KernelRecord{}, ErrDestroyed
+	}
+	l := c.dom.launch(c, k)
+	if _, err := p.Wait(&l.done); err != nil {
 		return KernelRecord{}, err
 	}
-	return v.(KernelRecord), nil
+	return l.rec, nil
 }
 
 // RunAll launches the kernels back-to-back on the stream (so they

@@ -146,8 +146,8 @@ func TestStreamSerializesKernels(t *testing.T) {
 			t.Error(err1, err2)
 			return
 		}
-		near(t, v1.(KernelRecord).End, time.Second)
-		near(t, v2.(KernelRecord).End, 2*time.Second)
+		near(t, v1.(*KernelRecord).End, time.Second)
+		near(t, v2.(*KernelRecord).End, 2*time.Second)
 	})
 	run(t, env)
 }

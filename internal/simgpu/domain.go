@@ -61,7 +61,12 @@ type domain struct {
 	activeGrp  int
 	rotT       devent.Timer
 	rotate     func() // the vGPU quantum expiry, bound once
-	busy       metrics.StepSeries
+	// finT is the domain's one completion timer, armed for next, the
+	// running kernel due first; finish, bound once, completes it.
+	finT   devent.Timer
+	next   *launched
+	finish func()
+	busy   metrics.StepSeries
 
 	// Scratch for reevaluate, reused across calls so the engine
 	// allocates nothing in steady state. reevaluate never nests: it
@@ -114,6 +119,7 @@ func newDomain(env *devent.Env, name string, sms int, perSM, bw float64, switchC
 		d.cSwitch.Inc()
 		d.reevaluate()
 	}
+	d.finish = func() { d.complete(d.next) }
 	return d
 }
 
@@ -142,24 +148,22 @@ func (d *domain) removeContext(c *Context) {
 	}
 }
 
-// launch enqueues a kernel on c's stream and returns its completion
-// event (fired with a KernelRecord, or failed with ErrAborted).
-func (d *domain) launch(c *Context, k Kernel) *devent.Event {
+// launch enqueues a kernel on c's stream and returns it; its done
+// event fires with &l.rec, or fails with ErrAborted.
+func (d *domain) launch(c *Context, k Kernel) *launched {
 	l := &launched{
-		k:       k,
-		ctx:     c,
-		done:    d.env.NewNamedEvent(k.Name),
-		enqueue: d.env.Now(),
-		frac:    1,
+		ctx:  c,
+		rec:  KernelRecord{Kernel: k, Context: c.name, Domain: d.name, Enqueue: d.env.Now()},
+		frac: 1,
 	}
-	l.complete = func() { d.complete(l) }
+	d.env.InitEvent(&l.done, k.Name)
 	c.queue = append(c.queue, l)
 	d.depth++
 	d.gQueue.Set(float64(d.depth))
 	if len(c.queue) == 1 {
 		d.reevaluate()
 	}
-	return l.done
+	return l
 }
 
 // head returns c's runnable stream head, or nil.
@@ -170,26 +174,30 @@ func (c *Context) head() *launched {
 	return c.queue[0]
 }
 
+// popHead shifts the stream left in place, so the next launch reuses
+// the backing array.
 func (c *Context) popHead(l *launched) {
 	if len(c.queue) > 0 && c.queue[0] == l {
-		c.queue[0] = nil // the backing array must not pin a finished kernel
-		c.queue = c.queue[1:]
+		n := copy(c.queue, c.queue[1:])
+		c.queue[n] = nil // the vacated slot must not pin a finished kernel
+		c.queue = c.queue[:n]
 	}
 }
 
 // reevaluate recomputes the running set, SM and bandwidth allocations,
-// and completion timers. It must be called whenever stream heads,
+// and the completion timer. It must be called whenever stream heads,
 // contexts, or the vGPU active group change.
 func (d *domain) reevaluate() {
 	now := d.env.Now()
-	// Phase 1: bank progress for everything currently running and
-	// cancel its completion timer.
+	// Phase 1: cancel the completion timer and bank progress for
+	// everything currently running.
+	d.finT.Cancel()
+	d.next = nil
 	for _, c := range d.ctxs {
 		l := c.head()
 		if l == nil || !l.running {
 			continue
 		}
-		l.finishT.Cancel()
 		if l.dur > 0 {
 			elapsed := now - l.lastEv
 			l.frac -= float64(elapsed) / float64(l.dur)
@@ -215,23 +223,28 @@ func (d *domain) reevaluate() {
 	maxMinFairInto(smAlloc, idx, float64(d.sms), dem)
 	// Phase 4: bandwidth demands given SM allocations, then max–min.
 	for i, l := range sel {
+		k := &l.rec.Kernel
 		dem[i] = 0
-		if l.k.Bytes <= 0 {
+		if k.Bytes <= 0 {
 			continue
 		}
 		ct := 0.0
-		if smAlloc[i] > 0 && l.k.FLOPs > 0 {
-			ct = l.k.FLOPs / (smAlloc[i] * d.perSM)
+		if smAlloc[i] > 0 && k.FLOPs > 0 {
+			ct = k.FLOPs / (smAlloc[i] * d.perSM)
 		}
 		if ct <= 0 {
 			dem[i] = d.bw
 		} else {
-			dem[i] = math.Min(d.bw, l.k.Bytes/ct)
+			dem[i] = math.Min(d.bw, k.Bytes/ct)
 		}
 	}
 	maxMinFairInto(bwAlloc, idx, d.bw, dem)
-	// Phase 5: start/resume kernels and schedule completions.
+	// Phase 5: start/resume kernels and arm the completion timer for
+	// the one due first; a tie goes to the first in sel. Only that
+	// kernel can complete before the next share change, and its
+	// completion is one.
 	total := 0.0
+	var finAt time.Duration
 	for i, l := range sel {
 		l.running = true
 		if !l.started {
@@ -241,14 +254,19 @@ func (d *domain) reevaluate() {
 				d.cSwitch.Inc()
 			}
 			l.started = true
-			l.start = now
+			l.rec.Start = now
 		}
-		l.smAlloc = smAlloc[i]
+		l.rec.SMs = smAlloc[i]
 		l.dur = d.soloDuration(l, smAlloc[i], bwAlloc[i])
 		l.lastEv = now
-		rem := time.Duration(l.frac * float64(l.dur))
-		d.env.ArmAt(&l.finishT, now+rem, l.complete)
+		at := now + time.Duration(l.frac*float64(l.dur))
+		if d.next == nil || at < finAt {
+			d.next, finAt = l, at
+		}
 		total += smAlloc[i]
+	}
+	if d.next != nil {
+		d.env.ArmAt(&d.finT, finAt, d.finish)
 	}
 	clear(sel) // the scratch must not pin finished kernels
 	d.busy.Set(now, total)
@@ -262,8 +280,8 @@ func (d *domain) reevaluate() {
 // bound, capped by the context's percentage cap and the domain size.
 func (d *domain) smDemand(l *launched) float64 {
 	w := float64(d.sms)
-	if l.k.MaxSMs > 0 && float64(l.k.MaxSMs) < w {
-		w = float64(l.k.MaxSMs)
+	if m := l.rec.Kernel.MaxSMs; m > 0 && float64(m) < w {
+		w = float64(m)
 	}
 	if cap := l.ctx.smCap(); cap > 0 && float64(cap) < w {
 		w = float64(cap)
@@ -277,21 +295,22 @@ func (d *domain) smDemand(l *launched) float64 {
 // soloDuration is the roofline duration of the whole kernel under the
 // given SM count and bandwidth.
 func (d *domain) soloDuration(l *launched, sms, bw float64) time.Duration {
+	k := &l.rec.Kernel
 	var compute, memt float64
-	if l.k.FLOPs > 0 {
+	if k.FLOPs > 0 {
 		if sms <= 0 {
 			sms = 1
 		}
-		compute = l.k.FLOPs / (sms * d.perSM)
+		compute = k.FLOPs / (sms * d.perSM)
 	}
-	if l.k.Bytes > 0 {
+	if k.Bytes > 0 {
 		if bw <= 0 {
 			bw = 1 // degenerate: starved of bandwidth, effectively stalled
 		}
-		memt = l.k.Bytes / bw
+		memt = k.Bytes / bw
 	}
 	sec := math.Max(compute, memt)
-	return l.k.Overhead + l.extra + time.Duration(sec*float64(time.Second))
+	return k.Overhead + l.extra + time.Duration(sec*float64(time.Second))
 }
 
 // selectRunnable appends the stream heads the policy runs to sel
@@ -376,38 +395,33 @@ func (d *domain) complete(l *launched) {
 	l.frac = 0
 	l.ctx.popHead(l)
 	d.lastCtx = l.ctx
-	rec := KernelRecord{
-		Kernel:  l.k,
-		Context: l.ctx.name,
-		Domain:  d.name,
-		Enqueue: l.enqueue,
-		Start:   l.start,
-		End:     now,
-		SMs:     l.smAlloc,
-	}
+	l.rec.End = now
 	d.depth--
 	d.gQueue.Set(float64(d.depth))
 	d.cDone.Inc()
 	if d.obs != nil {
 		// Room for the optional tag keeps the slice on the stack.
+		r := &l.rec
 		attrs := append(make([]obs.Attr, 0, 5),
 			obs.String("domain", d.name),
 			obs.String("context", l.ctx.name),
-			obs.Float("sms", l.smAlloc),
-			obs.Dur("queue_ns", l.start-l.enqueue),
+			obs.Float("sms", r.SMs),
+			obs.Dur("queue_ns", r.Start-r.Enqueue),
 		)
-		if l.k.Tag != "" {
-			attrs = append(attrs, obs.String("tag", l.k.Tag))
+		if r.Kernel.Tag != "" {
+			attrs = append(attrs, obs.String("tag", r.Kernel.Tag))
 		}
-		d.obs.AddSpan("simgpu", l.k.Name, l.ctx.name, l.ctx.traceParent, l.start, now, attrs...)
+		d.obs.AddSpan("simgpu", r.Kernel.Name, l.ctx.name, l.ctx.traceParent, r.Start, now, attrs...)
 	}
-	l.done.Fire(rec)
+	l.done.Fire(&l.rec)
 	d.reevaluate()
 }
 
 // abortContext fails every queued or running kernel of c with err and
 // removes the context from scheduling. Destroy passes ErrAborted;
-// injected hardware faults pass ErrContextLost.
+// injected hardware faults pass ErrContextLost. The closing reevaluate
+// re-arms the completion timer, which may have been due for one of c's
+// kernels.
 func (d *domain) abortContext(c *Context, err error) {
 	now := d.env.Now()
 	for _, l := range c.queue {
@@ -416,23 +430,23 @@ func (d *domain) abortContext(c *Context, err error) {
 		}
 		l.fin = true
 		l.running = false
-		l.finishT.Cancel()
 		d.depth--
 		d.cAbort.Inc()
 		if d.obs != nil {
-			start := l.start
+			r := &l.rec
+			start := r.Start
 			if !l.started {
-				start = l.enqueue
+				start = r.Enqueue
 			}
 			attrs := append(make([]obs.Attr, 0, 4),
 				obs.String("domain", d.name),
 				obs.String("context", c.name),
 				obs.String("status", "aborted"),
 			)
-			if l.k.Tag != "" {
-				attrs = append(attrs, obs.String("tag", l.k.Tag))
+			if r.Kernel.Tag != "" {
+				attrs = append(attrs, obs.String("tag", r.Kernel.Tag))
 			}
-			d.obs.AddSpan("simgpu", l.k.Name, c.name, c.traceParent, start, now, attrs...)
+			d.obs.AddSpan("simgpu", r.Kernel.Name, c.name, c.traceParent, start, now, attrs...)
 		}
 		l.done.Fail(err)
 	}

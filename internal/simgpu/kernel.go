@@ -52,23 +52,22 @@ type KernelRecord struct {
 	SMs     float64 // SMs held at completion time
 }
 
-// launched is the engine's per-kernel bookkeeping.
+// launched is the engine's per-kernel bookkeeping, and the one object
+// a launch allocates: the completion event and the record it fires
+// with live inside it, and it has no timer of its own (the domain arms
+// one, for the running kernel due first). rec holds the kernel, its
+// context and domain, and its enqueue and start times from the moment
+// they are known, and its SM share as of the last share change;
+// complete adds End.
 type launched struct {
-	k       Kernel
 	ctx     *Context
-	done    *devent.Event
-	enqueue time.Duration
-	start   time.Duration
+	done    devent.Event // fires with &rec, or fails with the abort error
+	rec     KernelRecord
 	started bool
 	running bool
 	frac    float64 // remaining fraction of the kernel
 	dur     time.Duration
 	lastEv  time.Duration
-	finishT devent.Timer
-	// complete is d.complete(l), bound once at launch and re-armed on
-	// finishT at every share change.
-	complete func()
-	smAlloc  float64
-	extra    time.Duration // context-switch overhead folded into this run
-	fin      bool
+	extra   time.Duration // context-switch overhead folded into this run
+	fin     bool
 }

@@ -103,7 +103,7 @@ func TestTimeShareRoundRobinFairness(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			firstEnd[i] = v.(KernelRecord).End
+			firstEnd[i] = v.(*KernelRecord).End
 			p.Wait(ev2)
 		})
 	}
@@ -338,7 +338,7 @@ func TestSpatialStreamOrdering(t *testing.T) {
 			return
 		}
 		v1, _ := p.Wait(ev1)
-		if v2.(KernelRecord).Start < v1.(KernelRecord).End {
+		if v2.(*KernelRecord).Start < v1.(*KernelRecord).End {
 			t.Error("second kernel overlapped the first on one stream")
 		}
 	})
