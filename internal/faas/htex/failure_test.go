@@ -225,3 +225,93 @@ func TestAbandonedBodyStaysInItsLane(t *testing.T) {
 		t.Errorf("retry's run span %s %v [%v, %v]", retry.Track, retry.Attrs, retry.Start, retry.End)
 	}
 }
+
+// A kill at the instant the app returns loses the attempt once. The
+// kill is dispatched first, so the attempt fails and is retried on the
+// survivor; the worker leaves the pool once, so after its slot
+// restarts the live-workers gauge matches the pool, the killed
+// worker's span has ended once, and the ledger balances.
+func TestKillAsAppReturns(t *testing.T) {
+	r := newRig(t, 0)
+	ex, err := New(r.env, Config{Label: "cpu", MaxWorkers: 2, Provider: r.local()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := faas.NewDFK(r.env, faas.Config{Retries: 1}, ex)
+	d.Register(sleepApp("cpu", time.Second))
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ended := map[string]int{}
+	d.Collector().OnSpanEnd(func(s obs.Span) {
+		if s.Cat == "htex" && s.Name == "worker" {
+			ended[s.Track]++
+		}
+	})
+	var fut *faas.Future
+	var victim string
+	r.env.Spawn("main", func(p *devent.Proc) {
+		fut = d.Submit("sleep")
+		p.Sleep(time.Second) // the app returns at this instant too
+		victim = fut.Task().Worker
+		if !ex.KillWorker(victim) {
+			t.Error("kill failed")
+			return
+		}
+		v, err := fut.Result(p)
+		if err != nil || v == victim || fut.Task().Tries != 2 {
+			t.Errorf("result %v, %v after %d tries; want the survivor's after 2", v, err, fut.Task().Tries)
+		}
+	})
+	r.run(t)
+	live := d.Collector().Metrics().Gauge("htex_workers_live", obs.L("executor", "cpu")).Value()
+	if n := len(ex.WorkerNames()); n != 2 || live != float64(n) {
+		t.Errorf("htex_workers_live = %v with %d workers, want 2 and 2", live, n)
+	}
+	if ended[victim] != 1 {
+		t.Errorf("worker spans ended on %s: %d, want 1", victim, ended[victim])
+	}
+	if err := d.Ledger().Err(); err != nil || d.Ledger().Terminal() != 1 {
+		t.Errorf("ledger: %v, %d terminal", err, d.Ledger().Terminal())
+	}
+}
+
+// Restart right after a mid-task kill returns at the kill instant: it
+// waits for the killed worker to leave the pool, not for its orphaned
+// app, which computes until 10 s and then touches neither the restarted
+// pool nor its gauges.
+func TestRestartAfterKillSkipsOrphan(t *testing.T) {
+	r := newRig(t, 0)
+	ex, err := New(r.env, Config{Label: "cpu", MaxWorkers: 1, Provider: r.local()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := faas.NewDFK(r.env, faas.Config{}, ex)
+	d.Register(sleepApp("cpu", 10*time.Second))
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	r.env.Spawn("main", func(p *devent.Proc) {
+		f := d.Submit("sleep")
+		p.Sleep(time.Second)
+		if !ex.KillWorker(ex.WorkerNames()[0]) {
+			t.Error("kill failed")
+			return
+		}
+		if err := ex.Restart(p, nil, nil); err != nil {
+			t.Error(err)
+			return
+		}
+		if p.Now() != time.Second {
+			t.Errorf("Restart returned at %v, want the kill instant 1s", p.Now())
+		}
+		if _, err := f.Result(p); !errors.Is(err, ErrWorkerLost) {
+			t.Errorf("err = %v, want ErrWorkerLost", err)
+		}
+	})
+	r.run(t)
+	live := d.Collector().Metrics().Gauge("htex_workers_live", obs.L("executor", "cpu")).Value()
+	if ex.Workers() != 1 || live != 1 {
+		t.Errorf("after the orphan returned: %d workers, htex_workers_live = %v; want 1 and 1", ex.Workers(), live)
+	}
+}

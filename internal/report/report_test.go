@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/moldesign"
 	"repro/internal/obs"
@@ -73,27 +74,35 @@ func TestFig3Report(t *testing.T) {
 // completions, of the attribution section, of the repartitioning
 // comparison under the default controller spec, and of the fleet and
 // autoscale artifacts on their test grids, against
-// testdata/<name>.golden.
+// testdata/<name>.golden. table1-chaos renders Table 1 under a dense
+// fault schedule, whose worker kills land before a pick as well as
+// mid-task.
 func TestArtifactGoldens(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		render func(io.Writer) error
+		chaos  *fault.Spec
 	}{
-		{"fig2", func(w io.Writer) error { _, err := Fig2(w, nil); return err }},
-		{"coldstart", ColdStart},
-		{"reconfig", Reconfig},
-		{"table1", func(w io.Writer) error { _, err := Table1(w, Observe{}); return err }},
-		{"fig45", func(w io.Writer) error { _, err := Fig45(w, 8, Observe{}); return err }},
-		{"attrib", func(w io.Writer) error { _, err := Attribution(w, ""); return err }},
-		{"ablations", Ablations},
-		{"mixed", MixedTenancy},
-		{"rightsize", Rightsize},
-		{"openloop", OpenLoop},
-		{"repart", func(w io.Writer) error { return Repart(w, repart.Spec{}) }},
-		{"fleet", func(w io.Writer) error { return Fleet(w, fleetTestOptions()) }},
-		{"autoscale", func(w io.Writer) error { return Autoscale(w, autoscaleTestOptions()) }},
+		{"fig2", func(w io.Writer) error { _, err := Fig2(w, nil); return err }, nil},
+		{"coldstart", ColdStart, nil},
+		{"reconfig", Reconfig, nil},
+		{"table1", func(w io.Writer) error { _, err := Table1(w, Observe{}); return err }, nil},
+		{"table1-chaos", func(w io.Writer) error { _, err := Table1(w, Observe{}); return err }, &fault.Spec{Seed: 11, Rate: 0.5}},
+		{"fig45", func(w io.Writer) error { _, err := Fig45(w, 8, Observe{}); return err }, nil},
+		{"attrib", func(w io.Writer) error { _, err := Attribution(w, ""); return err }, nil},
+		{"ablations", Ablations, nil},
+		{"mixed", MixedTenancy, nil},
+		{"rightsize", Rightsize, nil},
+		{"openloop", OpenLoop, nil},
+		{"repart", func(w io.Writer) error { return Repart(w, repart.Spec{}) }, nil},
+		{"fleet", func(w io.Writer) error { return Fleet(w, fleetTestOptions()) }, nil},
+		{"autoscale", func(w io.Writer) error { return Autoscale(w, autoscaleTestOptions()) }, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.chaos != nil {
+				core.SetChaos(tc.chaos)
+				t.Cleanup(func() { core.SetChaos(nil) })
+			}
 			var b strings.Builder
 			if err := tc.render(&b); err != nil {
 				t.Fatal(err)
