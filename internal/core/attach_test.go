@@ -53,11 +53,11 @@ func TestAttachContract(t *testing.T) {
 		stores []bool   // store requests to run with
 		run    func(store bool, attach AttachFunc) error
 	}{
-		{"multiplex", []string{"multiplex/timeshare/p1"}, true, []bool{false, true},
+		{"multiplex", []string{"multiplex/timeshare/p1"}, false, []bool{false, true},
 			func(store bool, attach AttachFunc) error {
 				_, err := RunMultiplex(MultiplexConfig{
 					Mode: ModeTimeshare, Processes: 1, Completions: 2,
-					OnCollector: stream, TSDB: storeIf(store), Attach: attach,
+					TSDB: storeIf(store), Attach: attach,
 				})
 				return err
 			}},

@@ -35,9 +35,6 @@ type MultiplexConfig struct {
 	// SLO, when non-empty, attaches the burn-rate monitor (see
 	// Options.SLO for the spec format).
 	SLO string
-	// OnCollector is forwarded to Options.OnCollector: streaming
-	// exporters hook the run's collector before any span exists.
-	OnCollector func(*obs.Collector)
 	// TSDB forwards to Options.TSDB: attach a virtual-time series
 	// store scraping the run's registry (nil = off).
 	TSDB *tsdb.Config
@@ -115,7 +112,6 @@ func RunMultiplex(cfg MultiplexConfig) (*MultiplexResult, error) {
 		DeviceSpecs: []simgpu.DeviceSpec{simgpu.A100SXM480GB()},
 		Observe:     c.Observe,
 		SLO:         c.SLO,
-		OnCollector: c.OnCollector,
 		TSDB:        c.TSDB,
 		Chaos:       c.Chaos,
 	})

@@ -66,11 +66,6 @@ type Options struct {
 	// alert rules here and records a queryable slo:burn signal (the
 	// alert stream is identical). Nil keeps the seed behavior exactly.
 	TSDB *tsdb.Config
-	// OnCollector, when set, is called with the platform's collector
-	// during assembly, before any span exists. Streaming exporters use
-	// it to attach sinks, samplers, and incremental analyzers that must
-	// see the stream from the first span.
-	OnCollector func(*obs.Collector)
 	// Chaos enables seeded fault injection for this platform; nil
 	// falls back to the process-wide spec set via SetChaos (usually
 	// also nil). Chaos adds only two things: the injector, wired to
@@ -85,10 +80,10 @@ type Options struct {
 // carries as Attach. Core calls it exactly once for each run it
 // assembles — a multiplex or phase-shift platform, a scale shard, a
 // fleet cell, an autoscale cell — after the run's own sinks are
-// installed (OnCollector, ScaleConfig.Sinks) and its scope is final,
-// and before its first span. db is the run's series store, nil when
-// none was requested. Runs assemble on parallel harness workers, so
-// the hook must be safe for concurrent use.
+// installed (the fleet and autoscale OnCollector, ScaleConfig.Sinks)
+// and its scope is final, and before its first span. db is the run's
+// series store, nil when none was requested. Runs assemble on parallel
+// harness workers, so the hook must be safe for concurrent use.
 type AttachFunc func(c *obs.Collector, db *tsdb.DB)
 
 func (o Options) withDefaults() Options {
@@ -140,7 +135,7 @@ func NewPlatform(opts Options) (*Platform, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.observe("", o.OnCollector, o.TSDB)
+	s.observe("", nil, o.TSDB)
 	env, devices, collector := s.Env, s.Devices, s.Obs
 	node := gpuctl.NewNode(env, devices...)
 	if o.Observe {

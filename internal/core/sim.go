@@ -18,10 +18,11 @@ import (
 // device measurements — owns a fresh Env with its devices and spawns
 // procs whose body returns an error. A cell — a Platform, a fleet cell,
 // an autoscale cell — also owns the collector, the optional series
-// store with its alert pack, the SLO monitor, and the OnCollector and
-// Attach hooks; a cell with a DFK also checks its task ledger. Every
-// run ends in run's one drain sequence. A Platform embeds its shell, so
-// these exported fields are the Platform's too.
+// store with its alert pack, the SLO monitor, and the Attach hook (a
+// fleet or autoscale cell also an OnCollector hook); a cell with a DFK
+// also checks its task ledger. Every run ends in run's one drain
+// sequence. A Platform embeds its shell, so these exported fields are
+// the Platform's too.
 type sim struct {
 	Env     *devent.Env
 	Devices []*simgpu.Device
@@ -66,8 +67,8 @@ func newCell(scope string, onCollector func(*obs.Collector), store *tsdb.Config)
 }
 
 // observe gives the shell its collector, named scope, and calls the
-// OnCollector hook before any span exists; with store set it also
-// attaches a series store over the collector's registry.
+// OnCollector hook, if any, before any span exists; with store set it
+// also attaches a series store over the collector's registry.
 func (s *sim) observe(scope string, onCollector func(*obs.Collector), store *tsdb.Config) {
 	s.Obs = obs.New(s.Env)
 	s.Obs.SetScope(scope)

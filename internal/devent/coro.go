@@ -23,7 +23,7 @@ type procG struct {
 }
 
 // maxIdle caps the idle pool above the scenarios' steady spawn churn
-// (at most 105 idle), so a burst of exits (up to 814) ends the surplus
+// (at most 101 idle), so a burst of exits (up to 808) ends the surplus
 // coroutines instead of holding their stacks. A new coroutine costs 11
 // allocations, a pooled one none.
 const maxIdle = 128

@@ -19,12 +19,12 @@ func (discardSink) EmitSpan(*obs.Span) {}
 // A microtask allocates only what it keeps on its way from Submit
 // through the DFK, the htex queue and worker, and a streaming
 // collector: in steady state, its task, its lane name, its argument
-// slice and boxed argument, its submission, and the procs of its
-// launch and body (the bodies are the task and the submission
-// themselves, not closures). That is 7 objects; the budget allows one
-// more, so one more per-task object fails the test.
+// slice and boxed argument, its submission, and the proc of its
+// launch (whose body is the task itself, not a closure); the app runs
+// on the worker's proc. That is 6 objects; the budget allows one more,
+// so one more per-task object fails the test.
 func TestPerTaskAllocationBudget(t *testing.T) {
-	const warm, tasks, window, budget = 2000, 10000, 64, 8
+	const warm, tasks, window, budget = 2000, 10000, 64, 7
 	r := newRig(t, 0)
 	ex, err := New(r.env, Config{Label: "cpu", MaxWorkers: 16, Provider: r.local()})
 	if err != nil {

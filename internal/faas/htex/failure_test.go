@@ -156,11 +156,12 @@ func TestKillWorkerBookkeeping(t *testing.T) {
 	r.run(t)
 }
 
-// A killed worker's orphaned body finishes while the task's retry runs
-// elsewhere. It reaches only its own attempt's run event, which the
-// kill already failed, so the retry's result, its run span and the
-// task's terminal status are what they would be without the orphan.
-func TestAbandonedBodyStaysInItsLane(t *testing.T) {
+// A killed worker's orphaned app finishes on the worker's proc while
+// the task's retry runs elsewhere. The kill already failed its attempt
+// and took the worker out of the pool, so the retry's result, its run
+// span and the task's terminal status are what they would be without
+// the orphan.
+func TestOrphanedAppStaysInItsLane(t *testing.T) {
 	r := newRig(t, 0)
 	ex, err := New(r.env, Config{Label: "cpu", MaxWorkers: 2, Provider: r.local()})
 	if err != nil {

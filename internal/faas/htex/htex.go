@@ -94,48 +94,27 @@ var ErrWorkerLost = errors.New("htex: worker lost")
 var ErrNoWorkers = errors.New("htex: no live workers")
 
 // submission is one dispatch attempt of a task. It owns the attempt's
-// events and invocation, so a pick allocates nothing beyond the body's
-// proc. A submission is never reused: a lost worker's orphaned body
-// still holds it, and can only reach its own run event.
+// done event (Submit's) and invocation, so a pick allocates nothing. A
+// submission is never reused: a killed worker's orphaned app still
+// holds it.
 type submission struct {
 	task  *faas.Task
 	app   faas.App
 	args  []any
 	qspan obs.SpanID
-	// done fires with the attempt's outcome (Submit's event); run fires
-	// when the body returns, or fails when the worker is lost.
-	done devent.Event
-	run  devent.Event
-	inv  faas.Invocation
-	// w is the worker that picked the submission and runs it as its
-	// task body.
-	w *worker
-}
-
-// Run implements devent.Body: it runs the app on the picking worker
-// and completes the run event, unless the worker was declared lost.
-func (sub *submission) Run(tp *devent.Proc) {
-	w := sub.w
-	sub.inv = faas.NewInvocation(tp, sub.task, sub.args, w.env, w)
-	result, err := sub.app.Fn(&sub.inv)
-	if sub.run.Fired() {
-		return // worker already declared lost
-	}
-	if err != nil {
-		sub.run.Fail(err)
-	} else {
-		sub.run.Fire(result)
-	}
+	done  devent.Event
+	inv   faas.Invocation
 }
 
 // blockInfo tracks one provisioned block: the node it runs on and its
 // worker pool, so scale-in can retire the block as a unit and return
-// the node to the provider.
+// the node to the provider. spawned lists every worker started in the
+// block, respawns included, in spawn order.
 type blockInfo struct {
 	id      int
 	node    *gpuctl.Node
 	workers []*worker
-	procs   []*devent.Proc
+	spawned []*worker
 }
 
 // HTEX is the executor. Create with New, register with a DFK, Start
@@ -146,9 +125,11 @@ type HTEX struct {
 	queue    *devent.Chan[*submission]
 	shutdown *devent.Event
 	workers  []*worker
-	procs    []*devent.Proc
-	started  bool
-	gen      int
+	// spawned lists every worker started since the last shutdown, in
+	// spawn order: the workers ShutdownAndWait waits for.
+	spawned []*worker
+	started bool
+	gen     int
 
 	provisioned bool
 	// pendingRestarts counts crashed workers whose respawn timer is
@@ -290,8 +271,8 @@ func (h *HTEX) spawnBlock(node *gpuctl.Node) *blockInfo {
 			h.workerLoop(wp, w)
 		})
 		wp.SetDaemon(true) // idle workers are not deadlocks
-		h.procs = append(h.procs, wp)
-		b.procs = append(b.procs, wp)
+		h.spawned = append(h.spawned, w)
+		b.spawned = append(b.spawned, w)
 	}
 	h.blocks = append(h.blocks, b)
 	h.gBlocks.Set(float64(len(h.blocks)))
@@ -364,8 +345,8 @@ func (h *HTEX) ScaleIn(p *devent.Proc, n int) (int, error) {
 	// Wait for every retired worker to drain its in-flight task and
 	// exit (destroying its GPU context) before returning the nodes.
 	for _, b := range retire {
-		for _, wp := range b.procs {
-			p.Wait(wp.Done())
+		for _, w := range b.spawned {
+			p.Wait(&w.exited)
 		}
 	}
 	if h.gen != gen || !h.started {
@@ -385,22 +366,21 @@ func (h *HTEX) ScaleIn(p *devent.Proc, n int) (int, error) {
 func (h *HTEX) workerLoop(p *devent.Proc, w *worker) {
 	// The worker's lifecycle is one span on its own track; init and
 	// run spans nest under it. Each loop entry is a cold start.
-	wspan := h.obs.StartSpan("htex", "worker", w.name, 0,
+	w.span = h.obs.StartSpan("htex", "worker", w.name, 0,
 		obs.String("executor", h.cfg.Label),
 		obs.String("accelerator", w.binding.Accelerator),
 		obs.Int("gpu_pct", w.binding.GPUPercent))
 	// Daemon lifecycle: stays open until drain, so pin it out of the
 	// streaming flush frontier (it would otherwise block every span
 	// recorded after it for the whole run).
-	h.obs.PinSpan(wspan)
+	h.obs.PinSpan(w.span)
 	h.gWorkers.Add(1)
 	h.cCold.Inc()
 	if h.cfg.WorkerInit > 0 {
 		t0 := p.Now()
 		p.Sleep(h.cfg.WorkerInit) // function initialization (§6)
-		h.obs.AddSpan("htex", "init", w.name, wspan, t0, p.Now())
+		h.obs.AddSpan("htex", "init", w.name, w.span, t0, p.Now())
 	}
-	w.ready = true
 	// One stop event for the worker's whole life: shutdown, kill and
 	// retire each fire it. Built once, it is the worker's only
 	// registration on the executor-wide shutdown event, and it detaches
@@ -410,13 +390,26 @@ func (h *HTEX) workerLoop(p *devent.Proc, w *worker) {
 	}
 	// The exit runs inline, not deferred: a worker still parked when
 	// its Env closes unwinds without touching spans, gauges or the GPU.
-	h.gWorkers.Add(-1)
-	h.obs.EndSpan(wspan)
-	w.releaseGPU()
+	// A worker killed with an app in flight (sub still set) leaves the
+	// pool in lose, at the kill; its proc has just finished the app as
+	// the orphan.
+	if w.sub == nil {
+		h.exit(w)
+	}
 }
 
-// workerStep picks and runs one task. It reports false once the worker
-// has left the pool: retired, shut down, or killed (idle or mid-task).
+// exit takes the worker out of the live count, ends its lifecycle span,
+// destroys its GPU context and fires its exit event.
+func (h *HTEX) exit(w *worker) {
+	h.gWorkers.Add(-1)
+	h.obs.EndSpan(w.span)
+	w.releaseGPU()
+	w.exited.Fire(nil)
+}
+
+// workerStep picks a task and runs its app on the worker's proc. It
+// reports false once the worker has left the pool: retired, shut down,
+// or killed (idle, or mid-task after the orphaned app returns).
 func (h *HTEX) workerStep(p *devent.Proc, w *worker, stop *devent.Event) bool {
 	// Retirement is checked before the queue: RecvOr drains buffered
 	// work first, so a retired worker would otherwise keep picking
@@ -448,43 +441,50 @@ func (h *HTEX) workerStep(p *devent.Proc, w *worker, stop *devent.Event) bool {
 		w.gpu.SetTraceParent(rspan)
 	}
 	h.cPicked.Inc()
-	// Run the task body in its own proc so a worker crash
-	// (KillWorker) can abandon it: the orphaned body keeps no
-	// resources once the GPU context is destroyed.
-	taskDone := &sub.run
-	h.env.InitEvent(taskDone, "htex-run")
-	w.task, w.lost = taskDone, false
-	sub.w = w
-	body := h.env.SpawnBody(w.taskProc, sub)
-	body.SetDaemon(true)
+	w.sub = sub
 	if w.kill.Fired() {
 		// Killed before this pick (during init, or after the last task
 		// finished but before the worker resumed): lost at once.
-		w.abandon()
+		h.lose(w, sub)
 	}
-	p.Wait(taskDone)
-	w.task = nil
-	if w.lost {
-		// Crash: abandon the body, abort its kernels, fail the task so
-		// the DFK can retry elsewhere.
-		t.EndTime = p.Now()
-		h.obs.EndSpan(rspan, obs.String("status", "lost"))
-		w.releaseGPU()
-		sub.done.Fail(fmt.Errorf("%w: %s", ErrWorkerLost, w.name))
-		h.workerCrashed(w)
+	// The two yields keep the same-instant dispatch order the artifacts
+	// depend on: items already due run before the app starts and before
+	// its outcome is delivered.
+	p.Sleep(0)
+	sub.inv = faas.NewInvocation(p, t, sub.args, w.env, w)
+	result, err := sub.app.Fn(&sub.inv)
+	if w.kill.Fired() {
+		// The app ran as the orphan of a killed worker: lose has
+		// already failed the attempt and taken the worker out of the
+		// pool.
 		return false
 	}
+	w.sub = nil
+	p.Sleep(0)
 	t.EndTime = p.Now()
-	if taskDone.Err() != nil {
+	if err != nil {
 		h.obs.EndSpan(rspan,
 			obs.String("status", "failed"),
-			obs.String("error", taskDone.Err().Error()))
-		sub.done.Fail(taskDone.Err())
+			obs.String("error", err.Error()))
+		sub.done.Fail(err)
 	} else {
 		h.obs.EndSpan(rspan, obs.String("status", "done"))
-		sub.done.Fire(taskDone.Value())
+		sub.done.Fire(result)
 	}
 	return true
+}
+
+// lose fails a killed worker's attempt with ErrWorkerLost, so the DFK
+// can retry it elsewhere, aborts its kernels by destroying the GPU
+// context, and takes the worker out of the pool. The worker's proc
+// finishes the app as an orphan that touches nothing else.
+func (h *HTEX) lose(w *worker, sub *submission) {
+	sub.task.EndTime = h.env.Now()
+	h.obs.EndSpan(w.runSpan, obs.String("status", "lost"))
+	w.releaseGPU()
+	sub.done.Fail(fmt.Errorf("%w: %s", ErrWorkerLost, w.name))
+	h.workerCrashed(w)
+	h.exit(w)
 }
 
 // KillWorker simulates a worker-process crash (OOM kill, node fault):
@@ -495,7 +495,11 @@ func (h *HTEX) KillWorker(name string) bool {
 	for _, w := range h.workers {
 		if w.name == name && w.kill != nil && !w.kill.Fired() {
 			w.kill.Fire(nil)
-			w.abandon()
+			if sub := w.sub; sub != nil {
+				// Mid-app: the attempt is lost at once, and the app
+				// runs on as the orphan.
+				h.env.Schedule(0, func() { h.lose(w, sub) })
+			}
 			return true
 		}
 	}
@@ -598,8 +602,8 @@ func (h *HTEX) respawn(old *worker) {
 		h.workerLoop(p, w)
 	})
 	wp.SetDaemon(true)
-	h.procs = append(h.procs, wp)
-	blk.procs = append(blk.procs, wp)
+	h.spawned = append(h.spawned, w)
+	blk.spawned = append(blk.spawned, w)
 }
 
 // failIfStranded drains the queue with ErrNoWorkers when no worker is
@@ -681,16 +685,17 @@ func (h *HTEX) Shutdown() {
 	}
 }
 
-// ShutdownAndWait shuts down and blocks until every worker proc has
-// exited (and thus destroyed its GPU context) — required before
+// ShutdownAndWait shuts down and blocks until every worker has exited
+// (and thus destroyed its GPU context) — required before
 // repartitioning a GPU, since MPS percentages and MIG layouts can only
-// change once client processes are gone (§6).
+// change once client processes are gone (§6). A killed worker exits at
+// the kill; its orphaned app is not waited for.
 func (h *HTEX) ShutdownAndWait(p *devent.Proc) {
-	procs := h.procs
-	h.procs = nil
+	spawned := h.spawned
+	h.spawned = nil
 	h.Shutdown()
-	for _, wp := range procs {
-		p.Wait(wp.Done())
+	for _, w := range spawned {
+		p.Wait(&w.exited)
 	}
 }
 
@@ -722,21 +727,21 @@ func (h *HTEX) Restart(p *devent.Proc, accelerators []string, percentages []int)
 
 // worker is one pilot-job worker process.
 type worker struct {
-	name string
-	// taskProc names the proc each task body runs in.
-	taskProc string
-	node     *gpuctl.Node
-	binding  gpuctl.Binding
-	env      map[string]string
-	gpu      *simgpu.Context
-	state    map[string]any
-	kill     *devent.Event
-	retire   *devent.Event
-	// task is the in-flight task's run event; lost marks it failed by
-	// a kill rather than by its body.
-	task    *devent.Event
-	lost    bool
-	ready   bool
+	name    string
+	node    *gpuctl.Node
+	binding gpuctl.Binding
+	env     map[string]string
+	gpu     *simgpu.Context
+	state   map[string]any
+	kill    *devent.Event
+	retire  *devent.Event
+	// exited fires when the worker leaves the pool.
+	exited devent.Event
+	// sub is the attempt whose app the worker is running, nil between
+	// apps; span is the worker's lifecycle span and runSpan the
+	// attempt's run span.
+	sub     *submission
+	span    obs.SpanID
 	runSpan obs.SpanID
 	obsC    *obs.Collector
 }
@@ -745,25 +750,17 @@ type worker struct {
 // exist before the loop runs, so KillWorker and ScaleIn work on
 // workers that have not been scheduled yet.
 func (h *HTEX) newWorker(name string, node *gpuctl.Node) *worker {
-	return &worker{
-		name:     name,
-		taskProc: name + "/task",
-		node:     node,
-		obsC:     h.obs,
-		state:    make(map[string]any),
-		env:      map[string]string{},
-		kill:     h.env.NewNamedEvent("kill:" + name),
-		retire:   h.env.NewNamedEvent("retire:" + name),
+	w := &worker{
+		name:   name,
+		node:   node,
+		obsC:   h.obs,
+		state:  make(map[string]any),
+		env:    map[string]string{},
+		kill:   h.env.NewNamedEvent("kill:" + name),
+		retire: h.env.NewNamedEvent("retire:" + name),
 	}
-}
-
-// abandon fails the in-flight task's run event with ErrWorkerLost, so
-// a killed worker stops waiting for its orphaned body.
-func (w *worker) abandon() {
-	if w.task != nil && !w.task.Fired() {
-		w.task.Fail(ErrWorkerLost)
-		w.lost = true
-	}
+	h.env.InitEvent(&w.exited, "exit:"+name)
+	return w
 }
 
 // releaseGPU destroys the worker's GPU context, if it holds a live one.

@@ -110,7 +110,7 @@ func TestRestartedWorkerRecordsContextInit(t *testing.T) {
 }
 
 // A worker killed while its first task is still bringing up the GPU
-// context leaves nothing behind: the orphaned body must not keep the
+// context leaves nothing behind: the orphaned app must not keep the
 // context it was opening (or load into it), so the respawned worker,
 // which reuses the slot's name, loads without colliding.
 func TestKillDuringContextBringUp(t *testing.T) {

@@ -77,7 +77,7 @@ func TestWorkerLoopRegistrationsConstant(t *testing.T) {
 }
 
 // Without retries, the task a kill interrupts fails with ErrWorkerLost
-// at the kill instant, not when its orphaned body finishes.
+// at the kill instant, not when its orphaned app finishes.
 func TestKillMidTaskFailsWithWorkerLost(t *testing.T) {
 	r := newRig(t, 0)
 	ex, err := New(r.env, Config{Label: "cpu", MaxWorkers: 1, Provider: r.local()})
