@@ -116,8 +116,10 @@ cover:
 # trace's integer microseconds (any int64 against the float
 # formatting) and unescaped-string fast path (any bytes against
 # strconv.AppendQuote), and the hand-built attribution JSON (random
-# strings and numbers against json.MarshalIndent); the checked-in
-# corpora and seeds run as regular tests in `make test`.
+# strings and numbers against json.MarshalIndent), and devent's Queue
+# (random Put, TryGet and cancellable Get programs against a plain-slice
+# FIFO model, in value and virtual time); the checked-in corpora and
+# seeds run as regular tests in `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz FuzzConfigValidate -fuzztime 10s ./internal/faas/htex
@@ -133,6 +135,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzUsec -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzQuote -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzReportJSON -fuzztime 10s ./internal/obs/analyze
+	$(GO) test -run '^$$' -fuzz FuzzQueue -fuzztime 10s ./internal/devent
 
 # One seed-1 run of each bench/ workload (~25 s each), recorded
 # verbatim under a one-line toolchain and core-count header.

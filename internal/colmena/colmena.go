@@ -6,8 +6,6 @@
 package colmena
 
 import (
-	"fmt"
-
 	"repro/internal/devent"
 	"repro/internal/faas"
 )
@@ -34,37 +32,29 @@ type Result struct {
 // Queues routes results by topic.
 type Queues struct {
 	env    *devent.Env
-	topics map[string]*devent.Chan[Result]
+	topics map[string]*devent.Queue[Result]
 }
 
 // NewQueues creates an empty topic router.
 func NewQueues(env *devent.Env) *Queues {
-	return &Queues{env: env, topics: make(map[string]*devent.Chan[Result])}
+	return &Queues{env: env, topics: make(map[string]*devent.Queue[Result])}
 }
 
-func (q *Queues) topic(name string) *devent.Chan[Result] {
+func (q *Queues) topic(name string) *devent.Queue[Result] {
 	c, ok := q.topics[name]
 	if !ok {
-		c = devent.NewChan[Result](q.env, 1<<16)
+		c = devent.NewQueue[Result](q.env)
 		q.topics[name] = c
 	}
 	return c
 }
 
-// Send delivers a result to its topic (non-blocking; queues are
-// effectively unbounded).
-func (q *Queues) Send(r Result) {
-	if !q.topic(r.Topic).TrySend(r) {
-		panic(fmt.Sprintf("colmena: topic %q overflow", r.Topic))
-	}
-}
+// Send delivers a result to its topic without blocking.
+func (q *Queues) Send(r Result) { q.topic(r.Topic).Put(r) }
 
 // Recv blocks until a result arrives on the topic.
 func (q *Queues) Recv(p *devent.Proc, topic string) Result {
-	r, ok := q.topic(topic).Recv(p)
-	if !ok {
-		return Result{Topic: topic, Err: fmt.Errorf("colmena: topic %q closed", topic)}
-	}
+	r, _ := q.topic(topic).Get(p, nil)
 	return r
 }
 

@@ -88,8 +88,10 @@ func RunOpenLoop(cfg OpenLoopConfig) (*OpenLoopResult, error) {
 		for i := range loads {
 			loads[i] = pl.DFK.Submit("load").Event()
 		}
-		if _, err := p.Wait(devent.AllOf(pl.Env, loads...)); err != nil && pl.Injector == nil {
-			return err
+		for _, ld := range loads {
+			if _, err := p.Wait(ld); err != nil && pl.Injector == nil {
+				return err
+			}
 		}
 
 		rng := rand.New(rand.NewSource(cfg.Seed))

@@ -80,21 +80,22 @@ func BenchmarkSameInstantHandoff(b *testing.B) {
 	}
 }
 
-// BenchmarkChanPingPong measures rendezvous cost between two procs.
-func BenchmarkChanPingPong(b *testing.B) {
+// BenchmarkQueuePingPong measures a hand-off between two procs that
+// each wait on an empty queue for the other's Put.
+func BenchmarkQueuePingPong(b *testing.B) {
 	env := NewEnv()
-	ping := NewChan[int](env, 0)
-	pong := NewChan[int](env, 0)
+	ping := NewQueue[int](env)
+	pong := NewQueue[int](env)
 	env.Spawn("a", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			ping.Send(p, i)
-			pong.Recv(p)
+			ping.Put(i)
+			pong.Get(p, nil)
 		}
 	})
 	env.Spawn("b", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			ping.Recv(p)
-			pong.Send(p, i)
+			ping.Get(p, nil)
+			pong.Put(i)
 		}
 	})
 	b.ResetTimer()
@@ -169,7 +170,7 @@ func BenchmarkEventFanoutSteady(b *testing.B) {
 	env := NewEnv()
 	b.ReportAllocs()
 	ev := env.NewEvent()
-	gate := NewChan[int](env, waiters)
+	gate := NewQueue[int](env)
 	for w := 0; w < waiters; w++ {
 		env.Spawn("w", func(p *Proc) {
 			for {
@@ -177,7 +178,7 @@ func BenchmarkEventFanoutSteady(b *testing.B) {
 				if _, err := p.Wait(cur); err != nil {
 					return
 				}
-				gate.Send(p, 1)
+				gate.Put(1)
 			}
 		})
 	}
@@ -188,7 +189,7 @@ func BenchmarkEventFanoutSteady(b *testing.B) {
 			ev = env.NewEvent()
 			cur.Fire(nil)
 			for n := 0; n < waiters; n++ {
-				gate.Recv(p)
+				gate.Get(p, nil)
 			}
 			p.Sleep(time.Millisecond) // waiters re-park on the new event
 		}

@@ -4,7 +4,7 @@
 // An Env owns a virtual clock and an event queue. Simulated activities
 // are either plain scheduled callbacks (Schedule) or Procs: coroutines
 // that the scheduler resumes one at a time and that advance virtual
-// time by blocking on Sleep, Events, or Chans.
+// time by blocking on Sleep, Events, or Queues.
 //
 // The kernel is logically single-threaded: at any instant either the
 // scheduler loop or exactly one Proc is executing. All devent objects

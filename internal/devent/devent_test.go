@@ -262,112 +262,23 @@ func TestOnFireAfterFired(t *testing.T) {
 	}
 }
 
-func TestAnyOf(t *testing.T) {
-	env := NewEnv()
-	a, b := env.NewNamedEvent("a"), env.NewNamedEvent("b")
-	any := AnyOf(env, a, b)
-	var winner *Event
-	env.Spawn("w", func(p *Proc) {
-		v, _ := p.Wait(any)
-		winner = v.(*Event)
-	})
-	env.Schedule(2*time.Second, func() { b.Fire("bee") })
-	env.Schedule(3*time.Second, func() { a.Fire("ay") })
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if winner != b || winner.Value() != "bee" {
-		t.Fatalf("winner = %v", winner)
-	}
-}
-
-func TestAllOf(t *testing.T) {
-	env := NewEnv()
-	a, b, c := env.NewEvent(), env.NewEvent(), env.NewEvent()
-	all := AllOf(env, a, b, c)
-	var doneAt time.Duration = -1
-	env.Spawn("w", func(p *Proc) {
-		_, err := p.Wait(all)
-		if err != nil {
-			t.Errorf("err = %v", err)
-		}
-		doneAt = p.Now()
-	})
-	env.Schedule(1*time.Second, func() { a.Fire(nil) })
-	env.Schedule(3*time.Second, func() { c.Fire(nil) })
-	env.Schedule(2*time.Second, func() { b.Fire(nil) })
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if doneAt != 3*time.Second {
-		t.Fatalf("all fired at %v", doneAt)
-	}
-}
-
-func TestAllOfPropagatesError(t *testing.T) {
-	env := NewEnv()
-	a, b := env.NewEvent(), env.NewEvent()
-	all := AllOf(env, a, b)
-	boom := errors.New("boom")
-	var got error
-	env.Spawn("w", func(p *Proc) { _, got = p.Wait(all) })
-	env.Schedule(1*time.Second, func() { a.Fail(boom) })
-	env.Schedule(2*time.Second, func() { b.Fire(nil) })
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(got, boom) {
-		t.Fatalf("got = %v", got)
-	}
-}
-
-func TestAllOfEmptyFiresImmediately(t *testing.T) {
-	env := NewEnv()
-	all := AllOf(env)
-	if !all.Fired() {
-		t.Fatal("empty AllOf should fire immediately")
-	}
-}
-
-func TestChanUnbufferedRendezvous(t *testing.T) {
-	env := NewEnv()
-	c := NewChan[int](env, 0)
-	var recvAt, sendDoneAt time.Duration
-	var got int
-	env.Spawn("sender", func(p *Proc) {
-		p.Sleep(time.Second)
-		c.Send(p, 99)
-		sendDoneAt = p.Now()
-	})
-	env.Spawn("receiver", func(p *Proc) {
-		p.Sleep(5 * time.Second)
-		got, _ = c.Recv(p)
-		recvAt = p.Now()
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got != 99 || recvAt != 5*time.Second || sendDoneAt != 5*time.Second {
-		t.Fatalf("got=%d recvAt=%v sendDoneAt=%v", got, recvAt, sendDoneAt)
-	}
-}
-
+// The queue delivers in Put order, both to a waiting receiver and from
+// its buffer.
 func TestChanBufferedFIFO(t *testing.T) {
 	env := NewEnv()
-	c := NewChan[int](env, 3)
+	c := NewQueue[int](env)
 	var got []int
 	env.Spawn("producer", func(p *Proc) {
 		for i := 0; i < 6; i++ {
-			c.Send(p, i)
+			c.Put(i)
+			if i == 2 {
+				p.Sleep(10 * time.Millisecond) // the consumer catches up and waits
+			}
 		}
-		c.Close()
 	})
 	env.Spawn("consumer", func(p *Proc) {
-		for {
-			v, ok := c.Recv(p)
-			if !ok {
-				return
-			}
+		for i := 0; i < 6; i++ {
+			v, _ := c.Get(p, nil)
 			got = append(got, v)
 			p.Sleep(time.Millisecond)
 		}
@@ -380,113 +291,69 @@ func TestChanBufferedFIFO(t *testing.T) {
 	}
 }
 
-func TestChanSendBlocksWhenFull(t *testing.T) {
-	env := NewEnv()
-	c := NewChan[int](env, 1)
-	var sendDone time.Duration = -1
-	env.Spawn("sender", func(p *Proc) {
-		c.Send(p, 1) // fills buffer
-		c.Send(p, 2) // blocks until receiver drains
-		sendDone = p.Now()
-	})
-	env.Spawn("receiver", func(p *Proc) {
-		p.Sleep(4 * time.Second)
-		c.Recv(p)
-	})
-	if err := env.Run(); err == nil || !errors.Is(err, ErrDeadlock) {
-		// value 2 is still in buffer with no receiver left: the sender
-		// completed, so no deadlock is expected.
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if sendDone != 4*time.Second {
-		t.Fatalf("second send completed at %v", sendDone)
-	}
-}
-
-func TestChanCloseWakesReceivers(t *testing.T) {
-	env := NewEnv()
-	c := NewChan[string](env, 0)
-	var ok = true
-	env.Spawn("receiver", func(p *Proc) { _, ok = c.Recv(p) })
-	env.Schedule(time.Second, func() { c.Close() })
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("recv on closed chan should report !ok")
-	}
-}
-
-func TestChanRecvDrainsBufferAfterClose(t *testing.T) {
-	env := NewEnv()
-	c := NewChan[int](env, 2)
-	c.TrySend(1)
-	c.TrySend(2)
-	c.Close()
-	var got []int
-	env.Spawn("r", func(p *Proc) {
-		for {
-			v, ok := c.Recv(p)
-			if !ok {
-				return
-			}
-			got = append(got, v)
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(got) != "[1 2]" {
-		t.Fatalf("got = %v", got)
-	}
-}
-
+// A Get on an empty queue returns ok=false when its cancel fires, at
+// the cancel instant.
 func TestChanRecvOrCancel(t *testing.T) {
 	env := NewEnv()
-	c := NewChan[int](env, 0)
+	c := NewQueue[int](env)
 	cancel := env.NewEvent()
-	var cancelled bool
-	env.Spawn("r", func(p *Proc) { _, _, cancelled = c.RecvOr(p, cancel) })
+	ok := true
+	var at time.Duration
+	env.Spawn("r", func(p *Proc) {
+		_, ok = c.Get(p, cancel)
+		at = p.Now()
+	})
 	env.Schedule(time.Second, func() { cancel.Fire(nil) })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !cancelled {
-		t.Fatal("expected cancellation")
+	if ok || at != time.Second {
+		t.Fatalf("Get: ok=%v at %v, want a cancellation at 1s", ok, at)
 	}
 }
 
+// A Get whose cancel has already fired returns ok=false at once when
+// the queue is empty, and still takes a queued value.
 func TestChanRecvOrAlreadyCancelled(t *testing.T) {
 	env := NewEnv()
-	c := NewChan[int](env, 0)
+	c := NewQueue[int](env)
 	cancel := env.NewEvent()
 	cancel.Fire(nil)
-	var cancelled bool
-	env.Spawn("r", func(p *Proc) { _, _, cancelled = c.RecvOr(p, cancel) })
+	ok := true
+	var v int
+	var vok bool
+	env.Spawn("r", func(p *Proc) {
+		_, ok = c.Get(p, cancel)
+		c.Put(7)
+		v, vok = c.Get(p, cancel)
+	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !cancelled {
+	if ok {
 		t.Fatal("expected immediate cancellation")
+	}
+	if v != 7 || !vok {
+		t.Fatalf("Get with a queued value = %v, %v; want 7, true", v, vok)
 	}
 }
 
 func TestChanTryOps(t *testing.T) {
 	env := NewEnv()
-	c := NewChan[int](env, 1)
-	if _, ok := c.TryRecv(); ok {
-		t.Fatal("TryRecv on empty chan succeeded")
+	c := NewQueue[int](env)
+	if _, ok := c.TryGet(); ok {
+		t.Fatal("TryGet on an empty queue succeeded")
 	}
-	if !c.TrySend(5) {
-		t.Fatal("TrySend into empty buffer failed")
+	c.Put(5)
+	c.Put(6)
+	if c.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", c.Len())
 	}
-	if c.TrySend(6) {
-		t.Fatal("TrySend into full buffer succeeded")
+	if v, ok := c.TryGet(); !ok || v != 5 {
+		t.Fatalf("TryGet = %v, %v", v, ok)
 	}
-	if v, ok := c.TryRecv(); !ok || v != 5 {
-		t.Fatalf("TryRecv = %v, %v", v, ok)
+	if c.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", c.Len())
 	}
 }
 
@@ -553,21 +420,25 @@ func TestDeterminism(t *testing.T) {
 		env := NewEnv()
 		rng := rand.New(rand.NewSource(seed))
 		var out []string
-		c := NewChan[int](env, 2)
-		// A buffered Chan used as a semaphore: at most three procs
-		// hold a slot at once, and blocked senders enter in FIFO order.
-		slots := NewChan[int](env, 3)
+		c := NewQueue[int](env)
+		// A queue of tokens used as a semaphore: at most three procs
+		// hold a token at once, and waiting procs take them in FIFO
+		// order.
+		tokens := NewQueue[int](env)
+		for i := 0; i < 3; i++ {
+			tokens.Put(i)
+		}
 		for i := 0; i < 8; i++ {
 			i := i
 			d := time.Duration(rng.Intn(1000)) * time.Millisecond
 			env.Spawn("p", func(p *Proc) {
 				p.Sleep(d)
-				slots.Send(p, i)
-				c.Send(p, i)
+				tok, _ := tokens.Get(p, nil)
+				c.Put(i)
 				p.Sleep(time.Duration(rng.Intn(100)) * time.Millisecond)
-				v, _ := c.Recv(p)
+				v, _ := c.Get(p, nil)
 				out = append(out, fmt.Sprintf("%d@%v got %d", i, p.Now(), v))
-				slots.Recv(p)
+				tokens.Put(tok)
 			})
 		}
 		if err := env.Run(); err != nil {
@@ -615,26 +486,25 @@ func TestQuickScheduleMonotonic(t *testing.T) {
 
 func TestDaemonProcsAreNotDeadlocks(t *testing.T) {
 	env := NewEnv()
-	c := NewChan[int](env, 0)
+	c := NewQueue[int](env)
 	worker := env.Spawn("daemon-worker", func(p *Proc) {
 		for {
-			if _, ok := c.Recv(p); !ok {
-				return
-			}
+			c.Get(p, nil)
 		}
 	})
 	worker.SetDaemon(true)
 	env.Spawn("client", func(p *Proc) {
-		c.Send(p, 1)
-		c.Send(p, 2)
+		c.Put(1)
+		p.Sleep(time.Second)
+		c.Put(2)
 	})
 	if err := env.Run(); err != nil {
 		t.Fatalf("daemon counted as deadlock: %v", err)
 	}
 	// A non-daemon in the same situation still trips detection.
 	env2 := NewEnv()
-	c2 := NewChan[int](env2, 0)
-	env2.Spawn("worker", func(p *Proc) { c2.Recv(p) })
+	c2 := NewQueue[int](env2)
+	env2.Spawn("worker", func(p *Proc) { c2.Get(p, nil) })
 	if err := env2.Run(); !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v", err)
 	}

@@ -42,10 +42,9 @@ type callback struct {
 	seq uint64
 }
 
-// registration is a detachable OnFire listener. Operations that wait
-// on a long-lived cancel event (Chan.RecvOr, AnyOf) detach theirs once
-// they return or fire, so the event holds no more listeners than it
-// has live waiters. The zero registration (from an event that had
+// registration is a detachable OnFire listener. Queue.Get, which waits
+// on a long-lived cancel event, detaches its listener once it returns,
+// so the event holds no more listeners than it has live waiters. The zero registration (from an event that had
 // already fired) detaches as a no-op.
 type registration struct {
 	ev  *Event
@@ -329,66 +328,4 @@ func (p *Proc) WaitTimeout(ev *Event, d time.Duration) (any, error) {
 	}
 	w.timer.Cancel()
 	return ev.value, ev.err
-}
-
-// AnyOf returns an event that fires as soon as any input event fires;
-// its value is the first firing *Event (inspect its Value/Err). With no
-// inputs the result never fires. Once it fires it detaches from the
-// other inputs; until then it stays registered on all of them, so a
-// loop waiting on long-lived events builds its AnyOf once, not once
-// per pass.
-func AnyOf(e *Env, evs ...*Event) *Event {
-	a := &anyOf{out: e.NewNamedEvent("anyOf"), regs: make([]registration, 0, len(evs))}
-	for _, ev := range evs {
-		a.regs = append(a.regs, ev.listen(a))
-		if a.out.fired {
-			break
-		}
-	}
-	return a.out
-}
-
-// anyOf is AnyOf's listener on each of its inputs.
-type anyOf struct {
-	out  *Event
-	regs []registration
-}
-
-func (a *anyOf) fired(src *Event) {
-	if a.out.fired {
-		return
-	}
-	for _, r := range a.regs {
-		r.detach()
-	}
-	a.regs = nil
-	a.out.Fire(src)
-}
-
-// AllOf returns an event that fires once every input event has fired;
-// its value is a []*Event of the inputs in argument order. If any input
-// fails, the output fails with the first such error (but still only
-// after all inputs complete). With no inputs it fires immediately.
-func AllOf(e *Env, evs ...*Event) *Event {
-	out := e.NewNamedEvent("allOf")
-	remaining := len(evs)
-	if remaining == 0 {
-		out.Fire([]*Event{})
-		return out
-	}
-	for _, ev := range evs {
-		ev.OnFire(func(*Event) {
-			remaining--
-			if remaining == 0 {
-				for _, in := range evs {
-					if in.err != nil {
-						out.Fail(in.err)
-						return
-					}
-				}
-				out.Fire(append([]*Event(nil), evs...))
-			}
-		})
-	}
-	return out
 }

@@ -24,29 +24,6 @@ func TestWaitTimeoutOnFiredEvent(t *testing.T) {
 	}
 }
 
-func TestAnyOfWithPreFiredInput(t *testing.T) {
-	env := NewEnv()
-	a := env.NewEvent()
-	a.Fire(1)
-	b := env.NewEvent()
-	out := AnyOf(env, a, b)
-	if !out.Fired() || out.Value() != a {
-		t.Fatalf("out = %+v", out)
-	}
-}
-
-func TestChanCloseTwicePanics(t *testing.T) {
-	env := NewEnv()
-	c := NewChan[int](env, 0)
-	c.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	c.Close()
-}
-
 func TestScheduleFromCallback(t *testing.T) {
 	env := NewEnv()
 	var order []int
@@ -190,34 +167,6 @@ func TestReentrantRunErrors(t *testing.T) {
 	}
 	if innerErr == nil {
 		t.Fatal("re-entrant Run accepted")
-	}
-}
-
-func TestChanLenCapClosed(t *testing.T) {
-	env := NewEnv()
-	c := NewChan[int](env, 2)
-	if c.Cap() != 2 || c.Len() != 0 || c.Closed() {
-		t.Fatal("fresh chan state")
-	}
-	c.TrySend(1)
-	if c.Len() != 1 {
-		t.Fatalf("len = %d", c.Len())
-	}
-	c.Close()
-	if !c.Closed() {
-		t.Fatal("not closed")
-	}
-	// Drain still works.
-	if v, ok := c.TryRecv(); !ok || v != 1 {
-		t.Fatalf("drain: %v %v", v, ok)
-	}
-}
-
-func TestNegativeChanCapacity(t *testing.T) {
-	env := NewEnv()
-	c := NewChan[int](env, -5)
-	if c.Cap() != 0 {
-		t.Fatalf("cap = %d", c.Cap())
 	}
 }
 

@@ -15,24 +15,24 @@ const leakOps = 10_000
 // most one operation waits on it at a time.
 const maxListeners = 2
 
-// Each completed RecvOr detaches from its cancel event, so 10k
-// receives against one never-firing cancel leave it (nearly) empty.
+// Each completed Get detaches from its cancel event, so 10k gets
+// against one never-firing cancel leave it (nearly) empty.
 func TestRecvOrDetachesFromCancel(t *testing.T) {
 	env := NewEnv()
-	c := NewChan[int](env, 0)
+	c := NewQueue[int](env)
 	cancel := env.NewNamedEvent("shutdown")
 	env.Spawn("producer", func(p *Proc) {
 		for i := 0; i < leakOps; i++ {
 			p.Sleep(time.Microsecond) // the receiver blocks first
-			c.Send(p, i)
+			c.Put(i)
 		}
 	})
 	high := 0
 	env.Spawn("consumer", func(p *Proc) {
 		for i := 0; i < leakOps; i++ {
-			v, ok, cancelled := c.RecvOr(p, cancel)
-			if !ok || cancelled || v != i {
-				t.Errorf("recv %d: v=%d ok=%v cancelled=%v", i, v, ok, cancelled)
+			v, ok := c.Get(p, cancel)
+			if !ok || v != i {
+				t.Errorf("get %d: v=%d ok=%v", i, v, ok)
 				return
 			}
 			high = max(high, cancel.Listeners())
@@ -42,33 +42,7 @@ func TestRecvOrDetachesFromCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	if high > maxListeners || cancel.Listeners() != 0 {
-		t.Fatalf("cancel event holds %d listeners (high-water %d) after %d receives", cancel.Listeners(), high, leakOps)
-	}
-}
-
-// An AnyOf detaches from its other inputs once one fires, so 10k of
-// them over a never-firing input do not accumulate on it.
-func TestAnyOfDetachesFromUnfiredInputs(t *testing.T) {
-	env := NewEnv()
-	never := env.NewNamedEvent("never")
-	high := 0
-	env.Spawn("loop", func(p *Proc) {
-		for i := 0; i < leakOps; i++ {
-			tick := env.NewEvent()
-			env.Schedule(time.Microsecond, func() { tick.Fire(nil) })
-			v, err := p.Wait(AnyOf(env, never, tick))
-			if err != nil || v != tick {
-				t.Errorf("anyOf %d: v=%v err=%v", i, v, err)
-				return
-			}
-			high = max(high, never.Listeners())
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if high > maxListeners || never.Listeners() != 0 {
-		t.Fatalf("never-firing input holds %d listeners (high-water %d) after %d AnyOfs", never.Listeners(), high, leakOps)
+		t.Fatalf("cancel event holds %d listeners (high-water %d) after %d gets", cancel.Listeners(), high, leakOps)
 	}
 }
 
@@ -104,16 +78,16 @@ func TestDetachKeepsListenerOrder(t *testing.T) {
 // A cancel that fires while the op waits still cancels it.
 func TestRecvOrCancelAfterDetaches(t *testing.T) {
 	env := NewEnv()
-	c := NewChan[int](env, 0)
+	c := NewQueue[int](env)
 	cancel := env.NewEvent()
 	env.Schedule(time.Second, func() { cancel.Fire(nil) })
-	env.Spawn("sender", func(p *Proc) { c.Send(p, 0) })
+	env.Schedule(time.Millisecond, func() { c.Put(0) })
 	env.Spawn("consumer", func(p *Proc) {
-		if _, _, cancelled := c.RecvOr(p, cancel); cancelled {
-			t.Error("first receive cancelled")
+		if _, ok := c.Get(p, cancel); !ok {
+			t.Error("first get cancelled")
 		}
-		if _, ok, cancelled := c.RecvOr(p, cancel); ok || !cancelled {
-			t.Errorf("second receive: ok=%v cancelled=%v", ok, cancelled)
+		if _, ok := c.Get(p, cancel); ok {
+			t.Error("second get not cancelled")
 		}
 		if p.Now() != time.Second {
 			t.Errorf("cancelled at %v", p.Now())
@@ -142,7 +116,7 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	env := NewEnv()
 	gate := env.NewEvent()
-	c := NewChan[int](env, 0)
+	c := NewQueue[int](env)
 	unwound := 0
 	var parked []*Proc
 	for i := 0; i < 10; i++ {
@@ -153,7 +127,7 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 		})
 		p.SetDaemon(true)
 		parked = append(parked, p)
-		env.Spawn("receiver", func(p *Proc) { c.Recv(p) }).SetDaemon(true)
+		env.Spawn("receiver", func(p *Proc) { c.Get(p, nil) }).SetDaemon(true)
 	}
 	for i := 0; i < 50; i++ {
 		env.Spawn("short", func(p *Proc) { p.Sleep(time.Duration(i) * time.Millisecond) })
@@ -329,33 +303,36 @@ func TestSpawnExitAllocs(t *testing.T) {
 	}
 }
 
-// A channel whose length stays bounded stops allocating: its buffer
-// and its receiver queue keep their backing arrays as values pass.
+// A queue whose length stays bounded stops allocating: its buffer and
+// its receiver queue keep their backing arrays as values pass, and a
+// parked Get reuses its pooled waiter, with or without a cancel event.
 func TestChanSteadyStateAllocs(t *testing.T) {
 	const runs = 100
 	env := NewEnv()
-	c := NewChan[int](env, 8)
-	var buffered, parked float64
+	c := NewQueue[int](env)
+	cancel := env.NewNamedEvent("never")
+	var buffered, parked, cancellable float64
 	env.Spawn("receiver", func(p *Proc) {
-		c.TrySend(0) // one value stays queued while others pass
+		c.Put(0) // one value stays queued while others pass
 		buffered = testing.AllocsPerRun(runs, func() {
-			c.TrySend(1)
-			c.TryRecv()
+			c.Put(1)
+			c.TryGet()
 		})
-		c.TryRecv()
-		parked = testing.AllocsPerRun(runs, func() { c.Recv(p) })
+		c.TryGet()
+		parked = testing.AllocsPerRun(runs, func() { c.Get(p, nil) })
+		cancellable = testing.AllocsPerRun(runs, func() { c.Get(p, cancel) })
 	})
 	env.Spawn("sender", func(p *Proc) {
-		for i := 0; i <= runs; i++ { // AllocsPerRun adds a warm-up run
+		for i := 0; i <= 2*runs+1; i++ { // AllocsPerRun adds a warm-up run
 			p.Sleep(time.Microsecond)
-			c.TrySend(i)
+			c.Put(i)
 		}
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if buffered != 0 || parked != 0 {
-		t.Fatalf("channel allocs: %v per buffered pass, %v per parked receive; want 0", buffered, parked)
+	if buffered != 0 || parked != 0 || cancellable != 0 {
+		t.Fatalf("queue allocs: %v per buffered pass, %v per parked get, %v per cancellable get; want 0", buffered, parked, cancellable)
 	}
 }
 

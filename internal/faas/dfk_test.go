@@ -170,7 +170,8 @@ func TestTasksAccounting(t *testing.T) {
 	env.Spawn("main", func(p *devent.Proc) {
 		f1 = d.Submit("fn")
 		f2 = d.Submit("fn")
-		p.Wait(devent.AllOf(env, f1.Event(), f2.Event()))
+		p.Wait(f1.Event())
+		p.Wait(f2.Event())
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)

@@ -264,7 +264,8 @@ type Future struct{ task *Task }
 // tasks, so the future is the caller's handle on it after completion.
 func (f *Future) Task() *Task { return f.task }
 
-// Event returns the completion event (for AnyOf/AllOf composition).
+// Event returns the task's completion event, to wait on or attach
+// OnFire callbacks to.
 func (f *Future) Event() *devent.Event { return &f.task.done }
 
 // Done reports whether the task has completed.

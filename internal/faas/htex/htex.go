@@ -120,11 +120,10 @@ type blockInfo struct {
 // HTEX is the executor. Create with New, register with a DFK, Start
 // to provision workers.
 type HTEX struct {
-	env      *devent.Env
-	cfg      Config
-	queue    *devent.Chan[*submission]
-	shutdown *devent.Event
-	workers  []*worker
+	env     *devent.Env
+	cfg     Config
+	queue   *devent.Queue[*submission]
+	workers []*worker
 	// spawned lists every worker started since the last shutdown, in
 	// spawn order: the workers ShutdownAndWait waits for.
 	spawned []*worker
@@ -173,7 +172,7 @@ func New(env *devent.Env, cfg Config) (*HTEX, error) {
 	return &HTEX{
 		env:         env,
 		cfg:         cfg,
-		queue:       devent.NewChan[*submission](env, 1<<20),
+		queue:       devent.NewQueue[*submission](env),
 		crashes:     make(map[string]int),
 		blacklisted: make(map[string]bool),
 	}, nil
@@ -215,7 +214,6 @@ func (h *HTEX) Start() error {
 		return nil
 	}
 	h.started = true
-	h.shutdown = h.env.NewNamedEvent("htex-shutdown:" + h.cfg.Label)
 	h.gen++
 	gen := h.gen
 	// A fresh start (including a repartition Restart) wipes crash
@@ -337,9 +335,8 @@ func (h *HTEX) ScaleIn(p *devent.Proc, n int) (int, error) {
 	h.gBlocks.Set(float64(len(h.blocks)))
 	for _, b := range retire {
 		for _, w := range b.workers {
-			if w.retire != nil && !w.retire.Fired() {
-				w.retire.Fire(nil)
-			}
+			w.retired = true
+			w.halt()
 		}
 	}
 	// Wait for every retired worker to drain its in-flight task and
@@ -381,12 +378,7 @@ func (h *HTEX) workerLoop(p *devent.Proc, w *worker) {
 		p.Sleep(h.cfg.WorkerInit) // function initialization (§6)
 		h.obs.AddSpan("htex", "init", w.name, w.span, t0, p.Now())
 	}
-	// One stop event for the worker's whole life: shutdown, kill and
-	// retire each fire it. Built once, it is the worker's only
-	// registration on the executor-wide shutdown event, and it detaches
-	// from the other two when it fires.
-	stop := devent.AnyOf(h.env, h.shutdown, w.kill, w.retire)
-	for h.workerStep(p, w, stop) {
+	for h.workerStep(p, w) {
 	}
 	// The exit runs inline, not deferred: a worker still parked when
 	// its Env closes unwinds without touching spans, gauges or the GPU.
@@ -410,19 +402,19 @@ func (h *HTEX) exit(w *worker) {
 // workerStep picks a task and runs its app on the worker's proc. It
 // reports false once the worker has left the pool: retired, shut down,
 // or killed (idle, or mid-task after the orphaned app returns).
-func (h *HTEX) workerStep(p *devent.Proc, w *worker, stop *devent.Event) bool {
-	// Retirement is checked before the queue: RecvOr drains buffered
-	// work first, so a retired worker would otherwise keep picking
-	// tasks as long as a backlog exists.
-	if w.retire.Fired() {
+func (h *HTEX) workerStep(p *devent.Proc, w *worker) bool {
+	// Retirement is checked before the queue: Get takes queued work
+	// first, so a retired worker would otherwise keep picking tasks as
+	// long as a backlog exists.
+	if w.retired {
 		h.workerRetired(w)
 		return false
 	}
-	sub, ok, cancelled := h.queue.RecvOr(p, stop)
-	if cancelled || !ok {
-		if w.kill.Fired() {
+	sub, ok := h.queue.Get(p, &w.stop)
+	if !ok {
+		if w.killed {
 			h.workerCrashed(w)
-		} else if w.retire.Fired() {
+		} else if w.retired {
 			h.workerRetired(w)
 		}
 		return false
@@ -442,7 +434,7 @@ func (h *HTEX) workerStep(p *devent.Proc, w *worker, stop *devent.Event) bool {
 	}
 	h.cPicked.Inc()
 	w.sub = sub
-	if w.kill.Fired() {
+	if w.killed {
 		// Killed before this pick (during init, or after the last task
 		// finished but before the worker resumed): lost at once.
 		h.lose(w, sub)
@@ -453,7 +445,7 @@ func (h *HTEX) workerStep(p *devent.Proc, w *worker, stop *devent.Event) bool {
 	p.Sleep(0)
 	sub.inv = faas.NewInvocation(p, t, sub.args, w.env, w)
 	result, err := sub.app.Fn(&sub.inv)
-	if w.kill.Fired() {
+	if w.killed {
 		// The app ran as the orphan of a killed worker: lose has
 		// already failed the attempt and taken the worker out of the
 		// pool.
@@ -493,8 +485,9 @@ func (h *HTEX) lose(w *worker, sub *submission) {
 // whether a worker with that name existed.
 func (h *HTEX) KillWorker(name string) bool {
 	for _, w := range h.workers {
-		if w.name == name && w.kill != nil && !w.kill.Fired() {
-			w.kill.Fire(nil)
+		if w.name == name && !w.killed {
+			w.killed = true
+			w.halt()
 			if sub := w.sub; sub != nil {
 				// Mid-app: the attempt is lost at once, and the app
 				// runs on as the orphan.
@@ -606,20 +599,22 @@ func (h *HTEX) respawn(old *worker) {
 	blk.spawned = append(blk.spawned, w)
 }
 
+// stranded reports whether queued work can never run: the started
+// executor's pool was provisioned, and no worker is alive or coming
+// back. Scale-to-zero is not stranding: work waits for a ScaleOut.
+func (h *HTEX) stranded() bool {
+	return h.provisioned && len(h.workers) == 0 && h.pendingRestarts == 0 && !h.scaledToZero
+}
+
 // failIfStranded drains the queue with ErrNoWorkers when no worker is
 // alive and none is coming back — queued submissions would otherwise
 // never complete, violating the exactly-one-terminal-state invariant.
 func (h *HTEX) failIfStranded() {
-	if !h.started || !h.provisioned || len(h.workers) > 0 || h.pendingRestarts > 0 {
-		return
-	}
-	// Scale-to-zero is not stranding: the queue waits for the next
-	// ScaleOut.
-	if h.scaledToZero {
+	if !h.stranded() {
 		return
 	}
 	for {
-		sub, ok := h.queue.TryRecv()
+		sub, ok := h.queue.TryGet()
 		if !ok {
 			return
 		}
@@ -637,7 +632,7 @@ func (h *HTEX) Submit(task *faas.Task, app faas.App, args []any) *devent.Event {
 		done.Fail(faas.ErrShutdown)
 		return done
 	}
-	if h.provisioned && len(h.workers) == 0 && h.pendingRestarts == 0 && !h.scaledToZero {
+	if h.stranded() {
 		done.Fail(fmt.Errorf("%w: executor %q", ErrNoWorkers, h.cfg.Label))
 		return done
 	}
@@ -645,25 +640,24 @@ func (h *HTEX) Submit(task *faas.Task, app faas.App, args []any) *devent.Event {
 	// span; the picking worker ends it.
 	sub.qspan = h.obs.StartSpan("htex", "queue", task.Track(), task.Span,
 		obs.String("executor", h.cfg.Label))
-	if !h.queue.TrySend(sub) {
-		h.obs.EndSpan(sub.qspan, obs.String("status", "overflow"))
-		done.Fail(fmt.Errorf("htex %q: queue full", h.cfg.Label))
-	}
+	h.queue.Put(sub)
 	return done
 }
 
 // Shutdown stops the executor: running tasks finish, idle workers
-// exit and destroy their GPU contexts, queued submissions fail with
-// ErrShutdown.
+// exit in pool order and destroy their GPU contexts, queued
+// submissions fail with ErrShutdown.
 func (h *HTEX) Shutdown() {
 	if !h.started {
 		return
 	}
 	h.started = false
 	h.provisioned = false
-	h.shutdown.Fire(nil)
+	for _, w := range h.workers {
+		w.halt()
+	}
 	for {
-		sub, ok := h.queue.TryRecv()
+		sub, ok := h.queue.TryGet()
 		if !ok {
 			break
 		}
@@ -718,7 +712,6 @@ func (h *HTEX) Restart(p *devent.Proc, accelerators []string, percentages []int)
 		return err
 	}
 	h.cfg = cfg
-	h.queue = devent.NewChan[*submission](h.env, 1<<20)
 	err := h.Start()
 	h.obs.EndSpan(rspan)
 	h.cRestarts.Inc()
@@ -733,8 +726,10 @@ type worker struct {
 	env     map[string]string
 	gpu     *simgpu.Context
 	state   map[string]any
-	kill    *devent.Event
-	retire  *devent.Event
+	// stop fires at the first kill, retire or shutdown; killed and
+	// retired record the first two.
+	stop            devent.Event
+	killed, retired bool
 	// exited fires when the worker leaves the pool.
 	exited devent.Event
 	// sub is the attempt whose app the worker is running, nil between
@@ -751,16 +746,23 @@ type worker struct {
 // workers that have not been scheduled yet.
 func (h *HTEX) newWorker(name string, node *gpuctl.Node) *worker {
 	w := &worker{
-		name:   name,
-		node:   node,
-		obsC:   h.obs,
-		state:  make(map[string]any),
-		env:    map[string]string{},
-		kill:   h.env.NewNamedEvent("kill:" + name),
-		retire: h.env.NewNamedEvent("retire:" + name),
+		name:  name,
+		node:  node,
+		obsC:  h.obs,
+		state: make(map[string]any),
+		env:   map[string]string{},
 	}
+	h.env.InitEvent(&w.stop, "stop:"+name)
 	h.env.InitEvent(&w.exited, "exit:"+name)
 	return w
+}
+
+// halt fires the worker's stop event unless it already fired: an idle
+// worker leaves the queue at once, a busy one after its app returns.
+func (w *worker) halt() {
+	if !w.stop.Fired() {
+		w.stop.Fire(nil)
+	}
 }
 
 // releaseGPU destroys the worker's GPU context, if it holds a live one.
@@ -789,7 +791,7 @@ func (w *worker) GPUContext(p *devent.Proc) (*simgpu.Context, error) {
 	if err != nil {
 		return nil, err
 	}
-	if w.kill.Fired() {
+	if w.killed {
 		// Killed during bring-up: releaseGPU already ran and found no
 		// context, so this one would outlive the worker and collide
 		// with its respawn's allocations under the same name.

@@ -47,7 +47,8 @@ func TestMultiBlockSlurm(t *testing.T) {
 	d.Start()
 	env.Spawn("main", func(p *devent.Proc) {
 		f1, f2 := d.Submit("whoami"), d.Submit("whoami")
-		p.Wait(devent.AllOf(env, f1.Event(), f2.Event()))
+		p.Wait(f1.Event())
+		p.Wait(f2.Event())
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)

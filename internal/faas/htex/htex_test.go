@@ -66,7 +66,9 @@ func TestCPUWorkersRunConcurrently(t *testing.T) {
 		for i := range evs {
 			evs[i] = d.Submit("sleep").Event()
 		}
-		p.Wait(devent.AllOf(r.env, evs...))
+		for _, ev := range evs {
+			p.Wait(ev)
+		}
 		makespan = p.Now()
 	})
 	r.run(t)
@@ -124,7 +126,8 @@ func TestAcceleratorPinningWithPercentages(t *testing.T) {
 			return
 		}
 		f1, f2 := d.Submit("probe"), d.Submit("probe")
-		p.Wait(devent.AllOf(r.env, f1.Event(), f2.Event()))
+		p.Wait(f1.Event())
+		p.Wait(f2.Event())
 	})
 	r.run(t)
 	if len(pcts) != 2 {
@@ -287,7 +290,8 @@ func TestMIGUUIDBinding(t *testing.T) {
 		}})
 		d.Start()
 		f1, f2 := d.Submit("where"), d.Submit("where")
-		p.Wait(devent.AllOf(env, f1.Event(), f2.Event()))
+		p.Wait(f1.Event())
+		p.Wait(f2.Event())
 		if in1.Contexts()+in2.Contexts() != 2 {
 			t.Errorf("instance contexts = %d + %d", in1.Contexts(), in2.Contexts())
 		}

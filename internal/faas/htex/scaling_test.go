@@ -59,8 +59,10 @@ func TestScaleOutAddsCapacity(t *testing.T) {
 		for i := range evs {
 			evs[i] = d.Submit("sleep").Event()
 		}
-		if _, err := p.Wait(devent.AllOf(env, evs...)); err != nil {
-			t.Error(err)
+		for _, ev := range evs {
+			if _, err := p.Wait(ev); err != nil {
+				t.Error(err)
+			}
 		}
 		makespan = p.Now() - start
 	})

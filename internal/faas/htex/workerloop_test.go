@@ -10,16 +10,10 @@ import (
 	"repro/internal/obs"
 )
 
-// listenerCounts snapshots the OnFire slots on a worker's lifecycle
-// events and on the executor-wide shutdown event.
-func listenerCounts(h *HTEX, w *worker) [3]int {
-	return [3]int{w.kill.Listeners(), w.retire.Listeners(), h.shutdown.Listeners()}
-}
-
-// A worker's loop registers on its lifecycle events once, not once per
-// task: after 1000 tasks the listener counts on kill, retire and
-// shutdown are what they were after the first. A kill mid-task still
-// fails that task with ErrWorkerLost and the DFK retries it.
+// An idle worker's wait on the queue registers on its stop event and
+// detaches once it picks a task: after 1000 tasks the stop event holds
+// what it held after the first, at most two slots. A kill mid-task
+// still fails that task with ErrWorkerLost and the DFK retries it.
 func TestWorkerLoopRegistrationsConstant(t *testing.T) {
 	r := newRig(t, 0)
 	ex, err := New(r.env, Config{Label: "cpu", MaxWorkers: 1, Provider: r.local()})
@@ -41,15 +35,15 @@ func TestWorkerLoopRegistrationsConstant(t *testing.T) {
 			return
 		}
 		w := ex.workers[0]
-		first := listenerCounts(ex, w)
+		first := w.stop.Listeners()
 		for i := 1; i < 1000; i++ {
 			if _, err := d.Submit("sleep").Result(p); err != nil {
 				t.Error(err)
 				return
 			}
 		}
-		if got := listenerCounts(ex, w); got != first || got[2] > 1 {
-			t.Errorf("listeners (kill, retire, shutdown) after 1000 tasks = %v, after 1 = %v", got, first)
+		if got := w.stop.Listeners(); got != first || got > 2 {
+			t.Errorf("stop listeners after 1000 tasks = %d, after 1 = %d", got, first)
 		}
 
 		long := d.Submit("long")
@@ -62,8 +56,11 @@ func TestWorkerLoopRegistrationsConstant(t *testing.T) {
 		if err != nil || v != 2 {
 			t.Errorf("killed task: v=%v err=%v, want a successful second try", v, err)
 		}
-		if n := ex.shutdown.Listeners(); n != 1 {
-			t.Errorf("shutdown listeners after kill and restart = %d, want 1", n)
+		if n := w.stop.Listeners(); n != 0 {
+			t.Errorf("killed worker's stop listeners = %d, want 0", n)
+		}
+		if n := ex.workers[0].stop.Listeners(); n != 1 {
+			t.Errorf("restarted idle worker's stop listeners = %d, want 1", n)
 		}
 	})
 	r.run(t)

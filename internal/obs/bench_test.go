@@ -28,23 +28,23 @@ func BenchmarkProcSleepLoopObserved(b *testing.B) {
 	}
 }
 
-// BenchmarkChanPingPongObserved mirrors devent's BenchmarkChanPingPong
-// under an installed observer.
-func BenchmarkChanPingPongObserved(b *testing.B) {
+// BenchmarkQueuePingPongObserved mirrors devent's
+// BenchmarkQueuePingPong under an installed observer.
+func BenchmarkQueuePingPongObserved(b *testing.B) {
 	env := devent.NewEnv()
 	env.SetObserver(obs.New(env))
-	ping := devent.NewChan[int](env, 0)
-	pong := devent.NewChan[int](env, 0)
+	ping := devent.NewQueue[int](env)
+	pong := devent.NewQueue[int](env)
 	env.Spawn("a", func(p *devent.Proc) {
 		for i := 0; i < b.N; i++ {
-			ping.Send(p, i)
-			pong.Recv(p)
+			ping.Put(i)
+			pong.Get(p, nil)
 		}
 	})
 	env.Spawn("b", func(p *devent.Proc) {
 		for i := 0; i < b.N; i++ {
-			ping.Recv(p)
-			pong.Send(p, i)
+			ping.Get(p, nil)
+			pong.Put(i)
 		}
 	})
 	b.ReportAllocs()

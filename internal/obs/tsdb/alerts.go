@@ -595,7 +595,7 @@ func (s *Series) pushFrom(t time.Duration, v float64) {
 }
 
 // Rescans over the samples with T >= cutoff: the ad-hoc query path
-// (view) and the reference the alert engine's sliding windows
+// (DB's query methods) and the reference the alert engine's sliding windows
 // (window.go) are checked against. Callers hold the DB lock.
 
 func (s *Series) latestLocked() (float64, bool) {

@@ -7,58 +7,84 @@ import (
 	"repro/internal/obs"
 )
 
-// view reads the DB without taking its lock: the public query methods
-// lock around it. Windowed functions evaluate over samples with T in
-// [now-window, now]; ok is false when the series is unknown or the
-// window holds too few samples to answer.
-type view struct{ db *DB }
+// Query methods, safe from any goroutine: they take the DB's read lock
+// and evaluate "now" as the newest virtual time written (LastTime),
+// never the simulation clock. Windowed functions evaluate over samples
+// with T in [now-window, now]; ok is false when the series is unknown
+// or the window holds too few samples to answer.
 
-func (v view) scalarFor(name string, labels []obs.Label) *Series {
-	return v.db.series[seriesKey(name, sortLabels(labels))]
+// scalarFor and histFor look a series up; the caller holds the lock.
+func (db *DB) scalarFor(name string, labels []obs.Label) *Series {
+	return db.series[seriesKey(name, sortLabels(labels))]
 }
 
-func (v view) histFor(name string, labels []obs.Label) *histSeries {
-	return v.db.hists[seriesKey(name, sortLabels(labels))]
+func (db *DB) histFor(name string, labels []obs.Label) *histSeries {
+	return db.hists[seriesKey(name, sortLabels(labels))]
 }
 
-func (v view) Latest(name string, labels ...obs.Label) (Sample, bool) {
-	s := v.scalarFor(name, labels)
+func (db *DB) Latest(name string, labels ...obs.Label) (Sample, bool) {
+	if db == nil {
+		return Sample{}, false
+	}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	s := db.scalarFor(name, labels)
 	if s == nil || s.n == 0 {
 		return Sample{}, false
 	}
 	return s.at(s.n - 1), true
 }
 
-func (v view) Rate(name string, window time.Duration, labels ...obs.Label) (float64, bool) {
-	if s := v.scalarFor(name, labels); s != nil {
-		return s.rateLocked(v.db.last - window)
+func (db *DB) Rate(name string, window time.Duration, labels ...obs.Label) (float64, bool) {
+	if db == nil {
+		return 0, false
+	}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if s := db.scalarFor(name, labels); s != nil {
+		return s.rateLocked(db.last - window)
 	}
 	return 0, false
 }
 
-func (v view) Avg(name string, window time.Duration, labels ...obs.Label) (float64, bool) {
-	if s := v.scalarFor(name, labels); s != nil {
-		return s.avgLocked(v.db.last - window)
+func (db *DB) Avg(name string, window time.Duration, labels ...obs.Label) (float64, bool) {
+	if db == nil {
+		return 0, false
+	}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if s := db.scalarFor(name, labels); s != nil {
+		return s.avgLocked(db.last - window)
 	}
 	return 0, false
 }
 
-func (v view) Max(name string, window time.Duration, labels ...obs.Label) (float64, bool) {
-	if s := v.scalarFor(name, labels); s != nil {
-		return s.maxLocked(v.db.last - window)
+func (db *DB) Max(name string, window time.Duration, labels ...obs.Label) (float64, bool) {
+	if db == nil {
+		return 0, false
+	}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if s := db.scalarFor(name, labels); s != nil {
+		return s.maxLocked(db.last - window)
 	}
 	return 0, false
 }
 
-func (v view) Quantile(name string, q float64, window time.Duration, labels ...obs.Label) (float64, bool) {
-	hs := v.histFor(name, labels)
+func (db *DB) Quantile(name string, q float64, window time.Duration, labels ...obs.Label) (float64, bool) {
+	if db == nil {
+		return 0, false
+	}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	hs := db.histFor(name, labels)
 	if hs == nil || hs.n == 0 {
 		return 0, false
 	}
 	// Delta between the newest snapshot and the last snapshot strictly
 	// before the window start (zero baseline when the window reaches
 	// past everything retained).
-	cutoff := v.db.last - window
+	cutoff := db.last - window
 	base := -1
 	for i := hs.n - 1; i >= 0; i-- {
 		if hs.times[hs.slotAt(i)] < cutoff {
@@ -83,55 +109,6 @@ func (v view) Quantile(name string, q float64, window time.Duration, labels ...o
 	return obs.HistogramQuantile(q, hs.bounds, delta[:len(hs.bounds)], total), true
 }
 
-// Public query methods, safe from any goroutine: they evaluate "now"
-// as the newest virtual time written (LastTime), never the simulation
-// clock.
-
-func (db *DB) Latest(name string, labels ...obs.Label) (Sample, bool) {
-	if db == nil {
-		return Sample{}, false
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return view{db}.Latest(name, labels...)
-}
-
-func (db *DB) Rate(name string, window time.Duration, labels ...obs.Label) (float64, bool) {
-	if db == nil {
-		return 0, false
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return view{db}.Rate(name, window, labels...)
-}
-
-func (db *DB) Avg(name string, window time.Duration, labels ...obs.Label) (float64, bool) {
-	if db == nil {
-		return 0, false
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return view{db}.Avg(name, window, labels...)
-}
-
-func (db *DB) Max(name string, window time.Duration, labels ...obs.Label) (float64, bool) {
-	if db == nil {
-		return 0, false
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return view{db}.Max(name, window, labels...)
-}
-
-func (db *DB) Quantile(name string, q float64, window time.Duration, labels ...obs.Label) (float64, bool) {
-	if db == nil {
-		return 0, false
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return view{db}.Quantile(name, q, window, labels...)
-}
-
 // Samples copies out a scalar series' retained samples with T in
 // [from, to] (to <= 0 means "through the newest sample").
 func (db *DB) Samples(name string, from, to time.Duration, labels ...obs.Label) []Sample {
@@ -140,7 +117,7 @@ func (db *DB) Samples(name string, from, to time.Duration, labels ...obs.Label) 
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	s := view{db}.scalarFor(name, labels)
+	s := db.scalarFor(name, labels)
 	if s == nil {
 		return nil
 	}
