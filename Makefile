@@ -263,8 +263,10 @@ chaos-smoke:
 # End-to-end smoke test of the attribution pipeline: run the Table 1
 # bursts instrumented, render the folded-stack artifact, and print the
 # hottest stacks. The exports must come from the bursts table1 printed
-# (no fig45/ scope), and an artifact that exports no runs of its own
-# (fig1) must reject -trace with exit 2.
+# (no fig45/ scope), an artifact that exports no runs of its own
+# (fig1) must reject -trace with exit 2, and artifacts whose runners
+# read no scenario flags must reject them too (fig4 -seed, fig1
+# -tasks: exit 2).
 attrib:
 	@set -e; \
 	$(GO) build -o /tmp/paperbench-attrib ./cmd/paperbench; \
@@ -272,7 +274,11 @@ attrib:
 	if grep -q '"fig45/' ATTRIB_table1.json; then echo "attrib: ATTRIB_table1.json names a fig45/ scope"; exit 1; fi; \
 	rc=0; /tmp/paperbench-attrib fig1 -trace /tmp/x.json > /dev/null 2>&1 || rc=$$?; \
 	test $$rc = 2 || { echo "attrib: fig1 -trace exited $$rc, want 2"; exit 1; }; \
-	echo "wrote ATTRIB_table1.json and FLAME_table1.folded (table1/* scopes only; fig1 rejects -trace); hottest stacks:"; \
+	rc=0; /tmp/paperbench-attrib fig4 -seed 3 > /dev/null 2>&1 || rc=$$?; \
+	test $$rc = 2 || { echo "attrib: fig4 -seed 3 exited $$rc, want 2"; exit 1; }; \
+	rc=0; /tmp/paperbench-attrib fig1 -tasks 5 > /dev/null 2>&1 || rc=$$?; \
+	test $$rc = 2 || { echo "attrib: fig1 -tasks 5 exited $$rc, want 2"; exit 1; }; \
+	echo "wrote ATTRIB_table1.json and FLAME_table1.folded (table1/* scopes only; fig1 rejects -trace, fig4 -seed and fig1 -tasks are rejected); hottest stacks:"; \
 	sort -t' ' -k2 -rn FLAME_table1.folded | head -5
 
 clean:

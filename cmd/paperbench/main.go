@@ -92,11 +92,10 @@ flags:
                    table1, ablations, openloop, repart, attrib, scale
                    and all run platforms; the others take no -chaos
                    (exit 2)
-  -repart SPEC     controller spec for the repart artifact, e.g.
+  -repart SPEC     controller spec, repart only, e.g.
                    -repart policy=knee,interval=10s,delta=5 (keys:
                    policy, mode, interval, tolerance, cooldown, delta,
-                   min, workers); unset keys take defaults, other
-                   artifacts are unaffected
+                   min, workers); unset keys take defaults
   -attrib FILE     their latency attribution report (per-task phase
                    breakdowns + blame profiles) as JSON, tracediff's input
   -flame FILE      their attribution as folded flamegraph stacks
@@ -118,6 +117,9 @@ flags:
                    live span tail per shard or cell. The process keeps
                    serving after the run completes — interrupt it to
                    exit. Without -serve nothing changes.
+
+The scenario flags below are bound only for the artifacts that read
+them; any other artifact rejects them (exit 2).
 
 scale flags:
   -tasks N         total tasks (default 1000000)
@@ -151,9 +153,13 @@ func usage() {
 type group uint
 
 const (
-	platforms   group = 1 << iota // runs platforms: -chaos
-	completions                   // runs the Fig. 4/5 grid: -completions
-	csv                           // runs Fig. 2 or the grid: -csv
+	platforms     group = 1 << iota // runs platforms: -chaos
+	completions                     // runs the Fig. 4/5 grid: -completions
+	csv                             // runs Fig. 2 or the grid: -csv
+	repartSpec                      // the repart controller: -repart
+	scaleShape                      // -tasks -shards -workers -window -arrival -seed
+	fleetShape                      // -gpus80 -gpus40 -apps -arrival -seed -horizon
+	autoscalePool                   // -gpus -seed -horizon
 )
 
 // params holds the parsed flags.
@@ -201,19 +207,19 @@ var artifacts = []artifact{
 	{"ablations", 0, platforms, plain(report.Ablations)},
 	{"mixed", 0, 0, plain(report.MixedTenancy)},
 	{"openloop", 0, platforms, plain(report.OpenLoop)},
-	{"repart", 0, platforms, func(w io.Writer, p *params) (*report.Runs, error) { return nil, report.Repart(w, p.repart) }},
+	{"repart", 0, platforms | repartSpec, func(w io.Writer, p *params) (*report.Runs, error) { return nil, report.Repart(w, p.repart) }},
 	{"attrib", cli.Exports, platforms, func(w io.Writer, p *params) (*report.Runs, error) {
 		return report.Attribution(w, p.observe.SLO)
 	}},
-	{"scale", cli.Trace | cli.Sample | cli.RulePack, platforms, runScale},
-	{"fleet", cli.RulePack, 0, func(w io.Writer, p *params) (*report.Runs, error) {
+	{"scale", cli.Trace | cli.Sample | cli.RulePack, platforms | scaleShape, runScale},
+	{"fleet", cli.RulePack, fleetShape, func(w io.Writer, p *params) (*report.Runs, error) {
 		return nil, report.Fleet(w, report.FleetOptions{
 			GPUs80: p.gpus80, GPUs40: p.gpus40, Apps: p.apps,
 			Duration: p.horizon, ArrivalRate: p.arrival, Seed: p.seed,
 			Attach: p.tel.Attach(), Alerts: p.alerts,
 		})
 	}},
-	{"autoscale", cli.RulePack, 0, func(w io.Writer, p *params) (*report.Runs, error) {
+	{"autoscale", cli.RulePack, autoscalePool, func(w io.Writer, p *params) (*report.Runs, error) {
 		return nil, report.Autoscale(w, report.AutoscaleOptions{
 			GPUs: p.gpus, Horizon: p.horizon, Seed: p.seed,
 			Attach: p.tel.Attach(), Alerts: p.alerts,
@@ -262,18 +268,32 @@ func bind(a *artifact, fs *flag.FlagSet) *params {
 		fs.StringVar(&p.chaos, "chaos", "", "seeded fault-injection spec, e.g. seed=7,rate=0.5")
 	}
 	fs.IntVar(&p.parallel, "parallel", runtime.NumCPU(), "max independent scenarios run concurrently")
-	fs.StringVar(&p.repartFlag, "repart", "", "repartitioning-controller spec, e.g. policy=knee,interval=10s")
-	fs.IntVar(&p.tasks, "tasks", 0, "scale: total tasks (default 1000000)")
-	fs.IntVar(&p.shards, "shards", 0, "scale: independent platform shards (default 8)")
-	fs.IntVar(&p.workers, "workers", 0, "scale: CPU workers per shard (default 16)")
-	fs.IntVar(&p.window, "window", 0, "scale: in-flight submissions per shard (default 64)")
-	fs.Float64Var(&p.arrival, "arrival", 0, "scale: per-shard offered load in tasks/sec (default 8000)")
-	fs.Int64Var(&p.seed, "seed", 0, "scale/fleet: RNG seed (default 1)")
-	fs.IntVar(&p.gpus80, "gpus80", 0, "fleet: A100-80GB parts (default 64)")
-	fs.IntVar(&p.gpus40, "gpus40", 0, "fleet: A100-40GB parts (default 64)")
-	fs.IntVar(&p.apps, "apps", 0, "fleet: distinct applications (default 56)")
-	fs.DurationVar(&p.horizon, "horizon", 0, "fleet/autoscale: arrival horizon on the virtual clock")
-	fs.IntVar(&p.gpus, "gpus", 0, "autoscale: provider pool size (default 6)")
+	if a.flags&repartSpec != 0 {
+		fs.StringVar(&p.repartFlag, "repart", "", "repartitioning-controller spec, e.g. policy=knee,interval=10s")
+	}
+	if a.flags&scaleShape != 0 {
+		fs.IntVar(&p.tasks, "tasks", 0, "total tasks (default 1000000)")
+		fs.IntVar(&p.shards, "shards", 0, "independent platform shards (default 8)")
+		fs.IntVar(&p.workers, "workers", 0, "CPU workers per shard (default 16)")
+		fs.IntVar(&p.window, "window", 0, "in-flight submissions per shard (default 64)")
+	}
+	if a.flags&fleetShape != 0 {
+		fs.IntVar(&p.gpus80, "gpus80", 0, "A100-80GB parts (default 64)")
+		fs.IntVar(&p.gpus40, "gpus40", 0, "A100-40GB parts (default 64)")
+		fs.IntVar(&p.apps, "apps", 0, "distinct applications (default 56)")
+	}
+	if a.flags&autoscalePool != 0 {
+		fs.IntVar(&p.gpus, "gpus", 0, "provider pool size (default 6)")
+	}
+	if a.flags&(scaleShape|fleetShape) != 0 {
+		fs.Float64Var(&p.arrival, "arrival", 0, "offered load: tasks/sec per scale shard (default 8000), tenant arrivals/sec in fleet")
+	}
+	if a.flags&(scaleShape|fleetShape|autoscalePool) != 0 {
+		fs.Int64Var(&p.seed, "seed", 0, "RNG seed (default 1)")
+	}
+	if a.flags&(fleetShape|autoscalePool) != 0 {
+		fs.DurationVar(&p.horizon, "horizon", 0, "arrival horizon on the virtual clock")
+	}
 	return p
 }
 

@@ -92,3 +92,32 @@ func TestBindFollowsTable(t *testing.T) {
 		t.Error("fig1 accepted -trace")
 	}
 }
+
+// TestScenarioFlagsFollowRunners parses every scenario flag for every
+// artifact: it must parse exactly where that artifact's runner reads
+// it (scale's ScaleOptions, fleet's FleetOptions, autoscale's
+// AutoscaleOptions, repart's controller spec) and exit 2 elsewhere.
+func TestScenarioFlagsFollowRunners(t *testing.T) {
+	reads := map[string][]string{
+		"repart":    {"repart"},
+		"scale":     {"tasks", "shards", "workers", "window", "arrival", "seed"},
+		"fleet":     {"gpus80", "gpus40", "apps", "arrival", "seed", "horizon"},
+		"autoscale": {"gpus", "seed", "horizon"},
+	}
+	values := map[string]string{
+		"repart": "policy=knee", "tasks": "5", "shards": "2", "workers": "3",
+		"window": "4", "arrival": "10", "seed": "3", "gpus80": "2",
+		"gpus40": "2", "apps": "6", "horizon": "1m", "gpus": "4",
+	}
+	for _, a := range artifacts {
+		for flagName, v := range values {
+			fs := flag.NewFlagSet(a.name, flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			bind(&a, fs)
+			err := fs.Parse([]string{"-" + flagName, v})
+			if want := slices.Contains(reads[a.name], flagName); (err == nil) != want {
+				t.Errorf("%s -%s %s: parse error %v, want parsed = %v", a.name, flagName, v, err, want)
+			}
+		}
+	}
+}

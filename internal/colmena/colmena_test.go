@@ -151,20 +151,23 @@ func TestThinkerAgentsJoin(t *testing.T) {
 	env, ts := newServer(t)
 	ts.RegisterMethod("id", "cpu", func(inv *faas.Invocation) (any, error) { return inv.Arg(0), nil })
 	total, joined := 0, false
-	submitter := env.Spawn("agent:submitter", func(p *devent.Proc) {
+	submitted, consumed := env.NewEvent(), env.NewEvent()
+	env.Spawn("agent:submitter", func(p *devent.Proc) {
 		for i := 0; i < 5; i++ {
 			ts.Submit("r", "id", i)
 		}
+		submitted.Fire(nil)
 	})
-	consumer := env.Spawn("agent:consumer", func(p *devent.Proc) {
+	env.Spawn("agent:consumer", func(p *devent.Proc) {
 		for i := 0; i < 5; i++ {
 			r := ts.Queues().Recv(p, "r")
 			total += r.Value.(int)
 		}
+		consumed.Fire(nil)
 	})
 	env.Spawn("main", func(p *devent.Proc) {
-		p.Wait(submitter.Done())
-		p.Wait(consumer.Done())
+		p.Wait(submitted)
+		p.Wait(consumed)
 		joined = true
 	})
 	if err := env.Run(); err != nil {

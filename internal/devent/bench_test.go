@@ -32,16 +32,20 @@ func BenchmarkProcSleepLoop(b *testing.B) {
 }
 
 // BenchmarkSpawnExit measures a short-lived proc's whole life — spawn,
-// first handoff, exit, Done — as the per-task body and launch procs
-// of the FaaS layer pay it, awaited by a long-lived driver.
+// first handoff, exit — as the per-task launch procs of the FaaS layer
+// pay it, awaited by a long-lived driver through an event the child
+// fires last.
 func BenchmarkSpawnExit(b *testing.B) {
 	env := NewEnv()
 	defer env.Close()
-	body := func(*Proc) {}
+	var done *Event
+	body := func(*Proc) { done.Fire(nil) }
 	b.ReportAllocs()
 	env.Spawn("driver", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			p.Wait(env.Spawn("child", body).Done())
+			done = env.NewEvent()
+			env.Spawn("child", body)
+			p.Wait(done)
 		}
 	})
 	b.ResetTimer()

@@ -55,11 +55,10 @@ func (e *Env) newProcG() *procG {
 // failure. When Close unwinds a parked proc, the unwind panic ends up
 // here and is dropped, as is a panic in one of the body's deferred
 // calls, since every result has been read by then: the unwound proc
-// neither fires Done nor reports an exit. A body that calls
-// runtime.Goexit itself (t.Fatal in a test) exits like one that
-// returns, then yields from the middle of its Goexit for handoff to
-// finish the coroutine off the scheduler: iter.Pull re-raises a Goexit
-// in whoever resumes it.
+// reports no exit. A body that calls runtime.Goexit itself (t.Fatal in
+// a test) exits like one that returns, then yields from the middle of
+// its Goexit for handoff to finish the coroutine off the scheduler:
+// iter.Pull re-raises a Goexit in whoever resumes it.
 func (e *Env) body(g *procG) {
 	p := g.p
 	returned := false
@@ -75,10 +74,7 @@ func (e *Env) body(g *procG) {
 		p.g = nil
 		e.live.remove(p)
 		if e.obs != nil {
-			e.obs.ProcExited(p.Name(), e.now)
-		}
-		if !p.done.Fired() {
-			p.done.Fire(nil)
+			e.obs.ProcExited()
 		}
 		if r == nil && !returned {
 			g.goexit = true

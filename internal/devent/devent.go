@@ -90,11 +90,11 @@ func (e *Env) EventsDispatched() int64 { return e.dispatched }
 // nil check.
 type Observer interface {
 	// ProcSpawned fires when Spawn registers a new proc.
-	ProcSpawned(name string, at time.Duration)
+	ProcSpawned()
 	// ProcExited fires when a proc's body returns.
-	ProcExited(name string, at time.Duration)
+	ProcExited()
 	// Dispatched fires for every event popped from the queue.
-	Dispatched(at time.Duration)
+	Dispatched()
 }
 
 // SetObserver installs (or, with nil, removes) the scheduler observer.
@@ -123,7 +123,6 @@ type Timer struct {
 	env  *Env
 	item *queueItem
 	gen  uint64
-	at   time.Duration
 }
 
 // Cancel prevents the timer's callback from running. It reports whether
@@ -145,15 +144,6 @@ func (t *Timer) Cancel() bool {
 // Active reports whether the timer is still pending.
 func (t *Timer) Active() bool {
 	return t != nil && t.item != nil && t.gen == t.item.gen && t.item.fn != nil
-}
-
-// When reports the virtual time at which the timer fires (or fired).
-// A nil or zero Timer reports 0.
-func (t *Timer) When() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return t.at
 }
 
 // Schedule runs fn at Now()+delay. A negative delay is treated as zero.
@@ -185,7 +175,7 @@ func (e *Env) ArmAt(t *Timer, at time.Duration, fn func()) {
 	}
 	it := e.newItem(at, fn, nil)
 	e.push(it)
-	*t = Timer{env: e, item: it, gen: it.gen, at: at}
+	*t = Timer{env: e, item: it, gen: it.gen}
 }
 
 // scheduleFn is ScheduleAt without the Timer handle, for internal
@@ -334,7 +324,7 @@ func (e *Env) Run() error {
 		e.release(it)
 		e.dispatched++
 		if e.obs != nil {
-			e.obs.Dispatched(e.now)
+			e.obs.Dispatched()
 		}
 		if fn != nil {
 			fn()
@@ -443,13 +433,11 @@ type Proc struct {
 	env  *Env
 	id   int64
 	base string
-	name string // formatted lazily from base+id
 	// g is the coroutine running the body; nil once the body returned.
 	g      *procG
 	parked bool
 	dead   bool
 	daemon bool
-	done   Event
 	// prev and next link the proc into Env.live while its body runs.
 	prev, next *Proc
 }
@@ -503,12 +491,10 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 
 // SpawnBody starts a new process executing b.Run. The process begins
 // running at the current virtual time (after the caller yields
-// control). The returned Proc's Done event fires when Run returns. On
-// a closed Env the proc never runs.
+// control). On a closed Env the proc never runs.
 func (e *Env) SpawnBody(name string, b Body) *Proc {
 	e.nextPID++
 	p := &Proc{env: e, id: e.nextPID, base: name}
-	e.InitEvent(&p.done, "")
 	if e.closed {
 		p.dead = true
 		return p
@@ -524,7 +510,7 @@ func (e *Env) SpawnBody(name string, b Body) *Proc {
 	p.g = g
 	e.live.push(p)
 	if e.obs != nil {
-		e.obs.ProcSpawned(p.Name(), e.now)
+		e.obs.ProcSpawned()
 	}
 	e.scheduleProc(0, p)
 	return p
@@ -596,18 +582,10 @@ func (e *Env) Close() {
 func (p *Proc) Env() *Env { return p.env }
 
 // Name returns the proc's unique name ("base#id").
-func (p *Proc) Name() string {
-	if p.name == "" {
-		p.name = fmt.Sprintf("%s#%d", p.base, p.id)
-	}
-	return p.name
-}
+func (p *Proc) Name() string { return fmt.Sprintf("%s#%d", p.base, p.id) }
 
 // Now reports the current virtual time.
 func (p *Proc) Now() time.Duration { return p.env.now }
-
-// Done returns the event fired when the proc's body returns.
-func (p *Proc) Done() *Event { return &p.done }
 
 // Sleep blocks the proc for d of virtual time. Non-positive durations
 // yield (the proc re-queues at the current time).

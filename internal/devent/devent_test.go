@@ -66,21 +66,29 @@ func TestTimerCancel(t *testing.T) {
 }
 
 // TestArmAtReArmsInPlace pins the caller-owned timer contract: a
-// re-arm replaces the pending item, Active and When follow the latest
-// arm, and a stale copy of the handle cannot cancel anything once its
-// item is replaced or recycled.
+// re-arm replaces the pending item, Active and the firing time follow
+// the latest arm, and a stale copy of the handle cannot cancel
+// anything once its item is replaced or recycled.
 func TestArmAtReArmsInPlace(t *testing.T) {
 	env := NewEnv()
+	var nilT *Timer
 	var tm Timer
-	if tm.Active() || tm.When() != 0 || tm.Cancel() {
-		t.Fatal("the zero Timer must be inactive")
+	if nilT.Active() || nilT.Cancel() || tm.Active() || tm.Cancel() {
+		t.Fatal("the nil and zero Timers must be inactive")
 	}
 	var fired []string
-	env.ArmAt(&tm, 3*time.Second, func() { fired = append(fired, "first") })
+	var at []time.Duration
+	arm := func(when time.Duration, name string) {
+		env.ArmAt(&tm, when, func() {
+			fired = append(fired, name)
+			at = append(at, env.Now())
+		})
+	}
+	arm(3*time.Second, "first")
 	stale := tm
-	env.ArmAt(&tm, 2*time.Second, func() { fired = append(fired, "second") })
-	if !tm.Active() || tm.When() != 2*time.Second {
-		t.Fatalf("after re-arm: active=%v when=%v, want true 2s", tm.Active(), tm.When())
+	arm(2*time.Second, "second")
+	if !tm.Active() {
+		t.Fatal("after re-arm: timer inactive")
 	}
 	if stale.Active() || stale.Cancel() {
 		t.Fatal("the replaced arm's handle still controls a pending item")
@@ -91,26 +99,23 @@ func TestArmAtReArmsInPlace(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(fired) != 1 || fired[0] != "second" || tm.Active() || tm.When() != 2*time.Second {
-		t.Fatalf("fired %v, active=%v when=%v; want only the re-arm, at 2s", fired, tm.Active(), tm.When())
+	if len(fired) != 1 || fired[0] != "second" || at[0] != 2*time.Second || tm.Active() {
+		t.Fatalf("fired %v at %v, active=%v; want only the re-arm, at 2s", fired, at, tm.Active())
 	}
 	// Both items are back in the pool (the replaced one was dropped
 	// from the queue head), and the next schedule reuses the replaced
 	// one: neither old handle may reach the item's new owner.
-	fired = nil
+	fired, at = nil, nil
 	fresh := env.Schedule(time.Second, func() { fired = append(fired, "fresh") })
 	if stale.Cancel() || tm.Active() || tm.Cancel() || !fresh.Active() {
 		t.Fatal("a stale handle controls a recycled item")
 	}
-	env.ArmAt(&tm, 0, func() { fired = append(fired, "past") }) // clamped to Now
-	if tm.When() != 2*time.Second {
-		t.Fatalf("past arm When = %v, want Now (2s)", tm.When())
-	}
+	arm(0, "past") // clamped to Now
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(fired) != 2 || fired[0] != "past" || fired[1] != "fresh" {
-		t.Fatalf("fired %v, want [past fresh]", fired)
+	if len(fired) != 2 || fired[0] != "past" || fired[1] != "fresh" || at[0] != 2*time.Second {
+		t.Fatalf("fired %v (past at %v), want [past fresh] with past at Now (2s)", fired, at)
 	}
 }
 
@@ -140,22 +145,6 @@ func TestProcSleep(t *testing.T) {
 	}
 	if wake != 7*time.Second {
 		t.Fatalf("woke at %v", wake)
-	}
-}
-
-func TestProcDoneEvent(t *testing.T) {
-	env := NewEnv()
-	p := env.Spawn("worker", func(p *Proc) { p.Sleep(time.Second) })
-	var doneAt time.Duration = -1
-	env.Spawn("watcher", func(w *Proc) {
-		w.Wait(p.Done())
-		doneAt = w.Now()
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if doneAt != time.Second {
-		t.Fatalf("done observed at %v", doneAt)
 	}
 }
 
@@ -399,11 +388,13 @@ func TestSpawnFromProc(t *testing.T) {
 	var childAt time.Duration = -1
 	env.Spawn("parent", func(p *Proc) {
 		p.Sleep(3 * time.Second)
-		child := p.Env().Spawn("child", func(c *Proc) {
+		done := p.Env().NewEvent()
+		p.Env().Spawn("child", func(c *Proc) {
 			c.Sleep(time.Second)
 			childAt = c.Now()
+			done.Fire(nil)
 		})
-		p.Wait(child.Done())
+		p.Wait(done)
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)

@@ -18,13 +18,8 @@ type Event struct {
 	// awaiting one future); the slice only materialises on fanout.
 	w0      *eventWaiter
 	waiters []*eventWaiter
-	// cbs holds OnFire listeners in registration order. A detached
-	// listener leaves a nil slot (counted in dead) until the slice is
-	// compacted; seq numbers the registrations so a detach finds its
-	// slot after compaction moved it.
-	cbs  []callback
-	seq  uint64
-	dead int
+	// cbs holds OnFire listeners in registration order.
+	cbs []listener
 }
 
 // listener is the closure-free form of an OnFire callback: blocking
@@ -37,18 +32,15 @@ type funcListener func(*Event)
 
 func (f funcListener) fired(ev *Event) { f(ev) }
 
-type callback struct {
-	l   listener
-	seq uint64
-}
-
 // registration is a detachable OnFire listener. Queue.Get, which waits
 // on a long-lived cancel event, detaches its listener once it returns,
-// so the event holds no more listeners than it has live waiters. The zero registration (from an event that had
-// already fired) detaches as a no-op.
+// so the event holds no more listeners than it has live waiters. Only
+// listeners of comparable type (pointers) detach. The zero
+// registration (from an event that had already fired) detaches as a
+// no-op.
 type registration struct {
-	ev  *Event
-	seq uint64
+	ev *Event
+	l  listener
 }
 
 // listen registers l, running it at once if the event already fired.
@@ -57,49 +49,29 @@ func (ev *Event) listen(l listener) registration {
 		l.fired(ev)
 		return registration{}
 	}
-	ev.seq++
-	ev.cbs = append(ev.cbs, callback{l, ev.seq})
-	return registration{ev, ev.seq}
+	ev.cbs = append(ev.cbs, l)
+	return registration{ev, l}
 }
 
-// detach removes the listener unless the event fired (which consumed
-// it). Slots are freed lazily: once half of them are dead the slice is
-// compacted in place, keeping registration order.
+// detach removes the listener, keeping the order of the rest, unless
+// the event fired (which consumed it). The scan runs backwards: the
+// listener detaching is usually the newest.
 func (r registration) detach() {
-	ev := r.ev
-	if ev == nil || ev.fired {
+	if r.ev == nil {
 		return
 	}
-	lo, hi := 0, len(ev.cbs)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if ev.cbs[m].seq < r.seq {
-			lo = m + 1
-		} else {
-			hi = m
+	cbs := r.ev.cbs
+	for i := len(cbs) - 1; i >= 0; i-- {
+		if cbs[i] == r.l {
+			r.ev.cbs = append(cbs[:i], cbs[i+1:]...)
+			cbs[len(cbs)-1] = nil
+			return
 		}
-	}
-	if lo == len(ev.cbs) || ev.cbs[lo].seq != r.seq || ev.cbs[lo].l == nil {
-		return
-	}
-	ev.cbs[lo].l = nil
-	ev.dead++
-	if 2*ev.dead >= len(ev.cbs) {
-		live := ev.cbs[:0]
-		for _, c := range ev.cbs {
-			if c.l != nil {
-				live = append(live, c)
-			}
-		}
-		clear(ev.cbs[len(live):])
-		ev.cbs = live
-		ev.dead = 0
 	}
 }
 
-// Listeners reports how many OnFire slots the event holds, detached
-// ones not yet compacted included; compaction keeps it at most twice
-// the live listeners. Tests bound it to catch registration leaks.
+// Listeners reports how many OnFire listeners the event holds. Tests
+// bound it to catch registration leaks.
 func (ev *Event) Listeners() int { return len(ev.cbs) }
 
 // eventWaiter links one parked proc to the event it awaits. Waiters
@@ -261,11 +233,8 @@ func (ev *Event) fire(v any, err error) {
 	}
 	cbs := ev.cbs
 	ev.cbs = nil
-	ev.dead = 0
-	for _, cb := range cbs {
-		if cb.l != nil {
-			cb.l.fired(ev)
-		}
+	for _, l := range cbs {
+		l.fired(ev)
 	}
 }
 

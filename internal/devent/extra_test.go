@@ -39,43 +39,6 @@ func TestScheduleFromCallback(t *testing.T) {
 	}
 }
 
-func TestTimerWhen(t *testing.T) {
-	env := NewEnv()
-	tm := env.Schedule(3*time.Second, func() {})
-	if tm.When() != 3*time.Second {
-		t.Fatalf("when = %v", tm.When())
-	}
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTimerWhenNilSafety(t *testing.T) {
-	var nilT *Timer
-	if nilT.When() != 0 {
-		t.Fatalf("nil timer When = %v", nilT.When())
-	}
-	if nilT.Active() || nilT.Cancel() {
-		t.Fatal("nil timer reported active/cancellable")
-	}
-	var zero Timer
-	if zero.When() != 0 {
-		t.Fatalf("zero timer When = %v", zero.When())
-	}
-	env := NewEnv()
-	tm := env.Schedule(5*time.Second, func() {})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// A fired timer must still report its deadline, not crash.
-	if tm.When() != 5*time.Second {
-		t.Fatalf("fired timer When = %v", tm.When())
-	}
-	if tm.Active() {
-		t.Fatal("fired timer still active")
-	}
-}
-
 func TestStaleTimerHandleAfterReuse(t *testing.T) {
 	env := NewEnv()
 	t1 := env.Schedule(time.Second, func() {})

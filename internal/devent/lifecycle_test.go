@@ -11,12 +11,12 @@ import (
 // against one long-lived cancel event.
 const leakOps = 10_000
 
-// maxListeners bounds the slots a long-lived event may hold while at
+// maxListeners bounds the listeners a long-lived event may hold while at
 // most one operation waits on it at a time.
-const maxListeners = 2
+const maxListeners = 1
 
 // Each completed Get detaches from its cancel event, so 10k gets
-// against one never-firing cancel leave it (nearly) empty.
+// against one never-firing cancel leave it empty.
 func TestRecvOrDetachesFromCancel(t *testing.T) {
 	env := NewEnv()
 	c := NewQueue[int](env)
@@ -46,20 +46,31 @@ func TestRecvOrDetachesFromCancel(t *testing.T) {
 	}
 }
 
+// orderListener records its index when it fires. It is a pointer, as
+// a detachable listener must be.
+type orderListener struct {
+	i   int
+	got *[]int
+}
+
+func (l *orderListener) fired(*Event) { *l.got = append(*l.got, l.i) }
+
 // Detaching one listener keeps the others firing in registration
-// order, across compactions.
+// order.
 func TestDetachKeepsListenerOrder(t *testing.T) {
 	env := NewEnv()
 	ev := env.NewEvent()
 	var got []int
 	var regs []registration
 	for i := 0; i < 8; i++ {
-		i := i
-		regs = append(regs, ev.listen(funcListener(func(*Event) { got = append(got, i) })))
+		regs = append(regs, ev.listen(&orderListener{i, &got}))
 	}
 	for _, i := range []int{1, 2, 5, 6, 0} {
 		regs[i].detach()
 		regs[i].detach() // a second detach is a no-op
+	}
+	if n := ev.Listeners(); n != 3 {
+		t.Fatalf("%d listeners after detaching 5 of 8, want 3", n)
 	}
 	ev.OnFire(func(*Event) { got = append(got, 8) })
 	ev.Fire(nil)
@@ -111,22 +122,20 @@ func settledGoroutines(want int) int {
 }
 
 // Close unwinds parked and never-started procs, leaving no goroutine
-// behind; unwound procs fire no Done.
+// behind.
 func TestCloseLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	env := NewEnv()
 	gate := env.NewEvent()
 	c := NewQueue[int](env)
 	unwound := 0
-	var parked []*Proc
-	for i := 0; i < 10; i++ {
-		p := env.Spawn("parked", func(p *Proc) {
+	const parked = 10
+	for i := 0; i < parked; i++ {
+		env.Spawn("parked", func(p *Proc) {
 			defer func() { unwound++ }()
 			p.Wait(gate)
 			t.Error("parked proc resumed")
-		})
-		p.SetDaemon(true)
-		parked = append(parked, p)
+		}).SetDaemon(true)
 		env.Spawn("receiver", func(p *Proc) { c.Get(p, nil) }).SetDaemon(true)
 	}
 	for i := 0; i < 50; i++ {
@@ -142,13 +151,8 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 	if got := settledGoroutines(before); got > before {
 		t.Fatalf("goroutines: %d before, %d after Close", before, got)
 	}
-	if unwound != len(parked) {
-		t.Fatalf("deferred calls ran in %d of %d unwound procs", unwound, len(parked))
-	}
-	for _, p := range parked {
-		if p.Done().Fired() {
-			t.Fatal("unwound proc fired Done")
-		}
+	if unwound != parked {
+		t.Fatalf("deferred calls ran in %d of %d unwound procs", unwound, parked)
 	}
 	if env.Now() != time.Second {
 		t.Fatalf("Now after Close = %v", env.Now())
@@ -156,9 +160,7 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 	if err := env.Run(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Run after Close = %v, want ErrClosed", err)
 	}
-	if p := env.Spawn("late", func(*Proc) { t.Error("proc on closed env ran") }); p.Done().Fired() {
-		t.Fatal("late proc fired Done")
-	}
+	env.Spawn("late", func(*Proc) { t.Error("proc on closed env ran") })
 	if got := settledGoroutines(before); got > before {
 		t.Fatalf("Spawn after Close started a goroutine: %d, want %d", got, before)
 	}
@@ -192,30 +194,22 @@ func TestClosePanickingDefer(t *testing.T) {
 }
 
 // A deferred recover that swallows the unwind panic does not keep a
-// proc alive: Close still unwinds it, its Done stays unfired and its
-// coroutine ends.
+// proc alive: Close still unwinds it and its coroutine ends.
 func TestCloseRecoveringDefer(t *testing.T) {
 	before := runtime.NumGoroutine()
 	env := NewEnv()
 	gate := env.NewEvent()
-	var procs []*Proc
 	for i := 0; i < 3; i++ {
-		procs = append(procs, env.Spawn("recovering", func(p *Proc) {
+		env.Spawn("recovering", func(p *Proc) {
 			defer func() { recover() }()
 			p.Wait(gate)
 			t.Error("parked proc resumed")
-		}))
-		procs[i].SetDaemon(true)
+		}).SetDaemon(true)
 	}
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
 	env.Close()
-	for _, p := range procs {
-		if p.Done().Fired() {
-			t.Fatal("unwound proc fired Done")
-		}
-	}
 	if got := settledGoroutines(before); got > before {
 		t.Fatalf("goroutines: %d before, %d after Close", before, got)
 	}
@@ -229,22 +223,27 @@ func TestProcGoroutinePool(t *testing.T) {
 	env := NewEnv()
 	const burst = 3 * maxIdle
 	env.Spawn("driver", func(p *Proc) {
-		procs := make([]*Proc, burst)
-		for i := range procs {
-			procs[i] = env.Spawn("burst", func(p *Proc) { p.Sleep(time.Millisecond) })
+		done := make([]*Event, burst)
+		for i := range done {
+			done[i] = env.NewEvent()
+			env.Spawn("burst", func(p *Proc) {
+				p.Sleep(time.Millisecond)
+				done[i].Fire(nil)
+			})
 		}
-		for _, bp := range procs {
-			p.Wait(bp.Done())
+		for _, ev := range done {
+			p.Wait(ev)
 		}
 		if env.nidle != maxIdle {
 			t.Errorf("idle coroutines after a %d-proc burst = %d, want the cap %d", burst, env.nidle, maxIdle)
 		}
 		g := env.idle
-		reused := env.Spawn("reuse", func(*Proc) {})
+		reusedDone := env.NewEvent()
+		reused := env.Spawn("reuse", func(*Proc) { reusedDone.Fire(nil) })
 		if reused.g != g {
 			t.Error("Spawn did not take the idle coroutine")
 		}
-		p.Wait(reused.Done())
+		p.Wait(reusedDone)
 		if env.idle != g {
 			t.Error("reused coroutine did not return to the pool")
 		}
@@ -261,34 +260,46 @@ func TestProcGoroutinePool(t *testing.T) {
 }
 
 // A body that calls runtime.Goexit (t.Fatal) exits like one that
-// returns: its Done fires, the scheduler does not hang, and its
-// coroutine ends.
+// returns: its deferred calls run, it leaves the live list, the
+// scheduler does not hang, and its coroutine ends.
 func TestProcGoexit(t *testing.T) {
 	before := runtime.NumGoroutine()
 	env := NewEnv()
-	exited := env.Spawn("goexit", func(*Proc) { runtime.Goexit() })
+	exited := env.NewEvent()
+	env.Spawn("goexit", func(*Proc) {
+		defer exited.Fire(nil)
+		runtime.Goexit()
+	})
 	ran := false
 	env.Spawn("after", func(p *Proc) {
-		p.Wait(exited.Done())
+		p.Wait(exited)
 		ran = true
 	})
 	if err := env.Run(); err != nil || !ran {
 		t.Fatalf("after Goexit: err=%v ran=%v", err, ran)
+	}
+	if env.live.head != nil {
+		t.Fatalf("proc %s still live after Run", env.live.head.Name())
 	}
 	if got := settledGoroutines(before); got > before {
 		t.Fatalf("goroutines: %d before, %d after Run", before, got)
 	}
 }
 
-// A reused Spawn -> exit cycle allocates only the Proc, which embeds
-// its Done event: the coroutine, the queue item, the waiter and the
-// live-list link are all recycled.
+// A reused Spawn -> exit cycle allocates only the Proc: the coroutine,
+// the queue item and the live-list link are all recycled. The child's
+// last statement hands the driver a token through a queue, whose
+// waiter is pooled.
 func TestSpawnExitAllocs(t *testing.T) {
 	env := NewEnv()
-	body := func(*Proc) {}
+	exited := NewQueue[struct{}](env)
+	body := func(*Proc) { exited.Put(struct{}{}) }
 	var got float64
 	env.Spawn("driver", func(p *Proc) {
-		cycle := func() { p.Wait(env.Spawn("cycle", body).Done()) }
+		cycle := func() {
+			env.Spawn("cycle", body)
+			exited.Get(p, nil)
+		}
 		// Warm the coroutine pool and free lists; then each cycle may
 		// allocate only the *Proc.
 		cycle()

@@ -5,19 +5,21 @@ import (
 	"time"
 )
 
-// countingObserver records hook invocations.
+// countingObserver records hook invocations and the virtual time of
+// the last one.
 type countingObserver struct {
+	env                         *Env
 	spawned, exited, dispatched int
 	lastAt                      time.Duration
 }
 
-func (o *countingObserver) ProcSpawned(name string, at time.Duration) { o.spawned++; o.lastAt = at }
-func (o *countingObserver) ProcExited(name string, at time.Duration)  { o.exited++; o.lastAt = at }
-func (o *countingObserver) Dispatched(at time.Duration)               { o.dispatched++; o.lastAt = at }
+func (o *countingObserver) ProcSpawned() { o.spawned++; o.lastAt = o.env.Now() }
+func (o *countingObserver) ProcExited()  { o.exited++; o.lastAt = o.env.Now() }
+func (o *countingObserver) Dispatched()  { o.dispatched++; o.lastAt = o.env.Now() }
 
 func TestObserverHooks(t *testing.T) {
 	env := NewEnv()
-	var o countingObserver
+	o := countingObserver{env: env}
 	env.SetObserver(&o)
 	env.Spawn("a", func(p *Proc) {
 		p.Sleep(time.Second)

@@ -192,13 +192,14 @@ func (d *DFK) SetAdmission(fn func(*Task) (shed bool, retryAfter time.Duration))
 func (d *DFK) Submit(appName string, args ...any) *Future {
 	d.nextID++
 	d.ledger.submitted++
-	task := &Task{
+	fut := &Future{task: Task{
 		ID:         d.nextID,
 		App:        appName,
 		Status:     TaskPending,
 		SubmitTime: d.env.Now(),
 		m:          d.metricsFor(appName),
-	}
+	}}
+	task := &fut.task
 	task.Span = d.obs.StartSpan("dfk", "task", task.Track(), 0,
 		obs.Int("task", task.ID),
 		obs.String("app", appName),
@@ -208,8 +209,6 @@ func (d *DFK) Submit(appName string, args ...any) *Future {
 	}
 	task.m.submitted.Inc()
 	d.env.InitEvent(&task.done, "task")
-	task.fut = Future{task: task}
-	fut := &task.fut
 
 	app, ok := d.apps[appName]
 	if !ok {
@@ -262,15 +261,13 @@ func (b *launchBody) Run(p *devent.Proc) {
 // attempt that has a retry left, and finishes the task.
 func (d *DFK) run(p *devent.Proc, task *Task) {
 	l := &task.launch
-	// The App fields other than Fn are the task's App and Executor.
-	app := App{Name: task.App, Executor: task.Executor, Fn: l.fn}
 	for try := 0; ; try++ {
 		task.Tries = try + 1
 		task.Status = TaskLaunched
 		if try > 0 {
 			d.obs.Metrics().Counter("faas_task_retries_total", obs.L("app", task.App)).Inc()
 		}
-		result, err := d.attempt(p, l.ex, task, app, l.args)
+		result, err := d.attempt(p, l.ex, task, l.fn, l.args)
 		if err == nil {
 			task.Status = TaskDone
 			d.finish(task, result)
@@ -288,13 +285,13 @@ func (d *DFK) run(p *devent.Proc, task *Task) {
 
 // attempt makes one dispatch attempt: the dispatch-fault check, then
 // the executor's submission, awaited.
-func (d *DFK) attempt(p *devent.Proc, ex Executor, task *Task, app App, args []any) (any, error) {
+func (d *DFK) attempt(p *devent.Proc, ex Executor, task *Task, fn AppFunc, args []any) (any, error) {
 	if d.dispatchFault != nil {
 		if err := d.dispatchFault(task); err != nil {
 			return nil, err
 		}
 	}
-	return p.Wait(ex.Submit(task, app, args))
+	return p.Wait(ex.Submit(task, fn, args))
 }
 
 // backoff returns the delay before retry number attempt (1-based):

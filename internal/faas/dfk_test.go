@@ -21,7 +21,7 @@ type stubExecutor struct {
 func (s *stubExecutor) Label() string { return s.label }
 func (s *stubExecutor) Start() error  { s.started = true; return nil }
 
-func (s *stubExecutor) Submit(task *Task, app App, args []any) *devent.Event {
+func (s *stubExecutor) Submit(task *Task, fn AppFunc, args []any) *devent.Event {
 	done := s.env.NewEvent()
 	s.n++
 	s.env.Spawn("stub-run", func(p *devent.Proc) {
@@ -30,7 +30,7 @@ func (s *stubExecutor) Submit(task *Task, app App, args []any) *devent.Event {
 		task.Worker = "stub"
 		p.Sleep(s.delay)
 		inv := NewInvocation(p, task, args, nil, nil)
-		res, err := app.Fn(&inv)
+		res, err := fn(&inv)
 		task.EndTime = p.Now()
 		if err != nil {
 			done.Fail(err)
@@ -235,11 +235,11 @@ func TestInvocationWithoutWorker(t *testing.T) {
 
 func TestFutureAccessors(t *testing.T) {
 	env := NewEnvForTest()
-	task := &Task{ID: 7}
+	fut := &Future{task: Task{ID: 7}}
+	task := &fut.task
 	env.InitEvent(&task.done, "task")
 	done := &task.done
-	fut := &Future{task: task}
-	if fut.Done() || fut.Task() != task || fut.Event() != done {
+	if fut.Done() || fut.Task() != task || fut.Task().ID != 7 || fut.Event() != done {
 		t.Fatal("future accessors")
 	}
 	done.Fire("x")

@@ -154,9 +154,8 @@ type Task struct {
 	Span obs.SpanID
 
 	track string
-	// The DFK's task keeps its future, completion event, app
-	// instruments and launch state in the same allocation.
-	fut    Future
+	// The DFK's task keeps its completion event, app instruments and
+	// launch state in the same allocation as its future.
 	done   devent.Event
 	m      *appMetrics
 	launch launch
@@ -257,12 +256,13 @@ type WorkerHandle interface {
 }
 
 // Future is the handle returned by Submit; it fires when the task
-// completes (with its return value) or fails.
-type Future struct{ task *Task }
+// completes (with its return value) or fails. It holds the task
+// itself, so a submission allocates one object for both.
+type Future struct{ task Task }
 
 // Task returns the underlying task record. The DFK keeps no finished
 // tasks, so the future is the caller's handle on it after completion.
-func (f *Future) Task() *Task { return f.task }
+func (f *Future) Task() *Task { return &f.task }
 
 // Event returns the task's completion event, to wait on or attach
 // OnFire callbacks to.
@@ -276,15 +276,19 @@ func (f *Future) Result(p *devent.Proc) (any, error) {
 	return p.Wait(&f.task.done)
 }
 
-// Executor runs tasks. Implementations live in subpackages.
+// Executor runs tasks. Implementations live in subpackages. The DFK
+// submits each dispatch attempt with the app's function, not its App:
+// the task's App and Executor fields already name the app and this
+// executor.
 type Executor interface {
 	// Label is the registry key used by App.Executor.
 	Label() string
 	// Start launches the executor's infrastructure (blocks, workers).
 	Start() error
-	// Submit queues a task; the returned event fires with the app's
-	// return value or fails with its error.
-	Submit(task *Task, app App, args []any) *devent.Event
+	// Submit queues one attempt of task, which runs fn with args; the
+	// returned event fires with fn's return value or fails with its
+	// error.
+	Submit(task *Task, fn AppFunc, args []any) *devent.Event
 }
 
 // Config carries DFK-wide settings (mirrors Parsl's Config object,

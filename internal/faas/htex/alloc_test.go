@@ -18,13 +18,16 @@ func (discardSink) EmitSpan(*obs.Span) {}
 
 // A microtask allocates only what it keeps on its way from Submit
 // through the DFK, the htex queue and worker, and a streaming
-// collector: in steady state, its task, its lane name, its argument
-// slice and boxed argument, its submission, and the proc of its
-// launch (whose body is the task itself, not a closure); the app runs
-// on the worker's proc. That is 6 objects; the budget allows one more,
-// so one more per-task object fails the test.
+// collector: in steady state, its future (which holds its task), its
+// lane name, its argument slice and boxed argument, its submission,
+// and the proc of its launch (whose body is the task itself, not a
+// closure); the app runs on the worker's proc. That is 6 objects; the
+// budget allows one more, so one more per-task object fails the test.
+// The byte bound, with attribute chunks and span-window growth
+// amortised in, likewise catches a field added to a per-task object;
+// it is not checked under -race, which allocates more per task.
 func TestPerTaskAllocationBudget(t *testing.T) {
-	const warm, tasks, window, budget = 2000, 10000, 64, 7
+	const warm, tasks, window, budget, byteBudget = 2000, 10000, 64, 7, 1450
 	r := newRig(t, 0)
 	ex, err := New(r.env, Config{Label: "cpu", MaxWorkers: 16, Provider: r.local()})
 	if err != nil {
@@ -75,8 +78,12 @@ func TestPerTaskAllocationBudget(t *testing.T) {
 	})
 	r.run(t)
 	per := float64(after.Mallocs-before.Mallocs) / tasks
-	t.Logf("%.2f heap allocations per task", per)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / tasks
+	t.Logf("%.2f heap allocations, %.0f B per task", per, bytes)
 	if per > budget {
 		t.Fatalf("%.2f heap allocations per task, budget %d", per, budget)
+	}
+	if bytes > byteBudget && !raceEnabled {
+		t.Fatalf("%.0f B allocated per task, budget %d", bytes, byteBudget)
 	}
 }

@@ -94,13 +94,14 @@ var ErrWorkerLost = errors.New("htex: worker lost")
 var ErrNoWorkers = errors.New("htex: no live workers")
 
 // submission is one dispatch attempt of a task. It owns the attempt's
-// done event (Submit's) and invocation, so a pick allocates nothing. A
+// done event (Submit's) and invocation, so a pick allocates nothing:
+// Submit builds the invocation with the task and its arguments, and
+// the picking worker completes it with its proc and binding. A
 // submission is never reused: a killed worker's orphaned app still
 // holds it.
 type submission struct {
 	task  *faas.Task
-	app   faas.App
-	args  []any
+	fn    faas.AppFunc
 	qspan obs.SpanID
 	done  devent.Event
 	inv   faas.Invocation
@@ -443,8 +444,8 @@ func (h *HTEX) workerStep(p *devent.Proc, w *worker) bool {
 	// depend on: items already due run before the app starts and before
 	// its outcome is delivered.
 	p.Sleep(0)
-	sub.inv = faas.NewInvocation(p, t, sub.args, w.env, w)
-	result, err := sub.app.Fn(&sub.inv)
+	sub.inv = faas.NewInvocation(p, t, sub.inv.Args(), w.env, w)
+	result, err := sub.fn(&sub.inv)
 	if w.killed {
 		// The app ran as the orphan of a killed worker: lose has
 		// already failed the attempt and taken the worker out of the
@@ -624,8 +625,8 @@ func (h *HTEX) failIfStranded() {
 }
 
 // Submit implements faas.Executor.
-func (h *HTEX) Submit(task *faas.Task, app faas.App, args []any) *devent.Event {
-	sub := &submission{task: task, app: app, args: args}
+func (h *HTEX) Submit(task *faas.Task, fn faas.AppFunc, args []any) *devent.Event {
+	sub := &submission{task: task, fn: fn, inv: faas.NewInvocation(nil, task, args, nil, nil)}
 	done := &sub.done
 	h.env.InitEvent(done, "htex-task")
 	if !h.started {

@@ -12,7 +12,7 @@ import (
 
 // An idle worker's wait on the queue registers on its stop event and
 // detaches once it picks a task: after 1000 tasks the stop event holds
-// what it held after the first, at most two slots. A kill mid-task
+// what it held after the first, at most one listener. A kill mid-task
 // still fails that task with ErrWorkerLost and the DFK retries it.
 func TestWorkerLoopRegistrationsConstant(t *testing.T) {
 	r := newRig(t, 0)
@@ -42,7 +42,7 @@ func TestWorkerLoopRegistrationsConstant(t *testing.T) {
 				return
 			}
 		}
-		if got := w.stop.Listeners(); got != first || got > 2 {
+		if got := w.stop.Listeners(); got != first || got > 1 {
 			t.Errorf("stop listeners after 1000 tasks = %d, after 1 = %d", got, first)
 		}
 

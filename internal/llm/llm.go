@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"repro/internal/devent"
-	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/simgpu"
 )
@@ -379,29 +378,6 @@ func (e *Engine) CompleteBatch(p *devent.Proc, promptTokens, outputTokens int) (
 		}
 	}
 	return out, nil
-}
-
-// ServeResult summarizes a batch of completions by one engine.
-type ServeResult struct {
-	Completions int
-	Latencies   metrics.Durations
-	Makespan    time.Duration
-}
-
-// Serve runs n completions back to back, as the paper's "complete a
-// paragraph of text 100 times" workload does per process.
-func (e *Engine) Serve(p *devent.Proc, n, promptTokens, outputTokens int) (*ServeResult, error) {
-	res := &ServeResult{Completions: n}
-	start := p.Now()
-	for i := 0; i < n; i++ {
-		c, err := e.Complete(p, promptTokens, outputTokens)
-		if err != nil {
-			return nil, err
-		}
-		res.Latencies.Add(c.Latency)
-	}
-	res.Makespan = p.Now() - start
-	return res, nil
 }
 
 // Unload releases weights and workspace (process shutdown without

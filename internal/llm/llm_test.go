@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/devent"
+	"repro/internal/metrics"
 	"repro/internal/simgpu"
 )
 
@@ -194,7 +195,7 @@ func TestFourWayMPSContention(t *testing.T) {
 	env := devent.NewEnv()
 	dev := a100(t, env, "gpu0")
 	dev.SetPolicy(simgpu.PolicySpatial)
-	results := make([]*ServeResult, 4)
+	results := make([]*metrics.Durations, 4)
 	for i := 0; i < 4; i++ {
 		i := i
 		env.Spawn("svc", func(p *devent.Proc) {
@@ -204,12 +205,16 @@ func TestFourWayMPSContention(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			r, err := e.Serve(p, 5, 20, 20)
-			if err != nil {
-				t.Error(err)
-				return
+			var lat metrics.Durations
+			for n := 0; n < 5; n++ {
+				c, err := e.Complete(p, 20, 20)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				lat.Add(c.Latency)
 			}
-			results[i] = r
+			results[i] = &lat
 		})
 	}
 	runEnv(t, env)
@@ -220,7 +225,7 @@ func TestFourWayMPSContention(t *testing.T) {
 		// Per-token ≈ max(180 compute, 288 contended mem) + 45 gap ≈
 		// 333 ms ⇒ completion ≈ 6.7 s (some loads are staggered, so
 		// allow early completions to run faster).
-		mean := r.Latencies.Mean()
+		mean := r.Mean()
 		between(t, "contended completion", mean, 5500*time.Millisecond, 7300*time.Millisecond)
 	}
 }

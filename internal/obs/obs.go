@@ -31,6 +31,7 @@ package obs
 import (
 	"math"
 	"slices"
+	"sort"
 	"strconv"
 	"time"
 	"unsafe"
@@ -199,10 +200,9 @@ type Collector struct {
 	attrs []Attr
 
 	// parked holds pinned spans the flush frontier has skipped, in ID
-	// order; parkedIdx resolves their IDs for EndSpan after the window
-	// copy is compacted away.
-	parked    []Span
-	parkedIdx map[SpanID]int
+	// order (advance appends them as it passes them), so span finds
+	// them by binary search after the window copy is compacted away.
+	parked []Span
 
 	nextID        SpanID
 	openCount     int
@@ -367,8 +367,11 @@ func (c *Collector) SetSampleMod(n int) {
 // window copy may be stale or compacted away), then the retained
 // window. Returns nil for flushed or unknown IDs.
 func (c *Collector) span(id SpanID) *Span {
-	if i, ok := c.parkedIdx[id]; ok {
-		return &c.parked[i]
+	if n := len(c.parked); n > 0 && id <= c.parked[n-1].ID {
+		i := sort.Search(n, func(i int) bool { return c.parked[i].ID >= id })
+		if c.parked[i].ID == id {
+			return &c.parked[i]
+		}
 	}
 	if id >= c.winBase {
 		if i := int(id - c.winBase); i < len(c.spans) {
@@ -493,7 +496,7 @@ func (c *Collector) advance() {
 	for c.head < len(c.spans) {
 		s := &c.spans[c.head]
 		if s.pinned {
-			c.park(*s)
+			c.parked = append(c.parked, *s)
 		} else if s.End >= 0 {
 			c.emit(s)
 		} else {
@@ -544,14 +547,6 @@ func (c *Collector) keep(head, tail []Attr) []Attr {
 	i := len(c.attrs)
 	c.attrs = append(append(c.attrs, head...), tail...)
 	return c.attrs[i:len(c.attrs):len(c.attrs)]
-}
-
-func (c *Collector) park(s Span) {
-	if c.parkedIdx == nil {
-		c.parkedIdx = make(map[SpanID]int)
-	}
-	c.parkedIdx[s.ID] = len(c.parked)
-	c.parked = append(c.parked, s)
 }
 
 func (c *Collector) emit(s *Span) {
@@ -756,7 +751,7 @@ func fnv32a(s string) uint32 {
 }
 
 // ProcSpawned implements the devent Observer hook.
-func (c *Collector) ProcSpawned(name string, at time.Duration) {
+func (c *Collector) ProcSpawned() {
 	if c == nil {
 		return
 	}
@@ -765,7 +760,7 @@ func (c *Collector) ProcSpawned(name string, at time.Duration) {
 }
 
 // ProcExited implements the devent Observer hook.
-func (c *Collector) ProcExited(name string, at time.Duration) {
+func (c *Collector) ProcExited() {
 	if c == nil {
 		return
 	}
@@ -774,7 +769,7 @@ func (c *Collector) ProcExited(name string, at time.Duration) {
 
 // Dispatched implements the devent Observer hook; it fires once per
 // executed event and must stay allocation-free.
-func (c *Collector) Dispatched(at time.Duration) {
+func (c *Collector) Dispatched() {
 	if c == nil {
 		return
 	}

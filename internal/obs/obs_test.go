@@ -110,9 +110,9 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	c.AddSpan("x", "y", "z", 0, 0, 0)
 	c.OnSpanEnd(func(Span) {})
 	c.SetScope("s")
-	c.ProcSpawned("p", 0)
-	c.ProcExited("p", 0)
-	c.Dispatched(0)
+	c.ProcSpawned()
+	c.ProcExited()
+	c.Dispatched()
 	if c.Len() != 0 || c.OpenSpans() != 0 || c.Spans() != nil || c.Scope() != "" || c.Metrics() != nil {
 		t.Fatal("nil collector leaked state")
 	}
@@ -141,11 +141,11 @@ func TestAttrConstructors(t *testing.T) {
 
 func TestObserverHooksCount(t *testing.T) {
 	c := New(&fakeClock{})
-	c.ProcSpawned("a", 0)
-	c.ProcSpawned("b", 0)
-	c.ProcExited("a", 0)
+	c.ProcSpawned()
+	c.ProcSpawned()
+	c.ProcExited()
 	for i := 0; i < 5; i++ {
-		c.Dispatched(0)
+		c.Dispatched()
 	}
 	m := c.Metrics()
 	if v := m.Counter("devent_procs_spawned_total").Value(); v != 2 {

@@ -160,7 +160,10 @@ func TestMIGIsolation(t *testing.T) {
 		done := make([]*devent.Event, 0, 2)
 		for _, in := range []*Instance{a, b} {
 			in := in
-			pr := env.Spawn("tenant", func(q *devent.Proc) {
+			ev := env.NewEvent()
+			done = append(done, ev)
+			env.Spawn("tenant", func(q *devent.Proc) {
+				defer ev.Fire(nil)
 				ctx, err := in.NewContext(q, ContextOpts{SkipInit: true})
 				if err != nil {
 					t.Error(err)
@@ -173,13 +176,14 @@ func TestMIGIsolation(t *testing.T) {
 				}
 				sharedEnd = rec.End - base
 			})
-			done = append(done, pr.Done())
 		}
 		for _, ev := range done {
 			p.Wait(ev)
 		}
 		// Solo reference on instance a.
-		pr := env.Spawn("solo", func(q *devent.Proc) {
+		soloDone := env.NewEvent()
+		env.Spawn("solo", func(q *devent.Proc) {
+			defer soloDone.Fire(nil)
 			ctx, _ := a.NewContext(q, ContextOpts{SkipInit: true})
 			start := q.Now()
 			rec, err := ctx.Run(q, k)
@@ -189,7 +193,7 @@ func TestMIGIsolation(t *testing.T) {
 			}
 			soloEnd = rec.End - start
 		})
-		p.Wait(pr.Done())
+		p.Wait(soloDone)
 	})
 	run(t, env)
 	// Compute isolation: running on both instances concurrently takes
@@ -305,7 +309,9 @@ func TestMIGReconfigureUnderLoad(t *testing.T) {
 		in := ins[0]
 		var ctx *Context
 		var elapsed time.Duration
-		tenant := env.Spawn("tenant", func(q *devent.Proc) {
+		tenantDone := env.NewEvent()
+		env.Spawn("tenant", func(q *devent.Proc) {
+			defer tenantDone.Fire(nil)
 			ctx, err = in.NewContext(q, ContextOpts{SkipInit: true})
 			if err != nil {
 				t.Error(err)
@@ -327,7 +333,7 @@ func TestMIGReconfigureUnderLoad(t *testing.T) {
 		if len(dev.instances) != 1 || dev.instances[0] != in {
 			t.Error("layout perturbed by rejected reconfiguration")
 		}
-		p.Wait(tenant.Done())
+		p.Wait(tenantDone)
 		// The rejected admin calls must not have slowed the kernel.
 		near(t, elapsed, time.Second)
 		ctx.Destroy()

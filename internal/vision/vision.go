@@ -8,11 +8,9 @@ package vision
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/devent"
-	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/simgpu"
 )
@@ -104,19 +102,6 @@ func (e *Engine) Infer(p *devent.Proc) (time.Duration, error) {
 		return 0, err
 	}
 	return p.Now() - start, nil
-}
-
-// Serve runs n requests back to back, collecting latencies.
-func (e *Engine) Serve(p *devent.Proc, n int) (*metrics.Durations, error) {
-	var lat metrics.Durations
-	for i := 0; i < n; i++ {
-		l, err := e.Infer(p)
-		if err != nil {
-			return nil, fmt.Errorf("vision: request %d: %w", i, err)
-		}
-		lat.Add(l)
-	}
-	return &lat, nil
 }
 
 // Unload releases the weights.
