@@ -76,7 +76,7 @@ func TestFig3Report(t *testing.T) {
 // autoscale artifacts on their test grids, against
 // testdata/<name>.golden. table1-chaos renders Table 1 under a dense
 // fault schedule, whose worker kills land before a pick as well as
-// mid-task.
+// mid-task; openloop-chaos does the same for the Poisson-arrival rows.
 func TestArtifactGoldens(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -94,6 +94,7 @@ func TestArtifactGoldens(t *testing.T) {
 		{"mixed", MixedTenancy, nil},
 		{"rightsize", Rightsize, nil},
 		{"openloop", OpenLoop, nil},
+		{"openloop-chaos", OpenLoop, &fault.Spec{Seed: 7, Rate: 0.5}},
 		{"repart", func(w io.Writer) error { return Repart(w, repart.Spec{}) }, nil},
 		{"fleet", func(w io.Writer) error { return Fleet(w, fleetTestOptions()) }, nil},
 		{"autoscale", func(w io.Writer) error { return Autoscale(w, autoscaleTestOptions()) }, nil},
