@@ -244,12 +244,16 @@ serve-smoke:
 # through a seeded schedule of worker kills, GPU context losses and
 # submit failures (rate=0.5) and exit 0 — every run also fails on an
 # unbalanced task ledger — and an artifact with no platform to inject
-# into (coldstart) must reject -chaos with exit 2.
+# into (coldstart) must reject -chaos with exit 2. The open-loop rows
+# run sequentially and at the default -parallel, and must print the
+# same bytes both times.
 chaos-smoke:
 	@set -e; \
 	$(GO) build -o /tmp/paperbench-chaos ./cmd/paperbench; \
 	$(GO) build -o /tmp/gpufaas-chaos ./cmd/gpufaas; \
-	/tmp/paperbench-chaos openloop -chaos seed=1,rate=0.5 > /dev/null; \
+	/tmp/paperbench-chaos openloop -chaos seed=1,rate=0.5 > /tmp/chaos-openloop.a.txt; \
+	/tmp/paperbench-chaos openloop -chaos seed=1,rate=0.5 -parallel 1 > /tmp/chaos-openloop.b.txt; \
+	cmp /tmp/chaos-openloop.a.txt /tmp/chaos-openloop.b.txt; \
 	/tmp/paperbench-chaos table1 -chaos seed=1,rate=0.5 > /dev/null; \
 	/tmp/paperbench-chaos ablations -chaos seed=1,rate=0.5 > /dev/null; \
 	/tmp/paperbench-chaos fig3 -chaos seed=1,rate=0.5 > /dev/null; \
@@ -258,7 +262,7 @@ chaos-smoke:
 	/tmp/gpufaas-chaos multiplex -chaos seed=1,rate=0.5 -completions 32 > /dev/null; \
 	rc=0; /tmp/paperbench-chaos coldstart -chaos seed=1 > /dev/null 2>&1 || rc=$$?; \
 	test $$rc = 2 || { echo "chaos-smoke: coldstart -chaos exited $$rc, want 2"; exit 1; }; \
-	echo "chaos-smoke: ok (openloop, table1, ablations, fig3, repart, scale and gpufaas multiplex finished under chaos; coldstart rejects -chaos)"
+	echo "chaos-smoke: ok (openloop, byte-identical across -parallel, table1, ablations, fig3, repart, scale and gpufaas multiplex finished under chaos; coldstart rejects -chaos)"
 
 # End-to-end smoke test of the attribution pipeline: run the Table 1
 # bursts instrumented, render the folded-stack artifact, and print the

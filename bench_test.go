@@ -254,11 +254,11 @@ func BenchmarkOpenLoop_Stability(b *testing.B) {
 		b.Run(string(mode), func(b *testing.B) {
 			var p99 time.Duration
 			for i := 0; i < b.N; i++ {
-				r, err := core.RunOpenLoop(core.OpenLoopConfig{Mode: mode, Processes: 4, ArrivalRate: 0.4, Requests: 40})
+				r, err := core.RunMultiplex(core.MultiplexConfig{Mode: mode, Processes: 4, Completions: 40, ArrivalRate: 0.4})
 				if err != nil {
 					b.Fatal(err)
 				}
-				p99 = r.Latencies.Percentile(99)
+				p99 = r.EndToEnd.Percentile(99)
 			}
 			b.ReportMetric(p99.Seconds(), "p99_s")
 		})

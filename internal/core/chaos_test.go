@@ -144,20 +144,18 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 }
 
-// The open-loop driver rides through GPU context losses and worker
+// Open-loop arrivals ride through GPU context losses and worker
 // kills: a destroyed engine is reloaded on the replacement context,
 // and requests that fail terminally are counted, not fatal.
 func TestOpenLoopUnderChaos(t *testing.T) {
 	spec := fault.Spec{Seed: 1, Rate: 0.5, Kinds: []fault.Kind{fault.KindGPU, fault.KindWorker}}
-	SetChaos(&spec)
-	t.Cleanup(func() { SetChaos(nil) })
 	for _, mode := range []Mode{ModeTimeshare, ModeMPS, ModeMIG} {
-		res, err := RunOpenLoop(OpenLoopConfig{Mode: mode})
+		res, err := RunMultiplex(MultiplexConfig{Mode: mode, Processes: 4, Completions: 60, ArrivalRate: 0.4, Chaos: &spec})
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
-		if got := res.Latencies.N() + res.Failed; got != 60 {
-			t.Errorf("%s: served %d + failed %d of 60 requests", mode, res.Latencies.N(), res.Failed)
+		if got := res.EndToEnd.N() + res.Failed; got != 60 {
+			t.Errorf("%s: served %d + failed %d of 60 requests", mode, res.EndToEnd.N(), res.Failed)
 		}
 	}
 }

@@ -284,7 +284,7 @@ func TestMultiplexValidation(t *testing.T) {
 	if _, err := RunMultiplex(MultiplexConfig{Mode: "bogus", Processes: 2, Completions: 4}); err == nil {
 		t.Error("bogus mode accepted")
 	}
-	if _, err := RunOpenLoop(OpenLoopConfig{Mode: "bogus"}); err == nil || !strings.Contains(err.Error(), "core: unknown mode") {
+	if _, err := RunMultiplex(MultiplexConfig{Mode: "bogus", Processes: 4, Completions: 60, ArrivalRate: 0.4}); err == nil || !strings.Contains(err.Error(), "core: unknown mode") {
 		t.Errorf("open loop, bogus mode: err = %v", err)
 	}
 	if _, err := MIGLayoutFor(5); err == nil {
@@ -394,29 +394,29 @@ func TestRunMolDesignPipelined(t *testing.T) {
 // MPS's (~0.59 req/s), spatial multiplexing is the difference between
 // a stable service and an unbounded backlog.
 func TestOpenLoopStabilityCrossover(t *testing.T) {
-	ts, err := RunOpenLoop(OpenLoopConfig{Mode: ModeTimeshare, Processes: 4, ArrivalRate: 0.4, Requests: 60})
+	ts, err := RunMultiplex(MultiplexConfig{Mode: ModeTimeshare, Processes: 4, Completions: 60, ArrivalRate: 0.4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mps, err := RunOpenLoop(OpenLoopConfig{Mode: ModeMPS, Processes: 4, ArrivalRate: 0.4, Requests: 60})
+	mps, err := RunMultiplex(MultiplexConfig{Mode: ModeMPS, Processes: 4, Completions: 60, ArrivalRate: 0.4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ts.Stable {
-		t.Errorf("timeshare stable at 0.4 req/s with capacity %.3f", ts.ServiceCapacity)
+		t.Errorf("timeshare stable at 0.4 req/s with capacity %.3f", ts.Throughput)
 	}
 	if !mps.Stable {
-		t.Errorf("MPS unstable at 0.4 req/s with capacity %.3f", mps.ServiceCapacity)
+		t.Errorf("MPS unstable at 0.4 req/s with capacity %.3f", mps.Throughput)
 	}
 	// MPS's p99 stays near service latency; timeshare's blows up.
-	if mps.Latencies.Percentile(99) > 20*time.Second {
-		t.Errorf("MPS p99 = %v", mps.Latencies.Percentile(99))
+	if mps.EndToEnd.Percentile(99) > 20*time.Second {
+		t.Errorf("MPS p99 = %v", mps.EndToEnd.Percentile(99))
 	}
-	if ts.Latencies.Percentile(99) < 60*time.Second {
-		t.Errorf("timeshare p99 = %v (backlog missing)", ts.Latencies.Percentile(99))
+	if ts.EndToEnd.Percentile(99) < 60*time.Second {
+		t.Errorf("timeshare p99 = %v (backlog missing)", ts.EndToEnd.Percentile(99))
 	}
 	// Determinism.
-	again, err := RunOpenLoop(OpenLoopConfig{Mode: ModeMPS, Processes: 4, ArrivalRate: 0.4, Requests: 60})
+	again, err := RunMultiplex(MultiplexConfig{Mode: ModeMPS, Processes: 4, Completions: 60, ArrivalRate: 0.4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func TestOpenLoopStabilityCrossover(t *testing.T) {
 // Below every technique's capacity, all are stable.
 func TestOpenLoopAllStableAtLowLoad(t *testing.T) {
 	for _, mode := range []Mode{ModeTimeshare, ModeMPS, ModeMIG} {
-		r, err := RunOpenLoop(OpenLoopConfig{Mode: mode, Processes: 4, ArrivalRate: 0.15, Requests: 30})
+		r, err := RunMultiplex(MultiplexConfig{Mode: mode, Processes: 4, Completions: 30, ArrivalRate: 0.15})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
 	"repro/internal/devent"
@@ -14,15 +15,28 @@ import (
 	"repro/internal/simgpu"
 )
 
-// MultiplexConfig parameterizes the Fig. 4/5 experiment.
+// MultiplexConfig parameterizes the §5.2 serving scenario: N LLaMa-2
+// instances on one A100 under a sharing technique. By default it is
+// the closed burst of Figs. 4/5; a positive ArrivalRate turns it into
+// an open system where requests arrive as a Poisson process.
 type MultiplexConfig struct {
 	// Mode is the sharing technique.
 	Mode Mode
 	// Processes is the number of concurrent model instances (1–4).
 	Processes int
 	// Completions is the total work, divided dynamically across
-	// processes (paper: 100).
+	// processes (paper: 100); with arrivals it is the number of
+	// arrivals.
 	Completions int
+	// ArrivalRate is the offered load in requests/second. Zero submits
+	// every completion at once (the paper's burst); a positive rate
+	// sleeps an exponential gap before each submit, which exposes
+	// stability: a technique whose capacity is below the offered load
+	// builds an unbounded backlog.
+	ArrivalRate float64
+	// Seed drives the exponential inter-arrival draws (default 1;
+	// unused without arrivals).
+	Seed int64
 	// PromptTokens and OutputTokens shape each completion (paper: a
 	// 20-word sentence).
 	PromptTokens, OutputTokens int
@@ -61,6 +75,9 @@ func (c MultiplexConfig) withDefaults() MultiplexConfig {
 	if c.OutputTokens <= 0 {
 		c.OutputTokens = 20
 	}
+	if c.Seed == 0 {
+		c.Seed = 1
+	}
 	if c.Model.Spec.Layers == 0 {
 		c.Model = llm.LLaMa27B()
 	}
@@ -78,9 +95,18 @@ type MultiplexResult struct {
 	PreloadTime time.Duration
 	// Makespan is the total task completion time (Fig. 4).
 	Makespan time.Duration
-	// Latencies are per-completion latencies (Fig. 5 uses the mean).
+	// Latencies are per-completion service latencies (Fig. 5 uses the
+	// mean).
 	Latencies *metrics.Durations
-	// Throughput is completions per second.
+	// EndToEnd are submit-to-end latencies, queueing included, in
+	// submission order until a percentile query sorts them.
+	EndToEnd *metrics.Durations
+	// Stable reports whether the backlog stayed bounded: an unstable
+	// queue (offered load above capacity) shows growing waits, so the
+	// last quartile of submissions waits far longer than the first
+	// (see stableLatencies).
+	Stable bool
+	// Throughput is served completions per second.
 	Throughput float64
 	// Utilization is the device's mean busy-SM fraction during the
 	// measured window.
@@ -105,7 +131,8 @@ func (r *MultiplexResult) MeanLatency() time.Duration { return r.Latencies.Mean(
 
 // RunMultiplex executes the paper's multiplexed-vs-non-multiplexed
 // experiment (§5.2): N concurrent LLaMa-2 service processes on one
-// A100-80GB share 100 text completions under the chosen technique.
+// A100-80GB share 100 text completions under the chosen technique,
+// submitted at once or, with an ArrivalRate, as Poisson arrivals.
 func RunMultiplex(cfg MultiplexConfig) (*MultiplexResult, error) {
 	c := cfg.withDefaults()
 	pl, err := NewPlatform(Options{
@@ -128,6 +155,7 @@ func RunMultiplex(cfg MultiplexConfig) (*MultiplexResult, error) {
 		Processes:   c.Processes,
 		Completions: c.Completions,
 		Latencies:   &metrics.Durations{},
+		EndToEnd:    &metrics.Durations{},
 	}
 
 	pl.registerLLaMa(llamaService{
@@ -158,12 +186,19 @@ func RunMultiplex(cfg MultiplexConfig) (*MultiplexResult, error) {
 		}
 		res.PreloadTime = p.Now() - t0
 
-		// Measured phase: the 100 completions. Under chaos a future
-		// that fails terminally (retries and deadline exhausted) is
-		// counted, not fatal.
+		// Measured phase: the completions, all at once or one per
+		// exponential gap. Under chaos a future that fails terminally
+		// (retries and deadline exhausted) is counted, not fatal.
+		var rng *rand.Rand
+		if c.ArrivalRate > 0 {
+			rng = rand.New(rand.NewSource(c.Seed))
+		}
 		start := p.Now()
 		futs := make([]*faas.Future, c.Completions)
 		for i := range futs {
+			if rng != nil {
+				p.Sleep(time.Duration(rng.ExpFloat64() / c.ArrivalRate * float64(time.Second)))
+			}
 			futs[i] = pl.DFK.Submit("llama-complete")
 		}
 		for _, f := range futs {
@@ -176,6 +211,7 @@ func RunMultiplex(cfg MultiplexConfig) (*MultiplexResult, error) {
 				continue
 			}
 			res.Latencies.Add(v.(time.Duration))
+			res.EndToEnd.Add(f.Task().EndTime - f.Task().SubmitTime)
 		}
 		end := p.Now()
 		res.Makespan = end - start
@@ -186,6 +222,7 @@ func RunMultiplex(cfg MultiplexConfig) (*MultiplexResult, error) {
 	if runErr != nil {
 		return nil, runErr
 	}
+	res.Stable = stableLatencies(res.EndToEnd.Samples())
 	res.ContextSwitches = dev.ContextSwitches()
 	res.Obs = pl.Obs
 	res.Ledger = pl.DFK.Ledger()
@@ -193,4 +230,43 @@ func RunMultiplex(cfg MultiplexConfig) (*MultiplexResult, error) {
 		res.Faults = pl.Injector.Injected()
 	}
 	return res, nil
+}
+
+// Stability test parameters. A queue above capacity shows waits that
+// grow with every arrival, so the mean latency of the last quartile of
+// arrivals ends up a multiple of the first quartile's. The test is
+// purely relative — both means are in seconds and only their ratio
+// matters — with an absolute floor (also in seconds) below which
+// growth is considered jitter, not divergence: doubling from 0.8s to
+// 1.6s on a warm-up transient is not an unbounded backlog.
+const (
+	// stableGrowthLimit is the maximum last/first quartile mean ratio
+	// still considered bounded (dimensionless).
+	stableGrowthLimit = 2.0
+	// stableFloorSeconds exempts runs whose last-quartile mean stays
+	// under this many seconds regardless of ratio.
+	stableFloorSeconds = 5.0
+)
+
+// stableLatencies compares the mean end-to-end latency of the first
+// and last arrival quartiles: bounded backlogs keep the two within
+// stableGrowthLimit of each other, diverging queues do not. Earlier
+// revisions used `last <= 2*max(first,1)+10`, which mixed a unitless
+// slack constant with seconds and declared clearly-diverging short
+// runs stable whenever the absolute waits were still under ~12s.
+func stableLatencies(ordered []time.Duration) bool {
+	q := len(ordered) / 4
+	if q == 0 {
+		return true
+	}
+	mean := func(xs []time.Duration) float64 {
+		var sum float64
+		for _, x := range xs {
+			sum += x.Seconds()
+		}
+		return sum / float64(len(xs))
+	}
+	first := mean(ordered[:q])
+	last := mean(ordered[len(ordered)-q:])
+	return last <= stableFloorSeconds || last <= stableGrowthLimit*first
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/devent"
@@ -63,7 +62,7 @@ func Fig2Sweep(percents []int) (*Fig2Result, error) {
 		return SweepPoint{
 			Model:   sc.name,
 			Percent: pct,
-			SMs:     smsFor(spec.SMs, pct),
+			SMs:     simgpu.PercentSMs(spec.SMs, pct),
 			Latency: lat,
 		}, nil
 	})
@@ -77,13 +76,6 @@ func Fig2Sweep(percents []int) (*Fig2Result, error) {
 func fp32(c llm.Config) llm.Config {
 	c.BytesPerParam = 4
 	return c
-}
-
-func smsFor(deviceSMs, pct int) int {
-	if pct >= 100 {
-		return deviceSMs
-	}
-	return int(math.Ceil(float64(pct) / 100 * float64(deviceSMs)))
 }
 
 // Fig2SinglePoint measures one completion latency at an MPS

@@ -38,7 +38,6 @@ import (
 	"slices"
 
 	"repro/internal/obs"
-	"repro/internal/rightsize"
 	"repro/internal/simgpu"
 )
 
@@ -317,8 +316,8 @@ type grant struct {
 }
 
 func grantOf(domSMs int, d Demand) grant {
-	pct := rightsize.MinGrantingPercent(domSMs, d.SMs)
-	return grant{ok: d.SMs <= domSMs, pct: pct, sms: pctGrant(domSMs, pct)}
+	pct := simgpu.MinPercent(domSMs, d.SMs)
+	return grant{ok: d.SMs <= domSMs, pct: pct, sms: simgpu.PercentSMs(domSMs, pct)}
 }
 
 // prepare fills the class's per-Place scratch for demand d.

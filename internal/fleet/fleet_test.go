@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/devent"
 	"repro/internal/obs"
-	"repro/internal/rightsize"
 	"repro/internal/simgpu"
 )
 
@@ -459,7 +458,7 @@ func migCandidatesRef(g *gpuState, k *specClass, d Demand, consider func(*candid
 		if d.SMs > instSMs {
 			continue
 		}
-		pct := rightsize.MinGrantingPercent(instSMs, d.SMs)
+		pct := simgpu.MinPercent(instSMs, d.SMs)
 		used, mem := 0, int64(0)
 		for _, sh := range in.shares {
 			used += sh.pct
@@ -468,7 +467,7 @@ func migCandidatesRef(g *gpuState, k *specClass, d Demand, consider func(*candid
 		if pct > 100-used || d.MemBytes > in.prof.MemBytes-mem {
 			continue
 		}
-		sh := &share{tenant: d.Tenant, pct: pct, sms: pctGrant(instSMs, pct), mem: d.MemBytes}
+		sh := &share{tenant: d.Tenant, pct: pct, sms: simgpu.PercentSMs(instSMs, pct), mem: d.MemBytes}
 		in.add(sh)
 		delta := gpuFrag(g, k) - before
 		in.drop(len(in.shares) - 1)
@@ -502,7 +501,7 @@ func migCandidatesRef(g *gpuState, k *specClass, d Demand, consider func(*candid
 		return
 	}
 	instSMs := prof.Slices * spec.SMsPerSlice
-	pct := rightsize.MinGrantingPercent(instSMs, d.SMs)
+	pct := simgpu.MinPercent(instSMs, d.SMs)
 	for _, start := range simgpu.MIGStarts(prof.Slices) {
 		if start+prof.Slices > spec.MIGSlices {
 			continue
@@ -518,7 +517,7 @@ func migCandidatesRef(g *gpuState, k *specClass, d Demand, consider func(*candid
 			continue
 		}
 		in := &instance{prof: prof, pi: pi, start: start}
-		in.add(&share{tenant: d.Tenant, pct: pct, sms: pctGrant(instSMs, pct), mem: d.MemBytes})
+		in.add(&share{tenant: d.Tenant, pct: pct, sms: simgpu.PercentSMs(instSMs, pct), mem: d.MemBytes})
 		g.insertInstance(len(g.insts), in)
 		wasMode := g.mode
 		g.mode = modeMIG
@@ -545,7 +544,7 @@ func mpsCandidateRef(g *gpuState, k *specClass, d Demand, consider func(*candida
 	if d.SMs > spec.SMs || d.MemBytes > spec.MemBytes {
 		return
 	}
-	pct := rightsize.MinGrantingPercent(spec.SMs, d.SMs)
+	pct := simgpu.MinPercent(spec.SMs, d.SMs)
 	used, mem := 0, int64(0)
 	for _, sh := range g.mps.shares {
 		used += sh.pct
@@ -555,7 +554,7 @@ func mpsCandidateRef(g *gpuState, k *specClass, d Demand, consider func(*candida
 		return
 	}
 	before := gpuFrag(g, k)
-	sh := &share{tenant: d.Tenant, pct: pct, sms: pctGrant(spec.SMs, pct), mem: d.MemBytes}
+	sh := &share{tenant: d.Tenant, pct: pct, sms: simgpu.PercentSMs(spec.SMs, pct), mem: d.MemBytes}
 	g.mps.add(sh)
 	wasMode := g.mode
 	g.mode = modeMPS

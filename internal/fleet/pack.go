@@ -7,16 +7,6 @@ import (
 	"repro/internal/simgpu"
 )
 
-// pctGrant is the SM grant of an MPS percentage of a domain:
-// ceil(pct·domSMs/100), the CUDA_MPS_ACTIVE_THREAD_PERCENTAGE
-// semantics simgpu implements.
-func pctGrant(domSMs, pct int) int {
-	if pct >= 100 {
-		return domSMs
-	}
-	return (pct*domSMs + 99) / 100
-}
-
 // candidate is one feasible segment for a demand, scored for the
 // greedy choice.
 type candidate struct {

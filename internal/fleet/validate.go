@@ -170,7 +170,7 @@ func validateDomain(gpuID, name string, dom *domain, domSMs int, domMem int64, s
 		if sh.pct < 1 || sh.pct > 100 {
 			return fmt.Errorf("fleet: %s/%s tenant %q has share percentage %d", gpuID, name, sh.tenant, sh.pct)
 		}
-		if sh.sms != pctGrant(domSMs, sh.pct) {
+		if sh.sms != simgpu.PercentSMs(domSMs, sh.pct) {
 			return fmt.Errorf("fleet: %s/%s tenant %q grant %d SMs ≠ ceil(%d%% of %d)", gpuID, name, sh.tenant, sh.sms, sh.pct, domSMs)
 		}
 		pct += sh.pct

@@ -295,14 +295,10 @@ func (c *Controller) perWorkerSMs(ts *tenantState) int {
 		}
 		return spec.SMs
 	}
-	if ts.pct <= 0 || ts.pct >= 100 {
+	if ts.pct <= 0 {
 		return spec.SMs
 	}
-	sms := (ts.pct*spec.SMs + 99) / 100
-	if sms < 1 {
-		sms = 1
-	}
-	return sms
+	return simgpu.PercentSMs(spec.SMs, ts.pct)
 }
 
 // targetSMs right-sizes one tenant's per-worker budget: the knee of

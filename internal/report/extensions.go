@@ -109,8 +109,8 @@ func MixedTenancy(w io.Writer) error {
 func OpenLoop(w io.Writer) error {
 	header(w, "Open-loop serving — Poisson chatbot arrivals at 0.4 req/s, 4 instances")
 	modes := []core.Mode{core.ModeTimeshare, core.ModeMPS, core.ModeMIG}
-	rows, err := harness.Map(len(modes), func(i int) (*core.OpenLoopResult, error) {
-		return core.RunOpenLoop(core.OpenLoopConfig{Mode: modes[i], Processes: 4, ArrivalRate: 0.4, Requests: 60})
+	rows, err := harness.Map(len(modes), func(i int) (*core.MultiplexResult, error) {
+		return core.RunMultiplex(core.MultiplexConfig{Mode: modes[i], Processes: 4, Completions: 60, ArrivalRate: 0.4})
 	})
 	if err != nil {
 		return err
@@ -118,8 +118,8 @@ func OpenLoop(w io.Writer) error {
 	if err := table(w, "technique\tp50 (s)\tp99 (s)\tsustained (req/s)\tstable", func(tw io.Writer) {
 		for i, r := range rows {
 			fmt.Fprintf(tw, "%s\t%.1f\t%.1f\t%.3f\t%v\n", modes[i],
-				r.Latencies.Percentile(50).Seconds(), r.Latencies.Percentile(99).Seconds(),
-				r.ServiceCapacity, r.Stable)
+				r.EndToEnd.Percentile(50).Seconds(), r.EndToEnd.Percentile(99).Seconds(),
+				r.Throughput, r.Stable)
 		}
 	}); err != nil {
 		return err

@@ -86,7 +86,7 @@ func PackMPS(spec simgpu.DeviceSpec, demands []TenantDemand) (*MPSPlan, error) {
 	}
 	plan := &MPSPlan{}
 	for i, d := range demands {
-		if min := MinGrantingPercent(spec.SMs, d.SMs); pcts[i] < min {
+		if min := simgpu.MinPercent(spec.SMs, d.SMs); pcts[i] < min {
 			pcts[i] = min
 		}
 		plan.Assignments = append(plan.Assignments, MPSAssignment{Tenant: d.Name, Percent: pcts[i]})
@@ -148,18 +148,6 @@ func EqualShares(spec simgpu.DeviceSpec, n int) ([]int, error) {
 		pcts[i] = a.Percent
 	}
 	return pcts, nil
-}
-
-// MinGrantingPercent is the smallest percentage whose SM grant
-// (ceil(pct·deviceSMs/100)) covers sms. Exported for the fleet packer,
-// which computes incremental per-tenant grants with the same rounding
-// PackMPS uses, so single-device plans and fleet placements agree on
-// what a percentage delivers.
-func MinGrantingPercent(deviceSMs, sms int) int {
-	if sms >= deviceSMs {
-		return 100
-	}
-	return (sms-1)*100/deviceSMs + 1
 }
 
 // MIGAssignment is one tenant's MIG profile.

@@ -46,7 +46,7 @@ func TestPackMPSNoFalseOversubscription(t *testing.T) {
 		t.Fatalf("plan = %+v", plan)
 	}
 	for _, a := range plan.Assignments {
-		if got := smsForPercent(spec.SMs, a.Percent); got < 36 {
+		if got := simgpu.PercentSMs(spec.SMs, a.Percent); got < 36 {
 			t.Fatalf("tenant %s: %d%% grants only %d SMs", a.Tenant, a.Percent, got)
 		}
 	}
@@ -148,7 +148,7 @@ func TestQuickPackMPSSound(t *testing.T) {
 		}
 		sum := 0
 		for i, a := range plan.Assignments {
-			if smsForPercent(spec.SMs, a.Percent) < demands[i].SMs {
+			if simgpu.PercentSMs(spec.SMs, a.Percent) < demands[i].SMs {
 				return false
 			}
 			sum += a.Percent

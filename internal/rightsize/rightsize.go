@@ -92,7 +92,7 @@ func Sweep(deviceSMs int, percents []int, measure func(pct int) (time.Duration, 
 			return Point{}, fmt.Errorf("rightsize: measuring %d%%: %w", pct, err)
 		}
 		return Point{
-			SMs:     smsForPercent(deviceSMs, pct),
+			SMs:     simgpu.PercentSMs(deviceSMs, pct),
 			Percent: pct,
 			Latency: lat,
 		}, nil
@@ -103,13 +103,6 @@ func Sweep(deviceSMs int, percents []int, measure func(pct int) (time.Duration, 
 	curve := Curve(points)
 	curve.Sort()
 	return curve, nil
-}
-
-func smsForPercent(deviceSMs, pct int) int {
-	if pct >= 100 {
-		return deviceSMs
-	}
-	return int(math.Ceil(float64(pct) / 100 * float64(deviceSMs)))
 }
 
 // Recommendation is a right-sizing decision for one workload.
@@ -134,14 +127,10 @@ func Recommend(spec simgpu.DeviceSpec, c Curve, tolerance float64, memNeeded int
 	if err != nil {
 		return Recommendation{}, err
 	}
-	pct := int(math.Ceil(float64(knee.SMs) / float64(spec.SMs) * 100))
-	if pct > 100 {
-		pct = 100
-	}
 	rec := Recommendation{
 		KneeSMs:     knee.SMs,
 		KneeLatency: knee.Latency,
-		MPSPercent:  pct,
+		MPSPercent:  simgpu.MinPercent(spec.SMs, knee.SMs),
 		TenantsPerGPU: func() int {
 			if knee.SMs <= 0 {
 				return 1

@@ -104,6 +104,24 @@ func TestSweepLLaMaFindsTwentySMKnee(t *testing.T) {
 	}
 }
 
+// The recommended percentage is the smallest that grants the knee. A
+// float ceil(knee/SMs·100) overshoots, e.g. 20 % for a 21-SM knee that
+// 19 % already grants.
+func TestRecommendSmallestGrantingPercent(t *testing.T) {
+	spec := simgpu.A100SXM480GB()
+	for knee := 1; knee <= spec.SMs; knee++ {
+		rec, err := Recommend(spec, mkCurve(Point{SMs: knee, Latency: time.Second}), 0.05, simgpu.GB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := rec.MPSPercent
+		if simgpu.PercentSMs(spec.SMs, p) < knee || simgpu.PercentSMs(spec.SMs, p-1) >= knee {
+			t.Errorf("knee %d SMs: recommended %d%%, which grants %d (%d%% grants %d)",
+				knee, p, simgpu.PercentSMs(spec.SMs, p), p-1, simgpu.PercentSMs(spec.SMs, p-1))
+		}
+	}
+}
+
 func TestSweepRejectsBadPercent(t *testing.T) {
 	if _, err := Sweep(108, []int{0}, nil); err == nil {
 		t.Fatal("pct 0 accepted")

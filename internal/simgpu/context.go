@@ -3,7 +3,6 @@ package simgpu
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/devent"
@@ -69,13 +68,31 @@ func (c *Context) CreatedAt() time.Duration { return c.createdAt }
 // SMPercent returns the context's SM cap percentage (0 = unlimited).
 func (c *Context) SMPercent() int { return c.smPct }
 
-// smCap converts the percentage to an SM count (0 = unlimited). CUDA
-// MPS rounds the portion up to a whole SM.
+// smCap converts the percentage to an SM count (0 = unlimited).
 func (c *Context) smCap() int {
 	if c.smPct <= 0 || c.smPct >= 100 {
 		return 0
 	}
-	return int(math.Ceil(float64(c.smPct) / 100 * float64(c.dom.sms)))
+	return PercentSMs(c.dom.sms, c.smPct)
+}
+
+// PercentSMs is the SM grant of an MPS percentage (1–100) of a domain
+// with sms SMs: CUDA MPS rounds the portion up to a whole SM, so it is
+// ceil(pct·sms/100), in integers.
+func PercentSMs(sms, pct int) int {
+	if pct >= 100 {
+		return sms
+	}
+	return (pct*sms + 99) / 100
+}
+
+// MinPercent is the inverse of PercentSMs: the smallest percentage
+// whose grant of a domain with sms SMs covers want SMs.
+func MinPercent(sms, want int) int {
+	if want >= sms {
+		return 100
+	}
+	return (want-1)*100/sms + 1
 }
 
 // Launch enqueues a kernel on the context's stream, returning its

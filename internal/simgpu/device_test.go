@@ -264,6 +264,27 @@ func TestSpatialSMPercentCap(t *testing.T) {
 	run(t, env)
 }
 
+// The cap is computed in integers: ceil(7.0/100*100) in floating
+// point is 8, since 7.0/100*100 is 7.000000000000001.
+func TestSMPercentCapIsExact(t *testing.T) {
+	env := devent.NewEnv()
+	dev := mustDevice(t, env, testSpec())
+	dev.SetPolicy(PolicySpatial)
+	env.Spawn("client", func(p *devent.Proc) {
+		ctx, _ := dev.NewContext(p, ContextOpts{SkipInit: true, SMPercent: 7})
+		rec, err := ctx.Run(p, Kernel{FLOPs: 7})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if rec.SMs != 7 {
+			t.Errorf("7%% of 100 SMs held %v SMs, want 7", rec.SMs)
+		}
+		near(t, rec.End, time.Second)
+	})
+	run(t, env)
+}
+
 func TestProcessorSharingReevaluation(t *testing.T) {
 	env := devent.NewEnv()
 	dev := mustDevice(t, env, testSpec())
