@@ -250,10 +250,7 @@ const (
 
 // stableLatencies compares the mean end-to-end latency of the first
 // and last arrival quartiles: bounded backlogs keep the two within
-// stableGrowthLimit of each other, diverging queues do not. Earlier
-// revisions used `last <= 2*max(first,1)+10`, which mixed a unitless
-// slack constant with seconds and declared clearly-diverging short
-// runs stable whenever the absolute waits were still under ~12s.
+// stableGrowthLimit of each other, diverging queues do not.
 func stableLatencies(ordered []time.Duration) bool {
 	q := len(ordered) / 4
 	if q == 0 {
