@@ -34,9 +34,6 @@ type MultiplexConfig struct {
 	// stability: a technique whose capacity is below the offered load
 	// builds an unbounded backlog.
 	ArrivalRate float64
-	// Seed drives the exponential inter-arrival draws (default 1;
-	// unused without arrivals).
-	Seed int64
 	// PromptTokens and OutputTokens shape each completion (paper: a
 	// 20-word sentence).
 	PromptTokens, OutputTokens int
@@ -75,9 +72,6 @@ func (c MultiplexConfig) withDefaults() MultiplexConfig {
 	if c.OutputTokens <= 0 {
 		c.OutputTokens = 20
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 	if c.Model.Spec.Layers == 0 {
 		c.Model = llm.LLaMa27B()
 	}
@@ -104,7 +98,9 @@ type MultiplexResult struct {
 	// Stable reports whether the backlog stayed bounded: an unstable
 	// queue (offered load above capacity) shows growing waits, so the
 	// last quartile of submissions waits far longer than the first
-	// (see stableLatencies).
+	// (see stableLatencies). It is meaningful only with an ArrivalRate:
+	// a closed burst queues every completion at once, so later ones
+	// always wait longer and Stable is usually false.
 	Stable bool
 	// Throughput is served completions per second.
 	Throughput float64
@@ -191,7 +187,8 @@ func RunMultiplex(cfg MultiplexConfig) (*MultiplexResult, error) {
 		// (retries and deadline exhausted) is counted, not fatal.
 		var rng *rand.Rand
 		if c.ArrivalRate > 0 {
-			rng = rand.New(rand.NewSource(c.Seed))
+			// One fixed arrival sequence per configuration.
+			rng = rand.New(rand.NewSource(1))
 		}
 		start := p.Now()
 		futs := make([]*faas.Future, c.Completions)

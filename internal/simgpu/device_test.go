@@ -249,40 +249,34 @@ func TestSpatialContendedFairSharing(t *testing.T) {
 }
 
 func TestSpatialSMPercentCap(t *testing.T) {
-	env := devent.NewEnv()
-	dev := mustDevice(t, env, testSpec())
-	dev.SetPolicy(PolicySpatial)
-	env.Spawn("client", func(p *devent.Proc) {
-		ctx, _ := dev.NewContext(p, ContextOpts{SkipInit: true, SMPercent: 25})
-		rec, err := ctx.Run(p, Kernel{FLOPs: 100})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		near(t, rec.End, 4*time.Second) // capped at 25 SMs
-	})
-	run(t, env)
-}
-
-// The cap is computed in integers: ceil(7.0/100*100) in floating
-// point is 8, since 7.0/100*100 is 7.000000000000001.
-func TestSMPercentCapIsExact(t *testing.T) {
-	env := devent.NewEnv()
-	dev := mustDevice(t, env, testSpec())
-	dev.SetPolicy(PolicySpatial)
-	env.Spawn("client", func(p *devent.Proc) {
-		ctx, _ := dev.NewContext(p, ContextOpts{SkipInit: true, SMPercent: 7})
-		rec, err := ctx.Run(p, Kernel{FLOPs: 7})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if rec.SMs != 7 {
-			t.Errorf("7%% of 100 SMs held %v SMs, want 7", rec.SMs)
-		}
-		near(t, rec.End, time.Second)
-	})
-	run(t, env)
+	for _, tc := range []struct {
+		pct  int
+		work float64
+		sms  float64
+		end  time.Duration
+	}{
+		{pct: 25, work: 100, sms: 25, end: 4 * time.Second},
+		// The cap is computed in integers: ceil(7.0/100*100) in
+		// floating point is 8, since 7.0/100*100 is 7.000000000000001.
+		{pct: 7, work: 7, sms: 7, end: time.Second},
+	} {
+		env := devent.NewEnv()
+		dev := mustDevice(t, env, testSpec())
+		dev.SetPolicy(PolicySpatial)
+		env.Spawn("client", func(p *devent.Proc) {
+			ctx, _ := dev.NewContext(p, ContextOpts{SkipInit: true, SMPercent: tc.pct})
+			rec, err := ctx.Run(p, Kernel{FLOPs: tc.work})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if rec.SMs != tc.sms {
+				t.Errorf("%d%% of 100 SMs held %v SMs, want %v", tc.pct, rec.SMs, tc.sms)
+			}
+			near(t, rec.End, tc.end)
+		})
+		run(t, env)
+	}
 }
 
 func TestProcessorSharingReevaluation(t *testing.T) {
