@@ -77,6 +77,9 @@ func TestFig3Report(t *testing.T) {
 // testdata/<name>.golden. table1-chaos renders Table 1 under a dense
 // fault schedule, whose worker kills land before a pick as well as
 // mid-task; openloop-chaos does the same for the Poisson-arrival rows.
+// table1-chaos-metrics is the Prometheus export of Table 1's bursts
+// under chaos, which drives dispatch faults, retries and jittered
+// backoff through every task's launch.
 func TestArtifactGoldens(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -88,6 +91,7 @@ func TestArtifactGoldens(t *testing.T) {
 		{"reconfig", Reconfig, nil},
 		{"table1", func(w io.Writer) error { _, err := Table1(w, Observe{}); return err }, nil},
 		{"table1-chaos", func(w io.Writer) error { _, err := Table1(w, Observe{}); return err }, &fault.Spec{Seed: 11, Rate: 0.5}},
+		{"table1-chaos-metrics", table1Metrics, &fault.Spec{Seed: 7, Rate: 0.5}},
 		{"fig45", func(w io.Writer) error { _, err := Fig45(w, 8, Observe{}); return err }, nil},
 		{"attrib", func(w io.Writer) error { _, err := Attribution(w, ""); return err }, nil},
 		{"ablations", Ablations, nil},
@@ -117,6 +121,16 @@ func TestArtifactGoldens(t *testing.T) {
 			}
 		})
 	}
+}
+
+// table1Metrics writes what `paperbench table1 -metrics` exports: the
+// Prometheus text of the observed Table 1 bursts.
+func table1Metrics(w io.Writer) error {
+	runs, err := Table1(io.Discard, Observe{On: true})
+	if err != nil {
+		return err
+	}
+	return obs.WritePrometheus(w, runs.Collectors...)
 }
 
 // run builds a campaign run span for the given method.
