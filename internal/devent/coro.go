@@ -16,7 +16,7 @@ type procG struct {
 	next   func() (struct{}, bool)
 	yield  func(struct{}) bool
 	stop   func()
-	body   Body
+	body   func(*Proc)
 	p      *Proc
 	link   *procG // idle pool link
 	goexit bool   // the body called runtime.Goexit (see body)
@@ -81,6 +81,6 @@ func (e *Env) body(g *procG) {
 			g.yield(struct{}{})
 		}
 	}()
-	g.body.Run(p)
+	g.body(p)
 	returned = true
 }

@@ -2,14 +2,15 @@
 // discrete-event simulation kernel.
 //
 // An Env owns a virtual clock and an event queue. Simulated activities
-// are either plain scheduled callbacks (Schedule) or Procs: coroutines
-// that the scheduler resumes one at a time and that advance virtual
-// time by blocking on Sleep, Events, or Queues.
+// are plain scheduled callbacks (Schedule), Steps (state machines that
+// queue themselves with ScheduleStep and await Events with Then), or
+// Procs: coroutines that the scheduler resumes one at a time and that
+// advance virtual time by blocking on Sleep, Events, or Queues.
 //
 // The kernel is logically single-threaded: at any instant either the
 // scheduler loop or exactly one Proc is executing. All devent objects
 // must therefore only be touched from "sim context" — from inside a
-// Proc body or a scheduled callback. No locks are needed and runs are
+// Proc body, a Step or a scheduled callback. No locks are needed and runs are
 // fully deterministic: simultaneous events execute in the order they
 // were scheduled.
 package devent
@@ -26,7 +27,7 @@ import (
 var ErrTimeout = errors.New("devent: timeout")
 
 // ErrDeadlock is returned by Run when no events remain but one or more
-// Procs are still blocked.
+// Procs are still blocked or Steps still await an Event.
 var ErrDeadlock = errors.New("devent: deadlock")
 
 // ErrClosed is returned for operations on closed channels or destroyed
@@ -68,9 +69,13 @@ type Env struct {
 	free      *queueItem
 	cancelled int
 	// freeWaiter recycles eventWaiters (see event.go); freeBatches
-	// recycles the proc buffers used to batch multi-waiter fanouts.
+	// recycles the buffers used to batch multi-waiter fanouts.
 	freeWaiter  *eventWaiter
-	freeBatches [][]*Proc
+	freeBatches [][]wakeup
+	// awaiting counts Steps registered with Then on events that have
+	// not fired: a Step left waiting when the queue drains is a
+	// deadlock, like a parked proc.
+	awaiting int
 	// dispatched counts executed events; always on (a single
 	// increment) so throughput scenarios can report events/sec without
 	// attaching an observer.
@@ -184,6 +189,22 @@ func (e *Env) scheduleFn(delay time.Duration, fn func()) {
 	e.push(e.newItem(e.now+delay, fn, nil))
 }
 
+// Step is a closure-free scheduled activity: an object that carries its
+// own state, queued with ScheduleStep or registered on an Event with
+// Then. Converting a pointer to a Step allocates nothing.
+type Step interface{ Step() }
+
+// ScheduleStep runs s.Step at Now()+delay, without a closure or a
+// Timer. A negative delay is treated as zero.
+func (e *Env) ScheduleStep(delay time.Duration, s Step) {
+	if delay < 0 {
+		delay = 0
+	}
+	it := e.newItem(e.now+delay, nil, nil)
+	it.step = s
+	e.push(it)
+}
+
 // scheduleProc queues a handoff to p at Now()+delay without allocating
 // a closure or a Timer — the hot path behind Sleep and every wakeup.
 func (e *Env) scheduleProc(delay time.Duration, p *Proc) {
@@ -225,6 +246,7 @@ func (e *Env) newItem(at time.Duration, fn func(), p *Proc) *queueItem {
 func (e *Env) release(it *queueItem) {
 	it.fn = nil
 	it.proc = nil
+	it.step = nil
 	it.gen++
 	it.next = e.free
 	e.free = it
@@ -239,7 +261,7 @@ func (e *Env) release(it *queueItem) {
 func (e *Env) compact() {
 	live := e.queue[:0]
 	for _, it := range e.queue {
-		if it.fn == nil && it.proc == nil {
+		if it.dead() {
 			e.release(it)
 		} else {
 			live = append(live, it)
@@ -251,7 +273,7 @@ func (e *Env) compact() {
 	r := &e.ready
 	n := 0
 	for _, it := range r.s[r.head:] {
-		if it.fn == nil && it.proc == nil {
+		if it.dead() {
 			e.release(it)
 		} else {
 			r.s[n] = it
@@ -274,7 +296,7 @@ func (e *Env) pop() *queueItem {
 	for {
 		if len(e.queue) > 0 {
 			it := e.queue[0]
-			if it.fn == nil && it.proc == nil {
+			if it.dead() {
 				e.queue.pop()
 				e.cancelled--
 				e.release(it)
@@ -287,7 +309,7 @@ func (e *Env) pop() *queueItem {
 			return nil
 		}
 		it := e.ready.pop()
-		if it.fn != nil || it.proc != nil {
+		if !it.dead() {
 			return it
 		}
 		e.cancelled--
@@ -297,8 +319,8 @@ func (e *Env) pop() *queueItem {
 
 // Run drains the event queue, advancing virtual time, until no events
 // remain or a failure is recorded. It returns ErrDeadlock (wrapped with
-// the blocked proc names) if procs are still parked when the queue
-// empties.
+// the blocked proc names and the count of waiting Steps) if procs are
+// still parked, or Steps still await an Event, when the queue empties.
 func (e *Env) Run() error {
 	if e.running {
 		return errors.New("devent: Run called re-entrantly")
@@ -320,23 +342,26 @@ func (e *Env) Run() error {
 		if it.at > e.now {
 			e.now = it.at
 		}
-		fn, p := it.fn, it.proc
+		fn, p, s := it.fn, it.proc, it.step
 		e.release(it)
 		e.dispatched++
 		if e.obs != nil {
 			e.obs.Dispatched()
 		}
-		if fn != nil {
+		switch {
+		case fn != nil:
 			fn()
-		} else {
+		case s != nil:
+			s.Step()
+		default:
 			e.handoff(p)
 		}
 	}
 	if e.failure != nil {
 		return e.failure
 	}
-	if blocked := e.blockedProcs(); len(blocked) > 0 {
-		return fmt.Errorf("%w: %d proc(s) blocked forever: %v", ErrDeadlock, len(blocked), blocked)
+	if blocked := e.blockedProcs(); len(blocked) > 0 || e.awaiting > 0 {
+		return fmt.Errorf("%w: %d proc(s) blocked forever: %v; %d step(s) awaiting an event", ErrDeadlock, len(blocked), blocked, e.awaiting)
 	}
 	return nil
 }
@@ -352,17 +377,21 @@ func (e *Env) blockedProcs() []string {
 	return names
 }
 
-// queueItem is a pending scheduled callback (fn) or proc handoff
-// (proc). Items are pooled via Env.free; gen distinguishes a live item
-// from a recycled one holding the same address.
+// queueItem is a pending scheduled callback (fn), proc handoff (proc)
+// or Step (step). Items are pooled via Env.free; gen distinguishes a
+// live item from a recycled one holding the same address.
 type queueItem struct {
 	at   time.Duration
 	seq  int64
 	gen  uint64
 	fn   func()
 	proc *Proc
+	step Step
 	next *queueItem
 }
+
+// dead reports whether the item was cancelled (only callbacks cancel).
+func (it *queueItem) dead() bool { return it.fn == nil && it.proc == nil && it.step == nil }
 
 // eventHeap is a binary min-heap of queue items ordered by (at, seq).
 type eventHeap []*queueItem
@@ -474,25 +503,10 @@ func (l *procList) remove(p *Proc) {
 // event queue drains, mirroring daemon-thread semantics.
 func (p *Proc) SetDaemon(d bool) { p.daemon = d }
 
-// Body is what a proc runs. Callers that already own a per-task object
-// spawn it as the body with SpawnBody, so a spawn allocates no closure.
-type Body interface{ Run(p *Proc) }
-
-// bodyFunc adapts a func to a Body; converting a func value to an
-// interface allocates nothing.
-type bodyFunc func(p *Proc)
-
-func (f bodyFunc) Run(p *Proc) { f(p) }
-
-// Spawn starts a new process executing fn; see SpawnBody.
+// Spawn starts a new process executing fn. The process begins running
+// at the current virtual time (after the caller yields control). On a
+// closed Env the proc never runs.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
-	return e.SpawnBody(name, bodyFunc(fn))
-}
-
-// SpawnBody starts a new process executing b.Run. The process begins
-// running at the current virtual time (after the caller yields
-// control). On a closed Env the proc never runs.
-func (e *Env) SpawnBody(name string, b Body) *Proc {
 	e.nextPID++
 	p := &Proc{env: e, id: e.nextPID, base: name}
 	if e.closed {
@@ -506,7 +520,7 @@ func (e *Env) SpawnBody(name string, b Body) *Proc {
 	} else {
 		g = e.newProcG()
 	}
-	g.body, g.p = b, p
+	g.body, g.p = fn, p
 	p.g = g
 	e.live.push(p)
 	if e.obs != nil {

@@ -6,7 +6,8 @@ import (
 )
 
 // Event is a one-shot occurrence carrying a value or an error. Procs
-// block on it with Wait; callbacks attach with OnFire. Events fire at
+// block on it with Wait, Steps await it with Then, and callbacks attach
+// with OnFire. Events fire at
 // most once: firing twice panics (use Fired to guard).
 type Event struct {
 	env   *Env
@@ -15,7 +16,8 @@ type Event struct {
 	value any
 	err   error
 	// w0 is the inline slot for the common single-waiter case (a proc
-	// awaiting one future); the slice only materialises on fanout.
+	// or Step awaiting one future); the slice only materialises on
+	// fanout.
 	w0      *eventWaiter
 	waiters []*eventWaiter
 	// cbs holds OnFire listeners in registration order.
@@ -74,14 +76,15 @@ func (r registration) detach() {
 // bound it to catch registration leaks.
 func (ev *Event) Listeners() int { return len(ev.cbs) }
 
-// eventWaiter links one parked proc to the event it awaits. Waiters
-// are pooled on the Env (getWaiter/putWaiter). A waiter with ev set is
+// eventWaiter links one parked proc, or one Step (s), to the event it
+// awaits. Waiters are pooled on the Env (getWaiter/putWaiter). A waiter with ev set is
 // owned by WaitTimeout, which releases it itself after the proc
 // resumes, having cancelled the timer unless it fired; it keeps its
 // timer and timeout callback (bound the first time it is timed) across
 // reuses, so a timed wait allocates nothing.
 type eventWaiter struct {
 	p         *Proc
+	s         Step
 	woken     bool
 	timedOut  bool
 	ev        *Event
@@ -104,7 +107,7 @@ func (e *Env) getWaiter(p *Proc) *eventWaiter {
 }
 
 func (e *Env) putWaiter(w *eventWaiter) {
-	w.p, w.ev = nil, nil
+	w.p, w.s, w.ev = nil, nil, nil
 	w.next = e.freeWaiter
 	e.freeWaiter = w
 }
@@ -120,21 +123,45 @@ func (w *eventWaiter) timeout() {
 	w.p.env.wake(w.p)
 }
 
-// getBatch pops a pooled proc buffer for fanout wakeups.
-func (e *Env) getBatch() []*Proc {
+// wakeup is one fired waiter's resumption: a proc handoff, or its Step
+// when s is set.
+type wakeup struct {
+	p *Proc
+	s Step
+}
+
+// getBatch pops a pooled wakeup buffer for fanouts.
+func (e *Env) getBatch() []wakeup {
 	if n := len(e.freeBatches); n > 0 {
 		b := e.freeBatches[n-1]
 		e.freeBatches = e.freeBatches[:n-1]
 		return b
 	}
-	return make([]*Proc, 0, 8)
+	return make([]wakeup, 0, 8)
 }
 
-func (e *Env) putBatch(b []*Proc) {
-	for i := range b {
-		b[i] = nil
-	}
+func (e *Env) putBatch(b []wakeup) {
+	clear(b)
 	e.freeBatches = append(e.freeBatches, b[:0])
+}
+
+// collect appends w's wakeup to batch unless a timeout already woke
+// it. Plain Wait waiters and Step waiters return to the pool here
+// (nothing touches them after they are registered); timed waiters (ev
+// set) are released by WaitTimeout once the proc resumes.
+func (e *Env) collect(batch []wakeup, w *eventWaiter) []wakeup {
+	if w.woken {
+		return batch
+	}
+	w.woken = true
+	batch = append(batch, wakeup{w.p, w.s})
+	if w.s != nil {
+		e.awaiting--
+	}
+	if w.ev == nil {
+		e.putWaiter(w)
+	}
+	return batch
 }
 
 // NewEvent returns an unfired event bound to the environment.
@@ -187,46 +214,40 @@ func (ev *Event) fire(v any, err error) {
 	ev.err = err
 	env := ev.env
 	// Collect live waiters in registration order into a pooled batch.
-	// Plain Wait waiters return to the pool here (their proc never
-	// touches them after parking); timed waiters (ev set) are released
-	// by WaitTimeout once the proc resumes.
 	batch := env.getBatch()
 	if w := ev.w0; w != nil {
 		ev.w0 = nil
-		if !w.woken {
-			w.woken = true
-			batch = append(batch, w.p)
-			if w.ev == nil {
-				env.putWaiter(w)
-			}
-		}
+		batch = env.collect(batch, w)
 	}
 	for _, w := range ev.waiters {
-		if !w.woken {
-			w.woken = true
-			batch = append(batch, w.p)
-			if w.ev == nil {
-				env.putWaiter(w)
-			}
-		}
+		batch = env.collect(batch, w)
 	}
 	ev.waiters = nil
 	// Batch the fanout: waking N waiters individually costs N queue
-	// items; instead hand off to each in order from a single scheduled
-	// callback. Each waiter was queued before any of them runs, so the
-	// relative order — waiters in registration order, ahead of anything
-	// they schedule — is the same as with per-waiter wakeups.
+	// items; instead resume each in order (a proc handoff, or its Step
+	// run inline) from a single scheduled callback. Each waiter was
+	// queued before any of them runs, so the relative order — waiters
+	// in registration order, ahead of anything they schedule — is the
+	// same as with per-waiter wakeups.
 	switch len(batch) {
 	case 0:
 		env.putBatch(batch)
 	case 1:
-		p := batch[0]
+		w := batch[0]
 		env.putBatch(batch)
-		env.wake(p)
+		if w.s != nil {
+			env.ScheduleStep(0, w.s)
+		} else {
+			env.wake(w.p)
+		}
 	default:
 		env.scheduleFn(0, func() {
-			for _, p := range batch {
-				env.handoff(p)
+			for _, w := range batch {
+				if w.s != nil {
+					w.s.Step()
+				} else {
+					env.handoff(w.p)
+				}
 			}
 			env.putBatch(batch)
 		})
@@ -261,6 +282,23 @@ func (ev *Event) removeWaiter(w *eventWaiter) {
 			return
 		}
 	}
+}
+
+// Then registers s to run once the event fires, queued exactly where a
+// proc parked in Wait would be woken, and reports true. If the event
+// already fired it queues nothing and reports false: the caller reads
+// Value and Err and carries on inline, as Wait returns at once. A Step
+// still registered when Run drains the queue is a deadlock.
+func (ev *Event) Then(s Step) bool {
+	if ev.fired {
+		return false
+	}
+	e := ev.env
+	w := e.getWaiter(nil)
+	w.s = s
+	ev.addWaiter(w)
+	e.awaiting++
+	return true
 }
 
 // Wait blocks the proc until the event fires and returns its value and

@@ -28,7 +28,7 @@ type DFK struct {
 	// injectors use it to model transient submit failures.
 	dispatchFault func(*Task) error
 	// admission, when set, is consulted once per Submit before the
-	// task spawns its launch proc; a shed decision fails the task fast
+	// task's launch is scheduled; a shed decision fails the task fast
 	// with a ShedError (terminal, never dispatched). Autoscalers use it
 	// for burn-driven load shedding.
 	admission func(*Task) (shed bool, retryAfter time.Duration)
@@ -95,6 +95,8 @@ func (d *DFK) Ledger() *Ledger { return &d.ledger }
 // the same order as by a lookup per task.
 type appMetrics struct {
 	submitted *obs.Counter
+	shed      *obs.Counter
+	retries   *obs.Counter
 	completed [TaskShed + 1]*obs.Counter // by terminal status
 	queue     *obs.Histogram
 	run       *obs.Histogram
@@ -223,75 +225,90 @@ func (d *DFK) Submit(appName string, args ...any) *Future {
 	}
 	if d.admission != nil {
 		if shed, retryAfter := d.admission(task); shed {
-			d.obs.Metrics().Counter("faas_tasks_shed_total", obs.L("app", appName)).Inc()
+			if task.m.shed == nil {
+				task.m.shed = d.obs.Metrics().Counter("faas_tasks_shed_total", obs.L("app", appName))
+			}
+			task.m.shed.Inc()
 			d.fail(task, TaskShed, &ShedError{App: appName, RetryAfter: retryAfter})
 			return fut
 		}
 	}
 
 	task.launch = launch{d: d, ex: ex, fn: app.Fn, args: args}
-	d.env.SpawnBody("dfk-launch", (*launchBody)(task))
+	d.env.ScheduleStep(0, (*launchStep)(task))
 	return fut
 }
 
-// launch is what a task's dfk-launch proc needs besides the task: its
-// DFK, executor, app function and arguments. It lives in the Task, so
-// spawning the launch allocates nothing.
+// launch is what a task's launch needs besides the task: its DFK,
+// executor, app function and arguments, and the event of the attempt
+// it awaits. It lives in the Task, so launching allocates nothing.
 type launch struct {
 	d    *DFK
 	ex   Executor
 	fn   AppFunc
 	args []any
+	ev   *devent.Event
 }
 
-// launchBody is a Task as its dfk-launch proc body. Converting *Task
-// to *launchBody spawns the task itself, so launch needs no pointer
-// back to it.
-type launchBody Task
+// launchStep is a Task as the devent Step that launches it. Converting
+// *Task to *launchStep schedules the task itself, so launch needs no
+// pointer back to it.
+type launchStep Task
 
-// Run implements devent.Body. It drops the launch's references once
-// the task is terminal, so a retained Task pins no arguments.
-func (b *launchBody) Run(p *devent.Proc) {
-	t := (*Task)(b)
-	t.launch.d.run(p, t)
-	t.launch = launch{}
-}
-
-// run dispatches the task, sleeps out the backoff after each failed
-// attempt that has a retry left, and finishes the task.
-func (d *DFK) run(p *devent.Proc, task *Task) {
-	l := &task.launch
-	for try := 0; ; try++ {
-		task.Tries = try + 1
-		task.Status = TaskLaunched
-		if try > 0 {
-			d.obs.Metrics().Counter("faas_task_retries_total", obs.L("app", task.App)).Inc()
+// Step implements devent.Step, one state machine per task: attempt
+// (the dispatch-fault check, then the executor's submission), await
+// the attempt's event, sleep out the backoff after a failed attempt
+// that has a retry left, and finish. It returns whenever the launch
+// waits, on the event (Then) or the backoff (ScheduleStep, only for a
+// positive delay), and resumes when the Step runs again. Once the task
+// is terminal it drops the launch's references, so a retained Task
+// pins no arguments.
+func (s *launchStep) Step() {
+	t := (*Task)(s)
+	l := &t.launch
+	d := l.d
+	for {
+		var result any
+		var err error
+		if ev := l.ev; ev != nil {
+			l.ev = nil
+			result, err = ev.Value(), ev.Err()
+		} else {
+			t.Tries++
+			t.Status = TaskLaunched
+			if t.Tries > 1 {
+				if t.m.retries == nil {
+					t.m.retries = d.obs.Metrics().Counter("faas_task_retries_total", obs.L("app", t.App))
+				}
+				t.m.retries.Inc()
+			}
+			if d.dispatchFault != nil {
+				err = d.dispatchFault(t)
+			}
+			if err == nil {
+				ev := l.ex.Submit(t, l.fn, l.args)
+				if ev.Then(s) {
+					l.ev = ev
+					return
+				}
+				result, err = ev.Value(), ev.Err()
+			}
 		}
-		result, err := d.attempt(p, l.ex, task, l.fn, l.args)
 		if err == nil {
-			task.Status = TaskDone
-			d.finish(task, result)
+			t.Status = TaskDone
+			d.finish(t, result)
+			break
+		}
+		if t.Tries > d.cfg.Retries {
+			d.fail(t, TaskFailed, err)
+			break
+		}
+		if delay := d.backoff(t.Tries); delay > 0 {
+			d.env.ScheduleStep(delay, s)
 			return
 		}
-		if try >= d.cfg.Retries {
-			d.fail(task, TaskFailed, err)
-			return
-		}
-		if delay := d.backoff(try + 1); delay > 0 {
-			p.Sleep(delay)
-		}
 	}
-}
-
-// attempt makes one dispatch attempt: the dispatch-fault check, then
-// the executor's submission, awaited.
-func (d *DFK) attempt(p *devent.Proc, ex Executor, task *Task, fn AppFunc, args []any) (any, error) {
-	if d.dispatchFault != nil {
-		if err := d.dispatchFault(task); err != nil {
-			return nil, err
-		}
-	}
-	return p.Wait(ex.Submit(task, fn, args))
+	t.launch = launch{}
 }
 
 // backoff returns the delay before retry number attempt (1-based):
