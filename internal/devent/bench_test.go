@@ -32,9 +32,8 @@ func BenchmarkProcSleepLoop(b *testing.B) {
 }
 
 // BenchmarkSpawnExit measures a short-lived proc's whole life — spawn,
-// first handoff, exit — as the per-task launch procs of the FaaS layer
-// pay it, awaited by a long-lived driver through an event the child
-// fires last.
+// first handoff, exit — awaited by a long-lived driver through an
+// event the child fires last.
 func BenchmarkSpawnExit(b *testing.B) {
 	env := NewEnv()
 	defer env.Close()
@@ -51,6 +50,49 @@ func BenchmarkSpawnExit(b *testing.B) {
 	b.ResetTimer()
 	if err := env.Run(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// awaitStep is a Step that awaits its event on its first run and
+// counts its resumptions.
+type awaitStep struct {
+	ev      *Event
+	waiting bool
+	resumed int
+}
+
+func (s *awaitStep) Step() {
+	if !s.waiting {
+		s.waiting = s.ev.Then(s)
+		return
+	}
+	s.waiting = false
+	s.resumed++
+}
+
+// BenchmarkStepAwait measures what a task's launch pays devent per
+// attempt: a scheduled Step awaits an event with Then, and a long-lived
+// driver fires the event, queueing the Step again.
+func BenchmarkStepAwait(b *testing.B) {
+	env := NewEnv()
+	defer env.Close()
+	s := &awaitStep{}
+	b.ReportAllocs()
+	env.Spawn("driver", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			s.ev = env.NewEvent()
+			env.ScheduleStep(0, s)
+			p.Sleep(0) // the step runs and awaits
+			s.ev.Fire(nil)
+			p.Sleep(0) // the step resumes
+		}
+	})
+	b.ResetTimer()
+	if err := env.Run(); err != nil {
+		b.Fatal(err)
+	}
+	if s.resumed != b.N {
+		b.Fatalf("step resumed %d times, want %d", s.resumed, b.N)
 	}
 }
 

@@ -16,12 +16,14 @@ type dispatch struct {
 }
 
 // queueOps is what orderProgram does to a queue: arm a timer slot
-// (cancelling what it holds), cancel a slot, and read the clock. Procs
-// sleep by returning their delay from procStep.
+// (cancelling what it holds), cancel a slot, queue a Step (which no
+// one cancels) after a delay, and read the clock. Procs sleep by
+// returning their delay from procStep.
 type queueOps interface {
 	now() time.Duration
 	arm(slot int, at time.Duration, id int)
 	cancel(slot int)
+	step(delay time.Duration, id int)
 }
 
 // orderProgram is a random schedule/cancel/re-arm workload. It draws
@@ -57,7 +59,8 @@ func (g *orderProgram) when(q queueOps) time.Duration {
 	}
 }
 
-// step runs after every dispatch: it arms and cancels a few slots.
+// step runs after every dispatch: it arms and cancels a few slots and
+// sometimes queues a Step, due now (zero or negative delay) or later.
 // Cancels outnumber arms, so compaction runs.
 func (g *orderProgram) step(q queueOps, d dispatch) {
 	g.log = append(g.log, d)
@@ -72,6 +75,10 @@ func (g *orderProgram) step(q queueOps, d dispatch) {
 		} else {
 			q.cancel(slot)
 		}
+	}
+	if g.rng.IntN(4) == 0 {
+		g.nextID++
+		q.step(time.Duration(g.rng.IntN(20)-5)*time.Microsecond, g.nextID)
 	}
 	// Keep the queue fed: one more arm per step, often due now.
 	g.nextID++
@@ -119,6 +126,18 @@ func (q *envQueue) arm(slot int, at time.Duration, id int) {
 		q.slots[slot].Cancel()
 		q.slots[slot] = q.env.Schedule(at-q.env.Now(), fn)
 	}
+}
+
+// orderStep is a Step that steps the program.
+type orderStep struct {
+	q  *envQueue
+	id int
+}
+
+func (s *orderStep) Step() { s.q.g.step(s.q, dispatch{s.q.env.Now(), s.id}) }
+
+func (q *envQueue) step(delay time.Duration, id int) {
+	q.env.ScheduleStep(delay, &orderStep{q, id})
 }
 
 func (q *envQueue) cancel(slot int) {
@@ -181,6 +200,8 @@ func (q *refQueue) arm(slot int, at time.Duration, id int) {
 	q.cancel(slot)
 	q.slots[slot] = q.push(at, id)
 }
+
+func (q *refQueue) step(delay time.Duration, id int) { q.push(q.clock+delay, id) }
 
 func (q *refQueue) cancel(slot int) {
 	if it := q.slots[slot]; it != nil {
@@ -255,9 +276,9 @@ func runRef(s1, s2 uint64) []dispatch {
 }
 
 // TestQueueOrderMatchesReference drives random schedule, cancel and
-// re-arm sequences, zero and non-zero sleeps, and callbacks scheduling
-// at Now() through the Env and through a single container/heap, and
-// requires the same dispatch sequence.
+// re-arm sequences, zero and non-zero sleeps and Steps, and callbacks
+// scheduling at Now() through the Env and through a single
+// container/heap, and requires the same dispatch sequence.
 func TestQueueOrderMatchesReference(t *testing.T) {
 	t.Parallel()
 	for round := 0; round < 8; round++ {

@@ -59,7 +59,7 @@ func TestLedgerCatchesLostTask(t *testing.T) {
 		d.Submit("nope") // fails at once: terminal
 	})
 	if err := env.Run(); !errors.Is(err, devent.ErrDeadlock) {
-		t.Fatalf("run err = %v, want the stranded launch proc's deadlock", err)
+		t.Fatalf("run err = %v, want the deadlock of the launch step awaiting the lost attempt", err)
 	}
 	err := d.Ledger().Err()
 	if err == nil || !strings.Contains(err.Error(), "1 of 2 submitted tasks never reached a terminal state") {
