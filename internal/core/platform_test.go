@@ -163,7 +163,7 @@ func (b blackholeExecutor) Submit(*faas.Task, faas.AppFunc, []any) *devent.Event
 
 // A task that never reaches a terminal state fails the run, without
 // chaos, and the error is the task ledger's: it names the loss, not
-// just the launch proc the lost task left parked.
+// just the launch step the lost task left awaiting.
 func TestPlatformRunFailsOnLostTask(t *testing.T) {
 	pl, err := NewPlatform(Options{DeviceSpecs: []simgpu.DeviceSpec{simgpu.A100SXM480GB()}})
 	if err != nil {

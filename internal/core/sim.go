@@ -118,8 +118,9 @@ func (s *sim) spawn(name string, body func(*devent.Proc) error) *devent.Proc {
 // main runs only the procs already spawned. Main's error is returned
 // once the run has drained; a run that otherwise succeeded, or drained
 // into a deadlock, fails if its task ledger does not balance. A task
-// stuck for good parks its launch proc, so a lost task deadlocks the
-// run, and the ledger names the loss.
+// stuck for good leaves its launch step awaiting an event that never
+// fires, so a lost task deadlocks the run, and the ledger names the
+// loss.
 func (s *sim) run(main func(*devent.Proc) error) error {
 	s.TSDB.Start(s.Env)
 	var mainErr error

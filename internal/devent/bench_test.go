@@ -53,23 +53,6 @@ func BenchmarkSpawnExit(b *testing.B) {
 	}
 }
 
-// awaitStep is a Step that awaits its event on its first run and
-// counts its resumptions.
-type awaitStep struct {
-	ev      *Event
-	waiting bool
-	resumed int
-}
-
-func (s *awaitStep) Step() {
-	if !s.waiting {
-		s.waiting = s.ev.Then(s)
-		return
-	}
-	s.waiting = false
-	s.resumed++
-}
-
 // BenchmarkStepAwait measures what a task's launch pays devent per
 // attempt: a scheduled Step awaits an event with Then, and a long-lived
 // driver fires the event, queueing the Step again.

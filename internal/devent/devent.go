@@ -10,9 +10,9 @@
 // The kernel is logically single-threaded: at any instant either the
 // scheduler loop or exactly one Proc is executing. All devent objects
 // must therefore only be touched from "sim context" — from inside a
-// Proc body, a Step or a scheduled callback. No locks are needed and runs are
-// fully deterministic: simultaneous events execute in the order they
-// were scheduled.
+// Proc body, a Step or a scheduled callback. No locks are needed and
+// runs are fully deterministic: simultaneous events execute in the
+// order they were scheduled.
 package devent
 
 import (
@@ -361,7 +361,8 @@ func (e *Env) Run() error {
 		return e.failure
 	}
 	if blocked := e.blockedProcs(); len(blocked) > 0 || e.awaiting > 0 {
-		return fmt.Errorf("%w: %d proc(s) blocked forever: %v; %d step(s) awaiting an event", ErrDeadlock, len(blocked), blocked, e.awaiting)
+		return fmt.Errorf("%w: %d proc(s) blocked forever: %v; %d step(s) awaiting an event",
+			ErrDeadlock, len(blocked), blocked, e.awaiting)
 	}
 	return nil
 }

@@ -7,8 +7,8 @@ import (
 
 // Event is a one-shot occurrence carrying a value or an error. Procs
 // block on it with Wait, Steps await it with Then, and callbacks attach
-// with OnFire. Events fire at
-// most once: firing twice panics (use Fired to guard).
+// with OnFire. Events fire at most once: firing twice panics (use Fired
+// to guard).
 type Event struct {
 	env   *Env
 	name  string
@@ -77,11 +77,11 @@ func (r registration) detach() {
 func (ev *Event) Listeners() int { return len(ev.cbs) }
 
 // eventWaiter links one parked proc, or one Step (s), to the event it
-// awaits. Waiters are pooled on the Env (getWaiter/putWaiter). A waiter with ev set is
-// owned by WaitTimeout, which releases it itself after the proc
-// resumes, having cancelled the timer unless it fired; it keeps its
-// timer and timeout callback (bound the first time it is timed) across
-// reuses, so a timed wait allocates nothing.
+// awaits. Waiters are pooled on the Env (getWaiter/putWaiter). A
+// waiter with ev set is owned by WaitTimeout, which releases it itself
+// after the proc resumes, having cancelled the timer unless it fired;
+// it keeps its timer and timeout callback (bound the first time it is
+// timed) across reuses, so a timed wait allocates nothing.
 type eventWaiter struct {
 	p         *Proc
 	s         Step

@@ -15,10 +15,22 @@ type logStep struct {
 
 func (s *logStep) Step() { *s.log = append(*s.log, s.name) }
 
-// stepFunc adapts a func to a Step.
-type stepFunc func()
+// awaitStep is a Step that awaits its event on its first run and
+// counts its resumptions.
+type awaitStep struct {
+	ev      *Event
+	waiting bool
+	resumed int
+}
 
-func (f stepFunc) Step() { f() }
+func (s *awaitStep) Step() {
+	if !s.waiting {
+		s.waiting = s.ev.Then(s)
+		return
+	}
+	s.waiting = false
+	s.resumed++
+}
 
 // Then on a fired event reports false and queues nothing: the caller
 // carries on inline, as Wait returns at once.
@@ -42,8 +54,8 @@ func TestThenOnFiredEventQueuesNothing(t *testing.T) {
 }
 
 // A single Step waiter is queued where a proc's wakeup would be: when
-// the event fires, ahead of anything its OnFire callbacks or the
-// firing callback schedule afterwards.
+// the event fires, behind what was already queued and ahead of anything
+// its OnFire callbacks or the firing callback schedule afterwards.
 func TestThenSingleWaiterQueuedAtFire(t *testing.T) {
 	env := NewEnv()
 	ev := env.NewEvent()
@@ -54,13 +66,15 @@ func TestThenSingleWaiterQueuedAtFire(t *testing.T) {
 	ev.OnFire(func(*Event) { env.Schedule(0, func() { log = append(log, "onfire") }) })
 	env.Schedule(time.Second, func() {
 		ev.Fire(nil)
+		log = append(log, "fired")
 		env.Schedule(0, func() { log = append(log, "after") })
 	})
+	env.Schedule(time.Second, func() { log = append(log, "queued") })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Join(log, " "); got != "step onfire after" {
-		t.Fatalf("order = %q", got)
+	if got, want := strings.Join(log, " "), "fired queued step onfire after"; got != want {
+		t.Fatalf("order = %q, want %q", got, want)
 	}
 	if env.awaiting != 0 {
 		t.Fatalf("%d steps still counted as awaiting", env.awaiting)
@@ -99,8 +113,7 @@ func TestFanoutMixedWaitersResumeInOrder(t *testing.T) {
 func TestAwaitingStepDeadlocks(t *testing.T) {
 	env := NewEnv()
 	ev := env.NewNamedEvent("never")
-	var log []string
-	env.ScheduleStep(time.Millisecond, stepFunc(func() { ev.Then(&logStep{"s", &log}) }))
+	env.ScheduleStep(time.Millisecond, &awaitStep{ev: ev})
 	err := env.Run()
 	if !errors.Is(err, ErrDeadlock) || !strings.Contains(err.Error(), "1 step(s) awaiting") {
 		t.Fatalf("err = %v", err)
@@ -108,6 +121,7 @@ func TestAwaitingStepDeadlocks(t *testing.T) {
 
 	env2 := NewEnv()
 	ev2 := env2.NewEvent()
+	var log []string
 	ev2.Then(&logStep{"s", &log})
 	env2.Spawn("alpha", func(p *Proc) { p.Wait(env2.NewEvent()) })
 	err = env2.Run()
