@@ -171,7 +171,7 @@ func BenchmarkEventFanout(b *testing.B) {
 
 // BenchmarkEventWaitSteady measures the steady-state future pattern —
 // one proc repeatedly awaiting a freshly fired event on a long-lived
-// env — where the waiter pool and fanout-batch pool are warm. Target:
+// env — where the waiter pool and fanout pool are warm. Target:
 // 3 allocs/op (the Event, the Schedule closure, and the Timer handle);
 // the eventWaiter must come from the pool.
 func BenchmarkEventWaitSteady(b *testing.B) {
@@ -192,8 +192,8 @@ func BenchmarkEventWaitSteady(b *testing.B) {
 
 // BenchmarkEventFanoutSteady is EventFanout on a long-lived env: the
 // same 64 procs repeatedly block on a fresh event, so per-iteration
-// cost is the fanout itself (pooled waiters, one pooled proc batch,
-// one scheduled callback) without proc-spawn churn.
+// cost is the fanout itself (pooled waiters and one pooled fanout
+// Step, queued once) without proc-spawn churn.
 func BenchmarkEventFanoutSteady(b *testing.B) {
 	const waiters = 64
 	env := NewEnv()

@@ -30,8 +30,7 @@ var ErrTimeout = errors.New("devent: timeout")
 // Procs are still blocked or Steps still await an Event.
 var ErrDeadlock = errors.New("devent: deadlock")
 
-// ErrClosed is returned for operations on closed channels or destroyed
-// resources where panicking would be unhelpful.
+// ErrClosed is returned by Run on an environment that Close ended.
 var ErrClosed = errors.New("devent: closed")
 
 // compactThreshold is the minimum queue length before cancelled-item
@@ -68,10 +67,10 @@ type Env struct {
 	// exceed half of both).
 	free      *queueItem
 	cancelled int
-	// freeWaiter recycles eventWaiters (see event.go); freeBatches
-	// recycles the buffers used to batch multi-waiter fanouts.
-	freeWaiter  *eventWaiter
-	freeBatches [][]wakeup
+	// freeWaiter recycles eventWaiters and freeFanout the Steps that
+	// batch multi-waiter fanouts (see event.go).
+	freeWaiter *eventWaiter
+	freeFanout *fanout
 	// awaiting counts Steps registered with Then on events that have
 	// not fired: a Step left waiting when the queue drains is a
 	// deadlock, like a parked proc.
@@ -133,10 +132,10 @@ type Timer struct {
 // Cancel prevents the timer's callback from running. It reports whether
 // the timer was still pending.
 func (t *Timer) Cancel() bool {
-	if t == nil || t.item == nil || t.gen != t.item.gen || t.item.fn == nil {
+	if !t.Active() {
 		return false
 	}
-	t.item.fn = nil
+	t.item.s = nil
 	t.item = nil
 	e := t.env
 	e.cancelled++
@@ -148,7 +147,7 @@ func (t *Timer) Cancel() bool {
 
 // Active reports whether the timer is still pending.
 func (t *Timer) Active() bool {
-	return t != nil && t.item != nil && t.gen == t.item.gen && t.item.fn != nil
+	return t != nil && t.item != nil && t.gen == t.item.gen && t.item.s != nil
 }
 
 // Schedule runs fn at Now()+delay. A negative delay is treated as zero.
@@ -178,21 +177,27 @@ func (e *Env) ArmAt(t *Timer, at time.Duration, fn func()) {
 	if at < e.now {
 		at = e.now
 	}
-	it := e.newItem(at, fn, nil)
+	it := e.newItem(at, callback(fn))
 	e.push(it)
 	*t = Timer{env: e, item: it, gen: it.gen}
 }
 
-// scheduleFn is ScheduleAt without the Timer handle, for internal
-// callers that never cancel.
-func (e *Env) scheduleFn(delay time.Duration, fn func()) {
-	e.push(e.newItem(e.now+delay, fn, nil))
-}
-
 // Step is a closure-free scheduled activity: an object that carries its
 // own state, queued with ScheduleStep or registered on an Event with
-// Then. Converting a pointer to a Step allocates nothing.
+// Then. Converting a pointer to a Step allocates nothing. Step is the
+// kernel's one kind of queued work: a callback, a proc handoff and a
+// multi-waiter fanout are each queued as a Step.
 type Step interface{ Step() }
+
+// callback is a scheduled func as a Step.
+type callback func()
+
+func (f callback) Step() { f() }
+
+// handoff is a proc's resumption as a Step.
+type handoff Proc
+
+func (h *handoff) Step() { h.env.handoff((*Proc)(h)) }
 
 // ScheduleStep runs s.Step at Now()+delay, without a closure or a
 // Timer. A negative delay is treated as zero.
@@ -200,18 +205,7 @@ func (e *Env) ScheduleStep(delay time.Duration, s Step) {
 	if delay < 0 {
 		delay = 0
 	}
-	it := e.newItem(e.now+delay, nil, nil)
-	it.step = s
-	e.push(it)
-}
-
-// scheduleProc queues a handoff to p at Now()+delay without allocating
-// a closure or a Timer — the hot path behind Sleep and every wakeup.
-func (e *Env) scheduleProc(delay time.Duration, p *Proc) {
-	if delay < 0 {
-		delay = 0
-	}
-	e.push(e.newItem(e.now+delay, nil, p))
+	e.push(e.newItem(e.now+delay, s))
 }
 
 // push queues it on the ready lane if it is due now, else on the heap.
@@ -225,7 +219,7 @@ func (e *Env) push(it *queueItem) {
 
 // newItem takes a queueItem from the free list (or allocates one) and
 // initialises it.
-func (e *Env) newItem(at time.Duration, fn func(), p *Proc) *queueItem {
+func (e *Env) newItem(at time.Duration, s Step) *queueItem {
 	it := e.free
 	if it != nil {
 		e.free = it.next
@@ -236,17 +230,14 @@ func (e *Env) newItem(at time.Duration, fn func(), p *Proc) *queueItem {
 	e.seq++
 	it.at = at
 	it.seq = e.seq
-	it.fn = fn
-	it.proc = p
+	it.s = s
 	return it
 }
 
 // release returns an item to the free list, bumping its generation so
 // stale Timer handles no longer match.
 func (e *Env) release(it *queueItem) {
-	it.fn = nil
-	it.proc = nil
-	it.step = nil
+	it.s = nil
 	it.gen++
 	it.next = e.free
 	e.free = it
@@ -342,20 +333,13 @@ func (e *Env) Run() error {
 		if it.at > e.now {
 			e.now = it.at
 		}
-		fn, p, s := it.fn, it.proc, it.step
+		s := it.s
 		e.release(it)
 		e.dispatched++
 		if e.obs != nil {
 			e.obs.Dispatched()
 		}
-		switch {
-		case fn != nil:
-			fn()
-		case s != nil:
-			s.Step()
-		default:
-			e.handoff(p)
-		}
+		s.Step()
 	}
 	if e.failure != nil {
 		return e.failure
@@ -378,21 +362,19 @@ func (e *Env) blockedProcs() []string {
 	return names
 }
 
-// queueItem is a pending scheduled callback (fn), proc handoff (proc)
-// or Step (step). Items are pooled via Env.free; gen distinguishes a
-// live item from a recycled one holding the same address.
+// queueItem is a pending Step. Items are pooled via Env.free; gen
+// distinguishes a live item from a recycled one holding the same
+// address.
 type queueItem struct {
 	at   time.Duration
 	seq  int64
 	gen  uint64
-	fn   func()
-	proc *Proc
-	step Step
+	s    Step
 	next *queueItem
 }
 
-// dead reports whether the item was cancelled (only callbacks cancel).
-func (it *queueItem) dead() bool { return it.fn == nil && it.proc == nil && it.step == nil }
+// dead reports whether the item was cancelled (only Timers cancel).
+func (it *queueItem) dead() bool { return it.s == nil }
 
 // eventHeap is a binary min-heap of queue items ordered by (at, seq).
 type eventHeap []*queueItem
@@ -527,7 +509,7 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	if e.obs != nil {
 		e.obs.ProcSpawned()
 	}
-	e.scheduleProc(0, p)
+	e.wake(p)
 	return p
 }
 
@@ -556,7 +538,7 @@ func (p *Proc) park() {
 }
 
 // wake schedules p to resume at the current virtual time.
-func (e *Env) wake(p *Proc) { e.scheduleProc(0, p) }
+func (e *Env) wake(p *Proc) { e.ScheduleStep(0, (*handoff)(p)) }
 
 // releaseIdle ends the pooled coroutines. Run calls it on return, so
 // an Env that is never closed strands no idle coroutine: only procs
@@ -590,11 +572,8 @@ func (e *Env) Close() {
 		p.g.stop()
 	}
 	e.queue, e.ready, e.free, e.cancelled = nil, fifo[*queueItem]{}, nil, 0
-	e.freeWaiter, e.freeBatches = nil, nil
+	e.freeWaiter, e.freeFanout = nil, nil
 }
-
-// Env returns the environment the proc runs in.
-func (p *Proc) Env() *Env { return p.env }
 
 // Name returns the proc's unique name ("base#id").
 func (p *Proc) Name() string { return fmt.Sprintf("%s#%d", p.base, p.id) }
@@ -605,6 +584,6 @@ func (p *Proc) Now() time.Duration { return p.env.now }
 // Sleep blocks the proc for d of virtual time. Non-positive durations
 // yield (the proc re-queues at the current time).
 func (p *Proc) Sleep(d time.Duration) {
-	p.env.scheduleProc(d, p)
+	p.env.ScheduleStep(d, (*handoff)(p))
 	p.park()
 }

@@ -388,8 +388,8 @@ func TestSpawnFromProc(t *testing.T) {
 	var childAt time.Duration = -1
 	env.Spawn("parent", func(p *Proc) {
 		p.Sleep(3 * time.Second)
-		done := p.Env().NewEvent()
-		p.Env().Spawn("child", func(c *Proc) {
+		done := env.NewEvent()
+		env.Spawn("child", func(c *Proc) {
 			c.Sleep(time.Second)
 			childAt = c.Now()
 			done.Fire(nil)

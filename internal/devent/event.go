@@ -76,14 +76,14 @@ func (r registration) detach() {
 // bound it to catch registration leaks.
 func (ev *Event) Listeners() int { return len(ev.cbs) }
 
-// eventWaiter links one parked proc, or one Step (s), to the event it
-// awaits. Waiters are pooled on the Env (getWaiter/putWaiter). A
-// waiter with ev set is owned by WaitTimeout, which releases it itself
-// after the proc resumes, having cancelled the timer unless it fired;
-// it keeps its timer and timeout callback (bound the first time it is
-// timed) across reuses, so a timed wait allocates nothing.
+// eventWaiter links one Step — a parked proc's handoff, or a Step
+// registered with Then — to the event it awaits. Waiters are pooled on
+// the Env (getWaiter/putWaiter). A waiter with ev set is owned by
+// WaitTimeout, which releases it itself after the proc resumes, having
+// cancelled the timer unless it fired; it keeps its timer and timeout
+// callback (bound the first time it is timed) across reuses, so a
+// timed wait allocates nothing.
 type eventWaiter struct {
-	p         *Proc
 	s         Step
 	woken     bool
 	timedOut  bool
@@ -93,7 +93,7 @@ type eventWaiter struct {
 	next      *eventWaiter
 }
 
-func (e *Env) getWaiter(p *Proc) *eventWaiter {
+func (e *Env) getWaiter(s Step) *eventWaiter {
 	w := e.freeWaiter
 	if w != nil {
 		e.freeWaiter = w.next
@@ -101,13 +101,13 @@ func (e *Env) getWaiter(p *Proc) *eventWaiter {
 	} else {
 		w = &eventWaiter{}
 	}
-	w.p = p
+	w.s = s
 	w.woken, w.timedOut = false, false
 	return w
 }
 
 func (e *Env) putWaiter(w *eventWaiter) {
-	w.p, w.s, w.ev = nil, nil, nil
+	w.s, w.ev = nil, nil
 	w.next = e.freeWaiter
 	e.freeWaiter = w
 }
@@ -120,48 +120,58 @@ func (w *eventWaiter) timeout() {
 	w.woken = true
 	w.timedOut = true
 	w.ev.removeWaiter(w)
-	w.p.env.wake(w.p)
+	w.ev.env.ScheduleStep(0, w.s)
 }
 
-// wakeup is one fired waiter's resumption: a proc handoff, or its Step
-// when s is set.
-type wakeup struct {
-	p *Proc
-	s Step
+// fanout is a multi-waiter fire's batch: one queued Step that runs each
+// fired waiter's Step in registration order. Fanouts are pooled on the
+// Env and keep their buffer across reuses.
+type fanout struct {
+	env   *Env
+	steps []Step
+	next  *fanout
 }
 
-// getBatch pops a pooled wakeup buffer for fanouts.
-func (e *Env) getBatch() []wakeup {
-	if n := len(e.freeBatches); n > 0 {
-		b := e.freeBatches[n-1]
-		e.freeBatches = e.freeBatches[:n-1]
-		return b
+func (f *fanout) Step() {
+	for _, s := range f.steps {
+		s.Step()
 	}
-	return make([]wakeup, 0, 8)
+	f.put()
 }
 
-func (e *Env) putBatch(b []wakeup) {
-	clear(b)
-	e.freeBatches = append(e.freeBatches, b[:0])
+// getFanout pops a pooled fanout, or allocates one.
+func (e *Env) getFanout() *fanout {
+	f := e.freeFanout
+	if f == nil {
+		return &fanout{env: e, steps: make([]Step, 0, 8)}
+	}
+	e.freeFanout, f.next = f.next, nil
+	return f
 }
 
-// collect appends w's wakeup to batch unless a timeout already woke
+func (f *fanout) put() {
+	clear(f.steps)
+	f.steps = f.steps[:0]
+	f.next, f.env.freeFanout = f.env.freeFanout, f
+}
+
+// collect adds w's Step to the fanout unless a timeout already woke
 // it. Plain Wait waiters and Step waiters return to the pool here
 // (nothing touches them after they are registered); timed waiters (ev
-// set) are released by WaitTimeout once the proc resumes.
-func (e *Env) collect(batch []wakeup, w *eventWaiter) []wakeup {
+// set) are released by WaitTimeout once the proc resumes. Only a Step
+// registered with Then counts as awaiting.
+func (e *Env) collect(f *fanout, w *eventWaiter) {
 	if w.woken {
-		return batch
+		return
 	}
 	w.woken = true
-	batch = append(batch, wakeup{w.p, w.s})
-	if w.s != nil {
+	f.steps = append(f.steps, w.s)
+	if _, proc := w.s.(*handoff); !proc {
 		e.awaiting--
 	}
 	if w.ev == nil {
 		e.putWaiter(w)
 	}
-	return batch
 }
 
 // NewEvent returns an unfired event bound to the environment.
@@ -213,44 +223,30 @@ func (ev *Event) fire(v any, err error) {
 	ev.value = v
 	ev.err = err
 	env := ev.env
-	// Collect live waiters in registration order into a pooled batch.
-	batch := env.getBatch()
+	// Collect live waiters in registration order into a pooled fanout.
+	f := env.getFanout()
 	if w := ev.w0; w != nil {
 		ev.w0 = nil
-		batch = env.collect(batch, w)
+		env.collect(f, w)
 	}
 	for _, w := range ev.waiters {
-		batch = env.collect(batch, w)
+		env.collect(f, w)
 	}
 	ev.waiters = nil
 	// Batch the fanout: waking N waiters individually costs N queue
-	// items; instead resume each in order (a proc handoff, or its Step
-	// run inline) from a single scheduled callback. Each waiter was
-	// queued before any of them runs, so the relative order — waiters
-	// in registration order, ahead of anything they schedule — is the
-	// same as with per-waiter wakeups.
-	switch len(batch) {
+	// items; instead queue the fanout itself, which runs each waiter's
+	// Step in order. Each waiter was queued before any of them runs,
+	// so the relative order — waiters in registration order, ahead of
+	// anything they schedule — is the same as with per-waiter wakeups.
+	switch len(f.steps) {
 	case 0:
-		env.putBatch(batch)
+		f.put()
 	case 1:
-		w := batch[0]
-		env.putBatch(batch)
-		if w.s != nil {
-			env.ScheduleStep(0, w.s)
-		} else {
-			env.wake(w.p)
-		}
+		s := f.steps[0]
+		f.put()
+		env.ScheduleStep(0, s)
 	default:
-		env.scheduleFn(0, func() {
-			for _, w := range batch {
-				if w.s != nil {
-					w.s.Step()
-				} else {
-					env.handoff(w.p)
-				}
-			}
-			env.putBatch(batch)
-		})
+		env.ScheduleStep(0, f)
 	}
 	cbs := ev.cbs
 	ev.cbs = nil
@@ -294,8 +290,7 @@ func (ev *Event) Then(s Step) bool {
 		return false
 	}
 	e := ev.env
-	w := e.getWaiter(nil)
-	w.s = s
+	w := e.getWaiter(s)
 	ev.addWaiter(w)
 	e.awaiting++
 	return true
@@ -307,7 +302,7 @@ func (p *Proc) Wait(ev *Event) (any, error) {
 	if ev.fired {
 		return ev.value, ev.err
 	}
-	w := p.env.getWaiter(p)
+	w := p.env.getWaiter((*handoff)(p))
 	ev.addWaiter(w)
 	p.park()
 	return ev.value, ev.err
@@ -320,7 +315,7 @@ func (p *Proc) WaitTimeout(ev *Event, d time.Duration) (any, error) {
 		return ev.value, ev.err
 	}
 	e := p.env
-	w := e.getWaiter(p)
+	w := e.getWaiter((*handoff)(p))
 	w.ev = ev
 	if w.onTimeout == nil {
 		w.onTimeout = w.timeout

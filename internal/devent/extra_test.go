@@ -39,26 +39,55 @@ func TestScheduleFromCallback(t *testing.T) {
 	}
 }
 
+// A stale Timer handle, whose item fired and went back to the pool,
+// cancels nothing when the item is reused, whichever kind of work
+// reuses it: a callback, a ScheduleStep Step or a proc's Sleep wakeup.
+// The reused item holds live work when the stale Cancel runs, so the
+// item's generation is all that tells the two apart.
 func TestStaleTimerHandleAfterReuse(t *testing.T) {
-	env := NewEnv()
-	t1 := env.Schedule(time.Second, func() {})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// t1's queue item is now recycled; the next Schedule reuses it.
-	var fired bool
-	t2 := env.Schedule(time.Second, func() { fired = true })
-	if t1.Cancel() {
-		t.Fatal("stale handle cancelled a recycled item")
-	}
-	if !t2.Active() {
-		t.Fatal("t2 inactive after stale cancel")
-	}
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !fired {
-		t.Fatal("t2 did not fire")
+	for _, tc := range []struct {
+		name  string
+		reuse func(env *Env, log *[]string)
+	}{
+		{"callback", func(env *Env, log *[]string) {
+			env.Schedule(time.Second, func() { *log = append(*log, "callback") })
+		}},
+		{"step", func(env *Env, log *[]string) {
+			env.ScheduleStep(time.Second, &logStep{"step", log})
+		}},
+		// The spawn's handoff takes the item, and the proc's Sleep takes
+		// it again once the handoff has run.
+		{"sleep", func(env *Env, log *[]string) {
+			env.Spawn("sleeper", func(p *Proc) {
+				p.Sleep(time.Second)
+				*log = append(*log, "sleep")
+			})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := NewEnv()
+			stale := env.Schedule(time.Second, func() {})
+			if err := env.Run(); err != nil {
+				t.Fatal(err)
+			}
+			// stale's item is now on the free list; tc.reuse takes it.
+			var log []string
+			tc.reuse(env, &log)
+			env.Schedule(0, func() {
+				if stale.item.dead() {
+					t.Error("the recycled item holds no pending work")
+				}
+				if stale.Cancel() || stale.Active() {
+					t.Error("stale handle cancelled or reported a recycled item")
+				}
+			})
+			if err := env.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if len(log) != 1 || log[0] != tc.name {
+				t.Fatalf("log = %v, want [%s]", log, tc.name)
+			}
+		})
 	}
 }
 
@@ -108,11 +137,7 @@ func TestEventFailNilError(t *testing.T) {
 
 func TestProcNameAndEnvAccessors(t *testing.T) {
 	env := NewEnv()
-	p := env.Spawn("worker", func(p *Proc) {
-		if p.Env() != env {
-			t.Error("Env mismatch")
-		}
-	})
+	p := env.Spawn("worker", func(*Proc) {})
 	if p.Name() == "" {
 		t.Fatal("empty name")
 	}

@@ -363,6 +363,55 @@ func TestProcSwitchAllocs(t *testing.T) {
 	}
 }
 
+// chainStep awaits each of its events in turn with Then.
+type chainStep struct {
+	evs []*Event
+	i   int
+}
+
+func (s *chainStep) Step() {
+	if s.i < len(s.evs) {
+		s.evs[s.i].Then(s)
+		s.i++
+	}
+}
+
+// A steady two-waiter fire, a proc parked in Wait and a Step awaiting
+// with Then, allocates only the event's waiters slice: the waiters and
+// the fanout Step that resumes both come from the Env's pools.
+func TestEventFanoutAllocs(t *testing.T) {
+	const runs = 100
+	env := NewEnv()
+	evs := make([]*Event, runs+2) // one warm-up fire, and AllocsPerRun's
+	for i := range evs {
+		evs[i] = env.NewEvent()
+	}
+	(&chainStep{evs: evs}).Step()
+	env.Spawn("waiter", func(p *Proc) {
+		for _, ev := range evs {
+			p.Wait(ev)
+		}
+	})
+	var got float64
+	env.Spawn("firer", func(p *Proc) {
+		i := 0
+		fire := func() {
+			p.Sleep(time.Microsecond) // both waiters register on evs[i]
+			evs[i].Fire(nil)
+			i++
+		}
+		fire() // warm the pools
+		got = testing.AllocsPerRun(runs, fire)
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	const want = 1
+	if got > want {
+		t.Fatalf("two-waiter fire: %v allocs, want <= %d", got, want)
+	}
+}
+
 // WaitTimeout allocates nothing once its waiter is pooled, whether the
 // timeout wins or the event fires first.
 func TestWaitTimeoutAllocs(t *testing.T) {
