@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/autoscale"
-	"repro/internal/devent"
 	"repro/internal/faas"
 	"repro/internal/faas/htex"
 	"repro/internal/faas/provider"
@@ -246,64 +245,81 @@ func RunAutoscale(cfg AutoscaleConfig) (*AutoscaleResult, error) {
 		return nil, err
 	}
 
-	var endAt time.Duration
-	err = s.run(func(p *devent.Proc) error {
-		tally := func(f *faas.Future) {
-			_, err := f.Result(p)
-			switch {
-			case err == nil:
-				res.Completed++
-				lat := f.Task().EndTime - f.Task().SubmitTime
-				res.Latencies.Add(lat)
-				if lat <= cfg.SLOLatency {
-					res.Good++
-				}
-			case errors.Is(err, faas.ErrShed):
-				res.Shed++
-			default:
-				res.Failed++
+	tally := func(f *faas.Future) {
+		switch err := f.Event().Err(); {
+		case err == nil:
+			res.Completed++
+			lat := f.Task().EndTime - f.Task().SubmitTime
+			res.Latencies.Add(lat)
+			if lat <= cfg.SLOLatency {
+				res.Good++
 			}
+		case errors.Is(err, faas.ErrShed):
+			res.Shed++
+		default:
+			res.Failed++
 		}
-		var futs []*faas.Future
-		for {
-			at, ok := tr.Next()
-			if !ok {
-				break
+	}
+	// The main is a Step: open-loop arrivals, every future tallied in
+	// submission order, then the drain hold. It sleeps with
+	// ScheduleStep and awaits futures with Then, where a main proc
+	// would sleep and wait. slept marks an arrival whose sleep has
+	// elapsed; draining and holding mark the last two stages.
+	var futs []*faas.Future
+	var endAt time.Duration
+	slept, draining, holding := false, false, false
+	var driver stepFunc
+	driver = func() {
+		if !draining {
+			if slept {
+				futs = append(futs, dfk.Submit("infer"))
+				res.Arrivals++
+				if b := ex.Blocks(); b > res.PeakBlocks {
+					res.PeakBlocks = b
+				}
+				// Tally the finished futures at the front as the run
+				// goes, in submission order as at the end, so the run
+				// does not keep every task alive until then.
+				for len(futs) > 0 && futs[0].Done() {
+					tally(futs[0])
+					futs[0] = nil
+					futs = futs[1:]
+				}
 			}
-			p.Sleep(at - p.Now())
-			futs = append(futs, dfk.Submit("infer"))
-			res.Arrivals++
-			if b := ex.Blocks(); b > res.PeakBlocks {
-				res.PeakBlocks = b
+			if at, ok := tr.Next(); ok {
+				slept = true
+				env.ScheduleStep(at-env.Now(), driver)
+				return
 			}
-			// Tally the finished futures at the front as the run goes,
-			// in submission order as at the end, so the run does not
-			// keep every task alive until then. Result on a finished
-			// future returns without parking, so no event moves.
-			for len(futs) > 0 && futs[0].Done() {
+			draining = true
+		}
+		if !holding {
+			for len(futs) > 0 {
+				if futs[0].Event().Then(driver) {
+					return
+				}
 				tally(futs[0])
 				futs[0] = nil
 				futs = futs[1:]
 			}
-		}
-		for _, f := range futs {
-			tally(f)
-		}
-		if b := ex.Blocks(); b > res.PeakBlocks {
-			res.PeakBlocks = b
-		}
-		res.Makespan = p.Now()
-		if cfg.DrainHold > 0 {
-			p.Sleep(cfg.DrainHold)
+			if b := ex.Blocks(); b > res.PeakBlocks {
+				res.PeakBlocks = b
+			}
+			res.Makespan = env.Now()
+			holding = true
+			if cfg.DrainHold > 0 {
+				env.ScheduleStep(cfg.DrainHold, driver)
+				return
+			}
 		}
 		res.FinalBlocks = ex.Blocks()
-		endAt = p.Now()
+		endAt = env.Now()
 		if ctl != nil {
 			ctl.Stop() // closes the block-seconds integral
 		}
-		return nil
-	})
-	if err != nil {
+		s.exit(nil)
+	}
+	if err := s.runStep(driver); err != nil {
 		return nil, err
 	}
 

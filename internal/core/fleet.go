@@ -206,95 +206,85 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	}
 
 	// Sampler: fragmentation-over-time at SampleEvery, horizon-bounded.
-	env.Spawn("fleet-sampler", func(p *devent.Proc) {
-		for {
-			p.Sleep(cfg.SampleEvery)
-			if env.Now() > cfg.Duration {
-				return
-			}
-			frag := cl.Fragmentation()
-			var nMIG, nMPS, nEmpty int
-			for _, g := range frag.PerGPU {
-				switch g.Mode {
-				case "mig":
-					nMIG++
-				case "mps":
-					nMPS++
-				default:
-					nEmpty++
-				}
-			}
-			res.FragSeries = append(res.FragSeries, FleetFragPoint{
-				T: env.Now(), Frag: frag.Fleet, Tenants: cl.Tenants(),
-				MIG: nMIG, MPS: nMPS, Empty: nEmpty,
-			})
+	env.ScheduleStep(0, &sleepLoop{env: env, gap: func() time.Duration { return cfg.SampleEvery }, fn: func() bool {
+		if env.Now() > cfg.Duration {
+			return false
 		}
-	})
+		frag := cl.Fragmentation()
+		var nMIG, nMPS, nEmpty int
+		for _, g := range frag.PerGPU {
+			switch g.Mode {
+			case "mig":
+				nMIG++
+			case "mps":
+				nMPS++
+			default:
+				nEmpty++
+			}
+		}
+		res.FragSeries = append(res.FragSeries, FleetFragPoint{
+			T: env.Now(), Frag: frag.Fleet, Tenants: cl.Tenants(),
+			MIG: nMIG, MPS: nMPS, Empty: nEmpty,
+		})
+		return true
+	}})
 
 	// Rebalancer: periodic drift check, adopting the scratch solve when
 	// it is strictly better.
 	if cfg.RebalanceEvery > 0 {
-		env.Spawn("fleet-rebalancer", func(p *devent.Proc) {
-			for {
-				p.Sleep(cfg.RebalanceEvery)
-				if env.Now() > cfg.Duration {
-					return
-				}
-				rep := cl.Rebalance()
-				res.Rebalances++
-				if rep.ScratchInfeasible {
-					res.ScratchInfeasible++
-					continue
-				}
-				if rep.Gap > res.MaxGap {
-					res.MaxGap = rep.Gap
-				}
-				if rep.Applied {
-					res.RebalancesApplied++
-					res.Moved += rep.Moved
-				}
+		env.ScheduleStep(0, &sleepLoop{env: env, gap: func() time.Duration { return cfg.RebalanceEvery }, fn: func() bool {
+			if env.Now() > cfg.Duration {
+				return false
 			}
-		})
+			rep := cl.Rebalance()
+			res.Rebalances++
+			if rep.ScratchInfeasible {
+				res.ScratchInfeasible++
+				return true
+			}
+			if rep.Gap > res.MaxGap {
+				res.MaxGap = rep.Gap
+			}
+			if rep.Applied {
+				res.RebalancesApplied++
+				res.Moved += rep.Moved
+			}
+			return true
+		}})
 	}
 
 	// Churn driver, the run's main: Poisson arrivals over the horizon;
 	// each placed tenant departs after an exponential lifetime (its own
-	// proc, so departures outlive the arrival loop and drain naturally
-	// after the store stops with the horizon).
-	err = s.run(func(p *devent.Proc) error {
-		seq := 0
-		for {
-			p.Sleep(time.Duration(rng.ExpFloat64() / cfg.ArrivalRate * float64(time.Second)))
-			if env.Now() > cfg.Duration {
-				break
-			}
-			app := apps[rng.Intn(len(apps))]
-			life := time.Duration(rng.ExpFloat64() * float64(cfg.MeanLifetime))
-			name := fmt.Sprintf("%s/t%d", app.name, seq)
-			seq++
-			res.Arrivals++
-			res.Classes[classIdx[app.class]].Arrivals++
-			_, perr := cl.Place(fleet.Demand{Tenant: name, SMs: app.sms, MemBytes: app.mem})
-			if perr != nil {
-				res.Rejected++
-				continue
-			}
-			res.Placed++
-			res.Classes[classIdx[app.class]].Placed++
-			if n := cl.Tenants(); n > res.PeakTenants {
-				res.PeakTenants = n
-			}
-			env.Spawn(name, func(p *devent.Proc) {
-				p.Sleep(life)
-				if err := cl.Evict(name); err != nil {
-					env.Fail(fmt.Errorf("fleet scenario: departing %q: %w", name, err))
-					return
-				}
-				res.Evicted++
-			})
+	// departure step, so departures outlive the arrival loop and drain
+	// naturally after the store stops with the horizon).
+	seq := 0
+	shared := &departures{env: env, cl: cl, res: res}
+	err = s.runStep(&sleepLoop{env: env, gap: func() time.Duration {
+		return time.Duration(rng.ExpFloat64() / cfg.ArrivalRate * float64(time.Second))
+	}, fn: func() bool {
+		if env.Now() > cfg.Duration {
+			s.exit(nil)
+			return false
 		}
-		return nil
-	})
+		app := apps[rng.Intn(len(apps))]
+		life := time.Duration(rng.ExpFloat64() * float64(cfg.MeanLifetime))
+		name := fmt.Sprintf("%s/t%d", app.name, seq)
+		seq++
+		res.Arrivals++
+		res.Classes[classIdx[app.class]].Arrivals++
+		_, perr := cl.Place(fleet.Demand{Tenant: name, SMs: app.sms, MemBytes: app.mem})
+		if perr != nil {
+			res.Rejected++
+			return true
+		}
+		res.Placed++
+		res.Classes[classIdx[app.class]].Placed++
+		if n := cl.Tenants(); n > res.PeakTenants {
+			res.PeakTenants = n
+		}
+		env.ScheduleStep(0, &departure{departures: shared, name: name, life: life})
+		return true
+	}})
 	if err != nil {
 		return nil, err
 	}
@@ -324,4 +314,51 @@ func interleaveSpecs(n80, n40 int) []simgpu.DeviceSpec {
 		}
 	}
 	return specs
+}
+
+// sleepLoop is the Step form of a proc that loops on a sleep: queued
+// where Spawn would queue the proc's start, it sleeps out gap(), runs
+// fn, and again, until fn reports false.
+type sleepLoop struct {
+	env   *devent.Env
+	gap   func() time.Duration
+	fn    func() bool
+	slept bool
+}
+
+func (l *sleepLoop) Step() {
+	if l.slept && !l.fn() {
+		return
+	}
+	l.slept = true
+	l.env.ScheduleStep(l.gap(), l)
+}
+
+// departures is what a run's departure steps share.
+type departures struct {
+	env *devent.Env
+	cl  *fleet.Cluster
+	res *FleetResult
+}
+
+// departure is a placed tenant's exit as a Step: queued where its proc
+// would start, it sleeps out the tenant's lifetime, then evicts it.
+type departure struct {
+	*departures
+	name  string
+	life  time.Duration
+	slept bool
+}
+
+func (d *departure) Step() {
+	if !d.slept {
+		d.slept = true
+		d.env.ScheduleStep(d.life, d)
+		return
+	}
+	if err := d.cl.Evict(d.name); err != nil {
+		d.env.Fail(fmt.Errorf("fleet scenario: departing %q: %w", d.name, err))
+		return
+	}
+	d.res.Evicted++
 }

@@ -272,16 +272,29 @@ func (pl *Platform) Register(app faas.App) { pl.DFK.Register(app) }
 // injector stops when main returns, so the event queue drains and the
 // run terminates even with an unbounded fault schedule.
 func (pl *Platform) Run(main func(p *devent.Proc) error) error {
+	if err := pl.start(); err != nil {
+		return err
+	}
+	return pl.run(main)
+}
+
+// runStep is Run with main as a Step that ends in exit.
+func (pl *Platform) runStep(main devent.Step) error {
+	if err := pl.start(); err != nil {
+		return err
+	}
+	return pl.sim.runStep(main)
+}
+
+// start starts the DFK and, under chaos, the fault injector, which
+// stops when main exits.
+func (pl *Platform) start() error {
 	if err := pl.DFK.Start(); err != nil {
 		return err
 	}
 	if pl.Injector != nil {
 		pl.Injector.Start()
+		pl.stop = pl.Injector.Stop
 	}
-	return pl.run(func(p *devent.Proc) error {
-		if pl.Injector != nil {
-			defer pl.Injector.Stop()
-		}
-		return main(p)
-	})
+	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/devent"
 	"repro/internal/faas"
 	"repro/internal/harness"
 	"repro/internal/metrics"
@@ -119,6 +118,8 @@ type ShardScaleResult struct {
 	Tasks int
 	// Events is the shard Env's dispatched-event count.
 	Events int64
+	// Resumes is the shard Env's proc-resume count (devent.Env.Resumes).
+	Resumes int64
 	// Spans is the total span count the collector assigned IDs to.
 	Spans int
 	// MaxRetained is the collector's retained-window high-water mark —
@@ -140,6 +141,8 @@ type ScaleResult struct {
 	Shards []ShardScaleResult
 	// Events is the total dispatched-event count across shards.
 	Events int64
+	// Resumes is the total proc-resume count across shards.
+	Resumes int64
 	// Spans is the total span count across shards.
 	Spans int64
 	// MaxRetained is the largest per-shard retained-window high-water.
@@ -177,6 +180,7 @@ func RunMillionTask(cfg ScaleConfig) (*ScaleResult, error) {
 		sr := shardRes[i].ShardScaleResult
 		res.Shards = append(res.Shards, sr)
 		res.Events += sr.Events
+		res.Resumes += sr.Resumes
 		res.Spans += int64(sr.Spans)
 		if sr.MaxRetained > res.MaxRetained {
 			res.MaxRetained = sr.MaxRetained
@@ -241,52 +245,70 @@ func runScaleShard(cfg ScaleConfig, shard, tasks int, sink obs.SpanSink) (shardS
 		inv.Compute(d)
 		return nil, nil
 	}})
-	runErr := pl.Run(func(p *devent.Proc) error {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(shard)))
-		window := make([]*faas.Future, 0, cfg.Window)
-		sr.lats = make([]time.Duration, 0, tasks)
-		// Progress batches completions so the wall-side mutex is taken
-		// once per batch, not once per task.
-		const progressBatch = 1024
-		unreported := 0
-		note := func() {
-			unreported++
-			if unreported >= progressBatch && tel.Progress != nil {
-				tel.Progress.TasksDone(unreported)
-				unreported = 0
-			}
+	rng := rand.New(rand.NewSource(cfg.Seed + int64(shard)))
+	window := make([]*faas.Future, 0, cfg.Window)
+	sr.lats = make([]time.Duration, 0, tasks)
+	// Progress batches completions so the wall-side mutex is taken
+	// once per batch, not once per task.
+	const progressBatch = 1024
+	unreported := 0
+	note := func() {
+		unreported++
+		if unreported >= progressBatch && tel.Progress != nil {
+			tel.Progress.TasksDone(unreported)
+			unreported = 0
 		}
-		await := func(f *faas.Future) error {
-			if _, err := f.Result(p); err != nil {
-				return err
-			}
-			t := f.Task()
-			sr.lats = append(sr.lats, t.EndTime-t.SubmitTime)
-			note()
-			return nil
+	}
+	// The arrival loop is a Step: Poisson arrivals, each submitted once
+	// the window has room, then the window awaited in submission order.
+	// It sleeps with ScheduleStep and awaits the oldest future with
+	// Then, where a main proc would sleep and wait. arrived counts the
+	// submitted tasks; sleeping marks a pending gap, and pending an
+	// arrival whose gap has elapsed, holding its service time svc until
+	// the window has room.
+	arrived, sleeping, pending := 0, false, false
+	var svc time.Duration
+	var driver stepFunc
+	driver = func() {
+		if sleeping {
+			sleeping, pending = false, true
+			svc = time.Duration(rng.ExpFloat64() * float64(cfg.MeanService))
 		}
-		for i := 0; i < tasks; i++ {
-			gap := time.Duration(rng.ExpFloat64() / cfg.ArrivalRate * float64(time.Second))
-			p.Sleep(gap)
-			svc := time.Duration(rng.ExpFloat64() * float64(cfg.MeanService))
-			if len(window) == cfg.Window {
-				if err := await(window[0]); err != nil {
-					return err
+		for {
+			if pending && len(window) == cfg.Window || !pending && arrived == tasks && len(window) > 0 {
+				f := window[0]
+				if f.Event().Then(driver) {
+					return
 				}
+				if err := f.Event().Err(); err != nil {
+					pl.exit(err)
+					return
+				}
+				t := f.Task()
+				sr.lats = append(sr.lats, t.EndTime-t.SubmitTime)
+				note()
 				window = append(window[:0], window[1:]...)
+				continue
 			}
-			window = append(window, pl.DFK.Submit("micro", svc))
-		}
-		for _, f := range window {
-			if err := await(f); err != nil {
-				return err
+			if pending {
+				pending = false
+				arrived++
+				window = append(window, pl.DFK.Submit("micro", svc))
+				continue
 			}
+			if arrived == tasks {
+				break
+			}
+			sleeping = true
+			pl.Env.ScheduleStep(time.Duration(rng.ExpFloat64()/cfg.ArrivalRate*float64(time.Second)), driver)
+			return
 		}
 		if unreported > 0 && tel.Progress != nil {
 			tel.Progress.TasksDone(unreported)
 		}
-		return nil
-	})
+		pl.exit(nil)
+	}
+	runErr := pl.runStep(driver)
 	if runErr != nil {
 		return sr, runErr
 	}
@@ -296,6 +318,7 @@ func runScaleShard(cfg ScaleConfig, shard, tasks int, sink obs.SpanSink) (shardS
 		pl.Obs.Close()
 	}
 	sr.Events = pl.Env.EventsDispatched()
+	sr.Resumes = pl.Env.Resumes()
 	sr.Spans = pl.Obs.Len()
 	sr.MaxRetained = pl.Obs.MaxRetained()
 	sr.Makespan = pl.Env.Now()

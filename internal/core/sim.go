@@ -40,6 +40,10 @@ type sim struct {
 	// ledger is the run's DFK task ledger (nil when the run has no
 	// DFK); run checks it once the simulation drains.
 	ledger *faas.Ledger
+	// stop, when set, stops with main besides the store (a Platform's
+	// fault injector); mainErr is what main exited with.
+	stop    func()
+	mainErr error
 }
 
 // newSim builds a fresh Env with one device per spec, named gpu0,
@@ -111,30 +115,56 @@ func (s *sim) spawn(name string, body func(*devent.Proc) error) *devent.Proc {
 	})
 }
 
-// run is the one drain sequence: start the store, spawn main, stop the
-// store when main returns (its scrape daemon holds a pending timer, so
-// the queue would never drain), run to drain, flush the SLO windows
-// still burning, and take a final scrape of the run's end state. A nil
-// main runs only the procs already spawned. Main's error is returned
-// once the run has drained; a run that otherwise succeeded, or drained
-// into a deadlock, fails if its task ledger does not balance. A task
-// stuck for good leaves its launch step awaiting an event that never
-// fires, so a lost task deadlocks the run, and the ledger names the
-// loss.
+// run is the one drain sequence: start the store, spawn main, run to
+// drain, flush the SLO windows still burning, and take a final scrape
+// of the run's end state. Main ends in exit when it returns. A nil main
+// runs only the procs already spawned. Main's error is returned once
+// the run has drained; a run that otherwise succeeded, or drained into
+// a deadlock, fails if its task ledger does not balance. A task stuck
+// for good leaves its launch step awaiting an event that never fires,
+// so a lost task deadlocks the run, and the ledger names the loss.
 func (s *sim) run(main func(*devent.Proc) error) error {
 	s.TSDB.Start(s.Env)
-	var mainErr error
 	if main != nil {
-		s.Env.Spawn("main", func(p *devent.Proc) {
-			mainErr = main(p)
-			s.TSDB.Stop()
-		})
+		s.Env.Spawn("main", func(p *devent.Proc) { s.exit(main(p)) })
 	}
+	return s.wait()
+}
+
+// runStep is run with main as a Step, the form of a driver that only
+// sleeps and awaits events: it is queued where Spawn would queue a
+// main proc's start, and it calls exit when it ends.
+func (s *sim) runStep(main devent.Step) error {
+	s.TSDB.Start(s.Env)
+	s.Env.ScheduleStep(0, main)
+	return s.wait()
+}
+
+// stepFunc is a driver's loop body as a devent.Step, for a main that
+// keeps its state in the locals it captures.
+type stepFunc func()
+
+func (f stepFunc) Step() { f() }
+
+// exit ends the run's main with err, which run returns once the run
+// has drained, and stops what runs only as long as main: stop, and the
+// store's scrape daemon, whose pending timer would keep the queue from
+// ever draining.
+func (s *sim) exit(err error) {
+	s.mainErr = err
+	if s.stop != nil {
+		s.stop()
+	}
+	s.TSDB.Stop()
+}
+
+// wait is run's second half: run to drain, then close out the run.
+func (s *sim) wait() error {
 	err := s.Env.Run()
 	if err == nil {
 		s.SLOMon.Close()
 		s.TSDB.Scrape()
-		err = mainErr
+		err = s.mainErr
 	}
 	if err == nil || errors.Is(err, devent.ErrDeadlock) {
 		if lerr := s.ledger.Err(); lerr != nil {

@@ -3,9 +3,12 @@
 //
 // An Env owns a virtual clock and an event queue. Simulated activities
 // are plain scheduled callbacks (Schedule), Steps (state machines that
-// queue themselves with ScheduleStep and await Events with Then), or
-// Procs: coroutines that the scheduler resumes one at a time and that
-// advance virtual time by blocking on Sleep, Events, or Queues.
+// queue themselves with ScheduleStep, await Events with Then and take
+// from Queues with Queue.Then), or Procs: coroutines that the scheduler
+// resumes one at a time and that advance virtual time by blocking on
+// Sleep, Events, or Queues. A Step the scheduler dispatches may also
+// resume a proc parked in Park, running it inline until it parks again,
+// so a proc need only exist where a body blocks mid-call.
 //
 // The kernel is logically single-threaded: at any instant either the
 // scheduler loop or exactly one Proc is executing. All devent objects
@@ -79,13 +82,22 @@ type Env struct {
 	// increment) so throughput scenarios can report events/sec without
 	// attaching an observer.
 	dispatched int64
-	obs        Observer
+	// resumes counts proc resumptions (coroutine switches into a
+	// body), always on like dispatched; current is the proc running.
+	resumes int64
+	current *Proc
+	obs     Observer
 }
 
 // EventsDispatched reports how many events the scheduler has executed
 // since the environment was created — the denominator of the scale
 // scenario's events/sec metric.
 func (e *Env) EventsDispatched() int64 { return e.dispatched }
+
+// Resumes reports how many times a proc has been resumed since the
+// environment was created, its first start included: the coroutine
+// switches the run paid for, of which a Step pays none.
+func (e *Env) Resumes() int64 { return e.resumes }
 
 // Observer receives scheduler lifecycle callbacks (the obs package's
 // Collector implements it). All methods run in sim context. Dispatched
@@ -481,17 +493,29 @@ func (l *procList) remove(p *Proc) {
 	p.prev, p.next = nil, nil
 }
 
-// SetDaemon marks the proc as a daemon: a parked daemon (e.g. an idle
-// worker waiting for tasks) does not count as a deadlock when the
-// event queue drains, mirroring daemon-thread semantics.
+// SetDaemon marks the proc as a daemon: a parked daemon (an htex
+// worker's proc, parked between apps until a Step resumes it) does not
+// count as a deadlock when the event queue drains, mirroring
+// daemon-thread semantics.
 func (p *Proc) SetDaemon(d bool) { p.daemon = d }
 
 // Spawn starts a new process executing fn. The process begins running
 // at the current virtual time (after the caller yields control). On a
 // closed Env the proc never runs.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
+	p := e.NewProc(name, fn)
+	if !p.dead {
+		e.ScheduleStep(0, (*handoff)(p))
+	}
+	return p
+}
+
+// NewProc registers a process executing fn that starts parked, with
+// nothing queued: fn begins at the first Resume. On a closed Env the
+// proc never runs.
+func (e *Env) NewProc(name string, fn func(p *Proc)) *Proc {
 	e.nextPID++
-	p := &Proc{env: e, id: e.nextPID, base: name}
+	p := &Proc{env: e, id: e.nextPID, base: name, parked: true}
 	if e.closed {
 		p.dead = true
 		return p
@@ -509,7 +533,6 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	if e.obs != nil {
 		e.obs.ProcSpawned()
 	}
-	e.wake(p)
 	return p
 }
 
@@ -521,24 +544,39 @@ func (e *Env) handoff(p *Proc) {
 		return
 	}
 	p.parked = false
+	e.resumes++
 	g := p.g
-	if g.next(); g.goexit {
+	e.current = p
+	g.next()
+	e.current = nil
+	if g.goexit {
 		go g.stop()
 	}
 }
 
-// park yields control back to the scheduler until somebody resumes p.
-// A proc stopped by Close unwinds with a panic that its body recovers;
-// so does a deferred call that blocks while it unwinds.
-func (p *Proc) park() {
+// Park yields control back to the scheduler until somebody resumes p:
+// Sleep, Wait and Get park after queueing or registering the wakeup,
+// and a bare Park waits for a Step to call Resume. A proc stopped by
+// Close unwinds with a panic that its body recovers; so does a
+// deferred call that blocks while it unwinds.
+func (p *Proc) Park() {
 	p.parked = true
 	if !p.g.yield(struct{}{}) {
 		panic(unwind{})
 	}
 }
 
-// wake schedules p to resume at the current virtual time.
-func (e *Env) wake(p *Proc) { e.ScheduleStep(0, (*handoff)(p)) }
+// Resume runs p, parked in a bare Park or not yet started (NewProc),
+// inline until it parks again or returns, so the proc costs no queue
+// item of its own. Call it only from scheduler context, a Step or
+// callback that Run dispatched; called from inside a proc (a Step
+// that a proc ran inline, say) it panics.
+func (p *Proc) Resume() {
+	if p.env.current != nil {
+		panic("devent: Resume called from inside a proc")
+	}
+	p.env.handoff(p)
+}
 
 // releaseIdle ends the pooled coroutines. Run calls it on return, so
 // an Env that is never closed strands no idle coroutine: only procs
@@ -585,5 +623,5 @@ func (p *Proc) Now() time.Duration { return p.env.now }
 // yield (the proc re-queues at the current time).
 func (p *Proc) Sleep(d time.Duration) {
 	p.env.ScheduleStep(d, (*handoff)(p))
-	p.park()
+	p.Park()
 }

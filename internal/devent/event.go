@@ -304,7 +304,7 @@ func (p *Proc) Wait(ev *Event) (any, error) {
 	}
 	w := p.env.getWaiter((*handoff)(p))
 	ev.addWaiter(w)
-	p.park()
+	p.Park()
 	return ev.value, ev.err
 }
 
@@ -322,7 +322,7 @@ func (p *Proc) WaitTimeout(ev *Event, d time.Duration) (any, error) {
 	}
 	ev.addWaiter(w)
 	e.ArmAt(&w.timer, e.now+d, w.onTimeout)
-	p.park()
+	p.Park()
 	timedOut := w.timedOut
 	e.putWaiter(w)
 	if timedOut {

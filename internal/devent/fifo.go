@@ -1,35 +1,59 @@
 package devent
 
-// Queue is an unbounded virtual-time FIFO. Put never blocks; Get hands
-// each value to the longest-waiting receiver, or parks the proc until
-// a value arrives or its cancel event fires.
+// Queue is an unbounded virtual-time FIFO. Put never blocks; each
+// value goes to the longest-waiting receiver, a proc parked in Get or a
+// Receiver registered with Then, or is queued until one asks.
 type Queue[T any] struct {
 	env   *Env
 	buf   fifo[T]
 	recvq fifo[*queueWaiter[T]]
-	// free recycles waiters. By the time Get returns its waiter has
+	// free recycles waiters. By the time a waiter is released it has
 	// left recvq (popped by Put, or removed by the cancel) and its
 	// cancel listener has detached, so nothing references it.
 	free []*queueWaiter[T]
 }
 
+// Receiver is a Step that takes a value from a Queue: Queue.Then
+// registers it, and Receive runs in the queue slot where Get would
+// wake a parked proc, with ok false when the wait was cancelled.
+type Receiver[T any] interface{ Receive(v T, ok bool) }
+
+// queueWaiter is one pending receive, for a proc (p) or a Receiver
+// (r). Put and the cancel queue the waiter itself as the Step that
+// delivers it.
 type queueWaiter[T any] struct {
 	q     *Queue[T]
 	p     *Proc
+	r     Receiver[T]
+	reg   registration
 	val   T
 	ok    bool
 	woken bool
 }
 
-// fired is the waiter's cancel listener: it withdraws the pending Get
-// and wakes the proc.
+// fired is the waiter's cancel listener: it withdraws the pending
+// receive and queues its delivery with ok false.
 func (w *queueWaiter[T]) fired(*Event) {
 	if w.woken {
 		return
 	}
 	w.woken = true
 	removeWaiter(&w.q.recvq, w)
-	w.q.env.wake(w.p)
+	w.q.env.ScheduleStep(0, w)
+}
+
+// Step delivers the receive: it resumes the parked proc, which reads
+// its value and releases the waiter in Get, or releases the waiter and
+// hands the value to the Receiver.
+func (w *queueWaiter[T]) Step() {
+	if w.p != nil {
+		w.q.env.handoff(w.p)
+		return
+	}
+	w.reg.detach()
+	r, v, ok := w.r, w.val, w.ok
+	w.q.putWaiter(w)
+	r.Receive(v, ok)
 }
 
 // NewQueue returns an empty queue.
@@ -44,7 +68,7 @@ func (q *Queue[T]) Put(v T) {
 		w := q.recvq.pop()
 		w.val, w.ok = v, true
 		w.woken = true
-		q.env.wake(w.p)
+		q.env.ScheduleStep(0, w)
 		return
 	}
 	q.buf.push(v)
@@ -66,37 +90,52 @@ func (q *Queue[T]) Get(p *Proc, cancel *Event) (v T, ok bool) {
 	if v, ok := q.TryGet(); ok {
 		return v, true
 	}
-	w := q.getWaiter(p)
-	q.recvq.push(w)
-	// If cancel has already fired, listen runs the listener at once,
-	// which schedules the wake the park consumes: the same path as a
-	// later cancellation.
-	var reg registration
-	if cancel != nil {
-		reg = cancel.listen(w)
-	}
-	p.park()
-	reg.detach()
+	w := q.wait(p, nil, cancel)
+	p.Park()
+	w.reg.detach()
 	v, ok = w.val, w.ok
 	q.putWaiter(w)
 	return v, ok
 }
 
-// getWaiter takes a pooled waiter, or allocates one.
-func (q *Queue[T]) getWaiter(p *Proc) *queueWaiter[T] {
+// Then is Get for a Step. It takes the oldest queued value, even if
+// cancel has already fired, and reports it with ok true, registering
+// nothing: the caller carries on inline. Otherwise it registers r and
+// reports ok false; r.Receive then runs where Get would wake a parked
+// proc, with the value, or with ok false once a non-nil cancel fires.
+// A Receiver still registered when Run drains the queue is no
+// deadlock: like an idle daemon, it waits for work that may not come.
+func (q *Queue[T]) Then(r Receiver[T], cancel *Event) (v T, ok bool) {
+	if v, ok := q.TryGet(); ok {
+		return v, true
+	}
+	q.wait(nil, r, cancel)
+	return v, false
+}
+
+// wait registers a receive for p or r behind the receivers already
+// waiting. If cancel has already fired, listen runs the listener at
+// once, which queues the delivery with ok false: the same path as a
+// later cancellation.
+func (q *Queue[T]) wait(p *Proc, r Receiver[T], cancel *Event) *queueWaiter[T] {
+	var w *queueWaiter[T]
 	if n := len(q.free); n > 0 {
-		w := q.free[n-1]
+		w = q.free[n-1]
 		q.free[n-1] = nil
 		q.free = q.free[:n-1]
-		*w = queueWaiter[T]{q: q, p: p}
-		return w
+	} else {
+		w = &queueWaiter[T]{}
 	}
-	return &queueWaiter[T]{q: q, p: p}
+	*w = queueWaiter[T]{q: q, p: p, r: r}
+	q.recvq.push(w)
+	if cancel != nil {
+		w.reg = cancel.listen(w)
+	}
+	return w
 }
 
 func (q *Queue[T]) putWaiter(w *queueWaiter[T]) {
-	var zero T
-	w.p, w.val = nil, zero
+	*w = queueWaiter[T]{}
 	q.free = append(q.free, w)
 }
 

@@ -73,9 +73,12 @@ func (m *queueModel) cancel(g *modelGet, now time.Duration) {
 
 // runQueueProgram drives a Queue and the model through one random
 // program drawn from PCG(s1, s2): Puts from scheduled callbacks and
-// from procs, TryGets, and Gets on several procs whose cancels fire at
-// random times, often at instants that other operations share. It
-// returns the first disagreement between the two.
+// from receivers, TryGets, and gets on several receivers whose cancels
+// fire at random times, often at instants that other operations share.
+// Each receiver is randomly a proc, which blocks in Get and Sleep, or
+// a Step, which registers with Then and queues itself with
+// ScheduleStep; both are checked against the same model. It returns
+// the first disagreement between the Queue and the model.
 func runQueueProgram(s1, s2 uint64) error {
 	rng := rand.New(rand.NewPCG(s1, s2))
 	env := NewEnv()
@@ -91,54 +94,92 @@ func runQueueProgram(s1, s2 uint64) error {
 	// share instants.
 	when := func() time.Duration { return time.Duration(rng.IntN(8)) * time.Microsecond }
 	next := 0
+	// resolving is set while a Put or a cancel runs: a get they resolve
+	// returns in a queue slot of its own, never inside them.
+	resolving := false
 	put := func() {
 		next++
 		m.put(next, env.Now())
+		resolving = true
 		q.Put(next)
+		resolving = false
 	}
 	for n := rng.IntN(40); n > 0; n-- {
 		env.Schedule(when()+when(), put)
 	}
 	var issued, returned int
-	procs := 1 + rng.IntN(4)
-	for i := 0; i < procs; i++ {
+	// startGet draws a get's cancel (none, already fired, or firing
+	// later, maybe at this instant) and resolves the get in the model.
+	startGet := func() (*Event, *modelGet) {
+		var cancel *Event
+		var g *modelGet
+		switch rng.IntN(4) {
+		case 0: // no cancel
+		case 1: // already fired
+			cancel = env.NewEvent()
+			cancel.Fire(nil)
+		default: // fires later, maybe at this instant
+			cancel = env.NewEvent()
+			env.Schedule(when(), func() {
+				m.cancel(g, env.Now())
+				resolving = true
+				cancel.Fire(nil)
+				resolving = false
+			})
+		}
+		g = m.get(cancel != nil && cancel.Fired(), env.Now())
+		issued++
+		return cancel, g
+	}
+	// got checks a get's outcome, in value and in virtual time.
+	got := func(g *modelGet, v int, ok bool) {
+		returned++
+		if resolving {
+			fail("get returned inside the Put or cancel that resolved it")
+		}
+		if !g.resolved || v != g.val || ok != g.ok || env.Now() != g.at {
+			fail("get = %d, %v at %v; model %+v", v, ok, env.Now(), *g)
+		}
+	}
+	// op runs one operation that does not wait and reports whether it
+	// was one; otherwise the receiver gets (true) or sleeps (false).
+	op := func() (done, get bool) {
+		switch op := rng.IntN(10); {
+		case op < 2:
+			v, ok := q.TryGet()
+			if mv, mok := m.tryGet(); v != mv || ok != mok {
+				fail("TryGet = %d, %v; model %d, %v", v, ok, mv, mok)
+			}
+			return true, false
+		case op < 6:
+			return false, true
+		case op < 8:
+			return false, false
+		default:
+			put()
+			return true, false
+		}
+	}
+	receivers := 1 + rng.IntN(4)
+	for i := 0; i < receivers; i++ {
 		steps := rng.IntN(30)
+		if rng.IntN(2) == 0 {
+			env.ScheduleStep(0, &stepReceiver{env: env, q: q, steps: steps, op: op,
+				startGet: startGet, got: got, when: when, bad: &bad})
+			continue
+		}
 		// A proc whose last get never resolves stays parked; as a
 		// daemon it does not count as a deadlock.
 		env.Spawn(fmt.Sprintf("getter%d", i), func(p *Proc) {
 			for s := 0; s < steps && bad == nil; s++ {
-				switch op := rng.IntN(10); {
-				case op < 2:
-					v, ok := q.TryGet()
-					if mv, mok := m.tryGet(); v != mv || ok != mok {
-						fail("TryGet = %d, %v; model %d, %v", v, ok, mv, mok)
-					}
-				case op < 6:
-					var cancel *Event
-					var g *modelGet
-					switch rng.IntN(4) {
-					case 0: // no cancel
-					case 1: // already fired
-						cancel = env.NewEvent()
-						cancel.Fire(nil)
-					default: // fires later, maybe at this instant
-						cancel = env.NewEvent()
-						env.Schedule(when(), func() {
-							m.cancel(g, env.Now())
-							cancel.Fire(nil)
-						})
-					}
-					g = m.get(cancel != nil && cancel.Fired(), p.Now())
-					issued++
+				switch done, get := op(); {
+				case done:
+				case get:
+					cancel, g := startGet()
 					v, ok := q.Get(p, cancel)
-					returned++
-					if !g.resolved || v != g.val || ok != g.ok || p.Now() != g.at {
-						fail("Get = %d, %v at %v; model %+v", v, ok, p.Now(), *g)
-					}
-				case op < 8:
-					p.Sleep(when())
+					got(g, v, ok)
 				default:
-					put()
+					p.Sleep(when())
 				}
 			}
 		}).SetDaemon(true)
@@ -151,7 +192,7 @@ func runQueueProgram(s1, s2 uint64) error {
 	}
 	// Every get the model resolved has returned; the rest still wait.
 	if issued-returned != len(m.waiting) {
-		return fmt.Errorf("%d gets still parked, model has %d waiting", issued-returned, len(m.waiting))
+		return fmt.Errorf("%d gets still waiting, model has %d waiting", issued-returned, len(m.waiting))
 	}
 	if q.Len() != len(m.buf) {
 		return fmt.Errorf("Len = %d at the end, model holds %d", q.Len(), len(m.buf))
@@ -163,6 +204,49 @@ func runQueueProgram(s1, s2 uint64) error {
 		}
 	}
 	return nil
+}
+
+// stepReceiver is runQueueProgram's receiver as a Step: it runs the
+// same operations as a getter proc, taking values with Then and
+// sleeping with ScheduleStep.
+type stepReceiver struct {
+	env      *Env
+	q        *Queue[int]
+	steps    int
+	op       func() (done, get bool)
+	startGet func() (*Event, *modelGet)
+	got      func(*modelGet, int, bool)
+	when     func() time.Duration
+	bad      *error
+	// g is the model's view of the get Receive completes.
+	g *modelGet
+}
+
+// Step runs operations until the receiver waits or its steps run out.
+func (r *stepReceiver) Step() {
+	for ; r.steps > 0 && *r.bad == nil; r.steps-- {
+		switch done, get := r.op(); {
+		case done:
+		case get:
+			cancel, g := r.startGet()
+			if v, ok := r.q.Then(r, cancel); ok {
+				r.got(g, v, true)
+				continue
+			}
+			r.g = g
+			r.steps--
+			return
+		default:
+			r.env.ScheduleStep(r.when(), r)
+			r.steps--
+			return
+		}
+	}
+}
+
+func (r *stepReceiver) Receive(v int, ok bool) {
+	r.got(r.g, v, ok)
+	r.Step()
 }
 
 // Random programs deliver exactly what the slice model does: each

@@ -2,6 +2,7 @@ package devent
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -133,4 +134,146 @@ func TestAwaitingStepDeadlocks(t *testing.T) {
 	if len(log) != 0 {
 		t.Fatalf("awaiting step ran: %v", log)
 	}
+}
+
+// recvStep is a Receiver that logs what it receives, and when.
+type recvStep struct {
+	env *Env
+	log []string
+}
+
+func (r *recvStep) Receive(v int, ok bool) {
+	r.log = append(r.log, fmt.Sprintf("%d,%v@%v", v, ok, r.env.Now()))
+}
+
+// A Then whose cancel fired before it registered still registers, and
+// the receiver runs once, in a queue slot of its own, with ok false:
+// what Get does with the wakeup its park consumes.
+func TestQueueThenCancelFiredBeforeRegistration(t *testing.T) {
+	env := NewEnv()
+	q := NewQueue[int](env)
+	cancel := env.NewEvent()
+	cancel.Fire(nil)
+	r := &recvStep{env: env}
+	if _, ok := q.Then(r, cancel); ok {
+		t.Fatal("Then on an empty queue reported a value")
+	}
+	if len(r.log) != 0 {
+		t.Fatalf("receiver ran inline: %v", r.log)
+	}
+	q.Put(5) // no receiver left: the value waits in the queue
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(r.log, " "); got != "0,false@0s" {
+		t.Fatalf("received %q, want one cancelled receive", got)
+	}
+	if env.EventsDispatched() != 1 || q.Len() != 1 || cancel.Listeners() != 0 {
+		t.Fatalf("%d events, %d queued, %d listeners", env.EventsDispatched(), q.Len(), cancel.Listeners())
+	}
+}
+
+// A value queued after the cancel fired is still taken, inline, by
+// Then as by Get.
+func TestQueueThenTakesValueQueuedAfterCancel(t *testing.T) {
+	env := NewEnv()
+	q := NewQueue[int](env)
+	cancel := env.NewEvent()
+	cancel.Fire(nil)
+	q.Put(1)
+	q.Put(2)
+	r := &recvStep{env: env}
+	if v, ok := q.Then(r, cancel); !ok || v != 1 {
+		t.Fatalf("Then = %d, %v; want 1, true", v, ok)
+	}
+	var pv int
+	var pok bool
+	env.Spawn("getter", func(p *Proc) { pv, pok = q.Get(p, cancel) })
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if pv != 2 || !pok || len(r.log) != 0 {
+		t.Fatalf("Get = %d, %v; receiver log %v", pv, pok, r.log)
+	}
+}
+
+// relayStep registers again after each receive, on a long-lived cancel
+// event, and records how many listeners that event holds as each
+// value arrives.
+type relayStep struct {
+	q         *Queue[int]
+	cancel    *Event
+	listeners []int
+}
+
+func (r *relayStep) Receive(v int, ok bool) {
+	r.listeners = append(r.listeners, r.cancel.Listeners())
+	r.q.Then(r, r.cancel)
+}
+
+// Once a Step receiver has its value it leaves no listener on its
+// cancel event, so a receiver that waits on one long-lived event over
+// and over holds at most its current registration.
+func TestQueueThenDetachesOnReceive(t *testing.T) {
+	env := NewEnv()
+	q := NewQueue[int](env)
+	r := &relayStep{q: q, cancel: env.NewEvent()}
+	q.Then(r, r.cancel)
+	for i := 1; i <= 100; i++ {
+		env.Schedule(time.Duration(i), func() { q.Put(i) })
+	}
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.listeners) != 100 {
+		t.Fatalf("%d receives, want 100", len(r.listeners))
+	}
+	for i, n := range r.listeners {
+		if n != 0 {
+			t.Fatalf("receive %d saw %d cancel listeners, want 0", i, n)
+		}
+	}
+	if n := r.cancel.Listeners(); n != 1 {
+		t.Fatalf("registered receiver holds %d listeners, want 1", n)
+	}
+}
+
+// A proc made with NewProc starts parked with nothing queued; a Step
+// resumes it inline, and a bare Park waits for the next Resume without
+// counting as a deadlock once the proc is a daemon. Resume from inside
+// a proc panics.
+func TestResumeRunsParkedProcInline(t *testing.T) {
+	env := NewEnv()
+	var log []string
+	var p *Proc
+	p = env.NewProc("app", func(p *Proc) {
+		for i := 0; ; i++ {
+			log = append(log, fmt.Sprintf("run%d@%v", i, p.Now()))
+			p.Park()
+		}
+	})
+	p.SetDaemon(true)
+	if n := len(env.queue) + env.ready.len(); n != 0 {
+		t.Fatalf("NewProc queued %d items", n)
+	}
+	env.Schedule(time.Second, func() {
+		p.Resume()
+		log = append(log, "after")
+	})
+	env.Schedule(2*time.Second, p.Resume)
+	env.Spawn("other", func(o *Proc) {
+		defer func() { log = append(log, fmt.Sprint(recover())) }()
+		p.Resume()
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := "devent: Resume called from inside a proc run0@1s after run1@2s"
+	if got := strings.Join(log, " "); got != want {
+		t.Fatalf("log = %q, want %q", got, want)
+	}
+	if env.Resumes() != 3 {
+		t.Fatalf("Resumes = %d, want 3 (two of app, one of other)", env.Resumes())
+	}
+	env.Close()
 }

@@ -96,9 +96,9 @@ var ErrNoWorkers = errors.New("htex: no live workers")
 // submission is one dispatch attempt of a task. It owns the attempt's
 // done event (Submit's) and invocation, so a pick allocates nothing:
 // Submit builds the invocation with the task and its arguments, and
-// the picking worker completes it with its proc and binding. A
-// submission is never reused: a killed worker's orphaned app still
-// holds it.
+// the picking worker's proc completes it with itself and the binding
+// when it starts the app. A submission is never reused: a killed
+// worker's orphaned app still holds it.
 type submission struct {
 	task  *faas.Task
 	fn    faas.AppFunc
@@ -266,12 +266,7 @@ func (h *HTEX) spawnBlock(node *gpuctl.Node) *blockInfo {
 		}
 		h.workers = append(h.workers, w)
 		b.workers = append(b.workers, w)
-		wp := h.env.Spawn(w.name, func(wp *devent.Proc) {
-			h.workerLoop(wp, w)
-		})
-		wp.SetDaemon(true) // idle workers are not deadlocks
-		h.spawned = append(h.spawned, w)
-		b.spawned = append(b.spawned, w)
+		h.launch(b, w)
 	}
 	h.blocks = append(h.blocks, b)
 	h.gBlocks.Set(float64(len(h.blocks)))
@@ -361,110 +356,193 @@ func (h *HTEX) ScaleIn(p *devent.Proc, n int) (int, error) {
 	return n, nil
 }
 
-func (h *HTEX) workerLoop(p *devent.Proc, w *worker) {
-	// The worker's lifecycle is one span on its own track; init and
-	// run spans nest under it. Each loop entry is a cold start.
-	w.span = h.obs.StartSpan("htex", "worker", w.name, 0,
-		obs.String("executor", h.cfg.Label),
-		obs.String("accelerator", w.binding.Accelerator),
-		obs.Int("gpu_pct", w.binding.GPUPercent))
-	// Daemon lifecycle: stays open until drain, so pin it out of the
-	// streaming flush frontier (it would otherwise block every span
-	// recorded after it for the whole run).
-	h.obs.PinSpan(w.span)
-	h.gWorkers.Add(1)
-	h.cCold.Inc()
-	if h.cfg.WorkerInit > 0 {
-		t0 := p.Now()
-		p.Sleep(h.cfg.WorkerInit) // function initialization (§6)
-		h.obs.AddSpan("htex", "init", w.name, w.span, t0, p.Now())
-	}
-	for h.workerStep(p, w) {
-	}
-	// The exit runs inline, not deferred: a worker still parked when
-	// its Env closes unwinds without touching spans, gauges or the GPU.
-	// A worker killed with an app in flight (sub still set) leaves the
-	// pool in lose, at the kill; its proc has just finished the app as
-	// the orphan.
-	if w.sub == nil {
-		h.exit(w)
-	}
+// launch starts w in block b: it creates the worker's proc, parked
+// until its first app, and queues the loop's boot phase in the slot
+// where a spawned proc would start.
+func (h *HTEX) launch(b *blockInfo, w *worker) {
+	w.p = h.env.NewProc(w.name, func(p *devent.Proc) { h.workerProc(p, w) })
+	w.p.SetDaemon(true) // a worker parked between apps is no deadlock
+	h.env.ScheduleStep(0, (*workerLoop)(w))
+	h.spawned = append(h.spawned, w)
+	b.spawned = append(b.spawned, w)
 }
 
-// exit takes the worker out of the live count, ends its lifecycle span,
-// destroys its GPU context and fires its exit event.
-func (h *HTEX) exit(w *worker) {
-	h.gWorkers.Add(-1)
-	h.obs.EndSpan(w.span)
-	w.releaseGPU()
-	w.exited.Fire(nil)
+// workerPhase is where a worker's loop resumes when its Step runs.
+type workerPhase uint8
+
+const (
+	// booting: the worker's first instant, a cold start.
+	booting workerPhase = iota
+	// initing: WorkerInit (function initialization, §6) has elapsed.
+	initing
+	// starting: the picked app's first instant.
+	starting
+	// finishing: the instant after the app returned.
+	finishing
+)
+
+// workerLoop is a worker as the devent Step and queue Receiver that run
+// its loop: Parsl's worker loop around the app call, as a state
+// machine in scheduler context. Only the app runs on the worker's proc.
+// Each phase is queued in the slot where the proc-based loop it
+// replaces was resumed (its start, its WorkerInit sleep, its two
+// same-instant yields around the app, its queue wakeup), so the
+// dispatch order, and with it every artifact, is the proc loop's.
+type workerLoop worker
+
+// Step implements devent.Step: it runs the worker's current phase.
+// Boot opens the worker's lifecycle span (init and run spans nest
+// under it) and sleeps out WorkerInit; starting resumes the proc into
+// the picked app; finishing delivers the app's outcome. Boot, init and
+// finish then pick the next task (workerStep).
+func (l *workerLoop) Step() {
+	w := (*worker)(l)
+	h := w.h
+	switch w.phase {
+	case booting:
+		w.span = h.obs.StartSpan("htex", "worker", w.name, 0,
+			obs.String("executor", h.cfg.Label),
+			obs.String("accelerator", w.binding.Accelerator),
+			obs.Int("gpu_pct", w.binding.GPUPercent))
+		// Daemon lifecycle: stays open until drain, so pin it out of the
+		// streaming flush frontier (it would otherwise block every span
+		// recorded after it for the whole run).
+		h.obs.PinSpan(w.span)
+		h.gWorkers.Add(1)
+		h.cCold.Inc()
+		if init := h.cfg.WorkerInit; init > 0 {
+			w.phase = initing
+			h.env.ScheduleStep(init, l)
+			return
+		}
+	case initing:
+		now := h.env.Now()
+		h.obs.AddSpan("htex", "init", w.name, w.span, now-h.cfg.WorkerInit, now)
+	case starting:
+		w.p.Resume()
+		return
+	case finishing:
+		h.finish(w)
+	}
+	h.workerStep(w)
 }
 
-// workerStep picks a task and runs its app on the worker's proc. It
-// reports false once the worker has left the pool: retired, shut down,
-// or killed (idle, or mid-task after the orphaned app returns).
-func (h *HTEX) workerStep(p *devent.Proc, w *worker) bool {
-	// Retirement is checked before the queue: Get takes queued work
+// Receive implements devent.Receiver: the queue hands the idle worker
+// a task, or ok is false because its stop event fired (kill, retire or
+// shutdown), and the worker leaves the pool.
+func (l *workerLoop) Receive(sub *submission, ok bool) {
+	w := (*worker)(l)
+	h := w.h
+	if ok {
+		h.pick(w, sub)
+		return
+	}
+	if w.killed {
+		h.workerCrashed(w)
+	} else if w.retired {
+		h.workerRetired(w)
+	}
+	h.exit(w)
+}
+
+// workerStep picks the worker's next task, or registers it on the
+// queue, where Receive takes the task or the stop. A retired worker
+// leaves the pool instead.
+func (h *HTEX) workerStep(w *worker) {
+	// Retirement is checked before the queue: Then takes queued work
 	// first, so a retired worker would otherwise keep picking tasks as
 	// long as a backlog exists.
 	if w.retired {
 		h.workerRetired(w)
-		return false
+		h.exit(w)
+		return
 	}
-	sub, ok := h.queue.Get(p, &w.stop)
-	if !ok {
-		if w.killed {
-			h.workerCrashed(w)
-		} else if w.retired {
-			h.workerRetired(w)
-		}
-		return false
+	if sub, ok := h.queue.Then((*workerLoop)(w), &w.stop); ok {
+		h.pick(w, sub)
 	}
+}
+
+// pick does a picked task's bookkeeping and queues the starting phase,
+// which runs the app.
+func (h *HTEX) pick(w *worker, sub *submission) {
 	t := sub.task
 	t.Status = faas.TaskRunning
-	t.StartTime = p.Now()
+	t.StartTime = h.env.Now()
 	t.Worker = w.name
 	h.obs.EndSpan(sub.qspan, obs.String("worker", w.name))
-	rspan := h.obs.StartSpan("htex", "run", w.name, t.Span,
+	w.runSpan = h.obs.StartSpan("htex", "run", w.name, t.Span,
 		obs.Int("task", t.ID), obs.String("app", t.App),
 		obs.String("accelerator", w.binding.Accelerator),
 		obs.Int("gpu_pct", w.binding.GPUPercent))
-	w.runSpan = rspan
 	if w.gpu != nil && !w.gpu.Destroyed() {
-		w.gpu.SetTraceParent(rspan)
+		w.gpu.SetTraceParent(w.runSpan)
 	}
 	h.cPicked.Inc()
 	w.sub = sub
 	if w.killed {
 		// Killed before this pick (during init, or after the last task
-		// finished but before the worker resumed): lost at once.
+		// finished but before the worker picked again): lost at once.
 		h.lose(w, sub)
 	}
-	// The two yields keep the same-instant dispatch order the artifacts
-	// depend on: items already due run before the app starts and before
-	// its outcome is delivered.
-	p.Sleep(0)
-	sub.inv = faas.NewInvocation(p, t, sub.inv.Args(), w.env, w)
-	result, err := sub.fn(&sub.inv)
-	if w.killed {
-		// The app ran as the orphan of a killed worker: lose has
-		// already failed the attempt and taken the worker out of the
-		// pool.
-		return false
+	// The app starts, and its outcome is delivered, in a later step at
+	// the same instant: items already due run first.
+	w.phase = starting
+	h.env.ScheduleStep(0, (*workerLoop)(w))
+}
+
+// workerProc is the worker's proc: each time the starting phase
+// resumes it, it runs the picked app, hands the outcome to the
+// finishing phase, and parks as an idle daemon. It returns when
+// resumed with no app to run (the worker left the pool idle, see
+// exit), or once the app of a killed worker returns: the orphan
+// touches nothing else, since lose has already failed the attempt and
+// taken the worker out of the pool. Nothing is deferred: a proc still
+// parked when its Env closes unwinds without touching spans, gauges or
+// the GPU.
+func (h *HTEX) workerProc(p *devent.Proc, w *worker) {
+	for sub := w.sub; sub != nil; sub = w.sub {
+		sub.inv = faas.NewInvocation(p, sub.task, sub.inv.Args(), w.env, w)
+		result, err := sub.fn(&sub.inv)
+		if w.killed {
+			return
+		}
+		w.sub = nil
+		w.fin, w.result, w.err = sub, result, err
+		w.phase = finishing
+		h.env.ScheduleStep(0, (*workerLoop)(w))
+		p.Park()
 	}
-	w.sub = nil
-	p.Sleep(0)
-	t.EndTime = p.Now()
+}
+
+// finish delivers the outcome of the app that returned last.
+func (h *HTEX) finish(w *worker) {
+	sub, result, err := w.fin, w.result, w.err
+	w.fin, w.result, w.err = nil, nil, nil
+	sub.task.EndTime = h.env.Now()
 	if err != nil {
-		h.obs.EndSpan(rspan,
+		h.obs.EndSpan(w.runSpan,
 			obs.String("status", "failed"),
 			obs.String("error", err.Error()))
 		sub.done.Fail(err)
 	} else {
-		h.obs.EndSpan(rspan, obs.String("status", "done"))
+		h.obs.EndSpan(w.runSpan, obs.String("status", "done"))
 		sub.done.Fire(result)
 	}
-	return true
+}
+
+// exit takes the worker out of the live count, ends its lifecycle span,
+// destroys its GPU context and fires its exit event. An idle worker's
+// proc is resumed with no app to run, so it returns; a killed worker
+// with an app in flight (sub still set) leaves it to return after the
+// orphaned app.
+func (h *HTEX) exit(w *worker) {
+	h.gWorkers.Add(-1)
+	h.obs.EndSpan(w.span)
+	w.releaseGPU()
+	w.exited.Fire(nil)
+	if w.sub == nil {
+		w.p.Resume()
+	}
 }
 
 // lose fails a killed worker's attempt with ErrWorkerLost, so the DFK
@@ -592,12 +670,7 @@ func (h *HTEX) respawn(old *worker) {
 	h.workers = append(h.workers, w)
 	blk.workers[slot] = w
 	h.cWRestarts.Inc()
-	wp := h.env.Spawn(w.name, func(p *devent.Proc) {
-		h.workerLoop(p, w)
-	})
-	wp.SetDaemon(true)
-	h.spawned = append(h.spawned, w)
-	blk.spawned = append(blk.spawned, w)
+	h.launch(blk, w)
 }
 
 // stranded reports whether queued work can never run: the started
@@ -721,6 +794,7 @@ func (h *HTEX) Restart(p *devent.Proc, accelerators []string, percentages []int)
 
 // worker is one pilot-job worker process.
 type worker struct {
+	h       *HTEX
 	name    string
 	node    *gpuctl.Node
 	binding gpuctl.Binding
@@ -733,23 +807,30 @@ type worker struct {
 	killed, retired bool
 	// exited fires when the worker leaves the pool.
 	exited devent.Event
-	// sub is the attempt whose app the worker is running, nil between
-	// apps; span is the worker's lifecycle span and runSpan the
-	// attempt's run span.
+	// p runs the worker's apps (see workerProc); phase is where its
+	// loop resumes (see workerLoop).
+	p     *devent.Proc
+	phase workerPhase
+	// sub is the attempt the worker picked, from the pick until its app
+	// returns; fin, result and err carry the returned app's outcome to
+	// the finishing phase. span is the worker's lifecycle span and
+	// runSpan the attempt's run span.
 	sub     *submission
+	fin     *submission
+	result  any
+	err     error
 	span    obs.SpanID
 	runSpan obs.SpanID
-	obsC    *obs.Collector
 }
 
 // newWorker builds a worker and its lifecycle events. The events
 // exist before the loop runs, so KillWorker and ScaleIn work on
-// workers that have not been scheduled yet.
+// workers that have not booted yet.
 func (h *HTEX) newWorker(name string, node *gpuctl.Node) *worker {
 	w := &worker{
+		h:     h,
 		name:  name,
 		node:  node,
-		obsC:  h.obs,
 		state: make(map[string]any),
 		env:   map[string]string{},
 	}
@@ -802,7 +883,7 @@ func (w *worker) GPUContext(p *devent.Proc) (*simgpu.Context, error) {
 	// Lazy context bring-up charged to the invocation that paid it: a
 	// cold-start phase boundary for the attribution engine.
 	if now := p.Now(); now > t0 {
-		w.obsC.AddSpan("htex", "ctxinit", w.name, w.runSpan, t0, now)
+		w.h.obs.AddSpan("htex", "ctxinit", w.name, w.runSpan, t0, now)
 	}
 	ctx.SetTraceParent(w.runSpan)
 	w.gpu = ctx

@@ -99,3 +99,97 @@ func TestKillMidTaskFailsWithWorkerLost(t *testing.T) {
 	})
 	r.run(t)
 }
+
+// A worker's proc ends when the worker leaves the pool, whichever way
+// it leaves: scale-in, a kill while idle, a kill mid-app (once the
+// orphaned app returns), and shutdown. The collector, installed as the
+// scheduler observer, counts the exits. Respawns add procs, so the
+// test counts exits (spawned minus live), not live procs.
+func TestWorkerProcsExit(t *testing.T) {
+	env, slurm := slurmRig(t, 2, 0)
+	ex, err := New(env, Config{Label: "cpu", MaxWorkers: 2, Provider: slurm, Blocks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := obs.New(env)
+	env.SetObserver(c)
+	d := faas.NewDFK(env, faas.Config{Collector: c}, ex)
+	d.Register(sleepApp("cpu", 10*time.Second))
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	m := c.Metrics()
+	live := func() int { return int(m.Gauge("devent_procs_live").Value()) }
+	exited := func() int { return int(m.Counter("devent_procs_spawned_total").Value()) - live() }
+	env.Spawn("main", func(p *devent.Proc) {
+		p.Sleep(time.Millisecond)
+		if got := live(); got != 5 {
+			t.Errorf("%d procs live after boot, want main and 4 workers", got)
+		}
+		check := func(what string, want int) {
+			t.Helper()
+			if got := exited(); got != want {
+				t.Errorf("%s: %d procs exited, want %d", what, got, want)
+			}
+		}
+		e := exited()
+		if n, err := ex.ScaleIn(p, 1); n != 1 || err != nil {
+			t.Errorf("ScaleIn = %d, %v", n, err)
+		}
+		e += 2
+		check("scale-in of a 2-worker block", e)
+
+		ex.KillWorker(ex.WorkerNames()[0])
+		p.Sleep(time.Millisecond)
+		e++
+		check("kill of an idle worker", e)
+
+		f := d.Submit("sleep")
+		p.Sleep(time.Second)
+		ex.KillWorker(f.Task().Worker)
+		if _, err := f.Result(p); !errors.Is(err, ErrWorkerLost) {
+			t.Errorf("killed task: %v, want ErrWorkerLost", err)
+		}
+		check("kill mid-app, app still running", e)
+		p.Sleep(9 * time.Second)
+		e++
+		check("kill mid-app, orphaned app returned", e)
+
+		n := ex.Workers()
+		ex.ShutdownAndWait(p)
+		e += n
+		check("shutdown", e)
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := live(); got != 0 {
+		t.Fatalf("%d procs still live at drain after shutdown", got)
+	}
+}
+
+// At drain, a pool that was never shut down leaves only its idle
+// workers' procs parked, one per live worker.
+func TestIdleWorkerProcsParkAtDrain(t *testing.T) {
+	r := newRig(t, 0)
+	ex, err := New(r.env, Config{Label: "cpu", MaxWorkers: 3, Provider: r.local()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := obs.New(r.env)
+	r.env.SetObserver(c)
+	d := faas.NewDFK(r.env, faas.Config{Collector: c}, ex)
+	d.Register(sleepApp("cpu", time.Second))
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	r.env.Spawn("main", func(p *devent.Proc) {
+		for i := 0; i < 10; i++ {
+			d.Submit("sleep")
+		}
+	})
+	r.run(t)
+	if got, want := int(c.Metrics().Gauge("devent_procs_live").Value()), ex.Workers(); got != want || want != 3 {
+		t.Fatalf("%d procs live at drain, want one per live worker (%d)", got, want)
+	}
+}

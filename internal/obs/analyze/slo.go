@@ -233,9 +233,16 @@ func WriteAlerts(w io.Writer, collectors ...*obs.Collector) error {
 		}
 		scope := c.Scope()
 		c.EachSpan(func(s *obs.Span) {
-			if s.Cat == "slo" && s.Name == "burn" {
-				fmt.Fprintf(bw, "%s app=%s start=%s end=%s peak_burn=%s events=%s\n",
-					scope, s.Attr("app"), s.Start, s.End, s.Attr("peak_burn"), s.Attr("events"))
+			if s.Cat != "slo" || s.Name != "burn" {
+				return
+			}
+			// Piecewise writes, not Fprintf: fmt's printer pool makes the
+			// allocation count vary from run to run under -race.
+			for _, part := range [...]string{
+				scope, " app=", s.Attr("app"), " start=", s.Start.String(), " end=", s.End.String(),
+				" peak_burn=", s.Attr("peak_burn"), " events=", s.Attr("events"), "\n",
+			} {
+				bw.WriteString(part)
 			}
 		})
 	}
