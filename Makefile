@@ -9,7 +9,8 @@
 # path: it runs the four bench/ workloads (scale, fleet, autoscale,
 # paper-observed) on seed 1 and records each run's output, medians,
 # quartiles, digest and JSON record, in the tracked
-# BENCH_<workload>.txt.
+# BENCH_<workload>.txt. `make digests` reruns the four for 1 s each and
+# checks their digests and event counts against those records.
 # `make scale` runs the sharded million-task scenario at a modest size
 # and checks it writes its streamed trace. `make fleet` runs the
 # fleet-scale placement artifact at a modest size and checks it stays
@@ -31,7 +32,7 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet reach loc examples bench-test staticcheck test race cover fuzz bench scale fleet autoscale attrib serve-smoke chaos-smoke clean
+.PHONY: check fmt build vet reach loc examples bench-test staticcheck test race cover fuzz digests bench scale fleet autoscale attrib serve-smoke chaos-smoke clean
 
 check: fmt build vet reach bench-test staticcheck test
 
@@ -117,9 +118,9 @@ cover:
 # formatting) and unescaped-string fast path (any bytes against
 # strconv.AppendQuote), and the hand-built attribution JSON (random
 # strings and numbers against json.MarshalIndent), and devent's Queue
-# (random Put, TryGet and cancellable Get programs against a plain-slice
-# FIFO model, in value and virtual time); the checked-in corpora and
-# seeds run as regular tests in `make test`.
+# (random Put, TryGet, Get, Then and Withdraw programs against a
+# plain-slice FIFO model, in value and virtual time); the checked-in
+# corpora and seeds run as regular tests in `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz FuzzConfigValidate -fuzztime 10s ./internal/faas/htex
@@ -136,6 +137,25 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzQuote -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzReportJSON -fuzztime 10s ./internal/obs/analyze
 	$(GO) test -run '^$$' -fuzz FuzzQueue -fuzztime 10s ./internal/devent
+
+# A 1 s seed-1 run of each bench/ workload that fails unless its
+# digest line and its devent.events_per_op line equal those of the
+# tracked BENCH_<workload>.txt record: neither depends on how long the
+# run lasts, so a change that moves a simulated output or a dispatch
+# slot fails here in seconds, without rewriting the records.
+digests:
+	@set -e; \
+	for w in scale fleet autoscale paper-observed; do \
+		out=$$(bash bench/run.sh -workload $$w -seed 1 -seconds 1); \
+		for k in digest devent.events_per_op; do \
+			got=$$(echo "$$out" | grep "^$$w $$k " || true); \
+			want=$$(grep "^$$w $$k " BENCH_$$w.txt || true); \
+			if [ -z "$$want" ] || [ "$$got" != "$$want" ]; then \
+				echo "digests: $$w: got '$$got', want '$$want'"; exit 1; \
+			fi; \
+		done; \
+		echo "digests: $$w ok"; \
+	done
 
 # One seed-1 run of each bench/ workload (~25 s each), recorded
 # verbatim under a one-line toolchain and core-count header.

@@ -54,8 +54,7 @@ func (q *Queues) Send(r Result) { q.topic(r.Topic).Put(r) }
 
 // Recv blocks until a result arrives on the topic.
 func (q *Queues) Recv(p *devent.Proc, topic string) Result {
-	r, _ := q.topic(topic).Get(p, nil)
-	return r
+	return q.topic(topic).Get(p)
 }
 
 // Pending reports queued results on a topic.

@@ -118,12 +118,12 @@ func BenchmarkQueuePingPong(b *testing.B) {
 	env.Spawn("a", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			ping.Put(i)
-			pong.Get(p, nil)
+			pong.Get(p)
 		}
 	})
 	env.Spawn("b", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			ping.Get(p, nil)
+			ping.Get(p)
 			pong.Put(i)
 		}
 	})
@@ -218,7 +218,7 @@ func BenchmarkEventFanoutSteady(b *testing.B) {
 			ev = env.NewEvent()
 			cur.Fire(nil)
 			for n := 0; n < waiters; n++ {
-				gate.Get(p, nil)
+				gate.Get(p)
 			}
 			p.Sleep(time.Millisecond) // waiters re-park on the new event
 		}

@@ -4,11 +4,12 @@
 // An Env owns a virtual clock and an event queue. Simulated activities
 // are plain scheduled callbacks (Schedule), Steps (state machines that
 // queue themselves with ScheduleStep, await Events with Then and take
-// from Queues with Queue.Then), or Procs: coroutines that the scheduler
-// resumes one at a time and that advance virtual time by blocking on
-// Sleep, Events, or Queues. A Step the scheduler dispatches may also
-// resume a proc parked in Park, running it inline until it parks again,
-// so a proc need only exist where a body blocks mid-call.
+// from Queues with Queue.Then, a receive that Queue.Withdraw cancels),
+// or Procs: coroutines that the scheduler resumes one at a time and
+// that advance virtual time by blocking on Sleep, Events, or Queues. A
+// Step the scheduler dispatches may also resume a proc parked in Park,
+// running it inline until it parks again, so a proc need only exist
+// where a body blocks mid-call.
 //
 // The kernel is logically single-threaded: at any instant either the
 // scheduler loop or exactly one Proc is executing. All devent objects

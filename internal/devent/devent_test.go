@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -267,7 +268,7 @@ func TestChanBufferedFIFO(t *testing.T) {
 	})
 	env.Spawn("consumer", func(p *Proc) {
 		for i := 0; i < 6; i++ {
-			v, _ := c.Get(p, nil)
+			v := c.Get(p)
 			got = append(got, v)
 			p.Sleep(time.Millisecond)
 		}
@@ -280,50 +281,19 @@ func TestChanBufferedFIFO(t *testing.T) {
 	}
 }
 
-// A Get on an empty queue returns ok=false when its cancel fires, at
-// the cancel instant.
+// A Step receiver on an empty queue receives ok=false when Withdraw
+// cancels its receive, at the withdrawal instant.
 func TestChanRecvOrCancel(t *testing.T) {
 	env := NewEnv()
 	c := NewQueue[int](env)
-	cancel := env.NewEvent()
-	ok := true
-	var at time.Duration
-	env.Spawn("r", func(p *Proc) {
-		_, ok = c.Get(p, cancel)
-		at = p.Now()
-	})
-	env.Schedule(time.Second, func() { cancel.Fire(nil) })
+	r := &recvStep{env: env}
+	c.Then(r)
+	env.Schedule(time.Second, func() { c.Withdraw(r) })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if ok || at != time.Second {
-		t.Fatalf("Get: ok=%v at %v, want a cancellation at 1s", ok, at)
-	}
-}
-
-// A Get whose cancel has already fired returns ok=false at once when
-// the queue is empty, and still takes a queued value.
-func TestChanRecvOrAlreadyCancelled(t *testing.T) {
-	env := NewEnv()
-	c := NewQueue[int](env)
-	cancel := env.NewEvent()
-	cancel.Fire(nil)
-	ok := true
-	var v int
-	var vok bool
-	env.Spawn("r", func(p *Proc) {
-		_, ok = c.Get(p, cancel)
-		c.Put(7)
-		v, vok = c.Get(p, cancel)
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("expected immediate cancellation")
-	}
-	if v != 7 || !vok {
-		t.Fatalf("Get with a queued value = %v, %v; want 7, true", v, vok)
+	if got := strings.Join(r.log, " "); got != "0,false@1s" {
+		t.Fatalf("received %q, want a withdrawal at 1s", got)
 	}
 }
 
@@ -424,10 +394,10 @@ func TestDeterminism(t *testing.T) {
 			d := time.Duration(rng.Intn(1000)) * time.Millisecond
 			env.Spawn("p", func(p *Proc) {
 				p.Sleep(d)
-				tok, _ := tokens.Get(p, nil)
+				tok := tokens.Get(p)
 				c.Put(i)
 				p.Sleep(time.Duration(rng.Intn(100)) * time.Millisecond)
-				v, _ := c.Get(p, nil)
+				v := c.Get(p)
 				out = append(out, fmt.Sprintf("%d@%v got %d", i, p.Now(), v))
 				tokens.Put(tok)
 			})
@@ -480,7 +450,7 @@ func TestDaemonProcsAreNotDeadlocks(t *testing.T) {
 	c := NewQueue[int](env)
 	worker := env.Spawn("daemon-worker", func(p *Proc) {
 		for {
-			c.Get(p, nil)
+			c.Get(p)
 		}
 	})
 	worker.SetDaemon(true)
@@ -495,7 +465,7 @@ func TestDaemonProcsAreNotDeadlocks(t *testing.T) {
 	// A non-daemon in the same situation still trips detection.
 	env2 := NewEnv()
 	c2 := NewQueue[int](env2)
-	env2.Spawn("worker", func(p *Proc) { c2.Get(p, nil) })
+	env2.Spawn("worker", func(p *Proc) { c2.Get(p) })
 	if err := env2.Run(); !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v", err)
 	}

@@ -20,61 +20,9 @@ type Event struct {
 	// fanout.
 	w0      *eventWaiter
 	waiters []*eventWaiter
-	// cbs holds OnFire listeners in registration order.
-	cbs []listener
+	// cbs holds OnFire callbacks in registration order.
+	cbs []func(*Event)
 }
-
-// listener is the closure-free form of an OnFire callback: blocking
-// ops register their pooled waiter itself, so a cancellable wait
-// allocates nothing.
-type listener interface{ fired(*Event) }
-
-// funcListener adapts an OnFire func to a listener.
-type funcListener func(*Event)
-
-func (f funcListener) fired(ev *Event) { f(ev) }
-
-// registration is a detachable OnFire listener. Queue.Get, which waits
-// on a long-lived cancel event, detaches its listener once it returns,
-// so the event holds no more listeners than it has live waiters. Only
-// listeners of comparable type (pointers) detach. The zero
-// registration (from an event that had already fired) detaches as a
-// no-op.
-type registration struct {
-	ev *Event
-	l  listener
-}
-
-// listen registers l, running it at once if the event already fired.
-func (ev *Event) listen(l listener) registration {
-	if ev.fired {
-		l.fired(ev)
-		return registration{}
-	}
-	ev.cbs = append(ev.cbs, l)
-	return registration{ev, l}
-}
-
-// detach removes the listener, keeping the order of the rest, unless
-// the event fired (which consumed it). The scan runs backwards: the
-// listener detaching is usually the newest.
-func (r registration) detach() {
-	if r.ev == nil {
-		return
-	}
-	cbs := r.ev.cbs
-	for i := len(cbs) - 1; i >= 0; i-- {
-		if cbs[i] == r.l {
-			r.ev.cbs = append(cbs[:i], cbs[i+1:]...)
-			cbs[len(cbs)-1] = nil
-			return
-		}
-	}
-}
-
-// Listeners reports how many OnFire listeners the event holds. Tests
-// bound it to catch registration leaks.
-func (ev *Event) Listeners() int { return len(ev.cbs) }
 
 // eventWaiter links one Step — a parked proc's handoff, or a Step
 // registered with Then — to the event it awaits. Waiters are pooled on
@@ -250,14 +198,20 @@ func (ev *Event) fire(v any, err error) {
 	}
 	cbs := ev.cbs
 	ev.cbs = nil
-	for _, l := range cbs {
-		l.fired(ev)
+	for _, cb := range cbs {
+		cb(ev)
 	}
 }
 
 // OnFire registers a callback invoked in sim context when the event
 // fires. If the event already fired, the callback runs immediately.
-func (ev *Event) OnFire(cb func(*Event)) { ev.listen(funcListener(cb)) }
+func (ev *Event) OnFire(cb func(*Event)) {
+	if ev.fired {
+		cb(ev)
+		return
+	}
+	ev.cbs = append(ev.cbs, cb)
+}
 
 func (ev *Event) addWaiter(w *eventWaiter) {
 	if ev.w0 == nil && len(ev.waiters) == 0 {

@@ -2,44 +2,34 @@ package devent
 
 // Queue is an unbounded virtual-time FIFO. Put never blocks; each
 // value goes to the longest-waiting receiver, a proc parked in Get or a
-// Receiver registered with Then, or is queued until one asks.
+// Receiver registered with Then, or is queued until one asks. Withdraw
+// cancels a Receiver's pending receive.
 type Queue[T any] struct {
 	env   *Env
 	buf   fifo[T]
 	recvq fifo[*queueWaiter[T]]
 	// free recycles waiters. By the time a waiter is released it has
-	// left recvq (popped by Put, or removed by the cancel) and its
-	// cancel listener has detached, so nothing references it.
+	// left recvq (popped by Put, or removed by Withdraw), so nothing
+	// references it.
 	free []*queueWaiter[T]
 }
 
 // Receiver is a Step that takes a value from a Queue: Queue.Then
 // registers it, and Receive runs in the queue slot where Get would
-// wake a parked proc, with ok false when the wait was cancelled.
+// wake a parked proc, with ok false when Withdraw cancelled the
+// receive. A Receiver is matched by identity, so it must be of
+// comparable type (a pointer, say).
 type Receiver[T any] interface{ Receive(v T, ok bool) }
 
 // queueWaiter is one pending receive, for a proc (p) or a Receiver
-// (r). Put and the cancel queue the waiter itself as the Step that
+// (r). Put and Withdraw queue the waiter itself as the Step that
 // delivers it.
 type queueWaiter[T any] struct {
-	q     *Queue[T]
-	p     *Proc
-	r     Receiver[T]
-	reg   registration
-	val   T
-	ok    bool
-	woken bool
-}
-
-// fired is the waiter's cancel listener: it withdraws the pending
-// receive and queues its delivery with ok false.
-func (w *queueWaiter[T]) fired(*Event) {
-	if w.woken {
-		return
-	}
-	w.woken = true
-	removeWaiter(&w.q.recvq, w)
-	w.q.env.ScheduleStep(0, w)
+	q   *Queue[T]
+	p   *Proc
+	r   Receiver[T]
+	val T
+	ok  bool
 }
 
 // Step delivers the receive: it resumes the parked proc, which reads
@@ -50,7 +40,6 @@ func (w *queueWaiter[T]) Step() {
 		w.q.env.handoff(w.p)
 		return
 	}
-	w.reg.detach()
 	r, v, ok := w.r, w.val, w.ok
 	w.q.putWaiter(w)
 	r.Receive(v, ok)
@@ -67,7 +56,6 @@ func (q *Queue[T]) Put(v T) {
 	if q.recvq.len() > 0 {
 		w := q.recvq.pop()
 		w.val, w.ok = v, true
-		w.woken = true
 		q.env.ScheduleStep(0, w)
 		return
 	}
@@ -83,41 +71,55 @@ func (q *Queue[T]) TryGet() (v T, ok bool) {
 	return q.buf.pop(), true
 }
 
-// Get takes the oldest queued value, blocking until one arrives. A
-// non-nil cancel withdraws the wait when it fires; ok is false only
-// then. A queued value is taken even if cancel has already fired.
-func (q *Queue[T]) Get(p *Proc, cancel *Event) (v T, ok bool) {
+// Get takes the oldest queued value, blocking until one arrives.
+func (q *Queue[T]) Get(p *Proc) T {
 	if v, ok := q.TryGet(); ok {
-		return v, true
+		return v
 	}
-	w := q.wait(p, nil, cancel)
+	w := q.wait(p, nil)
 	p.Park()
-	w.reg.detach()
-	v, ok = w.val, w.ok
+	v := w.val
 	q.putWaiter(w)
-	return v, ok
+	return v
 }
 
-// Then is Get for a Step. It takes the oldest queued value, even if
-// cancel has already fired, and reports it with ok true, registering
-// nothing: the caller carries on inline. Otherwise it registers r and
-// reports ok false; r.Receive then runs where Get would wake a parked
-// proc, with the value, or with ok false once a non-nil cancel fires.
-// A Receiver still registered when Run drains the queue is no
-// deadlock: like an idle daemon, it waits for work that may not come.
-func (q *Queue[T]) Then(r Receiver[T], cancel *Event) (v T, ok bool) {
+// Then is Get for a Step. It takes the oldest queued value and reports
+// it with ok true, registering nothing: the caller carries on inline.
+// Otherwise it registers r and reports ok false; r.Receive then runs
+// where Get would wake a parked proc, with the value, or with ok false
+// once Withdraw cancels the receive. A Receiver still registered when
+// Run drains the queue is no deadlock: like an idle daemon, it waits
+// for work that may not come.
+func (q *Queue[T]) Then(r Receiver[T]) (v T, ok bool) {
 	if v, ok := q.TryGet(); ok {
 		return v, true
 	}
-	q.wait(nil, r, cancel)
+	q.wait(nil, r)
 	return v, false
 }
 
+// Withdraw cancels r's pending receive, keeping the order of the other
+// receivers, and queues r.Receive with ok false in a queue slot of its
+// own. It reports false, queueing nothing, when r has no pending
+// receive: it never registered, or Put has already handed it a value,
+// which arrives with ok true.
+func (q *Queue[T]) Withdraw(r Receiver[T]) bool {
+	s := &q.recvq
+	for i := s.head; i < len(s.s); i++ {
+		if w := s.s[i]; w.r == r {
+			copy(s.s[i:], s.s[i+1:])
+			s.s[len(s.s)-1] = nil
+			s.s = s.s[:len(s.s)-1]
+			q.env.ScheduleStep(0, w)
+			return true
+		}
+	}
+	return false
+}
+
 // wait registers a receive for p or r behind the receivers already
-// waiting. If cancel has already fired, listen runs the listener at
-// once, which queues the delivery with ok false: the same path as a
-// later cancellation.
-func (q *Queue[T]) wait(p *Proc, r Receiver[T], cancel *Event) *queueWaiter[T] {
+// waiting.
+func (q *Queue[T]) wait(p *Proc, r Receiver[T]) *queueWaiter[T] {
 	var w *queueWaiter[T]
 	if n := len(q.free); n > 0 {
 		w = q.free[n-1]
@@ -128,9 +130,6 @@ func (q *Queue[T]) wait(p *Proc, r Receiver[T], cancel *Event) *queueWaiter[T] {
 	}
 	*w = queueWaiter[T]{q: q, p: p, r: r}
 	q.recvq.push(w)
-	if cancel != nil {
-		w.reg = cancel.listen(w)
-	}
 	return w
 }
 
@@ -167,16 +166,4 @@ func (q *fifo[T]) pop() T {
 		q.s, q.head = q.s[:0], 0
 	}
 	return v
-}
-
-// removeWaiter deletes w from q, keeping the order of the rest.
-func removeWaiter[T any](q *fifo[*queueWaiter[T]], w *queueWaiter[T]) {
-	for i := q.head; i < len(q.s); i++ {
-		if q.s[i] == w {
-			copy(q.s[i:], q.s[i+1:])
-			q.s[len(q.s)-1] = nil
-			q.s = q.s[:len(q.s)-1]
-			return
-		}
-	}
 }

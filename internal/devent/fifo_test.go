@@ -10,15 +10,17 @@ import (
 
 // queueModel is the reference Queue: a plain slice of values and a
 // plain slice of waiting gets, updated at the instant each Put, get
-// and cancel happens. It says which value each get returns, whether it
-// was cancelled, and at what virtual time.
+// and withdrawal happens. It says which value each get returns,
+// whether it was withdrawn, and at what virtual time.
 type queueModel struct {
 	buf     []int
 	waiting []*modelGet
 }
 
-// modelGet is one get as the model resolves it.
+// modelGet is one get as the model resolves it; r is the Step
+// receiver that made it, nil for a proc.
 type modelGet struct {
+	r        *stepReceiver
 	resolved bool
 	val      int
 	ok       bool
@@ -29,23 +31,19 @@ func (m *queueModel) put(v int, now time.Duration) {
 	if len(m.waiting) > 0 {
 		g := m.waiting[0]
 		m.waiting = m.waiting[1:]
-		*g = modelGet{resolved: true, val: v, ok: true, at: now}
+		g.resolved, g.val, g.ok, g.at = true, v, true, now
 		return
 	}
 	m.buf = append(m.buf, v)
 }
 
-// get starts a get at now: it takes the oldest value, is cancelled at
-// once when its cancel has already fired, or waits.
-func (m *queueModel) get(cancelled bool, now time.Duration) *modelGet {
-	g := &modelGet{}
-	switch {
-	case len(m.buf) > 0:
-		*g = modelGet{resolved: true, val: m.buf[0], ok: true, at: now}
+// get starts r's get at now: it takes the oldest value, or waits.
+func (m *queueModel) get(r *stepReceiver, now time.Duration) *modelGet {
+	g := &modelGet{r: r}
+	if len(m.buf) > 0 {
+		g.resolved, g.val, g.ok, g.at = true, m.buf[0], true, now
 		m.buf = m.buf[1:]
-	case cancelled:
-		*g = modelGet{resolved: true, at: now}
-	default:
+	} else {
 		m.waiting = append(m.waiting, g)
 	}
 	return g
@@ -60,25 +58,28 @@ func (m *queueModel) tryGet() (int, bool) {
 	return v, true
 }
 
-// cancel withdraws g if it still waits.
-func (m *queueModel) cancel(g *modelGet, now time.Duration) {
-	for i, w := range m.waiting {
-		if w == g {
+// withdraw resolves r's waiting get, if it has one, with ok false.
+func (m *queueModel) withdraw(r *stepReceiver, now time.Duration) bool {
+	for i, g := range m.waiting {
+		if g.r == r {
 			m.waiting = append(m.waiting[:i], m.waiting[i+1:]...)
-			*g = modelGet{resolved: true, at: now}
-			return
+			g.resolved, g.at = true, now
+			return true
 		}
 	}
+	return false
 }
 
 // runQueueProgram drives a Queue and the model through one random
 // program drawn from PCG(s1, s2): Puts from scheduled callbacks and
-// from receivers, TryGets, and gets on several receivers whose cancels
-// fire at random times, often at instants that other operations share.
-// Each receiver is randomly a proc, which blocks in Get and Sleep, or
-// a Step, which registers with Then and queues itself with
-// ScheduleStep; both are checked against the same model. It returns
-// the first disagreement between the Queue and the model.
+// from receivers, TryGets, gets on several receivers, and withdrawals
+// of Step receivers at random instants, often instants that other
+// operations share. Each receiver is randomly a proc, which blocks in
+// Get and Sleep and is never withdrawn, or a Step, which registers with
+// Then, queues itself with ScheduleStep and may be withdrawn at once
+// (a caller already stopped) or later, maybe after its get resolved;
+// both are checked against the same model. It returns the first
+// disagreement between the Queue and the model.
 func runQueueProgram(s1, s2 uint64) error {
 	rng := rand.New(rand.NewPCG(s1, s2))
 	env := NewEnv()
@@ -94,8 +95,8 @@ func runQueueProgram(s1, s2 uint64) error {
 	// share instants.
 	when := func() time.Duration { return time.Duration(rng.IntN(8)) * time.Microsecond }
 	next := 0
-	// resolving is set while a Put or a cancel runs: a get they resolve
-	// returns in a queue slot of its own, never inside them.
+	// resolving is set while a Put or a Withdraw runs: a get they
+	// resolve returns in a queue slot of its own, never inside them.
 	resolving := false
 	put := func() {
 		next++
@@ -107,35 +108,27 @@ func runQueueProgram(s1, s2 uint64) error {
 	for n := rng.IntN(40); n > 0; n-- {
 		env.Schedule(when()+when(), put)
 	}
-	var issued, returned int
-	// startGet draws a get's cancel (none, already fired, or firing
-	// later, maybe at this instant) and resolves the get in the model.
-	startGet := func() (*Event, *modelGet) {
-		var cancel *Event
-		var g *modelGet
-		switch rng.IntN(4) {
-		case 0: // no cancel
-		case 1: // already fired
-			cancel = env.NewEvent()
-			cancel.Fire(nil)
-		default: // fires later, maybe at this instant
-			cancel = env.NewEvent()
-			env.Schedule(when(), func() {
-				m.cancel(g, env.Now())
-				resolving = true
-				cancel.Fire(nil)
-				resolving = false
-			})
+	// withdraw withdraws r in the queue and the model, which must agree
+	// on whether r had a get waiting.
+	withdraw := func(r *stepReceiver) {
+		want := m.withdraw(r, env.Now())
+		resolving = true
+		got := q.Withdraw(r)
+		resolving = false
+		if got != want {
+			fail("Withdraw = %v; model %v", got, want)
 		}
-		g = m.get(cancel != nil && cancel.Fired(), env.Now())
+	}
+	var issued, returned int
+	startGet := func(r *stepReceiver) *modelGet {
 		issued++
-		return cancel, g
+		return m.get(r, env.Now())
 	}
 	// got checks a get's outcome, in value and in virtual time.
 	got := func(g *modelGet, v int, ok bool) {
 		returned++
 		if resolving {
-			fail("get returned inside the Put or cancel that resolved it")
+			fail("get returned inside the Put or Withdraw that resolved it")
 		}
 		if !g.resolved || v != g.val || ok != g.ok || env.Now() != g.at {
 			fail("get = %d, %v at %v; model %+v", v, ok, env.Now(), *g)
@@ -164,8 +157,21 @@ func runQueueProgram(s1, s2 uint64) error {
 	for i := 0; i < receivers; i++ {
 		steps := rng.IntN(30)
 		if rng.IntN(2) == 0 {
-			env.ScheduleStep(0, &stepReceiver{env: env, q: q, steps: steps, op: op,
-				startGet: startGet, got: got, when: when, bad: &bad})
+			r := &stepReceiver{env: env, q: q, steps: steps, op: op,
+				startGet: startGet, got: got, when: when, bad: &bad}
+			// withdrawAt draws what happens to a get that waits: no
+			// withdrawal, one at once, or one later, maybe at this
+			// instant, of whatever r then waits on.
+			r.withdrawAt = func() {
+				switch rng.IntN(4) {
+				case 0:
+				case 1:
+					withdraw(r)
+				default:
+					env.Schedule(when(), func() { withdraw(r) })
+				}
+			}
+			env.ScheduleStep(0, r)
 			continue
 		}
 		// A proc whose last get never resolves stays parked; as a
@@ -175,9 +181,8 @@ func runQueueProgram(s1, s2 uint64) error {
 				switch done, get := op(); {
 				case done:
 				case get:
-					cancel, g := startGet()
-					v, ok := q.Get(p, cancel)
-					got(g, v, ok)
+					g := startGet(nil)
+					got(g, q.Get(p), true)
 				default:
 					p.Sleep(when())
 				}
@@ -210,14 +215,15 @@ func runQueueProgram(s1, s2 uint64) error {
 // same operations as a getter proc, taking values with Then and
 // sleeping with ScheduleStep.
 type stepReceiver struct {
-	env      *Env
-	q        *Queue[int]
-	steps    int
-	op       func() (done, get bool)
-	startGet func() (*Event, *modelGet)
-	got      func(*modelGet, int, bool)
-	when     func() time.Duration
-	bad      *error
+	env        *Env
+	q          *Queue[int]
+	steps      int
+	op         func() (done, get bool)
+	startGet   func(*stepReceiver) *modelGet
+	got        func(*modelGet, int, bool)
+	when       func() time.Duration
+	withdrawAt func()
+	bad        *error
 	// g is the model's view of the get Receive completes.
 	g *modelGet
 }
@@ -228,13 +234,14 @@ func (r *stepReceiver) Step() {
 		switch done, get := r.op(); {
 		case done:
 		case get:
-			cancel, g := r.startGet()
-			if v, ok := r.q.Then(r, cancel); ok {
+			g := r.startGet(r)
+			if v, ok := r.q.Then(r); ok {
 				r.got(g, v, true)
 				continue
 			}
 			r.g = g
 			r.steps--
+			r.withdrawAt()
 			return
 		default:
 			r.env.ScheduleStep(r.when(), r)
@@ -250,7 +257,7 @@ func (r *stepReceiver) Receive(v int, ok bool) {
 }
 
 // Random programs deliver exactly what the slice model does: each
-// value to the longest-waiting get, each cancelled get ok=false, both
+// value to the longest-waiting get, each withdrawn get ok=false, both
 // at the model's virtual time. The seeds come from the clock and are
 // logged, so a failure can be replayed.
 func TestQueueMatchesModel(t *testing.T) {

@@ -7,108 +7,6 @@ import (
 	"time"
 )
 
-// leakOps is how many cancellable operations each leak test runs
-// against one long-lived cancel event.
-const leakOps = 10_000
-
-// maxListeners bounds the listeners a long-lived event may hold while at
-// most one operation waits on it at a time.
-const maxListeners = 1
-
-// Each completed Get detaches from its cancel event, so 10k gets
-// against one never-firing cancel leave it empty.
-func TestRecvOrDetachesFromCancel(t *testing.T) {
-	env := NewEnv()
-	c := NewQueue[int](env)
-	cancel := env.NewNamedEvent("shutdown")
-	env.Spawn("producer", func(p *Proc) {
-		for i := 0; i < leakOps; i++ {
-			p.Sleep(time.Microsecond) // the receiver blocks first
-			c.Put(i)
-		}
-	})
-	high := 0
-	env.Spawn("consumer", func(p *Proc) {
-		for i := 0; i < leakOps; i++ {
-			v, ok := c.Get(p, cancel)
-			if !ok || v != i {
-				t.Errorf("get %d: v=%d ok=%v", i, v, ok)
-				return
-			}
-			high = max(high, cancel.Listeners())
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if high > maxListeners || cancel.Listeners() != 0 {
-		t.Fatalf("cancel event holds %d listeners (high-water %d) after %d gets", cancel.Listeners(), high, leakOps)
-	}
-}
-
-// orderListener records its index when it fires. It is a pointer, as
-// a detachable listener must be.
-type orderListener struct {
-	i   int
-	got *[]int
-}
-
-func (l *orderListener) fired(*Event) { *l.got = append(*l.got, l.i) }
-
-// Detaching one listener keeps the others firing in registration
-// order.
-func TestDetachKeepsListenerOrder(t *testing.T) {
-	env := NewEnv()
-	ev := env.NewEvent()
-	var got []int
-	var regs []registration
-	for i := 0; i < 8; i++ {
-		regs = append(regs, ev.listen(&orderListener{i, &got}))
-	}
-	for _, i := range []int{1, 2, 5, 6, 0} {
-		regs[i].detach()
-		regs[i].detach() // a second detach is a no-op
-	}
-	if n := ev.Listeners(); n != 3 {
-		t.Fatalf("%d listeners after detaching 5 of 8, want 3", n)
-	}
-	ev.OnFire(func(*Event) { got = append(got, 8) })
-	ev.Fire(nil)
-	want := []int{3, 4, 7, 8}
-	if len(got) != len(want) {
-		t.Fatalf("fired %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fired %v, want %v", got, want)
-		}
-	}
-	regs[3].detach() // after firing: a no-op
-}
-
-// A cancel that fires while the op waits still cancels it.
-func TestRecvOrCancelAfterDetaches(t *testing.T) {
-	env := NewEnv()
-	c := NewQueue[int](env)
-	cancel := env.NewEvent()
-	env.Schedule(time.Second, func() { cancel.Fire(nil) })
-	env.Schedule(time.Millisecond, func() { c.Put(0) })
-	env.Spawn("consumer", func(p *Proc) {
-		if _, ok := c.Get(p, cancel); !ok {
-			t.Error("first get cancelled")
-		}
-		if _, ok := c.Get(p, cancel); ok {
-			t.Error("second get not cancelled")
-		}
-		if p.Now() != time.Second {
-			t.Errorf("cancelled at %v", p.Now())
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // settledGoroutines polls until the goroutine count drops to want: an
 // exiting goroutine is still counted for a moment after its last
 // channel operation.
@@ -136,7 +34,7 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 			p.Wait(gate)
 			t.Error("parked proc resumed")
 		}).SetDaemon(true)
-		env.Spawn("receiver", func(p *Proc) { c.Get(p, nil) }).SetDaemon(true)
+		env.Spawn("receiver", func(p *Proc) { c.Get(p) }).SetDaemon(true)
 	}
 	for i := 0; i < 50; i++ {
 		env.Spawn("short", func(p *Proc) { p.Sleep(time.Duration(i) * time.Millisecond) })
@@ -298,7 +196,7 @@ func TestSpawnExitAllocs(t *testing.T) {
 	env.Spawn("driver", func(p *Proc) {
 		cycle := func() {
 			env.Spawn("cycle", body)
-			exited.Get(p, nil)
+			exited.Get(p)
 		}
 		// Warm the coroutine pool and free lists; then each cycle may
 		// allocate only the *Proc.
@@ -316,13 +214,12 @@ func TestSpawnExitAllocs(t *testing.T) {
 
 // A queue whose length stays bounded stops allocating: its buffer and
 // its receiver queue keep their backing arrays as values pass, and a
-// parked Get reuses its pooled waiter, with or without a cancel event.
+// parked Get reuses its pooled waiter.
 func TestChanSteadyStateAllocs(t *testing.T) {
 	const runs = 100
 	env := NewEnv()
 	c := NewQueue[int](env)
-	cancel := env.NewNamedEvent("never")
-	var buffered, parked, cancellable float64
+	var buffered, parked float64
 	env.Spawn("receiver", func(p *Proc) {
 		c.Put(0) // one value stays queued while others pass
 		buffered = testing.AllocsPerRun(runs, func() {
@@ -330,11 +227,10 @@ func TestChanSteadyStateAllocs(t *testing.T) {
 			c.TryGet()
 		})
 		c.TryGet()
-		parked = testing.AllocsPerRun(runs, func() { c.Get(p, nil) })
-		cancellable = testing.AllocsPerRun(runs, func() { c.Get(p, cancel) })
+		parked = testing.AllocsPerRun(runs, func() { c.Get(p) })
 	})
 	env.Spawn("sender", func(p *Proc) {
-		for i := 0; i <= 2*runs+1; i++ { // AllocsPerRun adds a warm-up run
+		for i := 0; i <= runs; i++ { // AllocsPerRun adds a warm-up run
 			p.Sleep(time.Microsecond)
 			c.Put(i)
 		}
@@ -342,8 +238,8 @@ func TestChanSteadyStateAllocs(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if buffered != 0 || parked != 0 || cancellable != 0 {
-		t.Fatalf("queue allocs: %v per buffered pass, %v per parked get, %v per cancellable get; want 0", buffered, parked, cancellable)
+	if buffered != 0 || parked != 0 {
+		t.Fatalf("queue allocs: %v per buffered pass, %v per parked get; want 0", buffered, parked)
 	}
 }
 

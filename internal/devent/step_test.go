@@ -146,17 +146,18 @@ func (r *recvStep) Receive(v int, ok bool) {
 	r.log = append(r.log, fmt.Sprintf("%d,%v@%v", v, ok, r.env.Now()))
 }
 
-// A Then whose cancel fired before it registered still registers, and
-// the receiver runs once, in a queue slot of its own, with ok false:
-// what Get does with the wakeup its park consumes.
+// A receiver withdrawn as soon as it registers, the way a caller that
+// is already stopped withdraws, runs once, in a queue slot of its own,
+// with ok false: what Get does with the wakeup its park consumes.
 func TestQueueThenCancelFiredBeforeRegistration(t *testing.T) {
 	env := NewEnv()
 	q := NewQueue[int](env)
-	cancel := env.NewEvent()
-	cancel.Fire(nil)
 	r := &recvStep{env: env}
-	if _, ok := q.Then(r, cancel); ok {
+	if _, ok := q.Then(r); ok {
 		t.Fatal("Then on an empty queue reported a value")
+	}
+	if !q.Withdraw(r) {
+		t.Fatal("Withdraw found no pending receive")
 	}
 	if len(r.log) != 0 {
 		t.Fatalf("receiver ran inline: %v", r.log)
@@ -166,75 +167,124 @@ func TestQueueThenCancelFiredBeforeRegistration(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := strings.Join(r.log, " "); got != "0,false@0s" {
-		t.Fatalf("received %q, want one cancelled receive", got)
+		t.Fatalf("received %q, want one withdrawn receive", got)
 	}
-	if env.EventsDispatched() != 1 || q.Len() != 1 || cancel.Listeners() != 0 {
-		t.Fatalf("%d events, %d queued, %d listeners", env.EventsDispatched(), q.Len(), cancel.Listeners())
+	if env.EventsDispatched() != 1 || q.Len() != 1 {
+		t.Fatalf("%d events, %d queued", env.EventsDispatched(), q.Len())
 	}
 }
 
-// A value queued after the cancel fired is still taken, inline, by
-// Then as by Get.
+// Withdraw cancels one receive, not the receiver: a value queued after
+// the withdrawal is still taken, inline, by the stopped caller's next
+// Then, as by Get.
 func TestQueueThenTakesValueQueuedAfterCancel(t *testing.T) {
 	env := NewEnv()
 	q := NewQueue[int](env)
-	cancel := env.NewEvent()
-	cancel.Fire(nil)
+	r := &recvStep{env: env}
+	q.Then(r)
+	q.Withdraw(r)
 	q.Put(1)
 	q.Put(2)
-	r := &recvStep{env: env}
-	if v, ok := q.Then(r, cancel); !ok || v != 1 {
+	if v, ok := q.Then(r); !ok || v != 1 {
 		t.Fatalf("Then = %d, %v; want 1, true", v, ok)
 	}
 	var pv int
-	var pok bool
-	env.Spawn("getter", func(p *Proc) { pv, pok = q.Get(p, cancel) })
+	env.Spawn("getter", func(p *Proc) { pv = q.Get(p) })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if pv != 2 || !pok || len(r.log) != 0 {
-		t.Fatalf("Get = %d, %v; receiver log %v", pv, pok, r.log)
+	if got := strings.Join(r.log, " "); pv != 2 || got != "0,false@0s" {
+		t.Fatalf("Get = %d; receiver log %q", pv, got)
 	}
 }
 
-// relayStep registers again after each receive, on a long-lived cancel
-// event, and records how many listeners that event holds as each
-// value arrives.
-type relayStep struct {
-	q         *Queue[int]
-	cancel    *Event
-	listeners []int
-}
-
-func (r *relayStep) Receive(v int, ok bool) {
-	r.listeners = append(r.listeners, r.cancel.Listeners())
-	r.q.Then(r, r.cancel)
-}
-
-// Once a Step receiver has its value it leaves no listener on its
-// cancel event, so a receiver that waits on one long-lived event over
-// and over holds at most its current registration.
-func TestQueueThenDetachesOnReceive(t *testing.T) {
+// Withdrawing a receiver with no pending receive reports false and
+// queues nothing, whether it never registered or Put has already
+// handed it a value, which then arrives with ok true.
+func TestQueueWithdrawWithoutPendingReceive(t *testing.T) {
 	env := NewEnv()
 	q := NewQueue[int](env)
-	r := &relayStep{q: q, cancel: env.NewEvent()}
-	q.Then(r, r.cancel)
-	for i := 1; i <= 100; i++ {
-		env.Schedule(time.Duration(i), func() { q.Put(i) })
+	idle, taken := &recvStep{env: env}, &recvStep{env: env}
+	if q.Withdraw(idle) {
+		t.Fatal("Withdraw of an unregistered receiver reported true")
+	}
+	q.Then(taken)
+	q.Put(7)
+	if q.Withdraw(taken) {
+		t.Fatal("Withdraw after Put took the receiver reported true")
 	}
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.listeners) != 100 {
-		t.Fatalf("%d receives, want 100", len(r.listeners))
+	if env.EventsDispatched() != 1 || len(idle.log) != 0 {
+		t.Fatalf("%d events, unregistered receiver log %v", env.EventsDispatched(), idle.log)
 	}
-	for i, n := range r.listeners {
-		if n != 0 {
-			t.Fatalf("receive %d saw %d cancel listeners, want 0", i, n)
-		}
+	if got := strings.Join(taken.log, " "); got != "7,true@0s" {
+		t.Fatalf("received %q, want the value", got)
 	}
-	if n := r.cancel.Listeners(); n != 1 {
-		t.Fatalf("registered receiver holds %d listeners, want 1", n)
+}
+
+// Withdraw keeps the other receivers in order: values go to the
+// longest-waiting receivers left, and each withdrawal runs in the slot
+// it was queued in.
+func TestQueueWithdrawKeepsOrder(t *testing.T) {
+	env := NewEnv()
+	q := NewQueue[int](env)
+	var log []string
+	rs := make([]*orderRecv, 5)
+	for i := range rs {
+		rs[i] = &orderRecv{i, &log}
+		q.Then(rs[i])
+	}
+	q.Withdraw(rs[3])
+	q.Withdraw(rs[0])
+	for v := 1; v <= 3; v++ {
+		q.Put(v)
+	}
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := "r3:0,false r0:0,false r1:1,true r2:2,true r4:3,true"
+	if got := strings.Join(log, " "); got != want {
+		t.Fatalf("received %q, want %q", got, want)
+	}
+}
+
+// orderRecv logs which receiver got what.
+type orderRecv struct {
+	i   int
+	log *[]string
+}
+
+func (r *orderRecv) Receive(v int, ok bool) {
+	*r.log = append(*r.log, fmt.Sprintf("r%d:%d,%v", r.i, v, ok))
+}
+
+// countRecv counts its receives without allocating.
+type countRecv struct{ n int }
+
+func (r *countRecv) Receive(int, bool) { r.n++ }
+
+// A steady Then/Withdraw cycle allocates nothing: the waiter and the
+// queue item that delivers the withdrawal are both recycled.
+func TestQueueThenWithdrawAllocs(t *testing.T) {
+	const runs = 100
+	env := NewEnv()
+	q := NewQueue[int](env)
+	r := &countRecv{}
+	var allocs float64
+	env.Spawn("stopper", func(p *Proc) {
+		allocs = testing.AllocsPerRun(runs, func() {
+			q.Then(r)
+			q.Withdraw(r)
+			p.Sleep(0) // the withdrawn receive runs first
+		})
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if r.n != runs+1 || allocs != 0 { // AllocsPerRun adds a warm-up run
+		t.Fatalf("%d receives, %v allocs per cycle; want %d, 0", r.n, allocs, runs+1)
 	}
 }
 

@@ -428,8 +428,8 @@ func (l *workerLoop) Step() {
 }
 
 // Receive implements devent.Receiver: the queue hands the idle worker
-// a task, or ok is false because its stop event fired (kill, retire or
-// shutdown), and the worker leaves the pool.
+// a task, or ok is false because halt withdrew the receive (kill,
+// retire or shutdown), and the worker leaves the pool.
 func (l *workerLoop) Receive(sub *submission, ok bool) {
 	w := (*worker)(l)
 	h := w.h
@@ -447,7 +447,7 @@ func (l *workerLoop) Receive(sub *submission, ok bool) {
 
 // workerStep picks the worker's next task, or registers it on the
 // queue, where Receive takes the task or the stop. A retired worker
-// leaves the pool instead.
+// leaves the pool instead, and a stopped one withdraws at once.
 func (h *HTEX) workerStep(w *worker) {
 	// Retirement is checked before the queue: Then takes queued work
 	// first, so a retired worker would otherwise keep picking tasks as
@@ -457,8 +457,10 @@ func (h *HTEX) workerStep(w *worker) {
 		h.exit(w)
 		return
 	}
-	if sub, ok := h.queue.Then((*workerLoop)(w), &w.stop); ok {
+	if sub, ok := h.queue.Then((*workerLoop)(w)); ok {
 		h.pick(w, sub)
+	} else if w.stopped {
+		h.queue.Withdraw((*workerLoop)(w))
 	}
 }
 
@@ -801,10 +803,9 @@ type worker struct {
 	env     map[string]string
 	gpu     *simgpu.Context
 	state   map[string]any
-	// stop fires at the first kill, retire or shutdown; killed and
-	// retired record the first two.
-	stop            devent.Event
-	killed, retired bool
+	// stopped is set at the first kill, retire or shutdown; killed
+	// and retired record the first two.
+	stopped, killed, retired bool
 	// exited fires when the worker leaves the pool.
 	exited devent.Event
 	// p runs the worker's apps (see workerProc); phase is where its
@@ -823,9 +824,9 @@ type worker struct {
 	runSpan obs.SpanID
 }
 
-// newWorker builds a worker and its lifecycle events. The events
-// exist before the loop runs, so KillWorker and ScaleIn work on
-// workers that have not booted yet.
+// newWorker builds a worker and its exit event. The event exists
+// before the loop runs, so ScaleIn can wait on workers that have not
+// booted yet.
 func (h *HTEX) newWorker(name string, node *gpuctl.Node) *worker {
 	w := &worker{
 		h:     h,
@@ -834,16 +835,17 @@ func (h *HTEX) newWorker(name string, node *gpuctl.Node) *worker {
 		state: make(map[string]any),
 		env:   map[string]string{},
 	}
-	h.env.InitEvent(&w.stop, "stop:"+name)
 	h.env.InitEvent(&w.exited, "exit:"+name)
 	return w
 }
 
-// halt fires the worker's stop event unless it already fired: an idle
-// worker leaves the queue at once, a busy one after its app returns.
+// halt stops the worker unless it already stopped: an idle worker's
+// receive is withdrawn at once, and a busy one withdraws when it next
+// goes idle (workerStep).
 func (w *worker) halt() {
-	if !w.stop.Fired() {
-		w.stop.Fire(nil)
+	if !w.stopped {
+		w.stopped = true
+		w.h.queue.Withdraw((*workerLoop)(w))
 	}
 }
 

@@ -10,10 +10,10 @@ import (
 	"repro/internal/obs"
 )
 
-// An idle worker's wait on the queue registers on its stop event and
-// detaches once it picks a task: after 1000 tasks the stop event holds
-// what it held after the first, at most one listener. A kill mid-task
-// still fails that task with ErrWorkerLost and the DFK retries it.
+// An idle worker waits on the queue with one receive: after 1000 tasks
+// a kill withdraws exactly one, and the worker exits at the kill
+// instant. A kill mid-task still fails that task with ErrWorkerLost
+// and the DFK retries it.
 func TestWorkerLoopRegistrationsConstant(t *testing.T) {
 	r := newRig(t, 0)
 	ex, err := New(r.env, Config{Label: "cpu", MaxWorkers: 1, Provider: r.local()})
@@ -35,15 +35,24 @@ func TestWorkerLoopRegistrationsConstant(t *testing.T) {
 			return
 		}
 		w := ex.workers[0]
-		first := w.stop.Listeners()
 		for i := 1; i < 1000; i++ {
 			if _, err := d.Submit("sleep").Result(p); err != nil {
 				t.Error(err)
 				return
 			}
 		}
-		if got := w.stop.Listeners(); got != first || got > 1 {
-			t.Errorf("stop listeners after 1000 tasks = %d, after 1 = %d", got, first)
+		// KillWorker's marks; the test makes the kill's withdrawal.
+		kill := p.Now()
+		w.killed, w.stopped = true, true
+		if !ex.queue.Withdraw((*workerLoop)(w)) {
+			t.Error("idle worker not registered on the queue after 1000 tasks")
+		}
+		if ex.queue.Withdraw((*workerLoop)(w)) {
+			t.Error("idle worker registered on the queue twice")
+		}
+		p.Wait(&w.exited)
+		if p.Now() != kill {
+			t.Errorf("killed idle worker exited at %v, want the kill instant %v", p.Now(), kill)
 		}
 
 		long := d.Submit("long")
@@ -56,20 +65,14 @@ func TestWorkerLoopRegistrationsConstant(t *testing.T) {
 		if err != nil || v != 2 {
 			t.Errorf("killed task: v=%v err=%v, want a successful second try", v, err)
 		}
-		if n := w.stop.Listeners(); n != 0 {
-			t.Errorf("killed worker's stop listeners = %d, want 0", n)
-		}
-		if n := ex.workers[0].stop.Listeners(); n != 1 {
-			t.Errorf("restarted idle worker's stop listeners = %d, want 1", n)
-		}
 	})
 	r.run(t)
 	m := d.Collector().Metrics()
 	if v := m.Counter("faas_task_retries_total", obs.L("app", "long")).Value(); v != 1 {
 		t.Fatalf("retries = %v, want 1", v)
 	}
-	if v := m.Counter("htex_workers_killed_total", obs.L("executor", "cpu")).Value(); v != 1 {
-		t.Fatalf("workers killed = %v, want 1", v)
+	if v := m.Counter("htex_workers_killed_total", obs.L("executor", "cpu")).Value(); v != 2 {
+		t.Fatalf("workers killed = %v, want 2", v)
 	}
 }
 

@@ -38,12 +38,12 @@ func BenchmarkQueuePingPongObserved(b *testing.B) {
 	env.Spawn("a", func(p *devent.Proc) {
 		for i := 0; i < b.N; i++ {
 			ping.Put(i)
-			pong.Get(p, nil)
+			pong.Get(p)
 		}
 	})
 	env.Spawn("b", func(p *devent.Proc) {
 		for i := 0; i < b.N; i++ {
-			ping.Get(p, nil)
+			ping.Get(p)
 			pong.Put(i)
 		}
 	})

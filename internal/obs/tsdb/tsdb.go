@@ -438,7 +438,8 @@ func (db *DB) LastTime() time.Duration {
 // Start spawns the scrape daemon on env: one Scrape every
 // Config.Interval of virtual time until Stop is called. The loop holds
 // a pending timer, so a forgotten Stop keeps the simulation from
-// draining — Platform.Run pairs the two around the workload. No-op if
+// draining — core's sim pairs the two around every scenario: run (or
+// runStep) starts the store and exit, as main ends, stops it. No-op if
 // already started or on a nil DB.
 func (db *DB) Start(env *devent.Env) {
 	if db == nil || db.started {
