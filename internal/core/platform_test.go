@@ -157,7 +157,7 @@ type blackholeExecutor struct{ env *devent.Env }
 
 func (b blackholeExecutor) Label() string { return "hole" }
 func (b blackholeExecutor) Start() error  { return nil }
-func (b blackholeExecutor) Submit(*faas.Task, faas.AppFunc, []any) *devent.Event {
+func (b blackholeExecutor) Submit(*faas.Task) *devent.Event {
 	return b.env.NewNamedEvent("never")
 }
 

@@ -187,10 +187,14 @@ func (d *DFK) SetDispatchFault(fn func(*Task) error) { d.dispatchFault = fn }
 // state, in faas_tasks_completed_total.
 func (d *DFK) SetAdmission(fn func(*Task) (shed bool, retryAfter time.Duration)) { d.admission = fn }
 
-// Submit schedules an app invocation; its arguments reach the app
-// unchanged. Failed tasks are retried up to Config.Retries times,
-// sleeping the configured exponential backoff (with jitter) between
-// attempts.
+// Submit schedules an app invocation. The argument values reach the
+// app unchanged, but in a copy of the slice, so callers may reuse
+// theirs. The future keeps one argument inline and copies a longer
+// list into one fresh slice. A non-pointer argument, such as a
+// time.Duration, is still boxed by the caller, since AppFunc takes
+// its arguments as values of type any. Failed tasks are retried up to
+// Config.Retries times, sleeping the configured exponential backoff
+// (with jitter) between attempts.
 func (d *DFK) Submit(appName string, args ...any) *Future {
 	d.nextID++
 	d.ledger.submitted++
@@ -234,20 +238,19 @@ func (d *DFK) Submit(appName string, args ...any) *Future {
 		}
 	}
 
-	task.launch = launch{d: d, ex: ex, fn: app.Fn, args: args}
+	task.attempt.fn, task.attempt.inv.args = app.Fn, fut.keep(args)
+	task.launch = launch{d: d, ex: ex}
 	d.env.ScheduleStep(0, (*launchStep)(task))
 	return fut
 }
 
-// launch is what a task's launch needs besides the task: its DFK,
-// executor, app function and arguments, and the event of the attempt
-// it awaits. It lives in the Task, so launching allocates nothing.
+// launch is what a task's launch needs besides the task and its
+// attempt slot: its DFK, its executor, and the event of the attempt it
+// awaits. It lives in the Task, so launching allocates nothing.
 type launch struct {
-	d    *DFK
-	ex   Executor
-	fn   AppFunc
-	args []any
-	ev   *devent.Event
+	d  *DFK
+	ex Executor
+	ev *devent.Event
 }
 
 // launchStep is a Task as the devent Step that launches it. Converting
@@ -261,8 +264,8 @@ type launchStep Task
 // that has a retry left, and finish. It returns whenever the launch
 // waits, on the event (Then) or the backoff (ScheduleStep, only for a
 // positive delay), and resumes when the Step runs again. Once the task
-// is terminal it drops the launch's references, so a retained Task
-// pins no arguments.
+// is terminal it drops the launch's references; the future keeps the
+// arguments.
 func (s *launchStep) Step() {
 	t := (*Task)(s)
 	l := &t.launch
@@ -286,7 +289,7 @@ func (s *launchStep) Step() {
 				err = d.dispatchFault(t)
 			}
 			if err == nil {
-				ev := l.ex.Submit(t, l.fn, l.args)
+				ev := l.ex.Submit(t)
 				if ev.Then(s) {
 					l.ev = ev
 					return

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/devent"
 )
@@ -21,16 +22,19 @@ type stubExecutor struct {
 func (s *stubExecutor) Label() string { return s.label }
 func (s *stubExecutor) Start() error  { s.started = true; return nil }
 
-func (s *stubExecutor) Submit(task *Task, fn AppFunc, args []any) *devent.Event {
-	done := s.env.NewEvent()
+func (s *stubExecutor) Submit(task *Task) *devent.Event {
+	a := task.NextAttempt()
+	done := a.Event()
+	s.env.InitEvent(done, "stub")
 	s.n++
 	s.env.Spawn("stub-run", func(p *devent.Proc) {
 		task.Status = TaskRunning
 		task.StartTime = p.Now()
 		task.Worker = "stub"
 		p.Sleep(s.delay)
-		inv := NewInvocation(p, task, args, nil, nil)
-		res, err := fn(&inv)
+		a.Bind(p, nil, nil)
+		res, err := a.Run()
+		a.Release()
 		task.EndTime = p.Now()
 		if err != nil {
 			done.Fail(err)
@@ -206,7 +210,7 @@ func TestTaskTimingAccessors(t *testing.T) {
 func TestInvocationWithoutWorker(t *testing.T) {
 	env := NewEnvForTest()
 	env.Spawn("p", func(p *devent.Proc) {
-		inv := NewInvocation(p, &Task{}, []any{1, 2}, nil, nil)
+		inv := &Invocation{proc: p, task: &Task{}, args: []any{1, 2}}
 		if _, err := inv.GPU(); err == nil {
 			t.Error("GPU without worker succeeded")
 		}
@@ -245,6 +249,45 @@ func TestFutureAccessors(t *testing.T) {
 	done.Fire("x")
 	if !fut.Done() {
 		t.Fatal("not done after fire")
+	}
+}
+
+// A task's Future holds the task, its attempt slot and one inline
+// argument, and fills the 512-byte malloc size class exactly. One more field moves every task into the 576-byte
+// class, and autoscale, whose tasks take no arguments, would then
+// allocate more bytes per task than with a separate attempt record.
+func TestFutureSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Future{}); got > 512 {
+		t.Fatalf("Future is %d bytes, want <= 512", got)
+	}
+}
+
+// Submit copies its arguments: one into the future, more into a fresh
+// slice. Either way the caller may reuse its slice at once.
+func TestSubmitCopiesArgs(t *testing.T) {
+	env := devent.NewEnv()
+	d, _ := newTestDFK(t, env, 0)
+	d.Register(App{Name: "args", Executor: "stub", Fn: func(inv *Invocation) (any, error) {
+		return inv.Args(), nil
+	}})
+	var got [][]any
+	env.Spawn("main", func(p *devent.Proc) {
+		for _, args := range [][]any{{1}, {1, 2, 3}} {
+			fut := d.Submit("args", args...)
+			args[0] = "reused"
+			v, err := fut.Result(p)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got = append(got, v.([]any))
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || len(got[0]) != 1 || got[0][0] != 1 || len(got[1]) != 3 || got[1][0] != 1 || got[1][2] != 3 {
+		t.Fatalf("apps saw %v", got)
 	}
 }
 

@@ -154,11 +154,13 @@ type Task struct {
 	Span obs.SpanID
 
 	track string
-	// The DFK's task keeps its completion event, app instruments and
-	// launch state in the same allocation as its future.
-	done   devent.Event
-	m      *appMetrics
-	launch launch
+	// The DFK's task keeps its completion event, app instruments,
+	// launch state and attempt slot in the same allocation as its
+	// future.
+	done    devent.Event
+	m       *appMetrics
+	launch  launch
+	attempt Attempt
 }
 
 // Track names the trace lane the task's spans render on ("task-<ID>");
@@ -181,20 +183,13 @@ func (t *Task) RunTime() time.Duration { return t.EndTime - t.StartTime }
 // Invocation is the context an app body receives: the simulated
 // process, resolved arguments, the worker's accelerator binding, and
 // per-worker state that persists across invocations (the warm
-// container).
+// container). It lives in the attempt record the app runs on.
 type Invocation struct {
 	proc   *devent.Proc
 	task   *Task
 	args   []any
 	env    map[string]string
 	worker WorkerHandle
-}
-
-// NewInvocation assembles an invocation context; it is exported for
-// executor implementations, which keep it inside their per-task record
-// and pass its address to the app.
-func NewInvocation(p *devent.Proc, task *Task, args []any, env map[string]string, w WorkerHandle) Invocation {
-	return Invocation{proc: p, task: task, args: args, env: env, worker: w}
 }
 
 // Proc returns the simulated process running the invocation.
@@ -255,10 +250,85 @@ type WorkerHandle interface {
 	State() map[string]any
 }
 
+// Attempt is one dispatch attempt of a task as its executor sees it:
+// the app function and the invocation it runs on, the executor's queue
+// span, and the event the attempt completes.
+//
+// Every Task holds one Attempt, its slot, so an attempt allocates
+// nothing. The DFK fills the slot's function and arguments at Submit.
+// From each Executor.Submit, which takes the record from NextAttempt,
+// until the record's event fires, the executor owns the record. It
+// binds the record to the proc that runs the app (Bind) and releases
+// it when the app returns (Release); in between the record is held.
+// The attempt's event normally fires after the release, so the DFK
+// retries on a free slot. It fires before only when the executor fails
+// the attempt while the app runs on as an orphan (htex's KillWorker);
+// a retry then gets a fresh record, because clearing the slot would
+// repoint the orphan's Invocation at the retry's worker.
+type Attempt struct {
+	fn AppFunc
+	// QueueSpan is the executor's queue span: it nests under the task's
+	// root span and ends when a worker picks the attempt.
+	QueueSpan obs.SpanID
+	done      devent.Event
+	inv       Invocation
+}
+
+// NextAttempt returns the record of the task's next attempt, its event
+// not yet initialised: the task's slot, cleared, or a fresh record with
+// the same function and arguments while an app still holds the slot.
+func (t *Task) NextAttempt() *Attempt {
+	fn, args := t.attempt.fn, t.attempt.inv.args
+	a := &t.attempt
+	if a.inv.proc != nil { // held: an orphaned app runs on the slot
+		a = new(Attempt)
+	}
+	*a = Attempt{fn: fn, inv: Invocation{task: t, args: args}}
+	return a
+}
+
+// Task returns the task the attempt belongs to.
+func (a *Attempt) Task() *Task { return a.inv.task }
+
+// Event returns the attempt's completion event.
+func (a *Attempt) Event() *devent.Event { return &a.done }
+
+// Bind completes the attempt's invocation with the proc that will run
+// the app and the worker's binding. The record is held from now until
+// Release.
+func (a *Attempt) Bind(p *devent.Proc, env map[string]string, w WorkerHandle) {
+	a.inv.proc, a.inv.env, a.inv.worker = p, env, w
+}
+
+// Run calls the app on the bound invocation, on the bound proc.
+func (a *Attempt) Run() (any, error) { return a.fn(&a.inv) }
+
+// Release unbinds the invocation once the app has returned, freeing
+// the record for the task's next attempt.
+func (a *Attempt) Release() {
+	a.inv.proc, a.inv.env, a.inv.worker = nil, nil, nil
+}
+
 // Future is the handle returned by Submit; it fires when the task
-// completes (with its return value) or fails. It holds the task
-// itself, so a submission allocates one object for both.
-type Future struct{ task Task }
+// completes (with its return value) or fails. It holds the task, and
+// with it the task's attempt slot, and the task's argument when there
+// is only one, so a submission allocates one object for all of them.
+// It keeps the argument values for as long as the caller keeps it.
+type Future struct {
+	task Task
+	argv [1]any
+}
+
+// keep copies args into the future: inline when they fit, or else into
+// one fresh slice. It never retains the caller's slice, so a variadic
+// call's slice stays on the caller's stack.
+func (f *Future) keep(args []any) []any {
+	if len(args) > len(f.argv) {
+		return append([]any(nil), args...)
+	}
+	n := copy(f.argv[:], args)
+	return f.argv[:n:n]
+}
 
 // Task returns the underlying task record. The DFK keeps no finished
 // tasks, so the future is the caller's handle on it after completion.
@@ -276,19 +346,18 @@ func (f *Future) Result(p *devent.Proc) (any, error) {
 	return p.Wait(&f.task.done)
 }
 
-// Executor runs tasks. Implementations live in subpackages. The DFK
-// submits each dispatch attempt with the app's function, not its App:
-// the task's App and Executor fields already name the app and this
-// executor.
+// Executor runs tasks. Implementations live in subpackages.
 type Executor interface {
 	// Label is the registry key used by App.Executor.
 	Label() string
 	// Start launches the executor's infrastructure (blocks, workers).
 	Start() error
-	// Submit queues one attempt of task, which runs fn with args; the
-	// returned event fires with fn's return value or fails with its
-	// error.
-	Submit(task *Task, fn AppFunc, args []any) *devent.Event
+	// Submit queues one attempt of task. An executor that runs the app
+	// takes the attempt's record, which carries the app function and
+	// arguments, from task.NextAttempt and returns the record's event.
+	// The returned event fires with the app's return value or fails
+	// with its error.
+	Submit(task *Task) *devent.Event
 }
 
 // Config carries DFK-wide settings (mirrors Parsl's Config object,

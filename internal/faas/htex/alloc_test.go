@@ -18,17 +18,18 @@ func (discardSink) EmitSpan(*obs.Span) {}
 
 // A microtask allocates only what it keeps on its way from Submit
 // through the DFK, the htex queue and worker, and a streaming
-// collector: in steady state, its future (which holds its task and
-// the state of its launch, whose devent step is the task itself), its
-// lane name, its argument slice and boxed argument, and its
-// submission; the app runs on the worker's proc. That is 5 objects;
-// the budget allows one more, so one more per-task object fails the
-// test.
+// collector: in steady state, three objects. They are its future, which
+// holds its task, the state of its launch (whose devent step is the
+// task itself), its attempt record and its one argument; its lane
+// name; and its boxed time.Duration argument, which AppFunc's any
+// arguments require. The caller's variadic slice stays on its stack,
+// and the app runs on the worker's proc. The budget allows one object
+// more than that, so one more per-task object fails the test.
 // The byte bound, with attribute chunks and span-window growth
 // amortised in, likewise catches a field added to a per-task object;
 // it is not checked under -race, which allocates more per task.
 func TestPerTaskAllocationBudget(t *testing.T) {
-	const warm, tasks, window, budget, byteBudget = 2000, 10000, 64, 6, 1380
+	const warm, tasks, window, budget, byteBudget = 2000, 10000, 64, 4, 1316
 	r := newRig(t, 0)
 	ex, err := New(r.env, Config{Label: "cpu", MaxWorkers: 16, Provider: r.local()})
 	if err != nil {

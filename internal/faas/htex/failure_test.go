@@ -160,7 +160,9 @@ func TestKillWorkerBookkeeping(t *testing.T) {
 // the task's retry runs elsewhere. The kill already failed its attempt
 // and took the worker out of the pool, so the retry's result, its run
 // span and the task's terminal status are what they would be without
-// the orphan.
+// the orphan. The orphan's invocation is untouched by the retry, which
+// runs on a fresh attempt record while the orphan holds the task's
+// slot: its proc, worker, task and argument are those it started with.
 func TestOrphanedAppStaysInItsLane(t *testing.T) {
 	r := newRig(t, 0)
 	ex, err := New(r.env, Config{Label: "cpu", MaxWorkers: 2, Provider: r.local()})
@@ -173,9 +175,17 @@ func TestOrphanedAppStaysInItsLane(t *testing.T) {
 		calls++
 		n := calls
 		if n == 1 {
+			proc, worker, task, arg := inv.Proc(), inv.WorkerName(), inv.Task(), inv.Arg(0)
 			inv.Compute(5 * time.Second) // orphaned at 1 s, returns at 5 s
+			if inv.Proc() != proc || inv.WorkerName() != worker || inv.Task() != task || inv.Arg(0) != arg {
+				t.Errorf("orphan's invocation moved from %p %s %p %v to %p %s %p %v",
+					proc, worker, task, arg, inv.Proc(), inv.WorkerName(), inv.Task(), inv.Arg(0))
+			}
 		} else {
 			inv.Compute(10 * time.Second) // the retry: 1 s to 11 s
+		}
+		if inv.Arg(0) != "input" {
+			t.Errorf("call %d got argument %v", n, inv.Arg(0))
 		}
 		return n, nil
 	}})
@@ -185,7 +195,7 @@ func TestOrphanedAppStaysInItsLane(t *testing.T) {
 	var fut *faas.Future
 	var victim string
 	r.env.Spawn("main", func(p *devent.Proc) {
-		fut = d.Submit("slow")
+		fut = d.Submit("slow", "input")
 		p.Sleep(time.Second)
 		victim = fut.Task().Worker
 		if !ex.KillWorker(victim) {

@@ -93,20 +93,6 @@ var ErrWorkerLost = errors.New("htex: worker lost")
 // the queue would strand tasks forever.
 var ErrNoWorkers = errors.New("htex: no live workers")
 
-// submission is one dispatch attempt of a task. It owns the attempt's
-// done event (Submit's) and invocation, so a pick allocates nothing:
-// Submit builds the invocation with the task and its arguments, and
-// the picking worker's proc completes it with itself and the binding
-// when it starts the app. A submission is never reused: a killed
-// worker's orphaned app still holds it.
-type submission struct {
-	task  *faas.Task
-	fn    faas.AppFunc
-	qspan obs.SpanID
-	done  devent.Event
-	inv   faas.Invocation
-}
-
 // blockInfo tracks one provisioned block: the node it runs on and its
 // worker pool, so scale-in can retire the block as a unit and return
 // the node to the provider. spawned lists every worker started in the
@@ -123,7 +109,7 @@ type blockInfo struct {
 type HTEX struct {
 	env     *devent.Env
 	cfg     Config
-	queue   *devent.Queue[*submission]
+	queue   *devent.Queue[*faas.Attempt]
 	workers []*worker
 	// spawned lists every worker started since the last shutdown, in
 	// spawn order: the workers ShutdownAndWait waits for.
@@ -173,7 +159,7 @@ func New(env *devent.Env, cfg Config) (*HTEX, error) {
 	return &HTEX{
 		env:         env,
 		cfg:         cfg,
-		queue:       devent.NewQueue[*submission](env),
+		queue:       devent.NewQueue[*faas.Attempt](env),
 		crashes:     make(map[string]int),
 		blacklisted: make(map[string]bool),
 	}, nil
@@ -430,11 +416,11 @@ func (l *workerLoop) Step() {
 // Receive implements devent.Receiver: the queue hands the idle worker
 // a task, or ok is false because halt withdrew the receive (kill,
 // retire or shutdown), and the worker leaves the pool.
-func (l *workerLoop) Receive(sub *submission, ok bool) {
+func (l *workerLoop) Receive(a *faas.Attempt, ok bool) {
 	w := (*worker)(l)
 	h := w.h
 	if ok {
-		h.pick(w, sub)
+		h.pick(w, a)
 		return
 	}
 	if w.killed {
@@ -457,21 +443,22 @@ func (h *HTEX) workerStep(w *worker) {
 		h.exit(w)
 		return
 	}
-	if sub, ok := h.queue.Then((*workerLoop)(w)); ok {
-		h.pick(w, sub)
+	if a, ok := h.queue.Then((*workerLoop)(w)); ok {
+		h.pick(w, a)
 	} else if w.stopped {
 		h.queue.Withdraw((*workerLoop)(w))
 	}
 }
 
-// pick does a picked task's bookkeeping and queues the starting phase,
-// which runs the app.
-func (h *HTEX) pick(w *worker, sub *submission) {
-	t := sub.task
+// pick does a picked task's bookkeeping, binds the attempt to the
+// worker's proc and binding, and queues the starting phase, which runs
+// the app.
+func (h *HTEX) pick(w *worker, a *faas.Attempt) {
+	t := a.Task()
 	t.Status = faas.TaskRunning
 	t.StartTime = h.env.Now()
 	t.Worker = w.name
-	h.obs.EndSpan(sub.qspan, obs.String("worker", w.name))
+	h.obs.EndSpan(a.QueueSpan, obs.String("worker", w.name))
 	w.runSpan = h.obs.StartSpan("htex", "run", w.name, t.Span,
 		obs.Int("task", t.ID), obs.String("app", t.App),
 		obs.String("accelerator", w.binding.Accelerator),
@@ -480,11 +467,14 @@ func (h *HTEX) pick(w *worker, sub *submission) {
 		w.gpu.SetTraceParent(w.runSpan)
 	}
 	h.cPicked.Inc()
-	w.sub = sub
+	a.Bind(w.p, w.env, w)
+	w.sub = a
 	if w.killed {
 		// Killed before this pick (during init, or after the last task
 		// finished but before the worker picked again): lost at once.
-		h.lose(w, sub)
+		// The attempt stays bound: the starting phase still runs the
+		// app, as an orphan.
+		h.lose(w, a)
 	}
 	// The app starts, and its outcome is delivered, in a later step at
 	// the same instant: items already due run first.
@@ -496,20 +486,20 @@ func (h *HTEX) pick(w *worker, sub *submission) {
 // resumes it, it runs the picked app, hands the outcome to the
 // finishing phase, and parks as an idle daemon. It returns when
 // resumed with no app to run (the worker left the pool idle, see
-// exit), or once the app of a killed worker returns: the orphan
-// touches nothing else, since lose has already failed the attempt and
-// taken the worker out of the pool. Nothing is deferred: a proc still
-// parked when its Env closes unwinds without touching spans, gauges or
-// the GPU.
+// exit), or once the app of a killed worker returns: the orphan only
+// releases its attempt record, since lose has already failed the
+// attempt and taken the worker out of the pool. Nothing is deferred: a
+// proc still parked when its Env closes unwinds without touching
+// spans, gauges or the GPU.
 func (h *HTEX) workerProc(p *devent.Proc, w *worker) {
-	for sub := w.sub; sub != nil; sub = w.sub {
-		sub.inv = faas.NewInvocation(p, sub.task, sub.inv.Args(), w.env, w)
-		result, err := sub.fn(&sub.inv)
+	for a := w.sub; a != nil; a = w.sub {
+		result, err := a.Run()
+		a.Release()
 		if w.killed {
 			return
 		}
 		w.sub = nil
-		w.fin, w.result, w.err = sub, result, err
+		w.fin, w.result, w.err = a, result, err
 		w.phase = finishing
 		h.env.ScheduleStep(0, (*workerLoop)(w))
 		p.Park()
@@ -518,17 +508,17 @@ func (h *HTEX) workerProc(p *devent.Proc, w *worker) {
 
 // finish delivers the outcome of the app that returned last.
 func (h *HTEX) finish(w *worker) {
-	sub, result, err := w.fin, w.result, w.err
+	a, result, err := w.fin, w.result, w.err
 	w.fin, w.result, w.err = nil, nil, nil
-	sub.task.EndTime = h.env.Now()
+	a.Task().EndTime = h.env.Now()
 	if err != nil {
 		h.obs.EndSpan(w.runSpan,
 			obs.String("status", "failed"),
 			obs.String("error", err.Error()))
-		sub.done.Fail(err)
+		a.Event().Fail(err)
 	} else {
 		h.obs.EndSpan(w.runSpan, obs.String("status", "done"))
-		sub.done.Fire(result)
+		a.Event().Fire(result)
 	}
 }
 
@@ -550,12 +540,13 @@ func (h *HTEX) exit(w *worker) {
 // lose fails a killed worker's attempt with ErrWorkerLost, so the DFK
 // can retry it elsewhere, aborts its kernels by destroying the GPU
 // context, and takes the worker out of the pool. The worker's proc
-// finishes the app as an orphan that touches nothing else.
-func (h *HTEX) lose(w *worker, sub *submission) {
-	sub.task.EndTime = h.env.Now()
+// finishes the app as an orphan that touches nothing else; the attempt
+// record stays held until then, so a retry gets a fresh one.
+func (h *HTEX) lose(w *worker, a *faas.Attempt) {
+	a.Task().EndTime = h.env.Now()
 	h.obs.EndSpan(w.runSpan, obs.String("status", "lost"))
 	w.releaseGPU()
-	sub.done.Fail(fmt.Errorf("%w: %s", ErrWorkerLost, w.name))
+	a.Event().Fail(fmt.Errorf("%w: %s", ErrWorkerLost, w.name))
 	h.workerCrashed(w)
 	h.exit(w)
 }
@@ -569,10 +560,10 @@ func (h *HTEX) KillWorker(name string) bool {
 		if w.name == name && !w.killed {
 			w.killed = true
 			w.halt()
-			if sub := w.sub; sub != nil {
+			if a := w.sub; a != nil {
 				// Mid-app: the attempt is lost at once, and the app
 				// runs on as the orphan.
-				h.env.Schedule(0, func() { h.lose(w, sub) })
+				h.env.Schedule(0, func() { h.lose(w, a) })
 			}
 			return true
 		}
@@ -690,19 +681,20 @@ func (h *HTEX) failIfStranded() {
 		return
 	}
 	for {
-		sub, ok := h.queue.TryGet()
+		a, ok := h.queue.TryGet()
 		if !ok {
 			return
 		}
-		h.obs.EndSpan(sub.qspan, obs.String("status", "no-workers"))
-		sub.done.Fail(fmt.Errorf("%w: executor %q", ErrNoWorkers, h.cfg.Label))
+		h.obs.EndSpan(a.QueueSpan, obs.String("status", "no-workers"))
+		a.Event().Fail(fmt.Errorf("%w: executor %q", ErrNoWorkers, h.cfg.Label))
 	}
 }
 
-// Submit implements faas.Executor.
-func (h *HTEX) Submit(task *faas.Task, fn faas.AppFunc, args []any) *devent.Event {
-	sub := &submission{task: task, fn: fn, inv: faas.NewInvocation(nil, task, args, nil, nil)}
-	done := &sub.done
+// Submit implements faas.Executor: it queues the task's next attempt
+// record, normally the task's own slot.
+func (h *HTEX) Submit(task *faas.Task) *devent.Event {
+	a := task.NextAttempt()
+	done := a.Event()
 	h.env.InitEvent(done, "htex-task")
 	if !h.started {
 		done.Fail(faas.ErrShutdown)
@@ -714,9 +706,9 @@ func (h *HTEX) Submit(task *faas.Task, fn faas.AppFunc, args []any) *devent.Even
 	}
 	// The queue span shares the task's track, nesting under its root
 	// span; the picking worker ends it.
-	sub.qspan = h.obs.StartSpan("htex", "queue", task.Track(), task.Span,
+	a.QueueSpan = h.obs.StartSpan("htex", "queue", task.Track(), task.Span,
 		obs.String("executor", h.cfg.Label))
-	h.queue.Put(sub)
+	h.queue.Put(a)
 	return done
 }
 
@@ -733,12 +725,12 @@ func (h *HTEX) Shutdown() {
 		w.halt()
 	}
 	for {
-		sub, ok := h.queue.TryGet()
+		a, ok := h.queue.TryGet()
 		if !ok {
 			break
 		}
-		h.obs.EndSpan(sub.qspan, obs.String("status", "shutdown"))
-		sub.done.Fail(faas.ErrShutdown)
+		h.obs.EndSpan(a.QueueSpan, obs.String("status", "shutdown"))
+		a.Event().Fail(faas.ErrShutdown)
 	}
 	h.workers = nil
 	// Hand every live block's node back so restart/scale cycles cannot
@@ -816,8 +808,8 @@ type worker struct {
 	// returns; fin, result and err carry the returned app's outcome to
 	// the finishing phase. span is the worker's lifecycle span and
 	// runSpan the attempt's run span.
-	sub     *submission
-	fin     *submission
+	sub     *faas.Attempt
+	fin     *faas.Attempt
 	result  any
 	err     error
 	span    obs.SpanID

@@ -44,7 +44,7 @@ type blackholeExecutor struct{ env *devent.Env }
 
 func (b blackholeExecutor) Label() string { return "hole" }
 func (b blackholeExecutor) Start() error  { return nil }
-func (b blackholeExecutor) Submit(*Task, AppFunc, []any) *devent.Event {
+func (b blackholeExecutor) Submit(*Task) *devent.Event {
 	return b.env.NewNamedEvent("never")
 }
 

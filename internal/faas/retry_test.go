@@ -21,7 +21,7 @@ type retryExecutor struct {
 
 func (s *retryExecutor) Label() string { return s.label }
 func (s *retryExecutor) Start() error  { return nil }
-func (s *retryExecutor) Submit(task *Task, fn AppFunc, args []any) *devent.Event {
+func (s *retryExecutor) Submit(*Task) *devent.Event {
 	s.calls++
 	call := s.calls
 	ev := s.env.NewNamedEvent(fmt.Sprintf("retry-%d", call))

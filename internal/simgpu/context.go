@@ -53,6 +53,11 @@ type Context struct {
 	// traceParent is the span kernel spans launched through this
 	// context hang under (the worker's current run span).
 	traceParent obs.SpanID
+
+	// run is the record of the kernel Run waits on, reused while no
+	// other Run on the context holds it (running).
+	run     launched
+	running bool
 }
 
 // SetTraceParent parents subsequent kernel spans under the given span
@@ -105,18 +110,32 @@ func (c *Context) Launch(k Kernel) *devent.Event {
 		ev.Fail(ErrDestroyed)
 		return ev
 	}
-	return &c.dom.launch(c, k).done
+	return &c.dom.launch(c, new(launched), k).done
 }
 
 // Run launches k and blocks the proc until it completes, returning a
-// copy of its record. The launch allocates one object, the engine's
-// bookkeeping, which holds the completion event and the record.
+// copy of its record. The engine's bookkeeping, which holds the
+// completion event and the record, is the context's run slot, so a Run
+// allocates nothing. The slot is held from the launch until Run
+// returns; by then the engine holds no pointer to it.
+// A Run that finds it held, because another proc's Run on the context
+// is in flight, allocates its own record.
 func (c *Context) Run(p *devent.Proc, k Kernel) (KernelRecord, error) {
 	if c.destroyed {
 		return KernelRecord{}, ErrDestroyed
 	}
-	l := c.dom.launch(c, k)
-	if _, err := p.Wait(&l.done); err != nil {
+	l := &c.run
+	if c.running {
+		l = new(launched)
+	} else {
+		c.running = true
+	}
+	c.dom.launch(c, l, k)
+	_, err := p.Wait(&l.done)
+	if l == &c.run {
+		c.running = false
+	}
+	if err != nil {
 		return KernelRecord{}, err
 	}
 	return l.rec, nil

@@ -70,6 +70,45 @@ func TestSingleKernelComputeBound(t *testing.T) {
 	near(t, end, time.Second) // 100 FLOPs / (100 SMs × 1 FLOP/s)
 }
 
+// Two procs Run on one context at once: the second finds the first
+// holding the context's run slot and takes a record of its own, so each
+// gets its own kernel's record, in stream order. A later Run reuses the
+// slot, freed when the first Run returned.
+func TestConcurrentRunsOnOneContext(t *testing.T) {
+	env := devent.NewEnv()
+	dev := mustDevice(t, env, testSpec())
+	recs := map[string]KernelRecord{}
+	runK := func(p *devent.Proc, ctx *Context, name string, flops float64) {
+		rec, err := ctx.Run(p, Kernel{Name: name, FLOPs: flops})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		recs[name] = rec
+	}
+	env.Spawn("a", func(p *devent.Proc) {
+		ctx, err := dev.NewContext(p, ContextOpts{SkipInit: true})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		env.Spawn("b", func(p *devent.Proc) { runK(p, ctx, "b", 200) })
+		runK(p, ctx, "a", 100)
+		p.Sleep(5 * time.Second)
+		runK(p, ctx, "c", 100)
+	})
+	run(t, env)
+	want := map[string][2]time.Duration{"a": {0, time.Second}, "b": {time.Second, 3 * time.Second}, "c": {6 * time.Second, 7 * time.Second}}
+	for name, w := range want {
+		r, ok := recs[name]
+		if !ok || r.Kernel.Name != name {
+			t.Fatalf("%s: record %+v", name, r)
+		}
+		near(t, r.Start, w[0])
+		near(t, r.End, w[1])
+	}
+}
+
 func TestKernelMaxSMsBound(t *testing.T) {
 	env := devent.NewEnv()
 	dev := mustDevice(t, env, testSpec())

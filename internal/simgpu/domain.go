@@ -148,10 +148,11 @@ func (d *domain) removeContext(c *Context) {
 	}
 }
 
-// launch enqueues a kernel on c's stream and returns it; its done
-// event fires with &l.rec, or fails with ErrAborted.
-func (d *domain) launch(c *Context, k Kernel) *launched {
-	l := &launched{
+// launch enqueues a kernel on c's stream in the record l, which it
+// overwrites, and returns l; its done event fires with &l.rec, or
+// fails with ErrAborted.
+func (d *domain) launch(c *Context, l *launched, k Kernel) *launched {
+	*l = launched{
 		ctx:  c,
 		rec:  KernelRecord{Kernel: k, Context: c.name, Domain: d.name, Enqueue: d.env.Now()},
 		frac: 1,

@@ -53,12 +53,12 @@ type KernelRecord struct {
 }
 
 // launched is the engine's per-kernel bookkeeping, and the one object
-// a launch allocates: the completion event and the record it fires
-// with live inside it, and it has no timer of its own (the domain arms
-// one, for the running kernel due first). rec holds the kernel, its
-// context and domain, and its enqueue and start times from the moment
-// they are known, and its SM share as of the last share change;
-// complete adds End.
+// a Launch allocates (a Run uses its context's run slot): the
+// completion event and the record it fires with live inside it, and it
+// has no timer of its own (the domain arms one, for the running kernel
+// due first). rec holds the kernel, its context and domain, and its
+// enqueue and start times from the moment they are known, and its SM
+// share as of the last share change; complete adds End.
 type launched struct {
 	ctx     *Context
 	done    devent.Event // fires with &rec, or fails with the abort error
