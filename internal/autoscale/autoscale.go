@@ -170,15 +170,15 @@ type Config struct {
 // Controller is the autoscaling loop. Create with New, Start once the
 // executor is running, Stop when the workload's main proc finishes.
 type Controller struct {
-	env  *devent.Env
-	obsC *obs.Collector
-	db   *tsdb.DB
-	spec Spec
-	exec *htex.HTEX
-	dfk  *faas.DFK
-	apps []string
-	stop *devent.Event
-	rng  *rand.Rand
+	env    *devent.Env
+	obsC   *obs.Collector
+	db     *tsdb.DB
+	spec   Spec
+	exec   *htex.HTEX
+	dfk    *faas.DFK
+	apps   []string
+	ticker *devent.Ticker
+	rng    *rand.Rand
 
 	// shedProb is the current admission shed probability, updated each
 	// tick and read by the DFK hook on every Submit.
@@ -256,10 +256,9 @@ func (c *Controller) ShedProbability() float64 { return c.shedProb }
 
 // Start launches the control loop and installs the admission hook.
 func (c *Controller) Start() {
-	if c.stop != nil {
+	if c.ticker != nil {
 		return
 	}
-	c.stop = c.env.NewNamedEvent("autoscale-stop")
 	c.lastBlocks = c.exec.Blocks()
 	c.lastChange = c.env.Now()
 	c.gBlocks.Set(float64(c.lastBlocks))
@@ -274,23 +273,15 @@ func (c *Controller) Start() {
 			return true, c.spec.RetryAfter
 		})
 	}
-	c.env.Spawn("autoscale-ctl", func(p *devent.Proc) {
-		for {
-			if _, err := p.WaitTimeout(c.stop, c.spec.Interval); !errors.Is(err, devent.ErrTimeout) {
-				return
-			}
-			c.tick(p)
-		}
-	})
+	c.ticker = c.env.Every("autoscale-ctl", c.spec.Interval, c.tick)
 }
 
 // Stop ends the loop, removes the admission hook, and closes the
 // block-seconds integral.
 func (c *Controller) Stop() {
-	if c.stop == nil || c.stop.Fired() {
+	if !c.ticker.Stop() {
 		return
 	}
-	c.stop.Fire(nil)
 	if c.dfk != nil {
 		c.dfk.SetAdmission(nil)
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/autoscale"
+	"repro/internal/devent"
 	"repro/internal/faas"
 	"repro/internal/faas/htex"
 	"repro/internal/faas/provider"
@@ -268,7 +269,7 @@ func RunAutoscale(cfg AutoscaleConfig) (*AutoscaleResult, error) {
 	var futs []*faas.Future
 	var endAt time.Duration
 	slept, draining, holding := false, false, false
-	var driver stepFunc
+	var driver devent.StepFunc
 	driver = func() {
 		if !draining {
 			if slept {

@@ -277,8 +277,8 @@ func RunPhaseShift(cfg PhaseShiftConfig) (*PhaseShiftResult, error) {
 		start := p.Now()
 		phaseAt := start + c.PhaseAt
 		var errA, errB error
-		doneA := pl.Env.NewNamedEvent("phase-a-done")
-		doneB := pl.Env.NewNamedEvent("phase-b-done")
+		doneA := pl.Env.NewEvent()
+		doneB := pl.Env.NewEvent()
 		pl.Env.Spawn("tenant-a", func(dp *devent.Proc) {
 			// A bursts first, then trickles.
 			if errA = burst(dp, "svc-a"); errA == nil {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/devent"
 	"repro/internal/faas"
 	"repro/internal/harness"
 	"repro/internal/metrics"
@@ -268,7 +269,7 @@ func runScaleShard(cfg ScaleConfig, shard, tasks int, sink obs.SpanSink) (shardS
 	// the window has room.
 	arrived, sleeping, pending := 0, false, false
 	var svc time.Duration
-	var driver stepFunc
+	var driver devent.StepFunc
 	driver = func() {
 		if sleeping {
 			sleeping, pending = false, true

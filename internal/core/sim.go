@@ -140,12 +140,6 @@ func (s *sim) runStep(main devent.Step) error {
 	return s.wait()
 }
 
-// stepFunc is a driver's loop body as a devent.Step, for a main that
-// keeps its state in the locals it captures.
-type stepFunc func()
-
-func (f stepFunc) Step() { f() }
-
 // exit ends the run's main with err, which run returns once the run
 // has drained, and stops what runs only as long as main: stop, and the
 // store's scrape daemon, whose pending timer would keep the queue from

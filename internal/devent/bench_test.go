@@ -171,9 +171,9 @@ func BenchmarkEventFanout(b *testing.B) {
 
 // BenchmarkEventWaitSteady measures the steady-state future pattern —
 // one proc repeatedly awaiting a freshly fired event on a long-lived
-// env — where the waiter pool and fanout pool are warm. Target:
-// 3 allocs/op (the Event, the Schedule closure, and the Timer handle);
-// the eventWaiter must come from the pool.
+// env. The proc's handoff is the event's waiter, so waiting allocates
+// nothing: 3 allocs/op, 152 B/op (the Event, the Schedule closure and
+// the Timer handle).
 func BenchmarkEventWaitSteady(b *testing.B) {
 	env := NewEnv()
 	b.ReportAllocs()
@@ -192,8 +192,10 @@ func BenchmarkEventWaitSteady(b *testing.B) {
 
 // BenchmarkEventFanoutSteady is EventFanout on a long-lived env: the
 // same 64 procs repeatedly block on a fresh event, so per-iteration
-// cost is the fanout itself (pooled waiters and one pooled fanout
-// Step, queued once) without proc-spawn churn.
+// cost is the fanout itself without proc-spawn churn. Each proc's
+// handoff is stored as a Step in the event's waiters slice and one
+// pooled fanout Step is queued once: 8 allocs/op, 2,272 B/op (the Event
+// and the seven growths of its 63-entry waiters slice).
 func BenchmarkEventFanoutSteady(b *testing.B) {
 	const waiters = 64
 	env := NewEnv()

@@ -9,7 +9,8 @@
 // that advance virtual time by blocking on Sleep, Events, or Queues. A
 // Step the scheduler dispatches may also resume a proc parked in Park,
 // running it inline until it parks again, so a proc need only exist
-// where a body blocks mid-call.
+// where a body blocks mid-call. A periodic daemon is one proc that
+// Every spawns and that runs a tick on each period until Ticker.Stop.
 //
 // The kernel is logically single-threaded: at any instant either the
 // scheduler loop or exactly one Proc is executing. All devent objects
@@ -25,10 +26,6 @@ import (
 	"sort"
 	"time"
 )
-
-// ErrTimeout is returned by the *Timeout blocking variants when the
-// deadline elapses before the awaited condition becomes true.
-var ErrTimeout = errors.New("devent: timeout")
 
 // ErrDeadlock is returned by Run when no events remain but one or more
 // Procs are still blocked or Steps still await an Event.
@@ -71,9 +68,8 @@ type Env struct {
 	// exceed half of both).
 	free      *queueItem
 	cancelled int
-	// freeWaiter recycles eventWaiters and freeFanout the Steps that
-	// batch multi-waiter fanouts (see event.go).
-	freeWaiter *eventWaiter
+	// freeFanout recycles the Steps that batch multi-waiter fanouts
+	// (see event.go).
 	freeFanout *fanout
 	// awaiting counts Steps registered with Then on events that have
 	// not fired: a Step left waiting when the queue drains is a
@@ -190,7 +186,7 @@ func (e *Env) ArmAt(t *Timer, at time.Duration, fn func()) {
 	if at < e.now {
 		at = e.now
 	}
-	it := e.newItem(at, callback(fn))
+	it := e.newItem(at, StepFunc(fn))
 	e.push(it)
 	*t = Timer{env: e, item: it, gen: it.gen}
 }
@@ -202,10 +198,11 @@ func (e *Env) ArmAt(t *Timer, at time.Duration, fn func()) {
 // multi-waiter fanout are each queued as a Step.
 type Step interface{ Step() }
 
-// callback is a scheduled func as a Step.
-type callback func()
+// StepFunc is a func as a Step: what ArmAt queues, and a driver loop
+// body that keeps its state in the locals it captures.
+type StepFunc func()
 
-func (f callback) Step() { f() }
+func (f StepFunc) Step() { f() }
 
 // handoff is a proc's resumption as a Step.
 type handoff Proc
@@ -611,7 +608,7 @@ func (e *Env) Close() {
 		p.g.stop()
 	}
 	e.queue, e.ready, e.free, e.cancelled = nil, fifo[*queueItem]{}, nil, 0
-	e.freeWaiter, e.freeFanout = nil, nil
+	e.freeFanout = nil
 }
 
 // Name returns the proc's unique name ("base#id").
@@ -625,4 +622,60 @@ func (p *Proc) Now() time.Duration { return p.env.now }
 func (p *Proc) Sleep(d time.Duration) {
 	p.env.ScheduleStep(d, (*handoff)(p))
 	p.Park()
+}
+
+// Ticker is a periodic daemon: a proc that runs a tick every d of
+// virtual time until Stop. Each tick costs two events, its timer
+// firing and the proc's handoff, and a tick may block.
+type Ticker struct {
+	p     *Proc
+	d     time.Duration
+	tick  func(*Proc)
+	timer Timer
+	fire  func()
+	// due is set by the timer's callback: a wakeup without it is
+	// Stop's, and the proc returns without ticking.
+	due     bool
+	stopped bool
+}
+
+// Every spawns a proc named name that calls tick every d of virtual
+// time, the first d after it starts, until Stop. The pending timer
+// keeps the event queue from draining, so pair every Every with a Stop.
+func (e *Env) Every(name string, d time.Duration, tick func(*Proc)) *Ticker {
+	t := &Ticker{d: d, tick: tick}
+	t.fire = func() {
+		t.due = true
+		e.ScheduleStep(0, (*handoff)(t.p))
+	}
+	t.p = e.Spawn(name, t.run)
+	return t
+}
+
+func (t *Ticker) run(p *Proc) {
+	for !t.stopped {
+		t.due = false
+		p.env.ArmAt(&t.timer, p.Now()+t.d, t.fire)
+		p.Park()
+		if !t.due {
+			return
+		}
+		t.tick(p)
+	}
+}
+
+// Stop ends the ticker and reports whether it was running. A proc
+// parked until its next tick is woken and returns; a tick that is
+// running, or already due at this instant, still completes, and the
+// proc then returns without arming again. Stop on a nil Ticker does
+// nothing.
+func (t *Ticker) Stop() bool {
+	if t == nil || t.stopped {
+		return false
+	}
+	t.stopped = true
+	if t.timer.Cancel() {
+		t.p.env.ScheduleStep(0, (*handoff)(t.p))
+	}
+	return true
 }

@@ -223,24 +223,6 @@ func TestWaitOnFiredEventReturnsImmediately(t *testing.T) {
 	}
 }
 
-func TestWaitTimeout(t *testing.T) {
-	env := NewEnv()
-	ev := env.NewEvent()
-	var err1, err2 error
-	env.Spawn("timesout", func(p *Proc) { _, err1 = p.WaitTimeout(ev, time.Second) })
-	env.Spawn("succeeds", func(p *Proc) { _, err2 = p.WaitTimeout(ev, 10*time.Second) })
-	env.Schedule(5*time.Second, func() { ev.Fire(nil) })
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(err1, ErrTimeout) {
-		t.Fatalf("err1 = %v", err1)
-	}
-	if err2 != nil {
-		t.Fatalf("err2 = %v", err2)
-	}
-}
-
 func TestOnFireAfterFired(t *testing.T) {
 	env := NewEnv()
 	ev := env.NewEvent()

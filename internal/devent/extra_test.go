@@ -6,24 +6,6 @@ import (
 	"time"
 )
 
-func TestWaitTimeoutOnFiredEvent(t *testing.T) {
-	env := NewEnv()
-	ev := env.NewEvent()
-	ev.Fire("v")
-	env.Spawn("w", func(p *Proc) {
-		v, err := p.WaitTimeout(ev, time.Second)
-		if err != nil || v != "v" {
-			t.Errorf("v=%v err=%v", v, err)
-		}
-		if p.Now() != 0 {
-			t.Errorf("waited: %v", p.Now())
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestScheduleFromCallback(t *testing.T) {
 	env := NewEnv()
 	var order []int
@@ -128,7 +110,7 @@ func TestCancelledTimerCompaction(t *testing.T) {
 
 func TestEventFailNilError(t *testing.T) {
 	env := NewEnv()
-	ev := env.NewNamedEvent("x")
+	ev := env.NewEvent()
 	ev.Fail(nil) // must synthesize an error rather than store nil
 	if ev.Err() == nil {
 		t.Fatal("nil error stored")

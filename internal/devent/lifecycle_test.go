@@ -307,45 +307,3 @@ func TestEventFanoutAllocs(t *testing.T) {
 		t.Fatalf("two-waiter fire: %v allocs, want <= %d", got, want)
 	}
 }
-
-// WaitTimeout allocates nothing once its waiter is pooled, whether the
-// timeout wins or the event fires first.
-func TestWaitTimeoutAllocs(t *testing.T) {
-	const runs = 100
-	env := NewEnv()
-	never := env.NewNamedEvent("never")
-	evs := make([]*Event, runs+2) // AllocsPerRun adds a warm-up run
-	for i := range evs {
-		evs[i] = env.NewEvent()
-	}
-	var timedOut, fired float64
-	env.Spawn("firer", func(p *Proc) {
-		p.Sleep(time.Second)
-		for _, ev := range evs {
-			p.Sleep(time.Microsecond)
-			ev.Fire(nil)
-		}
-	})
-	env.Spawn("waiter", func(p *Proc) {
-		p.WaitTimeout(never, time.Microsecond) // warm the waiter pool
-		timedOut = testing.AllocsPerRun(runs, func() {
-			if _, err := p.WaitTimeout(never, time.Microsecond); !errors.Is(err, ErrTimeout) {
-				t.Errorf("WaitTimeout on a never-fired event: %v", err)
-			}
-		})
-		p.Sleep(time.Second - p.Now())
-		i := 0
-		fired = testing.AllocsPerRun(runs, func() {
-			if _, err := p.WaitTimeout(evs[i], time.Hour); err != nil {
-				t.Errorf("WaitTimeout on event %d: %v", i, err)
-			}
-			i++
-		})
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if timedOut != 0 || fired != 0 {
-		t.Fatalf("WaitTimeout allocs: %v on timeout, %v when the event fired first; want 0", timedOut, fired)
-	}
-}

@@ -312,3 +312,13 @@ func TestQueueItemSize(t *testing.T) {
 		t.Fatalf("queueItem is %d bytes, want <= 48", got)
 	}
 }
+
+// Two Events live in every faas.Future, which a task pays once, so the
+// Event's size moves the Future's size class: at 112 B it leaves the
+// Future 16 B under the 512 B class. An Event's waiters are the Steps
+// themselves, and it carries no name.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got > 112 {
+		t.Fatalf("Event is %d bytes, want <= 112", got)
+	}
+}

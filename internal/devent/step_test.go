@@ -113,7 +113,7 @@ func TestFanoutMixedWaitersResumeInOrder(t *testing.T) {
 // like a parked proc; so is one beside a parked proc.
 func TestAwaitingStepDeadlocks(t *testing.T) {
 	env := NewEnv()
-	ev := env.NewNamedEvent("never")
+	ev := env.NewEvent()
 	env.ScheduleStep(time.Millisecond, &awaitStep{ev: ev})
 	err := env.Run()
 	if !errors.Is(err, ErrDeadlock) || !strings.Contains(err.Error(), "1 step(s) awaiting") {

@@ -214,7 +214,7 @@ func (d *DFK) Submit(appName string, args ...any) *Future {
 		task.m.submitted = d.obs.Metrics().Counter("faas_tasks_submitted_total", obs.L("app", appName))
 	}
 	task.m.submitted.Inc()
-	d.env.InitEvent(&task.done, "task")
+	d.env.InitEvent(&task.done)
 
 	app, ok := d.apps[appName]
 	if !ok {

@@ -25,7 +25,7 @@ func (s *stubExecutor) Start() error  { s.started = true; return nil }
 func (s *stubExecutor) Submit(task *Task) *devent.Event {
 	a := task.NextAttempt()
 	done := a.Event()
-	s.env.InitEvent(done, "stub")
+	s.env.InitEvent(done)
 	s.n++
 	s.env.Spawn("stub-run", func(p *devent.Proc) {
 		task.Status = TaskRunning
@@ -241,7 +241,7 @@ func TestFutureAccessors(t *testing.T) {
 	env := NewEnvForTest()
 	fut := &Future{task: Task{ID: 7}}
 	task := &fut.task
-	env.InitEvent(&task.done, "task")
+	env.InitEvent(&task.done)
 	done := &task.done
 	if fut.Done() || fut.Task() != task || fut.Task().ID != 7 || fut.Event() != done {
 		t.Fatal("future accessors")
@@ -253,9 +253,10 @@ func TestFutureAccessors(t *testing.T) {
 }
 
 // A task's Future holds the task, its attempt slot and one inline
-// argument, and fills the 512-byte malloc size class exactly. One more field moves every task into the 576-byte
-// class, and autoscale, whose tasks take no arguments, would then
-// allocate more bytes per task than with a separate attempt record.
+// argument in 496 bytes, 16 under the top of the 512-byte malloc size
+// class. A larger field moves every task into the 576-byte class, and
+// autoscale, whose tasks take no arguments, would then allocate more
+// bytes per task than with a separate attempt record.
 func TestFutureSizeClass(t *testing.T) {
 	if got := unsafe.Sizeof(Future{}); got > 512 {
 		t.Fatalf("Future is %d bytes, want <= 512", got)

@@ -695,7 +695,7 @@ func (h *HTEX) failIfStranded() {
 func (h *HTEX) Submit(task *faas.Task) *devent.Event {
 	a := task.NextAttempt()
 	done := a.Event()
-	h.env.InitEvent(done, "htex-task")
+	h.env.InitEvent(done)
 	if !h.started {
 		done.Fail(faas.ErrShutdown)
 		return done
@@ -827,7 +827,7 @@ func (h *HTEX) newWorker(name string, node *gpuctl.Node) *worker {
 		state: make(map[string]any),
 		env:   map[string]string{},
 	}
-	h.env.InitEvent(&w.exited, "exit:"+name)
+	h.env.InitEvent(&w.exited)
 	return w
 }
 

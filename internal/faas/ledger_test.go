@@ -45,7 +45,7 @@ type blackholeExecutor struct{ env *devent.Env }
 func (b blackholeExecutor) Label() string { return "hole" }
 func (b blackholeExecutor) Start() error  { return nil }
 func (b blackholeExecutor) Submit(*Task) *devent.Event {
-	return b.env.NewNamedEvent("never")
+	return b.env.NewEvent()
 }
 
 // A task that never reaches a terminal state (its executor swallowed

@@ -46,7 +46,7 @@ func (l *LocalProvider) Name() string { return "local" }
 // with n references to the single local node (Parsl local blocks are
 // worker pools on the same machine).
 func (l *LocalProvider) Provision(n int) *devent.Event {
-	ev := l.env.NewNamedEvent("local-provision")
+	ev := l.env.NewEvent()
 	nodes := make([]*gpuctl.Node, n)
 	for i := range nodes {
 		nodes[i] = l.node
@@ -105,7 +105,7 @@ func (s *SlurmProvider) Name() string { return "slurm" }
 // nodes are granted from the front of the free-list;
 // over-subscription fails the event.
 func (s *SlurmProvider) Provision(n int) *devent.Event {
-	ev := s.env.NewNamedEvent("slurm-provision")
+	ev := s.env.NewEvent()
 	s.env.Schedule(s.queueDelay, func() {
 		if n > len(s.free) {
 			ev.Fail(fmt.Errorf("provider: slurm pool exhausted (%d of %d granted, want %d)",

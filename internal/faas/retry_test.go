@@ -2,7 +2,6 @@ package faas
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -24,7 +23,7 @@ func (s *retryExecutor) Start() error  { return nil }
 func (s *retryExecutor) Submit(*Task) *devent.Event {
 	s.calls++
 	call := s.calls
-	ev := s.env.NewNamedEvent(fmt.Sprintf("retry-%d", call))
+	ev := s.env.NewEvent()
 	s.env.Schedule(s.delay, func() {
 		v, err := s.fn(call)
 		if err != nil {

@@ -21,7 +21,6 @@
 package tsdb
 
 import (
-	"errors"
 	"sort"
 	"strings"
 	"sync"
@@ -130,8 +129,7 @@ type DB struct {
 	pendingEv  []pendingAlertEvent
 	delivering bool
 
-	stop    *devent.Event
-	started bool
+	ticker *devent.Ticker
 }
 
 // New creates a DB scraping reg with virtual timestamps from clock.
@@ -435,33 +433,23 @@ func (db *DB) LastTime() time.Duration {
 	return db.last
 }
 
-// Start spawns the scrape daemon on env: one Scrape every
-// Config.Interval of virtual time until Stop is called. The loop holds
-// a pending timer, so a forgotten Stop keeps the simulation from
-// draining — core's sim pairs the two around every scenario: run (or
-// runStep) starts the store and exit, as main ends, stops it. No-op if
-// already started or on a nil DB.
+// Start runs the scrape daemon on env, a devent.Env.Every ticker: one
+// Scrape every Config.Interval of virtual time until Stop is called.
+// The ticker holds a pending timer, so a forgotten Stop keeps the
+// simulation from draining — core's sim pairs the two around every
+// scenario: run (or runStep) starts the store and exit, as main ends,
+// stops it. No-op if already started or on a nil DB.
 func (db *DB) Start(env *devent.Env) {
-	if db == nil || db.started {
+	if db == nil || db.ticker != nil {
 		return
 	}
-	db.started = true
-	db.stop = env.NewNamedEvent("tsdb-stop")
-	env.Spawn("tsdb-scrape", func(p *devent.Proc) {
-		for {
-			if _, err := p.WaitTimeout(db.stop, db.cfg.Interval); !errors.Is(err, devent.ErrTimeout) {
-				return
-			}
-			db.Scrape()
-		}
-	})
+	db.ticker = env.Every("tsdb-scrape", db.cfg.Interval, func(*devent.Proc) { db.Scrape() })
 }
 
 // Stop ends the scrape daemon so the event queue can drain. Safe to
 // call more than once, from sim context or after the run.
 func (db *DB) Stop() {
-	if db == nil || db.stop == nil || db.stop.Fired() {
-		return
+	if db != nil {
+		db.ticker.Stop()
 	}
-	db.stop.Fire(nil)
 }

@@ -90,7 +90,7 @@ type Controller struct {
 	dev     *simgpu.Device
 	cache   *weightcache.Cache
 	tenants []*tenantState
-	stop    *devent.Event
+	ticker  *devent.Ticker
 
 	layout         []string // current MIG layout (mode=mig)
 	lastTransition time.Duration
@@ -158,26 +158,15 @@ func (c *Controller) Transitions() int { return c.transitions }
 // Start launches the control loop: one tick per Spec.Interval on the
 // virtual clock.
 func (c *Controller) Start() {
-	if c.stop != nil {
-		return
+	if c.ticker == nil {
+		c.ticker = c.env.Every("repart-ctl", c.spec.Interval, c.tick)
 	}
-	c.stop = c.env.NewNamedEvent("repart-stop")
-	c.env.Spawn("repart-ctl", func(p *devent.Proc) {
-		for {
-			if _, err := p.WaitTimeout(c.stop, c.spec.Interval); !errors.Is(err, devent.ErrTimeout) {
-				return
-			}
-			c.tick(p)
-		}
-	})
 }
 
 // Stop ends the control loop; the workload's main proc calls it so
 // the simulation can drain.
 func (c *Controller) Stop() {
-	if c.stop != nil && !c.stop.Fired() {
-		c.stop.Fire(nil)
-	}
+	c.ticker.Stop()
 }
 
 // window holds one tenant's per-tick observation. runMean and

@@ -106,7 +106,7 @@ func MinPercent(sms, want int) int {
 // it already was).
 func (c *Context) Launch(k Kernel) *devent.Event {
 	if c.destroyed {
-		ev := c.dom.env.NewNamedEvent(k.Name)
+		ev := c.dom.env.NewEvent()
 		ev.Fail(ErrDestroyed)
 		return ev
 	}

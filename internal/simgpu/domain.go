@@ -157,7 +157,7 @@ func (d *domain) launch(c *Context, l *launched, k Kernel) *launched {
 		rec:  KernelRecord{Kernel: k, Context: c.name, Domain: d.name, Enqueue: d.env.Now()},
 		frac: 1,
 	}
-	d.env.InitEvent(&l.done, k.Name)
+	d.env.InitEvent(&l.done)
 	c.queue = append(c.queue, l)
 	d.depth++
 	d.gQueue.Set(float64(d.depth))
